@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import sys
 import time
@@ -20,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .corona import CoronaProblem, solve_corona, verify_left_inverse
+from .corona import CoronaProblem, solve_corona
 from .errors import NumericsError, SymbidiskError, ValidationError
 from .feasibility import SolveOptions, SolveStatus
 from .gamma_ops import (
@@ -102,8 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind, help=f"run a {kind} problem")
         _add_common_flags(p)
         if kind == "membership":
-            p.add_argument("--s", nargs=2, type=float, metavar=("RE", "IM"))
-            p.add_argument("--p", nargs=2, type=float, metavar=("RE", "IM"))
+            p.add_argument("--s", nargs=2, type=finite, metavar=("RE", "IM"))
+            p.add_argument("--p", nargs=2, type=finite, metavar=("RE", "IM"))
         if kind == "sequence":
             p.add_argument("--n", type=int, default=None, help="truncation length")
             p.add_argument("--kernels", type=int, default=None, help="kernel census size")
@@ -168,13 +169,34 @@ def _cli_overrides(args) -> dict:
 
 def _load_problem(path: str | None) -> dict:
     if path is None:
-        text = sys.stdin.read()
-    else:
-        if not os.path.exists(path):
-            raise ValidationError(f"problem file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return json.loads(text)
+        return _parse_json(sys.stdin.read())
+    if not os.path.exists(path):
+        raise ValidationError(f"problem file not found: {path}")
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse_json(fh.read())
+
+
+def _parse_json(text: str):
+    """Parse problem JSON, rejecting numbers that are not finite doubles.
+
+    ``NaN``, ``Infinity`` and literals that overflow a double (``1e999``)
+    raise ValidationError, so they never reach a solver or the report hash.
+    """
+    return json.loads(text, parse_constant=finite, parse_float=finite, parse_int=_bounded_int)
+
+
+def finite(text: str) -> float:
+    """float(text) for a JSON number or a CLI flag, rejecting non-finite values."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValidationError(f"number {text} is not a finite double")
+    return value
+
+
+def _bounded_int(text: str) -> int:
+    if len(text.lstrip("-")) > 308:
+        raise ValidationError(f"integer literal of {len(text)} characters is out of range")
+    return int(text)
 
 
 def _validate_problem(problem: Any, kind: str | None = None) -> None:
@@ -243,12 +265,7 @@ def _handle_membership(payload, grid, opts) -> dict:
     p = payload.get("p")
     if s is None or p is None:
         raise ValidationError("missing required field 's' or 'p'")
-    rep = membership(
-        decode_complex(s),
-        decode_complex(p),
-        grid_size=int(payload.get("grid_size", 4096)),
-        tol=float(payload.get("tol", 1e-10)),
-    )
+    rep = membership(decode_complex(s), decode_complex(p), tol=float(payload.get("tol", 1e-10)))
     return encode_membership(rep)
 
 
@@ -295,8 +312,8 @@ def _handle_corona(payload, grid, opts) -> dict:
         body["normalized_norm"] = solution.normalized_norm
         body["bound_inv_sqrt_delta"] = solution.bound_inv_sqrt_delta
         body["bound_inv_delta"] = solution.bound_inv_delta
-        audit = verify_left_inverse(solution.psi, problem, seed=opts.seed)
-        body["left_inverse_node_residual"] = audit.node_residual
+        # solve_corona measured max |Phi_i Psi(node_i) - Theta_i| on this colligation
+        body["left_inverse_node_residual"] = solution.node_residual
     return body
 
 
@@ -420,7 +437,7 @@ def corpus(args) -> int:
         path = os.path.join(in_dir, name)
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                problem = json.load(fh)
+                problem = _parse_json(fh.read())
             report = execute_problem(problem, overrides)
         except (ValidationError, json.JSONDecodeError) as exc:
             return name, "input-error", str(exc)

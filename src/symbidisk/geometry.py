@@ -10,7 +10,8 @@ each a unit-ball holomorphic function of (s, p).  A pair (s, p) with |s| < 2
 belongs to the open domain exactly when sup over |alpha| <= 1 of
 |phi(alpha, s, p)| is < 1; since alpha -> phi(alpha, s, p) is a Moebius map
 with pole at 2/s outside the closed disk, the sup is attained on the unit
-circle, which is what the grid search below exploits.
+circle, whose image is a circle with explicit centre and radius, so
+:func:`membership` evaluates the sup in closed form.
 
 All operations here are pure functions of their inputs; values are immutable
 and safe to share across threads.
@@ -30,7 +31,6 @@ from .errors import ValidationError
 _GOLDEN_BRACKET = 1e-12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-DEFAULT_MEMBERSHIP_GRID = 4096
 DEFAULT_MEMBERSHIP_TOL = 1e-10
 
 
@@ -135,59 +135,51 @@ def scale_point(point: GPoint | tuple[complex, complex], r: float) -> GPoint:
 
 
 def membership(
-    s: complex,
-    p: complex,
-    grid_size: int = DEFAULT_MEMBERSHIP_GRID,
-    tol: float = DEFAULT_MEMBERSHIP_TOL,
+    s: complex, p: complex, tol: float = DEFAULT_MEMBERSHIP_TOL
 ) -> MembershipReport:
-    """Estimate sup over |alpha| = 1 of |phi(alpha, s, p)| and classify.
+    """Closed-form sup over |alpha| = 1 of |phi(alpha, s, p)|, and classify.
 
-    Uniform circle grid followed by golden-section refinement around the grid
-    argmax.  ``grid_size`` >= 16.  Points with |s| >= 2 are immediate
-    non-members ("s out of range"); the sup is still estimated on the grid
-    (skipping near-pole alphas) so the report stays informative.
+    For |s| != 2, phi = w0 + k (2 alpha - conj(s)) / (2 - s alpha) with
+    w0 = 2 (conj(s) p - s) / (4 - |s|^2) and k = (4p - s^2) / (4 - |s|^2); the
+    last factor is unimodular on the circle, so the sup is |w0| + |k| (Agler &
+    Young, J. Geom. Anal. 2004), attained where that factor points along w0 / k.
+    If w0 = 0 or s^2 = 4p (phi constant -s/2), every alpha attains the sup and
+    ``argmax_alpha`` is 1.  If |s| = 2 and s^2 != 4p the pole 2/s lies on the
+    circle: the sup is ``math.inf`` and ``argmax_alpha`` is the pole.  Points
+    with |s| >= 2 are non-members ("s out of range").
     """
-    if grid_size < 16:
-        raise ValidationError(f"grid_size >= 16 required, got {grid_size}")
     s, p = complex(s), complex(p)
+    det = s * s - 4.0 * p
+    den = 4.0 - abs(s) ** 2
+    if det == 0:
+        sup, arg = abs(s) / 2.0, 1.0 + 0.0j
+    elif den == 0:
+        sup, arg = math.inf, 2.0 / s
+    else:
+        w0 = 2.0 * (s.conjugate() * p - s) / den
+        k = -det / den
+        sup = abs(w0) + abs(k)
+        if w0 == 0:
+            arg = 1.0 + 0.0j
+        else:
+            v = (w0 / abs(w0)) * (abs(k) / k)
+            arg = (2.0 * v + s.conjugate()) / (2.0 + v * s)
 
-    theta = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-    alphas = np.exp(1j * theta)
-    den = 2.0 - alphas * s
-    safe = np.abs(den) >= 1e-12
-    vals = np.full(grid_size, -np.inf)
-    vals[safe] = np.abs((2.0 * alphas[safe] * p - s) / den[safe])
-
-    k = int(np.argmax(vals))
-    step = 2.0 * math.pi / grid_size
-    th_star, sup = _golden_max(
-        lambda t: _abs_phi(cmath.exp(1j * t), s, p), theta[k] - step, theta[k] + step
-    )
-    sup = max(sup, float(vals[k]))
-    arg = cmath.exp(1j * th_star)
-
-    if abs(s) >= 2.0:
-        return MembershipReport(
-            is_member=False,
-            sup_modulus=sup,
-            argmax_alpha=arg,
-            tolerance=tol,
-            is_boundary=abs(sup - 1.0) <= tol,
-            reason="s out of range",
-        )
+    in_range = abs(s) < 2.0
     return MembershipReport(
-        is_member=sup < 1.0 - tol,
+        is_member=in_range and sup < 1.0 - tol,
         sup_modulus=sup,
         argmax_alpha=arg,
         tolerance=tol,
         is_boundary=abs(sup - 1.0) <= tol,
+        reason="" if in_range else "s out of range",
     )
 
 
-def require_member(point: GPoint | tuple[complex, complex], grid_size: int = 512) -> GPoint:
+def require_member(point: GPoint | tuple[complex, complex]) -> GPoint:
     """Return the point as a GPoint, raising if it fails membership."""
     s, p = _coords(point)
-    rep = membership(s, p, grid_size=grid_size)
+    rep = membership(s, p)
     if not rep.is_member:
         raise ValidationError(
             f"point ({s}, {p}) is not in the open domain (sup|phi| = {rep.sup_modulus:.6g})"
@@ -206,7 +198,7 @@ def pseudo_hyperbolic(a: complex, b: complex) -> float:
 def caratheodory_two_point(
     a: GPoint | tuple[complex, complex],
     b: GPoint | tuple[complex, complex],
-    grid_size: int = DEFAULT_MEMBERSHIP_GRID,
+    grid_size: int = 4096,
 ) -> float:
     """Two-point extremal distance through the coordinate family.
 
@@ -218,8 +210,7 @@ def caratheodory_two_point(
     sa, pa = _coords(a)
     sb, pb = _coords(b)
     for s, p in ((sa, pa), (sb, pb)):
-        rep = membership(s, p, grid_size=max(64, grid_size // 8))
-        if not rep.is_member:
+        if not membership(s, p).is_member:
             raise ValidationError("caratheodory_two_point needs member points")
 
     theta = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
@@ -248,13 +239,6 @@ def _coords(point) -> tuple[complex, complex]:
         return point.as_pair()
     s, p = point
     return complex(s), complex(p)
-
-
-def _abs_phi(alpha: complex, s: complex, p: complex) -> float:
-    den = 2.0 - alpha * s
-    if abs(den) < 1e-12:
-        return -math.inf
-    return abs((2.0 * alpha * p - s) / den)
 
 
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:

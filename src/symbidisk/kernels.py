@@ -72,7 +72,6 @@ class AlphaGrid:
     """Finite discretization of the coordinate parameter alpha in the closed disk."""
 
     alphas: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         al = np.asarray(self.alphas, dtype=complex).ravel()
@@ -84,11 +83,6 @@ class AlphaGrid:
             if np.any(np.abs(al[i + 1 :] - al[i]) <= 1e-14):
                 raise ValidationError("alpha grid points must be distinct")
         object.__setattr__(self, "alphas", al)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float).ravel()
-            if w.shape != al.shape or np.any(w <= 0):
-                raise ValidationError("weights must be positive and match the grid")
-            object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:
         return len(self.alphas)

@@ -33,6 +33,11 @@ from .hermitian import gram_factor, unitary_completion
 from .kernels import NodeSet
 from .feasibility import CPBlocks
 
+# Points per batched solve are capped so that a stack of colligation-sized
+# blocks ((padded + state dim)^2 entries each) holds at most this many entries.
+_SOLVE_CHUNK_ENTRIES = 2**14
+_NEAR_BOUNDARY_MODULUS = 1.0 - 2e-12
+
 
 @dataclass(frozen=True)
 class Colligation:
@@ -187,42 +192,36 @@ def lurking_isometry(
 def transfer_eval(
     fn: RealizedFunction | Colligation, point: GPoint | tuple[complex, complex]
 ) -> np.ndarray:
-    """Evaluate the realized function at a point of the open domain.
-
-    The resolvent (I - D Z)^{-1} exists because the state scalars have
-    modulus below one there and D is a contraction; evaluations with
-    resolvent conditioning beyond 1e12 trigger a near-boundary warning.
-    """
+    """Evaluate the realized function at one point: a batch of one."""
     col = fn.colligation if isinstance(fn, RealizedFunction) else fn
-    z = col.state_scalars(point)
-    h = col.state_dim
-    if h == 0:
-        f = col.a
-    else:
-        lhs = np.eye(h) - col.d * z[None, :]
-        if np.linalg.cond(lhs) > 1e12:
-            warnings.warn("near-boundary evaluation", RuntimeWarning, stacklevel=2)
-        f = col.a + (col.b * z[None, :]) @ np.linalg.solve(lhs, col.c)
-    # padded corner is the realized value; the rest is completion gauge
-    return f[0 : col.out_dim, 0 : col.in_dim]
+    s, p = (point.s, point.p) if isinstance(point, GPoint) else point
+    return transfer_eval_batch(col, [s], [p])[0]
 
 
 def transfer_eval_batch(col: Colligation, s: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """transfer_eval over many points, shape (len(s), out_dim, in_dim)."""
-    s = np.asarray(s, dtype=complex)
-    p = np.asarray(p, dtype=complex)
-    vals = phi_values(col.alphas, s, p) if col.state_dim else None
-    out = np.empty((s.size, col.out_dim, col.in_dim), dtype=complex)
+    """A + B Z (I - D Z)^{-1} C at many points, shape (len(s), out_dim, in_dim).
+
+    ||D|| <= 1 and |z_k| <= r bound the resolvent's condition number by
+    (1 + r) / (1 - r), so a batch warns "near-boundary evaluation" when some
+    state scalar reaches modulus 1 - 2e-12, where that bound passes 1e12.
+    """
+    s = np.asarray(s, dtype=complex).ravel()
+    p = np.asarray(p, dtype=complex).ravel()
+    # padded corner is the realized value; the rest is completion gauge
+    corner = (slice(None), slice(0, col.out_dim), slice(0, col.in_dim))
     h = col.state_dim
-    if h == 0:
-        out[:] = col.a[0 : col.out_dim, 0 : col.in_dim]
-        return out
+    vals = phi_values(col.alphas, s, p)
+    if vals.size and np.abs(vals).max() >= _NEAR_BOUNDARY_MODULUS:
+        warnings.warn("near-boundary evaluation", RuntimeWarning, stacklevel=2)
     reps = np.repeat(np.arange(len(col.multiplicities)), col.multiplicities)
     eye = np.eye(h)
-    for idx in range(s.size):
-        z = vals[reps, idx]
-        f = col.a + (col.b * z[None, :]) @ np.linalg.solve(eye - col.d * z[None, :], col.c)
-        out[idx] = f[0 : col.out_dim, 0 : col.in_dim]
+    out = np.empty((s.size, col.out_dim, col.in_dim), dtype=complex)
+    step = max(1, _SOLVE_CHUNK_ENTRIES // (col.padded_dim + h) ** 2)
+    for lo in range(0, s.size, step):
+        z = vals[reps, lo : lo + step].T[:, None, :]
+        rhs = np.broadcast_to(col.c, (z.shape[0],) + col.c.shape)
+        f = col.a + (col.b * z) @ np.linalg.solve(eye - col.d * z, rhs)
+        out[lo : lo + step] = f[corner]
     return out
 
 

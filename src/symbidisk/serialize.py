@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -161,9 +162,10 @@ def encode_solve_report(report: SolveReport) -> dict:
 
 
 def encode_membership(report: MembershipReport) -> dict:
+    """Membership report as JSON; an unbounded sup is written as ``null``."""
     return {
         "is_member": report.is_member,
-        "sup_modulus": report.sup_modulus,
+        "sup_modulus": report.sup_modulus if math.isfinite(report.sup_modulus) else None,
         "argmax_alpha": encode_complex(report.argmax_alpha),
         "tolerance": report.tolerance,
         "is_boundary": report.is_boundary,

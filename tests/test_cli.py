@@ -51,6 +51,33 @@ class TestRun:
         assert out["is_member"] is False
         assert out["reason"] == "s out of range"
 
+    def test_membership_pole_on_circle_writes_null_sup(self, capsys):
+        # |s| = 2 with s^2 != 4p: the sup of |phi| on the circle is unbounded
+        code = run(["membership", "--s", "2", "0", "--p", "0.5", "0"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["is_member"] is False
+        assert out["sup_modulus"] is None
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "1e999", "int-1e400"],
+    )
+    def test_non_finite_number_is_an_input_error(self, tmp_path, capsys, literal):
+        p_in = tmp_path / "p.json"
+        text = json.dumps(pick_problem_obj()).replace("[0.5, 0.0]", f"[{literal}, 0.0]")
+        assert literal in text
+        p_in.write_text(text)
+        code = run(["pick", "--in", str(p_in)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+    def test_non_finite_flag_rejected(self, capsys):
+        assert run(["membership", "--s", "nan", "0", "--p", "0", "0"]) == 1
+
     def test_missing_field_names_it(self, tmp_path, capsys):
         p_in = tmp_path / "p.json"
         obj = pick_problem_obj()
@@ -222,6 +249,17 @@ class TestCorpus:
         write_json(d / "a.json", pick_problem_obj())
         (d / "a.expected.json").write_text("{not json")
         assert run(["corpus", "--in", str(d)]) == 1
+
+    def test_non_finite_file_fails_alone(self, tmp_path, capsys):
+        d = self._make_corpus(tmp_path)
+        (d / "bad.json").write_text(
+            json.dumps(pick_problem_obj()).replace("[0.5, 0.0]", "[NaN, 0.0]")
+        )
+        assert run(["corpus", "--in", str(d), "--jobs", "2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("FAIL  bad.json") and "input-error" in line for line in lines)
+        assert sum(line.startswith("PASS") for line in lines) == 3
+        assert lines[-1] == "corpus: 3/4 passed"
 
     def test_empty_directory_passes(self, tmp_path, capsys):
         d = tmp_path / "empty"

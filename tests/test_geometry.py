@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,30 @@ from symbidisk.geometry import phi_values
 from conftest import random_gpoint
 
 
+def abs_phi_on_circle(theta, s, p):
+    al = np.exp(1j * theta)
+    return np.abs((2.0 * al * p - s) / (2.0 - al * s))
+
+
 def sup_phi_on_circle(s, p, n=4096):
-    # independent oracle: plain grid maximum, no refinement
-    al = np.exp(2j * np.pi * np.arange(n) / n)
-    return np.abs((2.0 * al * p - s) / (2.0 - al * s)).max()
+    # independent oracle: plain grid maximum, then a second plain grid of n
+    # points across the two cells around it (|phi| is unimodal on the circle)
+    step = 2.0 * np.pi / n
+    coarse = step * np.arange(n)
+    k = int(np.argmax(abs_phi_on_circle(coarse, s, p)))
+    fine = coarse[k] + step * np.linspace(-1.0, 1.0, n)
+    return abs_phi_on_circle(fine, s, p).max()
+
+
+def seeded_points(rng, count):
+    """Half symmetrized disk pairs, half pairs with one root outside the disk."""
+    pts = []
+    for _ in range(count):
+        z = 0.99 * np.sqrt(rng.random(2)) * np.exp(2j * np.pi * rng.random(2))
+        pts.append((z[0] + z[1], z[0] * z[1]))
+        z1 = (1.01 + 0.49 * rng.random()) * np.exp(2j * np.pi * rng.random())
+        pts.append((z1 + z[1], z1 * z[1]))
+    return pts
 
 
 class TestSymmetrize:
@@ -109,9 +131,42 @@ class TestMembership:
         assert rep.is_member
         assert rep.sup_modulus == pytest.approx(sup_phi_on_circle(0.8, 0.15), abs=1e-9)
 
-    def test_grid_size_validation(self):
-        with pytest.raises(ValidationError):
-            membership(0.0, 0.0, grid_size=8)
+    def test_closed_form_matches_grid_oracle(self, rng):
+        for s, p in seeded_points(rng, 100):
+            if abs(abs(s) - 2.0) < 0.05:
+                continue  # near the pole the grid oracle cannot resolve the peak
+            rep = membership(s, p)
+            sup = sup_phi_on_circle(s, p)
+            assert rep.sup_modulus == pytest.approx(sup, rel=1e-9, abs=1e-9)
+            assert abs(rep.argmax_alpha) == pytest.approx(1.0, abs=1e-12)
+            attained = abs_phi_on_circle(np.angle(rep.argmax_alpha), s, p)
+            assert attained == pytest.approx(rep.sup_modulus, rel=1e-9, abs=1e-9)
+
+    def test_s_zero_every_alpha_attains(self):
+        # phi(alpha, 0, p) = alpha * p
+        rep = membership(0.0, 0.6j)
+        assert rep.is_member
+        assert rep.sup_modulus == pytest.approx(0.6, abs=1e-15)
+        assert rep.argmax_alpha == 1.0
+
+    def test_constant_phi_when_s_squared_is_4p(self):
+        # (s, p) = (2z, z^2): phi == -z for every alpha
+        z = 0.3 - 0.4j
+        rep = membership(2.0 * z, z * z)
+        assert rep.is_member
+        assert rep.sup_modulus == pytest.approx(abs(z), abs=1e-15)
+        # 0.2^2 - 4 * 0.01 rounds to 7e-18, not 0: the argmax must stay defined
+        rep = membership(0.2, 0.01)
+        assert rep.sup_modulus == pytest.approx(0.1, abs=1e-15)
+        assert abs(rep.argmax_alpha) == pytest.approx(1.0, abs=1e-12)
+
+    def test_pole_on_circle_gives_unbounded_sup(self):
+        # |s| = 2 with s^2 != 4p: the image of the circle is a line
+        rep = membership(2.0, 0.5)
+        assert not rep.is_member
+        assert rep.reason == "s out of range"
+        assert rep.sup_modulus == math.inf
+        assert not rep.is_boundary
 
     def test_members_from_disk_pairs(self, rng):
         for _ in range(50):

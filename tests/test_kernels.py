@@ -49,10 +49,6 @@ class TestAlphaGrid:
         with pytest.raises(ValidationError):
             AlphaGrid(np.array([0.5, 0.5]))
 
-    def test_weights_must_match(self):
-        with pytest.raises(ValidationError):
-            AlphaGrid(np.array([0.1, 0.2]), weights=np.array([1.0]))
-
 
 class TestAdmissibilityCheck:
     def test_single_node_closed_form(self, solver_grid):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,43 @@ from symbidisk import (
     verify_contractivity,
 )
 from symbidisk.feasibility import CPBlocks
-from symbidisk.realization import lurking_isometry, node_values, transfer_eval_batch
+from symbidisk.realization import (
+    _SOLVE_CHUNK_ENTRIES,
+    lurking_isometry,
+    node_values,
+    transfer_eval_batch,
+)
 
 from conftest import random_gpoint, random_nodes
+
+
+def random_colligation(rng, state_dim, padded_dim=2):
+    """Haar-like unitary split into [[A, B], [C, D]], one state per alpha."""
+    n = padded_dim + state_dim
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return Colligation(
+        a=q[:padded_dim, :padded_dim],
+        b=q[:padded_dim, padded_dim:],
+        c=q[padded_dim:, :padded_dim],
+        d=q[padded_dim:, padded_dim:],
+        alphas=0.9 * np.exp(2j * np.pi * np.arange(state_dim) / max(1, state_dim)),
+        multiplicities=(1,) * state_dim,
+        out_dim=1,
+        in_dim=2,
+    )
+
+
+def reference_values(col, s, p):
+    """Per-point A + B Z (I - D Z)^{-1} C, one np.linalg.solve per point."""
+    out = []
+    for sk, pk in zip(s, p):
+        phis = (2.0 * col.alphas * pk - sk) / (2.0 - col.alphas * sk)
+        z = np.repeat(phis, col.multiplicities)
+        f = col.a + (col.b * z[None, :]) @ np.linalg.solve(
+            np.eye(col.state_dim) - col.d * z[None, :], col.c
+        )
+        out.append(f[: col.out_dim, : col.in_dim])
+    return np.array(out)
 
 
 def solved_interpolant(nodes, targets, grid=None):
@@ -103,6 +139,42 @@ class TestTransferEval:
             assert batch[k][0, 0] == pytest.approx(
                 transfer_eval(sol.interpolant, q)[0, 0], abs=1e-12
             )
+
+    @pytest.mark.parametrize("state_dim", [0, 3, 40])
+    def test_batch_matches_per_point_solve(self, rng, state_dim):
+        col = random_colligation(rng, state_dim)
+        per_chunk = _SOLVE_CHUNK_ENTRIES // (2 + state_dim) ** 2
+        count = 2 * per_chunk + 3
+        pts = [random_gpoint(rng) for _ in range(count)]
+        s = np.array([q.s for q in pts])
+        p = np.array([q.p for q in pts])
+        batch = transfer_eval_batch(col, s, p)
+        assert batch.shape == (count, 1, 2)
+        # same arithmetic per point, so equal to the last bit
+        np.testing.assert_array_equal(batch, reference_values(col, s, p))
+
+    def test_one_point_is_a_batch_of_one(self, rng):
+        col = random_colligation(rng, 5)
+        q = random_gpoint(rng)
+        np.testing.assert_array_equal(
+            transfer_eval(col, q), transfer_eval_batch(col, [q.s], [q.p])[0]
+        )
+
+    def test_near_boundary_warning(self):
+        # D = 0 and one state at alpha = 0; at symmetrize(r, r) = (2r, r^2)
+        # its state scalar is phi(0, 2r, r^2) = -r
+        col = Colligation(
+            a=np.array([[0.0]]), b=np.array([[1.0]]), c=np.array([[1.0]]),
+            d=np.array([[0.0]]), alphas=np.array([0.0]), multiplicities=(1,),
+            out_dim=1, in_dim=1,
+        )
+        r = 1.0 - 1e-13
+        with pytest.warns(RuntimeWarning, match="near-boundary evaluation"):
+            transfer_eval_batch(col, [0.0, 2.0 * r], [0.0, r * r])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            transfer_eval_batch(col, [0.0, 1.8], [0.0, 0.81])
+            transfer_eval(col, (0.8, 0.15))
 
 
 class TestContractivity:
