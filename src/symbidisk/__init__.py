@@ -51,7 +51,6 @@ from .feasibility import (
     SolveOptions,
     SolveReport,
     SolveStatus,
-    dual_probe,
     residual,
     solve,
 )

@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from typing import Any
 
 import numpy as np
@@ -77,6 +78,9 @@ def run(argv: list[str]) -> int:
         return _run_single(args)
     except ValidationError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        print(f"input error: input magnitude overflows a double: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:
         print(
@@ -439,10 +443,14 @@ def corpus(args) -> int:
             with open(path, "r", encoding="utf-8") as fh:
                 problem = _parse_json(fh.read())
             report = execute_problem(problem, overrides)
-        except (ValidationError, json.JSONDecodeError) as exc:
+        except (ValidationError, json.JSONDecodeError, OverflowError) as exc:
             return name, "input-error", str(exc)
         except (NumericsError, np.linalg.LinAlgError) as exc:
             return name, "numerical-failure", str(exc)
+        except Exception as exc:  # one bad file never takes down the run
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            detail = f"{type(exc).__name__}: {exc} (at {os.path.basename(where.filename)}:{where.lineno})"
+            return name, "internal-error", detail
         if args.out_path:
             out_file = os.path.join(args.out_path, name.replace(".json", ".report.json"))
             _atomic_write(out_file, json.dumps(report, indent=2, sort_keys=True))

@@ -117,12 +117,14 @@ def assemble_corona_target(problem: CoronaProblem) -> FeasibilityTarget:
     n = len(problem.nodes)
     d2 = problem.d2
     j = np.zeros((n * d2, n * d2), dtype=complex)
-    for i in range(n):
-        for k in range(n):
-            j[i * d2 : (i + 1) * d2, k * d2 : (k + 1) * d2] = (
-                problem.phi_samples[i] @ problem.phi_samples[k].conj().T
-                - problem.theta_samples[i] @ problem.theta_samples[k].conj().T
-            )
+    # an overflow leaves a non-finite entry, which FeasibilityTarget rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            for k in range(n):
+                j[i * d2 : (i + 1) * d2, k * d2 : (k + 1) * d2] = (
+                    problem.phi_samples[i] @ problem.phi_samples[k].conj().T
+                    - problem.theta_samples[i] @ problem.theta_samples[k].conj().T
+                )
     return FeasibilityTarget(nodes=problem.nodes, matrix=j, block=d2)
 
 

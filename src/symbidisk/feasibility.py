@@ -9,18 +9,32 @@ C_m(i, j).  This is the finite, grid-atomic form of representing J against
 the coordinate family, and a witness is exactly the data the realization
 builder needs.
 
-Algorithm: von Neumann alternating projections with Dykstra correction on
-the product PSD cone.  The affine constraint decouples per node pair, so its
-orthogonal projection is a closed-form least-squares update (the stacked
-realified constraint map is block diagonal over node pairs; the QR of each
-tiny block reduces to normalization by sum_m |C_m(i,j)|^2).
+Algorithm: semismooth Newton ascent on the Lagrange dual of the minimum-norm
+problem  min 1/2 sum_m ||B_m||^2  subject to  sum_m C_m . B_m = J, B_m PSD.
+Over Hermitian Y the dual function
+
+    theta(Y) = Re<J, Y> - 1/2 sum_m ||P+(conj(C_m) . Y)||^2
+
+is concave, C^1 and strongly semismooth (P+ is the PSD projection).  Its
+gradient J - sum_m C_m . P+(conj(C_m) . Y) is the residual of the primal
+point B_m = P+(conj(C_m) . Y), so when J is feasible the maximizer gives the
+minimum-norm witness.  Each step solves (V(Y) + mu I) d = grad theta by
+matrix-free conjugate gradients, V being the generalized Hessian, and
+backtracks on theta (Qi & Sun, SIAM J. Matrix Anal. Appl. 2006; Zhao, Sun &
+Toh, SIAM J. Optim. 2010).  The regularization mu = ||grad|| / ||Y||, clipped
+to [1e-10, 1e-2], is scale-free: near the feasibility threshold the maximizer
+lies far out (||Y|| in the thousands), and a mu that does not shrink with
+1 / ||Y|| would cap every step at a length of order one.
 
 Infeasibility is certified by a grid-admissible kernel K whose Schur product
 with J has a negative eigenvalue: any exact witness would force
 J . K = sum_m B_m . (C_m . K) to be PSD term by term, so a violating K and a
-witness cannot coexist on the same grid.  When the iteration stalls and no
-certificate emerges the honest terminal status is Unknown; the exact
-dichotomy holds only for the full alpha continuum, not the grid.
+witness cannot coexist on the same grid.  When J is infeasible theta grows
+without bound along a direction -D with every conj(C_m) . D PSD and
+Re<J, D> < 0, so K = conj(D) is such a kernel; the ascent reads it off its
+iterate.  When the residual stops halving and no certificate emerges the
+honest terminal status is Unknown; the exact dichotomy holds only for the
+full alpha continuum, not the grid.
 """
 
 from __future__ import annotations
@@ -31,7 +45,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GenerationError, ValidationError
+from .errors import ValidationError
 from .hermitian import (
     hermitian_part,
     min_eigenvalue,
@@ -46,8 +60,16 @@ from .kernels import (
     admissibility_check,
     coefficient_masks,
     grammian_normalize,
-    random_admissible_kernel,
 )
+
+_ARMIJO = 1e-4  # sufficient-increase constant of the backtracking search
+_MU_RANGE = (1e-10, 1e-2)  # clip of the regularization mu = ||grad|| / ||Y||
+# Conjugate-gradient iterations per Newton step.  Not the dimension n^2: with
+# mu down to 1e-10 the system is ill-conditioned, and CG stopped at n^2
+# iterations returns directions that make the final steps zig-zag.
+_CG_MAX = 200
+_POLISH_STEPS = 8  # extra steps toward polish_tol once tol is met
+_STALL_STEPS = 40  # Unknown when the best residual has not halved in this many steps
 
 
 class SolveStatus(str, Enum):
@@ -59,15 +81,11 @@ class SolveStatus(str, Enum):
 @dataclass(frozen=True)
 class SolveOptions:
     tol: float = 1e-8
-    max_iter: int = 20000
+    max_iter: int = 20000  # Newton steps
     seed: int = 0
     # residual polish after the tolerance is first met; improves downstream
     # synthesis without changing the decision
     polish_tol: float = 1e-12
-    polish_iter: int = 4000
-    stall_window: int = 500
-    stall_rel_improvement: float = 1e-3
-    probe_steps: int = 200
 
 
 @dataclass(frozen=True)
@@ -83,6 +101,8 @@ class FeasibilityTarget:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (n, n):
             raise ValidationError(f"target shape {m.shape} != ({n}, {n})")
+        if not np.all(np.isfinite(m)):
+            raise ValidationError("target has non-finite entries (input magnitude overflows)")
         if np.abs(m - m.conj().T).max(initial=0.0) > 1e-10 * max(
             1.0, np.abs(m).max(initial=0.0)
         ):
@@ -152,10 +172,6 @@ def solve(
     t0 = time.perf_counter()
     masks = coefficient_masks(grid, target.nodes)  # raises if a node leaves the disk
     cexp = _expand_masks(masks, target.block)
-    cconj = cexp.conj()
-    ssum = (np.abs(cexp) ** 2).sum(axis=0)
-    j = target.matrix
-    notes: list[str] = []
 
     atom = _single_atom_witness(target, grid, cexp, opts)
     if atom is not None:
@@ -174,7 +190,7 @@ def solve(
         kern, lam = cheap
         return SolveReport(
             status=SolveStatus.INFEASIBLE_CERTIFIED,
-            residual=float(np.linalg.norm(j)),
+            residual=float(np.linalg.norm(target.matrix)),
             iterations=0,
             wall_time=time.perf_counter() - t0,
             certificate=kern,
@@ -182,144 +198,158 @@ def solve(
             notes=("certified by direct kernel candidate",),
         )
 
-    b = np.zeros_like(cexp, dtype=complex)
-    corr = np.zeros_like(b)
-    best_res = np.inf
-    res = np.inf
-    window_anchor = np.inf
-    probes_left = 2
+    j = target.matrix
+    cconj = cexp.conj()
+    cdiag = float(np.real(np.diagonal(cexp, axis1=1, axis2=2)).min())
+    jnorm = float(np.linalg.norm(j))
+    notes: list[str] = []
+    y = np.zeros_like(j)
+    b, grad, theta = _dual_point(j, cexp, y)
+    res = float(np.linalg.norm(grad))
+    best_res, best_b = res, b
+    history = [res]  # best residual after each step
+    polish_end = None
     it = 0
-    target_res = opts.tol
-    polish_deadline = opts.max_iter
-    polishing = False
-    cone = b
-    best_cone = b
-
-    while it < opts.max_iter:
-        it += 1
-        y = b + corr
-        cone = psd_project_stack(y)
-        corr = y - cone
-        r = np.einsum("mij,mij->ij", cexp, cone) - j
-        res = float(np.linalg.norm(r))
-        if res < best_res:
-            best_res = res
-            best_cone = cone
-
-        if res <= target_res:
-            if polishing or res <= opts.polish_tol:
+    while True:
+        if polish_end is None and res <= opts.tol:
+            polish_end = it + _POLISH_STEPS
+            notes.append(f"tolerance met at step {it}; polishing")
+        lam, vecs = np.linalg.eigh(cconj * y)
+        if polish_end is None:
+            cert = _dual_certificate(target, grid, y, float(lam[:, -1].max()), cdiag, opts)
+            if cert is not None:
+                kern, lam_k = cert
+                return SolveReport(
+                    status=SolveStatus.INFEASIBLE_CERTIFIED,
+                    residual=res,
+                    iterations=it,
+                    wall_time=time.perf_counter() - t0,
+                    certificate=kern,
+                    certificate_min_eig=lam_k,
+                    notes=tuple(notes) + (f"certified by the dual iterate at step {it}",),
+                )
+            if it >= _STALL_STEPS and history[it] > 0.5 * history[it - _STALL_STEPS]:
+                notes.append(f"residual not halved in {_STALL_STEPS} steps")
                 break
-            # decision reached; keep iterating briefly to tighten the witness
-            polishing = True
-            target_res = opts.polish_tol
-            polish_deadline = min(opts.max_iter, it + opts.polish_iter)
-            notes.append(f"tolerance met at iteration {it}; polishing")
-            window_anchor = np.inf
-            probes_left = 0
-        if polishing and it >= polish_deadline:
+        elif res <= opts.polish_tol or it >= polish_end:
             break
+        if it >= opts.max_iter:
+            break
+        it += 1
 
-        if it % opts.stall_window == 0:
-            if window_anchor - res <= opts.stall_rel_improvement * max(res, 1e-30):
-                if polishing:
-                    break
-                if probes_left > 0:
-                    probes_left -= 1
-                    cert = dual_probe(target, grid, opts)
-                    if cert is not None:
-                        kern, lam = cert
-                        return SolveReport(
-                            status=SolveStatus.INFEASIBLE_CERTIFIED,
-                            residual=res,
-                            iterations=it,
-                            wall_time=time.perf_counter() - t0,
-                            certificate=kern,
-                            certificate_min_eig=lam,
-                            notes=tuple(notes) + ("certified after stall",),
-                        )
-                    notes.append(f"stall at iteration {it}; no certificate found")
-                else:
-                    break
-            window_anchor = res
-
-        b = cone - cconj * (r / ssum)[None, :, :]
-        b = (b + b.conj().transpose(0, 2, 1)) / 2.0
+        hess = _generalized_hessian(cexp, lam, vecs)
+        ny = float(np.linalg.norm(y))
+        mu = float(np.clip(res / ny, *_MU_RANGE)) if ny > 0 else _MU_RANGE[1]
+        d = _conjugate_gradient(hess, grad, mu, min(0.1, res) * res)
+        slope = float(np.vdot(grad, d).real)
+        step = 1.0
+        while step >= 1e-10:
+            b_t, grad_t, theta_t = _dual_point(j, cexp, y + step * d)
+            res_t = float(np.linalg.norm(grad_t))
+            if theta_t >= theta + _ARMIJO * step * slope:
+                break
+            # where theta's change is below its roundoff, accept a lower residual
+            if res_t < res and theta_t >= theta - 1e-13 * (1.0 + jnorm * ny):
+                break
+            step *= 0.5
+        else:
+            notes.append(f"line search failed at step {it}")
+            break
+        y = y + step * d
+        b, grad, theta, res = b_t, grad_t, theta_t, res_t
+        if res < best_res:
+            best_res, best_b = res, b
+        history.append(best_res)
 
     wall = time.perf_counter() - t0
-    final_res = best_res if np.isfinite(best_res) else float(np.linalg.norm(j))
-    if final_res <= opts.tol:
-        blocks = CPBlocks(
-            grid=grid, blocks=tuple(hermitian_part(x) for x in best_cone)
-        )
+    if best_res <= opts.tol:
         return SolveReport(
             status=SolveStatus.FEASIBLE,
-            residual=final_res,
+            residual=best_res,
             iterations=it,
             wall_time=wall,
-            blocks=blocks,
+            blocks=CPBlocks(grid=grid, blocks=tuple(hermitian_part(x) for x in best_b)),
             notes=tuple(notes),
         )
     return SolveReport(
         status=SolveStatus.UNKNOWN,
-        residual=final_res,
+        residual=best_res,
         iterations=it,
         wall_time=wall,
         notes=tuple(notes) + (f"best residual {best_res:.3e}",),
     )
 
 
-def dual_probe(
-    target: FeasibilityTarget, grid: AlphaGrid, opts: SolveOptions = SolveOptions()
-) -> tuple[KernelMatrix, float] | None:
-    """Search for a grid-admissible kernel K with lambda_min(J . K) <= -tol.
+def _dual_point(j, cexp, y):
+    """Blocks P+(conj(C_m) . Y), the gradient J - sum C_m . B_m and theta(Y)."""
+    b = psd_project_stack(cexp.conj() * y)
+    grad = j - np.einsum("mij,mij->ij", cexp, b)
+    theta = float(np.vdot(j, y).real - 0.5 * np.vdot(b, b).real)
+    return b, grad, theta
 
-    Tries cheap closed-form candidates first (identity, the b-kernel at each
-    grid alpha), then runs a seeded heuristic ascent from a random admissible
-    kernel: move K against the gradient of the most negative eigenvalue of
-    J . K and retract onto the per-alpha constraint sets.  Returning nothing
-    is a valid outcome.
+
+def _generalized_hessian(cexp, lam, vecs):
+    """H -> sum_m C_m . (U_m (Omega_m . (U_m* (conj(C_m) . H) U_m)) U_m*).
+
+    conj(C_m) . Y = U_m diag(lam_m) U_m*; Omega_m holds the divided
+    differences of max(lam, 0): 1 on pairs of positive eigenvalues, 0 on pairs
+    of non-positive ones, lam_+ / (lam_i - lam_j) across the sign change.
     """
-    masks = coefficient_masks(grid, target.nodes)
-    found = _cheap_certificates(target, grid, masks, opts)
-    if found is not None:
-        return found
+    pos = lam > 0
+    lp = np.where(pos, lam, 0.0)
+    both = pos[:, :, None] & pos[:, None, :]
+    mixed = pos[:, :, None] ^ pos[:, None, :]
+    gap = np.where(mixed, lam[:, :, None] - lam[:, None, :], 1.0)
+    omega = np.where(both, 1.0, np.where(mixed, (lp[:, :, None] - lp[:, None, :]) / gap, 0.0))
+    vh = vecs.conj().transpose(0, 2, 1)
+    cconj = cexp.conj()
 
-    n = len(target.nodes)
-    try:
-        kern = random_admissible_kernel(target.nodes, grid, seed=opts.seed)
-    except GenerationError:
-        return None
-    k = kern.matrix.copy()
-    pullbacks = 1.0 / masks
-    j = target.matrix
+    def apply(h):
+        inner = omega * (vh @ (cconj * h) @ vecs)
+        return np.einsum("mij,mij->ij", cexp, vecs @ inner @ vh)
 
-    step = 0.5
-    for _ in range(opts.probe_steps):
-        lam, vec = _most_negative_pair(j, k, target.block)
-        if lam <= -opts.tol:
-            cand = _normalize_certificate(target, grid, k, opts)
-            if cand is not None:
-                return cand
-        grad = _violation_gradient(j, vec, n, target.block)
-        gn = np.abs(grad).max(initial=0.0)
-        if gn <= 1e-16:
+    return apply
+
+
+def _conjugate_gradient(apply, g, mu, tol):
+    """Solve (V + mu I) d = g over Hermitian matrices to a residual <= tol."""
+    d = np.zeros_like(g)
+    r = g.copy()
+    p = r.copy()
+    rr = float(np.vdot(r, r).real)
+    for _ in range(_CG_MAX):
+        if rr <= tol * tol:
             break
-        k_try = k - step * (grad / gn) * max(1.0, np.abs(k).max())
-        for m in range(len(grid)):
-            k_try = pullbacks[m] * psd_project(masks[m] * k_try)
-        k_try = psd_project(k_try)
-        lam_try, _ = _most_negative_pair(j, k_try, target.block)
-        if lam_try < lam:
-            k = k_try
-            step = min(1.0, step * 1.3)
-        else:
-            step *= 0.5
-            if step < 1e-6:
-                break
-    lam, _ = _most_negative_pair(j, k, target.block)
-    if lam <= -opts.tol:
-        return _normalize_certificate(target, grid, k, opts)
-    return None
+        q = apply(p) + mu * p
+        a = rr / float(np.vdot(p, q).real)
+        d += a * p
+        r -= a * q
+        rr_new = float(np.vdot(r, r).real)
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    return hermitian_part(d)
+
+
+def _dual_certificate(target, grid, y, lam_max, cdiag, opts):
+    """Grid-admissible kernel from the ascent direction -Y / ||Y||, if it certifies.
+
+    ``lam_max`` is the largest eigenvalue over m of conj(C_m) . Y.  Shifting
+    D = -Y / ||Y|| by t I, t = max(0, lam_max / ||Y||) / min C_m(i, i), makes
+    every conj(C_m) . D' PSD.  Blocks with sum C_m . B_m = J + R then give
+    Re<J + R, D'> = sum Re<B_m, conj(C_m) . D'> >= 0, so
+    -Re<J, D'> > tol ||D'|| rules out every witness of residual <= tol.  The
+    block trace, a completely positive map, compresses D' to n x n; the kernel
+    K = conj(D') is re-verified by _normalize_certificate.
+    """
+    ny = float(np.linalg.norm(y))
+    if ny == 0.0:
+        return None
+    dual = -y / ny + (max(0.0, lam_max / ny) / cdiag) * np.eye(len(y))
+    if -np.vdot(target.matrix, dual).real <= opts.tol * np.linalg.norm(dual):
+        return None
+    n, d = len(target.nodes), target.block
+    k = dual.reshape(n, d, n, d).trace(axis1=1, axis2=3)
+    return _normalize_certificate(target, grid, k.conj(), opts)
 
 
 def _single_atom_witness(target, grid, cexp, opts):
@@ -327,7 +357,7 @@ def _single_atom_witness(target, grid, cexp, opts):
 
     C_m . B = J is solved exactly by B = J / C_m entrywise; whenever that
     quotient is PSD the problem is feasible with zero residual, a geometry
-    alternating projections approach only asymptotically (every other block
+    an iterative method approaches only asymptotically (every other block
     sits on the cone boundary).
     """
     j = target.matrix
@@ -368,19 +398,6 @@ def _most_negative_pair(j, k, block) -> tuple[float, np.ndarray]:
     prod = hermitian_part(prod)
     lam, vecs = np.linalg.eigh(prod)
     return float(lam[0]), vecs[:, 0]
-
-
-def _violation_gradient(j, vec, n, block) -> np.ndarray:
-    """Gradient of v* (J . K) v with respect to K, reduced to node scale."""
-    d = block
-    grad = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        vi = vec[i * d : (i + 1) * d]
-        for jd in range(n):
-            vj = vec[jd * d : (jd + 1) * d]
-            jb = j[i * d : (i + 1) * d, jd * d : (jd + 1) * d]
-            grad[i, jd] = np.conj(vi) @ jb @ vj
-    return hermitian_part(grad)
 
 
 def _normalize_certificate(target, grid, k, opts) -> tuple[KernelMatrix, float] | None:

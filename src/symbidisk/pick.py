@@ -86,11 +86,13 @@ def assemble_pick_target(problem: PickProblem) -> FeasibilityTarget:
     nb = problem.norm_bound
     j = np.zeros((n * d2, n * d2), dtype=complex)
     eye = np.eye(d2)
-    for i in range(n):
-        wi = problem.targets[i] / nb
-        for k in range(n):
-            wk = problem.targets[k] / nb
-            j[i * d2 : (i + 1) * d2, k * d2 : (k + 1) * d2] = eye - wi @ wk.conj().T
+    # an overflow leaves a non-finite entry, which FeasibilityTarget rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            wi = problem.targets[i] / nb
+            for k in range(n):
+                wk = problem.targets[k] / nb
+                j[i * d2 : (i + 1) * d2, k * d2 : (k + 1) * d2] = eye - wi @ wk.conj().T
     return FeasibilityTarget(nodes=problem.nodes, matrix=j, block=d2)
 
 

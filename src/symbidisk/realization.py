@@ -210,18 +210,20 @@ def transfer_eval_batch(col: Colligation, s: np.ndarray, p: np.ndarray) -> np.nd
     # padded corner is the realized value; the rest is completion gauge
     corner = (slice(None), slice(0, col.out_dim), slice(0, col.in_dim))
     h = col.state_dim
-    vals = phi_values(col.alphas, s, p)
-    if vals.size and np.abs(vals).max() >= _NEAR_BOUNDARY_MODULUS:
-        warnings.warn("near-boundary evaluation", RuntimeWarning, stacklevel=2)
     reps = np.repeat(np.arange(len(col.multiplicities)), col.multiplicities)
     eye = np.eye(h)
     out = np.empty((s.size, col.out_dim, col.in_dim), dtype=complex)
     step = max(1, _SOLVE_CHUNK_ENTRIES // (col.padded_dim + h) ** 2)
+    near = False
     for lo in range(0, s.size, step):
-        z = vals[reps, lo : lo + step].T[:, None, :]
+        vals = phi_values(col.alphas, s[lo : lo + step], p[lo : lo + step])
+        near = near or bool(vals.size and np.abs(vals).max() >= _NEAR_BOUNDARY_MODULUS)
+        z = vals[reps].T[:, None, :]
         rhs = np.broadcast_to(col.c, (z.shape[0],) + col.c.shape)
         f = col.a + (col.b * z) @ np.linalg.solve(eye - col.d * z, rhs)
         out[lo : lo + step] = f[corner]
+    if near:
+        warnings.warn("near-boundary evaluation", RuntimeWarning, stacklevel=2)
     return out
 
 

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import symbidisk
+import symbidisk.cli
 from symbidisk.cli import execute_problem, run
 from symbidisk.serialize import report_hash
 
@@ -77,6 +81,29 @@ class TestRun:
 
     def test_non_finite_flag_rejected(self, capsys):
         assert run(["membership", "--s", "nan", "0", "--p", "0", "0"]) == 1
+
+    def test_huge_pick_target_is_one_input_error_line(self, tmp_path):
+        # finite input whose square overflows: J = 1 - 1e600 is not a double
+        p_in = tmp_path / "huge.json"
+        write_json(p_in, pick_problem_obj(ws=(1e300,), nodes=((0.1, 0.0, 0.0, 0.0),)))
+        src = os.path.dirname(os.path.dirname(symbidisk.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "symbidisk.cli", "pick", "--in", str(p_in)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["membership", "--s", "1e300", "0"],
+        ["membership", "--s", "1e160", "0", "--p", "0.5", "0"],
+    ])
+    def test_huge_membership_input_is_an_input_error(self, argv, capsys):
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error:")
 
     def test_missing_field_names_it(self, tmp_path, capsys):
         p_in = tmp_path / "p.json"
@@ -260,6 +287,41 @@ class TestCorpus:
         assert any(line.startswith("FAIL  bad.json") and "input-error" in line for line in lines)
         assert sum(line.startswith("PASS") for line in lines) == 3
         assert lines[-1] == "corpus: 3/4 passed"
+
+    def test_huge_file_fails_alone(self, tmp_path, capsys):
+        d = tmp_path / "corpus"
+        d.mkdir()
+        write_json(d / "good.json", pick_problem_obj())
+        write_json(d / "good.expected.json", {"equals": {"status": "Feasible"}})
+        write_json(d / "huge.json", pick_problem_obj(ws=(1e300,)))
+        mem = {"format": 1, "kind": "membership", "payload": {"s": [1e300, 0.0], "p": [0.0, 0.0]}}
+        write_json(d / "huge_member.json", mem)
+        assert run(["corpus", "--in", str(d), "--jobs", "2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("PASS  good.json")
+        assert all(
+            line.startswith(f"FAIL  {name}") and "input-error" in line
+            for line, name in zip(lines[1:3], ("huge.json", "huge_member.json"))
+        )
+        assert lines[-1] == "corpus: 1/3 passed"
+
+    def test_unexpected_exception_fails_one_file(self, tmp_path, capsys, monkeypatch):
+        d = self._make_corpus(tmp_path)
+        real = symbidisk.cli.execute_problem
+
+        def flaky(problem, overrides=None):
+            if problem["kind"] == "membership":
+                raise RuntimeError("boom")
+            return real(problem, overrides)
+
+        monkeypatch.setattr(symbidisk.cli, "execute_problem", flaky)
+        assert run(["corpus", "--in", str(d), "--jobs", "2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert any(
+            line.startswith("FAIL  c.json") and "internal-error: RuntimeError: boom" in line
+            for line in lines
+        )
+        assert lines[-1] == "corpus: 2/3 passed"
 
     def test_empty_directory_passes(self, tmp_path, capsys):
         d = tmp_path / "empty"

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -175,6 +176,43 @@ class TestTransferEval:
             warnings.simplefilter("error")
             transfer_eval_batch(col, [0.0, 1.8], [0.0, 0.81])
             transfer_eval(col, (0.8, 0.15))
+
+
+    def test_near_boundary_warning_fires_once_per_batch(self):
+        col = Colligation(
+            a=np.array([[0.0]]), b=np.array([[1.0]]), c=np.array([[1.0]]),
+            d=np.array([[0.0]]), alphas=np.array([0.0]), multiplicities=(1,),
+            out_dim=1, in_dim=1,
+        )
+        per_chunk = _SOLVE_CHUNK_ENTRIES // (1 + 1) ** 2
+        count = 3 * per_chunk
+        r = 1.0 - 1e-13
+        s = np.zeros(count, dtype=complex)
+        p = np.zeros(count, dtype=complex)
+        for k in (0, count - 1):  # near-boundary points in the first and last chunk
+            s[k], p[k] = 2.0 * r, r * r
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            transfer_eval_batch(col, s, p)
+        assert [str(w.message) for w in caught] == ["near-boundary evaluation"]
+
+    def test_working_memory_does_not_grow_with_the_batch(self, rng):
+        col = random_colligation(rng, 19)
+        per_chunk = _SOLVE_CHUNK_ENTRIES // (2 + 19) ** 2
+        extra = []
+        for count in (4 * per_chunk, 32 * per_chunk):
+            pts = [random_gpoint(rng) for _ in range(count)]
+            s = np.array([q.s for q in pts])
+            p = np.array([q.p for q in pts])
+            tracemalloc.start()
+            try:
+                out = transfer_eval_batch(col, s, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - out.nbytes)
+        # eight times the points, about the same working memory beyond the output
+        assert extra[1] <= 1.5 * extra[0]
 
 
 class TestContractivity:
