@@ -114,18 +114,12 @@ class CoronaSolution:
 
 def assemble_corona_target(problem: CoronaProblem) -> FeasibilityTarget:
     """J_ij = Phi_i Phi_j* - Theta_i Theta_j*, self-adjoint by construction."""
-    n = len(problem.nodes)
-    d2 = problem.d2
-    j = np.zeros((n * d2, n * d2), dtype=complex)
+    phi = np.concatenate(problem.phi_samples)  # node blocks stacked, (n * d2) x d1
+    theta = np.concatenate(problem.theta_samples)
     # an overflow leaves a non-finite entry, which FeasibilityTarget rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            for k in range(n):
-                j[i * d2 : (i + 1) * d2, k * d2 : (k + 1) * d2] = (
-                    problem.phi_samples[i] @ problem.phi_samples[k].conj().T
-                    - problem.theta_samples[i] @ problem.theta_samples[k].conj().T
-                )
-    return FeasibilityTarget(nodes=problem.nodes, matrix=j, block=d2)
+        j = phi @ phi.conj().T - theta @ theta.conj().T
+    return FeasibilityTarget(nodes=problem.nodes, matrix=j, block=problem.d2)
 
 
 def solve_corona(

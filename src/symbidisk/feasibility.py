@@ -18,10 +18,14 @@ Over Hermitian Y the dual function
 is concave, C^1 and strongly semismooth (P+ is the PSD projection).  Its
 gradient J - sum_m C_m . P+(conj(C_m) . Y) is the residual of the primal
 point B_m = P+(conj(C_m) . Y), so when J is feasible the maximizer gives the
-minimum-norm witness.  Each step solves (V(Y) + mu I) d = grad theta by
-matrix-free conjugate gradients, V being the generalized Hessian, and
-backtracks on theta (Qi & Sun, SIAM J. Matrix Anal. Appl. 2006; Zhao, Sun &
-Toh, SIAM J. Optim. 2010).  The regularization mu = ||grad|| / ||Y||, clipped
+minimum-norm witness.  Each step solves (V(Y) + mu I) d = grad theta, V being
+the generalized Hessian, and backtracks on theta (Qi & Sun, SIAM J. Matrix
+Anal. Appl. 2006; Zhao, Sun & Toh, SIAM J. Optim. 2010).  With N = n * block
+the system has N^2 unknowns: up to N = 8 it is assembled as one dense
+N^2 x N^2 matrix and solved directly, which costs less than the ~N^2
+Python-level conjugate-gradient iterations it replaces; above that it is
+solved matrix-free by conjugate gradients, the only path whose memory and
+flops stay small at large N.  The regularization mu = ||grad|| / ||Y||, clipped
 to [1e-10, 1e-2], is scale-free: near the feasibility threshold the maximizer
 lies far out (||Y|| in the thousands), and a mu that does not shrink with
 1 / ||Y|| would cap every step at a length of order one.
@@ -48,7 +52,7 @@ import numpy as np
 from .errors import ValidationError
 from .hermitian import (
     hermitian_part,
-    min_eigenvalue,
+    min_eigenvalue_stack,
     psd_project,
     psd_project_stack,
     schur_oslash,
@@ -59,6 +63,7 @@ from .kernels import (
     NodeSet,
     admissibility_check,
     coefficient_masks,
+    expand_masks,
     grammian_normalize,
 )
 
@@ -68,6 +73,14 @@ _MU_RANGE = (1e-10, 1e-2)  # clip of the regularization mu = ||grad|| / ||Y||
 # mu down to 1e-10 the system is ill-conditioned, and CG stopped at n^2
 # iterations returns directions that make the final steps zig-zag.
 _CG_MAX = 200
+# Newton systems with N = n * block at most this are solved directly with the
+# dense N^2 x N^2 generalized Hessian (_dense_hessian); larger ones by CG,
+# because the dense build costs O(M N^6) flops and N^4 entries (268 MB at the
+# 64 scalar Pick nodes allowed).  Measured on planted colligation targets
+# (9-atom grid, one BLAS thread, 2-vCPU Xeon VM), a dense step took 0.3-0.7x
+# the CPU time of a CG step (6-106 iterations) for N = 3..8, about the same at
+# N = 9-10 with block > 1, and 1.1x at N = 12 with block 3.
+_DENSE_MAX_N = 8
 _POLISH_STEPS = 8  # extra steps toward polish_tol once tol is met
 _STALL_STEPS = 40  # Unknown when the best residual has not halved in this many steps
 
@@ -137,27 +150,16 @@ class SolveReport:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _expand_masks(masks: np.ndarray, block: int) -> np.ndarray:
-    """Per node-pair scalars replicated across the d x d entries of each block."""
-    if block == 1:
-        return masks
-    return np.kron(masks, np.ones((block, block)))
-
-
 def residual(target: FeasibilityTarget, blocks: CPBlocks) -> float:
     """Frobenius mismatch of the affine identity plus total PSD violation."""
     masks = coefficient_masks(blocks.grid, target.nodes)
-    cexp = _expand_masks(masks, target.block)
+    cexp = expand_masks(masks, target.block)
     stack = blocks.stacked()
     if stack.shape != cexp.shape:
         raise ValidationError("blocks do not conform to target/grid shapes")
     mismatch = np.linalg.norm(np.einsum("mij,mij->ij", cexp, stack) - target.matrix)
-    psd_violation = 0.0
-    for b in stack:
-        lam = min_eigenvalue(b)
-        if lam < 0:
-            psd_violation += -lam
-    return float(mismatch + psd_violation)
+    lam = min_eigenvalue_stack(stack)
+    return float(mismatch - lam[lam < 0].sum())
 
 
 def solve(
@@ -171,7 +173,7 @@ def solve(
     """
     t0 = time.perf_counter()
     masks = coefficient_masks(grid, target.nodes)  # raises if a node leaves the disk
-    cexp = _expand_masks(masks, target.block)
+    cexp = expand_masks(masks, target.block)
 
     atom = _single_atom_witness(target, grid, cexp, opts)
     if atom is not None:
@@ -237,10 +239,14 @@ def solve(
             break
         it += 1
 
-        hess = _generalized_hessian(cexp, lam, vecs)
         ny = float(np.linalg.norm(y))
         mu = float(np.clip(res / ny, *_MU_RANGE)) if ny > 0 else _MU_RANGE[1]
-        d = _conjugate_gradient(hess, grad, mu, min(0.1, res) * res)
+        if len(j) <= _DENSE_MAX_N:
+            v = _dense_hessian(cexp, lam, vecs) + mu * np.eye(grad.size)
+            d = hermitian_part(np.linalg.solve(v, grad.ravel()).reshape(grad.shape))
+        else:
+            hess = _generalized_hessian(cexp, lam, vecs)
+            d = _conjugate_gradient(hess, grad, mu, min(0.1, res) * res)
         slope = float(np.vdot(grad, d).real)
         step = 1.0
         while step >= 1e-10:
@@ -288,19 +294,26 @@ def _dual_point(j, cexp, y):
     return b, grad, theta
 
 
-def _generalized_hessian(cexp, lam, vecs):
-    """H -> sum_m C_m . (U_m (Omega_m . (U_m* (conj(C_m) . H) U_m)) U_m*).
+def _omega(lam):
+    """Divided differences of max(lam, 0) over each stack of eigenvalues.
 
-    conj(C_m) . Y = U_m diag(lam_m) U_m*; Omega_m holds the divided
-    differences of max(lam, 0): 1 on pairs of positive eigenvalues, 0 on pairs
-    of non-positive ones, lam_+ / (lam_i - lam_j) across the sign change.
+    1 on pairs of positive eigenvalues, 0 on pairs of non-positive ones,
+    lam_+ / (lam_i - lam_j) across the sign change.
     """
     pos = lam > 0
     lp = np.where(pos, lam, 0.0)
     both = pos[:, :, None] & pos[:, None, :]
     mixed = pos[:, :, None] ^ pos[:, None, :]
     gap = np.where(mixed, lam[:, :, None] - lam[:, None, :], 1.0)
-    omega = np.where(both, 1.0, np.where(mixed, (lp[:, :, None] - lp[:, None, :]) / gap, 0.0))
+    return np.where(both, 1.0, np.where(mixed, (lp[:, :, None] - lp[:, None, :]) / gap, 0.0))
+
+
+def _generalized_hessian(cexp, lam, vecs):
+    """H -> sum_m C_m . (U_m (Omega_m . (U_m* (conj(C_m) . H) U_m)) U_m*).
+
+    conj(C_m) . Y = U_m diag(lam_m) U_m*, and Omega_m = _omega(lam)[m].
+    """
+    omega = _omega(lam)
     vh = vecs.conj().transpose(0, 2, 1)
     cconj = cexp.conj()
 
@@ -309,6 +322,18 @@ def _generalized_hessian(cexp, lam, vecs):
         return np.einsum("mij,mij->ij", cexp, vecs @ inner @ vh)
 
     return apply
+
+
+def _dense_hessian(cexp, lam, vecs):
+    """The generalized Hessian as one N^2 x N^2 matrix acting on row-major vec(H).
+
+    V = sum_m E_m diag(vec Omega_m) E_m* with
+    E_m[(i, j), (a, b)] = C_m(i, j) U_m(i, a) conj(U_m(j, b)); the atoms are
+    laid side by side, so the sum over m is one matrix product.
+    """
+    n = lam.shape[1]
+    e = np.einsum("mij,mia,mjb->ijmab", cexp, vecs, vecs.conj()).reshape(n * n, -1)
+    return (e * _omega(lam).ravel()) @ e.conj().T
 
 
 def _conjugate_gradient(apply, g, mu, tol):
@@ -362,19 +387,17 @@ def _single_atom_witness(target, grid, cexp, opts):
     """
     j = target.matrix
     scale = max(1.0, float(np.abs(j).max(initial=0.0)))
+    cands = hermitian_part(j / cexp)
     best = None
-    for m in range(cexp.shape[0]):
-        cand = hermitian_part(j / cexp[m])
-        lam = min_eigenvalue(cand)
-        if lam >= -1e-12 * scale:
-            stack = np.zeros_like(cexp, dtype=complex)
-            stack[m] = psd_project(cand)
-            blocks = CPBlocks(grid=grid, blocks=tuple(stack))
-            res = residual(target, blocks)
-            if res <= opts.tol and (best is None or res < best[1]):
-                best = (blocks, res)
-                if res == 0.0:
-                    break
+    for m in np.flatnonzero(min_eigenvalue_stack(cands) >= -1e-12 * scale):
+        stack = np.zeros_like(cexp, dtype=complex)
+        stack[m] = psd_project(cands[m])
+        blocks = CPBlocks(grid=grid, blocks=tuple(stack))
+        res = residual(target, blocks)
+        if res <= opts.tol and (best is None or res < best[1]):
+            best = (blocks, res)
+            if res == 0.0:
+                break
     return best
 
 

@@ -18,9 +18,13 @@ RANK_TOL = 1e-10
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Symmetrize on ingest so downstream eigensolves see exact Hermitian data."""
+    """Symmetrize on ingest so downstream eigensolves see exact Hermitian data.
+
+    Acts on the last two axes, so a stack of shape (m, n, n) is symmetrized
+    matrix by matrix.
+    """
     a = np.asarray(a, dtype=complex)
-    return (a + a.conj().T) / 2.0
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,15 @@ def psd_project_stack(hs: np.ndarray) -> np.ndarray:
 
 def min_eigenvalue(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitian_part(h))[0])
+
+
+def min_eigenvalue_stack(hs: np.ndarray) -> np.ndarray:
+    """min_eigenvalue over a stacked array of Hermitian matrices, shape (m, n, n).
+
+    One stacked eigvalsh; each entry equals min_eigenvalue of its slice bit
+    for bit.
+    """
+    return np.linalg.eigvalsh(hermitian_part(hs))[:, 0]
 
 
 def gram_factor(h: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
@@ -153,14 +166,11 @@ def schur_oslash(
         )
     if block_a == 1 and block_b == 1:
         return a * b
+    # out[(i, p, q), (j, r, s)] = A[(i, p), (j, r)] B[(i, q), (j, s)]
+    a4 = a.reshape(n, block_a, n, block_a)[:, :, None, :, :, None]
+    b4 = b.reshape(n, block_b, n, block_b)[:, None, :, :, None, :]
     d = block_a * block_b
-    out = np.zeros((n * d, n * d), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            ab = a[i * block_a : (i + 1) * block_a, j * block_a : (j + 1) * block_a]
-            bb = b[i * block_b : (i + 1) * block_b, j * block_b : (j + 1) * block_b]
-            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = np.kron(ab, bb)
-    return out
+    return (a4 * b4).reshape(n * d, n * d)
 
 
 def _phase_fixed_qr(q: np.ndarray) -> np.ndarray:

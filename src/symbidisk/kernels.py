@@ -14,7 +14,6 @@ reports always carry the worst alpha so callers can refine.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +23,14 @@ from .geometry import GPoint, phi_values, require_member
 from .hermitian import (
     hermitian_part,
     min_eigenvalue,
+    min_eigenvalue_stack,
     psd_project,
-    schur_oslash,
 )
 
 MAX_BLOCK_SIZE = 16
+# Alphas per stacked eigensolve in admissibility_check are capped so that a
+# stack of scaled kernels holds at most this many entries.
+_CHECK_CHUNK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -122,13 +124,13 @@ class KernelMatrix:
     block: int = 1
 
     def __post_init__(self):
-        m = hermitian_part(self.matrix)
+        m = np.asarray(self.matrix, dtype=complex)
         n = len(self.nodes) * self.block
         if self.block < 1 or self.block > MAX_BLOCK_SIZE:
             raise ValidationError(f"block size must be in [1, {MAX_BLOCK_SIZE}]")
         if m.shape != (n, n):
             raise ValidationError(f"kernel matrix shape {m.shape} != ({n}, {n})")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", hermitian_part(m))
 
     @property
     def node_count(self) -> int:
@@ -159,6 +161,13 @@ def coefficient_masks(grid: AlphaGrid, nodes: NodeSet) -> np.ndarray:
     return 1.0 - vals[:, :, None] * vals.conj()[:, None, :]
 
 
+def expand_masks(masks: np.ndarray, block: int) -> np.ndarray:
+    """Per node-pair scalars replicated across the d x d entries of each block."""
+    if block == 1:
+        return masks
+    return np.kron(masks, np.ones((block, block)))
+
+
 def admissibility_check(
     kernel: KernelMatrix, grid: AlphaGrid, tol: float = 1e-10
 ) -> AdmissibilityReport:
@@ -166,20 +175,20 @@ def admissibility_check(
     if len(grid) == 0:
         raise ValidationError("alpha grid must be nonempty")
     masks = coefficient_masks(grid, kernel.nodes)
-    rows = []
-    worst_alpha = complex(grid.alphas[0])
-    worst = math.inf
-    for m, alpha in enumerate(grid.alphas):
-        scaled = schur_oslash(masks[m], kernel.matrix, 1, kernel.block)
-        lam = min_eigenvalue(scaled)
-        rows.append((complex(alpha), lam))
-        if lam < worst:
-            worst = lam
-            worst_alpha = complex(alpha)
+    step = max(1, _CHECK_CHUNK_ENTRIES // kernel.matrix.size)
+    lams = np.concatenate(
+        [
+            min_eigenvalue_stack(expand_masks(masks[lo : lo + step], kernel.block) * kernel.matrix)
+            for lo in range(0, len(grid), step)
+        ]
+    )
+    worst = int(np.argmin(lams))
     return AdmissibilityReport(
-        min_eig_per_alpha=tuple(rows),
-        worst_alpha=worst_alpha,
-        is_admissible_on_grid=worst >= -tol,
+        min_eig_per_alpha=tuple(
+            (complex(alpha), float(lam)) for alpha, lam in zip(grid.alphas, lams)
+        ),
+        worst_alpha=complex(grid.alphas[worst]),
+        is_admissible_on_grid=bool(lams[worst] >= -tol),
         tol=tol,
     )
 
@@ -207,13 +216,11 @@ def make_d_kernel(alpha: complex, nodes: NodeSet, u_vectors) -> KernelMatrix:
     if any(u.size != d for u in us):
         raise ValidationError("vectors must share a common dimension")
     base = make_b_kernel(alpha, nodes).matrix
+    u = np.stack(us)
     n = len(nodes)
-    mat = np.zeros((n * d, n * d), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            mat[i * d : (i + 1) * d, j * d : (j + 1) * d] = base[i, j] * np.outer(
-                us[i], us[j].conj()
-            )
+    # mat[(i, p), (j, q)] = base[i, j] u_i[p] conj(u_j[q])
+    outer = u[:, :, None, None] * u.conj()[None, None, :, :]
+    mat = (base[:, None, :, None] * outer).reshape(n * d, n * d)
     return KernelMatrix(nodes=nodes, matrix=mat, block=d)
 
 
@@ -269,9 +276,7 @@ def random_admissible_kernel(
         ok = (
             min_eigenvalue(k) >= -1e-10
             and np.min(np.real(np.diag(k))) >= 1.0 - 1e-6
-            and all(
-                min_eigenvalue(masks[m] * k) >= -tol for m in range(len(grid))
-            )
+            and min_eigenvalue_stack(masks * k).min() >= -tol
         )
         if ok:
             kern = KernelMatrix(nodes=nodes, matrix=psd_project(k) + 1e-14 * np.eye(n))

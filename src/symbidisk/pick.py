@@ -83,16 +83,10 @@ def assemble_pick_target(problem: PickProblem) -> FeasibilityTarget:
     """Target J_ij = I - (W_i / nb)(W_j / nb)* in node-block form."""
     n = len(problem.nodes)
     d2 = problem.d_out
-    nb = problem.norm_bound
-    j = np.zeros((n * d2, n * d2), dtype=complex)
-    eye = np.eye(d2)
     # an overflow leaves a non-finite entry, which FeasibilityTarget rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            wi = problem.targets[i] / nb
-            for k in range(n):
-                wk = problem.targets[k] / nb
-                j[i * d2 : (i + 1) * d2, k * d2 : (k + 1) * d2] = eye - wi @ wk.conj().T
+        w = np.concatenate(problem.targets) / problem.norm_bound  # (n * d2) x d_in
+        j = np.kron(np.ones((n, n)), np.eye(d2)) - w @ w.conj().T
     return FeasibilityTarget(nodes=problem.nodes, matrix=j, block=d2)
 
 

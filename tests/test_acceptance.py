@@ -36,10 +36,9 @@ from symbidisk import (
 )
 from symbidisk.cli import run as cli_run
 from symbidisk.feasibility import FeasibilityTarget, residual, solve
-from symbidisk.feasibility import _expand_masks
 from symbidisk.geometry import phi_values
 from symbidisk.hermitian import min_eigenvalue
-from symbidisk.kernels import coefficient_masks
+from symbidisk.kernels import coefficient_masks, expand_masks
 from symbidisk.realization import Colligation, transfer_eval_batch
 from symbidisk.sequences import (
     SequenceTruncation,
@@ -229,7 +228,7 @@ def test_criterion_06_planted_cp_instances():
         n = int(rng.integers(2, 5))
         nodes = _distinct_nodes(rng, n)
         masks = coefficient_masks(GRID, nodes)
-        cexp = _expand_masks(masks, 1)
+        cexp = expand_masks(masks, 1)
         stack = []
         for _ in range(len(GRID)):
             w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

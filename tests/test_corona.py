@@ -53,6 +53,24 @@ class TestAssemble:
         assert np.real(np.diag(target.matrix)).min() < 0
 
 
+    def test_matches_per_block_loop(self, rng):
+        nodes = random_nodes(rng, 3)
+        def sample(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        phis = tuple(sample((2, 3)) for _ in range(3))
+        thetas = tuple(sample((2, 2)) for _ in range(3))
+        problem = CoronaProblem(nodes=nodes, phi_samples=phis, delta=0.5, theta_samples=thetas)
+        expected = np.zeros((6, 6), dtype=complex)
+        for i in range(3):
+            for k in range(3):
+                expected[2 * i : 2 * i + 2, 2 * k : 2 * k + 2] = (
+                    phis[i] @ phis[k].conj().T - thetas[i] @ thetas[k].conj().T
+                )
+        got = assemble_corona_target(problem).matrix
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
 class TestSolveCorona:
     def test_constant_row(self, rng, solver_grid):
         nodes = random_nodes(rng, 3)

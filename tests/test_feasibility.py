@@ -15,17 +15,18 @@ from symbidisk import (
     schur_oslash,
     solve,
 )
-from symbidisk.feasibility import _expand_masks
+from symbidisk import feasibility
+from symbidisk.feasibility import _DENSE_MAX_N, _dense_hessian, _generalized_hessian
 from symbidisk.geometry import phi_values
 from symbidisk.hermitian import min_eigenvalue
-from symbidisk.kernels import coefficient_masks, random_admissible_kernel
+from symbidisk.kernels import coefficient_masks, expand_masks, random_admissible_kernel
 
 from conftest import random_nodes
 
 
 def planted_target(rng, nodes, grid, block=1):
     masks = coefficient_masks(grid, nodes)
-    cexp = _expand_masks(masks, block)
+    cexp = expand_masks(masks, block)
     n = len(nodes) * block
     stack = []
     for _ in range(len(grid)):
@@ -59,7 +60,7 @@ def colligation_target(rng, nodes, grid, state_dim, scale, out_dim=1):
 
 def needs_iteration(target, grid):
     """No J / C_m is PSD, so no single-atom witness exists."""
-    cexp = _expand_masks(coefficient_masks(grid, target.nodes), target.block)
+    cexp = expand_masks(coefficient_masks(grid, target.nodes), target.block)
     return all(min_eigenvalue(target.matrix / c) < -1e-6 for c in cexp)
 
 
@@ -98,7 +99,7 @@ def planted_infeasible(rng, nodes, grid, out_dim=1):
 
 def dykstra_witness(target, grid, iters):
     """Minimum-norm witness by Dykstra's alternating projections, as an oracle."""
-    c = _expand_masks(coefficient_masks(grid, target.nodes), target.block)
+    c = expand_masks(coefficient_masks(grid, target.nodes), target.block)
     ssum = (np.abs(c) ** 2).sum(axis=0)
     b = np.zeros_like(c)
     corr = np.zeros_like(c)
@@ -250,6 +251,56 @@ class TestSolve:
             if report.status is SolveStatus.INFEASIBLE_CERTIFIED:
                 assert report.certificate.matrix.shape == (3, 3)
                 assert certificate_holds(target, solver_grid, report.certificate.matrix)
+
+
+class TestNewtonSystems:
+    """The dense generalized Hessian (N <= _DENSE_MAX_N) and CG above the cut."""
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_dense_hessian_matches_operator(self, block, solver_grid):
+        rng = np.random.default_rng(block)
+        nodes = random_nodes(rng, 3)
+        cexp = expand_masks(coefficient_masks(solver_grid, nodes), block)
+        size = 3 * block
+
+        def hermitian(scale):
+            w = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            return scale * (w + w.conj().T)
+
+        lam, vecs = np.linalg.eigh(cexp.conj() * hermitian(1.0))
+        dense = _dense_hessian(cexp, lam, vecs)
+        apply = _generalized_hessian(cexp, lam, vecs)
+        assert dense.shape == (size**2, size**2)
+        for _ in range(3):
+            h = hermitian(rng.random())
+            expected = apply(h)
+            err = np.abs(dense @ h.ravel() - expected.ravel()).max()
+            assert err <= 1e-12 * np.abs(expected).max()
+
+    def test_direct_solve_up_to_the_cut_and_cg_above(self, monkeypatch, solver_grid):
+        calls = []
+        cg = feasibility._conjugate_gradient
+
+        def counting_cg(*args):
+            calls.append(1)
+            return cg(*args)
+
+        monkeypatch.setattr(feasibility, "_conjugate_gradient", counting_cg)
+        rng = np.random.default_rng(3)
+        for n, block in [(3, 1), (5, 2)]:
+            while True:
+                nodes = random_nodes(rng, n)
+                target = colligation_target(rng, nodes, solver_grid, 4, 0.9, out_dim=block)
+                if needs_iteration(target, solver_grid):
+                    break
+            calls.clear()
+            report = solve(target, solver_grid)
+            assert report.status is SolveStatus.FEASIBLE
+            assert report.iterations > 0
+            assert report.residual <= 1e-8
+            assert residual(target, report.blocks) <= 2e-8
+            above_cut = n * block > _DENSE_MAX_N
+            assert len(calls) == (report.iterations if above_cut else 0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

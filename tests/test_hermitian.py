@@ -10,7 +10,7 @@ from symbidisk import (
     schur_oslash,
     unitary_completion,
 )
-from symbidisk.hermitian import hermitian_part, min_eigenvalue
+from symbidisk.hermitian import hermitian_part, min_eigenvalue, min_eigenvalue_stack
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -150,6 +150,25 @@ class TestSchurOslash:
         assert np.allclose(out[0:2, 2:4], a[0:2, 2:4] * b[0, 1])
         assert min_eigenvalue(out) >= -1e-10 * np.abs(out).max()
 
+    def test_block_tensor_matches_per_block_kron(self, rng):
+        a = random_psd(rng, 6)  # 3 nodes, block 2
+        b = random_psd(rng, 9)  # 3 nodes, block 3
+        expected = np.zeros((18, 18), dtype=complex)
+        for i in range(3):
+            for j in range(3):
+                expected[6 * i : 6 * i + 6, 6 * j : 6 * j + 6] = np.kron(
+                    a[2 * i : 2 * i + 2, 2 * j : 2 * j + 2],
+                    b[3 * i : 3 * i + 3, 3 * j : 3 * j + 3],
+                )
+        assert np.array_equal(schur_oslash(a, b, block_a=2, block_b=3), expected)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             schur_oslash(np.ones((2, 2)), np.ones((3, 3)))
+
+
+def test_min_eigenvalue_stack_matches_per_slice(rng):
+    stack = np.stack([random_psd(rng, 4) - 0.5 * np.eye(4) for _ in range(9)])
+    stack[:, 0, 1] += 1e-3j  # slightly non-Hermitian input is symmetrized per slice
+    lams = min_eigenvalue_stack(stack)
+    assert lams.tolist() == [min_eigenvalue(h) for h in stack]

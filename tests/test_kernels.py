@@ -13,7 +13,9 @@ from symbidisk import (
     phi,
     random_admissible_kernel,
 )
-from symbidisk.hermitian import min_eigenvalue
+from symbidisk import kernels
+from symbidisk.hermitian import hermitian_part, min_eigenvalue, schur_oslash
+from symbidisk.kernels import coefficient_masks
 
 from conftest import random_nodes
 
@@ -88,6 +90,24 @@ class TestAdmissibilityCheck:
         sub = AlphaGrid(solver_grid.alphas[::3])
         assert admissibility_check(kern, sub, tol=1e-8).is_admissible_on_grid
 
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_per_alpha_matches_per_slice_loop(self, block, rng, monkeypatch):
+        # 50 alphas per stacked eigensolve: the 193-point grid takes four
+        monkeypatch.setattr(kernels, "_CHECK_CHUNK_ENTRIES", 50 * (3 * block) ** 2)
+        nodes = random_nodes(rng, 3)
+        size = 3 * block
+        w = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        kern = KernelMatrix(nodes=nodes, matrix=w @ w.conj().T, block=block)
+        grid = AlphaGrid.check_default()
+        masks = coefficient_masks(grid, nodes)
+        expected = [
+            (complex(alpha), min_eigenvalue(schur_oslash(masks[m], kern.matrix, 1, block)))
+            for m, alpha in enumerate(grid.alphas)
+        ]
+        rep = admissibility_check(kern, grid)
+        assert list(rep.min_eig_per_alpha) == expected
+        assert rep.worst_alpha == min(expected, key=lambda row: row[1])[0]
+
 
 class TestBKernel:
     def test_single_origin_node(self):
@@ -134,6 +154,19 @@ class TestDKernel:
         d = make_d_kernel(0.3 + 0.2j, nodes, us)
         assert d.block == 2
         assert min_eigenvalue(d.matrix) >= -1e-10 * np.abs(d.matrix).max()
+
+    def test_matches_per_block_loop(self, rng):
+        nodes = random_nodes(rng, 3)
+        us = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
+        base = make_b_kernel(0.3 + 0.2j, nodes).matrix
+        expected = np.zeros((6, 6), dtype=complex)
+        for i in range(3):
+            for j in range(3):
+                block = base[i, j] * np.outer(us[i], us[j].conj())
+                expected[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = block
+        # KernelMatrix symmetrizes what it stores
+        got = make_d_kernel(0.3 + 0.2j, nodes, us).matrix
+        assert np.array_equal(got, hermitian_part(expected))
 
     def test_dimension_mismatch(self, diagonal_pair):
         with pytest.raises(ValidationError):

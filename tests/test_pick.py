@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbidisk import (
     NodeSet,
@@ -13,6 +15,7 @@ from symbidisk import (
     symmetrize,
     verify_contractivity,
 )
+from symbidisk.hermitian import hermitian_part
 
 from conftest import random_nodes
 
@@ -48,6 +51,24 @@ class TestAssemble:
     def test_norm_bound_scaling(self, diagonal_pair):
         t = assemble_pick_target(scalar_problem(diagonal_pair, [-0.5, 0.5], bound=2.0))
         assert np.allclose(t.matrix, [[1 - 0.0625, 1 + 0.0625], [1 + 0.0625, 1 - 0.0625]])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3)])
+    def test_matches_per_block_loop(self, shape, rng):
+        nodes = random_nodes(rng, 3)
+        ws = tuple(rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(3))
+        problem = PickProblem(nodes=nodes, targets=ws, norm_bound=1.7)
+        d = shape[0]
+        expected = np.zeros((3 * d, 3 * d), dtype=complex)
+        for i in range(3):
+            wi = ws[i] / 1.7
+            for k in range(3):
+                wk = ws[k] / 1.7
+                expected[i * d : (i + 1) * d, k * d : (k + 1) * d] = np.eye(d) - wi @ wk.conj().T
+        # one matrix product sums the inner dimension in its own order
+        got = assemble_pick_target(problem).matrix
+        assert np.abs(got - hermitian_part(expected)).max() <= 1e-14 * np.abs(expected).max()
+        if shape == (1, 1):
+            assert np.array_equal(got, hermitian_part(expected))
 
 
 class TestSolvePick:
@@ -144,3 +165,17 @@ class TestMinimalNorm:
 
     def test_zero_targets(self, diagonal_pair):
         assert minimal_norm(scalar_problem(diagonal_pair, [0.0, 0.0])) == 0.0
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3))
+def test_minimal_norm_homogeneity(seed, n):
+    # t a power of two: the scaled targets t W / (t c) are the same floats as W / c
+    rng = np.random.default_rng(seed)
+    nodes = random_nodes(rng, n)
+    ws = 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    width = 1e-4
+    base = minimal_norm(scalar_problem(nodes, ws), width=width)
+    for t in (0.5, 2.0, 4.0):
+        scaled = minimal_norm(scalar_problem(nodes, t * ws), width=width)
+        assert abs(scaled - t * base) <= 3 * width * max(1.0, t * base)
