@@ -66,6 +66,7 @@ from .pick import (
     PickSolution,
     assemble_pick_target,
     minimal_norm,
+    minimal_norm_bracket,
     solve_pick,
 )
 from .sequences import (

@@ -43,6 +43,7 @@ full alpha continuum, not the grid.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -148,6 +149,9 @@ class SolveReport:
     certificate: KernelMatrix | None = None
     certificate_min_eig: float | None = None
     notes: tuple[str, ...] = field(default_factory=tuple)
+    # dual iterate of a Feasible Newton witness, a warm start for a nearby
+    # target; not serialized, so report hashes do not see it
+    dual: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def residual(target: FeasibilityTarget, blocks: CPBlocks) -> float:
@@ -163,15 +167,29 @@ def residual(target: FeasibilityTarget, blocks: CPBlocks) -> float:
 
 
 def solve(
-    target: FeasibilityTarget, grid: AlphaGrid, opts: SolveOptions = SolveOptions()
+    target: FeasibilityTarget,
+    grid: AlphaGrid,
+    opts: SolveOptions = SolveOptions(),
+    y0: np.ndarray | None = None,
 ) -> SolveReport:
     """Decide grid feasibility of the target; see module docstring.
 
-    Feasible reports carry the witness blocks with residual <= tol.
+    Feasible reports carry the witness blocks with residual <= tol and, when
+    the Newton iteration found them, the dual iterate they came from.
     InfeasibleCertified reports carry a grid-admissible kernel certificate.
-    Deterministic given (target, grid, opts).
+    ``y0`` starts the dual ascent (zero when omitted); the dual of a Feasible
+    solve of a nearby target is a good start.  A start changes how many steps
+    a solve takes, not what a verdict proves: witnesses are re-measured and
+    certificates re-verified.  Deterministic given (target, grid, opts, y0).
     """
     t0 = time.perf_counter()
+    if y0 is not None:
+        y0 = np.asarray(y0, dtype=complex)
+        if y0.shape != target.matrix.shape:
+            raise ValidationError(f"dual start shape {y0.shape} != {target.matrix.shape}")
+        if not np.all(np.isfinite(y0)):
+            raise ValidationError("dual start has non-finite entries")
+        y0 = hermitian_part(y0)
     masks = coefficient_masks(grid, target.nodes)  # raises if a node leaves the disk
     cexp = expand_masks(masks, target.block)
 
@@ -187,7 +205,7 @@ def solve(
             notes=("single-atom witness",),
         )
 
-    cheap = _cheap_certificates(target, grid, masks, opts)
+    cheap = _cheap_certificates(target, grid, opts)
     if cheap is not None:
         kern, lam = cheap
         return SolveReport(
@@ -205,10 +223,10 @@ def solve(
     cdiag = float(np.real(np.diagonal(cexp, axis1=1, axis2=2)).min())
     jnorm = float(np.linalg.norm(j))
     notes: list[str] = []
-    y = np.zeros_like(j)
+    y = np.zeros_like(j) if y0 is None else y0
     b, grad, theta = _dual_point(j, cexp, y)
     res = float(np.linalg.norm(grad))
-    best_res, best_b = res, b
+    best_res, best_b, best_y = res, b, y
     history = [res]  # best residual after each step
     polish_end = None
     it = 0
@@ -264,7 +282,7 @@ def solve(
         y = y + step * d
         b, grad, theta, res = b_t, grad_t, theta_t, res_t
         if res < best_res:
-            best_res, best_b = res, b
+            best_res, best_b, best_y = res, b, y
         history.append(best_res)
 
     wall = time.perf_counter() - t0
@@ -276,6 +294,7 @@ def solve(
             wall_time=wall,
             blocks=CPBlocks(grid=grid, blocks=tuple(hermitian_part(x) for x in best_b)),
             notes=tuple(notes),
+            dual=best_y,
         )
     return SolveReport(
         status=SolveStatus.UNKNOWN,
@@ -364,7 +383,7 @@ def _dual_certificate(target, grid, y, lam_max, cdiag, opts):
     Re<J + R, D'> = sum Re<B_m, conj(C_m) . D'> >= 0, so
     -Re<J, D'> > tol ||D'|| rules out every witness of residual <= tol.  The
     block trace, a completely positive map, compresses D' to n x n; the kernel
-    K = conj(D') is re-verified by _normalize_certificate.
+    K = conj(D') is rescaled and re-verified.
     """
     ny = float(np.linalg.norm(y))
     if ny == 0.0:
@@ -374,7 +393,8 @@ def _dual_certificate(target, grid, y, lam_max, cdiag, opts):
         return None
     n, d = len(target.nodes), target.block
     k = dual.reshape(n, d, n, d).trace(axis1=1, axis2=3)
-    return _normalize_certificate(target, grid, k.conj(), opts)
+    kern = _admissible_kernel(target.nodes, grid, k.conj(), opts.tol)
+    return None if kern is None else _violation(target, kern, opts)
 
 
 def _single_atom_witness(target, grid, cexp, opts):
@@ -401,19 +421,43 @@ def _single_atom_witness(target, grid, cexp, opts):
     return best
 
 
-def _cheap_certificates(target, grid, masks, opts):
-    """Identity kernel and per-alpha b-kernels, filtered by grid admissibility."""
-    n = len(target.nodes)
-    candidates = [np.eye(n, dtype=complex)]
-    for m in range(len(grid)):
-        candidates.append(1.0 / masks[m])
-    for k in candidates:
-        lam, _ = _most_negative_pair(target.matrix, k, target.block)
+def _cheap_certificates(target, grid, opts):
+    """Identity kernel and per-alpha b-kernels, filtered by grid admissibility.
+
+    The admissibility filter depends only on (nodes, grid, tol) and is
+    memoized by _candidate_kernels; the per-target eigenvalue tests run in the
+    candidates' fixed order on every call.
+    """
+    for raw, kern in _candidate_kernels(target.nodes, grid.alphas.tobytes(), opts.tol):
+        if kern is None:
+            continue
+        lam, _ = _most_negative_pair(target.matrix, raw, target.block)
         if lam <= -opts.tol:
-            cand = _normalize_certificate(target, grid, k, opts)
+            cand = _violation(target, kern, opts)
             if cand is not None:
                 return cand
     return None
+
+
+@functools.lru_cache(maxsize=64)
+def _candidate_kernels(nodes, alphas, tol):
+    """(raw, normalized kernel or None when not grid-admissible) per candidate.
+
+    A bisection solves ~20 targets on one node set, and normalizing and
+    checking the candidates costs more than the eigenvalue tests that follow.
+    ``alphas`` is the grid's bytes, which are hashable where the grid is not.
+    The cached matrices are read-only, since every caller shares them.
+    """
+    grid = AlphaGrid(np.frombuffer(alphas, dtype=complex))
+    masks = coefficient_masks(grid, nodes)
+    out = []
+    for k in [np.eye(len(nodes), dtype=complex)] + [1.0 / c for c in masks]:
+        kern = _admissible_kernel(nodes, grid, k, tol)
+        k.setflags(write=False)
+        if kern is not None:
+            kern.matrix.setflags(write=False)
+        out.append((k, kern))
+    return tuple(out)
 
 
 def _most_negative_pair(j, k, block) -> tuple[float, np.ndarray]:
@@ -423,19 +467,22 @@ def _most_negative_pair(j, k, block) -> tuple[float, np.ndarray]:
     return float(lam[0]), vecs[:, 0]
 
 
-def _normalize_certificate(target, grid, k, opts) -> tuple[KernelMatrix, float] | None:
-    """Unit-diagonal rescale, then re-verify admissibility and the violation."""
+def _admissible_kernel(nodes, grid, k, tol) -> KernelMatrix | None:
+    """Unit-diagonal rescale of k, when it is grid-admissible."""
     k = hermitian_part(k)
     diag = np.real(np.diag(k))
     if np.any(diag <= 1e-14):
         k = k + 1e-12 * np.eye(k.shape[0])
         diag = np.real(np.diag(k))
-    kern = KernelMatrix(nodes=target.nodes, matrix=k)
-    g = grammian_normalize(kern)
-    kern = KernelMatrix(nodes=target.nodes, matrix=g)
-    report = admissibility_check(kern, grid, tol=opts.tol)
-    if not report.is_admissible_on_grid:
+    g = grammian_normalize(KernelMatrix(nodes=nodes, matrix=k))
+    kern = KernelMatrix(nodes=nodes, matrix=g)
+    if not admissibility_check(kern, grid, tol=tol).is_admissible_on_grid:
         return None
+    return kern
+
+
+def _violation(target, kern, opts) -> tuple[KernelMatrix, float] | None:
+    """(kern, lambda_min(J . K)) when the kernel violates the target by tol."""
     lam, _ = _most_negative_pair(target.matrix, kern.matrix, target.block)
     if lam > -opts.tol:
         return None

@@ -23,6 +23,7 @@ from .feasibility import (
     SolveStatus,
     solve,
 )
+from .hermitian import hermitian_part, schur_oslash
 from .kernels import AlphaGrid, NodeSet
 from .realization import RealizedFunction, lurking_isometry, node_values
 
@@ -138,44 +139,104 @@ def minimal_norm(
 ) -> float:
     """Smallest norm bound at which the problem turns grid-feasible.
 
-    Bisection on the bound: the problem with targets W / C is solved at unit
-    norm; the lower endpoint max ||W_i|| is forced by the diagonal, and the
-    upper endpoint starts from pairwise two-point estimates and doubles until
-    feasible.  Unknown statuses count as not-yet-feasible, which can only
-    widen the answer upward.  The midpoint is returned once the bracket is
-    narrower than ``width`` (relative to the scale of the bracket).
+    Bisection on the bound c: the problem with targets W / c is solved at
+    unit norm, and the midpoint of the final bracket of
+    :func:`minimal_norm_bracket` is returned.  The lower endpoint starts at
+    max ||W_i||, forced by the diagonal; the upper one starts from pairwise
+    two-point estimates and doubles until feasible.  The trials share work:
+
+    * each trial starts the dual ascent from the dual of the last Feasible
+      trial, never from an infeasible one, whose iterate diverges along its
+      certificate;
+    * an InfeasibleCertified trial with kernel K raises the lower endpoint to
+      sqrt(lambda_max(WW* . K, E . K)) (capped at the upper one), not just to
+      the trial bound: a witness at a bound c' forces
+      J(c') . K = E . K - WW* . K / c'^2 to be PSD, because K is
+      grid-admissible;
+    * Unknown statuses count as not-yet-feasible, which can only widen the
+      answer upward.
+    """
+    lo, hi = minimal_norm_bracket(problem, grid, opts, width)
+    return 0.5 * (lo + hi)
+
+
+def minimal_norm_bracket(
+    problem: PickProblem,
+    grid: AlphaGrid | None = None,
+    opts: SolveOptions = SolveOptions(),
+    width: float = 1e-4,
+) -> tuple[float, float]:
+    """The final bisection bracket (lo, hi) of :func:`minimal_norm`.
+
+    hi - lo <= width * max(1, lo).  hi is a bound at which a solve came out
+    Feasible (or max ||W_i||, when that one does); lo is the diagonal bound
+    max ||W_i||, a certificate bound, or a trial bound that was not Feasible.
     """
     grid = grid or AlphaGrid.solver_default()
     norms = [float(np.linalg.norm(t, 2)) for t in problem.targets]
     top = max(norms)
     if top == 0.0:
-        return 0.0
+        return 0.0, 0.0
+    n, d = len(problem.nodes), problem.d_out
+    w = np.concatenate(problem.targets)
+    ee, ww = np.kron(np.ones((n, n)), np.eye(d)), w @ w.conj().T
+    y0 = None
 
-    def feasible_at(c: float) -> bool:
+    def trial(c: float) -> tuple[bool, float]:
+        """Solve at bound c: whether Feasible, and else the bound lo may rise to."""
+        nonlocal y0
         scaled = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=c)
-        rep = solve(assemble_pick_target(scaled), grid, opts)
-        return rep.status is SolveStatus.FEASIBLE
+        rep = solve(assemble_pick_target(scaled), grid, opts, y0)
+        if rep.status is SolveStatus.FEASIBLE:
+            if rep.dual is not None:
+                y0 = rep.dual
+            return True, c
+        if rep.status is SolveStatus.INFEASIBLE_CERTIFIED:
+            bound = _certificate_bound(ee, ww, rep.certificate.matrix, d)
+            if bound is not None:
+                return False, max(c, bound)
+        return False, c
 
-    lo = top
-    if feasible_at(lo):
-        return lo
+    feasible, lo = trial(top)
+    if feasible:
+        return top, top
 
     hi = max(top * 1.25, _pairwise_upper_seed(problem))
-    doublings = 0
-    while not feasible_at(hi):
+    for _ in range(49):
+        if hi > lo:  # a bound at or below lo is already known infeasible
+            feasible, floor = trial(hi)
+            if feasible:
+                break
+            lo = max(lo, floor)
         hi *= 2.0
-        doublings += 1
-        if doublings > 48:
-            raise ValidationError("no feasible bound found; targets may be degenerate")
+    else:
+        raise ValidationError("no feasible bound found; targets may be degenerate")
 
-    tol = width * max(1.0, lo)
+    lo = min(lo, hi)
+    tol = width * max(1.0, top)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if feasible_at(mid):
+        feasible, floor = trial(mid)
+        if feasible:
             hi = mid
         else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            lo = min(floor, hi)
+    return lo, hi
+
+
+def _certificate_bound(ee, ww, kernel, block) -> float | None:
+    """sqrt(lambda_max(WW* . K, E . K)), below which K rules out every witness.
+
+    None when E . K is not positive definite (Cholesky fails).
+    """
+    a = schur_oslash(ee, kernel, block, 1)
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    half = np.linalg.solve(low, schur_oslash(ww, kernel, block, 1))
+    lam = np.linalg.eigvalsh(hermitian_part(np.linalg.solve(low, half.conj().T)))[-1]
+    return float(np.sqrt(max(lam, 0.0)))
 
 
 def _pairwise_upper_seed(problem: PickProblem) -> float:

@@ -28,7 +28,7 @@ from .kernels import (
     make_b_kernel,
     random_admissible_kernel,
 )
-from .pick import PickProblem, PickSolution, minimal_norm, solve_pick
+from .pick import PickProblem, PickSolution, minimal_norm_bracket, solve_pick
 
 MAX_TRUNCATION = 32
 DEFAULT_KERNEL_CENSUS = 32
@@ -241,8 +241,8 @@ def interpolation_constant(
 ) -> float:
     """Measured interpolation constant: max minimal norm over phase patterns.
 
-    Each pattern contributes its certified-feasible bracket endpoint (the
-    bisection midpoint plus the bracket allowance), so every pattern is known
+    Each pattern contributes the upper endpoint of its minimal-norm bracket, a
+    bound at which its solve came out Feasible, so every pattern is known
     solvable at the returned constant and the Grammian sandwich derived from
     it holds without a sampling gap.
     """
@@ -261,6 +261,6 @@ def interpolation_constant(
             nodes=trunc.nodes,
             targets=tuple(np.array([[w]]) for w in pattern),
         )
-        mid = minimal_norm(problem, grid, opts, width=width)
-        best = max(best, mid + width * max(1.0, mid))
+        _, hi = minimal_norm_bracket(problem, grid, opts, width=width)
+        best = max(best, hi)
     return best

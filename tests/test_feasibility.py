@@ -8,12 +8,15 @@ from symbidisk import (
     CPBlocks,
     FeasibilityTarget,
     NodeSet,
+    SolveOptions,
     SolveStatus,
+    ValidationError,
     admissibility_check,
     make_b_kernel,
     residual,
     schur_oslash,
     solve,
+    symmetrize,
 )
 from symbidisk import feasibility
 from symbidisk.feasibility import _DENSE_MAX_N, _dense_hessian, _generalized_hessian
@@ -324,6 +327,110 @@ def test_solve_properties(seed, n, scale):
         matrix=target.matrix[np.ix_(perm, perm)],
     )
     assert solve(permuted, grid).status is report.status
+
+
+def warm_start_instance(seed, grid, scale=0.95):
+    """Nodes plus one colligation whose target at ``scale`` needs the iteration."""
+    rng = np.random.default_rng(seed)
+    while True:
+        nodes = random_nodes(rng, 3)
+        draw = int(rng.integers(1 << 30))
+        target = colligation_target(np.random.default_rng(draw), nodes, grid, 4, scale)
+        if needs_iteration(target, grid):
+            return nodes, draw
+
+
+class TestWarmStart:
+    """The dual start y0 of solve, and the memo of the cheap candidate kernels."""
+
+    def test_rejects_malformed_dual_start(self, diagonal_pair, solver_grid):
+        target = FeasibilityTarget(nodes=diagonal_pair, matrix=np.ones((2, 2)))
+        with pytest.raises(ValidationError):
+            solve(target, solver_grid, y0=np.zeros((3, 3)))
+        with pytest.raises(ValidationError):
+            solve(target, solver_grid, y0=np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_dual_start_is_made_hermitian(self, solver_grid):
+        nodes, draw = warm_start_instance(2, solver_grid)
+        target = colligation_target(np.random.default_rng(draw), nodes, solver_grid, 4, 0.95)
+        y = np.random.default_rng(0).standard_normal((3, 3)) + 0j
+        a = solve(target, solver_grid, y0=y)
+        b = solve(target, solver_grid, y0=0.5 * (y + y.T))
+        assert a.status is b.status and a.iterations == b.iterations
+        assert a.residual == b.residual
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_warm_start_from_a_nearby_feasible_dual(self, seed, solver_grid):
+        # the dual at a norm bound 3% higher, i.e. the targets scaled by 1 / 1.03
+        nodes, draw = warm_start_instance(seed, solver_grid)
+        near = colligation_target(np.random.default_rng(draw), nodes, solver_grid, 4, 0.95 / 1.03)
+        target = colligation_target(np.random.default_rng(draw), nodes, solver_grid, 4, 0.95)
+        start = solve(near, solver_grid)
+        assert start.status is SolveStatus.FEASIBLE and start.dual is not None
+        cold = solve(target, solver_grid)
+        warm = solve(target, solver_grid, y0=start.dual)
+        assert warm.status is SolveStatus.FEASIBLE
+        assert warm.residual <= 1e-8
+        assert residual(target, warm.blocks) <= 2e-8
+        assert warm.iterations < cold.iterations
+
+    def test_step_zero_certificate_from_a_warm_start(self, solver_grid):
+        # y0 = -t conj(K) . v v*, with K a certificate and v its violating
+        # eigenvector, is a point far along the divergence direction
+        rng = np.random.default_rng(11)
+        found = 0
+        while found < 3:
+            nodes = random_nodes(rng, 3)
+            target = planted_infeasible(rng, nodes, solver_grid)
+            if not cheap_kernels_fail(target, solver_grid):
+                continue
+            found += 1
+            kernel = solve(target, solver_grid).certificate.matrix
+            _, vecs = np.linalg.eigh(target.matrix * kernel)
+            start = -10.0 * kernel.conj() * np.outer(vecs[:, 0], vecs[:, 0].conj())
+            report = solve(target, solver_grid, y0=start)
+            assert report.status is SolveStatus.INFEASIBLE_CERTIFIED
+            assert report.iterations == 0
+            cert = report.certificate
+            assert admissibility_check(cert, solver_grid, tol=1e-8).is_admissible_on_grid
+            assert min_eigenvalue(schur_oslash(target.matrix, cert.matrix)) <= -1e-8
+            assert certificate_holds(target, solver_grid, cert.matrix)
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_candidate_memo_is_bit_identical(self, block, solver_grid):
+        # diagonal nodes share one mask, so their b-kernels are grid-admissible
+        # and both kinds of candidate get to certify
+        zs = [0.5, -0.3 + 0.4j, 0.1 - 0.6j]
+        nodes = NodeSet(tuple(symmetrize(z, z) for z in zs))
+        n, opts = len(zs), SolveOptions()
+        masks = coefficient_masks(solver_grid, nodes)
+        rng = np.random.default_rng(40 + block)
+        decided = set()
+        for _ in range(40):
+            shape = (n * block, block)
+            w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            w *= rng.uniform(0.3, 1.5) / np.abs(w).max()
+            j = np.kron(np.ones((n, n)), np.eye(block)) - w @ w.conj().T
+            target = FeasibilityTarget(nodes=nodes, matrix=j, block=block)
+            # the unmemoized reference: normalize and check every candidate in turn
+            expected = None
+            for idx, k in enumerate([np.eye(n, dtype=complex)] + [1.0 / c for c in masks]):
+                lam, _ = feasibility._most_negative_pair(target.matrix, k, block)
+                if lam <= -opts.tol:
+                    kern = feasibility._admissible_kernel(nodes, solver_grid, k, opts.tol)
+                    expected = None if kern is None else feasibility._violation(target, kern, opts)
+                    if expected is not None:
+                        decided.add(min(idx, 1))
+                        break
+            feasibility._candidate_kernels.cache_clear()
+            cold = feasibility._cheap_certificates(target, solver_grid, opts)
+            warm = feasibility._cheap_certificates(target, solver_grid, opts)
+            for got in (cold, warm):
+                assert (got is None) == (expected is None)
+                if got is not None:
+                    assert got[0].matrix.tobytes() == expected[0].matrix.tobytes()
+                    assert got[1] == expected[1]
+        assert decided == {0, 1}
 
 
 class TestResidual:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,11 +12,13 @@ from symbidisk import (
     assemble_pick_target,
     caratheodory_two_point,
     minimal_norm,
+    minimal_norm_bracket,
     pseudo_hyperbolic,
     solve_pick,
     symmetrize,
     verify_contractivity,
 )
+from symbidisk import pick
 from symbidisk.hermitian import hermitian_part
 
 from conftest import random_nodes
@@ -179,3 +183,61 @@ def test_minimal_norm_homogeneity(seed, n):
     for t in (0.5, 2.0, 4.0):
         scaled = minimal_norm(scalar_problem(nodes, t * ws), width=width)
         assert abs(scaled - t * base) <= 3 * width * max(1.0, t * base)
+
+
+def recorded_bracket(problem, width=1e-4):
+    """minimal_norm_bracket plus every certificate lower bound it computed."""
+    bounds = []
+    inner = pick._certificate_bound
+
+    def record(*args):
+        out = inner(*args)
+        if out is not None:
+            bounds.append(out)
+        return out
+
+    with mock.patch.object(pick, "_certificate_bound", record):
+        lo, hi = minimal_norm_bracket(problem, width=width)
+    return lo, hi, bounds
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3))
+def test_certificate_bounds_are_sound(seed, n):
+    # a Feasible witness only has residual <= tol, so soundness of the bound
+    # against the solver is checked, not assumed
+    rng = np.random.default_rng(seed)
+    nodes = random_nodes(rng, n)
+    ws = 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    lo, hi, bounds = recorded_bracket(scalar_problem(nodes, ws))
+    assert lo <= hi
+    for bound in bounds:
+        assert bound <= hi
+        below = solve_pick(scalar_problem(nodes, ws, 0.999 * bound))
+        assert below.status is not SolveStatus.FEASIBLE
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_certificate_bounds_for_block_targets(seed):
+    rng = np.random.default_rng(seed)
+    nodes = random_nodes(rng, 2 + seed)
+    ws = tuple(
+        0.5 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        for _ in range(2 + seed)
+    )
+    problem = PickProblem(nodes=nodes, targets=ws)
+    lo, hi, bounds = recorded_bracket(problem)
+    assert bounds
+    for bound in bounds:
+        assert bound <= hi
+        below = PickProblem(nodes=nodes, targets=ws, norm_bound=0.999 * bound)
+        assert solve_pick(below).status is not SolveStatus.FEASIBLE
+
+
+def test_certificate_bounds_on_the_diagonal_pair(diagonal_pair):
+    # closed-form minimal norm 1 (see TestMinimalNorm.test_diagonal_closed_form)
+    width = 1e-4
+    lo, hi, bounds = recorded_bracket(scalar_problem(diagonal_pair, [-0.5, 0.5]), width)
+    assert bounds
+    assert max(bounds) <= 1.0 + width
+    assert lo <= 1.0 + width and hi >= 1.0 - width
