@@ -10,7 +10,6 @@ included), 1 for input errors, 2 for internal numerical failures.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -45,6 +44,7 @@ from .sequences import (
 )
 from .serialize import (
     FORMAT_VERSION,
+    canonical_json,
     decode_complex,
     decode_grid,
     decode_matrix,
@@ -117,7 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="run a directory of problems against expectations")
     p.add_argument("--in", dest="in_path", required=True, help="directory of problem files")
     p.add_argument("--out", dest="out_path", default=None, help="directory for reports")
-    p.add_argument("--jobs", type=int, default=4)
+    p.add_argument(
+        "--jobs", type=int, default=None, help="accepted and ignored: files run one after another"
+    )
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -151,7 +153,7 @@ def _run_single(args) -> int:
             if value is not None:
                 problem["payload"][field] = value
     report = execute_problem(problem, _cli_overrides(args))
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = canonical_json(report)
     if args.out_path:
         _atomic_write(args.out_path, text)
     else:
@@ -252,7 +254,7 @@ def execute_problem(problem: dict, overrides: dict | None = None) -> dict:
         "seed": seed,
         "tool_version": __version__,
         **body,
-        "timings": {"total": time.perf_counter() - t0},
+        "timings": {**body.get("timings", {}), "total": time.perf_counter() - t0},
     }
     report["report_hash"] = report_hash(report)
     return report
@@ -284,8 +286,11 @@ def _handle_pick(payload, grid, opts) -> dict:
         nodes=nodes, targets=targets, norm_bound=float(payload.get("norm_bound", 1.0))
     )
     solution = solve_pick(problem, grid, opts)
-    body: dict[str, Any] = {"solve": encode_solve_report(solution.report)}
-    body["status"] = solution.status.value
+    body: dict[str, Any] = {
+        "solve": encode_solve_report(solution.report),
+        "status": solution.status.value,
+        "timings": {"solve": solution.report.wall_time},
+    }
     if solution.interpolant is not None:
         body["interpolant"] = encode_colligation(solution.interpolant.colligation)
         body["node_residual"] = solution.node_residual
@@ -308,6 +313,7 @@ def _handle_corona(payload, grid, opts) -> dict:
     body: dict[str, Any] = {
         "solve": encode_solve_report(solution.report),
         "status": solution.status.value,
+        "timings": {"solve": solution.report.wall_time},
     }
     if solution.psi is not None:
         body["psi"] = encode_colligation(solution.psi.colligation)
@@ -415,7 +421,8 @@ def corpus(args) -> int:
     Problems are ``*.json`` files (excluding ``*.expected.json``); a sidecar
     ``<stem>.expected.json`` may pin exact fields (``equals``) and numeric
     fields with tolerances (``approx``: {field: [value, tol]}).  Reports are
-    written atomically when an output directory is given.  Nonzero exit on
+    written atomically when an output directory is given.  Files run one
+    after another (``--jobs`` is accepted and ignored).  Nonzero exit on
     any mismatch or corrupted expectation.
     """
     in_dir = args.in_path
@@ -453,7 +460,7 @@ def corpus(args) -> int:
             return name, "internal-error", detail
         if args.out_path:
             out_file = os.path.join(args.out_path, name.replace(".json", ".report.json"))
-            _atomic_write(out_file, json.dumps(report, indent=2, sort_keys=True))
+            _atomic_write(out_file, canonical_json(report))
         expected_path = os.path.join(in_dir, name.replace(".json", ".expected.json"))
         if not os.path.exists(expected_path):
             return name, "ok", "no expectation"
@@ -465,11 +472,7 @@ def corpus(args) -> int:
             return name, "corrupt-expected", str(exc)
         return name, ("ok" if verdict is None else "mismatch"), (verdict or "matched")
 
-    results: list[tuple[str, str, str]] = []
-    if names:
-        jobs = max(1, int(getattr(args, "jobs", 4) or 4))
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, names))
+    results = [run_one(name) for name in names]
 
     width = max([len(n) for n in names], default=4)
     ok = 0

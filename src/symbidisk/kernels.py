@@ -14,6 +14,7 @@ reports always carry the worst alpha so callers can refine.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,12 +100,17 @@ class AlphaGrid:
             al = np.concatenate([[0.0 + 0.0j], al])
         return AlphaGrid(al)
 
-    @staticmethod
-    def solver_default() -> "AlphaGrid":
-        """Compact grid used by the feasibility solvers: {0} plus 8 boundary points."""
-        return AlphaGrid.boundary(8, include_zero=True)
+    # The default grids are built once, on first use (the distinctness check
+    # above is O(n^2)), and shared by every caller, so their alphas are read-only.
 
     @staticmethod
+    @functools.cache
+    def solver_default() -> "AlphaGrid":
+        """Compact grid used by the feasibility solvers: {0} plus 8 boundary points."""
+        return _read_only(AlphaGrid.boundary(8, include_zero=True))
+
+    @staticmethod
+    @functools.cache
     def check_default() -> "AlphaGrid":
         """Dense grid for admissibility audits: 64 boundary points, the origin,
         and 8 interior radii times 16 angles."""
@@ -112,7 +118,12 @@ class AlphaGrid:
         radii = (np.arange(1, 9) / 9.0)[:, None]
         angles = np.exp(2j * np.pi * np.arange(16) / 16)[None, :]
         parts.append((radii * angles).ravel())
-        return AlphaGrid(np.concatenate(parts))
+        return _read_only(AlphaGrid(np.concatenate(parts)))
+
+
+def _read_only(grid: AlphaGrid) -> AlphaGrid:
+    grid.alphas.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)

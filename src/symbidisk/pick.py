@@ -142,8 +142,8 @@ def minimal_norm(
     Bisection on the bound c: the problem with targets W / c is solved at
     unit norm, and the midpoint of the final bracket of
     :func:`minimal_norm_bracket` is returned.  The lower endpoint starts at
-    max ||W_i||, forced by the diagonal; the upper one starts from pairwise
-    two-point estimates and doubles until feasible.  The trials share work:
+    max ||W_i||, forced by the diagonal; the upper one starts at 1.25 times
+    that and doubles until feasible.  The trials share work:
 
     * each trial starts the dual ascent from the dual of the last Feasible
       trial, never from an infeasible one, whose iterate diverges along its
@@ -201,7 +201,7 @@ def minimal_norm_bracket(
     if feasible:
         return top, top
 
-    hi = max(top * 1.25, _pairwise_upper_seed(problem))
+    hi = top * 1.25
     for _ in range(49):
         if hi > lo:  # a bound at or below lo is already known infeasible
             feasible, floor = trial(hi)
@@ -237,30 +237,3 @@ def _certificate_bound(ee, ww, kernel, block) -> float | None:
     half = np.linalg.solve(low, schur_oslash(ww, kernel, block, 1))
     lam = np.linalg.eigvalsh(hermitian_part(np.linalg.solve(low, half.conj().T)))[-1]
     return float(np.sqrt(max(lam, 0.0)))
-
-
-def _pairwise_upper_seed(problem: PickProblem) -> float:
-    """Safe starting overestimate from two-point pseudo-hyperbolic geometry.
-
-    For a pair with extremal distance d and scalar targets w_i, w_j, the
-    bound C with C |w_i - w_j| = d (C^2 - |w_i w_j|) makes the pair feasible;
-    the max over pairs seeds the doubling search (which remains correct even
-    if the seed is low).
-    """
-    from .geometry import caratheodory_two_point
-
-    if not problem.is_scalar or len(problem.nodes) < 2:
-        return 1.0
-    w = problem.scalar_targets()
-    best = 1.0
-    pts = problem.nodes.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = caratheodory_two_point(pts[i], pts[j], grid_size=512)
-            if d <= 1e-12:
-                continue
-            dw = abs(w[i] - w[j])
-            prod = abs(w[i] * w[j])
-            c = (dw + np.sqrt(dw * dw + 4.0 * d * d * prod)) / (2.0 * d)
-            best = max(best, float(c))
-    return best

@@ -4,8 +4,10 @@ Complex numbers serialize as [re, im] pairs in every external format;
 matrices are row-major entry lists with explicit shape; kernels follow the
 ``{nodes, block, entries}`` layout.  Reports are plain dicts so they can be
 hashed canonically: ``canonical_json`` sorts keys and keeps the default
-shortest round-trip float text, and ``report_hash`` drops wall-clock fields
-(the one part of a report that legitimately differs between identical runs).
+shortest round-trip float text, and ``report_hash`` drops the top-level
+wall-clock fields (the one part of a report that legitimately differs between
+identical runs).  Report files hold the same compact text, written by the C
+encoder.
 """
 
 from __future__ import annotations
@@ -150,7 +152,6 @@ def encode_solve_report(report: SolveReport) -> dict:
         "status": report.status.value,
         "residual": report.residual,
         "iterations": report.iterations,
-        "wall_time": report.wall_time,
         "notes": list(report.notes),
     }
     if report.blocks is not None:
@@ -177,16 +178,7 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def strip_volatile(obj):
-    if isinstance(obj, dict):
-        return {
-            k: strip_volatile(v) for k, v in obj.items() if k not in VOLATILE_KEYS
-        }
-    if isinstance(obj, list):
-        return [strip_volatile(v) for v in obj]
-    return obj
-
-
 def report_hash(report: dict) -> str:
-    """sha256 of the canonical report text with wall-clock fields removed."""
-    return hashlib.sha256(canonical_json(strip_volatile(report)).encode()).hexdigest()
+    """sha256 of the canonical report text without its top-level volatile keys."""
+    kept = {k: v for k, v in report.items() if k not in VOLATILE_KEYS}
+    return hashlib.sha256(canonical_json(kept).encode()).hexdigest()

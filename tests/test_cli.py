@@ -8,7 +8,7 @@ import pytest
 import symbidisk
 import symbidisk.cli
 from symbidisk.cli import execute_problem, run
-from symbidisk.serialize import report_hash
+from symbidisk.serialize import canonical_json, report_hash
 
 
 def write_json(path, obj):
@@ -219,6 +219,112 @@ class TestDeterminismAndEcho:
         r = execute_problem(obj)
         text = json.dumps(r["problem"])
         assert json.loads(text) == obj
+
+
+# One problem per solving kind with its report hash, pinned from reports that
+# were still pretty-printed and still carried a nested ``solve.wall_time``:
+# the report text may change form, the hash of the same problem may not.
+GOLDEN = {
+    "pick": (
+        {
+            "format": 1,
+            "kind": "pick",
+            "payload": {
+                "nodes": [[1.0, 0, 0.25, 0], [-1.0, 0, 0.25, 0]],
+                "targets": [[-0.5, 0], [0.5, 0]],
+            },
+            "grid": {"kind": "solver_default"},
+            "opts": {"seed": 7},
+        },
+        "9aae05d355c7b4be8a155f75564ada6833e98c05ad60200acecbf9355f986747",
+    ),
+    "corona": (
+        {
+            "format": 1,
+            "kind": "corona",
+            "payload": {
+                "nodes": [[0.3, 0.1, 0.05, 0.0], [-0.2, 0.0, 0.0, 0.1]],
+                "phi_samples": [
+                    {"rows": 1, "cols": 2, "entries": [[0.2, 0.0], [0.7, 0.0]]},
+                    {"rows": 1, "cols": 2, "entries": [[-0.1, 0.05], [0.7, 0.0]]},
+                ],
+                "delta": 0.3,
+            },
+            "opts": {"seed": 5},
+        },
+        "70f05aa404e24c9206f76a2d0738d550f37375e714a5d12fdd04cd5c48ff4dbc",
+    ),
+    "sequence": (
+        {
+            "format": 1,
+            "kind": "sequence",
+            "payload": {
+                "nodes": [[1.0, 0, 0.25, 0], [-1.0, 0, 0.25, 0]],
+                "kernels": 4,
+                "bound": 1.5,
+            },
+            "opts": {"seed": 3},
+        },
+        "7c3cd40dd248d06f21b4e26f070d8007588aa3ae0ade5c45d24cbb8cab20923d",
+    ),
+    "membership": (
+        {"format": 1, "kind": "membership", "payload": {"s": [0.8, 0], "p": [0.15, 0]}},
+        "f0bcf15f1b2669522b7f39419a170c9ce3a6e65097c404dc7e45aceca5c98a27",
+    ),
+}
+
+
+def golden_corpus(tmp_path):
+    d = tmp_path / "golden"
+    d.mkdir()
+    for kind, (problem, _) in GOLDEN.items():
+        write_json(d / f"{kind}.json", problem)
+    return d
+
+
+class TestReportFiles:
+    @pytest.mark.parametrize("kind", sorted(GOLDEN))
+    def test_golden_hash(self, kind):
+        problem, want = GOLDEN[kind]
+        assert execute_problem(json.loads(json.dumps(problem)))["report_hash"] == want
+
+    def test_written_reports_are_canonical_json(self, tmp_path, capsys):
+        d = golden_corpus(tmp_path)
+        out_dir = tmp_path / "reports"
+        assert run(["corpus", "--in", str(d), "--out", str(out_dir)]) == 0
+        assert run(["pick", "--in", str(d / "pick.json"), "--out", str(tmp_path / "r.json")]) == 0
+        capsys.readouterr()
+        assert run(["pick", "--in", str(d / "pick.json")]) == 0
+        texts = {
+            "pick stdout": capsys.readouterr().out.removesuffix("\n"),
+            "pick --out": (tmp_path / "r.json").read_text(),
+        }
+        for kind in GOLDEN:
+            texts[kind] = (out_dir / f"{kind}.report.json").read_text()
+        for name, text in texts.items():
+            report = json.loads(text)
+            assert text == canonical_json(report), name
+            assert report_hash(report) == report["report_hash"] == GOLDEN[report["kind"]][1]
+            if report["kind"] in ("pick", "corona"):
+                assert report["timings"]["solve"] >= 0.0
+                assert "wall_time" not in report["solve"]
+                report["timings"]["solve"] += 1.0
+                assert report_hash(report) == report["report_hash"]
+
+    def test_jobs_is_accepted_and_ignored(self, tmp_path, capsys):
+        d = golden_corpus(tmp_path)
+        texts = []
+        for jobs in ("1", "8"):
+            out_dir = tmp_path / f"jobs{jobs}"
+            assert run(["corpus", "--in", str(d), "--out", str(out_dir), "--jobs", jobs]) == 0
+            reports = {}
+            for name in sorted(os.listdir(out_dir)):
+                report = json.loads((out_dir / name).read_text())
+                del report["timings"]
+                reports[name] = canonical_json(report)
+            texts.append(reports)
+        assert len(texts[0]) == len(GOLDEN)
+        assert texts[0] == texts[1]
 
 
 class TestCorpus:

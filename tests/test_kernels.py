@@ -43,6 +43,14 @@ class TestAlphaGrid:
         # 64 boundary + origin + 8 radii x 16 angles
         assert len(AlphaGrid.check_default()) == 64 + 1 + 128
 
+    def test_default_grids_are_shared_and_read_only(self):
+        for default in (AlphaGrid.solver_default, AlphaGrid.check_default):
+            grid = default()
+            assert grid is default()
+            assert np.array_equal(grid.alphas, default.__wrapped__().alphas)
+            with pytest.raises(ValueError):
+                grid.alphas[0] = 0.5
+
     def test_rejects_exterior_alpha(self):
         with pytest.raises(ValidationError):
             AlphaGrid(np.array([1.5 + 0.0j]))

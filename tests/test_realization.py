@@ -15,6 +15,7 @@ from symbidisk import (
     transfer_eval,
     verify_contractivity,
 )
+from symbidisk import realization
 from symbidisk.feasibility import CPBlocks
 from symbidisk.realization import (
     _SOLVE_CHUNK_ENTRIES,
@@ -26,7 +27,7 @@ from symbidisk.realization import (
 from conftest import random_gpoint, random_nodes
 
 
-def random_colligation(rng, state_dim, padded_dim=2):
+def random_colligation(rng, state_dim, padded_dim=2, out_dim=1, in_dim=2):
     """Haar-like unitary split into [[A, B], [C, D]], one state per alpha."""
     n = padded_dim + state_dim
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
@@ -37,8 +38,8 @@ def random_colligation(rng, state_dim, padded_dim=2):
         d=q[padded_dim:, padded_dim:],
         alphas=0.9 * np.exp(2j * np.pi * np.arange(state_dim) / max(1, state_dim)),
         multiplicities=(1,) * state_dim,
-        out_dim=1,
-        in_dim=2,
+        out_dim=out_dim,
+        in_dim=in_dim,
     )
 
 
@@ -262,6 +263,24 @@ class TestContractivity:
                 continue
             v = verify_contractivity(sol.interpolant, sample_count=4000, seed=3)
             assert v <= 1.0 + 1e-8
+
+    @pytest.mark.parametrize("out_dim,in_dim", [(1, 1), (3, 1), (1, 3)])
+    def test_vector_valued_audit_equals_svd_of_every_sample(
+        self, rng, monkeypatch, out_dim, in_dim
+    ):
+        """The norm screen keeps the audit bit-identical, as report hashes need."""
+        samples = []
+
+        def recording(col, s, p):
+            samples.append(transfer_eval_batch(col, s, p))
+            return samples[-1]
+
+        monkeypatch.setattr(realization, "transfer_eval_batch", recording)
+        for seed in range(4):
+            col = random_colligation(rng, 3, padded_dim=3, out_dim=out_dim, in_dim=in_dim)
+            v = verify_contractivity(RealizedFunction(colligation=col), 2000, seed=seed)
+            full = np.linalg.svd(samples[-1], compute_uv=False)[:, 0].max()
+            assert v == full
 
 
 class TestRepresentationStructure:

@@ -85,6 +85,13 @@ def test_report_hash_ignores_volatile_fields():
     assert report_hash(a) != report_hash(c)
 
 
+def test_report_hash_strips_only_top_level_keys():
+    a = {"status": "Feasible", "solve": {"timings": 0.5, "x": 1}}
+    b = {"status": "Feasible", "solve": {"timings": 9.9, "x": 1}}
+    assert report_hash(a) != report_hash(b)
+    assert report_hash({**a, "report_hash": "0" * 64}) == report_hash(a)
+
+
 def test_canonical_json_is_sorted_and_compact():
     text = canonical_json({"b": 1, "a": [1.5, 2.25]})
     assert text == '{"a":[1.5,2.25],"b":1}'
