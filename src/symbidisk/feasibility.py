@@ -20,15 +20,16 @@ gradient J - sum_m C_m . P+(conj(C_m) . Y) is the residual of the primal
 point B_m = P+(conj(C_m) . Y), so when J is feasible the maximizer gives the
 minimum-norm witness.  Each step solves (V(Y) + mu I) d = grad theta, V being
 the generalized Hessian, and backtracks on theta (Qi & Sun, SIAM J. Matrix
-Anal. Appl. 2006; Zhao, Sun & Toh, SIAM J. Optim. 2010).  With N = n * block
-the system has N^2 unknowns: up to N = 8 it is assembled as one dense
-N^2 x N^2 matrix and solved directly, which costs less than the ~N^2
-Python-level conjugate-gradient iterations it replaces; above that it is
-solved matrix-free by conjugate gradients, the only path whose memory and
-flops stay small at large N.  The regularization mu = ||grad|| / ||Y||, clipped
-to [1e-10, 1e-2], is scale-free: near the feasibility threshold the maximizer
-lies far out (||Y|| in the thousands), and a mu that does not shrink with
-1 / ||Y|| would cap every step at a length of order one.
+Anal. Appl. 2006; Zhao, Sun & Toh, SIAM J. Optim. 2010).  One stacked
+eigensolve per dual point serves P+, the gradient, the next step's V and the
+certificate's lambda_max.  With N = n * block the system has N^2 unknowns: up
+to N = 8 it is assembled as one dense N^2 x N^2 matrix and solved directly,
+which costs less than the ~N^2 Python-level conjugate-gradient iterations it
+replaces; above that it is solved matrix-free by conjugate gradients, the only
+path whose memory and flops stay small at large N.  The regularization mu =
+||grad|| / ||Y||, clipped to [1e-10, 1e-2], is scale-free: near the feasibility
+threshold the maximizer lies far out (||Y|| in the thousands), and a mu that
+does not shrink with 1 / ||Y|| would cap every step at a length of order one.
 
 Infeasibility is certified by a grid-admissible kernel K whose Schur product
 with J has a negative eigenvalue: any exact witness would force
@@ -53,6 +54,7 @@ import numpy as np
 from .errors import ValidationError
 from .hermitian import (
     hermitian_part,
+    min_eigenvalue,
     min_eigenvalue_stack,
     psd_project,
     psd_project_stack,
@@ -219,12 +221,11 @@ def solve(
         )
 
     j = target.matrix
-    cconj = cexp.conj()
     cdiag = float(np.real(np.diagonal(cexp, axis1=1, axis2=2)).min())
     jnorm = float(np.linalg.norm(j))
     notes: list[str] = []
     y = np.zeros_like(j) if y0 is None else y0
-    b, grad, theta = _dual_point(j, cexp, y)
+    b, grad, theta, lam, vecs = _dual_point(j, cexp, y)
     res = float(np.linalg.norm(grad))
     best_res, best_b, best_y = res, b, y
     history = [res]  # best residual after each step
@@ -234,9 +235,9 @@ def solve(
         if polish_end is None and res <= opts.tol:
             polish_end = it + _POLISH_STEPS
             notes.append(f"tolerance met at step {it}; polishing")
-        lam, vecs = np.linalg.eigh(cconj * y)
+        ny = float(np.linalg.norm(y))
         if polish_end is None:
-            cert = _dual_certificate(target, grid, y, float(lam[:, -1].max()), cdiag, opts)
+            cert = _dual_certificate(target, grid, y, ny, float(lam[:, -1].max()), cdiag, opts)
             if cert is not None:
                 kern, lam_k = cert
                 return SolveReport(
@@ -257,10 +258,10 @@ def solve(
             break
         it += 1
 
-        ny = float(np.linalg.norm(y))
-        mu = float(np.clip(res / ny, *_MU_RANGE)) if ny > 0 else _MU_RANGE[1]
+        mu = min(max(res / ny, _MU_RANGE[0]), _MU_RANGE[1]) if ny > 0 else _MU_RANGE[1]
         if len(j) <= _DENSE_MAX_N:
-            v = _dense_hessian(cexp, lam, vecs) + mu * np.eye(grad.size)
+            v = _dense_hessian(cexp, lam, vecs)
+            v.flat[:: grad.size + 1] += mu
             d = hermitian_part(np.linalg.solve(v, grad.ravel()).reshape(grad.shape))
         else:
             hess = _generalized_hessian(cexp, lam, vecs)
@@ -268,7 +269,7 @@ def solve(
         slope = float(np.vdot(grad, d).real)
         step = 1.0
         while step >= 1e-10:
-            b_t, grad_t, theta_t = _dual_point(j, cexp, y + step * d)
+            b_t, grad_t, theta_t, lam_t, vecs_t = _dual_point(j, cexp, y + step * d)
             res_t = float(np.linalg.norm(grad_t))
             if theta_t >= theta + _ARMIJO * step * slope:
                 break
@@ -280,7 +281,7 @@ def solve(
             notes.append(f"line search failed at step {it}")
             break
         y = y + step * d
-        b, grad, theta, res = b_t, grad_t, theta_t, res_t
+        b, grad, theta, res, lam, vecs = b_t, grad_t, theta_t, res_t, lam_t, vecs_t
         if res < best_res:
             best_res, best_b, best_y = res, b, y
         history.append(best_res)
@@ -306,11 +307,11 @@ def solve(
 
 
 def _dual_point(j, cexp, y):
-    """Blocks P+(conj(C_m) . Y), the gradient J - sum C_m . B_m and theta(Y)."""
-    b = psd_project_stack(cexp.conj() * y)
+    """P+(conj(C_m) . Y), the gradient J - sum C_m . B_m, theta(Y), and the eigenpairs."""
+    b, lam, vecs = psd_project_stack(cexp.conj() * y)
     grad = j - np.einsum("mij,mij->ij", cexp, b)
     theta = float(np.vdot(j, y).real - 0.5 * np.vdot(b, b).real)
-    return b, grad, theta
+    return b, grad, theta, lam, vecs
 
 
 def _omega(lam):
@@ -374,18 +375,17 @@ def _conjugate_gradient(apply, g, mu, tol):
     return hermitian_part(d)
 
 
-def _dual_certificate(target, grid, y, lam_max, cdiag, opts):
+def _dual_certificate(target, grid, y, ny, lam_max, cdiag, opts):
     """Grid-admissible kernel from the ascent direction -Y / ||Y||, if it certifies.
 
-    ``lam_max`` is the largest eigenvalue over m of conj(C_m) . Y.  Shifting
-    D = -Y / ||Y|| by t I, t = max(0, lam_max / ||Y||) / min C_m(i, i), makes
-    every conj(C_m) . D' PSD.  Blocks with sum C_m . B_m = J + R then give
+    ``ny`` is ||Y||, ``lam_max`` the largest eigenvalue over m of conj(C_m) . Y.
+    Shifting D = -Y / ||Y|| by t I, t = max(0, lam_max / ||Y||) / min C_m(i, i),
+    makes every conj(C_m) . D' PSD.  Blocks with sum C_m . B_m = J + R then give
     Re<J + R, D'> = sum Re<B_m, conj(C_m) . D'> >= 0, so
     -Re<J, D'> > tol ||D'|| rules out every witness of residual <= tol.  The
     block trace, a completely positive map, compresses D' to n x n; the kernel
     K = conj(D') is rescaled and re-verified.
     """
-    ny = float(np.linalg.norm(y))
     if ny == 0.0:
         return None
     dual = -y / ny + (max(0.0, lam_max / ny) / cdiag) * np.eye(len(y))
@@ -410,12 +410,14 @@ def _single_atom_witness(target, grid, cexp, opts):
     cands = hermitian_part(j / cexp)
     best = None
     for m in np.flatnonzero(min_eigenvalue_stack(cands) >= -1e-12 * scale):
-        stack = np.zeros_like(cexp, dtype=complex)
-        stack[m] = psd_project(cands[m])
-        blocks = CPBlocks(grid=grid, blocks=tuple(stack))
-        res = residual(target, blocks)
+        # residual() of B at m and zeros elsewhere; einsum rounds as residual() does
+        b = psd_project(cands[m])
+        res = np.linalg.norm(np.einsum("ij,ij->ij", cexp[m], b) - j)
+        res = float(res - min(min_eigenvalue(b), 0.0))
         if res <= opts.tol and (best is None or res < best[1]):
-            best = (blocks, res)
+            stack = np.zeros_like(cexp)
+            stack[m] = b
+            best = (CPBlocks(grid=grid, blocks=tuple(stack)), res)
             if res == 0.0:
                 break
     return best
@@ -470,10 +472,8 @@ def _most_negative_pair(j, k, block) -> tuple[float, np.ndarray]:
 def _admissible_kernel(nodes, grid, k, tol) -> KernelMatrix | None:
     """Unit-diagonal rescale of k, when it is grid-admissible."""
     k = hermitian_part(k)
-    diag = np.real(np.diag(k))
-    if np.any(diag <= 1e-14):
+    if np.any(np.real(np.diag(k)) <= 1e-14):
         k = k + 1e-12 * np.eye(k.shape[0])
-        diag = np.real(np.diag(k))
     g = grammian_normalize(KernelMatrix(nodes=nodes, matrix=k))
     kern = KernelMatrix(nodes=nodes, matrix=g)
     if not admissibility_check(kern, grid, tol=tol).is_admissible_on_grid:

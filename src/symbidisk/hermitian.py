@@ -51,13 +51,13 @@ def psd_project(h: np.ndarray) -> np.ndarray:
     return hermitian_part((dec.vectors * w[None, :]) @ dec.vectors.conj().T)
 
 
-def psd_project_stack(hs: np.ndarray) -> np.ndarray:
-    """psd_project over a stacked array of Hermitian matrices, shape (m, n, n)."""
+def psd_project_stack(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psd_project over a stack (m, n, n); also returns the symmetrized stack's eigenpairs."""
     hs = (hs + hs.conj().transpose(0, 2, 1)) / 2.0
-    w, v = np.linalg.eigh(hs)
-    w = np.clip(w, 0.0, None)
+    lam, v = np.linalg.eigh(hs)
+    w = np.clip(lam, 0.0, None)
     out = (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    return (out + out.conj().transpose(0, 2, 1)) / 2.0
+    return (out + out.conj().transpose(0, 2, 1)) / 2.0, lam, v
 
 
 def min_eigenvalue(h: np.ndarray) -> float:

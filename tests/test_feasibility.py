@@ -21,7 +21,7 @@ from symbidisk import (
 from symbidisk import feasibility
 from symbidisk.feasibility import _DENSE_MAX_N, _dense_hessian, _generalized_hessian
 from symbidisk.geometry import phi_values
-from symbidisk.hermitian import min_eigenvalue
+from symbidisk.hermitian import hermitian_part, min_eigenvalue, min_eigenvalue_stack, psd_project
 from symbidisk.kernels import coefficient_masks, expand_masks, random_admissible_kernel
 
 from conftest import random_nodes
@@ -304,6 +304,87 @@ class TestNewtonSystems:
             assert residual(target, report.blocks) <= 2e-8
             above_cut = n * block > _DENSE_MAX_N
             assert len(calls) == (report.iterations if above_cut else 0)
+
+
+    def test_one_stacked_eigensolve_per_dual_point(self, monkeypatch, solver_grid):
+        # the projection's eigenpairs serve the next step's Hessian and the
+        # certificate, so every stacked eigh belongs to one dual point
+        eigh, project = np.linalg.eigh, feasibility.psd_project_stack
+        counts = {"eigh": 0, "project": 0}
+
+        def counting_eigh(a, *args, **kwargs):
+            counts["eigh"] += np.ndim(a) == 3
+            return eigh(a, *args, **kwargs)
+
+        def counting_project(hs):
+            counts["project"] += 1
+            return project(hs)
+
+        rng = np.random.default_rng(5)
+        for n, block in [(3, 1), (5, 2)]:
+            while True:
+                nodes = random_nodes(rng, n)
+                target = colligation_target(rng, nodes, solver_grid, 4, 0.9, out_dim=block)
+                if needs_iteration(target, solver_grid):
+                    break
+            expected = solve(target, solver_grid)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", counting_eigh)
+                patch.setattr(feasibility, "psd_project_stack", counting_project)
+                counts.update(eigh=0, project=0)
+                report = solve(target, solver_grid)
+            assert report.status is expected.status
+            assert report.iterations == expected.iterations > 0
+            assert counts["project"] > report.iterations
+            assert counts["eigh"] == counts["project"]
+
+
+class TestSingleAtomWitness:
+    @staticmethod
+    def reference(target, grid, cexp, opts):
+        """The residual()-based loop: (blocks, residual, atom) and every residual."""
+        j = target.matrix
+        scale = max(1.0, float(np.abs(j).max(initial=0.0)))
+        cands = hermitian_part(j / cexp)
+        best, seen = None, []
+        for m in np.flatnonzero(min_eigenvalue_stack(cands) >= -1e-12 * scale):
+            stack = np.zeros_like(cexp, dtype=complex)
+            stack[m] = psd_project(cands[m])
+            blocks = CPBlocks(grid=grid, blocks=tuple(stack))
+            res = residual(target, blocks)
+            seen.append(res)
+            if res <= opts.tol and (best is None or res < best[1]):
+                best = (blocks, res, m)
+                if res == 0.0:
+                    break
+        return best, seen
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_matches_residual_reference_bit_for_bit(self, block, diagonal_pair, solver_grid):
+        rng = np.random.default_rng(60 + block)
+        opts, multi, ties = SolveOptions(), 0, 0
+        for trial in range(60):
+            # six of the nine atoms give the images of z = +-0.5 as -+0.5
+            # exactly, so they share one mask and their residuals tie
+            nodes = random_nodes(rng, 3) if trial % 3 == 0 else diagonal_pair
+            n = len(nodes)
+            cexp = expand_masks(coefficient_masks(solver_grid, nodes), block)
+            w = rng.standard_normal((n * block, block)) + 1j * rng.standard_normal((n * block, block))
+            j = np.kron(np.ones((n, n)), np.eye(block)) - rng.uniform(0.0, 0.01) * (w @ w.conj().T)
+            target = FeasibilityTarget(nodes=nodes, matrix=j, block=block)
+            expected, seen = self.reference(target, solver_grid, cexp, opts)
+            got = feasibility._single_atom_witness(target, solver_grid, cexp, opts)
+            assert (got is None) == (expected is None)
+            if got is None:
+                continue
+            multi += len(seen) >= 2
+            ties += seen.count(expected[1]) >= 2
+            blocks, res = got
+            assert res == expected[1]
+            assert blocks.stacked().tobytes() == expected[0].stacked().tobytes()
+            nonzero = [m for m, b in enumerate(blocks.blocks) if np.any(b)]
+            assert nonzero == [expected[2]]
+        assert multi >= 40 and ties >= 10
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
