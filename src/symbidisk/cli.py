@@ -49,6 +49,7 @@ from .serialize import (
     decode_grid,
     decode_matrix,
     decode_nodes,
+    decode_point_rows,
     encode_colligation,
     encode_complex,
     encode_membership,
@@ -162,15 +163,9 @@ def _run_single(args) -> int:
 
 
 def _cli_overrides(args) -> dict:
-    out = {}
-    for key in ("tol", "seed", "grid"):
-        v = getattr(args, key, None)
-        if v is not None:
-            out[key] = v
-    v = getattr(args, "max_iter", None)
-    if v is not None:
-        out["max_iter"] = v
-    return out
+    """The solver flags a run was given, keyed as in a problem's ``opts``."""
+    keys = ("tol", "seed", "grid", "max_iter")
+    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
 def _load_problem(path: str | None) -> dict:
@@ -229,14 +224,15 @@ def execute_problem(problem: dict, overrides: dict | None = None) -> dict:
     kind = problem["kind"]
     payload = problem["payload"]
 
-    opts_obj = dict(problem.get("opts") or {})
-    for key in ("tol", "max_iter", "seed"):
-        if key in overrides:
-            opts_obj[key] = overrides[key]
-    seed = int(opts_obj.get("seed", 0))
+    opts_obj = problem.get("opts") or {}
+    if not isinstance(opts_obj, dict):
+        raise ValidationError("field 'opts' must be an object")
+    keys = ("tol", "max_iter", "seed")
+    opts_obj = {**opts_obj, **{k: overrides[k] for k in keys if k in overrides}}
+    seed = _number(opts_obj.get("seed", 0), "seed", int)
     opts = SolveOptions(
-        tol=float(opts_obj.get("tol", 1e-8)),
-        max_iter=int(opts_obj.get("max_iter", 20000)),
+        tol=_number(opts_obj.get("tol", 1e-8), "tol"),
+        max_iter=_number(opts_obj.get("max_iter", 20000), "max_iter", int),
         seed=seed,
     )
     if "grid" in overrides:
@@ -266,12 +262,35 @@ def _require(payload: dict, field: str):
     return payload[field]
 
 
+def _number(value, field: str, cast=float):
+    """cast(value) for the numeric input field ``field``; a value the cast
+    rejects (a string, a list, ...) is an input error."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"field '{field}' must be a number, got {value!r}") from exc
+
+
+def _factorization_body(solution, key: str) -> dict:
+    """Fields pick and corona reports share; ``key`` names the realized function."""
+    body: dict[str, Any] = {
+        "solve": encode_solve_report(solution.report),
+        "status": solution.status.value,
+        "timings": {"solve": solution.report.wall_time},
+    }
+    if getattr(solution, key) is not None:
+        body[key] = encode_colligation(getattr(solution, key).colligation)
+        body["node_residual"] = solution.node_residual
+    return body
+
+
 def _handle_membership(payload, grid, opts) -> dict:
     s = payload.get("s")
     p = payload.get("p")
     if s is None or p is None:
         raise ValidationError("missing required field 's' or 'p'")
-    rep = membership(decode_complex(s), decode_complex(p), tol=float(payload.get("tol", 1e-10)))
+    tol = _number(payload.get("tol", 1e-10), "tol")
+    rep = membership(decode_complex(s), decode_complex(p), tol=tol)
     return encode_membership(rep)
 
 
@@ -282,18 +301,10 @@ def _handle_pick(payload, grid, opts) -> dict:
         decode_matrix(t) if isinstance(t, dict) else np.array([[decode_complex(t)]])
         for t in raw_targets
     )
-    problem = PickProblem(
-        nodes=nodes, targets=targets, norm_bound=float(payload.get("norm_bound", 1.0))
-    )
+    norm_bound = _number(payload.get("norm_bound", 1.0), "norm_bound")
+    problem = PickProblem(nodes=nodes, targets=targets, norm_bound=norm_bound)
     solution = solve_pick(problem, grid, opts)
-    body: dict[str, Any] = {
-        "solve": encode_solve_report(solution.report),
-        "status": solution.status.value,
-        "timings": {"solve": solution.report.wall_time},
-    }
-    if solution.interpolant is not None:
-        body["interpolant"] = encode_colligation(solution.interpolant.colligation)
-        body["node_residual"] = solution.node_residual
+    body = _factorization_body(solution, "interpolant")
     if payload.get("minimal_norm", False):
         body["minimal_norm"] = minimal_norm(problem, grid, opts)
     return body
@@ -306,18 +317,12 @@ def _handle_corona(payload, grid, opts) -> dict:
     problem = CoronaProblem(
         nodes=nodes,
         phi_samples=phis,
-        delta=float(_require(payload, "delta")),
+        delta=_number(_require(payload, "delta"), "delta"),
         theta_samples=tuple(decode_matrix(m) for m in thetas) if thetas else None,
     )
     solution = solve_corona(problem, grid, opts)
-    body: dict[str, Any] = {
-        "solve": encode_solve_report(solution.report),
-        "status": solution.status.value,
-        "timings": {"solve": solution.report.wall_time},
-    }
+    body = _factorization_body(solution, "psi")
     if solution.psi is not None:
-        body["psi"] = encode_colligation(solution.psi.colligation)
-        body["node_residual"] = solution.node_residual
         body["sampled_norm"] = solution.sampled_norm
         body["normalized_norm"] = solution.normalized_norm
         body["bound_inv_sqrt_delta"] = solution.bound_inv_sqrt_delta
@@ -329,11 +334,11 @@ def _handle_corona(payload, grid, opts) -> dict:
 
 def _handle_sequence(payload, grid, opts) -> dict:
     nodes = decode_nodes(_require(payload, "nodes"))
-    n = int(payload.get("n", len(nodes)))
+    n = _number(payload.get("n", len(nodes)), "n", int)
     trunc = SequenceTruncation(nodes=nodes.prefix(n))
-    kernel_count = int(payload.get("kernels", 8))
-    alpha_samples = int(payload.get("alpha_samples", len(grid)))
-    bound = float(payload.get("bound", 2.0))
+    kernel_count = _number(payload.get("kernels", 8), "kernels", int)
+    alpha_samples = _number(payload.get("alpha_samples", len(grid)), "alpha_samples", int)
+    bound = _number(payload.get("bound", 2.0), "bound")
 
     scan_grid = grid if alpha_samples >= len(grid) else AlphaGrid(grid.alphas[:alpha_samples])
     alpha_star, delta_hat = best_carleson_alpha(trunc, scan_grid)
@@ -367,7 +372,7 @@ def _handle_gamma_check(payload, grid, opts) -> dict:
         second=decode_matrix(_require(payload, "second")),
     )
     mode = payload.get("mode", "unitary")
-    tol = float(payload.get("tol", 1e-10))
+    tol = _number(payload.get("tol", 1e-10), "tol")
     if mode == "unitary":
         check = gamma_unitary_check(pair, tol)
     elif mode == "isometry":
@@ -385,17 +390,14 @@ def _handle_gamma_check(payload, grid, opts) -> dict:
 
 
 def _handle_measure_model(payload, grid, opts) -> dict:
-    rows = _require(payload, "atoms")
-    atoms = tuple(
-        BGammaPoint(
-            complex(float(r[0]), float(r[1])), complex(float(r[2]), float(r[3]))
-        )
-        for r in rows
-    )
-    weights = tuple(float(w) for w in payload.get("weights", [1.0] * len(atoms)))
+    atoms = tuple(BGammaPoint(s, p) for s, p in decode_point_rows(_require(payload, "atoms")))
+    weights = payload.get("weights", [1.0] * len(atoms))
+    if not isinstance(weights, list):
+        raise ValidationError("field 'weights' must be a list of numbers")
+    weights = tuple(_number(w, "weights") for w in weights)
     mu = AtomicMeasure(atoms=atoms, weights=weights)
     pair = atomic_h2_model(mu)
-    check = gamma_isometry_check(pair, tol=float(payload.get("tol", 1e-10)))
+    check = gamma_isometry_check(pair, tol=_number(payload.get("tol", 1e-10), "tol"))
     return {
         "dim": pair.dim,
         "first_diag": [encode_complex(z) for z in np.diag(pair.first)],
@@ -436,13 +438,7 @@ def corpus(args) -> int:
     if args.out_path:
         os.makedirs(args.out_path, exist_ok=True)
 
-    overrides = {}
-    for key in ("tol", "seed", "grid"):
-        v = getattr(args, key, None)
-        if v is not None:
-            overrides[key] = v
-    if getattr(args, "max_iter", None) is not None:
-        overrides["max_iter"] = args.max_iter
+    overrides = _cli_overrides(args)
 
     def run_one(name: str) -> tuple[str, str, str]:
         path = os.path.join(in_dir, name)

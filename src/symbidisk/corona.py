@@ -9,9 +9,9 @@ inverse of Phi).  Feasibility of the target
     J_ij = Phi_i Phi_j* - Theta_i Theta_j*
 
 through the CP core is equivalent, at grid scale, to the existence of such a
-Psi, and a feasible witness synthesizes Psi explicitly: the lurking isometry
-maps the Phi-side family onto the Theta-side family, and the completed
-colligation evaluates Psi with Phi(node) @ Psi(node) = Theta(node).
+Psi.  It is the factorization of ``realization`` with L_i = Phi_i and
+R_i = Theta_i (Pick is the case L_i = I), and the one ``realize`` step that
+serves both synthesizes Psi with Phi(node) @ Psi(node) = Theta(node).
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from .feasibility import (
 from .kernels import AlphaGrid, NodeSet
 from .realization import (
     RealizedFunction,
-    lurking_isometry,
-    node_values,
+    factor_target,
+    node_residual,
+    realize,
     transfer_eval_batch,
     verify_contractivity,
 )
@@ -81,18 +82,6 @@ class CoronaProblem:
                 raise ValidationError("Theta output dimension must match Phi's")
         object.__setattr__(self, "theta_samples", theta)
 
-    @property
-    def d2(self) -> int:
-        return self.phi_samples[0].shape[0]
-
-    @property
-    def d1(self) -> int:
-        return self.phi_samples[0].shape[1]
-
-    @property
-    def d3(self) -> int:
-        return self.theta_samples[0].shape[1]
-
 
 @dataclass(frozen=True)
 class CoronaSolution:
@@ -114,12 +103,7 @@ class CoronaSolution:
 
 def assemble_corona_target(problem: CoronaProblem) -> FeasibilityTarget:
     """J_ij = Phi_i Phi_j* - Theta_i Theta_j*, self-adjoint by construction."""
-    phi = np.concatenate(problem.phi_samples)  # node blocks stacked, (n * d2) x d1
-    theta = np.concatenate(problem.theta_samples)
-    # an overflow leaves a non-finite entry, which FeasibilityTarget rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        j = phi @ phi.conj().T - theta @ theta.conj().T
-    return FeasibilityTarget(nodes=problem.nodes, matrix=j, block=problem.d2)
+    return factor_target(problem.nodes, problem.phi_samples, problem.theta_samples)
 
 
 def solve_corona(
@@ -134,25 +118,11 @@ def solve_corona(
     Phi(node) @ Psi(node) = Theta(node) within the synthesis tolerance.
     """
     grid = grid or AlphaGrid.solver_default()
-    target = assemble_corona_target(problem)
-    report = solve(target, grid, opts)
+    report = solve(assemble_corona_target(problem), grid, opts)
     if report.status is not SolveStatus.FEASIBLE:
         return CoronaSolution(report=report)
 
-    col = lurking_isometry(
-        report.blocks,
-        problem.nodes,
-        [m for m in problem.phi_samples],
-        [m for m in problem.theta_samples],
-        block=problem.d2,
-        gram_tol=max(1e-8, 10 * report.residual),
-    )
-    psi = RealizedFunction(colligation=col)
-    vals = node_values(col, problem.nodes)
-    node_res = max(
-        float(np.abs(problem.phi_samples[i] @ vals[i] - problem.theta_samples[i]).max())
-        for i in range(len(problem.nodes))
-    )
+    psi, node_res = realize(report, problem.nodes, problem.phi_samples, problem.theta_samples)
     sampled = verify_contractivity(psi, sample_count=contractivity_samples, seed=opts.seed)
     return CoronaSolution(
         report=report,
@@ -190,11 +160,7 @@ def verify_left_inverse(
     if psi is None:
         return LeftInverseReport(skipped=True)
     col = psi.colligation
-    vals = node_values(col, problem.nodes)
-    node_res = max(
-        float(np.abs(problem.phi_samples[i] @ vals[i] - problem.theta_samples[i]).max())
-        for i in range(len(problem.nodes))
-    )
+    node_res = node_residual(col, problem.nodes, problem.phi_samples, problem.theta_samples)
     sampled_res = None
     if evaluator is not None and extra_samples > 0:
         rng = np.random.default_rng(seed)

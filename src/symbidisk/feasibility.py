@@ -84,7 +84,10 @@ _CG_MAX = 200
 # the CPU time of a CG step (6-106 iterations) for N = 3..8, about the same at
 # N = 9-10 with block > 1, and 1.1x at N = 12 with block 3.
 _DENSE_MAX_N = 8
-_POLISH_STEPS = 8  # extra steps toward polish_tol once tol is met
+# Once tol is met, up to _POLISH_STEPS more steps push the residual toward
+# _POLISH_TOL; this improves downstream synthesis without changing the decision.
+_POLISH_STEPS = 8
+_POLISH_TOL = 1e-12
 _STALL_STEPS = 40  # Unknown when the best residual has not halved in this many steps
 
 
@@ -99,9 +102,6 @@ class SolveOptions:
     tol: float = 1e-8
     max_iter: int = 20000  # Newton steps
     seed: int = 0
-    # residual polish after the tolerance is first met; improves downstream
-    # synthesis without changing the decision
-    polish_tol: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,7 @@ def solve(
             if it >= _STALL_STEPS and history[it] > 0.5 * history[it - _STALL_STEPS]:
                 notes.append(f"residual not halved in {_STALL_STEPS} steps")
                 break
-        elif res <= opts.polish_tol or it >= polish_end:
+        elif res <= _POLISH_TOL or it >= polish_end:
             break
         if it >= opts.max_iter:
             break

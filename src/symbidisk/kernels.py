@@ -91,11 +91,11 @@ class AlphaGrid:
         return len(self.alphas)
 
     @staticmethod
-    def boundary(n: int, include_zero: bool = True, rotate: float = 0.0) -> "AlphaGrid":
-        """n-th roots of unity (optionally rotated), plus the origin."""
+    def boundary(n: int, include_zero: bool = True) -> "AlphaGrid":
+        """n-th roots of unity, plus the origin."""
         if n < 1:
             raise ValidationError("need n >= 1 boundary points")
-        al = np.exp(1j * (2.0 * np.pi * np.arange(n) / n + rotate))
+        al = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
         if include_zero:
             al = np.concatenate([[0.0 + 0.0j], al])
         return AlphaGrid(al)
@@ -143,14 +143,6 @@ class KernelMatrix:
             raise ValidationError(f"kernel matrix shape {m.shape} != ({n}, {n})")
         object.__setattr__(self, "matrix", hermitian_part(m))
 
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    def diagonal_block(self, i: int) -> np.ndarray:
-        d = self.block
-        return self.matrix[i * d : (i + 1) * d, i * d : (i + 1) * d]
-
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
@@ -158,10 +150,6 @@ class AdmissibilityReport:
     worst_alpha: complex
     is_admissible_on_grid: bool
     tol: float
-
-    @property
-    def worst_min_eig(self) -> float:
-        return min(v for _, v in self.min_eig_per_alpha)
 
 
 def coefficient_masks(grid: AlphaGrid, nodes: NodeSet) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Pick interpolation on the symmetrized bidisk.
 
 A problem asks for a function of norm at most ``norm_bound`` matching scalar
-or matrix targets at finitely many nodes.  Feasibility is decided by the CP
-core on the target J_ij = I - (W_i / nb)(W_j / nb)*, and a feasible witness
-is synthesized into an explicit interpolant via the lurking isometry; the
-returned interpolant is the unit-ball function for the scaled targets, so
-callers multiply by ``norm_bound`` to match the raw data.
+or matrix targets at finitely many nodes.  It is the factorization of
+``realization`` with L_i = I and R_i = W_i / nb, decided by the CP core on
+J_ij = I - (W_i / nb)(W_j / nb)* and synthesized by the ``realize`` step that
+corona problems share.  The interpolant is the unit-ball function for the
+scaled targets, so callers multiply by ``norm_bound`` to match the raw data.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .feasibility import (
-    CPBlocks,
     FeasibilityTarget,
     SolveOptions,
     SolveReport,
@@ -25,7 +24,7 @@ from .feasibility import (
 )
 from .hermitian import hermitian_part, schur_oslash
 from .kernels import AlphaGrid, NodeSet
-from .realization import RealizedFunction, lurking_isometry, node_values
+from .realization import RealizedFunction, factor_target, realize
 
 MAX_SCALAR_NODES = 64
 
@@ -55,19 +54,6 @@ class PickProblem:
     def d_out(self) -> int:
         return self.targets[0].shape[0]
 
-    @property
-    def d_in(self) -> int:
-        return self.targets[0].shape[1]
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.d_out == 1 and self.d_in == 1
-
-    def scalar_targets(self) -> np.ndarray:
-        if not self.is_scalar:
-            raise ValidationError("not a scalar problem")
-        return np.array([t[0, 0] for t in self.targets], dtype=complex)
-
 
 @dataclass(frozen=True)
 class PickSolution:
@@ -80,29 +66,17 @@ class PickSolution:
         return self.report.status
 
 
-def assemble_pick_target(problem: PickProblem) -> FeasibilityTarget:
-    """Target J_ij = I - (W_i / nb)(W_j / nb)* in node-block form."""
-    n = len(problem.nodes)
-    d2 = problem.d_out
+def _tops(problem: PickProblem) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Node tops L_i = I and R_i = W_i / nb of the problem as a factorization."""
     # an overflow leaves a non-finite entry, which FeasibilityTarget rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.concatenate(problem.targets) / problem.norm_bound  # (n * d2) x d_in
-        j = np.kron(np.ones((n, n)), np.eye(d2)) - w @ w.conj().T
-    return FeasibilityTarget(nodes=problem.nodes, matrix=j, block=d2)
+        rhs = [t / problem.norm_bound for t in problem.targets]
+    return [np.eye(problem.d_out)] * len(problem.nodes), rhs
 
 
-def synthesize_interpolant(
-    problem: PickProblem, blocks: CPBlocks, gram_tol: float = 1e-8
-) -> RealizedFunction:
-    """Lurking-isometry interpolant for the scaled (unit-ball) targets."""
-    d2 = problem.d_out
-    nb = problem.norm_bound
-    lhs = [np.eye(d2, dtype=complex) for _ in range(len(problem.nodes))]
-    rhs = [t / nb for t in problem.targets]
-    col = lurking_isometry(
-        blocks, problem.nodes, lhs, rhs, block=d2, gram_tol=gram_tol
-    )
-    return RealizedFunction(colligation=col)
+def assemble_pick_target(problem: PickProblem) -> FeasibilityTarget:
+    """Target J_ij = I - (W_i / nb)(W_j / nb)* in node-block form."""
+    return factor_target(problem.nodes, *_tops(problem))
 
 
 def solve_pick(
@@ -117,17 +91,11 @@ def solve_pick(
     negative eigenvalue while staying grid-admissible.
     """
     grid = grid or AlphaGrid.solver_default()
-    target = assemble_pick_target(problem)
-    report = solve(target, grid, opts)
+    lhs, rhs = _tops(problem)
+    report = solve(factor_target(problem.nodes, lhs, rhs), grid, opts)
     if report.status is not SolveStatus.FEASIBLE:
         return PickSolution(report=report)
-
-    fn = synthesize_interpolant(problem, report.blocks, gram_tol=max(1e-8, 10 * report.residual))
-    vals = node_values(fn.colligation, problem.nodes)
-    scaled = [t / problem.norm_bound for t in problem.targets]
-    node_res = max(
-        float(np.abs(v - w).max(initial=0.0)) for v, w in zip(vals, scaled)
-    )
+    fn, node_res = realize(report, problem.nodes, lhs, rhs)
     return PickSolution(report=report, interpolant=fn, node_residual=node_res)
 
 

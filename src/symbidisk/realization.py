@@ -14,10 +14,10 @@ colligation forces the sampled sup-norm of f to stay at or below one, and
 the construction reproduces the encoded node data exactly when the blocks
 solve the identity exactly.
 
-The same builder serves interpolation (left tops the identity, right tops
-the targets) and corona synthesis (left tops the given row functions, right
-tops the factorization targets); rectangular top data is zero-padded to a
-common width and the meaningful corner is sliced out at evaluation time.
+Pick and corona problems are one factorization, L_i f(node_i) = R_i with f
+contractive and target J = L L* - R R* (Pick: L_i = I, R_i = W_i / nb; corona:
+L_i = Phi_i, R_i = Theta_i), served by one :func:`realize` step.  Rectangular
+top data is zero-padded to a common width and sliced back when evaluating.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import NumericsError, ValidationError
 from .geometry import GPoint, phi_values
 from .hermitian import gram_factor, unitary_completion
 from .kernels import NodeSet
-from .feasibility import CPBlocks
+from .feasibility import CPBlocks, FeasibilityTarget, SolveReport
 
 # Points per batched solve are capped so that a stack of colligation-sized
 # blocks ((padded + state dim)^2 entries each) holds at most this many entries.
@@ -108,7 +108,6 @@ def lurking_isometry(
     nodes: NodeSet,
     lhs_tops: list[np.ndarray],
     rhs_tops: list[np.ndarray],
-    block: int = 1,
     gram_tol: float = 1e-8,
 ) -> Colligation:
     """Build the unitary colligation from feasible blocks and node data.
@@ -125,12 +124,11 @@ def lurking_isometry(
     residual is too large for synthesis and is rejected.
     """
     n = len(nodes)
-    d2 = block
     if len(lhs_tops) != n or len(rhs_tops) != n:
         raise ValidationError("one top block per node required on each side")
     lhs = [np.atleast_2d(np.asarray(t, dtype=complex)) for t in lhs_tops]
     rhs = [np.atleast_2d(np.asarray(t, dtype=complex)) for t in rhs_tops]
-    d_l = lhs[0].shape[1]
+    d2, d_l = lhs[0].shape
     d_r = rhs[0].shape[1]
     if any(t.shape != (d2, d_l) for t in lhs) or any(t.shape != (d2, d_r) for t in rhs):
         raise ValidationError("top blocks must share shapes (d2 x dL) and (d2 x dR)")
@@ -150,12 +148,10 @@ def lurking_isometry(
         kept.append(m)
     h = int(sum(mults))
 
-    cols = n * d2
-    x = np.zeros((dp + h, cols), dtype=complex)
-    y = np.zeros((dp + h, cols), dtype=complex)
-    for i in range(n):
-        x[0:d_l, i * d2 : (i + 1) * d2] = lhs[i].conj().T
-        y[0:d_r, i * d2 : (i + 1) * d2] = rhs[i].conj().T
+    x = np.zeros((dp + h, n * d2), dtype=complex)
+    y = np.zeros((dp + h, n * d2), dtype=complex)
+    x[0:d_l] = np.concatenate(lhs).conj().T  # L*, the node tops stacked
+    y[0:d_r] = np.concatenate(rhs).conj().T
     row = dp
     for g, m in zip(factors, kept):
         r = g.shape[0]
@@ -187,6 +183,30 @@ def lurking_isometry(
         out_dim=d_l,
         in_dim=d_r,
     )
+
+
+def factor_target(nodes: NodeSet, lhs_tops, rhs_tops) -> FeasibilityTarget:
+    """J = L L* - R R* in node-block form, L and R the node tops stacked."""
+    left, right = np.concatenate(lhs_tops), np.concatenate(rhs_tops)
+    # an overflow leaves a non-finite entry, which FeasibilityTarget rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        j = left @ left.conj().T - right @ right.conj().T
+    return FeasibilityTarget(nodes=nodes, matrix=j, block=lhs_tops[0].shape[0])
+
+
+def realize(
+    report: SolveReport, nodes: NodeSet, lhs_tops, rhs_tops
+) -> tuple[RealizedFunction, float]:
+    """The function realized from a Feasible report's witness, and its node residual."""
+    tol = max(1e-8, 10 * report.residual)
+    col = lurking_isometry(report.blocks, nodes, lhs_tops, rhs_tops, gram_tol=tol)
+    return RealizedFunction(colligation=col), node_residual(col, nodes, lhs_tops, rhs_tops)
+
+
+def node_residual(col: Colligation, nodes: NodeSet, lhs_tops, rhs_tops) -> float:
+    """max_i |L_i f(node_i) - R_i|, entrywise, for the function f of ``col``."""
+    vals = transfer_eval_batch(col, nodes.s, nodes.p)
+    return max(float(np.abs(lt @ v - rt).max()) for lt, v, rt in zip(lhs_tops, vals, rhs_tops))
 
 
 def transfer_eval(

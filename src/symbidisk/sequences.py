@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import GenerationError, ValidationError
 from .feasibility import SolveOptions
 from .geometry import phi_values, pseudo_hyperbolic
 from .kernels import (
@@ -121,7 +121,7 @@ def sample_kernel_census(
         try:
             kern = random_admissible_kernel(trunc.nodes, grid, seed=seed + k, tol=tol)
             out.append((f"rand[{seed + k}]", kern))
-        except Exception:
+        except GenerationError:
             pass
         k += 1
     if not out:

@@ -37,7 +37,10 @@ def encode_complex(z: complex) -> list[float]:
 def decode_complex(v) -> complex:
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise ValidationError(f"complex values serialize as [re, im], got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+    try:
+        return complex(float(v[0]), float(v[1]))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"complex values serialize as [re, im], got {v!r}") from exc
 
 
 def encode_matrix(m: np.ndarray) -> dict:
@@ -64,15 +67,20 @@ def encode_nodes(nodes: NodeSet) -> list[list[float]]:
     return [[q.s.real, q.s.imag, q.p.real, q.p.imag] for q in nodes.points]
 
 
-def decode_nodes(obj) -> NodeSet:
+def decode_point_rows(obj) -> list[tuple[complex, complex]]:
+    """(s, p) pairs from rows [s_re, s_im, p_re, p_im], the layout of node and atom rows."""
+    if not isinstance(obj, (list, tuple)):
+        raise ValidationError("points serialize as a list of [s_re, s_im, p_re, p_im] rows")
     pairs = []
     for row in obj:
-        if len(row) != 4:
-            raise ValidationError("node rows serialize as [s_re, s_im, p_re, p_im]")
-        pairs.append(
-            (complex(float(row[0]), float(row[1])), complex(float(row[2]), float(row[3])))
-        )
-    return NodeSet.from_pairs(pairs)
+        if not isinstance(row, (list, tuple)) or len(row) != 4:
+            raise ValidationError("point rows serialize as [s_re, s_im, p_re, p_im]")
+        pairs.append((decode_complex(row[0:2]), decode_complex(row[2:4])))
+    return pairs
+
+
+def decode_nodes(obj) -> NodeSet:
+    return NodeSet.from_pairs(decode_point_rows(obj))
 
 
 def encode_grid(grid: AlphaGrid) -> dict:
@@ -82,11 +90,18 @@ def encode_grid(grid: AlphaGrid) -> dict:
 def decode_grid(obj) -> AlphaGrid:
     if obj is None:
         return AlphaGrid.solver_default()
+    if not isinstance(obj, dict):
+        raise ValidationError(f"a grid serializes as an object with a 'kind', got {obj!r}")
     kind = obj.get("kind", "explicit")
-    if kind == "explicit":
-        return AlphaGrid(np.array([decode_complex(a) for a in obj["alphas"]]))
-    if kind == "boundary":
-        return AlphaGrid.boundary(int(obj["n"]), bool(obj.get("include_zero", True)))
+    try:
+        if kind == "explicit":
+            return AlphaGrid(np.array([decode_complex(a) for a in obj["alphas"]]))
+        if kind == "boundary":
+            return AlphaGrid.boundary(int(obj["n"]), bool(obj.get("include_zero", True)))
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {kind} grid: {exc!r}") from exc
     if kind == "solver_default":
         return AlphaGrid.solver_default()
     if kind == "check_default":

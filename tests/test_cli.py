@@ -274,12 +274,57 @@ GOLDEN = {
 }
 
 
+# One malformed field per problem: (kind, path to the field, value).  Each is
+# an input error (exit 1, one line), never a traceback.
+MALFORMED = {
+    "grid-without-alphas": ("pick", ("grid",), {"kind": "explicit"}),
+    "grid-string": ("pick", ("grid",), "solver_default"),
+    "grid-n-not-integer": ("pick", ("grid",), {"kind": "boundary", "n": "eight"}),
+    "max-iter-string": ("pick", ("opts", "max_iter"), "x"),
+    "opts-list": ("pick", ("opts",), [1, 2]),
+    "nodes-integer": ("pick", ("payload", "nodes"), 3),
+    "node-row-string": ("pick", ("payload", "nodes", 0, 0), "a"),
+    "target-entry-string": ("pick", ("payload", "targets", 0, 0), "a"),
+    "norm-bound-string": ("pick", ("payload", "norm_bound"), "x"),
+    "delta-string": ("corona", ("payload", "delta"), "x"),
+    "membership-tol-string": ("membership", ("payload", "tol"), "x"),
+    "atom-row-short": ("measure-model", ("payload", "atoms", 0), [2.0, 0.0, 1.0]),
+    "weights-string": ("measure-model", ("payload", "weights"), "ab"),
+}
+
+
+def malformed_problem(case):
+    kind, path, value = MALFORMED[case]
+    if kind == "measure-model":
+        obj = {"format": 1, "kind": kind, "payload": {"atoms": [[2.0, 0.0, 1.0, 0.0]]}}
+    else:
+        obj = json.loads(json.dumps(GOLDEN[kind][0]))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent.setdefault(key, {}) if isinstance(parent, dict) else parent[key]
+    parent[path[-1]] = value
+    return obj
+
+
 def golden_corpus(tmp_path):
     d = tmp_path / "golden"
     d.mkdir()
     for kind, (problem, _) in GOLDEN.items():
         write_json(d / f"{kind}.json", problem)
     return d
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_one_input_error_line(self, case, tmp_path, capsys):
+        p_in = tmp_path / "p.json"
+        write_json(p_in, malformed_problem(case))
+        code = run([MALFORMED[case][0], "--in", str(p_in)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:"), lines
 
 
 class TestReportFiles:
@@ -391,6 +436,15 @@ class TestCorpus:
         assert run(["corpus", "--in", str(d), "--jobs", "2"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert any(line.startswith("FAIL  bad.json") and "input-error" in line for line in lines)
+        assert sum(line.startswith("PASS") for line in lines) == 3
+        assert lines[-1] == "corpus: 3/4 passed"
+
+    def test_malformed_field_fails_alone(self, tmp_path, capsys):
+        d = self._make_corpus(tmp_path)
+        write_json(d / "bad.json", malformed_problem("max-iter-string"))
+        assert run(["corpus", "--in", str(d)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].startswith("FAIL  bad.json") and "input-error" in lines[2]
         assert sum(line.startswith("PASS") for line in lines) == 3
         assert lines[-1] == "corpus: 3/4 passed"
 

@@ -3,6 +3,7 @@ import pytest
 
 from symbidisk import (
     AlphaGrid,
+    GenerationError,
     KernelMatrix,
     NodeSet,
     SolveStatus,
@@ -13,6 +14,7 @@ from symbidisk import (
     strong_separation,
     weak_separation,
 )
+from symbidisk import sequences
 from symbidisk.sequences import (
     SequenceTruncation,
     best_carleson_alpha,
@@ -67,6 +69,29 @@ class TestGrammianBounds:
 
             g = grammian_normalize(kern)
             assert np.allclose(np.diag(g), 1.0)
+
+
+class TestKernelCensus:
+    def test_generator_bug_propagates(self, diag_trunc, solver_grid, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug in the generator")
+
+        monkeypatch.setattr(sequences, "random_admissible_kernel", broken)
+        with pytest.raises(RuntimeError, match="bug in the generator"):
+            sample_kernel_census(diag_trunc, solver_grid, seed=7, count=8)
+
+    def test_generation_failure_moves_to_next_seed(self, diag_trunc, solver_grid, monkeypatch):
+        real = sequences.random_admissible_kernel
+
+        def flaky(nodes, grid, seed, tol):
+            if seed == 7:
+                raise GenerationError("did not settle")
+            return real(nodes, grid, seed=seed, tol=tol)
+
+        monkeypatch.setattr(sequences, "random_admissible_kernel", flaky)
+        names = [name for name, _ in sample_kernel_census(diag_trunc, solver_grid, seed=7, count=8)]
+        drawn = [name for name in names if name.startswith("rand")]
+        assert len(names) == 8 and drawn and drawn[0] == "rand[8]"
 
 
 class TestCarleson:
