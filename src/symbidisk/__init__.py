@@ -56,9 +56,9 @@ from .feasibility import (
 )
 from .realization import (
     Colligation,
-    RealizedFunction,
     lurking_isometry,
     transfer_eval,
+    transfer_eval_batch,
     verify_contractivity,
 )
 from .pick import (

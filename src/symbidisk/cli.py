@@ -54,6 +54,7 @@ from .serialize import (
     encode_complex,
     encode_membership,
     encode_solve_report,
+    read_number,
     report_hash,
 )
 
@@ -229,10 +230,10 @@ def execute_problem(problem: dict, overrides: dict | None = None) -> dict:
         raise ValidationError("field 'opts' must be an object")
     keys = ("tol", "max_iter", "seed")
     opts_obj = {**opts_obj, **{k: overrides[k] for k in keys if k in overrides}}
-    seed = _number(opts_obj.get("seed", 0), "seed", int)
+    seed = read_number(opts_obj.get("seed", 0), "seed", integral=True)
     opts = SolveOptions(
-        tol=_number(opts_obj.get("tol", 1e-8), "tol"),
-        max_iter=_number(opts_obj.get("max_iter", 20000), "max_iter", int),
+        tol=read_number(opts_obj.get("tol", 1e-8), "tol"),
+        max_iter=read_number(opts_obj.get("max_iter", 20000), "max_iter", integral=True),
         seed=seed,
     )
     if "grid" in overrides:
@@ -262,15 +263,6 @@ def _require(payload: dict, field: str):
     return payload[field]
 
 
-def _number(value, field: str, cast=float):
-    """cast(value) for the numeric input field ``field``; a value the cast
-    rejects (a string, a list, ...) is an input error."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"field '{field}' must be a number, got {value!r}") from exc
-
-
 def _factorization_body(solution, key: str) -> dict:
     """Fields pick and corona reports share; ``key`` names the realized function."""
     body: dict[str, Any] = {
@@ -279,7 +271,7 @@ def _factorization_body(solution, key: str) -> dict:
         "timings": {"solve": solution.report.wall_time},
     }
     if getattr(solution, key) is not None:
-        body[key] = encode_colligation(getattr(solution, key).colligation)
+        body[key] = encode_colligation(getattr(solution, key))
         body["node_residual"] = solution.node_residual
     return body
 
@@ -289,7 +281,7 @@ def _handle_membership(payload, grid, opts) -> dict:
     p = payload.get("p")
     if s is None or p is None:
         raise ValidationError("missing required field 's' or 'p'")
-    tol = _number(payload.get("tol", 1e-10), "tol")
+    tol = read_number(payload.get("tol", 1e-10), "tol")
     rep = membership(decode_complex(s), decode_complex(p), tol=tol)
     return encode_membership(rep)
 
@@ -301,7 +293,7 @@ def _handle_pick(payload, grid, opts) -> dict:
         decode_matrix(t) if isinstance(t, dict) else np.array([[decode_complex(t)]])
         for t in raw_targets
     )
-    norm_bound = _number(payload.get("norm_bound", 1.0), "norm_bound")
+    norm_bound = read_number(payload.get("norm_bound", 1.0), "norm_bound")
     problem = PickProblem(nodes=nodes, targets=targets, norm_bound=norm_bound)
     solution = solve_pick(problem, grid, opts)
     body = _factorization_body(solution, "interpolant")
@@ -317,7 +309,7 @@ def _handle_corona(payload, grid, opts) -> dict:
     problem = CoronaProblem(
         nodes=nodes,
         phi_samples=phis,
-        delta=_number(_require(payload, "delta"), "delta"),
+        delta=read_number(_require(payload, "delta"), "delta"),
         theta_samples=tuple(decode_matrix(m) for m in thetas) if thetas else None,
     )
     solution = solve_corona(problem, grid, opts)
@@ -334,11 +326,13 @@ def _handle_corona(payload, grid, opts) -> dict:
 
 def _handle_sequence(payload, grid, opts) -> dict:
     nodes = decode_nodes(_require(payload, "nodes"))
-    n = _number(payload.get("n", len(nodes)), "n", int)
+    n = read_number(payload.get("n", len(nodes)), "n", integral=True)
     trunc = SequenceTruncation(nodes=nodes.prefix(n))
-    kernel_count = _number(payload.get("kernels", 8), "kernels", int)
-    alpha_samples = _number(payload.get("alpha_samples", len(grid)), "alpha_samples", int)
-    bound = _number(payload.get("bound", 2.0), "bound")
+    kernel_count = read_number(payload.get("kernels", 8), "kernels", integral=True)
+    alpha_samples = read_number(
+        payload.get("alpha_samples", len(grid)), "alpha_samples", integral=True
+    )
+    bound = read_number(payload.get("bound", 2.0), "bound")
 
     scan_grid = grid if alpha_samples >= len(grid) else AlphaGrid(grid.alphas[:alpha_samples])
     alpha_star, delta_hat = best_carleson_alpha(trunc, scan_grid)
@@ -372,7 +366,7 @@ def _handle_gamma_check(payload, grid, opts) -> dict:
         second=decode_matrix(_require(payload, "second")),
     )
     mode = payload.get("mode", "unitary")
-    tol = _number(payload.get("tol", 1e-10), "tol")
+    tol = read_number(payload.get("tol", 1e-10), "tol")
     if mode == "unitary":
         check = gamma_unitary_check(pair, tol)
     elif mode == "isometry":
@@ -394,10 +388,10 @@ def _handle_measure_model(payload, grid, opts) -> dict:
     weights = payload.get("weights", [1.0] * len(atoms))
     if not isinstance(weights, list):
         raise ValidationError("field 'weights' must be a list of numbers")
-    weights = tuple(_number(w, "weights") for w in weights)
+    weights = tuple(read_number(w, "weights") for w in weights)
     mu = AtomicMeasure(atoms=atoms, weights=weights)
     pair = atomic_h2_model(mu)
-    check = gamma_isometry_check(pair, tol=_number(payload.get("tol", 1e-10), "tol"))
+    check = gamma_isometry_check(pair, tol=read_number(payload.get("tol", 1e-10), "tol"))
     return {
         "dim": pair.dim,
         "first_diag": [encode_complex(z) for z in np.diag(pair.first)],

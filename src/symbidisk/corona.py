@@ -30,7 +30,8 @@ from .feasibility import (
 )
 from .kernels import AlphaGrid, NodeSet
 from .realization import (
-    RealizedFunction,
+    Colligation,
+    _domain_sample,
     factor_target,
     node_residual,
     realize,
@@ -86,7 +87,7 @@ class CoronaProblem:
 @dataclass(frozen=True)
 class CoronaSolution:
     report: SolveReport
-    psi: RealizedFunction | None = None
+    psi: Colligation | None = None
     node_residual: float | None = None
     sampled_norm: float | None = None
     # Theta = sqrt(delta) I bookkeeping: the normalized left inverse is
@@ -144,7 +145,7 @@ class LeftInverseReport:
 
 
 def verify_left_inverse(
-    psi: RealizedFunction | None,
+    psi: Colligation | None,
     problem: CoronaProblem,
     extra_samples: int = 0,
     evaluator=None,
@@ -159,17 +160,11 @@ def verify_left_inverse(
     """
     if psi is None:
         return LeftInverseReport(skipped=True)
-    col = psi.colligation
-    node_res = node_residual(col, problem.nodes, problem.phi_samples, problem.theta_samples)
+    node_res = node_residual(psi, problem.nodes, problem.phi_samples, problem.theta_samples)
     sampled_res = None
     if evaluator is not None and extra_samples > 0:
-        rng = np.random.default_rng(seed)
-        r = np.sqrt(rng.random((2, extra_samples))) * 0.98
-        th = rng.random((2, extra_samples)) * 2.0 * np.pi
-        z1 = r[0] * np.exp(1j * th[0])
-        z2 = r[1] * np.exp(1j * th[1])
-        s, p = z1 + z2, z1 * z2
-        psis = transfer_eval_batch(col, s, p)
+        s, p = _domain_sample(extra_samples, seed, 0.98)
+        psis = transfer_eval_batch(psi, s, p)
         worst = 0.0
         for k in range(extra_samples):
             phi_val, theta_val = evaluator(complex(s[k]), complex(p[k]))

@@ -428,22 +428,20 @@ def _cheap_certificates(target, grid, opts):
 
     The admissibility filter depends only on (nodes, grid, tol) and is
     memoized by _candidate_kernels; the per-target eigenvalue tests run in the
-    candidates' fixed order on every call.
+    candidates' fixed order on every call.  Each candidate is tested once, in
+    its Grammian-normalized form: normalizing is a congruence by a diagonal
+    with entries <= 1, so it keeps every violation of the raw kernel.
     """
-    for raw, kern in _candidate_kernels(target.nodes, grid.alphas.tobytes(), opts.tol):
-        if kern is None:
-            continue
-        lam, _ = _most_negative_pair(target.matrix, raw, target.block)
-        if lam <= -opts.tol:
-            cand = _violation(target, kern, opts)
-            if cand is not None:
-                return cand
+    for kern in _candidate_kernels(target.nodes, grid.alphas.tobytes(), opts.tol):
+        cand = _violation(target, kern, opts)
+        if cand is not None:
+            return cand
     return None
 
 
 @functools.lru_cache(maxsize=64)
 def _candidate_kernels(nodes, alphas, tol):
-    """(raw, normalized kernel or None when not grid-admissible) per candidate.
+    """The grid-admissible normalized candidate kernels, in candidate order.
 
     A bisection solves ~20 targets on one node set, and normalizing and
     checking the candidates costs more than the eigenvalue tests that follow.
@@ -455,18 +453,10 @@ def _candidate_kernels(nodes, alphas, tol):
     out = []
     for k in [np.eye(len(nodes), dtype=complex)] + [1.0 / c for c in masks]:
         kern = _admissible_kernel(nodes, grid, k, tol)
-        k.setflags(write=False)
         if kern is not None:
             kern.matrix.setflags(write=False)
-        out.append((k, kern))
+            out.append(kern)
     return tuple(out)
-
-
-def _most_negative_pair(j, k, block) -> tuple[float, np.ndarray]:
-    prod = schur_oslash(j, k, block, 1)
-    prod = hermitian_part(prod)
-    lam, vecs = np.linalg.eigh(prod)
-    return float(lam[0]), vecs[:, 0]
 
 
 def _admissible_kernel(nodes, grid, k, tol) -> KernelMatrix | None:
@@ -483,7 +473,7 @@ def _admissible_kernel(nodes, grid, k, tol) -> KernelMatrix | None:
 
 def _violation(target, kern, opts) -> tuple[KernelMatrix, float] | None:
     """(kern, lambda_min(J . K)) when the kernel violates the target by tol."""
-    lam, _ = _most_negative_pair(target.matrix, kern.matrix, target.block)
+    lam = min_eigenvalue(schur_oslash(target.matrix, kern.matrix, target.block, 1))
     if lam > -opts.tol:
         return None
     return kern, lam

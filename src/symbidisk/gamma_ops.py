@@ -79,22 +79,13 @@ class PairCheck:
 
 def gamma_unitary_check(pair: OperatorPair, tol: float = 1e-10) -> PairCheck:
     """True iff U is unitary, R = R* U, and ||R|| <= 2 (all within tol)."""
-    r, u = pair.first, pair.second
+    u = pair.second
     eye = np.eye(pair.dim)
     unitary_defect = max(
         float(np.abs(u.conj().T @ u - eye).max()),
         float(np.abs(u @ u.conj().T - eye).max()),
     )
-    twist = float(np.abs(r - r.conj().T @ u).max())
-    nrm = float(np.linalg.norm(r, 2))
-    passed = unitary_defect <= tol and twist <= tol and nrm <= 2.0 + tol
-    return PairCheck(
-        passed=passed,
-        isometry_defect=unitary_defect,
-        twist_defect=twist,
-        norm_first=nrm,
-        tol=tol,
-    )
+    return _pair_check(pair, unitary_defect, tol)
 
 
 def gamma_isometry_check(pair: OperatorPair, tol: float = 1e-10) -> PairCheck:
@@ -103,15 +94,19 @@ def gamma_isometry_check(pair: OperatorPair, tol: float = 1e-10) -> PairCheck:
     On finite dimensions every isometry is unitary, so true instances are
     also unitary pairs; the isometry form is kept for fidelity.
     """
+    v = pair.second
+    iso_defect = float(np.abs(v.conj().T @ v - np.eye(pair.dim)).max())
+    return _pair_check(pair, iso_defect, tol)
+
+
+def _pair_check(pair: OperatorPair, defect: float, tol: float) -> PairCheck:
+    """The check of (first, second) given the second member's defect."""
     t, v = pair.first, pair.second
-    eye = np.eye(pair.dim)
-    iso_defect = float(np.abs(v.conj().T @ v - eye).max())
     twist = float(np.abs(t - t.conj().T @ v).max())
     nrm = float(np.linalg.norm(t, 2))
-    passed = iso_defect <= tol and twist <= tol and nrm <= 2.0 + tol
     return PairCheck(
-        passed=passed,
-        isometry_defect=iso_defect,
+        passed=defect <= tol and twist <= tol and nrm <= 2.0 + tol,
+        isometry_defect=defect,
         twist_defect=twist,
         norm_first=nrm,
         tol=tol,

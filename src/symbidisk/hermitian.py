@@ -117,12 +117,10 @@ def unitary_completion(
         y = np.vstack([y, np.zeros((n - y.shape[0], y.shape[1]))])
 
     gx = x.conj().T @ x
-    gy = y.conj().T @ y
-    scale = max(1.0, float(np.abs(gx).max(initial=0.0)))
-    if np.abs(gx - gy).max(initial=0.0) > gram_tol * scale:
+    mismatch = float(np.abs(gx - y.conj().T @ y).max(initial=0.0))
+    if mismatch > gram_tol * max(1.0, float(np.abs(gx).max(initial=0.0))):
         raise NumericsError(
-            "not an isometric correspondence: Gram mismatch "
-            f"{np.abs(gx - gy).max():.3e} exceeds tolerance"
+            f"not an isometric correspondence: Gram mismatch {mismatch:.3e} exceeds tolerance"
         )
 
     dec = eigh(gx)

@@ -24,7 +24,7 @@ from .feasibility import (
 )
 from .hermitian import hermitian_part, schur_oslash
 from .kernels import AlphaGrid, NodeSet
-from .realization import RealizedFunction, factor_target, realize
+from .realization import Colligation, factor_target, realize
 
 MAX_SCALAR_NODES = 64
 
@@ -58,7 +58,7 @@ class PickProblem:
 @dataclass(frozen=True)
 class PickSolution:
     report: SolveReport
-    interpolant: RealizedFunction | None = None
+    interpolant: Colligation | None = None
     node_residual: float | None = None
 
     @property

@@ -18,6 +18,10 @@ Pick and corona problems are one factorization, L_i f(node_i) = R_i with f
 contractive and target J = L L* - R R* (Pick: L_i = I, R_i = W_i / nb; corona:
 L_i = Phi_i, R_i = Theta_i), served by one :func:`realize` step.  Rectangular
 top data is zero-padded to a common width and sliced back when evaluating.
+
+The colligation is the realized function: ``PickSolution.interpolant`` and
+``CoronaSolution.psi`` are :class:`Colligation` objects, evaluated with
+:func:`transfer_eval` at one point or :func:`transfer_eval_batch` at many.
 """
 
 from __future__ import annotations
@@ -86,22 +90,6 @@ class Colligation:
             )
         )
 
-    def state_scalars(self, point: GPoint | tuple[complex, complex]) -> np.ndarray:
-        """Diagonal of Z(s, p): phi(alpha_k, point) repeated per multiplicity."""
-        s, p = (point.s, point.p) if isinstance(point, GPoint) else point
-        vals = phi_values(self.alphas, np.array([s]), np.array([p]))[:, 0]
-        return np.repeat(vals, self.multiplicities)
-
-
-@dataclass(frozen=True)
-class RealizedFunction:
-    """A function realized by a unitary colligation; unit-ball by construction."""
-
-    colligation: Colligation
-
-    def __call__(self, point) -> np.ndarray:
-        return transfer_eval(self, point)
-
 
 def lurking_isometry(
     blocks: CPBlocks,
@@ -120,8 +108,9 @@ def lurking_isometry(
 
     which holds exactly when the blocks solve J = sum C_m . B_m for
     J = lhs lhs* - rhs rhs*.  The Gram matrices of the two derived vector
-    families must then agree; a mismatch beyond ``gram_tol`` means the
-    residual is too large for synthesis and is rejected.
+    families must then agree; a mismatch beyond ``gram_tol``, which
+    :func:`unitary_completion` tests, means the residual is too large for
+    synthesis and is rejected.
     """
     n = len(nodes)
     if len(lhs_tops) != n or len(rhs_tops) != n:
@@ -160,16 +149,10 @@ def lurking_isometry(
         y[row : row + r, :] = g
         row += r
 
-    gx = x.conj().T @ x
-    gy = y.conj().T @ y
-    mismatch = float(np.abs(gx - gy).max(initial=0.0))
-    scale = max(1.0, float(np.abs(gx).max(initial=0.0)))
-    if mismatch > gram_tol * scale:
-        raise NumericsError(
-            f"CP residual too large for synthesis: Gram mismatch {mismatch:.3e}"
-        )
-
-    v1 = unitary_completion(x, y, gram_tol=gram_tol)
+    try:
+        v1 = unitary_completion(x, y, gram_tol=gram_tol)
+    except NumericsError as exc:
+        raise NumericsError(f"CP residual too large for synthesis: {exc}") from exc
     v = v1.conj().T  # maps (input channel + state) to (output channel + state)
     # the realized value satisfies lhs_i @ f(node_i) = rhs_i: rows of f pair
     # with the lhs channel, columns with the rhs channel
@@ -196,11 +179,11 @@ def factor_target(nodes: NodeSet, lhs_tops, rhs_tops) -> FeasibilityTarget:
 
 def realize(
     report: SolveReport, nodes: NodeSet, lhs_tops, rhs_tops
-) -> tuple[RealizedFunction, float]:
-    """The function realized from a Feasible report's witness, and its node residual."""
+) -> tuple[Colligation, float]:
+    """The colligation realized from a Feasible report's witness, and its node residual."""
     tol = max(1e-8, 10 * report.residual)
     col = lurking_isometry(report.blocks, nodes, lhs_tops, rhs_tops, gram_tol=tol)
-    return RealizedFunction(colligation=col), node_residual(col, nodes, lhs_tops, rhs_tops)
+    return col, node_residual(col, nodes, lhs_tops, rhs_tops)
 
 
 def node_residual(col: Colligation, nodes: NodeSet, lhs_tops, rhs_tops) -> float:
@@ -209,11 +192,8 @@ def node_residual(col: Colligation, nodes: NodeSet, lhs_tops, rhs_tops) -> float
     return max(float(np.abs(lt @ v - rt).max()) for lt, v, rt in zip(lhs_tops, vals, rhs_tops))
 
 
-def transfer_eval(
-    fn: RealizedFunction | Colligation, point: GPoint | tuple[complex, complex]
-) -> np.ndarray:
+def transfer_eval(col: Colligation, point: GPoint | tuple[complex, complex]) -> np.ndarray:
     """Evaluate the realized function at one point: a batch of one."""
-    col = fn.colligation if isinstance(fn, RealizedFunction) else fn
     s, p = (point.s, point.p) if isinstance(point, GPoint) else point
     return transfer_eval_batch(col, [s], [p])[0]
 
@@ -247,24 +227,24 @@ def transfer_eval_batch(col: Colligation, s: np.ndarray, p: np.ndarray) -> np.nd
     return out
 
 
-def verify_contractivity(
-    fn: RealizedFunction, sample_count: int = 10000, seed: int = 0
-) -> float:
+def _domain_sample(count: int, seed: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded (s, p) samples: symmetrized pairs of uniform points of the disk of ``radius``."""
+    rng = np.random.default_rng(seed)
+    r = np.sqrt(rng.random((2, count))) * radius
+    th = rng.random((2, count)) * 2.0 * np.pi
+    z1 = r[0] * np.exp(1j * th[0])
+    z2 = r[1] * np.exp(1j * th[1])
+    return z1 + z2, z1 * z2
+
+
+def verify_contractivity(col: Colligation, sample_count: int = 10000, seed: int = 0) -> float:
     """Max operator norm of the realized function over seeded domain samples.
 
     Samples are symmetrized pairs of uniform disk points; for any colligation
     whose block matrix is unitary the returned value stays at or below
     1 + 1e-8 up to evaluation roundoff.
     """
-    col = fn.colligation
-    rng = np.random.default_rng(seed)
-    r = np.sqrt(rng.random((2, sample_count))) * 0.9999
-    th = rng.random((2, sample_count)) * 2.0 * np.pi
-    z1 = r[0] * np.exp(1j * th[0])
-    z2 = r[1] * np.exp(1j * th[1])
-    s = z1 + z2
-    p = z1 * z2
-    vals = transfer_eval_batch(col, s, p)
+    vals = transfer_eval_batch(col, *_domain_sample(sample_count, seed, 0.9999))
     if min(col.out_dim, col.in_dim) == 1:
         # A vector's one singular value is its Euclidean norm.  LAPACK's value
         # may differ from it in the last bit, so only the samples whose norm
@@ -274,9 +254,3 @@ def verify_contractivity(
         vals = vals[~(sq < sq.max() * (1.0 - 1e-12))]
     sv = np.linalg.svd(vals, compute_uv=False)
     return float(sv[:, 0].max())
-
-
-def node_values(col: Colligation, nodes: NodeSet) -> list[np.ndarray]:
-    """Realized values at the interpolation nodes."""
-    vals = transfer_eval_batch(col, nodes.s, nodes.p)
-    return [vals[i] for i in range(len(nodes))]

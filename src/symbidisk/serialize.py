@@ -34,13 +34,25 @@ def encode_complex(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def read_number(value, field: str, integral: bool = False):
+    """``value`` of the numeric input field ``field``: a float, or an int when ``integral``.
+
+    Only JSON numbers are numbers: a string or a bool is an input error, and
+    an integer field takes only integral values.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"field '{field}' must be a number, got {value!r}")
+    if not integral:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValidationError(f"field '{field}' must be an integer, got {value!r}")
+    return int(value)
+
+
 def decode_complex(v) -> complex:
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise ValidationError(f"complex values serialize as [re, im], got {v!r}")
-    try:
-        return complex(float(v[0]), float(v[1]))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"complex values serialize as [re, im], got {v!r}") from exc
+    return complex(read_number(v[0], "re"), read_number(v[1], "im"))
 
 
 def encode_matrix(m: np.ndarray) -> dict:
@@ -54,11 +66,12 @@ def encode_matrix(m: np.ndarray) -> dict:
 
 def decode_matrix(obj) -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows = read_number(obj["rows"], "rows", integral=True)
+        cols = read_number(obj["cols"], "cols", integral=True)
         entries = [decode_complex(v) for v in obj["entries"]]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed matrix object: {exc}") from exc
-    if len(entries) != rows * cols:
+    if min(rows, cols) < 0 or len(entries) != rows * cols:
         raise ValidationError("matrix entry count disagrees with its shape")
     return np.array(entries, dtype=complex).reshape(rows, cols)
 
@@ -97,7 +110,12 @@ def decode_grid(obj) -> AlphaGrid:
         if kind == "explicit":
             return AlphaGrid(np.array([decode_complex(a) for a in obj["alphas"]]))
         if kind == "boundary":
-            return AlphaGrid.boundary(int(obj["n"]), bool(obj.get("include_zero", True)))
+            include_zero = obj.get("include_zero", True)
+            if not isinstance(include_zero, bool):
+                raise ValidationError(
+                    f"field 'include_zero' must be a boolean, got {include_zero!r}"
+                )
+            return AlphaGrid.boundary(read_number(obj["n"], "n", integral=True), include_zero)
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -221,9 +221,11 @@ class TestDeterminismAndEcho:
         assert json.loads(text) == obj
 
 
-# One problem per solving kind with its report hash, pinned from reports that
-# were still pretty-printed and still carried a nested ``solve.wall_time``:
-# the report text may change form, the hash of the same problem may not.
+# Problems keyed by case name with their report hashes, pinned from reports
+# that were still pretty-printed and still carried a nested ``solve.wall_time``
+# (``pick-certified``, whose certificate comes from a candidate kernel, was
+# pinned later): the report text may change form, the hash of the same
+# problem may not.
 GOLDEN = {
     "pick": (
         {
@@ -237,6 +239,18 @@ GOLDEN = {
             "opts": {"seed": 7},
         },
         "9aae05d355c7b4be8a155f75564ada6833e98c05ad60200acecbf9355f986747",
+    ),
+    "pick-certified": (
+        {
+            "format": 1,
+            "kind": "pick",
+            "payload": {
+                "nodes": [[1.0, 0, 0.25, 0], [-1.0, 0, 0.25, 0]],
+                "targets": [[-0.9, 0], [0.9, 0]],
+            },
+            "opts": {"seed": 11},
+        },
+        "a5f30d25c06a5731168ce16ad5234411a8b3a25863e10da7c03a645f280837e9",
     ),
     "corona": (
         {
@@ -286,6 +300,17 @@ MALFORMED = {
     "node-row-string": ("pick", ("payload", "nodes", 0, 0), "a"),
     "target-entry-string": ("pick", ("payload", "targets", 0, 0), "a"),
     "norm-bound-string": ("pick", ("payload", "norm_bound"), "x"),
+    "norm-bound-numeric-string": ("pick", ("payload", "norm_bound"), "2.0"),
+    "max-iter-numeric-string": ("pick", ("opts", "max_iter"), "7"),
+    "grid-n-fractional": ("pick", ("grid",), {"kind": "boundary", "n": 2.7}),
+    "include-zero-string": (
+        "pick", ("grid",), {"kind": "boundary", "n": 8, "include_zero": "false"}
+    ),
+    "matrix-shape-negative": (
+        "corona",
+        ("payload", "phi_samples", 0),
+        {"rows": -1, "cols": -2, "entries": [[0.2, 0.0], [0.7, 0.0]]},
+    ),
     "delta-string": ("corona", ("payload", "delta"), "x"),
     "membership-tol-string": ("membership", ("payload", "tol"), "x"),
     "atom-row-short": ("measure-model", ("payload", "atoms", 0), [2.0, 0.0, 1.0]),
@@ -309,8 +334,8 @@ def malformed_problem(case):
 def golden_corpus(tmp_path):
     d = tmp_path / "golden"
     d.mkdir()
-    for kind, (problem, _) in GOLDEN.items():
-        write_json(d / f"{kind}.json", problem)
+    for case, (problem, _) in GOLDEN.items():
+        write_json(d / f"{case}.json", problem)
     return d
 
 
@@ -328,9 +353,9 @@ class TestMalformedFields:
 
 
 class TestReportFiles:
-    @pytest.mark.parametrize("kind", sorted(GOLDEN))
-    def test_golden_hash(self, kind):
-        problem, want = GOLDEN[kind]
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_golden_hash(self, case):
+        problem, want = GOLDEN[case]
         assert execute_problem(json.loads(json.dumps(problem)))["report_hash"] == want
 
     def test_written_reports_are_canonical_json(self, tmp_path, capsys):
@@ -344,12 +369,13 @@ class TestReportFiles:
             "pick stdout": capsys.readouterr().out.removesuffix("\n"),
             "pick --out": (tmp_path / "r.json").read_text(),
         }
-        for kind in GOLDEN:
-            texts[kind] = (out_dir / f"{kind}.report.json").read_text()
+        for case in GOLDEN:
+            texts[case] = (out_dir / f"{case}.report.json").read_text()
         for name, text in texts.items():
             report = json.loads(text)
             assert text == canonical_json(report), name
-            assert report_hash(report) == report["report_hash"] == GOLDEN[report["kind"]][1]
+            case = name if name in GOLDEN else "pick"
+            assert report_hash(report) == report["report_hash"] == GOLDEN[case][1]
             if report["kind"] in ("pick", "corona"):
                 assert report["timings"]["solve"] >= 0.0
                 assert "wall_time" not in report["solve"]

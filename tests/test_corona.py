@@ -11,7 +11,7 @@ from symbidisk import (
     solve_corona,
     verify_left_inverse,
 )
-from symbidisk.realization import node_values
+from symbidisk.realization import transfer_eval_batch
 
 from conftest import random_nodes
 
@@ -78,7 +78,7 @@ class TestSolveCorona:
         assert sol.status is SolveStatus.FEASIBLE
         assert sol.node_residual <= 1e-8
         assert sol.sampled_norm <= 1.0 + 1e-8
-        vals = node_values(sol.psi.colligation, nodes)
+        vals = transfer_eval_batch(sol.psi, nodes.s, nodes.p)
         row = np.array([[1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)]])
         for v in vals:
             assert abs((row @ v)[0, 0] - 1.0) <= 1e-8

@@ -9,7 +9,6 @@ from symbidisk import (
     NodeSet,
     NumericsError,
     PickProblem,
-    RealizedFunction,
     phi,
     solve_pick,
     transfer_eval,
@@ -17,10 +16,10 @@ from symbidisk import (
 )
 from symbidisk import realization
 from symbidisk.feasibility import CPBlocks
+from symbidisk.geometry import phi_values
 from symbidisk.realization import (
     _SOLVE_CHUNK_ENTRIES,
     lurking_isometry,
-    node_values,
     transfer_eval_batch,
 )
 
@@ -67,23 +66,23 @@ class TestLurkingIsometry:
     def test_one_point_scalar(self):
         nodes = NodeSet.from_pairs([(0.0, 0.0)])
         sol = solved_interpolant(nodes, [0.5])
-        col = sol.interpolant.colligation
+        col = sol.interpolant
         # phi(alpha, (0,0)) = 0 for every alpha, so f(0,0) = the A corner
         assert col.a[0, 0] == pytest.approx(0.5, abs=1e-9)
-        assert transfer_eval(sol.interpolant, (0.0, 0.0)) == pytest.approx(0.5, abs=1e-9)
+        assert transfer_eval(col, (0.0, 0.0)) == pytest.approx(0.5, abs=1e-9)
         assert col.unitarity_defect() <= 1e-9
 
     def test_constant_witness(self, rng, solver_grid):
         nodes = random_nodes(rng, 3)
         c = 0.4 - 0.3j
         sol = solved_interpolant(nodes, [c, c, c], solver_grid)
-        vals = node_values(sol.interpolant.colligation, nodes)
+        vals = transfer_eval_batch(sol.interpolant, nodes.s, nodes.p)
         for v in vals:
             assert abs(v[0, 0] - c) <= 1e-8
 
     def test_diagonal_extremal_instance(self, diagonal_pair, solver_grid):
         sol = solved_interpolant(diagonal_pair, [-0.5, 0.5], solver_grid)
-        vals = node_values(sol.interpolant.colligation, diagonal_pair)
+        vals = transfer_eval_batch(sol.interpolant, diagonal_pair.s, diagonal_pair.p)
         assert abs(vals[0][0, 0] + 0.5) <= 1e-7
         assert abs(vals[1][0, 0] - 0.5) <= 1e-7
         # the realized function agrees with a coordinate function at the nodes
@@ -109,8 +108,8 @@ class TestTransferEval:
     def test_origin_reads_a_corner(self, rng, solver_grid):
         nodes = random_nodes(rng, 2, rmax=0.5)
         sol = solved_interpolant(nodes, [0.2, 0.1], solver_grid)
-        col = sol.interpolant.colligation
-        v = transfer_eval(sol.interpolant, (0.0, 0.0))
+        col = sol.interpolant
+        v = transfer_eval(col, (0.0, 0.0))
         assert v[0, 0] == pytest.approx(col.a[0, 0], abs=1e-12)
 
     def test_zero_d_block_is_linear(self):
@@ -132,14 +131,14 @@ class TestTransferEval:
     def test_batch_matches_scalar(self, rng, solver_grid):
         nodes = random_nodes(rng, 2)
         sol = solved_interpolant(nodes, [0.3, -0.2], solver_grid)
-        col = sol.interpolant.colligation
+        col = sol.interpolant
         pts = [random_gpoint(rng) for _ in range(5)]
         batch = transfer_eval_batch(
             col, np.array([q.s for q in pts]), np.array([q.p for q in pts])
         )
         for k, q in enumerate(pts):
             assert batch[k][0, 0] == pytest.approx(
-                transfer_eval(sol.interpolant, q)[0, 0], abs=1e-12
+                transfer_eval(col, q)[0, 0], abs=1e-12
             )
 
     @pytest.mark.parametrize("state_dim", [0, 3, 40])
@@ -231,7 +230,7 @@ class TestContractivity:
             out_dim=1, in_dim=1,
         )
         assert col.unitarity_defect() <= 1e-12
-        v = verify_contractivity(RealizedFunction(colligation=col), 2000, seed=1)
+        v = verify_contractivity(col, 2000, seed=1)
         assert v == pytest.approx(abs(c), abs=1e-12)
 
     def test_single_coordinate_realization(self):
@@ -245,7 +244,7 @@ class TestContractivity:
             multiplicities=(1,),
             out_dim=1, in_dim=1,
         )
-        v = verify_contractivity(RealizedFunction(colligation=col), 3000, seed=2)
+        v = verify_contractivity(col, 3000, seed=2)
         assert v < 1.0
 
     def test_synthesized_functions_stay_contractive(self, rng, solver_grid):
@@ -278,7 +277,7 @@ class TestContractivity:
         monkeypatch.setattr(realization, "transfer_eval_batch", recording)
         for seed in range(4):
             col = random_colligation(rng, 3, padded_dim=3, out_dim=out_dim, in_dim=in_dim)
-            v = verify_contractivity(RealizedFunction(colligation=col), 2000, seed=seed)
+            v = verify_contractivity(col, 2000, seed=seed)
             full = np.linalg.svd(samples[-1], compute_uv=False)[:, 0].max()
             assert v == full
 
@@ -288,9 +287,9 @@ class TestRepresentationStructure:
         nodes = random_nodes(rng, 3)
         targets = [0.3, -0.25 + 0.1j, 0.05]
         sol = solved_interpolant(nodes, targets, solver_grid)
-        col = sol.interpolant.colligation
+        col = sol.interpolant
         assert col.unitarity_defect() <= 1e-9
-        vals = node_values(col, nodes)
+        vals = transfer_eval_batch(col, nodes.s, nodes.p)
         for v, w in zip(vals, targets):
             assert abs(v[0, 0] - w) <= 1e-7
 
@@ -299,16 +298,16 @@ class TestRepresentationStructure:
         # block-diagonal evaluation of phi
         nodes = random_nodes(rng, 2)
         sol = solved_interpolant(nodes, [0.2, 0.4], solver_grid)
-        col = sol.interpolant.colligation
+        col = sol.interpolant
         q = random_gpoint(rng)
-        z = col.state_scalars(q)
+        z = np.repeat(phi_values(col.alphas, [q.s], [q.p])[:, 0], col.multiplicities)
         z_squared_eval = np.diag(z**2)
         assert np.abs(np.diag(z) @ np.diag(z) - z_squared_eval).max() <= 1e-14
 
     def test_state_dimension_bookkeeping(self, rng, solver_grid):
         nodes = random_nodes(rng, 2)
         sol = solved_interpolant(nodes, [0.3, 0.1], solver_grid)
-        col = sol.interpolant.colligation
+        col = sol.interpolant
         assert col.state_dim == sum(col.multiplicities)
         assert col.d.shape == (col.state_dim, col.state_dim)
         assert len(col.alphas) == len(col.multiplicities)

@@ -69,7 +69,7 @@ def test_colligation_round_trip_preserves_evaluation(diagonal_pair):
         nodes=diagonal_pair, targets=(np.array([[-0.5]]), np.array([[0.5]]))
     )
     sol = solve_pick(problem)
-    col = sol.interpolant.colligation
+    col = sol.interpolant
     back = decode_colligation(encode_colligation(col))
     q = (0.3, 0.05)
     assert transfer_eval(back, q)[0, 0] == pytest.approx(
