@@ -295,9 +295,12 @@ def _handle_pick(payload, grid, opts) -> dict:
     )
     norm_bound = read_number(payload.get("norm_bound", 1.0), "norm_bound")
     problem = PickProblem(nodes=nodes, targets=targets, norm_bound=norm_bound)
+    want_norm = payload.get("minimal_norm", False)
+    if not isinstance(want_norm, bool):
+        raise ValidationError(f"field 'minimal_norm' must be a boolean, got {want_norm!r}")
     solution = solve_pick(problem, grid, opts)
     body = _factorization_body(solution, "interpolant")
-    if payload.get("minimal_norm", False):
+    if want_norm:
         body["minimal_norm"] = minimal_norm(problem, grid, opts)
     return body
 

@@ -27,9 +27,10 @@ to N = 8 it is assembled as one dense N^2 x N^2 matrix and solved directly,
 which costs less than the ~N^2 Python-level conjugate-gradient iterations it
 replaces; above that it is solved matrix-free by conjugate gradients, the only
 path whose memory and flops stay small at large N.  The regularization mu =
-||grad|| / ||Y||, clipped to [1e-10, 1e-2], is scale-free: near the feasibility
-threshold the maximizer lies far out (||Y|| in the thousands), and a mu that
-does not shrink with 1 / ||Y|| would cap every step at a length of order one.
+||grad|| / ||Y||, clipped to [1e-14, 1e-2], is scale-free: near the feasibility
+threshold the maximizer or the certificate direction lies far out (||Y|| up to
+1e5-1e6), and a mu that does not shrink with 1 / ||Y|| would cap every step
+along V's near-null directions at a length of ||grad|| / mu.
 
 Infeasibility is certified by a grid-admissible kernel K whose Schur product
 with J has a negative eigenvalue: any exact witness would force
@@ -71,9 +72,15 @@ from .kernels import (
 )
 
 _ARMIJO = 1e-4  # sufficient-increase constant of the backtracking search
-_MU_RANGE = (1e-10, 1e-2)  # clip of the regularization mu = ||grad|| / ||Y||
+# Clip of the regularization mu = ||grad|| / ||Y||.  The floor is the Newton
+# system's precision limit: V's eigenvalues lie in [0, sum_m max |C_m|^2], at
+# most 4M, and about machine epsilon times that is the smallest shift that
+# keeps V + mu I solvable.  A higher floor caps the steps along V's near-null
+# directions (module docstring), and near-threshold solves then creep until
+# the stall rule ends them Unknown.
+_MU_RANGE = (1e-14, 1e-2)
 # Conjugate-gradient iterations per Newton step.  Not the dimension n^2: with
-# mu down to 1e-10 the system is ill-conditioned, and CG stopped at n^2
+# mu down to 1e-14 the system is ill-conditioned, and CG stopped at n^2
 # iterations returns directions that make the final steps zig-zag.
 _CG_MAX = 200
 # Newton systems with N = n * block at most this are solved directly with the

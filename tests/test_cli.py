@@ -306,6 +306,7 @@ MALFORMED = {
     "include-zero-string": (
         "pick", ("grid",), {"kind": "boundary", "n": 8, "include_zero": "false"}
     ),
+    "minimal-norm-string": ("pick", ("payload", "minimal_norm"), "false"),
     "matrix-shape-negative": (
         "corona",
         ("payload", "phi_samples", 0),

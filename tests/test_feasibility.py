@@ -7,18 +7,22 @@ from symbidisk import (
     AlphaGrid,
     CPBlocks,
     FeasibilityTarget,
+    GPoint,
     NodeSet,
+    PickProblem,
     SolveOptions,
     SolveStatus,
     ValidationError,
     admissibility_check,
+    assemble_pick_target,
     make_b_kernel,
+    minimal_norm_bracket,
     residual,
     schur_oslash,
     solve,
     symmetrize,
 )
-from symbidisk import feasibility
+from symbidisk import feasibility, pick
 from symbidisk.feasibility import _DENSE_MAX_N, _dense_hessian, _generalized_hessian
 from symbidisk.geometry import phi_values
 from symbidisk.hermitian import hermitian_part, min_eigenvalue, min_eigenvalue_stack, psd_project
@@ -337,6 +341,54 @@ class TestNewtonSystems:
             assert report.iterations == expected.iterations > 0
             assert counts["project"] > report.iterations
             assert counts["eigh"] == counts["project"]
+
+
+def near_threshold_problem():
+    """A three-node Pick problem whose minimal norm is about 2.80.
+
+    Its bisection probes bounds where the solution or the certificate
+    direction of the dual lies at ||Y|| ~ 1e5-1e6 while ||grad|| ~ 1e-6, so a
+    mu floor far above the Newton system's precision caps every step along the
+    generalized Hessian's near-null directions and the solve stalls.
+    """
+    nodes = NodeSet(
+        (
+            GPoint(0.33290357102030727 + 0.4319714956732331j, -0.09943046014875011 + 0.02923681478878904j),
+            GPoint(0.17053493542780102 + 0.5579579819423474j, -0.16541344773967387 - 0.06428050958907239j),
+            GPoint(0.18246604715933512 - 0.384053557489014j, -0.28897853667947726 - 0.42604772948944053j),
+        )
+    )
+    targets = tuple(np.array([[w]]) for w in (1.0, 1.0, -1.0 + 1.2246467991473532e-16j))
+    return PickProblem(nodes=nodes, targets=targets)
+
+
+class TestNearThreshold:
+    opts = SolveOptions(max_iter=1000)
+
+    def test_cold_solve_is_decided(self, solver_grid):
+        problem = near_threshold_problem()
+        bound = float.fromhex("0x1.667470892ca5fp+1")
+        scaled = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=bound)
+        target = assemble_pick_target(scaled)
+        report = solve(target, solver_grid, self.opts)
+        assert report.status is SolveStatus.INFEASIBLE_CERTIFIED
+        assert report.iterations > 0
+        assert certificate_holds(target, solver_grid, report.certificate.matrix, self.opts.tol)
+
+    def test_no_bisection_trial_ends_unknown(self, monkeypatch, solver_grid):
+        statuses = []
+        inner = pick.solve
+
+        def record(*args):
+            report = inner(*args)
+            statuses.append(report.status)
+            return report
+
+        monkeypatch.setattr(pick, "solve", record)
+        lo, hi = minimal_norm_bracket(near_threshold_problem(), solver_grid, self.opts)
+        assert lo <= hi <= lo + 1e-4
+        assert len(statuses) > 10
+        assert SolveStatus.UNKNOWN not in statuses
 
 
 class TestSingleAtomWitness:
