@@ -20,13 +20,17 @@ gradient J - sum_m C_m . P+(conj(C_m) . Y) is the residual of the primal
 point B_m = P+(conj(C_m) . Y), so when J is feasible the maximizer gives the
 minimum-norm witness.  Each step solves (V(Y) + mu I) d = grad theta, V being
 the generalized Hessian, and backtracks on theta (Qi & Sun, SIAM J. Matrix
-Anal. Appl. 2006; Zhao, Sun & Toh, SIAM J. Optim. 2010).  One stacked
-eigensolve per dual point serves P+, the gradient, the next step's V and the
-certificate's lambda_max.  With N = n * block the system has N^2 unknowns: up
-to N = 8 it is assembled as one dense N^2 x N^2 matrix and solved directly,
-which costs less than the ~N^2 Python-level conjugate-gradient iterations it
-replaces; above that it is solved matrix-free by conjugate gradients, the only
-path whose memory and flops stay small at large N.  The regularization mu =
+Anal. Appl. 2006; Zhao, Sun & Toh, SIAM J. Optim. 2010).  From Y = 0, where
+V vanishes and d = J / mu, the line search is exact instead: P+ is positively
+homogeneous, so theta(s d) is a concave quadratic in s, and the one dual point
+at d gives its maximizer (_ray_step).  One stacked eigensolve per dual point
+serves P+, the gradient, the next step's V and the certificate's lambda_max;
+the masks C_m are exactly Hermitian, like every dual iterate, so that
+eigensolve symmetrizes nothing.  With N = n * block the system has N^2
+unknowns: up to N = 8 it is assembled as one dense N^2 x N^2 matrix and solved
+directly, which costs less than the ~N^2 Python-level conjugate-gradient
+iterations it replaces; above that it is solved matrix-free by conjugate
+gradients, the only path whose memory and flops stay small at large N.  The regularization mu =
 ||grad|| / ||Y||, clipped to [1e-14, 1e-2], is scale-free: near the feasibility
 threshold the maximizer or the certificate direction lies far out (||Y|| up to
 1e5-1e6), and a mu that does not shrink with 1 / ||Y|| would cap every step
@@ -46,6 +50,7 @@ full alpha continuum, not the grid.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -57,7 +62,6 @@ from .hermitian import (
     hermitian_part,
     min_eigenvalue,
     min_eigenvalue_stack,
-    psd_project,
     psd_project_stack,
     schur_oslash,
 )
@@ -228,12 +232,14 @@ def solve(
         )
 
     j = target.matrix
+    cconj = cexp.conj()
     cdiag = float(np.real(np.diagonal(cexp, axis1=1, axis2=2)).min())
-    jnorm = float(np.linalg.norm(j))
+    jnorm = _norm(j)
+    trj = float(np.trace(j).real)
     notes: list[str] = []
     y = np.zeros_like(j) if y0 is None else y0
-    b, grad, theta, lam, vecs = _dual_point(j, cexp, y)
-    res = float(np.linalg.norm(grad))
+    b, grad, theta, lam, vecs = _dual_point(j, cexp, cconj, y)
+    res = _norm(grad)
     best_res, best_b, best_y = res, b, y
     history = [res]  # best residual after each step
     polish_end = None
@@ -242,9 +248,11 @@ def solve(
         if polish_end is None and res <= opts.tol:
             polish_end = it + _POLISH_STEPS
             notes.append(f"tolerance met at step {it}; polishing")
-        ny = float(np.linalg.norm(y))
+        ny = _norm(y)
         if polish_end is None:
-            cert = _dual_certificate(target, grid, y, ny, float(lam[:, -1].max()), cdiag, opts)
+            cert = _dual_certificate(
+                target, grid, y, ny, float(lam[:, -1].max()), cdiag, trj, opts
+            )
             if cert is not None:
                 kern, lam_k = cert
                 return SolveReport(
@@ -274,19 +282,23 @@ def solve(
             hess = _generalized_hessian(cexp, lam, vecs)
             d = _conjugate_gradient(hess, grad, mu, min(0.1, res) * res)
         slope = float(np.vdot(grad, d).real)
-        step = 1.0
-        while step >= 1e-10:
-            b_t, grad_t, theta_t, lam_t, vecs_t = _dual_point(j, cexp, y + step * d)
-            res_t = float(np.linalg.norm(grad_t))
-            if theta_t >= theta + _ARMIJO * step * slope:
-                break
-            # where theta's change is below its roundoff, accept a lower residual
-            if res_t < res and theta_t >= theta - 1e-13 * (1.0 + jnorm * ny):
-                break
-            step *= 0.5
+        if ny == 0.0:
+            step, (b_t, grad_t, theta_t, lam_t, vecs_t) = _ray_step(j, cexp, cconj, d, slope)
+            res_t = _norm(grad_t)
         else:
-            notes.append(f"line search failed at step {it}")
-            break
+            step = 1.0
+            while step >= 1e-10:
+                b_t, grad_t, theta_t, lam_t, vecs_t = _dual_point(j, cexp, cconj, y + step * d)
+                res_t = _norm(grad_t)
+                if theta_t >= theta + _ARMIJO * step * slope:
+                    break
+                # where theta's change is below its roundoff, accept a lower residual
+                if res_t < res and theta_t >= theta - 1e-13 * (1.0 + jnorm * ny):
+                    break
+                step *= 0.5
+            else:
+                notes.append(f"line search failed at step {it}")
+                break
         y = y + step * d
         b, grad, theta, res, lam, vecs = b_t, grad_t, theta_t, res_t, lam_t, vecs_t
         if res < best_res:
@@ -313,12 +325,39 @@ def solve(
     )
 
 
-def _dual_point(j, cexp, y):
-    """P+(conj(C_m) . Y), the gradient J - sum C_m . B_m, theta(Y), and the eigenpairs."""
-    b, lam, vecs = psd_project_stack(cexp.conj() * y)
+def _norm(a):
+    """Frobenius norm as sqrt(Re<a, a>), one BLAS call."""
+    return math.sqrt(np.vdot(a, a).real)
+
+
+def _dual_point(j, cexp, cconj, y):
+    """P+(conj(C_m) . Y), the gradient J - sum C_m . B_m, theta(Y), and the eigenpairs.
+
+    ``cconj`` is conj(C_m).  The masks and every dual iterate are exactly
+    Hermitian, so their Schur product is too, as psd_project_stack requires.
+    """
+    b, lam, vecs = psd_project_stack(cconj * y)
     grad = j - np.einsum("mij,mij->ij", cexp, b)
     theta = float(np.vdot(j, y).real - 0.5 * np.vdot(b, b).real)
     return b, grad, theta, lam, vecs
+
+
+def _ray_step(j, cexp, cconj, d, slope):
+    """Exact line search from Y = 0 along d: the step s and the dual point at s d.
+
+    At Y = 0 the generalized Hessian vanishes, so d is J / mu, a step that
+    backtracking would halve about eight times.  P+ is positively homogeneous,
+    so theta(s d) = s slope - s^2 q / 2, slope = Re<J, d> and
+    q = sum_m ||P+(conj(C_m) . d)||^2: the one dual point at d scales to the
+    one at the maximizer s = slope / q.  When q = 0, theta grows without bound
+    along d, and the full step is taken, as backtracking would take it.
+    """
+    b, grad, theta, lam, vecs = _dual_point(j, cexp, cconj, d)
+    q = float(np.vdot(b, b).real)
+    if q == 0.0:
+        return 1.0, (b, grad, theta, lam, vecs)
+    s = slope / q
+    return s, (s * b, j - s * (j - grad), 0.5 * s * slope, s * lam, vecs)
 
 
 def _omega(lam):
@@ -328,11 +367,14 @@ def _omega(lam):
     lam_+ / (lam_i - lam_j) across the sign change.
     """
     pos = lam > 0
-    lp = np.where(pos, lam, 0.0)
-    both = pos[:, :, None] & pos[:, None, :]
-    mixed = pos[:, :, None] ^ pos[:, None, :]
-    gap = np.where(mixed, lam[:, :, None] - lam[:, None, :], 1.0)
-    return np.where(both, 1.0, np.where(mixed, (lp[:, :, None] - lp[:, None, :]) / gap, 0.0))
+    lp = np.maximum(lam, 0.0)
+    out = (pos[:, :, None] & pos[:, None, :]).astype(float)
+    return np.divide(
+        lp[:, :, None] - lp[:, None, :],
+        lam[:, :, None] - lam[:, None, :],
+        out=out,
+        where=pos[:, :, None] ^ pos[:, None, :],
+    )
 
 
 def _generalized_hessian(cexp, lam, vecs):
@@ -382,21 +424,26 @@ def _conjugate_gradient(apply, g, mu, tol):
     return hermitian_part(d)
 
 
-def _dual_certificate(target, grid, y, ny, lam_max, cdiag, opts):
+def _dual_certificate(target, grid, y, ny, lam_max, cdiag, trj, opts):
     """Grid-admissible kernel from the ascent direction -Y / ||Y||, if it certifies.
 
-    ``ny`` is ||Y||, ``lam_max`` the largest eigenvalue over m of conj(C_m) . Y.
-    Shifting D = -Y / ||Y|| by t I, t = max(0, lam_max / ||Y||) / min C_m(i, i),
-    makes every conj(C_m) . D' PSD.  Blocks with sum C_m . B_m = J + R then give
+    ``ny`` is ||Y||, ``lam_max`` the largest eigenvalue over m of conj(C_m) . Y,
+    ``trj`` the trace of J.  Shifting D = -Y / ||Y|| by t I,
+    t = max(0, lam_max / ||Y||) / min C_m(i, i), makes every conj(C_m) . D'
+    PSD.  Blocks with sum C_m . B_m = J + R then give
     Re<J + R, D'> = sum Re<B_m, conj(C_m) . D'> >= 0, so
-    -Re<J, D'> > tol ||D'|| rules out every witness of residual <= tol.  The
-    block trace, a completely positive map, compresses D' to n x n; the kernel
-    K = conj(D') is rescaled and re-verified.
+    -Re<J, D'> > tol ||D'|| rules out every witness of residual <= tol.  As
+    -Re<J, D'> = Re<J, Y> / ||Y|| - t tr J, most iterates fail before D' is
+    built.  The block trace, a completely positive map, compresses D' to
+    n x n; the kernel K = conj(D') is rescaled and re-verified.
     """
     if ny == 0.0:
         return None
-    dual = -y / ny + (max(0.0, lam_max / ny) / cdiag) * np.eye(len(y))
-    if -np.vdot(target.matrix, dual).real <= opts.tol * np.linalg.norm(dual):
+    shift = max(0.0, lam_max / ny) / cdiag
+    if np.vdot(target.matrix, y).real / ny <= shift * trj:
+        return None
+    dual = -y / ny + shift * np.eye(len(y))
+    if -np.vdot(target.matrix, dual).real <= opts.tol * _norm(dual):
         return None
     n, d = len(target.nodes), target.block
     k = dual.reshape(n, d, n, d).trace(axis1=1, axis2=3)
@@ -415,19 +462,22 @@ def _single_atom_witness(target, grid, cexp, opts):
     j = target.matrix
     scale = max(1.0, float(np.abs(j).max(initial=0.0)))
     cands = hermitian_part(j / cexp)
-    best = None
-    for m in np.flatnonzero(min_eigenvalue_stack(cands) >= -1e-12 * scale):
-        # residual() of B at m and zeros elsewhere; einsum rounds as residual() does
-        b = psd_project(cands[m])
-        res = np.linalg.norm(np.einsum("ij,ij->ij", cexp[m], b) - j)
-        res = float(res - min(min_eigenvalue(b), 0.0))
-        if res <= opts.tol and (best is None or res < best[1]):
-            stack = np.zeros_like(cexp)
-            stack[m] = b
-            best = (CPBlocks(grid=grid, blocks=tuple(stack)), res)
-            if res == 0.0:
-                break
-    return best
+    atoms = np.flatnonzero(np.linalg.eigvalsh(cands)[:, 0] >= -1e-12 * scale)
+    if atoms.size == 0:
+        return None
+    # residual() of B at each such atom and zeros elsewhere, B = psd_project of
+    # the quotient; einsum and the per-atom norm round as residual() does
+    bs = hermitian_part(psd_project_stack(cands[atoms])[0])
+    mismatch = np.einsum("kij,kij->kij", cexp[atoms], bs) - j
+    res = np.array([np.linalg.norm(r) for r in mismatch])
+    res -= np.minimum(np.linalg.eigvalsh(bs)[:, 0], 0.0)
+    # the smallest residual within tol, the first atom on a tie
+    k = int(np.argmin(np.where(res <= opts.tol, res, np.inf)))
+    if not res[k] <= opts.tol:
+        return None
+    stack = np.zeros_like(cexp)
+    stack[atoms[k]] = bs[k]
+    return CPBlocks(grid=grid, blocks=tuple(stack)), float(res[k])
 
 
 def _cheap_certificates(target, grid, opts):

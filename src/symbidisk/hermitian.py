@@ -47,17 +47,19 @@ def eigh(h: np.ndarray) -> EigenDecomposition:
 def psd_project(h: np.ndarray) -> np.ndarray:
     """Frobenius-nearest PSD matrix: clip negative eigenvalues to zero."""
     dec = eigh(h)
-    w = np.clip(dec.values, 0.0, None)
+    w = np.maximum(dec.values, 0.0)
     return hermitian_part((dec.vectors * w[None, :]) @ dec.vectors.conj().T)
 
 
 def psd_project_stack(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """psd_project over a stack (m, n, n); also returns the symmetrized stack's eigenpairs."""
-    hs = (hs + hs.conj().transpose(0, 2, 1)) / 2.0
+    """psd_project over a stack (m, n, n); also returns the stack's eigenpairs.
+
+    The input must be exactly Hermitian, bit for bit: nothing is symmetrized,
+    and the eigensolve reads one triangle.  The projections are Hermitian to
+    roundoff; hermitian_part of a slice equals psd_project of it bit for bit.
+    """
     lam, v = np.linalg.eigh(hs)
-    w = np.clip(lam, 0.0, None)
-    out = (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    return (out + out.conj().transpose(0, 2, 1)) / 2.0, lam, v
+    return (v * np.maximum(lam, 0.0)[:, None, :]) @ v.conj().transpose(0, 2, 1), lam, v
 
 
 def min_eigenvalue(h: np.ndarray) -> float:

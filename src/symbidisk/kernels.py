@@ -153,11 +153,17 @@ class AdmissibilityReport:
 
 
 def coefficient_masks(grid: AlphaGrid, nodes: NodeSet) -> np.ndarray:
-    """Stack of matrices C_m(i, j) = 1 - phi(alpha_m, node_i) conj(phi(alpha_m, node_j))."""
+    """Stack of matrices C_m(i, j) = 1 - phi(alpha_m, node_i) conj(phi(alpha_m, node_j)).
+
+    Each C_m is exactly Hermitian, bit for bit: the complex products for (i, j)
+    and (j, i) are not exact conjugates, so the stack is symmetrized.  Schur
+    products of exactly Hermitian matrices are then exactly Hermitian, which
+    lets the solver's eigensolves skip their own symmetrization.
+    """
     vals = phi_values(grid.alphas, nodes.s, nodes.p)  # (M, N)
     if np.any(np.abs(vals) >= 1.0):
         raise ValidationError("a node maps outside the unit disk under some grid alpha")
-    return 1.0 - vals[:, :, None] * vals.conj()[:, None, :]
+    return hermitian_part(1.0 - vals[:, :, None] * vals.conj()[:, None, :])
 
 
 def expand_masks(masks: np.ndarray, block: int) -> np.ndarray:

@@ -266,7 +266,7 @@ GOLDEN = {
             },
             "opts": {"seed": 5},
         },
-        "70f05aa404e24c9206f76a2d0738d550f37375e714a5d12fdd04cd5c48ff4dbc",
+        "1f74584689350cad40c66c60816155238081aa443831e9927074d538922e9e2a",
     ),
     "sequence": (
         {

@@ -343,6 +343,86 @@ class TestNewtonSystems:
             assert counts["eigh"] == counts["project"]
 
 
+class TestLeanDualPoint:
+    """Exactly Hermitian dual-point stacks, and the exact first step from Y = 0."""
+
+    @staticmethod
+    def cold_instance(seed, grid, n=3, block=1, scale=0.9):
+        rng = np.random.default_rng(seed)
+        while True:
+            nodes = random_nodes(rng, n)
+            target = colligation_target(rng, nodes, grid, 4, scale, out_dim=block)
+            if needs_iteration(target, grid):
+                return target
+
+    @pytest.mark.parametrize("n, block", [(3, 1), (5, 2)])
+    def test_stacks_are_exactly_hermitian_along_a_trajectory(
+        self, n, block, monkeypatch, solver_grid
+    ):
+        project, stacks = feasibility.psd_project_stack, []
+
+        def checking_project(hs):
+            stacks.append(np.array_equal(hs, hs.conj().transpose(0, 2, 1)))
+            return project(hs)
+
+        monkeypatch.setattr(feasibility, "psd_project_stack", checking_project)
+        target = self.cold_instance(n, solver_grid, n, block)
+        cold = solve(target, solver_grid)
+        warm = solve(target, solver_grid, y0=cold.dual)
+        planted = planted_infeasible(np.random.default_rng(11), target.nodes, solver_grid)
+        infeasible = solve(planted, solver_grid)
+        assert cold.status is warm.status is SolveStatus.FEASIBLE
+        assert cold.iterations > 0 and infeasible.iterations > 0
+        assert len(stacks) > cold.iterations + infeasible.iterations and all(stacks)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cold_solve_takes_the_exact_maximizer_along_j(self, seed, monkeypatch, solver_grid):
+        target = self.cold_instance(seed, solver_grid)
+        j = target.matrix
+        cexp = expand_masks(coefficient_masks(solver_grid, target.nodes), 1)
+        # q = sum_m ||P+(conj(C_m) . J)||^2 from the eigenvalues, slice by slice
+        q = sum(float(np.sum(np.maximum(np.linalg.eigvalsh(h), 0.0) ** 2)) for h in cexp.conj() * j)
+        s = np.vdot(j, j).real / q
+
+        def theta(y):
+            return feasibility._dual_point(j, cexp, cexp.conj(), y)[2]
+
+        assert theta(s * j) >= max(theta(0.9 * s * j), theta(1.1 * s * j))
+        # the iterate each certificate test sees, and the dual points made so far
+        project, certify = feasibility.psd_project_stack, feasibility._dual_certificate
+        points, seen = [], []
+
+        def counting_project(hs):
+            points.append(1)
+            return project(hs)
+
+        def recording_certify(target, grid, y, *args):
+            seen.append((y.copy(), len(points)))
+            return certify(target, grid, y, *args)
+
+        monkeypatch.setattr(feasibility, "psd_project_stack", counting_project)
+        monkeypatch.setattr(feasibility, "_dual_certificate", recording_certify)
+        report = solve(target, solver_grid)
+        assert report.status is SolveStatus.FEASIBLE and report.iterations > 1
+        (y0, at_start), (y1, after_step_one) = seen[:2]
+        assert not np.any(y0) and at_start == 1
+        # step 1 is the exact line search: one dual point, along J
+        assert after_step_one == 2
+        assert np.abs(y1 - s * j).max() <= 1e-12 * s * np.abs(j).max()
+
+    def test_unbounded_ray_is_certified(self, monkeypatch, solver_grid):
+        # J = -I: every conj(C_m) . J is negative definite, so q = 0 and theta
+        # grows without bound along J; the identity kernel would certify first
+        monkeypatch.setattr(feasibility, "_cheap_certificates", lambda *args: None)
+        nodes = random_nodes(np.random.default_rng(3), 3)
+        target = FeasibilityTarget(nodes=nodes, matrix=-np.eye(3))
+        with np.errstate(divide="raise", invalid="raise"):
+            report = solve(target, solver_grid)
+        assert report.status is SolveStatus.INFEASIBLE_CERTIFIED
+        assert report.iterations == 1
+        assert certificate_holds(target, solver_grid, report.certificate.matrix)
+
+
 def near_threshold_problem():
     """A three-node Pick problem whose minimal norm is about 2.80.
 

