@@ -330,11 +330,15 @@ def _handle_corona(payload, grid, opts) -> dict:
 def _handle_sequence(payload, grid, opts) -> dict:
     nodes = decode_nodes(_require(payload, "nodes"))
     n = read_number(payload.get("n", len(nodes)), "n", integral=True)
+    if not 1 <= n <= len(nodes):
+        raise ValidationError(f"field 'n' must be in [1, {len(nodes)}], got {n}")
     trunc = SequenceTruncation(nodes=nodes.prefix(n))
     kernel_count = read_number(payload.get("kernels", 8), "kernels", integral=True)
     alpha_samples = read_number(
         payload.get("alpha_samples", len(grid)), "alpha_samples", integral=True
     )
+    if alpha_samples < 1:
+        raise ValidationError(f"field 'alpha_samples' must be >= 1, got {alpha_samples}")
     bound = read_number(payload.get("bound", 2.0), "bound")
 
     scan_grid = grid if alpha_samples >= len(grid) else AlphaGrid(grid.alphas[:alpha_samples])

@@ -49,7 +49,6 @@ full alpha continuum, not the grid.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -216,19 +215,6 @@ def solve(
             wall_time=time.perf_counter() - t0,
             blocks=blocks,
             notes=("single-atom witness",),
-        )
-
-    cheap = _cheap_certificates(target, grid, opts)
-    if cheap is not None:
-        kern, lam = cheap
-        return SolveReport(
-            status=SolveStatus.INFEASIBLE_CERTIFIED,
-            residual=float(np.linalg.norm(target.matrix)),
-            iterations=0,
-            wall_time=time.perf_counter() - t0,
-            certificate=kern,
-            certificate_min_eig=lam,
-            notes=("certified by direct kernel candidate",),
         )
 
     j = target.matrix
@@ -434,8 +420,13 @@ def _dual_certificate(target, grid, y, ny, lam_max, cdiag, trj, opts):
     Re<J + R, D'> = sum Re<B_m, conj(C_m) . D'> >= 0, so
     -Re<J, D'> > tol ||D'|| rules out every witness of residual <= tol.  As
     -Re<J, D'> = Re<J, Y> / ||Y|| - t tr J, most iterates fail before D' is
-    built.  The block trace, a completely positive map, compresses D' to
-    n x n; the kernel K = conj(D') is rescaled and re-verified.
+    built.  D' is compressed to n x n by block-diagonal congruences, which
+    keep every conj(C_m) . D' PSD because C_m is constant on blocks: the block
+    trace and, when block > 1, the top eigenvector of each diagonal block.
+    The second recovers K exactly when D' = (conj(K) (x) 1) . x x*, where the
+    trace can average the violation away: a block target on diagonal nodes
+    that a b-kernel violates diverges along nearly such a D'.  Each kernel
+    K = conj(compression) is rescaled and re-verified.
     """
     if ny == 0.0:
         return None
@@ -446,9 +437,17 @@ def _dual_certificate(target, grid, y, ny, lam_max, cdiag, trj, opts):
     if -np.vdot(target.matrix, dual).real <= opts.tol * _norm(dual):
         return None
     n, d = len(target.nodes), target.block
-    k = dual.reshape(n, d, n, d).trace(axis1=1, axis2=3)
-    kern = _admissible_kernel(target.nodes, grid, k.conj(), opts.tol)
-    return None if kern is None else _violation(target, kern, opts)
+    blocks = dual.reshape(n, d, n, d)
+    compressions = [blocks.trace(axis1=1, axis2=3)]
+    if d > 1:
+        v = np.linalg.eigh(blocks[np.arange(n), :, np.arange(n), :])[1][:, :, -1]
+        compressions.append(np.einsum("ia,iajb,jb->ij", v.conj(), blocks, v))
+    for k in compressions:
+        kern = _admissible_kernel(target.nodes, grid, k.conj(), opts.tol)
+        cert = None if kern is None else _violation(target, kern, opts)
+        if cert is not None:
+            return cert
+    return None
 
 
 def _single_atom_witness(target, grid, cexp, opts):
@@ -478,42 +477,6 @@ def _single_atom_witness(target, grid, cexp, opts):
     stack = np.zeros_like(cexp)
     stack[atoms[k]] = bs[k]
     return CPBlocks(grid=grid, blocks=tuple(stack)), float(res[k])
-
-
-def _cheap_certificates(target, grid, opts):
-    """Identity kernel and per-alpha b-kernels, filtered by grid admissibility.
-
-    The admissibility filter depends only on (nodes, grid, tol) and is
-    memoized by _candidate_kernels; the per-target eigenvalue tests run in the
-    candidates' fixed order on every call.  Each candidate is tested once, in
-    its Grammian-normalized form: normalizing is a congruence by a diagonal
-    with entries <= 1, so it keeps every violation of the raw kernel.
-    """
-    for kern in _candidate_kernels(target.nodes, grid.alphas.tobytes(), opts.tol):
-        cand = _violation(target, kern, opts)
-        if cand is not None:
-            return cand
-    return None
-
-
-@functools.lru_cache(maxsize=64)
-def _candidate_kernels(nodes, alphas, tol):
-    """The grid-admissible normalized candidate kernels, in candidate order.
-
-    A bisection solves ~20 targets on one node set, and normalizing and
-    checking the candidates costs more than the eigenvalue tests that follow.
-    ``alphas`` is the grid's bytes, which are hashable where the grid is not.
-    The cached matrices are read-only, since every caller shares them.
-    """
-    grid = AlphaGrid(np.frombuffer(alphas, dtype=complex))
-    masks = coefficient_masks(grid, nodes)
-    out = []
-    for k in [np.eye(len(nodes), dtype=complex)] + [1.0 / c for c in masks]:
-        kern = _admissible_kernel(nodes, grid, k, tol)
-        if kern is not None:
-            kern.matrix.setflags(write=False)
-            out.append(kern)
-    return tuple(out)
 
 
 def _admissible_kernel(nodes, grid, k, tol) -> KernelMatrix | None:

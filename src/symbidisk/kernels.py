@@ -29,6 +29,10 @@ from .hermitian import (
 )
 
 MAX_BLOCK_SIZE = 16
+# Alphas per grid, far above the 193 of check_default: the distinctness check
+# is O(n^2) and every mask stack holds n * N^2 entries, so a larger grid is an
+# input error rather than a memory error.
+MAX_GRID_SIZE = 4096
 # Alphas per stacked eigensolve in admissibility_check are capped so that a
 # stack of scaled kernels holds at most this many entries.
 _CHECK_CHUNK_ENTRIES = 2**16
@@ -80,6 +84,8 @@ class AlphaGrid:
         al = np.asarray(self.alphas, dtype=complex).ravel()
         if al.size == 0:
             raise ValidationError("alpha grid must be nonempty")
+        if al.size > MAX_GRID_SIZE:
+            raise ValidationError(f"alpha grid has {al.size} > {MAX_GRID_SIZE} points")
         if np.any(np.abs(al) > 1.0 + 1e-12):
             raise ValidationError("alpha grid points must lie in the closed unit disk")
         for i in range(al.size):
@@ -93,8 +99,8 @@ class AlphaGrid:
     @staticmethod
     def boundary(n: int, include_zero: bool = True) -> "AlphaGrid":
         """n-th roots of unity, plus the origin."""
-        if n < 1:
-            raise ValidationError("need n >= 1 boundary points")
+        if not 1 <= n <= MAX_GRID_SIZE:
+            raise ValidationError(f"need 1 <= n <= {MAX_GRID_SIZE} boundary points, got {n}")
         al = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
         if include_zero:
             al = np.concatenate([[0.0 + 0.0j], al])

@@ -278,9 +278,11 @@ def test_criterion_07_mutual_exclusion():
                 both += 1  # an unverifiable certificate is a corpus failure
         if has_witness and target is not None:
             assert residual(target, report.blocks) <= 2e-8
+    newton = sum(report.iterations >= 1 for _, _, report in SOLVE_LOG)
     _verdict(
         7, both == 0, time.perf_counter() - t0, 60.0,
-        f"{len(SOLVE_LOG)} runs audited, {verified_certs} certificates re-verified, overlaps {both}",
+        f"{len(SOLVE_LOG)} runs audited, {newton} took Newton steps, "
+        f"{verified_certs} certificates re-verified, overlaps {both}",
     )
 
 

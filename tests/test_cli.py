@@ -223,8 +223,8 @@ class TestDeterminismAndEcho:
 
 # Problems keyed by case name with their report hashes, pinned from reports
 # that were still pretty-printed and still carried a nested ``solve.wall_time``
-# (``pick-certified``, whose certificate comes from a candidate kernel, was
-# pinned later): the report text may change form, the hash of the same
+# (``pick-certified``, whose certificate comes from the Newton dual iterate,
+# was pinned later): the report text may change form, the hash of the same
 # problem may not.
 GOLDEN = {
     "pick": (
@@ -250,7 +250,7 @@ GOLDEN = {
             },
             "opts": {"seed": 11},
         },
-        "a5f30d25c06a5731168ce16ad5234411a8b3a25863e10da7c03a645f280837e9",
+        "ce0806ad4e4e4707761bae442d048c08ba888634e9259a79f4bde5fec399b12f",
     ),
     "corona": (
         {
@@ -303,6 +303,7 @@ MALFORMED = {
     "norm-bound-numeric-string": ("pick", ("payload", "norm_bound"), "2.0"),
     "max-iter-numeric-string": ("pick", ("opts", "max_iter"), "7"),
     "grid-n-fractional": ("pick", ("grid",), {"kind": "boundary", "n": 2.7}),
+    "grid-n-huge": ("pick", ("grid",), {"kind": "boundary", "n": 1e12}),
     "include-zero-string": (
         "pick", ("grid",), {"kind": "boundary", "n": 8, "include_zero": "false"}
     ),
@@ -316,6 +317,9 @@ MALFORMED = {
     "membership-tol-string": ("membership", ("payload", "tol"), "x"),
     "atom-row-short": ("measure-model", ("payload", "atoms", 0), [2.0, 0.0, 1.0]),
     "weights-string": ("measure-model", ("payload", "weights"), "ab"),
+    "sequence-n-negative": ("sequence", ("payload", "n"), -1),
+    "sequence-n-above-nodes": ("sequence", ("payload", "n"), 10),
+    "alpha-samples-negative": ("sequence", ("payload", "alpha_samples"), -3),
 }
 
 
@@ -348,6 +352,15 @@ class TestMalformedFields:
         code = run([MALFORMED[case][0], "--in", str(p_in)])
         captured = capsys.readouterr()
         assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:"), lines
+
+    def test_huge_grid_flag_is_one_input_error_line(self, tmp_path, capsys):
+        p_in = tmp_path / "p.json"
+        write_json(p_in, GOLDEN["pick"][0])
+        assert run(["pick", "--in", str(p_in), "--grid", "1000000000000"]) == 1
+        captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:"), lines

@@ -79,14 +79,23 @@ def certificate_holds(target, grid, kernel, tol=1e-8):
     return admissible and min_eigenvalue(target.matrix * np.kron(kernel, np.ones((d, d)))) <= -tol
 
 
-def cheap_kernels_fail(target, grid, tol=1e-8):
-    """Neither the identity nor any grid-admissible b-kernel certifies."""
+def cheap_kernel_certifies(target, grid, tol=1e-8):
+    """0 when the identity certifies, 1 when a b-kernel 1 / C_m does, else None.
+
+    Each kernel is tested in its unit-diagonal rescale, grid admissibility
+    included.
+    """
     masks = coefficient_masks(grid, target.nodes)
-    for k in [np.eye(len(target.nodes))] + [1.0 / c for c in masks]:
+    for idx, k in enumerate([np.eye(len(target.nodes))] + [1.0 / c for c in masks]):
         scale = 1.0 / np.sqrt(np.real(np.diag(k)))
         if certificate_holds(target, grid, k * np.outer(scale, scale), tol):
-            return False
-    return True
+            return min(idx, 1)
+    return None
+
+
+def cheap_kernels_fail(target, grid, tol=1e-8):
+    """Neither the identity nor any grid-admissible b-kernel certifies."""
+    return cheap_kernel_certifies(target, grid, tol) is None
 
 
 def planted_infeasible(rng, nodes, grid, out_dim=1):
@@ -410,10 +419,9 @@ class TestLeanDualPoint:
         assert after_step_one == 2
         assert np.abs(y1 - s * j).max() <= 1e-12 * s * np.abs(j).max()
 
-    def test_unbounded_ray_is_certified(self, monkeypatch, solver_grid):
+    def test_unbounded_ray_is_certified(self, solver_grid):
         # J = -I: every conj(C_m) . J is negative definite, so q = 0 and theta
-        # grows without bound along J; the identity kernel would certify first
-        monkeypatch.setattr(feasibility, "_cheap_certificates", lambda *args: None)
+        # grows without bound along J
         nodes = random_nodes(np.random.default_rng(3), 3)
         target = FeasibilityTarget(nodes=nodes, matrix=-np.eye(3))
         with np.errstate(divide="raise", invalid="raise"):
@@ -554,7 +562,7 @@ def warm_start_instance(seed, grid, scale=0.95):
 
 
 class TestWarmStart:
-    """The dual start y0 of solve, and the memo of the cheap candidate kernels."""
+    """The dual start y0 of solve."""
 
     def test_rejects_malformed_dual_start(self, diagonal_pair, solver_grid):
         target = FeasibilityTarget(nodes=diagonal_pair, matrix=np.ones((2, 2)))
@@ -608,42 +616,6 @@ class TestWarmStart:
             assert admissibility_check(cert, solver_grid, tol=1e-8).is_admissible_on_grid
             assert min_eigenvalue(schur_oslash(target.matrix, cert.matrix)) <= -1e-8
             assert certificate_holds(target, solver_grid, cert.matrix)
-
-    @pytest.mark.parametrize("block", [1, 2])
-    def test_candidate_memo_is_bit_identical(self, block, solver_grid):
-        # diagonal nodes share one mask, so their b-kernels are grid-admissible
-        # and both kinds of candidate get to certify
-        zs = [0.5, -0.3 + 0.4j, 0.1 - 0.6j]
-        nodes = NodeSet(tuple(symmetrize(z, z) for z in zs))
-        n, opts = len(zs), SolveOptions()
-        masks = coefficient_masks(solver_grid, nodes)
-        rng = np.random.default_rng(40 + block)
-        decided = set()
-        for _ in range(40):
-            shape = (n * block, block)
-            w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            w *= rng.uniform(0.3, 1.5) / np.abs(w).max()
-            j = np.kron(np.ones((n, n)), np.eye(block)) - w @ w.conj().T
-            target = FeasibilityTarget(nodes=nodes, matrix=j, block=block)
-            # the unmemoized reference: normalize and check every candidate in
-            # turn that the raw kernel already violates
-            expected = None
-            for idx, k in enumerate([np.eye(n, dtype=complex)] + [1.0 / c for c in masks]):
-                if min_eigenvalue(schur_oslash(target.matrix, k, block, 1)) <= -opts.tol:
-                    kern = feasibility._admissible_kernel(nodes, solver_grid, k, opts.tol)
-                    expected = None if kern is None else feasibility._violation(target, kern, opts)
-                    if expected is not None:
-                        decided.add(min(idx, 1))
-                        break
-            feasibility._candidate_kernels.cache_clear()
-            cold = feasibility._cheap_certificates(target, solver_grid, opts)
-            warm = feasibility._cheap_certificates(target, solver_grid, opts)
-            for got in (cold, warm):
-                assert (got is None) == (expected is None)
-                if got is not None:
-                    assert got[0].matrix.tobytes() == expected[0].matrix.tobytes()
-                    assert got[1] == expected[1]
-        assert decided == {0, 1}
 
 
 class TestResidual:
@@ -705,9 +677,36 @@ class TestSolveDecidesProbeCases:
         target = FeasibilityTarget(nodes=nodes, matrix=np.diag([1.0, -0.5]))
         report = solve(target, solver_grid)
         assert report.status is SolveStatus.INFEASIBLE_CERTIFIED
-        assert report.iterations == 0
+        assert report.iterations == 1
         assert report.certificate_min_eig <= -1e-8
         assert np.allclose(report.certificate.matrix, np.eye(2))
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_newton_certifies_what_the_cheap_kernels_violate(self, block, solver_grid):
+        # diagonal nodes share one mask, so their b-kernels are grid-admissible
+        # and both kinds of kernel get to violate; on random nodes mostly the
+        # identity does
+        zs = [0.5, -0.3 + 0.4j, 0.1 - 0.6j]
+        node_rng = np.random.default_rng(block)
+        node_sets = [NodeSet(tuple(symmetrize(z, z) for z in zs))] * 40
+        node_sets += [random_nodes(node_rng, 3) for _ in range(20)]
+        rng = np.random.default_rng(40 + block)
+        violated = set()
+        for nodes in node_sets:
+            n = len(nodes)
+            shape = (n * block, block)
+            w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            w *= rng.uniform(0.3, 1.5) / np.abs(w).max()
+            j = np.kron(np.ones((n, n)), np.eye(block)) - w @ w.conj().T
+            target = FeasibilityTarget(nodes=nodes, matrix=j, block=block)
+            kind = cheap_kernel_certifies(target, solver_grid)
+            if kind is None:
+                continue
+            violated.add(kind)
+            report = solve(target, solver_grid)
+            assert report.status is SolveStatus.INFEASIBLE_CERTIFIED
+            assert certificate_holds(target, solver_grid, report.certificate.matrix)
+        assert violated == {0, 1}
 
 
 def test_rejects_malformed_target(diagonal_pair):

@@ -59,6 +59,17 @@ class TestAlphaGrid:
         with pytest.raises(ValidationError):
             AlphaGrid(np.array([0.5, 0.5]))
 
+    def test_size_is_capped_before_allocating(self):
+        cap = kernels.MAX_GRID_SIZE
+        assert len(AlphaGrid.boundary(cap, include_zero=False)) == cap
+        for n in (cap + 1, 10**12):
+            with pytest.raises(ValidationError):
+                AlphaGrid.boundary(n, include_zero=False)
+        with pytest.raises(ValidationError):
+            AlphaGrid.boundary(cap, include_zero=True)
+        with pytest.raises(ValidationError):
+            AlphaGrid(np.zeros(cap + 1))
+
 
 class TestAdmissibilityCheck:
     def test_single_node_closed_form(self, solver_grid):
