@@ -617,6 +617,35 @@ class TestWarmStart:
             assert min_eigenvalue(schur_oslash(target.matrix, cert.matrix)) <= -1e-8
             assert certificate_holds(target, solver_grid, cert.matrix)
 
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_candidate_memo_is_bit_identical(self, block, solver_grid):
+        # solve keeps no memo of certificate candidates between calls: a repeat
+        # solve, and one on a freshly built equal grid, give the same bits
+        zs = [0.5, -0.3 + 0.4j, 0.1 - 0.6j]
+        nodes = NodeSet(tuple(symmetrize(z, z) for z in zs))
+        fresh = AlphaGrid(alphas=solver_grid.alphas.copy())
+        n = len(zs)
+        rng = np.random.default_rng(40 + block)
+        violated = set()
+        for _ in range(40):
+            shape = (n * block, block)
+            w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            w *= rng.uniform(0.3, 1.5) / np.abs(w).max()
+            j = np.kron(np.ones((n, n)), np.eye(block)) - w @ w.conj().T
+            target = FeasibilityTarget(nodes=nodes, matrix=j, block=block)
+            kind = cheap_kernel_certifies(target, solver_grid)
+            if kind is None:
+                continue
+            violated.add(kind)
+            first = solve(target, solver_grid)
+            assert first.status is SolveStatus.INFEASIBLE_CERTIFIED
+            for again in (solve(target, solver_grid), solve(target, fresh)):
+                assert again.status is first.status
+                assert again.iterations == first.iterations
+                assert again.certificate.matrix.tobytes() == first.certificate.matrix.tobytes()
+                assert again.certificate_min_eig == first.certificate_min_eig
+        assert violated == {0, 1}
+
 
 class TestResidual:
     def test_exact_witness(self, rng, solver_grid):
