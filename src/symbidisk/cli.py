@@ -334,6 +334,8 @@ def _handle_sequence(payload, grid, opts) -> dict:
         raise ValidationError(f"field 'n' must be in [1, {len(nodes)}], got {n}")
     trunc = SequenceTruncation(nodes=nodes.prefix(n))
     kernel_count = read_number(payload.get("kernels", 8), "kernels", integral=True)
+    if kernel_count < 1:
+        raise ValidationError(f"field 'kernels' must be >= 1, got {kernel_count}")
     alpha_samples = read_number(
         payload.get("alpha_samples", len(grid)), "alpha_samples", integral=True
     )

@@ -27,14 +27,14 @@ at d gives its maximizer (_ray_step).  One stacked eigensolve per dual point
 serves P+, the gradient, the next step's V and the certificate's lambda_max;
 the masks C_m are exactly Hermitian, like every dual iterate, so that
 eigensolve symmetrizes nothing.  With N = n * block the system has N^2
-unknowns: up to N = 8 it is assembled as one dense N^2 x N^2 matrix and solved
-directly, which costs less than the ~N^2 Python-level conjugate-gradient
-iterations it replaces; above that it is solved matrix-free by conjugate
-gradients, the only path whose memory and flops stay small at large N.  The regularization mu =
-||grad|| / ||Y||, clipped to [1e-14, 1e-2], is scale-free: near the feasibility
-threshold the maximizer or the certificate direction lies far out (||Y|| up to
-1e5-1e6), and a mu that does not shrink with 1 / ||Y|| would cap every step
-along V's near-null directions at a length of ||grad|| / mu.
+unknowns.  V is assembled as one dense N^2 x N^2 matrix, summed over chunks of
+atoms so that no slab of the assembly outgrows a fixed entry budget, and the
+system is solved directly; the O(M N^6) flops of that assembly are why targets
+are capped at N = MAX_TARGET_DIM.  The regularization mu = ||grad|| / ||Y||,
+clipped to [1e-14, 1e-2], is scale-free: near the feasibility threshold the
+maximizer or the certificate direction lies far out (||Y|| up to 1e5-1e6), and
+a mu that does not shrink with 1 / ||Y|| would cap every step along V's
+near-null directions at a length of ||grad|| / mu.
 
 Infeasibility is certified by a grid-admissible kernel K whose Schur product
 with J has a negative eigenvalue: any exact witness would force
@@ -82,18 +82,16 @@ _ARMIJO = 1e-4  # sufficient-increase constant of the backtracking search
 # directions (module docstring), and near-threshold solves then creep until
 # the stall rule ends them Unknown.
 _MU_RANGE = (1e-14, 1e-2)
-# Conjugate-gradient iterations per Newton step.  Not the dimension n^2: with
-# mu down to 1e-14 the system is ill-conditioned, and CG stopped at n^2
-# iterations returns directions that make the final steps zig-zag.
-_CG_MAX = 200
-# Newton systems with N = n * block at most this are solved directly with the
-# dense N^2 x N^2 generalized Hessian (_dense_hessian); larger ones by CG,
-# because the dense build costs O(M N^6) flops and N^4 entries (268 MB at the
-# 64 scalar Pick nodes allowed).  Measured on planted colligation targets
-# (9-atom grid, one BLAS thread, 2-vCPU Xeon VM), a dense step took 0.3-0.7x
-# the CPU time of a CG step (6-106 iterations) for N = 3..8, about the same at
-# N = 9-10 with block > 1, and 1.1x at N = 12 with block 3.
-_DENSE_MAX_N = 8
+# Largest N = n * block a target may have.  Every Newton step solves a dense
+# N^2 x N^2 system built in O(M N^6) flops.  On the 9-atom grid (one BLAS
+# thread, 2-vCPU Xeon VM) a step takes 0.14 s at N = 20, 0.40 s at N = 24 and
+# 1.8 s at N = 32, and planted colligation targets at N = 20 take 44-166
+# steps, about 14 CPU-s per solve.  It bounds scalar Pick nodes, sequence
+# truncations and n * d of matrix Pick and corona problems.
+MAX_TARGET_DIM = 20
+# Atoms per slab of the dense Hessian assembly are capped so that the slab E
+# holds at most this many entries (N^2 rows, N^2 columns per atom).
+_HESSIAN_CHUNK_ENTRIES = 2**20
 # Once tol is met, up to _POLISH_STEPS more steps push the residual toward
 # _POLISH_TOL; this improves downstream synthesis without changing the decision.
 _POLISH_STEPS = 8
@@ -124,6 +122,10 @@ class FeasibilityTarget:
 
     def __post_init__(self):
         n = len(self.nodes) * self.block
+        if n > MAX_TARGET_DIM:
+            raise ValidationError(
+                f"target has n * block = {n} rows, more than the {MAX_TARGET_DIM} allowed"
+            )
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (n, n):
             raise ValidationError(f"target shape {m.shape} != ({n}, {n})")
@@ -260,13 +262,9 @@ def solve(
         it += 1
 
         mu = min(max(res / ny, _MU_RANGE[0]), _MU_RANGE[1]) if ny > 0 else _MU_RANGE[1]
-        if len(j) <= _DENSE_MAX_N:
-            v = _dense_hessian(cexp, lam, vecs)
-            v.flat[:: grad.size + 1] += mu
-            d = hermitian_part(np.linalg.solve(v, grad.ravel()).reshape(grad.shape))
-        else:
-            hess = _generalized_hessian(cexp, lam, vecs)
-            d = _conjugate_gradient(hess, grad, mu, min(0.1, res) * res)
+        v = _dense_hessian(cexp, lam, vecs)
+        v.flat[:: grad.size + 1] += mu
+        d = hermitian_part(np.linalg.solve(v, grad.ravel()).reshape(grad.shape))
         slope = float(np.vdot(grad, d).real)
         if ny == 0.0:
             step, (b_t, grad_t, theta_t, lam_t, vecs_t) = _ray_step(j, cexp, cconj, d, slope)
@@ -363,51 +361,26 @@ def _omega(lam):
     )
 
 
-def _generalized_hessian(cexp, lam, vecs):
-    """H -> sum_m C_m . (U_m (Omega_m . (U_m* (conj(C_m) . H) U_m)) U_m*).
-
-    conj(C_m) . Y = U_m diag(lam_m) U_m*, and Omega_m = _omega(lam)[m].
-    """
-    omega = _omega(lam)
-    vh = vecs.conj().transpose(0, 2, 1)
-    cconj = cexp.conj()
-
-    def apply(h):
-        inner = omega * (vh @ (cconj * h) @ vecs)
-        return np.einsum("mij,mij->ij", cexp, vecs @ inner @ vh)
-
-    return apply
-
-
 def _dense_hessian(cexp, lam, vecs):
     """The generalized Hessian as one N^2 x N^2 matrix acting on row-major vec(H).
 
     V = sum_m E_m diag(vec Omega_m) E_m* with
-    E_m[(i, j), (a, b)] = C_m(i, j) U_m(i, a) conj(U_m(j, b)); the atoms are
-    laid side by side, so the sum over m is one matrix product.
+    E_m[(i, j), (a, b)] = C_m(i, j) U_m(i, a) conj(U_m(j, b)), where
+    conj(C_m) . Y = U_m diag(lam_m) U_m* and Omega_m = _omega(lam)[m]: the
+    operator H -> sum_m C_m . (U_m (Omega_m . (U_m* (conj(C_m) . H) U_m)) U_m*).
+    The atoms of a chunk are laid side by side, so its sum over m is one
+    matrix product; a chunk holds at most _HESSIAN_CHUNK_ENTRIES entries of E.
     """
     n = lam.shape[1]
-    e = np.einsum("mij,mia,mjb->ijmab", cexp, vecs, vecs.conj()).reshape(n * n, -1)
-    return (e * _omega(lam).ravel()) @ e.conj().T
-
-
-def _conjugate_gradient(apply, g, mu, tol):
-    """Solve (V + mu I) d = g over Hermitian matrices to a residual <= tol."""
-    d = np.zeros_like(g)
-    r = g.copy()
-    p = r.copy()
-    rr = float(np.vdot(r, r).real)
-    for _ in range(_CG_MAX):
-        if rr <= tol * tol:
-            break
-        q = apply(p) + mu * p
-        a = rr / float(np.vdot(p, q).real)
-        d += a * p
-        r -= a * q
-        rr_new = float(np.vdot(r, r).real)
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    return hermitian_part(d)
+    omega = _omega(lam)
+    step = max(1, _HESSIAN_CHUNK_ENTRIES // n**4)
+    v = None
+    for lo in range(0, len(lam), step):
+        c, u, w = cexp[lo : lo + step], vecs[lo : lo + step], omega[lo : lo + step]
+        e = np.einsum("mij,mia,mjb->ijmab", c, u, u.conj()).reshape(n * n, -1)
+        term = (e * w.ravel()) @ e.conj().T
+        v = term if v is None else v + term
+    return v
 
 
 def _dual_certificate(target, grid, y, ny, lam_max, cdiag, trj, opts):

@@ -26,8 +26,6 @@ from .hermitian import hermitian_part, schur_oslash
 from .kernels import AlphaGrid, NodeSet
 from .realization import Colligation, factor_target, realize
 
-MAX_SCALAR_NODES = 64
-
 
 @dataclass(frozen=True)
 class PickProblem:
@@ -46,8 +44,6 @@ class PickProblem:
         shape = mats[0].shape
         if any(m.shape != shape for m in mats):
             raise ValidationError("targets must share a common shape")
-        if shape[0] == 1 and shape[1] == 1 and len(self.nodes) > MAX_SCALAR_NODES:
-            raise ValidationError(f"scalar problems capped at {MAX_SCALAR_NODES} nodes")
         object.__setattr__(self, "targets", mats)
 
     @property

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationError, ValidationError
-from .feasibility import SolveOptions
+from .feasibility import MAX_TARGET_DIM, SolveOptions
 from .geometry import phi_values, pseudo_hyperbolic
 from .kernels import (
     AlphaGrid,
@@ -30,7 +30,6 @@ from .kernels import (
 )
 from .pick import PickProblem, PickSolution, minimal_norm_bracket, solve_pick
 
-MAX_TRUNCATION = 32
 DEFAULT_KERNEL_CENSUS = 32
 
 
@@ -41,8 +40,9 @@ class SequenceTruncation:
     nodes: NodeSet
 
     def __post_init__(self):
-        if len(self.nodes) > MAX_TRUNCATION:
-            raise ValidationError(f"truncation capped at {MAX_TRUNCATION} nodes")
+        # strong separation solves scalar Picks on the whole truncation
+        if len(self.nodes) > MAX_TARGET_DIM:
+            raise ValidationError(f"truncation capped at {MAX_TARGET_DIM} nodes")
 
     @property
     def n(self) -> int:

@@ -16,6 +16,10 @@ def write_json(path, obj):
         json.dump(obj, fh)
 
 
+# One node more than a feasibility target allows (MAX_TARGET_DIM = 20 rows).
+NODES_21 = tuple((0.04 * k, 0.0, 0.0, 0.0) for k in range(21))
+
+
 def pick_problem_obj(ws=(0.5,), nodes=((0.0, 0.0, 0.0, 0.0),)):
     return {
         "format": 1,
@@ -320,6 +324,9 @@ MALFORMED = {
     "sequence-n-negative": ("sequence", ("payload", "n"), -1),
     "sequence-n-above-nodes": ("sequence", ("payload", "n"), 10),
     "alpha-samples-negative": ("sequence", ("payload", "alpha_samples"), -3),
+    "sequence-kernels-zero": ("sequence", ("payload", "kernels"), 0),
+    "sequence-kernels-negative": ("sequence", ("payload", "kernels"), -2),
+    "sequence-21-nodes": ("sequence", ("payload", "nodes"), [list(n) for n in NODES_21]),
 }
 
 
@@ -355,6 +362,21 @@ class TestMalformedFields:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:"), lines
+
+    @pytest.mark.parametrize("case", ["sequence-kernels-zero", "sequence-kernels-negative"])
+    def test_kernel_count_error_names_the_field(self, case, capsys):
+        with pytest.raises(symbidisk.ValidationError, match="'kernels'"):
+            execute_problem(malformed_problem(case))
+
+    def test_pick_above_the_node_cap_is_one_input_error_line(self, tmp_path, capsys):
+        p_in = tmp_path / "p.json"
+        write_json(p_in, pick_problem_obj(ws=(0.0,) * 21, nodes=NODES_21))
+        assert run(["pick", "--in", str(p_in)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:"), lines
+        assert "21 rows" in lines[0]
 
     def test_huge_grid_flag_is_one_input_error_line(self, tmp_path, capsys):
         p_in = tmp_path / "p.json"
@@ -504,6 +526,20 @@ class TestCorpus:
             for line, name in zip(lines[1:3], ("huge.json", "huge_member.json"))
         )
         assert lines[-1] == "corpus: 1/3 passed"
+
+    def test_pick_above_the_node_cap_fails_alone(self, tmp_path, capsys):
+        d = tmp_path / "corpus"
+        d.mkdir()
+        write_json(d / "big.json", pick_problem_obj(ws=(0.0,) * 21, nodes=NODES_21))
+        write_json(d / "good.json", pick_problem_obj())
+        write_json(d / "good.expected.json", {"equals": {"status": "Feasible"}})
+        assert run(["corpus", "--in", str(d)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        fails = [line for line in lines if line.startswith("FAIL")]
+        assert len(fails) == 1 and fails[0].startswith("FAIL  big.json"), lines
+        assert "input-error" in fails[0]
+        assert any(line.startswith("PASS  good.json") for line in lines)
+        assert lines[-1] == "corpus: 1/2 passed"
 
     def test_unexpected_exception_fails_one_file(self, tmp_path, capsys, monkeypatch):
         d = self._make_corpus(tmp_path)

@@ -23,7 +23,12 @@ from symbidisk import (
     symmetrize,
 )
 from symbidisk import feasibility, pick
-from symbidisk.feasibility import _DENSE_MAX_N, _dense_hessian, _generalized_hessian
+from symbidisk.feasibility import (
+    _HESSIAN_CHUNK_ENTRIES,
+    MAX_TARGET_DIM,
+    _dense_hessian,
+    _omega,
+)
 from symbidisk.geometry import phi_values
 from symbidisk.hermitian import hermitian_part, min_eigenvalue, min_eigenvalue_stack, psd_project
 from symbidisk.kernels import coefficient_masks, expand_masks, random_admissible_kernel
@@ -63,6 +68,23 @@ def colligation_target(rng, nodes, grid, state_dim, scale, out_dim=1):
     n = len(nodes)
     j = np.kron(np.ones((n, n)), np.eye(out_dim)) - scale**2 * (f @ f.conj().T)
     return FeasibilityTarget(nodes=nodes, matrix=j, block=out_dim)
+
+
+def generalized_hessian(cexp, lam, vecs):
+    """Matrix-free reference for _dense_hessian: H -> V(H).
+
+    V(H) = sum_m C_m . (U_m (Omega_m . (U_m* (conj(C_m) . H) U_m)) U_m*), where
+    conj(C_m) . Y = U_m diag(lam_m) U_m* and Omega_m = _omega(lam)[m].
+    """
+    omega = _omega(lam)
+    vh = vecs.conj().transpose(0, 2, 1)
+    cconj = cexp.conj()
+
+    def apply(h):
+        inner = omega * (vh @ (cconj * h) @ vecs)
+        return np.einsum("mij,mij->ij", cexp, vecs @ inner @ vh)
+
+    return apply
 
 
 def needs_iteration(target, grid):
@@ -270,14 +292,25 @@ class TestSolve:
 
 
 class TestNewtonSystems:
-    """The dense generalized Hessian (N <= _DENSE_MAX_N) and CG above the cut."""
+    """The dense generalized Hessian, assembled in chunks of atoms, and its Newton solve."""
 
-    @pytest.mark.parametrize("block", [1, 2])
-    def test_dense_hessian_matches_operator(self, block, solver_grid):
+    @pytest.mark.parametrize(
+        "block, n, boundary",
+        [
+            pytest.param(1, 3, None, id="1"),
+            pytest.param(2, 3, None, id="2"),
+            # N = 16 on 33 alphas: 16 atoms per chunk, so three chunks
+            pytest.param(1, 16, 32, id="chunked"),
+        ],
+    )
+    def test_dense_hessian_matches_operator(self, block, n, boundary, solver_grid):
+        grid = solver_grid if boundary is None else AlphaGrid.boundary(boundary)
         rng = np.random.default_rng(block)
-        nodes = random_nodes(rng, 3)
-        cexp = expand_masks(coefficient_masks(solver_grid, nodes), block)
-        size = 3 * block
+        nodes = random_nodes(rng, n)
+        cexp = expand_masks(coefficient_masks(grid, nodes), block)
+        size = n * block
+        if boundary is not None:
+            assert len(grid) > 2 * (_HESSIAN_CHUNK_ENTRIES // size**4)
 
         def hermitian(scale):
             w = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
@@ -285,7 +318,7 @@ class TestNewtonSystems:
 
         lam, vecs = np.linalg.eigh(cexp.conj() * hermitian(1.0))
         dense = _dense_hessian(cexp, lam, vecs)
-        apply = _generalized_hessian(cexp, lam, vecs)
+        apply = generalized_hessian(cexp, lam, vecs)
         assert dense.shape == (size**2, size**2)
         for _ in range(3):
             h = hermitian(rng.random())
@@ -293,31 +326,27 @@ class TestNewtonSystems:
             err = np.abs(dense @ h.ravel() - expected.ravel()).max()
             assert err <= 1e-12 * np.abs(expected).max()
 
-    def test_direct_solve_up_to_the_cut_and_cg_above(self, monkeypatch, solver_grid):
-        calls = []
-        cg = feasibility._conjugate_gradient
-
-        def counting_cg(*args):
-            calls.append(1)
-            return cg(*args)
-
-        monkeypatch.setattr(feasibility, "_conjugate_gradient", counting_cg)
+    def test_newton_decides_planted_targets_up_to_n16(self, solver_grid):
         rng = np.random.default_rng(3)
-        for n, block in [(3, 1), (5, 2)]:
+        for n, block in [(3, 1), (5, 2), (12, 1), (16, 1)]:
             while True:
                 nodes = random_nodes(rng, n)
                 target = colligation_target(rng, nodes, solver_grid, 4, 0.9, out_dim=block)
                 if needs_iteration(target, solver_grid):
                     break
-            calls.clear()
             report = solve(target, solver_grid)
-            assert report.status is SolveStatus.FEASIBLE
+            assert report.status is SolveStatus.FEASIBLE, (n, block)
             assert report.iterations > 0
             assert report.residual <= 1e-8
             assert residual(target, report.blocks) <= 2e-8
-            above_cut = n * block > _DENSE_MAX_N
-            assert len(calls) == (report.iterations if above_cut else 0)
 
+    @pytest.mark.parametrize("n, block", [(21, 1), (7, 3)])
+    def test_target_above_the_size_cap_is_rejected(self, n, block, rng):
+        assert n * block == MAX_TARGET_DIM + 1
+        nodes = random_nodes(rng, n)
+        with pytest.raises(ValidationError, match="21 rows"):
+            FeasibilityTarget(nodes=nodes, matrix=np.eye(n * block), block=block)
+        FeasibilityTarget(nodes=nodes.prefix(n - 1), matrix=np.eye((n - 1) * block), block=block)
 
     def test_one_stacked_eigensolve_per_dual_point(self, monkeypatch, solver_grid):
         # the projection's eigenpairs serve the next step's Hessian and the
