@@ -30,11 +30,15 @@ eigensolve symmetrizes nothing.  With N = n * block the system has N^2
 unknowns.  V is assembled as one dense N^2 x N^2 matrix, summed over chunks of
 atoms so that no slab of the assembly outgrows a fixed entry budget, and the
 system is solved directly; the O(M N^6) flops of that assembly are why targets
-are capped at N = MAX_TARGET_DIM.  The regularization mu = ||grad|| / ||Y||,
-clipped to [1e-14, 1e-2], is scale-free: near the feasibility threshold the
-maximizer or the certificate direction lies far out (||Y|| up to 1e5-1e6), and
-a mu that does not shrink with 1 / ||Y|| would cap every step along V's
-near-null directions at a length of ||grad|| / mu.
+are capped at N = MAX_TARGET_DIM.  The regularization
+mu = (||grad|| / ||Y||) (||grad|| / ||J||)^(1/4), clipped to [1e-14, 1e-2],
+is scale-free: near the feasibility threshold the maximizer or the
+certificate direction lies far out (||Y|| up to 1e5-1e6), and a mu that does
+not shrink with 1 / ||Y|| would cap every step along V's near-null directions
+at a length of ||grad|| / mu.  The second factor shrinks mu like
+||grad||^1.25, a Levenberg-Marquardt order that keeps local quadratic
+convergence (Fan & Yuan, Computing 2005); with the first alone, trials near
+the threshold zig-zag while ||Y|| creeps outward.
 
 Infeasibility is certified by a grid-admissible kernel K whose Schur product
 with J has a negative eigenvalue: any exact witness would force
@@ -75,13 +79,18 @@ from .kernels import (
 )
 
 _ARMIJO = 1e-4  # sufficient-increase constant of the backtracking search
-# Clip of the regularization mu = ||grad|| / ||Y||.  The floor is the Newton
+# Clip of the regularization mu (module docstring).  The floor is the Newton
 # system's precision limit: V's eigenvalues lie in [0, sum_m max |C_m|^2], at
 # most 4M, and about machine epsilon times that is the smallest shift that
 # keeps V + mu I solvable.  A higher floor caps the steps along V's near-null
 # directions (module docstring), and near-threshold solves then creep until
 # the stall rule ends them Unknown.
 _MU_RANGE = (1e-14, 1e-2)
+# The power of ||grad|| / ||J|| in mu.  1/4 cut the Newton steps of 20 sandwich
+# bisections by a third and left 2 of 15300 loop-bound corpus files Unknown
+# (3 with 0; tools/loop_census.py); 1/2 to 1 cut more steps, left more Unknown.
+# It also ends some N = 16 targets Unknown that 0 decides (ROADMAP item 5).
+_MU_EXPONENT = 0.25
 # Largest N = n * block a target may have.  Every Newton step solves a dense
 # N^2 x N^2 system built in O(M N^6) flops.  On the 9-atom grid (one BLAS
 # thread, 2-vCPU Xeon VM) a step takes 0.14 s at N = 20, 0.40 s at N = 24 and
@@ -261,7 +270,8 @@ def solve(
             break
         it += 1
 
-        mu = min(max(res / ny, _MU_RANGE[0]), _MU_RANGE[1]) if ny > 0 else _MU_RANGE[1]
+        shift = res / ny * (res / jnorm) ** _MU_EXPONENT if ny > 0 else math.inf
+        mu = min(max(shift, _MU_RANGE[0]), _MU_RANGE[1])
         v = _dense_hessian(cexp, lam, vecs)
         v.flat[:: grad.size + 1] += mu
         d = hermitian_part(np.linalg.solve(v, grad.ravel()).reshape(grad.shape))

@@ -101,8 +101,10 @@ class AlphaGrid:
     @staticmethod
     def boundary(n: int, include_zero: bool = True) -> "AlphaGrid":
         """n-th roots of unity, plus the origin."""
-        if not 1 <= n <= MAX_GRID_SIZE:
-            raise ValidationError(f"need 1 <= n <= {MAX_GRID_SIZE} boundary points, got {n}")
+        top = MAX_GRID_SIZE - include_zero  # the origin counts toward the cap
+        if not 1 <= n <= top:
+            origin = " plus the origin" if include_zero else ""
+            raise ValidationError(f"need 1 <= n <= {top} boundary points{origin}, got {n}")
         al = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
         if include_zero:
             al = np.concatenate([[0.0 + 0.0j], al])

@@ -70,6 +70,16 @@ class TestAlphaGrid:
         with pytest.raises(ValidationError):
             AlphaGrid(np.zeros(cap + 1))
 
+    def test_boundary_states_the_bound_it_checks(self):
+        # the origin counts toward the cap, and the message says so
+        cap = kernels.MAX_GRID_SIZE
+        with pytest.raises(ValidationError, match=f"need 1 <= n <= {cap - 1} boundary points plus the origin"):
+            AlphaGrid.boundary(cap)
+        assert len(AlphaGrid.boundary(cap - 1)) == cap
+        assert len(AlphaGrid.boundary(cap, include_zero=False)) == cap
+        with pytest.raises(ValidationError, match=f"need 1 <= n <= {cap} boundary points, got 0"):
+            AlphaGrid.boundary(0, include_zero=False)
+
 
 class TestAdmissibilityCheck:
     def test_single_node_closed_form(self, solver_grid):

@@ -6,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbidisk import (
+    GPoint,
     NodeSet,
     PickProblem,
+    SolveOptions,
     SolveStatus,
     assemble_pick_target,
     caratheodory_two_point,
     minimal_norm,
     minimal_norm_bracket,
     pseudo_hyperbolic,
+    residual,
     solve_pick,
     symmetrize,
     verify_contractivity,
@@ -241,3 +244,40 @@ def test_certificate_bounds_on_the_diagonal_pair(diagonal_pair):
     assert bounds
     assert max(bounds) <= 1.0 + width
     assert lo <= 1.0 + width and hi >= 1.0 - width
+
+
+def test_bisection_newton_steps_on_a_sandwich_item(monkeypatch, solver_grid):
+    # Sandwich(2011, 20).items[6] of bench/workloads.py, at the bench's options.
+    # Its bisection took 16 solves and 203 Newton steps with the shift
+    # mu = ||grad|| / ||Y||; mu = (||grad|| / ||Y||)(||grad|| / ||J||)^(1/4)
+    # takes 16 solves and 113 steps.
+    nodes = NodeSet(
+        (
+            GPoint(0.7513589780031181 - 0.43634247332993065j, 0.16344692886896717 - 0.18343909804371647j),
+            GPoint(1.2283706685653908 - 0.4672041100529152j, 0.3983227866535747 - 0.3632768046679069j),
+            GPoint(-0.8381221280825102 + 0.5388262459398014j, 0.08773878342935343 - 0.1898393377439655j),
+        )
+    )
+    targets = tuple(np.array([[w]]) for w in (1.0, -1.0 + 1.2246467991473532e-16j, 1.0))
+    opts = SolveOptions(max_iter=1000)
+    steps, statuses = [], []
+    inner = pick.solve
+
+    def record(*args):
+        report = inner(*args)
+        steps.append(report.iterations)
+        statuses.append(report.status)
+        return report
+
+    monkeypatch.setattr(pick, "solve", record)
+    lo, hi = minimal_norm_bracket(PickProblem(nodes=nodes, targets=targets), solver_grid, opts)
+    assert lo <= hi <= lo + 1e-4 * max(1.0, lo)
+    assert SolveStatus.UNKNOWN not in statuses
+    assert sum(steps) < 0.75 * 203
+    monkeypatch.undo()
+    above = PickProblem(nodes=nodes, targets=targets, norm_bound=hi)
+    sol = solve_pick(above, solver_grid, opts)
+    assert sol.status is SolveStatus.FEASIBLE
+    assert residual(assemble_pick_target(above), sol.report.blocks) <= 2 * opts.tol
+    assert sol.node_residual <= 1e-7
+    assert verify_contractivity(sol.interpolant, 2000) <= 1.0 + 1e-8
