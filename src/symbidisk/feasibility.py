@@ -49,6 +49,10 @@ Re<J, D> < 0, so K = conj(D) is such a kernel; the ascent reads it off its
 iterate.  When the residual stops halving and no certificate emerges the
 honest terminal status is Unknown; the exact dichotomy holds only for the
 full alpha continuum, not the grid.
+
+The same Newton ascent and line search, inside a proximal-point outer loop,
+solve the linear conic program behind Pick minimal norms, min t subject to
+t E - G = sum_m C_m . B_m with every B_m PSD (_conic_minimum).
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 from .hermitian import (
     hermitian_part,
     min_eigenvalue,
@@ -106,6 +110,21 @@ _HESSIAN_CHUNK_ENTRIES = 2**20
 _POLISH_STEPS = 8
 _POLISH_TOL = 1e-12
 _STALL_STEPS = 40  # Unknown when the best residual has not halved in this many steps
+# Proximal-point schedule of _conic_minimum: sigma starts at 1 and grows this
+# much per round, up to _SIGMA_MAX, where the proximal term no longer matters.
+_SIGMA_GROWTH = 5.0
+_SIGMA_MAX = 1e8
+# A round's Newton ascent stops at ||grad|| <= max(1e-11, min(1e-3, 0.1 / sigma))
+# or at the roundoff of the gradient, which is this times sigma ||Y||: the
+# eigensolves of B^k - sigma conj(C_m) . Y are that large.  Without this floor,
+# rounds at sigma >= 1e7 chase a residual they cannot reach until the budget
+# ends them (2 of 240 sandwich items).
+_GRAD_NOISE = 1e-13
+# _conic_minimum repairs its witness only at atoms whose Szego kernel S_k is
+# safely positive definite, lambda_min(S_k) > _SZEGO_FLOOR lambda_max(S_k).
+# Two nodes with the same phi(alpha_k, .) make S_k singular: at alpha = 0,
+# where phi = -s / 2, every pair of nodes with equal s does.
+_SZEGO_FLOOR = 1e-12
 
 
 class SolveStatus(str, Enum):
@@ -172,9 +191,6 @@ class SolveReport:
     certificate: KernelMatrix | None = None
     certificate_min_eig: float | None = None
     notes: tuple[str, ...] = field(default_factory=tuple)
-    # dual iterate of a Feasible Newton witness, a warm start for a nearby
-    # target; not serialized, so report hashes do not see it
-    dual: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def residual(target: FeasibilityTarget, blocks: CPBlocks) -> float:
@@ -193,26 +209,14 @@ def solve(
     target: FeasibilityTarget,
     grid: AlphaGrid,
     opts: SolveOptions = SolveOptions(),
-    y0: np.ndarray | None = None,
 ) -> SolveReport:
     """Decide grid feasibility of the target; see module docstring.
 
-    Feasible reports carry the witness blocks with residual <= tol and, when
-    the Newton iteration found them, the dual iterate they came from.
+    Feasible reports carry the witness blocks with residual <= tol.
     InfeasibleCertified reports carry a grid-admissible kernel certificate.
-    ``y0`` starts the dual ascent (zero when omitted); the dual of a Feasible
-    solve of a nearby target is a good start.  A start changes how many steps
-    a solve takes, not what a verdict proves: witnesses are re-measured and
-    certificates re-verified.  Deterministic given (target, grid, opts, y0).
+    Deterministic given (target, grid, opts).
     """
     t0 = time.perf_counter()
-    if y0 is not None:
-        y0 = np.asarray(y0, dtype=complex)
-        if y0.shape != target.matrix.shape:
-            raise ValidationError(f"dual start shape {y0.shape} != {target.matrix.shape}")
-        if not np.all(np.isfinite(y0)):
-            raise ValidationError("dual start has non-finite entries")
-        y0 = hermitian_part(y0)
     masks = coefficient_masks(grid, target.nodes)  # raises if a node leaves the disk
     cexp = expand_masks(masks, target.block)
 
@@ -234,10 +238,10 @@ def solve(
     jnorm = _norm(j)
     trj = float(np.trace(j).real)
     notes: list[str] = []
-    y = np.zeros_like(j) if y0 is None else y0
+    y = np.zeros_like(j)
     b, grad, theta, lam, vecs = _dual_point(j, cexp, cconj, y)
     res = _norm(grad)
-    best_res, best_b, best_y = res, b, y
+    best_res, best_b = res, b
     history = [res]  # best residual after each step
     polish_end = None
     it = 0
@@ -280,23 +284,20 @@ def solve(
             step, (b_t, grad_t, theta_t, lam_t, vecs_t) = _ray_step(j, cexp, cconj, d, slope)
             res_t = _norm(grad_t)
         else:
-            step = 1.0
-            while step >= 1e-10:
-                b_t, grad_t, theta_t, lam_t, vecs_t = _dual_point(j, cexp, cconj, y + step * d)
-                res_t = _norm(grad_t)
-                if theta_t >= theta + _ARMIJO * step * slope:
-                    break
-                # where theta's change is below its roundoff, accept a lower residual
-                if res_t < res and theta_t >= theta - 1e-13 * (1.0 + jnorm * ny):
-                    break
-                step *= 0.5
-            else:
+
+            def at(s):
+                point = _dual_point(j, cexp, cconj, y + s * d)
+                return point[2], _norm(point[1]), point
+
+            found = _line_search(at, theta, slope, res, 1e-13 * (1.0 + jnorm * ny))
+            if found is None:
                 notes.append(f"line search failed at step {it}")
                 break
+            step, (b_t, grad_t, theta_t, lam_t, vecs_t), res_t = found
         y = y + step * d
         b, grad, theta, res, lam, vecs = b_t, grad_t, theta_t, res_t, lam_t, vecs_t
         if res < best_res:
-            best_res, best_b, best_y = res, b, y
+            best_res, best_b = res, b
         history.append(best_res)
 
     wall = time.perf_counter() - t0
@@ -308,7 +309,6 @@ def solve(
             wall_time=wall,
             blocks=CPBlocks(grid=grid, blocks=tuple(hermitian_part(x) for x in best_b)),
             notes=tuple(notes),
-            dual=best_y,
         )
     return SolveReport(
         status=SolveStatus.UNKNOWN,
@@ -352,6 +352,24 @@ def _ray_step(j, cexp, cconj, d, slope):
         return 1.0, (b, grad, theta, lam, vecs)
     s = slope / q
     return s, (s * b, j - s * (j - grad), 0.5 * s * slope, s * lam, vecs)
+
+
+def _line_search(at, value, slope, res, noise):
+    """Armijo backtracking along an ascent direction: (step, point, residual), or None.
+
+    at(s) returns (value, residual, point) at step s.  A step is accepted on
+    sufficient increase, or, where the value's change is below its roundoff
+    ``noise``, on a lower residual.  None once the step falls below 1e-10.
+    """
+    step = 1.0
+    while step >= 1e-10:
+        value_t, res_t, point = at(step)
+        if value_t >= value + _ARMIJO * step * slope:
+            return step, point, res_t
+        if res_t < res and value_t >= value - noise:
+            return step, point, res_t
+        step *= 0.5
+    return None
 
 
 def _omega(lam):
@@ -419,18 +437,27 @@ def _dual_certificate(target, grid, y, ny, lam_max, cdiag, trj, opts):
     dual = -y / ny + shift * np.eye(len(y))
     if -np.vdot(target.matrix, dual).real <= opts.tol * _norm(dual):
         return None
-    n, d = len(target.nodes), target.block
-    blocks = dual.reshape(n, d, n, d)
-    compressions = [blocks.trace(axis1=1, axis2=3)]
-    if d > 1:
-        v = np.linalg.eigh(blocks[np.arange(n), :, np.arange(n), :])[1][:, :, -1]
-        compressions.append(np.einsum("ia,iajb,jb->ij", v.conj(), blocks, v))
-    for k in compressions:
+    for k in _compressions(dual, len(target.nodes), target.block):
         kern = _admissible_kernel(target.nodes, grid, k.conj(), opts.tol)
         cert = None if kern is None else _violation(target, kern, opts)
         if cert is not None:
             return cert
     return None
+
+
+def _compressions(dual, n, d):
+    """n x n compressions of an N x N dual by block-diagonal congruences.
+
+    The block trace and, when d > 1, the top eigenvector of each diagonal
+    block; both keep every conj(C_m) . dual PSD, because C_m is constant on
+    blocks.
+    """
+    blocks = dual.reshape(n, d, n, d)
+    out = [blocks.trace(axis1=1, axis2=3)]
+    if d > 1:
+        v = np.linalg.eigh(blocks[np.arange(n), :, np.arange(n), :])[1][:, :, -1]
+        out.append(np.einsum("ia,iajb,jb->ij", v.conj(), blocks, v))
+    return out
 
 
 def _single_atom_witness(target, grid, cexp, opts):
@@ -462,13 +489,16 @@ def _single_atom_witness(target, grid, cexp, opts):
     return CPBlocks(grid=grid, blocks=tuple(stack)), float(res[k])
 
 
-def _admissible_kernel(nodes, grid, k, tol) -> KernelMatrix | None:
-    """Unit-diagonal rescale of k, when it is grid-admissible."""
+def _admissible_kernel(nodes, grid, k, tol, block=1) -> KernelMatrix | None:
+    """Unit-diagonal rescale of k, when it is grid-admissible.
+
+    k has block x block blocks per node pair, checked against the expanded masks.
+    """
     k = hermitian_part(k)
     if np.any(np.real(np.diag(k)) <= 1e-14):
         k = k + 1e-12 * np.eye(k.shape[0])
-    g = grammian_normalize(KernelMatrix(nodes=nodes, matrix=k))
-    kern = KernelMatrix(nodes=nodes, matrix=g)
+    g = grammian_normalize(KernelMatrix(nodes=nodes, matrix=k, block=block))
+    kern = KernelMatrix(nodes=nodes, matrix=g, block=block)
     if not admissibility_check(kern, grid, tol=tol).is_admissible_on_grid:
         return None
     return kern
@@ -480,3 +510,147 @@ def _violation(target, kern, opts) -> tuple[KernelMatrix, float] | None:
     if lam > -opts.tol:
         return None
     return kern, lam
+
+
+def _conic_minimum(nodes, grid, g, block, gap, opts, bound):
+    """(lo, t, blocks) with lo <= sqrt(t*) <= sqrt(t) <= lo + gap, for the conic program
+
+        t* = min t  subject to  t E - G = sum_m C_m . B_m,  B_m PSD,
+
+    E = 1 (x) I_block and G Hermitian PSD whose largest diagonal-block
+    eigenvalue is 1, so t* >= 1.  ``blocks`` witnesses t: the affine identity
+    holds and the blocks are PSD up to roundoff.  bound(K) is a lower bound on
+    sqrt(t*) from a grid-admissible KernelMatrix K, or None.
+
+    Round k maximizes the dual of the proximal subproblem
+
+        min t + (1 / 2 sigma) [(t - t_k)^2 + sum_m ||B_m - B_m^k||^2]
+        subject to t E - G = sum_m C_m . B_m,  B_m PSD,
+
+    phi(Y), concave and semismooth over Hermitian Y, with
+    t(Y) = t_k + sigma (Re<E, Y> - 1), B_m(Y) = P+(B_m^k - sigma conj(C_m) . Y)
+    and gradient G + sum_m C_m . B_m(Y) - t(Y) E, by the semismooth Newton
+    ascent of solve.  The generalized Hessian is sigma (V + vec E vec E*), V
+    the _dense_hessian at the eigenpairs of B_m^k - sigma conj(C_m) . Y.  The
+    round ends with t_k, B^k = t(Y), B(Y), and sigma grows; Y carries over.
+    The proximal term keeps ||Y|| bounded near the optimum (Li, Sun & Toh,
+    SIAM J. Optim. 2018; Rockafellar, SIAM J. Control Optim. 1976).
+
+    After each round both ends tighten:
+
+    * t: E = C_k . (S_k (x) I) at every atom k, S_k = 1 / C_k being the Szego
+      kernel of phi(alpha_k, .).  So adding R / C_k + eps (S_k (x) I) to B_k,
+      R = t E - G - sum_m C_m . B_m the residual, gives a witness at t + eps,
+      eps = max(0, -lambda_min) of B_k + R / C_k relative to S_k (x) I, at the
+      atom of least eps among those where S_k is safely positive definite.  A
+      direct eigensolve of the repaired block then adds what the whitening by
+      S_k rounded away.  From B = 0 and t = 1 this is the best single-atom
+      witness.
+    * lo: D = Y + s I, s = max(0, -min_m lambda_min(conj(C_m) . Y)) / min C_m(i, i),
+      makes every conj(C_m) . D PSD.  Its compressions, as in solve's
+      certificates, give lo through bound() when grid-admissible.  So does D
+      itself when block > 1, as a kernel with block x block blocks: near the
+      optimum it bounds tighter than its compressions.
+
+    opts.max_iter caps the Newton steps over all rounds and opts.tol is the
+    admissibility tolerance of the kernels.  NumericsError when the bracket
+    has not closed within the budget, or when a round at the largest sigma
+    takes no step; the widths it names are those of sqrt(t), relative to the
+    targets' scale.
+    """
+    n = len(nodes)
+    ee = np.kron(np.ones((n, n)), np.eye(block))
+    cexp = expand_masks(coefficient_masks(grid, nodes), block)
+    cconj = cexp.conj()
+    cdiag = float(np.real(np.diagonal(cexp, axis1=1, axis2=2)).min())
+    szego = hermitian_part(ee / cexp)  # S_k (x) I
+    lam_s, vec_s = np.linalg.eigh(szego)
+    safe = np.flatnonzero(lam_s[:, 0] > _SZEGO_FLOOR * lam_s[:, -1])
+    whiten = vec_s[safe] / np.sqrt(lam_s[safe])[:, None, :]  # S_k^(-1) = W W*
+    evec = ee.ravel()
+
+    def repair(t, b):
+        """(t + eps, blocks): the witness of t E - G repaired at the best safe atom."""
+        if safe.size == 0:
+            return math.inf, None
+        r = t * ee - g - np.einsum("mij,mij->ij", cexp, b)
+        x = hermitian_part(b[safe] + r / cexp[safe])
+        rel = whiten.conj().transpose(0, 2, 1) @ x @ whiten
+        eps = np.maximum(-np.linalg.eigvalsh(rel)[:, 0], 0.0)
+        i = int(np.argmin(eps))
+        k, e = int(safe[i]), float(eps[i])
+        low = float(np.linalg.eigvalsh(x[i] + e * szego[k])[0])
+        e += max(0.0, -low) / float(lam_s[k, 0])  # Weyl: now PSD up to roundoff
+        out = b.copy()
+        out[k] = x[i] + e * szego[k]
+        return t + e, out
+
+    def lower(y):
+        """The best bound() of the dual iterate's grid-admissible kernels."""
+        shift = max(0.0, -float(np.linalg.eigvalsh(cconj * y)[:, 0].min())) / cdiag
+        dual = y + shift * np.eye(len(y))
+        kernels = [(k.conj(), 1) for k in _compressions(dual, n, block)]
+        if block > 1:  # at block 1 the trace compression is D
+            kernels.append((dual.conj(), block))
+        kerns = [_admissible_kernel(nodes, grid, k, opts.tol, kb) for k, kb in kernels]
+        bounds = [bound(kern) for kern in kerns if kern is not None]
+        return max([b for b in bounds if b is not None], default=0.0)
+
+    def point(y, tk, bk, sigma):
+        """t(Y), B(Y), the gradient, phi(Y), its roundoff and the eigenpairs."""
+        b, lam, vecs = psd_project_stack(bk - sigma * (cconj * y))
+        a = 1.0 - float(np.vdot(ee, y).real)
+        t = tk - sigma * a
+        grad = g + np.einsum("mij,mij->ij", cexp, b) - t * ee
+        terms = (
+            float(np.vdot(y, g).real),
+            tk * a,
+            -0.5 * sigma * a * a,
+            -0.5 * float(np.vdot(b, b).real) / sigma,
+        )
+        return t, b, grad, sum(terms), 1e-13 * (1.0 + sum(map(abs, terms))), lam, vecs
+
+    lo = 1.0  # forced by the diagonal blocks
+    hi2, witness = repair(1.0, np.zeros_like(cexp))
+    tk, bk, sigma = 1.0, np.zeros_like(cexp), 1.0
+    y = np.zeros_like(g)
+    steps = 0
+    while math.sqrt(hi2) - lo > gap:
+        inner_tol = max(1e-11, min(1e-3, 0.1 / sigma), _GRAD_NOISE * sigma * _norm(y))
+        t, b, grad, phi, noise, lam, vecs = point(y, tk, bk, sigma)
+        res = _norm(grad)
+        round_start = steps
+        while res > inner_tol:
+            if steps >= opts.max_iter:
+                raise NumericsError(
+                    f"minimal-norm bracket not closed in {opts.max_iter} Newton steps: "
+                    f"relative width {math.sqrt(hi2) - lo:.3e} > {gap:.3e}"
+                )
+            steps += 1
+            mu = max(min(1e-2 * sigma, res / max(1.0, _norm(y))), _MU_RANGE[0])
+            v = _dense_hessian(cexp, lam, vecs)
+            v += np.outer(evec, evec)
+            v.flat[:: grad.size + 1] += mu / sigma
+            dy = hermitian_part(np.linalg.solve(v, grad.ravel() / sigma).reshape(grad.shape))
+
+            def at(s):
+                trial = point(y + s * dy, tk, bk, sigma)
+                return trial[3], _norm(trial[2]), trial
+
+            found = _line_search(at, phi, float(np.vdot(grad, dy).real), res, noise)
+            if found is None:
+                break  # the round ends; the next one moves the proximal center
+            step, (t, b, grad, phi, noise, lam, vecs), res = found
+            y = y + step * dy
+        if steps == round_start and sigma == _SIGMA_MAX:
+            raise NumericsError(
+                f"minimal-norm bracket stalled at relative width {math.sqrt(hi2) - lo:.3e}"
+                f" > {gap:.3e}"
+            )
+        tk, bk = t, hermitian_part(b)
+        sigma = min(_SIGMA_GROWTH * sigma, _SIGMA_MAX)
+        cand, blocks = repair(tk, bk)
+        if cand < hi2:
+            hi2, witness = cand, blocks
+        lo = max(lo, lower(y))
+    return lo, hi2, witness

@@ -240,9 +240,11 @@ def make_d_kernel(alpha: complex, nodes: NodeSet, u_vectors) -> KernelMatrix:
 
 
 def grammian_normalize(kernel: KernelMatrix) -> np.ndarray:
-    """Scalar-kernel rescaling K_ij / sqrt(K_ii K_jj); unit diagonal, PSD preserved."""
-    if kernel.block != 1:
-        raise ValidationError("grammian normalization applies to scalar kernels")
+    """Entrywise rescaling K_ij / sqrt(K_ii K_jj); unit diagonal.
+
+    A positive diagonal congruence, so it keeps K PSD and, block kernels
+    included, keeps every expanded mask's Schur product with K PSD.
+    """
     diag = np.real(np.diag(kernel.matrix))
     if np.any(diag <= 0):
         raise ValidationError("not a kernel (weak kernel only): vanishing diagonal")

@@ -10,16 +10,20 @@ scaled targets, so callers multiply by ``norm_bound`` to match the raw data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 from .feasibility import (
+    CPBlocks,
     FeasibilityTarget,
     SolveOptions,
     SolveReport,
     SolveStatus,
+    _conic_minimum,
+    residual,
     solve,
 )
 from .hermitian import hermitian_part, schur_oslash
@@ -103,22 +107,9 @@ def minimal_norm(
 ) -> float:
     """Smallest norm bound at which the problem turns grid-feasible.
 
-    Bisection on the bound c: the problem with targets W / c is solved at
-    unit norm, and the midpoint of the final bracket of
-    :func:`minimal_norm_bracket` is returned.  The lower endpoint starts at
-    max ||W_i||, forced by the diagonal; the upper one starts at 1.25 times
-    that and doubles until feasible.  The trials share work:
-
-    * each trial starts the dual ascent from the dual of the last Feasible
-      trial, never from an infeasible one, whose iterate diverges along its
-      certificate;
-    * an InfeasibleCertified trial with kernel K raises the lower endpoint to
-      sqrt(lambda_max(WW* . K, E . K)) (capped at the upper one), not just to
-      the trial bound: a witness at a bound c' forces
-      J(c') . K = E . K - WW* . K / c'^2 to be PSD, because K is
-      grid-admissible;
-    * Unknown statuses count as not-yet-feasible, which can only widen the
-      answer upward.
+    The midpoint of the bracket of :func:`minimal_norm_bracket`, whose ends
+    are both rigorous: the problem is grid-infeasible below lo and has an
+    exact witness at hi.
     """
     lo, hi = minimal_norm_bracket(problem, grid, opts, width)
     return 0.5 * (lo + hi)
@@ -130,62 +121,52 @@ def minimal_norm_bracket(
     opts: SolveOptions = SolveOptions(),
     width: float = 1e-4,
 ) -> tuple[float, float]:
-    """The final bisection bracket (lo, hi) of :func:`minimal_norm`.
+    """A bracket (lo, hi) of the grid minimal norm, hi - lo <= width * max(1, max ||W_i||).
 
-    hi - lo <= width * max(1, lo).  hi is a bound at which a solve came out
-    Feasible (or max ||W_i||, when that one does); lo is the diagonal bound
-    max ||W_i||, a certificate bound, or a trial bound that was not Feasible.
+    One conic solve (:func:`_conic_bracket`) gives both ends.  hi carries an
+    exact witness, re-verified through residual().  lo is max ||W_i||,
+    forced by the diagonal, or the bound sqrt(lambda_max(WW* . K, E . K)) of
+    a grid-admissible kernel K: a witness at a bound c forces
+    J(c) . K = E . K - WW* . K / c^2 to be PSD.  opts.max_iter caps the
+    Newton steps and opts.tol is the admissibility tolerance of K; a bracket
+    that has not closed within that budget raises NumericsError.
     """
-    grid = grid or AlphaGrid.solver_default()
-    norms = [float(np.linalg.norm(t, 2)) for t in problem.targets]
-    top = max(norms)
+    lo, hi, _ = _conic_bracket(problem, grid or AlphaGrid.solver_default(), opts, width)
+    return lo, hi
+
+
+def _conic_bracket(problem, grid, opts, width):
+    """(lo, hi, witness): the bracket of minimal_norm_bracket, and blocks for J(hi).
+
+    With t = c^2, G = WW* and E = 1 (x) I, the squared grid minimal norm is
+    the linear conic program t* = min t subject to t E - G = sum_m C_m . B_m,
+    B_m PSD, which feasibility._conic_minimum solves.  The targets are
+    divided by top = max ||W_i|| first, so the solve sees t* >= 1 and
+    power-of-two rescalings of the targets give the same bits.  The witness
+    is re-verified through residual() before it is returned.
+    """
+    top = max(float(np.linalg.norm(t, 2)) for t in problem.targets)
     if top == 0.0:
-        return 0.0, 0.0
+        return 0.0, 0.0, None
+    # validates the targets as a solve at norm bound top would
+    assemble_pick_target(PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=top))
     n, d = len(problem.nodes), problem.d_out
     w = np.concatenate(problem.targets)
     ee, ww = np.kron(np.ones((n, n)), np.eye(d)), w @ w.conj().T
-    y0 = None
 
-    def trial(c: float) -> tuple[bool, float]:
-        """Solve at bound c: whether Feasible, and else the bound lo may rise to."""
-        nonlocal y0
-        scaled = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=c)
-        rep = solve(assemble_pick_target(scaled), grid, opts, y0)
-        if rep.status is SolveStatus.FEASIBLE:
-            if rep.dual is not None:
-                y0 = rep.dual
-            return True, c
-        if rep.status is SolveStatus.INFEASIBLE_CERTIFIED:
-            bound = _certificate_bound(ee, ww, rep.certificate.matrix, d)
-            if bound is not None:
-                return False, max(c, bound)
-        return False, c
+    def bound(kern):
+        out = _certificate_bound(ee, ww, kern.matrix, d // kern.block)
+        return None if out is None else out / top
 
-    feasible, lo = trial(top)
-    if feasible:
-        return top, top
-
-    hi = top * 1.25
-    for _ in range(49):
-        if hi > lo:  # a bound at or below lo is already known infeasible
-            feasible, floor = trial(hi)
-            if feasible:
-                break
-            lo = max(lo, floor)
-        hi *= 2.0
-    else:
-        raise ValidationError("no feasible bound found; targets may be degenerate")
-
-    lo = min(lo, hi)
-    tol = width * max(1.0, top)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        feasible, floor = trial(mid)
-        if feasible:
-            hi = mid
-        else:
-            lo = min(floor, hi)
-    return lo, hi
+    g = hermitian_part(ww / (top * top))
+    gap = width * max(1.0, top) / top  # the closing width, in units of top
+    lo, t, blocks = _conic_minimum(problem.nodes, grid, g, d, gap, opts, bound)
+    hi = top * math.sqrt(t)
+    witness = CPBlocks(grid=grid, blocks=tuple(blocks / t))
+    at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
+    if not residual(assemble_pick_target(at_hi), witness) <= opts.tol:
+        raise NumericsError(f"the minimal-norm witness at {hi!r} does not re-verify")
+    return min(top * lo, hi), hi, witness
 
 
 def _certificate_bound(ee, ww, kernel, block) -> float | None:

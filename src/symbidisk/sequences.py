@@ -242,7 +242,7 @@ def interpolation_constant(
     """Measured interpolation constant: max minimal norm over phase patterns.
 
     Each pattern contributes the upper endpoint of its minimal-norm bracket, a
-    bound at which its solve came out Feasible, so every pattern is known
+    bound with an exact, re-verified grid witness, so every pattern is known
     solvable at the returned constant and the Grammian sandwich derived from
     it holds without a sampling gap.
     """

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symbidisk import AlphaGrid, GPoint, NodeSet
+from symbidisk import AlphaGrid, GPoint, NodeSet, PickProblem
 
 
 @pytest.fixture
@@ -34,3 +34,22 @@ def random_nodes(rng, n, rmax=0.85, min_sep=1e-2):
         if all(abs(q.s - o.s) + abs(q.p - o.p) > min_sep for o in pts):
             pts.append(q)
     return NodeSet(tuple(pts))
+
+
+def near_threshold_problem():
+    """A three-node Pick problem whose minimal norm is about 2.80045.
+
+    Near its threshold the solution or the certificate direction of the
+    feasibility dual lies at ||Y|| ~ 1e5-1e6 while ||grad|| ~ 1e-6, so a mu
+    floor far above the Newton system's precision caps every step along the
+    generalized Hessian's near-null directions and the solve stalls.
+    """
+    nodes = NodeSet(
+        (
+            GPoint(0.33290357102030727 + 0.4319714956732331j, -0.09943046014875011 + 0.02923681478878904j),
+            GPoint(0.17053493542780102 + 0.5579579819423474j, -0.16541344773967387 - 0.06428050958907239j),
+            GPoint(0.18246604715933512 - 0.384053557489014j, -0.28897853667947726 - 0.42604772948944053j),
+        )
+    )
+    targets = tuple(np.array([[w]]) for w in (1.0, 1.0, -1.0 + 1.2246467991473532e-16j))
+    return PickProblem(nodes=nodes, targets=targets)

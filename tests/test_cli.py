@@ -10,6 +10,8 @@ import symbidisk.cli
 from symbidisk.cli import execute_problem, run
 from symbidisk.serialize import canonical_json, report_hash
 
+from conftest import near_threshold_problem
+
 
 def write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
@@ -18,6 +20,16 @@ def write_json(path, obj):
 
 # One node more than a feasibility target allows (MAX_TARGET_DIM = 20 rows).
 NODES_21 = tuple((0.04 * k, 0.0, 0.0, 0.0) for k in range(21))
+
+
+def near_threshold_obj(max_iter):
+    """near_threshold_problem() asking for its minimal norm within max_iter Newton steps."""
+    problem = near_threshold_problem()
+    nodes = [(q.s.real, q.s.imag, q.p.real, q.p.imag) for q in problem.nodes.points]
+    obj = pick_problem_obj(ws=(1.0, 1.0, -1.0), nodes=nodes)
+    obj["payload"]["minimal_norm"] = True
+    obj["opts"]["max_iter"] = max_iter
+    return obj
 
 
 def pick_problem_obj(ws=(0.5,), nodes=((0.0, 0.0, 0.0, 0.0),)):
@@ -99,6 +111,19 @@ class TestRun:
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:")
+
+    def test_minimal_norm_budget_is_one_numerical_failure_line(self, tmp_path):
+        p_in = tmp_path / "budget.json"
+        write_json(p_in, near_threshold_obj(max_iter=3))
+        src = os.path.dirname(os.path.dirname(symbidisk.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "symbidisk.cli", "pick", "--in", str(p_in)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: minimal-norm")
 
     @pytest.mark.parametrize("argv", [
         ["membership", "--s", "1e300", "0"],
@@ -540,6 +565,16 @@ class TestCorpus:
         assert "input-error" in fails[0]
         assert any(line.startswith("PASS  good.json") for line in lines)
         assert lines[-1] == "corpus: 1/2 passed"
+
+    def test_minimal_norm_budget_fails_alone(self, tmp_path, capsys):
+        d = self._make_corpus(tmp_path)
+        write_json(d / "budget.json", near_threshold_obj(max_iter=3))
+        assert run(["corpus", "--in", str(d)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        fails = [line for line in lines if line.startswith("FAIL")]
+        assert len(fails) == 1 and fails[0].startswith("FAIL  budget.json"), lines
+        assert "numerical-failure: minimal-norm" in fails[0]
+        assert lines[-1] == "corpus: 3/4 passed"
 
     def test_unexpected_exception_fails_one_file(self, tmp_path, capsys, monkeypatch):
         d = self._make_corpus(tmp_path)

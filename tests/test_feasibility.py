@@ -7,8 +7,8 @@ from symbidisk import (
     AlphaGrid,
     CPBlocks,
     FeasibilityTarget,
-    GPoint,
     NodeSet,
+    NumericsError,
     PickProblem,
     SolveOptions,
     SolveStatus,
@@ -33,7 +33,7 @@ from symbidisk.geometry import phi_values
 from symbidisk.hermitian import hermitian_part, min_eigenvalue, min_eigenvalue_stack, psd_project
 from symbidisk.kernels import coefficient_masks, expand_masks, random_admissible_kernel
 
-from conftest import random_nodes
+from conftest import near_threshold_problem, random_nodes
 
 
 def planted_target(rng, nodes, grid, block=1):
@@ -406,12 +406,16 @@ class TestLeanDualPoint:
         monkeypatch.setattr(feasibility, "psd_project_stack", checking_project)
         target = self.cold_instance(n, solver_grid, n, block)
         cold = solve(target, solver_grid)
-        warm = solve(target, solver_grid, y0=cold.dual)
         planted = planted_infeasible(np.random.default_rng(11), target.nodes, solver_grid)
         infeasible = solve(planted, solver_grid)
-        assert cold.status is warm.status is SolveStatus.FEASIBLE
+        assert cold.status is SolveStatus.FEASIBLE
         assert cold.iterations > 0 and infeasible.iterations > 0
         assert len(stacks) > cold.iterations + infeasible.iterations and all(stacks)
+        # the proximal points B^k - sigma conj(C_m) . Y of the conic bracket too
+        before = len(stacks)
+        ws = tuple(np.eye(block) * w for w in (1.0, -1.0, 1.0j, 0.5, -0.5)[:n])
+        minimal_norm_bracket(PickProblem(nodes=target.nodes, targets=ws), solver_grid)
+        assert len(stacks) > before and all(stacks)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_cold_solve_takes_the_exact_maximizer_along_j(self, seed, monkeypatch, solver_grid):
@@ -460,25 +464,6 @@ class TestLeanDualPoint:
         assert certificate_holds(target, solver_grid, report.certificate.matrix)
 
 
-def near_threshold_problem():
-    """A three-node Pick problem whose minimal norm is about 2.80.
-
-    Its bisection probes bounds where the solution or the certificate
-    direction of the dual lies at ||Y|| ~ 1e5-1e6 while ||grad|| ~ 1e-6, so a
-    mu floor far above the Newton system's precision caps every step along the
-    generalized Hessian's near-null directions and the solve stalls.
-    """
-    nodes = NodeSet(
-        (
-            GPoint(0.33290357102030727 + 0.4319714956732331j, -0.09943046014875011 + 0.02923681478878904j),
-            GPoint(0.17053493542780102 + 0.5579579819423474j, -0.16541344773967387 - 0.06428050958907239j),
-            GPoint(0.18246604715933512 - 0.384053557489014j, -0.28897853667947726 - 0.42604772948944053j),
-        )
-    )
-    targets = tuple(np.array([[w]]) for w in (1.0, 1.0, -1.0 + 1.2246467991473532e-16j))
-    return PickProblem(nodes=nodes, targets=targets)
-
-
 class TestNearThreshold:
     opts = SolveOptions(max_iter=1000)
 
@@ -492,20 +477,19 @@ class TestNearThreshold:
         assert report.iterations > 0
         assert certificate_holds(target, solver_grid, report.certificate.matrix, self.opts.tol)
 
-    def test_no_bisection_trial_ends_unknown(self, monkeypatch, solver_grid):
-        statuses = []
-        inner = pick.solve
+    def test_conic_bracket_closes_with_a_witness(self, solver_grid):
+        # the bisection that this bracket replaced solved at bounds within
+        # 1e-4 of the threshold, where a mu floor far above the Newton
+        # system's precision made trials stall
+        problem = near_threshold_problem()
+        lo, hi, witness = pick._conic_bracket(problem, solver_grid, self.opts, 1e-4)
+        assert lo <= 2.80045 <= hi <= lo + 1e-4
+        at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
+        assert residual(assemble_pick_target(at_hi), witness) <= self.opts.tol
 
-        def record(*args):
-            report = inner(*args)
-            statuses.append(report.status)
-            return report
-
-        monkeypatch.setattr(pick, "solve", record)
-        lo, hi = minimal_norm_bracket(near_threshold_problem(), solver_grid, self.opts)
-        assert lo <= hi <= lo + 1e-4
-        assert len(statuses) > 10
-        assert SolveStatus.UNKNOWN not in statuses
+    def test_budget_ends_in_numerics_error(self, solver_grid):
+        with pytest.raises(NumericsError, match="width"):
+            minimal_norm_bracket(near_threshold_problem(), solver_grid, SolveOptions(max_iter=3))
 
 
 class TestSingleAtomWitness:
@@ -579,72 +563,8 @@ def test_solve_properties(seed, n, scale):
     assert solve(permuted, grid).status is report.status
 
 
-def warm_start_instance(seed, grid, scale=0.95):
-    """Nodes plus one colligation whose target at ``scale`` needs the iteration."""
-    rng = np.random.default_rng(seed)
-    while True:
-        nodes = random_nodes(rng, 3)
-        draw = int(rng.integers(1 << 30))
-        target = colligation_target(np.random.default_rng(draw), nodes, grid, 4, scale)
-        if needs_iteration(target, grid):
-            return nodes, draw
-
-
 class TestWarmStart:
-    """The dual start y0 of solve."""
-
-    def test_rejects_malformed_dual_start(self, diagonal_pair, solver_grid):
-        target = FeasibilityTarget(nodes=diagonal_pair, matrix=np.ones((2, 2)))
-        with pytest.raises(ValidationError):
-            solve(target, solver_grid, y0=np.zeros((3, 3)))
-        with pytest.raises(ValidationError):
-            solve(target, solver_grid, y0=np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    def test_dual_start_is_made_hermitian(self, solver_grid):
-        nodes, draw = warm_start_instance(2, solver_grid)
-        target = colligation_target(np.random.default_rng(draw), nodes, solver_grid, 4, 0.95)
-        y = np.random.default_rng(0).standard_normal((3, 3)) + 0j
-        a = solve(target, solver_grid, y0=y)
-        b = solve(target, solver_grid, y0=0.5 * (y + y.T))
-        assert a.status is b.status and a.iterations == b.iterations
-        assert a.residual == b.residual
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_warm_start_from_a_nearby_feasible_dual(self, seed, solver_grid):
-        # the dual at a norm bound 3% higher, i.e. the targets scaled by 1 / 1.03
-        nodes, draw = warm_start_instance(seed, solver_grid)
-        near = colligation_target(np.random.default_rng(draw), nodes, solver_grid, 4, 0.95 / 1.03)
-        target = colligation_target(np.random.default_rng(draw), nodes, solver_grid, 4, 0.95)
-        start = solve(near, solver_grid)
-        assert start.status is SolveStatus.FEASIBLE and start.dual is not None
-        cold = solve(target, solver_grid)
-        warm = solve(target, solver_grid, y0=start.dual)
-        assert warm.status is SolveStatus.FEASIBLE
-        assert warm.residual <= 1e-8
-        assert residual(target, warm.blocks) <= 2e-8
-        assert warm.iterations < cold.iterations
-
-    def test_step_zero_certificate_from_a_warm_start(self, solver_grid):
-        # y0 = -t conj(K) . v v*, with K a certificate and v its violating
-        # eigenvector, is a point far along the divergence direction
-        rng = np.random.default_rng(11)
-        found = 0
-        while found < 3:
-            nodes = random_nodes(rng, 3)
-            target = planted_infeasible(rng, nodes, solver_grid)
-            if not cheap_kernels_fail(target, solver_grid):
-                continue
-            found += 1
-            kernel = solve(target, solver_grid).certificate.matrix
-            _, vecs = np.linalg.eigh(target.matrix * kernel)
-            start = -10.0 * kernel.conj() * np.outer(vecs[:, 0], vecs[:, 0].conj())
-            report = solve(target, solver_grid, y0=start)
-            assert report.status is SolveStatus.INFEASIBLE_CERTIFIED
-            assert report.iterations == 0
-            cert = report.certificate
-            assert admissibility_check(cert, solver_grid, tol=1e-8).is_admissible_on_grid
-            assert min_eigenvalue(schur_oslash(target.matrix, cert.matrix)) <= -1e-8
-            assert certificate_holds(target, solver_grid, cert.matrix)
+    """Solves start cold: nothing carries over from one call to the next."""
 
     @pytest.mark.parametrize("block", [1, 2])
     def test_candidate_memo_is_bit_identical(self, block, solver_grid):

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbidisk import (
+    AlphaGrid,
     GPoint,
     NodeSet,
+    NumericsError,
     PickProblem,
     SolveOptions,
     SolveStatus,
@@ -17,14 +19,17 @@ from symbidisk import (
     minimal_norm_bracket,
     pseudo_hyperbolic,
     residual,
+    solve,
     solve_pick,
     symmetrize,
     verify_contractivity,
 )
-from symbidisk import pick
+from symbidisk import feasibility, pick
+from symbidisk.feasibility import SolveReport
 from symbidisk.hermitian import hermitian_part
+from symbidisk.realization import realize
 
-from conftest import random_nodes
+from conftest import near_threshold_problem, random_nodes
 
 
 def scalar_problem(nodes, ws, bound=1.0):
@@ -173,6 +178,14 @@ class TestMinimalNorm:
     def test_zero_targets(self, diagonal_pair):
         assert minimal_norm(scalar_problem(diagonal_pair, [0.0, 0.0])) == 0.0
 
+    def test_bracket_that_cannot_close_raises(self, diagonal_pair):
+        # with a negative tolerance no kernel is admissible, so lo stays at
+        # max |W_i| and the solve must end once sigma is capped and no Newton
+        # step is left to take
+        problem = scalar_problem(diagonal_pair, [0.3, 0.6j])
+        with pytest.raises(NumericsError, match="stalled at relative width"):
+            minimal_norm_bracket(problem, opts=SolveOptions(tol=-1.0))
+
 
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3))
@@ -243,14 +256,111 @@ def test_certificate_bounds_on_the_diagonal_pair(diagonal_pair):
     lo, hi, bounds = recorded_bracket(scalar_problem(diagonal_pair, [-0.5, 0.5]), width)
     assert bounds
     assert max(bounds) <= 1.0 + width
-    assert lo <= 1.0 + width and hi >= 1.0 - width
+    assert lo - 1e-12 <= 1.0 <= hi + 1e-12
 
 
-def test_bisection_newton_steps_on_a_sandwich_item(monkeypatch, solver_grid):
-    # Sandwich(2011, 20).items[6] of bench/workloads.py, at the bench's options.
-    # Its bisection took 16 solves and 203 Newton steps with the shift
-    # mu = ||grad|| / ||Y||; mu = (||grad|| / ||Y||)(||grad|| / ||J||)^(1/4)
-    # takes 16 solves and 113 steps.
+def reference_bracket(problem, grid, opts, width=1e-4):
+    """The bisection on the norm bound that the conic bracket replaced, cold-started.
+
+    Its lo may rest on trials that ended Unknown, so it is a reference, not a
+    rigorous bound.
+    """
+    top = max(float(np.linalg.norm(t, 2)) for t in problem.targets)
+    n, d = len(problem.nodes), problem.d_out
+    w = np.concatenate(problem.targets)
+    ee, ww = np.kron(np.ones((n, n)), np.eye(d)), w @ w.conj().T
+
+    def trial(c):
+        scaled = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=c)
+        rep = solve(assemble_pick_target(scaled), grid, opts)
+        if rep.status is SolveStatus.FEASIBLE:
+            return True, c
+        if rep.status is SolveStatus.INFEASIBLE_CERTIFIED:
+            bound = pick._certificate_bound(ee, ww, rep.certificate.matrix, d)
+            if bound is not None:
+                return False, max(c, bound)
+        return False, c
+
+    feasible, lo = trial(top)
+    if feasible:
+        return top, top
+    hi = top * 1.25
+    while True:
+        if hi > lo:
+            feasible, floor = trial(hi)
+            if feasible:
+                break
+            lo = max(lo, floor)
+        hi *= 2.0
+    lo = min(lo, hi)
+    while hi - lo > width * max(1.0, top):
+        mid = 0.5 * (lo + hi)
+        feasible, floor = trial(mid)
+        if feasible:
+            hi = mid
+        else:
+            lo = min(floor, hi)
+    return lo, hi
+
+
+def assert_matches_reference(problem, grid, opts=SolveOptions(), width=1e-4):
+    """The conic bracket overlaps the bisection's, is narrow, and its witness re-verifies."""
+    lo, hi, witness = pick._conic_bracket(problem, grid, opts, width)
+    ref_lo, ref_hi = reference_bracket(problem, grid, opts, width)
+    top = max(float(np.linalg.norm(t, 2)) for t in problem.targets)
+    # both brackets close on the same floats where a problem closes exactly
+    rounding = 1e-12 * max(1.0, top)
+    assert lo <= ref_hi + rounding and ref_lo <= hi + rounding
+    assert 0.0 <= hi - lo <= width * max(1.0, top)
+    at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
+    res = residual(assemble_pick_target(at_hi), witness)
+    assert res <= opts.tol
+    report = SolveReport(
+        status=SolveStatus.FEASIBLE, residual=res, iterations=0, wall_time=0.0, blocks=witness
+    )
+    fn, node_res = realize(report, problem.nodes, *pick._tops(at_hi))
+    assert node_res <= 1e-7
+    assert verify_contractivity(fn, 2000) <= 1.0 + 1e-8
+    return lo, hi
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3))
+def test_conic_bracket_matches_the_bisection(seed, n):
+    rng = np.random.default_rng(seed)
+    nodes = random_nodes(rng, n)
+    ws = 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    assert_matches_reference(scalar_problem(nodes, ws), AlphaGrid.solver_default())
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_conic_bracket_matches_the_bisection_on_block_targets(seed, solver_grid):
+    # the targets of test_certificate_bounds_for_block_targets
+    rng = np.random.default_rng(seed)
+    nodes = random_nodes(rng, 2 + seed)
+    ws = tuple(
+        0.5 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        for _ in range(2 + seed)
+    )
+    assert_matches_reference(PickProblem(nodes=nodes, targets=ws), solver_grid)
+
+
+@pytest.mark.parametrize("ds", [0.0, 1e-9])
+@pytest.mark.parametrize("ws", [[0.3, -0.6j], [0.9, -0.2]])
+def test_conic_bracket_on_nodes_sharing_s(ds, ws, solver_grid):
+    # phi(0, s, p) = -s / 2, so the Szego kernel of the alpha = 0 atom is
+    # singular (ds = 0) or nearly so; the witness is repaired elsewhere
+    nodes = NodeSet.from_pairs([(ds, 0.25), (0.0, -0.25)])
+    assert_matches_reference(scalar_problem(nodes, ws), solver_grid)
+
+
+def test_conic_bracket_matches_the_bisection_near_threshold(solver_grid):
+    lo, hi = assert_matches_reference(near_threshold_problem(), solver_grid)
+    assert lo <= 2.80045 <= hi
+
+
+def sandwich_item():
+    """Sandwich(2011, 20).items[6] of bench/workloads.py."""
     nodes = NodeSet(
         (
             GPoint(0.7513589780031181 - 0.43634247332993065j, 0.16344692886896717 - 0.18343909804371647j),
@@ -259,23 +369,29 @@ def test_bisection_newton_steps_on_a_sandwich_item(monkeypatch, solver_grid):
         )
     )
     targets = tuple(np.array([[w]]) for w in (1.0, -1.0 + 1.2246467991473532e-16j, 1.0))
-    opts = SolveOptions(max_iter=1000)
-    steps, statuses = [], []
-    inner = pick.solve
+    return PickProblem(nodes=nodes, targets=targets)
 
-    def record(*args):
-        report = inner(*args)
-        steps.append(report.iterations)
-        statuses.append(report.status)
-        return report
 
-    monkeypatch.setattr(pick, "solve", record)
-    lo, hi = minimal_norm_bracket(PickProblem(nodes=nodes, targets=targets), solver_grid, opts)
-    assert lo <= hi <= lo + 1e-4 * max(1.0, lo)
-    assert SolveStatus.UNKNOWN not in statuses
-    assert sum(steps) < 0.75 * 203
+def test_conic_bracket_matches_the_bisection_on_a_sandwich_item(solver_grid):
+    assert_matches_reference(sandwich_item(), solver_grid, SolveOptions(max_iter=1000))
+
+
+def test_conic_newton_steps_on_a_sandwich_item(monkeypatch, solver_grid):
+    # at the bench's options; the bisection it replaced took 16 solves and 113
+    # Newton steps, and pick.solve is no longer called
+    opts, width = SolveOptions(max_iter=1000), 1e-4
+    problem = sandwich_item()
+    steps, solves = [], []
+    hessian = feasibility._dense_hessian
+    monkeypatch.setattr(feasibility, "_dense_hessian", lambda *a: steps.append(1) or hessian(*a))
+    monkeypatch.setattr(pick, "solve", lambda *a: solves.append(1) or solve(*a))
+    lo, hi = minimal_norm_bracket(problem, solver_grid, opts, width)
+    assert lo <= hi <= lo + width * max(1.0, lo)
+    assert 0 < len(steps) <= 113 // 2 and not solves
     monkeypatch.undo()
-    above = PickProblem(nodes=nodes, targets=targets, norm_bound=hi)
+    above = PickProblem(
+        nodes=problem.nodes, targets=problem.targets, norm_bound=hi + width * max(1.0, hi)
+    )
     sol = solve_pick(above, solver_grid, opts)
     assert sol.status is SolveStatus.FEASIBLE
     assert residual(assemble_pick_target(above), sol.report.blocks) <= 2 * opts.tol
