@@ -10,6 +10,7 @@ included), 1 for input errors, 2 for internal numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -98,6 +99,7 @@ def run(argv: list[str]) -> int:
         return 2
 
 
+@functools.cache  # built once: corpus runs call run() per pass
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symbidisk",

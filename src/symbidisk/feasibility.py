@@ -76,10 +76,9 @@ from .kernels import (
     AlphaGrid,
     KernelMatrix,
     NodeSet,
-    admissibility_check,
     coefficient_masks,
     expand_masks,
-    grammian_normalize,
+    unit_diagonal,
 )
 
 _ARMIJO = 1e-4  # sufficient-increase constant of the backtracking search
@@ -110,15 +109,28 @@ _HESSIAN_CHUNK_ENTRIES = 2**20
 _POLISH_STEPS = 8
 _POLISH_TOL = 1e-12
 _STALL_STEPS = 40  # Unknown when the best residual has not halved in this many steps
-# Proximal-point schedule of _conic_minimum: sigma starts at 1 and grows this
-# much per round, up to _SIGMA_MAX, where the proximal term no longer matters.
-_SIGMA_GROWTH = 5.0
+# Proximal-point schedule of _conic_minimum: sigma starts at _SIGMA_START and
+# grows _SIGMA_GROWTH times per round, up to _SIGMA_MAX, where the proximal term
+# no longer matters.  The targets are normalized, t* >= 1 and G's top
+# eigenvalue is 1, so a fixed start is scale-free.  A start of 1 spent 13-29
+# of a sandwich item's 50 Newton steps on a first round that the proximal term
+# dominates.  CPU of 105 sandwich items, relative to a start of 1 growing 5
+# times (one process, schedules interleaved item by item):
+#     start x growth   seeds 921-923   seeds 40001-40003
+#     10 x 10          0.75            0.82
+#     100 x 10         0.69            0.75
+#     100 x 20         0.68            0.73
+#     1000 x 10        0.73            0.79
+#     1e4 x 10         1.02            1.09
+_SIGMA_START = 100.0
+_SIGMA_GROWTH = 10.0
 _SIGMA_MAX = 1e8
 # A round's Newton ascent stops at ||grad|| <= max(1e-11, min(1e-3, 0.1 / sigma))
 # or at the roundoff of the gradient, which is this times sigma ||Y||: the
 # eigensolves of B^k - sigma conj(C_m) . Y are that large.  Without this floor,
 # rounds at sigma >= 1e7 chase a residual they cannot reach until the budget
-# ends them (2 of 240 sandwich items).
+# ends them: 3 of 240 sandwich items (seeds 40001-40008, max_iter 1000), with
+# sigma starting at 100 and at 1 alike.
 _GRAD_NOISE = 1e-13
 # _conic_minimum repairs its witness only at atoms whose Szego kernel S_k is
 # safely positive definite, lambda_min(S_k) > _SZEGO_FLOOR lambda_max(S_k).
@@ -252,7 +264,7 @@ def solve(
         ny = _norm(y)
         if polish_end is None:
             cert = _dual_certificate(
-                target, grid, y, ny, float(lam[:, -1].max()), cdiag, trj, opts
+                target, masks, y, ny, float(lam[:, -1].max()), cdiag, trj, opts
             )
             if cert is not None:
                 kern, lam_k = cert
@@ -411,11 +423,12 @@ def _dense_hessian(cexp, lam, vecs):
     return v
 
 
-def _dual_certificate(target, grid, y, ny, lam_max, cdiag, trj, opts):
+def _dual_certificate(target, masks, y, ny, lam_max, cdiag, trj, opts):
     """Grid-admissible kernel from the ascent direction -Y / ||Y||, if it certifies.
 
-    ``ny`` is ||Y||, ``lam_max`` the largest eigenvalue over m of conj(C_m) . Y,
-    ``trj`` the trace of J.  Shifting D = -Y / ||Y|| by t I,
+    ``masks`` are the grid's coefficient masks, ``ny`` is ||Y||, ``lam_max``
+    the largest eigenvalue over m of conj(C_m) . Y, ``trj`` the trace of J.
+    Shifting D = -Y / ||Y|| by t I,
     t = max(0, lam_max / ||Y||) / min C_m(i, i), makes every conj(C_m) . D'
     PSD.  Blocks with sum C_m . B_m = J + R then give
     Re<J + R, D'> = sum Re<B_m, conj(C_m) . D'> >= 0, so
@@ -438,7 +451,7 @@ def _dual_certificate(target, grid, y, ny, lam_max, cdiag, trj, opts):
     if -np.vdot(target.matrix, dual).real <= opts.tol * _norm(dual):
         return None
     for k in _compressions(dual, len(target.nodes), target.block):
-        kern = _admissible_kernel(target.nodes, grid, k.conj(), opts.tol)
+        kern = _admissible_kernel(target.nodes, masks, k.conj(), opts.tol)
         cert = None if kern is None else _violation(target, kern, opts)
         if cert is not None:
             return cert
@@ -489,19 +502,28 @@ def _single_atom_witness(target, grid, cexp, opts):
     return CPBlocks(grid=grid, blocks=tuple(stack)), float(res[k])
 
 
-def _admissible_kernel(nodes, grid, k, tol, block=1) -> KernelMatrix | None:
+def _admissible_kernel(nodes, masks, k, tol, block=1) -> KernelMatrix | None:
     """Unit-diagonal rescale of k, when it is grid-admissible.
 
-    k has block x block blocks per node pair, checked against the expanded masks.
+    k has block x block blocks per node pair, and ``masks`` are the grid's
+    coefficient masks expanded to that block, which the caller already holds.
+    The rescale is grammian_normalize's and the test admissibility_check's,
+    bit for bit.
     """
     k = hermitian_part(k)
     if np.any(np.real(np.diag(k)) <= 1e-14):
         k = k + 1e-12 * np.eye(k.shape[0])
-    g = grammian_normalize(KernelMatrix(nodes=nodes, matrix=k, block=block))
-    kern = KernelMatrix(nodes=nodes, matrix=g, block=block)
-    if not admissibility_check(kern, grid, tol=tol).is_admissible_on_grid:
+    if not np.all(np.real(np.diag(k)) > 0.0):  # grammian_normalize raises: no kernel
         return None
-    return kern
+    g = unit_diagonal(k)
+    if not _mask_min_eigenvalues(masks, g).min() >= -tol:
+        return None
+    return KernelMatrix(nodes=nodes, matrix=g, block=block)
+
+
+def _mask_min_eigenvalues(masks, k):
+    """lambda_min(C_m . K) per alpha: admissibility_check's min_eig_per_alpha."""
+    return min_eigenvalue_stack(masks * k)
 
 
 def _violation(target, kern, opts) -> tuple[KernelMatrix, float] | None:
@@ -532,7 +554,8 @@ def _conic_minimum(nodes, grid, g, block, gap, opts, bound):
     and gradient G + sum_m C_m . B_m(Y) - t(Y) E, by the semismooth Newton
     ascent of solve.  The generalized Hessian is sigma (V + vec E vec E*), V
     the _dense_hessian at the eigenpairs of B_m^k - sigma conj(C_m) . Y.  The
-    round ends with t_k, B^k = t(Y), B(Y), and sigma grows; Y carries over.
+    round ends with t_k, B^k = t(Y), B(Y), and sigma, which starts at
+    _SIGMA_START = 100, grows _SIGMA_GROWTH = 10 times; Y carries over.
     The proximal term keeps ||Y|| bounded near the optimum (Li, Sun & Toh,
     SIAM J. Optim. 2018; Rockafellar, SIAM J. Control Optim. 1976).
 
@@ -548,9 +571,10 @@ def _conic_minimum(nodes, grid, g, block, gap, opts, bound):
       witness.
     * lo: D = Y + s I, s = max(0, -min_m lambda_min(conj(C_m) . Y)) / min C_m(i, i),
       makes every conj(C_m) . D PSD.  Its compressions, as in solve's
-      certificates, give lo through bound() when grid-admissible.  So does D
-      itself when block > 1, as a kernel with block x block blocks: near the
-      optimum it bounds tighter than its compressions.
+      certificates, give lo through bound() when grid-admissible, checked on
+      the solve's own masks.  So does D itself when block > 1, as a kernel
+      with block x block blocks: near the optimum it bounds tighter than its
+      compressions.
 
     opts.max_iter caps the Newton steps over all rounds and opts.tol is the
     admissibility tolerance of the kernels.  NumericsError when the bracket
@@ -560,14 +584,15 @@ def _conic_minimum(nodes, grid, g, block, gap, opts, bound):
     """
     n = len(nodes)
     ee = np.kron(np.ones((n, n)), np.eye(block))
-    cexp = expand_masks(coefficient_masks(grid, nodes), block)
+    masks = coefficient_masks(grid, nodes)
+    cexp = expand_masks(masks, block)
     cconj = cexp.conj()
     cdiag = float(np.real(np.diagonal(cexp, axis1=1, axis2=2)).min())
     szego = hermitian_part(ee / cexp)  # S_k (x) I
     lam_s, vec_s = np.linalg.eigh(szego)
     safe = np.flatnonzero(lam_s[:, 0] > _SZEGO_FLOOR * lam_s[:, -1])
     whiten = vec_s[safe] / np.sqrt(lam_s[safe])[:, None, :]  # S_k^(-1) = W W*
-    evec = ee.ravel()
+    eouter = np.outer(ee.ravel(), ee.ravel())  # the rank-one Hessian term of t
 
     def repair(t, b):
         """(t + eps, blocks): the witness of t E - G repaired at the best safe atom."""
@@ -589,10 +614,10 @@ def _conic_minimum(nodes, grid, g, block, gap, opts, bound):
         """The best bound() of the dual iterate's grid-admissible kernels."""
         shift = max(0.0, -float(np.linalg.eigvalsh(cconj * y)[:, 0].min())) / cdiag
         dual = y + shift * np.eye(len(y))
-        kernels = [(k.conj(), 1) for k in _compressions(dual, n, block)]
+        kernels = [(k.conj(), masks, 1) for k in _compressions(dual, n, block)]
         if block > 1:  # at block 1 the trace compression is D
-            kernels.append((dual.conj(), block))
-        kerns = [_admissible_kernel(nodes, grid, k, opts.tol, kb) for k, kb in kernels]
+            kernels.append((dual.conj(), cexp, block))
+        kerns = [_admissible_kernel(nodes, c, k, opts.tol, kb) for k, c, kb in kernels]
         bounds = [bound(kern) for kern in kerns if kern is not None]
         return max([b for b in bounds if b is not None], default=0.0)
 
@@ -612,7 +637,7 @@ def _conic_minimum(nodes, grid, g, block, gap, opts, bound):
 
     lo = 1.0  # forced by the diagonal blocks
     hi2, witness = repair(1.0, np.zeros_like(cexp))
-    tk, bk, sigma = 1.0, np.zeros_like(cexp), 1.0
+    tk, bk, sigma = 1.0, np.zeros_like(cexp), _SIGMA_START
     y = np.zeros_like(g)
     steps = 0
     while math.sqrt(hi2) - lo > gap:
@@ -629,7 +654,7 @@ def _conic_minimum(nodes, grid, g, block, gap, opts, bound):
             steps += 1
             mu = max(min(1e-2 * sigma, res / max(1.0, _norm(y))), _MU_RANGE[0])
             v = _dense_hessian(cexp, lam, vecs)
-            v += np.outer(evec, evec)
+            v += eouter
             v.flat[:: grad.size + 1] += mu / sigma
             dy = hermitian_part(np.linalg.solve(v, grad.ravel() / sigma).reshape(grad.shape))
 

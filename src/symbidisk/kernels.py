@@ -245,11 +245,15 @@ def grammian_normalize(kernel: KernelMatrix) -> np.ndarray:
     A positive diagonal congruence, so it keeps K PSD and, block kernels
     included, keeps every expanded mask's Schur product with K PSD.
     """
-    diag = np.real(np.diag(kernel.matrix))
-    if np.any(diag <= 0):
+    if np.any(np.real(np.diag(kernel.matrix)) <= 0):
         raise ValidationError("not a kernel (weak kernel only): vanishing diagonal")
-    d = 1.0 / np.sqrt(diag)
-    g = kernel.matrix * np.outer(d, d)
+    return unit_diagonal(kernel.matrix)
+
+
+def unit_diagonal(k: np.ndarray) -> np.ndarray:
+    """K_ij / sqrt(K_ii K_jj) of a Hermitian matrix whose diagonal is positive."""
+    d = 1.0 / np.sqrt(np.real(np.diag(k)))
+    g = k * np.outer(d, d)
     np.fill_diagonal(g, 1.0)
     return hermitian_part(g)
 

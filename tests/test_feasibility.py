@@ -12,9 +12,11 @@ from symbidisk import (
     PickProblem,
     SolveOptions,
     SolveStatus,
+    KernelMatrix,
     ValidationError,
     admissibility_check,
     assemble_pick_target,
+    grammian_normalize,
     make_b_kernel,
     minimal_norm_bracket,
     residual,
@@ -594,6 +596,47 @@ class TestWarmStart:
                 assert again.certificate.matrix.tobytes() == first.certificate.matrix.tobytes()
                 assert again.certificate_min_eig == first.certificate_min_eig
         assert violated == {0, 1}
+
+
+def mask_check_kernel(rng, nodes, grid, block, admissible):
+    """A kernel, not yet unit-diagonal, that is or is not admissible on the grid.
+
+    Block kernels are K (x) P with P PSD: then C_m . (K (x) P) = (C_m . K) (x) P.
+    """
+    n = len(nodes)
+    if admissible:
+        k = random_admissible_kernel(nodes, grid, seed=int(rng.integers(1000))).matrix
+    else:  # nearly rank one: C_m . K is nearly C_m, which is indefinite
+        k = np.ones((n, n)) + 0.01 * np.eye(n)
+    scale = rng.uniform(0.5, 2.0, n)
+    k = k * np.outer(scale, scale)
+    if block == 1:
+        return k
+    w = rng.standard_normal((block, block)) + 1j * rng.standard_normal((block, block))
+    return np.kron(k, w @ w.conj().T)
+
+
+@pytest.mark.parametrize("block", [1, 2])
+@pytest.mark.parametrize("admissible", [True, False])
+def test_mask_admissibility_matches_admissibility_check(block, admissible, rng):
+    # the solver's check on its own masks loses nothing against the public one;
+    # 10 nodes of block 2 on the 193-alpha grid take admissibility_check's
+    # chunked path
+    grid = AlphaGrid.solver_default() if block == 1 else AlphaGrid.check_default()
+    nodes = random_nodes(rng, 3 if block == 1 else 10, rmax=0.6)
+    raw = mask_check_kernel(rng, nodes, grid, block, admissible)
+    kern = KernelMatrix(
+        nodes=nodes, matrix=grammian_normalize(KernelMatrix(nodes, raw, block)), block=block
+    )
+    rep = admissibility_check(kern, grid, tol=1e-8)
+    assert rep.is_admissible_on_grid is admissible
+    masks = expand_masks(coefficient_masks(grid, nodes), block)
+    lams = feasibility._mask_min_eigenvalues(masks, kern.matrix)
+    assert lams.tolist() == [lam for _, lam in rep.min_eig_per_alpha]
+    got = feasibility._admissible_kernel(nodes, masks, raw, 1e-8, block)
+    assert (got is not None) is admissible
+    if admissible:  # grammian_normalize's rescale, bit for bit
+        assert got.block == block and np.array_equal(got.matrix, kern.matrix)
 
 
 class TestResidual:

@@ -378,7 +378,9 @@ def test_conic_bracket_matches_the_bisection_on_a_sandwich_item(solver_grid):
 
 def test_conic_newton_steps_on_a_sandwich_item(monkeypatch, solver_grid):
     # at the bench's options; the bisection it replaced took 16 solves and 113
-    # Newton steps, and pick.solve is no longer called
+    # Newton steps, and pick.solve is no longer called.  The conic solve takes
+    # 39 steps with sigma starting at 100 and growing 10 times per round (50
+    # from sigma = 1 growing 5 times)
     opts, width = SolveOptions(max_iter=1000), 1e-4
     problem = sandwich_item()
     steps, solves = [], []
@@ -387,7 +389,7 @@ def test_conic_newton_steps_on_a_sandwich_item(monkeypatch, solver_grid):
     monkeypatch.setattr(pick, "solve", lambda *a: solves.append(1) or solve(*a))
     lo, hi = minimal_norm_bracket(problem, solver_grid, opts, width)
     assert lo <= hi <= lo + width * max(1.0, lo)
-    assert 0 < len(steps) <= 113 // 2 and not solves
+    assert 0 < len(steps) <= 45 and not solves
     monkeypatch.undo()
     above = PickProblem(
         nodes=problem.nodes, targets=problem.targets, norm_bound=hi + width * max(1.0, hi)
