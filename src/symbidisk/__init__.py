@@ -42,7 +42,6 @@ from .kernels import (
     admissibility_check,
     grammian_normalize,
     make_b_kernel,
-    make_d_kernel,
     random_admissible_kernel,
 )
 from .feasibility import (
@@ -76,23 +75,19 @@ from .sequences import (
     grammian_bounds,
     interpolation_constant,
     strong_separation,
-    weak_separation,
 )
 from .corona import (
     CoronaProblem,
     CoronaSolution,
     assemble_corona_target,
     solve_corona,
-    verify_left_inverse,
 )
 from .gamma_ops import (
     AtomicMeasure,
     OperatorPair,
     atomic_h2_model,
-    extract_unitary_factors,
     gamma_isometry_check,
     gamma_unitary_check,
-    spectral_set_probe,
     symmetrized_pair,
     toeplitz_positivity,
 )

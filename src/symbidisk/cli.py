@@ -265,6 +265,12 @@ def _require(payload: dict, field: str):
     return payload[field]
 
 
+def _as_list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"field '{field}' must be a list, got {type(value).__name__}")
+    return value
+
+
 def _factorization_body(solution, key: str) -> dict:
     """Fields pick and corona reports share; ``key`` names the realized function."""
     body: dict[str, Any] = {
@@ -290,10 +296,9 @@ def _handle_membership(payload, grid, opts) -> dict:
 
 def _handle_pick(payload, grid, opts) -> dict:
     nodes = decode_nodes(_require(payload, "nodes"))
-    raw_targets = _require(payload, "targets")
     targets = tuple(
         decode_matrix(t) if isinstance(t, dict) else np.array([[decode_complex(t)]])
-        for t in raw_targets
+        for t in _as_list(_require(payload, "targets"), "targets")
     )
     norm_bound = read_number(payload.get("norm_bound", 1.0), "norm_bound")
     problem = PickProblem(nodes=nodes, targets=targets, norm_bound=norm_bound)
@@ -309,13 +314,17 @@ def _handle_pick(payload, grid, opts) -> dict:
 
 def _handle_corona(payload, grid, opts) -> dict:
     nodes = decode_nodes(_require(payload, "nodes"))
-    phis = tuple(decode_matrix(m) for m in _require(payload, "phi_samples"))
+    raw_phis = _as_list(_require(payload, "phi_samples"), "phi_samples")
+    phis = tuple(decode_matrix(m) for m in raw_phis)
     thetas = payload.get("theta_samples")
+    if thetas is not None:
+        # an empty list asks for the default Theta, as an absent field does
+        thetas = tuple(decode_matrix(m) for m in _as_list(thetas, "theta_samples")) or None
     problem = CoronaProblem(
         nodes=nodes,
         phi_samples=phis,
         delta=read_number(_require(payload, "delta"), "delta"),
-        theta_samples=tuple(decode_matrix(m) for m in thetas) if thetas else None,
+        theta_samples=thetas,
     )
     solution = solve_corona(problem, grid, opts)
     body = _factorization_body(solution, "psi")
@@ -396,9 +405,7 @@ def _handle_gamma_check(payload, grid, opts) -> dict:
 
 def _handle_measure_model(payload, grid, opts) -> dict:
     atoms = tuple(BGammaPoint(s, p) for s, p in decode_point_rows(_require(payload, "atoms")))
-    weights = payload.get("weights", [1.0] * len(atoms))
-    if not isinstance(weights, list):
-        raise ValidationError("field 'weights' must be a list of numbers")
+    weights = _as_list(payload.get("weights", [1.0] * len(atoms)), "weights")
     weights = tuple(read_number(w, "weights") for w in weights)
     mu = AtomicMeasure(atoms=atoms, weights=weights)
     pair = atomic_h2_model(mu)

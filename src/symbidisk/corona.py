@@ -29,15 +29,7 @@ from .feasibility import (
     solve,
 )
 from .kernels import AlphaGrid, NodeSet
-from .realization import (
-    Colligation,
-    _domain_sample,
-    factor_target,
-    node_residual,
-    realize,
-    transfer_eval_batch,
-    verify_contractivity,
-)
+from .realization import Colligation, factor_target, realize, verify_contractivity
 
 MAX_OUTPUT_BLOCK = 8
 
@@ -81,6 +73,8 @@ class CoronaProblem:
                 raise ValidationError("Theta samples must share a common shape per node")
             if tshape[0] != shape[0]:
                 raise ValidationError("Theta output dimension must match Phi's")
+            if tshape[1] < 1:
+                raise ValidationError("Theta samples need at least one column")
         object.__setattr__(self, "theta_samples", theta)
 
 
@@ -133,47 +127,4 @@ def solve_corona(
         normalized_norm=sampled / np.sqrt(problem.delta),
         bound_inv_sqrt_delta=1.0 / np.sqrt(problem.delta),
         bound_inv_delta=1.0 / problem.delta,
-    )
-
-
-@dataclass(frozen=True)
-class LeftInverseReport:
-    skipped: bool
-    node_residual: float | None = None
-    sampled_residual: float | None = None
-    sampled_norm: float | None = None
-
-
-def verify_left_inverse(
-    psi: Colligation | None,
-    problem: CoronaProblem,
-    extra_samples: int = 0,
-    evaluator=None,
-    seed: int = 0,
-) -> LeftInverseReport:
-    """Residual audit of a synthesized factor.
-
-    Checks max over nodes of ||Phi_i Psi(node_i) - Theta_i||; when a caller
-    supplies ``evaluator`` (point -> (Phi value, Theta value)) the residual is
-    also sampled at ``extra_samples`` seeded domain points.  With no factor to
-    verify the report is marked skipped.
-    """
-    if psi is None:
-        return LeftInverseReport(skipped=True)
-    node_res = node_residual(psi, problem.nodes, problem.phi_samples, problem.theta_samples)
-    sampled_res = None
-    if evaluator is not None and extra_samples > 0:
-        s, p = _domain_sample(extra_samples, seed, 0.98)
-        psis = transfer_eval_batch(psi, s, p)
-        worst = 0.0
-        for k in range(extra_samples):
-            phi_val, theta_val = evaluator(complex(s[k]), complex(p[k]))
-            worst = max(worst, float(np.abs(phi_val @ psis[k] - theta_val).max()))
-        sampled_res = worst
-    norm = verify_contractivity(psi, sample_count=max(1000, extra_samples), seed=seed)
-    return LeftInverseReport(
-        skipped=False,
-        node_residual=node_res,
-        sampled_residual=sampled_res,
-        sampled_norm=norm,
     )

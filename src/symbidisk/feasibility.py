@@ -92,7 +92,7 @@ _MU_RANGE = (1e-14, 1e-2)
 # The power of ||grad|| / ||J|| in mu.  1/4 cut the Newton steps of 20 sandwich
 # bisections by a third and left 2 of 15300 loop-bound corpus files Unknown
 # (3 with 0; tools/loop_census.py); 1/2 to 1 cut more steps, left more Unknown.
-# It also ends some N = 16 targets Unknown that 0 decides (ROADMAP item 5).
+# It also ends some N = 16 targets Unknown that 0 decides (ROADMAP item 8).
 _MU_EXPONENT = 0.25
 # Largest N = n * block a target may have.  Every Newton step solves a dense
 # N^2 x N^2 system built in O(M N^6) flops.  On the 9-atom grid (one BLAS
@@ -161,6 +161,8 @@ class FeasibilityTarget:
     block: int = 1
 
     def __post_init__(self):
+        if self.block < 1:
+            raise ValidationError(f"target block must be >= 1, got {self.block}")
         n = len(self.nodes) * self.block
         if n > MAX_TARGET_DIM:
             raise ValidationError(

@@ -217,28 +217,6 @@ def make_b_kernel(alpha: complex, nodes: NodeSet) -> KernelMatrix:
     return KernelMatrix(nodes=nodes, matrix=mat)
 
 
-def make_d_kernel(alpha: complex, nodes: NodeSet, u_vectors) -> KernelMatrix:
-    """Rank-one-valued pullback with block (i, j) = u_i u_j^* / (1 - phi phi-bar).
-
-    One vector per node, common dimension d; the all-one-dimensional case
-    with unit entries reduces to the b-kernel.  A zero vector family gives a
-    weak kernel (vanishing diagonal), which KernelMatrix still stores.
-    """
-    us = [np.asarray(u, dtype=complex).ravel() for u in u_vectors]
-    if len(us) != len(nodes):
-        raise ValidationError("one vector per node required")
-    d = us[0].size
-    if any(u.size != d for u in us):
-        raise ValidationError("vectors must share a common dimension")
-    base = make_b_kernel(alpha, nodes).matrix
-    u = np.stack(us)
-    n = len(nodes)
-    # mat[(i, p), (j, q)] = base[i, j] u_i[p] conj(u_j[q])
-    outer = u[:, :, None, None] * u.conj()[None, None, :, :]
-    mat = (base[:, None, :, None] * outer).reshape(n * d, n * d)
-    return KernelMatrix(nodes=nodes, matrix=mat, block=d)
-
-
 def grammian_normalize(kernel: KernelMatrix) -> np.ndarray:
     """Entrywise rescaling K_ij / sqrt(K_ii K_jj); unit diagonal.
 

@@ -48,6 +48,8 @@ class PickProblem:
         shape = mats[0].shape
         if any(m.shape != shape for m in mats):
             raise ValidationError("targets must share a common shape")
+        if shape[1] < 1:
+            raise ValidationError("targets need at least one column")
         object.__setattr__(self, "targets", mats)
 
     @property

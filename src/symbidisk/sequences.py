@@ -191,32 +191,6 @@ def strong_separation(
     return out
 
 
-def weak_separation(
-    trunc: SequenceTruncation,
-    bound: float,
-    grid: AlphaGrid | None = None,
-    opts: SolveOptions = SolveOptions(),
-) -> list[list[str]]:
-    """Pairwise two-point solves; entry (i, j) asks for 1 at node i, 0 at node j."""
-    if bound <= 0:
-        raise ValidationError("bound must be positive")
-    grid = grid or AlphaGrid.solver_default()
-    n = trunc.n
-    statuses = [["n/a"] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            pair = NodeSet((trunc.nodes.points[i], trunc.nodes.points[j]))
-            problem = PickProblem(
-                nodes=pair,
-                targets=(np.array([[1.0 + 0.0j]]), np.array([[0.0 + 0.0j]])),
-                norm_bound=bound,
-            )
-            statuses[i][j] = solve_pick(problem, grid, opts).status.value
-    return statuses
-
-
 def phase_pattern_family(n: int, budget: int = 64) -> np.ndarray:
     """Unimodular target patterns forming a full residue-class group.
 

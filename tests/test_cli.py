@@ -317,6 +317,9 @@ GOLDEN = {
 }
 
 
+EMPTY_0X0 = {"rows": 0, "cols": 0, "entries": []}
+EMPTY_1X0 = {"rows": 1, "cols": 0, "entries": []}
+
 # One malformed field per problem: (kind, path to the field, value).  Each is
 # an input error (exit 1, one line), never a traceback.
 MALFORMED = {
@@ -352,6 +355,16 @@ MALFORMED = {
     "sequence-kernels-zero": ("sequence", ("payload", "kernels"), 0),
     "sequence-kernels-negative": ("sequence", ("payload", "kernels"), -2),
     "sequence-21-nodes": ("sequence", ("payload", "nodes"), [list(n) for n in NODES_21]),
+    # zero-dimension matrices
+    "pick-targets-0x0": ("pick", ("payload", "targets"), [EMPTY_0X0] * 2),
+    "pick-targets-1x0": ("pick", ("payload", "targets"), [EMPTY_1X0] * 2),
+    "phi-samples-0x0": ("corona", ("payload", "phi_samples"), [EMPTY_0X0] * 2),
+    "theta-samples-1x0": ("corona", ("payload", "theta_samples"), [EMPTY_1X0] * 2),
+    "gamma-pair-0x0": ("gamma-check", ("payload",), {"first": EMPTY_0X0, "second": EMPTY_0X0}),
+    # list fields given a number
+    "targets-integer": ("pick", ("payload", "targets"), 5),
+    "phi-samples-integer": ("corona", ("payload", "phi_samples"), 5),
+    "theta-samples-integer": ("corona", ("payload", "theta_samples"), 7),
 }
 
 
@@ -359,6 +372,8 @@ def malformed_problem(case):
     kind, path, value = MALFORMED[case]
     if kind == "measure-model":
         obj = {"format": 1, "kind": kind, "payload": {"atoms": [[2.0, 0.0, 1.0, 0.0]]}}
+    elif kind == "gamma-check":
+        obj = {"format": 1, "kind": kind, "payload": {}}
     else:
         obj = json.loads(json.dumps(GOLDEN[kind][0]))
     parent = obj
@@ -392,6 +407,19 @@ class TestMalformedFields:
     def test_kernel_count_error_names_the_field(self, case, capsys):
         with pytest.raises(symbidisk.ValidationError, match="'kernels'"):
             execute_problem(malformed_problem(case))
+
+    @pytest.mark.parametrize("case", ["targets-integer", "phi-samples-integer",
+                                      "theta-samples-integer"])
+    def test_non_list_error_names_the_field(self, case):
+        field = MALFORMED[case][1][-1]
+        with pytest.raises(symbidisk.ValidationError, match=f"'{field}' must be a list"):
+            execute_problem(malformed_problem(case))
+
+    def test_corona_phi_without_columns_is_certified_infeasible(self):
+        # Phi_i of shape 1 x 0 cannot reach Theta_i = sqrt(delta): a valid problem
+        obj = malformed_problem("phi-samples-0x0")
+        obj["payload"]["phi_samples"] = [EMPTY_1X0] * 2
+        assert execute_problem(obj)["status"] == "InfeasibleCertified"
 
     def test_pick_above_the_node_cap_is_one_input_error_line(self, tmp_path, capsys):
         p_in = tmp_path / "p.json"
@@ -551,6 +579,18 @@ class TestCorpus:
             for line, name in zip(lines[1:3], ("huge.json", "huge_member.json"))
         )
         assert lines[-1] == "corpus: 1/3 passed"
+
+    def test_every_malformed_file_is_an_input_error(self, tmp_path, capsys):
+        d = tmp_path / "corpus"
+        d.mkdir()
+        for case in MALFORMED:
+            write_json(d / f"{case}.json", malformed_problem(case))
+        assert run(["corpus", "--in", str(d)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        fails = [line for line in lines if line.startswith("FAIL")]
+        assert len(fails) == len(MALFORMED)
+        assert all("input-error" in line for line in fails), fails
+        assert lines[-1] == f"corpus: 0/{len(MALFORMED)} passed"
 
     def test_pick_above_the_node_cap_fails_alone(self, tmp_path, capsys):
         d = tmp_path / "corpus"

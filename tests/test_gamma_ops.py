@@ -7,10 +7,8 @@ from symbidisk import (
     OperatorPair,
     ValidationError,
     atomic_h2_model,
-    extract_unitary_factors,
     gamma_isometry_check,
     gamma_unitary_check,
-    spectral_set_probe,
     symmetrized_pair,
     toeplitz_positivity,
 )
@@ -99,14 +97,6 @@ class TestSymmetrizedPair:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             symmetrized_pair(0.5 * np.eye(2), np.eye(2))
-
-    def test_factor_extraction_round_trip(self, rng):
-        u1, u2 = random_commuting_unitaries(rng, 4)
-        pair = symmetrized_pair(u1, u2)
-        v1, v2 = extract_unitary_factors(pair)
-        rebuilt = symmetrized_pair(v1, v2, tol=1e-7)
-        assert np.abs(rebuilt.first - pair.first).max() <= 1e-7
-        assert np.abs(rebuilt.second - pair.second).max() <= 1e-7
 
 
 class TestAtomicModel:
@@ -202,17 +192,3 @@ class TestCrossModuleToeplitzEcho:
             samples = [row(scale_point((a.s, a.p), r)) for a in mu.atoms]
             ok, lam = toeplitz_positivity(samples, mu, delta=delta, r=r)
             assert ok, f"positivity lost at r = {r}: {lam}"
-
-
-class TestSpectralSetProbe:
-    def test_atomic_model_not_refuted(self, rng):
-        mu = AtomicMeasure(atoms=boundary_atoms(rng, 3), weights=(1.0, 1.0, 1.0))
-        pair = atomic_h2_model(mu)
-        report = spectral_set_probe(pair, degree=4, sample_count=100, seed=0, sup_samples=4000)
-        assert report.max_ratio <= 1.0 + 1e-6
-        assert not report.is_refuted
-
-    def test_oversized_pair_refuted(self):
-        pair = OperatorPair(first=3.0 * np.eye(2), second=np.eye(2))
-        report = spectral_set_probe(pair, degree=2, sample_count=50, seed=1, sup_samples=4000)
-        assert report.is_refuted

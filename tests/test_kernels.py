@@ -9,12 +9,11 @@ from symbidisk import (
     admissibility_check,
     grammian_normalize,
     make_b_kernel,
-    make_d_kernel,
     phi,
     random_admissible_kernel,
 )
 from symbidisk import kernels
-from symbidisk.hermitian import hermitian_part, min_eigenvalue, schur_oslash
+from symbidisk.hermitian import min_eigenvalue, schur_oslash
 from symbidisk.kernels import coefficient_masks, expand_masks
 
 from conftest import random_nodes
@@ -175,43 +174,6 @@ class TestBKernel:
             kern = make_b_kernel(alpha, nodes)
             rep = admissibility_check(kern, AlphaGrid(np.array([alpha])), tol=1e-12)
             assert rep.is_admissible_on_grid
-
-
-class TestDKernel:
-    def test_scalar_reduction(self, diagonal_pair):
-        alpha = 0.4
-        d = make_d_kernel(alpha, diagonal_pair, [np.array([1.0]), np.array([1.0])])
-        b = make_b_kernel(alpha, diagonal_pair)
-        assert np.abs(d.matrix - b.matrix).max() <= 1e-14
-
-    def test_zero_vectors_give_weak_kernel(self, diagonal_pair):
-        d = make_d_kernel(0.2, diagonal_pair, [np.zeros(2), np.zeros(2)])
-        assert np.abs(d.matrix).max() == 0.0
-
-    def test_block_psd(self, rng):
-        nodes = random_nodes(rng, 3)
-        us = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
-        us = [u / np.linalg.norm(u) for u in us]
-        d = make_d_kernel(0.3 + 0.2j, nodes, us)
-        assert d.block == 2
-        assert min_eigenvalue(d.matrix) >= -1e-10 * np.abs(d.matrix).max()
-
-    def test_matches_per_block_loop(self, rng):
-        nodes = random_nodes(rng, 3)
-        us = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
-        base = make_b_kernel(0.3 + 0.2j, nodes).matrix
-        expected = np.zeros((6, 6), dtype=complex)
-        for i in range(3):
-            for j in range(3):
-                block = base[i, j] * np.outer(us[i], us[j].conj())
-                expected[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = block
-        # KernelMatrix symmetrizes what it stores
-        got = make_d_kernel(0.3 + 0.2j, nodes, us).matrix
-        assert np.array_equal(got, hermitian_part(expected))
-
-    def test_dimension_mismatch(self, diagonal_pair):
-        with pytest.raises(ValidationError):
-            make_d_kernel(0.1, diagonal_pair, [np.ones(2), np.ones(3)])
 
 
 class TestRandomAdmissibleKernel:

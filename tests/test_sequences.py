@@ -12,7 +12,6 @@ from symbidisk import (
     grammian_bounds,
     make_b_kernel,
     strong_separation,
-    weak_separation,
 )
 from symbidisk import sequences
 from symbidisk.sequences import (
@@ -137,14 +136,6 @@ class TestSeparation:
         trunc = SequenceTruncation(nodes=nodes)
         sols = strong_separation(trunc, 5.0, solver_grid)
         assert any(s.status is not SolveStatus.FEASIBLE for s in sols)
-
-    def test_weak_separation_matrix(self, diag_trunc, solver_grid):
-        statuses = weak_separation(diag_trunc, 1.26, solver_grid)
-        assert statuses[0][0] == "n/a" and statuses[1][1] == "n/a"
-        assert statuses[0][1] == SolveStatus.FEASIBLE.value
-        assert statuses[1][0] == SolveStatus.FEASIBLE.value
-        tight = weak_separation(diag_trunc, 1.24, solver_grid)
-        assert tight[0][1] != SolveStatus.FEASIBLE.value
 
     def test_carleson_implies_strong_separation(self, rng, solver_grid):
         # constructive bound (1 + d)/d^2 from the disk interpolant pulled
