@@ -112,25 +112,30 @@ _STALL_STEPS = 40  # Unknown when the best residual has not halved in this many 
 # Proximal-point schedule of _conic_minimum: sigma starts at _SIGMA_START and
 # grows _SIGMA_GROWTH times per round, up to _SIGMA_MAX, where the proximal term
 # no longer matters.  The targets are normalized, t* >= 1 and G's top
-# eigenvalue is 1, so a fixed start is scale-free.  A start of 1 spent 13-29
-# of a sandwich item's 50 Newton steps on a first round that the proximal term
-# dominates.  CPU of 105 sandwich items, relative to a start of 1 growing 5
-# times (one process, schedules interleaved item by item):
-#     start x growth   seeds 921-923   seeds 40001-40003
-#     10 x 10          0.75            0.82
-#     100 x 10         0.69            0.75
-#     100 x 20         0.68            0.73
-#     1000 x 10        0.73            0.79
-#     1e4 x 10         1.02            1.09
+# eigenvalue is 1, so a fixed start is scale-free.  Under the round end of
+# _conic_minimum, CPU of 350 sandwich items (seeds 50001-50010), relative to
+# 100 x 10, and Newton steps per item; schedules interleaved item by item in
+# one process, four passes in two orders:
+#     start x growth   CPU          steps
+#     10 x 20          1.03-1.04    31.7
+#     30 x 10          1.01-1.02    30.6
+#     100 x 10         1            31.6
+#     100 x 20         0.98-1.00    32.4
+#     100 x 30         0.99-1.00    32.9
+#     1000 x 10        1.08         37.5
+# Under the tighter round end this one replaced, 1 x 5 and 1e4 x 10 cost
+# 1.3-1.5 times 100 x 10.
 _SIGMA_START = 100.0
 _SIGMA_GROWTH = 10.0
 _SIGMA_MAX = 1e8
-# A round's Newton ascent stops at ||grad|| <= max(1e-11, min(1e-3, 0.1 / sigma))
-# or at the roundoff of the gradient, which is this times sigma ||Y||: the
-# eigensolves of B^k - sigma conj(C_m) . Y are that large.  Without this floor,
-# rounds at sigma >= 1e7 chase a residual they cannot reach until the budget
-# ends them: 3 of 240 sandwich items (seeds 40001-40008, max_iter 1000), with
-# sigma starting at 100 and at 1 alike.
+# A round's Newton ascent stops at ||grad|| <= max(1e-11, min(1, 100 / sigma))
+# or at the roundoff of the gradient, which is taken as this times sigma ||Y||:
+# the eigensolves of B^k - sigma conj(C_m) . Y are that large.  Without this
+# floor, rounds at sigma >= 1e7 chased a residual they could not reach until the
+# budget ended them: 3 of 240 sandwich items (seeds 40001-40008, max_iter 1000)
+# under the round end min(1e-3, 0.1 / sigma).  At t* of 250-580 it underestimates
+# the roundoff: two sandwich items stopped improving at 1.6 and 26 times this
+# floor, and only the idle-step rule of _conic_minimum ends those rounds.
 _GRAD_NOISE = 1e-13
 # _conic_minimum repairs its witness only at atoms whose Szego kernel S_k is
 # safely positive definite, lambda_min(S_k) > _SZEGO_FLOOR lambda_max(S_k).
@@ -556,9 +561,16 @@ def _conic_minimum(nodes, grid, g, block, gap, opts, bound):
     and gradient G + sum_m C_m . B_m(Y) - t(Y) E, by the semismooth Newton
     ascent of solve.  The generalized Hessian is sigma (V + vec E vec E*), V
     the _dense_hessian at the eigenpairs of B_m^k - sigma conj(C_m) . Y.  The
-    round ends with t_k, B^k = t(Y), B(Y), and sigma, which starts at
-    _SIGMA_START = 100, grows _SIGMA_GROWTH = 10 times; Y carries over.
-    The proximal term keeps ||Y|| bounded near the optimum (Li, Sun & Toh,
+    first round starts from Y = I / N, where Re<E, Y> = 1 and so t(Y) = t_k
+    (from Y = 0 it would be t_k - sigma).  A round is solved inexactly, to
+    ||grad|| <= max(1e-11, min(1, 100 / sigma)), since the next, larger sigma
+    moves the residual far above that anyway; or to the gradient's roundoff,
+    _GRAD_NOISE sigma ||Y||.  It also ends when the line search finds no step,
+    or only an idle one, which moves phi within its roundoff and does not
+    lower the residual.  The round ends with t_k, B^k = t(Y), B(Y), and sigma,
+    which starts at _SIGMA_START = 100, grows _SIGMA_GROWTH = 10 times; Y
+    carries over.  The proximal term keeps ||Y|| bounded near the optimum, and
+    inexact rounds keep the proximal-point method convergent (Li, Sun & Toh,
     SIAM J. Optim. 2018; Rockafellar, SIAM J. Control Optim. 1976).
 
     After each round both ends tighten:
@@ -581,8 +593,8 @@ def _conic_minimum(nodes, grid, g, block, gap, opts, bound):
     opts.max_iter caps the Newton steps over all rounds and opts.tol is the
     admissibility tolerance of the kernels.  NumericsError when the bracket
     has not closed within the budget, or when a round at the largest sigma
-    takes no step; the widths it names are those of sqrt(t), relative to the
-    targets' scale.
+    moves no iterate; the widths it names are those of sqrt(t), relative to
+    the targets' scale.
     """
     n = len(nodes)
     ee = np.kron(np.ones((n, n)), np.eye(block))
@@ -640,13 +652,13 @@ def _conic_minimum(nodes, grid, g, block, gap, opts, bound):
     lo = 1.0  # forced by the diagonal blocks
     hi2, witness = repair(1.0, np.zeros_like(cexp))
     tk, bk, sigma = 1.0, np.zeros_like(cexp), _SIGMA_START
-    y = np.zeros_like(g)
+    y = np.eye(len(g)) / len(g)  # Re<E, Y> = 1, so t(Y) = t_k
     steps = 0
     while math.sqrt(hi2) - lo > gap:
-        inner_tol = max(1e-11, min(1e-3, 0.1 / sigma), _GRAD_NOISE * sigma * _norm(y))
+        inner_tol = max(1e-11, min(1.0, 100.0 / sigma), _GRAD_NOISE * sigma * _norm(y))
         t, b, grad, phi, noise, lam, vecs = point(y, tk, bk, sigma)
         res = _norm(grad)
-        round_start = steps
+        moved = False
         while res > inner_tol:
             if steps >= opts.max_iter:
                 raise NumericsError(
@@ -667,9 +679,13 @@ def _conic_minimum(nodes, grid, g, block, gap, opts, bound):
             found = _line_search(at, phi, float(np.vdot(grad, dy).real), res, noise)
             if found is None:
                 break  # the round ends; the next one moves the proximal center
-            step, (t, b, grad, phi, noise, lam, vecs), res = found
+            step, trial, res_t = found
+            if abs(trial[3] - phi) <= noise and res_t >= res:
+                break  # so does an idle step: phi within its roundoff, no lower residual
+            (t, b, grad, phi, noise, lam, vecs), res = trial, res_t
             y = y + step * dy
-        if steps == round_start and sigma == _SIGMA_MAX:
+            moved = True
+        if not moved and sigma == _SIGMA_MAX:
             raise NumericsError(
                 f"minimal-norm bracket stalled at relative width {math.sqrt(hi2) - lo:.3e}"
                 f" > {gap:.3e}"

@@ -143,18 +143,22 @@ def atomic_h2_model(mu: AtomicMeasure) -> OperatorPair:
 
 
 def cyclic_rank(pair: OperatorPair, vector: np.ndarray | None = None) -> int:
-    """Rank of the joint Krylov span {T^a V^b vector}."""
+    """Rank of the joint Krylov span {T^a V^b vector}, a, b < n.
+
+    The columns V^b vector take n matrix-vector products, and T is applied to
+    that n x n block n - 1 times: O(n^4) flops, not the O(n^5) of forming
+    every T^a V^b.  Columns are ordered by a, then b.
+    """
     n = pair.dim
     v = np.ones(n, dtype=complex) if vector is None else np.asarray(vector, dtype=complex)
-    cols = []
-    ta = np.eye(n, dtype=complex)
-    for _ in range(n):
-        tb = ta.copy()
-        for _ in range(n):
-            cols.append(tb @ v)
-            tb = tb @ pair.second
-        ta = ta @ pair.first
-    mat = np.stack(cols, axis=1)
+    block = np.empty((n, n), dtype=complex)
+    block[:, 0] = v
+    for b in range(1, n):
+        block[:, b] = pair.second @ block[:, b - 1]
+    blocks = [block]
+    for _ in range(n - 1):
+        blocks.append(pair.first @ blocks[-1])
+    mat = np.concatenate(blocks, axis=1)
     return int(np.linalg.matrix_rank(mat, tol=1e-10 * max(1.0, np.abs(mat).max())))
 
 

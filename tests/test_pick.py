@@ -379,8 +379,9 @@ def test_conic_bracket_matches_the_bisection_on_a_sandwich_item(solver_grid):
 def test_conic_newton_steps_on_a_sandwich_item(monkeypatch, solver_grid):
     # at the bench's options; the bisection it replaced took 16 solves and 113
     # Newton steps, and pick.solve is no longer called.  The conic solve takes
-    # 39 steps with sigma starting at 100 and growing 10 times per round (50
-    # from sigma = 1 growing 5 times)
+    # 34 steps from Y = I / N with sigma starting at 100 and growing 10 times per
+    # round (39 from Y = 0 with tighter round ends, 50 from sigma = 1 growing 5
+    # times)
     opts, width = SolveOptions(max_iter=1000), 1e-4
     problem = sandwich_item()
     steps, solves = [], []
@@ -389,7 +390,7 @@ def test_conic_newton_steps_on_a_sandwich_item(monkeypatch, solver_grid):
     monkeypatch.setattr(pick, "solve", lambda *a: solves.append(1) or solve(*a))
     lo, hi = minimal_norm_bracket(problem, solver_grid, opts, width)
     assert lo <= hi <= lo + width * max(1.0, lo)
-    assert 0 < len(steps) <= 45 and not solves
+    assert 0 < len(steps) <= 39 and not solves
     monkeypatch.undo()
     above = PickProblem(
         nodes=problem.nodes, targets=problem.targets, norm_bound=hi + width * max(1.0, hi)
@@ -399,3 +400,51 @@ def test_conic_newton_steps_on_a_sandwich_item(monkeypatch, solver_grid):
     assert residual(assemble_pick_target(above), sol.report.blocks) <= 2 * opts.tol
     assert sol.node_residual <= 1e-7
     assert verify_contractivity(sol.interpolant, 2000) <= 1.0 + 1e-8
+
+
+# Two sandwich items (minimal norms about 24.048 and 15.942, t* about 580 and
+# 250) on which a round at sigma = 1e6-1e7 once sat at its gradient's roundoff,
+# accepting steps that left phi and the residual unchanged, until 1000 Newton
+# steps ran out.  Nodes are (s, p) pairs, targets scalars.
+BUDGET_BRACKETS = {
+    "A": (
+        [
+            (-0.11621099850879182 + 0.054562111232834595j, 0.022884014573559597 + 0.007414804796352391j),
+            (-1.075774943111471 + 0.42755053316874175j, 0.2621037383995627 - 0.2601069134670138j),
+            (0.05786580144709284 + 0.20063814782928963j, -0.011421021693132456 + 0.008077533175764411j),
+        ],
+        [-1.8369701987210297e-16 - 1j, 1 + 0j, 6.123233995736766e-17 + 1j],
+    ),
+    "B": (
+        [
+            (-0.11778980929318392 - 0.2363838030939706j, -0.029375391244156394 + 0.023770636819609357j),
+            (0.7856162874631972 - 0.3145559949498325j, 0.13738661543521388 - 0.1051650038250255j),
+            (-0.18911574250855487 - 0.10546269541936425j, -0.008342067859610157 - 0.030312334778620213j),
+        ],
+        [-1.8369701987210297e-16 - 1j, -1.8369701987210297e-16 - 1j, 1 + 0j],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_BRACKETS))
+def test_conic_bracket_that_idled_at_roundoff_closes(name, monkeypatch, solver_grid):
+    # the check of bench/workloads.py::Sandwich._check at the bench's options;
+    # each closes in 61-71 steps
+    opts, width = SolveOptions(max_iter=1000), 1e-4
+    pairs, ws = BUDGET_BRACKETS[name]
+    problem = PickProblem(
+        nodes=NodeSet.from_pairs(pairs), targets=tuple(np.array([[w]]) for w in ws)
+    )
+    steps = []
+    hessian = feasibility._dense_hessian
+    monkeypatch.setattr(feasibility, "_dense_hessian", lambda *a: steps.append(1) or hessian(*a))
+    lo, hi = minimal_norm_bracket(problem, solver_grid, opts, width)
+    assert len(steps) <= 150
+    monkeypatch.undo()
+    assert lo <= hi and hi - lo <= width * max(1.0, hi)
+    above = PickProblem(
+        nodes=problem.nodes, targets=problem.targets, norm_bound=hi + width * max(1.0, hi)
+    )
+    sol = solve_pick(above, solver_grid, opts)
+    assert sol.status is SolveStatus.FEASIBLE
+    assert sol.node_residual <= 1e-7
