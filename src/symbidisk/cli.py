@@ -29,7 +29,6 @@ from .gamma_ops import (
     AtomicMeasure,
     OperatorPair,
     atomic_h2_model,
-    cyclic_rank,
     gamma_isometry_check,
     gamma_unitary_check,
 )
@@ -415,7 +414,6 @@ def _handle_measure_model(payload, grid, opts) -> dict:
         "first_diag": [encode_complex(z) for z in np.diag(pair.first)],
         "second_diag": [encode_complex(z) for z in np.diag(pair.second)],
         "isometry_passed": check.passed,
-        "cyclic_rank": cyclic_rank(pair),
     }
 
 

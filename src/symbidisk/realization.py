@@ -75,21 +75,6 @@ class Colligation:
     def padded_dim(self) -> int:
         return self.a.shape[0]
 
-    def block_matrix(self) -> np.ndarray:
-        top = np.hstack([self.a, self.b])
-        bottom = np.hstack([self.c, self.d])
-        return np.vstack([top, bottom])
-
-    def unitarity_defect(self) -> float:
-        v = self.block_matrix()
-        eye = np.eye(v.shape[0])
-        return float(
-            max(
-                np.abs(v @ v.conj().T - eye).max(initial=0.0),
-                np.abs(v.conj().T @ v - eye).max(initial=0.0),
-            )
-        )
-
 
 def lurking_isometry(
     blocks: CPBlocks,

@@ -222,15 +222,9 @@ def interpolation_constant(
     """
     grid = grid or AlphaGrid.solver_default()
     best = 0.0
-    seen: set[tuple] = set()
-    for pattern in phase_pattern_family(trunc.n, budget):
-        # a global unimodular factor leaves the assembled target unchanged,
-        # so one representative per phase class decides the whole class
-        canonical = pattern / pattern[0]
-        key = tuple(np.round(canonical, 9))
-        if key in seen:
-            continue
-        seen.add(key)
+    family = phase_pattern_family(trunc.n, budget)
+    # a global phase leaves the target unchanged: one pattern per class
+    for pattern in family[family[:, 0] == 1]:
         problem = PickProblem(
             nodes=trunc.nodes,
             targets=tuple(np.array([[w]]) for w in pattern),

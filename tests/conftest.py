@@ -53,3 +53,10 @@ def near_threshold_problem():
     )
     targets = tuple(np.array([[w]]) for w in (1.0, 1.0, -1.0 + 1.2246467991473532e-16j))
     return PickProblem(nodes=nodes, targets=targets)
+
+
+# Every field of a measure-model report.
+MEASURE_REPORT_FIELDS = {
+    "format", "kind", "problem", "seed", "tool_version", "timings", "report_hash",
+    "dim", "first_diag", "second_diag", "isometry_passed",
+}

@@ -1,10 +1,11 @@
-"""Every public function or class of the package serves something besides its tests.
+"""Every public function, class or method of the package serves something besides its tests.
 
-A public top-level ``def`` or ``class`` in ``src/symbidisk`` must be referenced
-as code (a name, an attribute or an import alias; strings do not count) from
-the package itself, the bench, the tools or the acceptance suite.  Unit tests
-alone do not keep a function alive: API that only its own tests reach is
-deleted with those tests.
+A public top-level ``def`` or ``class`` in ``src/symbidisk``, and a public
+method (or property) of a public class, must be referenced as code (a name, an
+attribute or an import alias; strings do not count) from the package itself,
+the bench, the tools or the acceptance suite.  A method counts as reached when
+its name is, whichever object it is read from.  Unit tests alone do not keep a
+function alive: API that only its own tests reach is deleted with those tests.
 """
 
 import ast
@@ -38,6 +39,20 @@ def public_definitions() -> set[str]:
     return names
 
 
+def public_methods() -> set[str]:
+    """``Class.method`` for every public method of a public top-level class."""
+    names = set()
+    for path in _modules():
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                names.update(
+                    f"{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                )
+    return names
+
+
 def referenced_names() -> set[str]:
     files = [*_modules(), *(ROOT / "bench").glob("*.py"), *(ROOT / "tools").glob("*.py"),
              ROOT / "tests" / "test_acceptance.py"]
@@ -60,3 +75,9 @@ def test_no_public_api_is_reached_only_by_unit_tests():
 
 def test_allow_list_names_existing_api():
     assert ALLOWED <= public_definitions()
+
+
+def test_no_public_method_is_reached_only_by_unit_tests():
+    reached = referenced_names()
+    unreached = {m for m in public_methods() if m.split(".")[1] not in reached}
+    assert not unreached, f"public methods reached only by unit tests: {sorted(unreached)}"

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import symbidisk.cli
 from symbidisk.cli import execute_problem, run
 from symbidisk.serialize import canonical_json, report_hash
 
-from conftest import near_threshold_problem
+from conftest import MEASURE_REPORT_FIELDS, near_threshold_problem
 
 
 def write_json(path, obj):
@@ -194,7 +195,9 @@ class TestRun:
         write_json(p_in, obj)
         assert run(["measure-model", "--in", str(p_in)]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["isometry_passed"] is True and out["cyclic_rank"] == 1
+        assert out["isometry_passed"] is True and out["dim"] == 1
+        # no rank field: distinct atoms with positive weights are cyclic by construction
+        assert set(out) == MEASURE_REPORT_FIELDS
 
     def test_sequence_kind(self, tmp_path, capsys):
         obj = {
@@ -430,6 +433,18 @@ class TestMalformedFields:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:"), lines
         assert "21 rows" in lines[0]
+
+    def test_measure_above_the_atom_cap_is_one_input_error_line(self, tmp_path, capsys):
+        # s = 2 cos(t), p = 1: distinct points of the boundary of the symmetrized bidisk
+        rows = [[2.0 * math.cos(math.pi * k / 1024), 0.0, 1.0, 0.0] for k in range(1025)]
+        p_in = tmp_path / "m.json"
+        write_json(p_in, {"format": 1, "kind": "measure-model", "payload": {"atoms": rows}})
+        assert run(["measure-model", "--in", str(p_in)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:"), lines
+        assert "1025 atoms" in lines[0]
 
     def test_huge_grid_flag_is_one_input_error_line(self, tmp_path, capsys):
         p_in = tmp_path / "p.json"

@@ -12,7 +12,9 @@ from symbidisk import (
     symmetrized_pair,
     toeplitz_positivity,
 )
-from symbidisk.gamma_ops import cyclic_rank
+from symbidisk.cli import execute_problem
+
+from conftest import MEASURE_REPORT_FIELDS
 
 
 def random_commuting_unitaries(rng, dim):
@@ -115,11 +117,20 @@ class TestAtomicModel:
             )
             assert gamma_isometry_check(atomic_h2_model(mu)).passed
 
-    def test_cyclic_with_constant_vector(self, rng):
-        m = 4
-        mu = AtomicMeasure(atoms=boundary_atoms(rng, m), weights=tuple(1.0 + rng.random(m)))
-        pair = atomic_h2_model(mu)
-        assert cyclic_rank(pair) == m
+    def test_forty_random_boundary_atoms_are_accepted(self):
+        # distinct atoms (min |ds| + |dp| is 0.071) whose monomial columns
+        # s^a p^b span magnitudes up to 2^39, so a numerical rank test of that
+        # span would call them not separable
+        rng = np.random.default_rng(0)
+        z = np.exp(2j * np.pi * rng.random((2, 40)))
+        s, p = z[0] + z[1], z[0] * z[1]
+        rows = [[a.real, a.imag, b.real, b.imag] for a, b in zip(s, p)]
+        report = execute_problem(
+            {"format": 1, "kind": "measure-model", "payload": {"atoms": rows}}
+        )
+        assert report["dim"] == 40
+        assert report["isometry_passed"] is True
+        assert set(report) == MEASURE_REPORT_FIELDS
 
     def test_duplicate_atoms_rejected(self):
         with pytest.raises(ValidationError):
