@@ -36,6 +36,7 @@ from .geometry import BGammaPoint, membership
 from .kernels import AlphaGrid
 from .pick import PickProblem, minimal_norm, solve_pick
 from .sequences import (
+    MAX_KERNELS,
     SequenceTruncation,
     best_carleson_alpha,
     grammian_bounds,
@@ -171,12 +172,18 @@ def _cli_overrides(args) -> dict:
 
 
 def _load_problem(path: str | None) -> dict:
-    if path is None:
-        return _parse_json(sys.stdin.read())
-    if not os.path.exists(path):
-        raise ValidationError(f"problem file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_json(fh.read())
+    """The parsed problem at ``path`` (stdin when None); unreadable input is a ValidationError."""
+    try:
+        if path is None:
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except FileNotFoundError:
+        raise ValidationError(f"problem file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read problem file {path or '<stdin>'}: {exc}") from None
+    return _parse_json(text)
 
 
 def _parse_json(text: str):
@@ -344,8 +351,8 @@ def _handle_sequence(payload, grid, opts) -> dict:
         raise ValidationError(f"field 'n' must be in [1, {len(nodes)}], got {n}")
     trunc = SequenceTruncation(nodes=nodes.prefix(n))
     kernel_count = read_number(payload.get("kernels", 8), "kernels", integral=True)
-    if kernel_count < 1:
-        raise ValidationError(f"field 'kernels' must be >= 1, got {kernel_count}")
+    if not 1 <= kernel_count <= MAX_KERNELS:
+        raise ValidationError(f"field 'kernels' must be in [1, {MAX_KERNELS}], got {kernel_count}")
     alpha_samples = read_number(
         payload.get("alpha_samples", len(grid)), "alpha_samples", integral=True
     )
@@ -453,9 +460,7 @@ def corpus(args) -> int:
     def run_one(name: str) -> tuple[str, str, str]:
         path = os.path.join(in_dir, name)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                problem = _parse_json(fh.read())
-            report = execute_problem(problem, overrides)
+            report = execute_problem(_load_problem(path), overrides)
         except (ValidationError, json.JSONDecodeError, OverflowError) as exc:
             return name, "input-error", str(exc)
         except (NumericsError, np.linalg.LinAlgError) as exc:
@@ -474,7 +479,7 @@ def corpus(args) -> int:
             with open(expected_path, "r", encoding="utf-8") as fh:
                 expected = json.load(fh)
             verdict = _compare_expected(report, expected)
-        except (json.JSONDecodeError, TypeError, KeyError, ValueError) as exc:
+        except (OSError, json.JSONDecodeError, TypeError, KeyError, ValueError) as exc:
             return name, "corrupt-expected", str(exc)
         return name, ("ok" if verdict is None else "mismatch"), (verdict or "matched")
 
@@ -493,11 +498,17 @@ def corpus(args) -> int:
 
 
 def _compare_expected(report: dict, expected: dict) -> str | None:
-    for key, want in (expected.get("equals") or {}).items():
+    """The first mismatch of ``report`` against a sidecar, or None; ValueError on a malformed one."""
+    if not isinstance(expected, dict):
+        raise ValueError(f"expectation must be an object, got {type(expected).__name__}")
+    for field in ("equals", "approx"):
+        if not isinstance(expected.get(field, {}), dict):
+            raise ValueError(f"field {field!r} must be an object")
+    for key, want in expected.get("equals", {}).items():
         got = report.get(key)
         if got != want:
             return f"field {key!r}: expected {want!r}, got {got!r}"
-    for key, spec in (expected.get("approx") or {}).items():
+    for key, spec in expected.get("approx", {}).items():
         want, tol = float(spec[0]), float(spec[1])
         got = report.get(key)
         if got is None or not isinstance(got, (int, float)):

@@ -128,15 +128,6 @@ _STALL_STEPS = 40  # Unknown when the best residual has not halved in this many 
 _SIGMA_START = 100.0
 _SIGMA_GROWTH = 10.0
 _SIGMA_MAX = 1e8
-# A round's Newton ascent stops at ||grad|| <= max(1e-11, min(1, 100 / sigma))
-# or at the roundoff of the gradient, which is taken as this times sigma ||Y||:
-# the eigensolves of B^k - sigma conj(C_m) . Y are that large.  Without this
-# floor, rounds at sigma >= 1e7 chased a residual they could not reach until the
-# budget ended them: 3 of 240 sandwich items (seeds 40001-40008, max_iter 1000)
-# under the round end min(1e-3, 0.1 / sigma).  At t* of 250-580 it underestimates
-# the roundoff: two sandwich items stopped improving at 1.6 and 26 times this
-# floor, and only the idle-step rule of _conic_minimum ends those rounds.
-_GRAD_NOISE = 1e-13
 # _conic_minimum repairs its witness only at atoms whose Szego kernel S_k is
 # safely positive definite, lambda_min(S_k) > _SZEGO_FLOOR lambda_max(S_k).
 # Two nodes with the same phi(alpha_k, .) make S_k singular: at alpha = 0,
@@ -563,15 +554,15 @@ def _conic_minimum(nodes, grid, g, block, gap, opts, bound):
     the _dense_hessian at the eigenpairs of B_m^k - sigma conj(C_m) . Y.  The
     first round starts from Y = I / N, where Re<E, Y> = 1 and so t(Y) = t_k
     (from Y = 0 it would be t_k - sigma).  A round is solved inexactly, to
-    ||grad|| <= max(1e-11, min(1, 100 / sigma)), since the next, larger sigma
-    moves the residual far above that anyway; or to the gradient's roundoff,
-    _GRAD_NOISE sigma ||Y||.  It also ends when the line search finds no step,
-    or only an idle one, which moves phi within its roundoff and does not
-    lower the residual.  The round ends with t_k, B^k = t(Y), B(Y), and sigma,
-    which starts at _SIGMA_START = 100, grows _SIGMA_GROWTH = 10 times; Y
-    carries over.  The proximal term keeps ||Y|| bounded near the optimum, and
-    inexact rounds keep the proximal-point method convergent (Li, Sun & Toh,
-    SIAM J. Optim. 2018; Rockafellar, SIAM J. Control Optim. 1976).
+    ||grad|| <= 100 / sigma, since the next, larger sigma moves the residual
+    far above that anyway.  Roundoff ends it only as measured at the iterate:
+    when the line search finds no step, or only an idle one, which moves phi
+    within its roundoff and does not lower the residual.  The round ends with
+    t_k, B^k = t(Y), B(Y), and sigma, which starts at _SIGMA_START = 100,
+    grows _SIGMA_GROWTH = 10 times; Y carries over.  The proximal term keeps
+    ||Y|| bounded near the optimum, and inexact rounds keep the proximal-point
+    method convergent (Li, Sun & Toh, SIAM J. Optim. 2018; Rockafellar, SIAM J.
+    Control Optim. 1976).
 
     After each round both ends tighten:
 
@@ -655,7 +646,7 @@ def _conic_minimum(nodes, grid, g, block, gap, opts, bound):
     y = np.eye(len(g)) / len(g)  # Re<E, Y> = 1, so t(Y) = t_k
     steps = 0
     while math.sqrt(hi2) - lo > gap:
-        inner_tol = max(1e-11, min(1.0, 100.0 / sigma), _GRAD_NOISE * sigma * _norm(y))
+        inner_tol = 100.0 / sigma  # in [1e-6, 1] over the sigma schedule
         t, b, grad, phi, noise, lam, vecs = point(y, tk, bk, sigma)
         res = _norm(grad)
         moved = False

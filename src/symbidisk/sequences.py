@@ -31,6 +31,11 @@ from .kernels import (
 from .pick import PickProblem, PickSolution, minimal_norm_bracket, solve_pick
 
 DEFAULT_KERNEL_CENSUS = 32
+# Kernels a sequence census may ask for.  Each costs an admissibility check on
+# the whole grid and a Grammian eigensolve: about 1.0 ms at 3 nodes and 4 ms at
+# 20 (x86_64, one BLAS thread), so 1024 kernels take about 4 s at 20 nodes,
+# while an unbounded count would draw up to 4 times that many random kernels.
+MAX_KERNELS = 1024
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,30 @@ def near_threshold_problem():
     return PickProblem(nodes=nodes, targets=targets)
 
 
+# A loop-bound pick file of the bench corpus (seed 4, directory in01,
+# z_loop_pick_0) as its rows: nodes [s_re, s_im, p_re, p_im], targets [re, im].
+# Its nodes lie close together, so every atom's Szego kernel has
+# lambda_min / lambda_max of 6e-5 to 1.2e-4; its minimal norm is about 0.83361.
+LOOP_FILE_NODES = [
+    [0.2565295042345952, 0.7130577503236621, -0.10117269318777285, 0.09065632694060304],
+    [-0.13974691415377843, 0.6001291024980986, -0.07575337763952662, -0.044437374324699866],
+    [0.27079205976278065, 0.541918020159267, -0.06071848607783768, 0.07175188912867626],
+]
+LOOP_FILE_TARGETS = [
+    [-0.07637141295939631, -0.4918909064022978],
+    [-0.09717582219390083, -0.40235209597902216],
+    [-0.09805556857999928, -0.48196423366461283],
+]
+
+
+def loop_file_problem():
+    nodes = NodeSet.from_pairs(
+        [(complex(sr, si), complex(pr, pi)) for sr, si, pr, pi in LOOP_FILE_NODES]
+    )
+    targets = tuple(np.array([[complex(re, im)]]) for re, im in LOOP_FILE_TARGETS)
+    return PickProblem(nodes=nodes, targets=targets)
+
+
 # Every field of a measure-model report.
 MEASURE_REPORT_FIELDS = {
     "format", "kind", "problem", "seed", "tool_version", "timings", "report_hash",

@@ -11,7 +11,12 @@ import symbidisk.cli
 from symbidisk.cli import execute_problem, run
 from symbidisk.serialize import canonical_json, report_hash
 
-from conftest import MEASURE_REPORT_FIELDS, near_threshold_problem
+from conftest import (
+    LOOP_FILE_NODES,
+    LOOP_FILE_TARGETS,
+    MEASURE_REPORT_FIELDS,
+    near_threshold_problem,
+)
 
 
 def write_json(path, obj):
@@ -125,6 +130,36 @@ class TestRun:
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: minimal-norm")
+
+    def test_minimal_norm_of_a_loop_file_with_close_nodes(self, tmp_path, capsys):
+        # its bracket once stalled at sigma = 1e8 (exit 2, "stalled at relative width")
+        p_in = tmp_path / "loop.json"
+        obj = {
+            "format": 1,
+            "kind": "pick",
+            "payload": {
+                "nodes": LOOP_FILE_NODES, "targets": LOOP_FILE_TARGETS, "minimal_norm": True
+            },
+            "opts": {"max_iter": 2000},
+        }
+        write_json(p_in, obj)
+        code = run(["pick", "--in", str(p_in)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["minimal_norm"] == pytest.approx(0.8336077, abs=2e-4)
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{", None], ids=["non-utf8", "directory"])
+    def test_unreadable_problem_file_is_one_input_error_line(self, tmp_path, capsys, content):
+        p_in = tmp_path / "p.json"
+        if content is None:
+            p_in.mkdir()
+        else:
+            p_in.write_bytes(content)
+        assert run(["pick", "--in", str(p_in)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:"), lines
 
     @pytest.mark.parametrize("argv", [
         ["membership", "--s", "1e300", "0"],
@@ -357,6 +392,7 @@ MALFORMED = {
     "alpha-samples-negative": ("sequence", ("payload", "alpha_samples"), -3),
     "sequence-kernels-zero": ("sequence", ("payload", "kernels"), 0),
     "sequence-kernels-negative": ("sequence", ("payload", "kernels"), -2),
+    "sequence-kernels-above-cap": ("sequence", ("payload", "kernels"), 1025),
     "sequence-21-nodes": ("sequence", ("payload", "nodes"), [list(n) for n in NODES_21]),
     # zero-dimension matrices
     "pick-targets-0x0": ("pick", ("payload", "targets"), [EMPTY_0X0] * 2),
@@ -406,7 +442,9 @@ class TestMalformedFields:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:"), lines
 
-    @pytest.mark.parametrize("case", ["sequence-kernels-zero", "sequence-kernels-negative"])
+    @pytest.mark.parametrize(
+        "case", ["sequence-kernels-zero", "sequence-kernels-negative", "sequence-kernels-above-cap"]
+    )
     def test_kernel_count_error_names_the_field(self, case, capsys):
         with pytest.raises(symbidisk.ValidationError, match="'kernels'"):
             execute_problem(malformed_problem(case))
@@ -445,6 +483,16 @@ class TestMalformedFields:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:"), lines
         assert "1025 atoms" in lines[0]
+
+    def test_kernels_flag_above_the_cap_is_one_input_error_line(self, tmp_path, capsys):
+        p_in = tmp_path / "s.json"
+        write_json(p_in, GOLDEN["sequence"][0])
+        assert run(["sequence", "--in", str(p_in), "--kernels", "1025"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:"), lines
+        assert "'kernels'" in lines[0]
 
     def test_huge_grid_flag_is_one_input_error_line(self, tmp_path, capsys):
         p_in = tmp_path / "p.json"
@@ -557,6 +605,35 @@ class TestCorpus:
         write_json(d / "a.json", pick_problem_obj())
         (d / "a.expected.json").write_text("{not json")
         assert run(["corpus", "--in", str(d)]) == 1
+
+    @pytest.mark.parametrize(
+        "sidecar",
+        [[1, 2], {"equals": ["status"]}, {"approx": 3}, "Feasible", None],
+        ids=["list", "equals-list", "approx-number", "string", "directory"],
+    )
+    def test_malformed_expected_fails_alone(self, tmp_path, capsys, sidecar):
+        d = self._make_corpus(tmp_path)
+        write_json(d / "d.json", pick_problem_obj())
+        if sidecar is None:
+            (d / "d.expected.json").mkdir()
+        else:
+            write_json(d / "d.expected.json", sidecar)
+        assert run(["corpus", "--in", str(d)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        fails = [line for line in lines if line.startswith("FAIL")]
+        assert len(fails) == 1 and fails[0].startswith("FAIL  d.json"), lines
+        assert "corrupt-expected" in fails[0]
+        assert lines[-1] == "corpus: 3/4 passed"
+
+    def test_non_utf8_file_fails_alone(self, tmp_path, capsys):
+        d = self._make_corpus(tmp_path)
+        (d / "bad.json").write_bytes(b"\xff\xfe{")
+        assert run(["corpus", "--in", str(d)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        fails = [line for line in lines if line.startswith("FAIL")]
+        assert len(fails) == 1 and fails[0].startswith("FAIL  bad.json"), lines
+        assert "input-error" in fails[0]
+        assert lines[-1] == "corpus: 3/4 passed"
 
     def test_non_finite_file_fails_alone(self, tmp_path, capsys):
         d = self._make_corpus(tmp_path)

@@ -26,10 +26,11 @@ from symbidisk import (
 )
 from symbidisk import feasibility, pick
 from symbidisk.feasibility import SolveReport
+from symbidisk.geometry import phi_values
 from symbidisk.hermitian import hermitian_part
 from symbidisk.realization import realize
 
-from conftest import near_threshold_problem, random_nodes
+from conftest import loop_file_problem, near_threshold_problem, random_nodes
 
 
 def scalar_problem(nodes, ws, bound=1.0):
@@ -442,6 +443,58 @@ def test_conic_bracket_that_idled_at_roundoff_closes(name, monkeypatch, solver_g
     assert len(steps) <= 150
     monkeypatch.undo()
     assert lo <= hi and hi - lo <= width * max(1.0, hi)
+    above = PickProblem(
+        nodes=problem.nodes, targets=problem.targets, norm_bound=hi + width * max(1.0, hi)
+    )
+    sol = solve_pick(above, solver_grid, opts)
+    assert sol.status is SolveStatus.FEASIBLE
+    assert sol.node_residual <= 1e-7
+
+
+def planted_problem(n, seed):
+    """0.95 F at n nodes, F the transfer function of a random unitary colligation.
+
+    Its 3 states sit on 3 distinct atoms of the solver grid, so the targets are
+    grid-feasible with minimal norm at most 0.95.
+    """
+    rng = np.random.default_rng(seed)
+    nodes = random_nodes(rng, n, rmax=0.8)
+    alphas = AlphaGrid.solver_default().alphas
+    q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    a, b, c, d = q[:1, :1], q[:1, 1:], q[1:, :1], q[1:, 1:]
+    atoms = rng.choice(len(alphas), 3, replace=False)
+    zs = phi_values(alphas[atoms], nodes.s, nodes.p).T
+    f = [a + (b * z) @ np.linalg.solve(np.eye(3) - d * z, c) for z in zs]
+    return PickProblem(nodes=nodes, targets=tuple(0.95 * fz for fz in f))
+
+
+def unimodular_problem(n, seed):
+    rng = np.random.default_rng(seed)
+    nodes = random_nodes(rng, n, rmax=0.8)
+    return scalar_problem(nodes, np.exp(2j * np.pi * rng.random(n)))
+
+
+# Brackets that once stalled: at sigma = 1e8 a fixed round-end floor of
+# 1e-13 sigma ||Y|| ended every round before its first Newton step, with the
+# bracket still wider than its width.
+STALLED_BRACKETS = {
+    "loop-file": loop_file_problem,
+    "planted-10-seed-5": lambda: planted_problem(10, 5),
+    "planted-12-seed-1": lambda: planted_problem(12, 1),
+    "unimodular-14-seed-3": lambda: unimodular_problem(14, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STALLED_BRACKETS))
+def test_bracket_that_stalled_at_the_largest_sigma_closes(name, solver_grid):
+    opts, width = SolveOptions(max_iter=2000), 1e-4
+    problem = STALLED_BRACKETS[name]()
+    lo, hi, witness = pick._conic_bracket(problem, solver_grid, opts, width)
+    top = max(float(np.linalg.norm(t, 2)) for t in problem.targets)
+    assert 0.0 <= hi - lo <= width * max(1.0, top)
+    at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
+    assert residual(assemble_pick_target(at_hi), witness) <= opts.tol
+    # the check of bench/workloads.py::Sandwich._check
     above = PickProblem(
         nodes=problem.nodes, targets=problem.targets, norm_bound=hi + width * max(1.0, hi)
     )
