@@ -500,11 +500,10 @@ def _single_atom_witness(target, grid, cexp, opts):
     return CPBlocks(grid=grid, blocks=tuple(stack)), float(res[k])
 
 
-def _admissible_kernel(nodes, masks, k, tol, block=1) -> KernelMatrix | None:
+def _admissible_kernel(nodes, masks, k, tol) -> KernelMatrix | None:
     """Unit-diagonal rescale of k, when it is grid-admissible.
 
-    k has block x block blocks per node pair, and ``masks`` are the grid's
-    coefficient masks expanded to that block, which the caller already holds.
+    ``masks`` are the grid's coefficient masks, which the caller already holds.
     The rescale is grammian_normalize's and the test admissibility_check's,
     bit for bit.
     """
@@ -514,14 +513,9 @@ def _admissible_kernel(nodes, masks, k, tol, block=1) -> KernelMatrix | None:
     if not np.all(np.real(np.diag(k)) > 0.0):  # grammian_normalize raises: no kernel
         return None
     g = unit_diagonal(k)
-    if not _mask_min_eigenvalues(masks, g).min() >= -tol:
+    if not min_eigenvalue_stack(masks * g).min() >= -tol:
         return None
-    return KernelMatrix(nodes=nodes, matrix=g, block=block)
-
-
-def _mask_min_eigenvalues(masks, k):
-    """lambda_min(C_m . K) per alpha: admissibility_check's min_eig_per_alpha."""
-    return min_eigenvalue_stack(masks * k)
+    return KernelMatrix(nodes=nodes, matrix=g)
 
 
 def _violation(target, kern, opts) -> tuple[KernelMatrix, float] | None:
@@ -532,15 +526,14 @@ def _violation(target, kern, opts) -> tuple[KernelMatrix, float] | None:
     return kern, lam
 
 
-def _conic_minimum(nodes, grid, g, block, gap, opts, bound):
+def _conic_minimum(nodes, grid, g, block, gap, opts):
     """(lo, t, blocks) with lo <= sqrt(t*) <= sqrt(t) <= lo + gap, for the conic program
 
         t* = min t  subject to  t E - G = sum_m C_m . B_m,  B_m PSD,
 
     E = 1 (x) I_block and G Hermitian PSD whose largest diagonal-block
     eigenvalue is 1, so t* >= 1.  ``blocks`` witnesses t: the affine identity
-    holds and the blocks are PSD up to roundoff.  bound(K) is a lower bound on
-    sqrt(t*) from a grid-admissible KernelMatrix K, or None.
+    holds and the blocks are PSD up to roundoff.
 
     Round k maximizes the dual of the proximal subproblem
 
@@ -574,35 +567,37 @@ def _conic_minimum(nodes, grid, g, block, gap, opts, bound):
       direct eigensolve of the repaired block then adds what the whitening by
       S_k rounded away.  From B = 0 and t = 1 this is the best single-atom
       witness.
-    * lo: D = Y + s I, s = max(0, -min_m lambda_min(conj(C_m) . Y)) / min C_m(i, i),
-      makes every conj(C_m) . D PSD.  Its compressions, as in solve's
-      certificates, give lo through bound() when grid-admissible, checked on
-      the solve's own masks.  So does D itself when block > 1, as a kernel
-      with block x block blocks: near the optimum it bounds tighter than its
-      compressions.
+    * lo: Z = Y + s I, s = max(0, -min_m lambda_min(conj(C_m) . Y)) / min C_m(i, i),
+      makes every conj(C_m) . Z PSD.  Any witness (t, B) then gives
+      t Re<E, Z> - Re<G, Z> = sum_m Re<B_m, conj(C_m) . Z> >= 0, so
+      lo = sqrt(Re<G, Z> / Re<E, Z>) when Re<E, Z> > 0: the dual objective of
+      the iterate, or the kernel conj(Z) tested on the all-ones vector.
 
-    opts.max_iter caps the Newton steps over all rounds and opts.tol is the
-    admissibility tolerance of the kernels.  NumericsError when the bracket
-    has not closed within the budget, or when a round at the largest sigma
-    moves no iterate; the widths it names are those of sqrt(t), relative to
-    the targets' scale.
+    opts.max_iter caps the Newton steps over all rounds; opts.tol is not read
+    here (the caller re-verifies the witness to it).  NumericsError when no
+    atom's S_k is safely positive definite, so that no witness can be
+    repaired; when the bracket has not closed within the budget; or when a
+    round at the largest sigma moves no iterate.  The widths it names are
+    those of sqrt(t), relative to the targets' scale.
     """
     n = len(nodes)
     ee = np.kron(np.ones((n, n)), np.eye(block))
-    masks = coefficient_masks(grid, nodes)
-    cexp = expand_masks(masks, block)
+    cexp = expand_masks(coefficient_masks(grid, nodes), block)
     cconj = cexp.conj()
     cdiag = float(np.real(np.diagonal(cexp, axis1=1, axis2=2)).min())
     szego = hermitian_part(ee / cexp)  # S_k (x) I
     lam_s, vec_s = np.linalg.eigh(szego)
     safe = np.flatnonzero(lam_s[:, 0] > _SZEGO_FLOOR * lam_s[:, -1])
+    if safe.size == 0:
+        raise NumericsError(
+            "minimal-norm bracket has no upper end: no grid atom's Szego kernel is"
+            " safely positive definite at these nodes, so no witness can be repaired"
+        )
     whiten = vec_s[safe] / np.sqrt(lam_s[safe])[:, None, :]  # S_k^(-1) = W W*
     eouter = np.outer(ee.ravel(), ee.ravel())  # the rank-one Hessian term of t
 
     def repair(t, b):
         """(t + eps, blocks): the witness of t E - G repaired at the best safe atom."""
-        if safe.size == 0:
-            return math.inf, None
         r = t * ee - g - np.einsum("mij,mij->ij", cexp, b)
         x = hermitian_part(b[safe] + r / cexp[safe])
         rel = whiten.conj().transpose(0, 2, 1) @ x @ whiten
@@ -616,15 +611,11 @@ def _conic_minimum(nodes, grid, g, block, gap, opts, bound):
         return t + e, out
 
     def lower(y):
-        """The best bound() of the dual iterate's grid-admissible kernels."""
+        """sqrt(Re<G, Z> / Re<E, Z>) at Z = Y + s I, or 0 when Re<E, Z> <= 0."""
         shift = max(0.0, -float(np.linalg.eigvalsh(cconj * y)[:, 0].min())) / cdiag
-        dual = y + shift * np.eye(len(y))
-        kernels = [(k.conj(), masks, 1) for k in _compressions(dual, n, block)]
-        if block > 1:  # at block 1 the trace compression is D
-            kernels.append((dual.conj(), cexp, block))
-        kerns = [_admissible_kernel(nodes, c, k, opts.tol, kb) for k, c, kb in kernels]
-        bounds = [bound(kern) for kern in kerns if kern is not None]
-        return max([b for b in bounds if b is not None], default=0.0)
+        z = y + shift * np.eye(len(y))
+        ez = float(np.vdot(ee, z).real)
+        return math.sqrt(max(0.0, float(np.vdot(g, z).real)) / ez) if ez > 0.0 else 0.0
 
     def point(y, tk, bk, sigma):
         """t(Y), B(Y), the gradient, phi(Y), its roundoff and the eigenpairs."""

@@ -187,8 +187,6 @@ def admissibility_check(
     kernel: KernelMatrix, grid: AlphaGrid, tol: float = 1e-10
 ) -> AdmissibilityReport:
     """Per-alpha minimum eigenvalue of the scaled kernel; grid-level certificate only."""
-    if len(grid) == 0:
-        raise ValidationError("alpha grid must be nonempty")
     masks = coefficient_masks(grid, kernel.nodes)
     step = max(1, _CHECK_CHUNK_ENTRIES // kernel.matrix.size)
     lams = np.concatenate(
@@ -250,8 +248,6 @@ def random_admissible_kernel(
     through the b-kernel at that alpha).  Deterministic in the seed; raises
     GenerationError if the cycle has not settled after ``iters`` sweeps.
     """
-    if len(grid) == 0:
-        raise ValidationError("alpha grid must be nonempty")
     rng = np.random.default_rng(seed)
     n = len(nodes)
     masks = coefficient_masks(grid, nodes)

@@ -26,7 +26,7 @@ from .feasibility import (
     residual,
     solve,
 )
-from .hermitian import hermitian_part, schur_oslash
+from .hermitian import hermitian_part
 from .kernels import AlphaGrid, NodeSet
 from .realization import Colligation, factor_target, realize
 
@@ -126,12 +126,12 @@ def minimal_norm_bracket(
     """A bracket (lo, hi) of the grid minimal norm, hi - lo <= width * max(1, max ||W_i||).
 
     One conic solve (:func:`_conic_bracket`) gives both ends.  hi carries an
-    exact witness, re-verified through residual().  lo is max ||W_i||,
-    forced by the diagonal, or the bound sqrt(lambda_max(WW* . K, E . K)) of
-    a grid-admissible kernel K: a witness at a bound c forces
-    J(c) . K = E . K - WW* . K / c^2 to be PSD.  opts.max_iter caps the
-    Newton steps and opts.tol is the admissibility tolerance of K; a bracket
-    that has not closed within that budget raises NumericsError.
+    exact witness, re-verified through residual() to opts.tol.  lo is
+    max ||W_i||, forced by the diagonal, or the dual bound of the solve's
+    iterate Z: K = conj(Z) is grid-admissible, and a witness at a norm bound
+    c forces c^2 sum(E . K) >= sum(WW* . K), the sums running over all
+    entries.  opts.max_iter caps the Newton steps; a bracket that has not
+    closed within that budget raises NumericsError.
     """
     lo, hi, _ = _conic_bracket(problem, grid or AlphaGrid.solver_default(), opts, width)
     return lo, hi
@@ -152,17 +152,10 @@ def _conic_bracket(problem, grid, opts, width):
         return 0.0, 0.0, None
     # validates the targets as a solve at norm bound top would
     assemble_pick_target(PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=top))
-    n, d = len(problem.nodes), problem.d_out
     w = np.concatenate(problem.targets)
-    ee, ww = np.kron(np.ones((n, n)), np.eye(d)), w @ w.conj().T
-
-    def bound(kern):
-        out = _certificate_bound(ee, ww, kern.matrix, d // kern.block)
-        return None if out is None else out / top
-
-    g = hermitian_part(ww / (top * top))
+    g = hermitian_part(w @ w.conj().T / (top * top))
     gap = width * max(1.0, top) / top  # the closing width, in units of top
-    lo, t, blocks = _conic_minimum(problem.nodes, grid, g, d, gap, opts, bound)
+    lo, t, blocks = _conic_minimum(problem.nodes, grid, g, problem.d_out, gap, opts)
     hi = top * math.sqrt(t)
     witness = CPBlocks(grid=grid, blocks=tuple(blocks / t))
     at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
@@ -170,17 +163,3 @@ def _conic_bracket(problem, grid, opts, width):
         raise NumericsError(f"the minimal-norm witness at {hi!r} does not re-verify")
     return min(top * lo, hi), hi, witness
 
-
-def _certificate_bound(ee, ww, kernel, block) -> float | None:
-    """sqrt(lambda_max(WW* . K, E . K)), below which K rules out every witness.
-
-    None when E . K is not positive definite (Cholesky fails).
-    """
-    a = schur_oslash(ee, kernel, block, 1)
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return None
-    half = np.linalg.solve(low, schur_oslash(ww, kernel, block, 1))
-    lam = np.linalg.eigvalsh(hermitian_part(np.linalg.solve(low, half.conj().T)))[-1]
-    return float(np.sqrt(max(lam, 0.0)))

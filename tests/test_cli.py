@@ -148,6 +148,30 @@ class TestRun:
         assert code == 0, captured.err
         assert json.loads(captured.out)["minimal_norm"] == pytest.approx(0.8336077, abs=2e-4)
 
+    def test_pick_out_of_budget_reports_unknown(self, tmp_path, capsys):
+        # just above the loop file's minimal norm, two Newton steps decide nothing
+        p_in = tmp_path / "loop.json"
+        obj = {
+            "format": 1,
+            "kind": "pick",
+            "payload": {
+                "nodes": LOOP_FILE_NODES, "targets": LOOP_FILE_TARGETS, "norm_bound": 0.8337
+            },
+            "opts": {"max_iter": 2},
+        }
+        write_json(p_in, obj)
+        reports = []
+        for _ in range(2):
+            code = run(["pick", "--in", str(p_in)])
+            captured = capsys.readouterr()
+            assert code == 0, captured.err
+            reports.append(json.loads(captured.out))
+        first, again = reports
+        assert first["status"] == "Unknown"
+        assert "interpolant" not in first
+        assert first["report_hash"] == again["report_hash"]
+        assert report_hash(first) == first["report_hash"]
+
     @pytest.mark.parametrize("content", [b"\xff\xfe{", None], ids=["non-utf8", "directory"])
     def test_unreadable_problem_file_is_one_input_error_line(self, tmp_path, capsys, content):
         p_in = tmp_path / "p.json"

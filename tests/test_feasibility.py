@@ -35,7 +35,7 @@ from symbidisk.geometry import phi_values
 from symbidisk.hermitian import hermitian_part, min_eigenvalue, min_eigenvalue_stack, psd_project
 from symbidisk.kernels import coefficient_masks, expand_masks, random_admissible_kernel
 
-from conftest import near_threshold_problem, random_nodes
+from conftest import loop_file_problem, near_threshold_problem, random_nodes
 
 
 def planted_target(rng, nodes, grid, block=1):
@@ -619,9 +619,8 @@ def mask_check_kernel(rng, nodes, grid, block, admissible):
 @pytest.mark.parametrize("block", [1, 2])
 @pytest.mark.parametrize("admissible", [True, False])
 def test_mask_admissibility_matches_admissibility_check(block, admissible, rng):
-    # the solver's check on its own masks loses nothing against the public one;
-    # 10 nodes of block 2 on the 193-alpha grid take admissibility_check's
-    # chunked path
+    # the solver's check on its own masks loses nothing against the public one,
+    # whose chunked path 10 nodes of block 2 on the 193-alpha grid take
     grid = AlphaGrid.solver_default() if block == 1 else AlphaGrid.check_default()
     nodes = random_nodes(rng, 3 if block == 1 else 10, rmax=0.6)
     raw = mask_check_kernel(rng, nodes, grid, block, admissible)
@@ -631,12 +630,25 @@ def test_mask_admissibility_matches_admissibility_check(block, admissible, rng):
     rep = admissibility_check(kern, grid, tol=1e-8)
     assert rep.is_admissible_on_grid is admissible
     masks = expand_masks(coefficient_masks(grid, nodes), block)
-    lams = feasibility._mask_min_eigenvalues(masks, kern.matrix)
+    lams = min_eigenvalue_stack(masks * kern.matrix)
     assert lams.tolist() == [lam for _, lam in rep.min_eig_per_alpha]
-    got = feasibility._admissible_kernel(nodes, masks, raw, 1e-8, block)
-    assert (got is not None) is admissible
-    if admissible:  # grammian_normalize's rescale, bit for bit
-        assert got.block == block and np.array_equal(got.matrix, kern.matrix)
+    if block == 1:  # the solver's kernels are scalar
+        got = feasibility._admissible_kernel(nodes, masks, raw, 1e-8)
+        assert (got is not None) is admissible
+        if admissible:  # grammian_normalize's rescale, bit for bit
+            assert np.array_equal(got.matrix, kern.matrix)
+
+
+def test_solve_out_of_budget_ends_unknown(solver_grid):
+    # the loop file just above its minimal norm (about 0.83361) is feasible,
+    # but two Newton steps neither reach tol nor certify
+    problem = loop_file_problem()
+    at = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=0.8337)
+    rep = solve(assemble_pick_target(at), solver_grid, SolveOptions(max_iter=2))
+    assert rep.status is SolveStatus.UNKNOWN
+    assert rep.iterations == 2
+    assert rep.blocks is None and rep.certificate is None
+    assert rep.residual == pytest.approx(8.4e-2, rel=0.01)
 
 
 class TestResidual:

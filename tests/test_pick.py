@@ -1,4 +1,4 @@
-from unittest import mock
+import time
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from symbidisk import (
 from symbidisk import feasibility, pick
 from symbidisk.feasibility import SolveReport
 from symbidisk.geometry import phi_values
-from symbidisk.hermitian import hermitian_part
+from symbidisk.hermitian import hermitian_part, schur_oslash
 from symbidisk.realization import realize
 
 from conftest import loop_file_problem, near_threshold_problem, random_nodes
@@ -180,11 +180,17 @@ class TestMinimalNorm:
         assert minimal_norm(scalar_problem(diagonal_pair, [0.0, 0.0])) == 0.0
 
     def test_bracket_that_cannot_close_raises(self, diagonal_pair):
-        # with a negative tolerance no kernel is admissible, so lo stays at
-        # max |W_i| and the solve must end once sigma is capped and no Newton
-        # step is left to take
+        # a zero width is never met by a bracket that leaves any roundoff gap,
+        # so the solve must end once sigma is capped and no Newton step is left
+        # to take
         problem = scalar_problem(diagonal_pair, [0.3, 0.6j])
         with pytest.raises(NumericsError, match="stalled at relative width"):
+            minimal_norm_bracket(problem, width=0.0)
+
+    def test_witness_that_does_not_re_verify_raises(self, diagonal_pair):
+        # no residual is <= a negative tolerance, so the witness at hi is refused
+        problem = scalar_problem(diagonal_pair, [-0.5, 0.5])
+        with pytest.raises(NumericsError, match="does not re-verify"):
             minimal_norm_bracket(problem, opts=SolveOptions(tol=-1.0))
 
 
@@ -202,36 +208,26 @@ def test_minimal_norm_homogeneity(seed, n):
         assert abs(scaled - t * base) <= 3 * width * max(1.0, t * base)
 
 
-def recorded_bracket(problem, width=1e-4):
-    """minimal_norm_bracket plus every certificate lower bound it computed."""
-    bounds = []
-    inner = pick._certificate_bound
+def assert_lo_is_sound(problem, width=1e-4):
+    """The bracket's lo rules out every witness: the solver finds none just below it.
 
-    def record(*args):
-        out = inner(*args)
-        if out is not None:
-            bounds.append(out)
-        return out
-
-    with mock.patch.object(pick, "_certificate_bound", record):
-        lo, hi = minimal_norm_bracket(problem, width=width)
-    return lo, hi, bounds
+    A Feasible witness only has residual <= tol, so soundness of the dual
+    bound against the solver is checked, not assumed.
+    """
+    lo, hi = minimal_norm_bracket(problem, width=width)
+    top = max(float(np.linalg.norm(t, 2)) for t in problem.targets)
+    assert top <= lo <= hi <= lo + width * max(1.0, top)
+    below = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=0.999 * lo)
+    assert solve_pick(below).status is not SolveStatus.FEASIBLE
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3))
 def test_certificate_bounds_are_sound(seed, n):
-    # a Feasible witness only has residual <= tol, so soundness of the bound
-    # against the solver is checked, not assumed
     rng = np.random.default_rng(seed)
     nodes = random_nodes(rng, n)
     ws = 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
-    lo, hi, bounds = recorded_bracket(scalar_problem(nodes, ws))
-    assert lo <= hi
-    for bound in bounds:
-        assert bound <= hi
-        below = solve_pick(scalar_problem(nodes, ws, 0.999 * bound))
-        assert below.status is not SolveStatus.FEASIBLE
+    assert_lo_is_sound(scalar_problem(nodes, ws))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -242,22 +238,28 @@ def test_certificate_bounds_for_block_targets(seed):
         0.5 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         for _ in range(2 + seed)
     )
-    problem = PickProblem(nodes=nodes, targets=ws)
-    lo, hi, bounds = recorded_bracket(problem)
-    assert bounds
-    for bound in bounds:
-        assert bound <= hi
-        below = PickProblem(nodes=nodes, targets=ws, norm_bound=0.999 * bound)
-        assert solve_pick(below).status is not SolveStatus.FEASIBLE
+    assert_lo_is_sound(PickProblem(nodes=nodes, targets=ws))
 
 
 def test_certificate_bounds_on_the_diagonal_pair(diagonal_pair):
     # closed-form minimal norm 1 (see TestMinimalNorm.test_diagonal_closed_form)
-    width = 1e-4
-    lo, hi, bounds = recorded_bracket(scalar_problem(diagonal_pair, [-0.5, 0.5]), width)
-    assert bounds
-    assert max(bounds) <= 1.0 + width
-    assert lo - 1e-12 <= 1.0 <= hi + 1e-12
+    lo, hi = minimal_norm_bracket(scalar_problem(diagonal_pair, [-0.5, 0.5]))
+    assert lo <= 1.0 <= hi
+
+
+def certificate_bound(ee, ww, kernel, block):
+    """sqrt(lambda_max(WW* . K, E . K)), below which the kernel K rules out every witness.
+
+    None when E . K is not positive definite (Cholesky fails).
+    """
+    a = schur_oslash(ee, kernel, block, 1)
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    half = np.linalg.solve(low, schur_oslash(ww, kernel, block, 1))
+    lam = np.linalg.eigvalsh(hermitian_part(np.linalg.solve(low, half.conj().T)))[-1]
+    return float(np.sqrt(max(lam, 0.0)))
 
 
 def reference_bracket(problem, grid, opts, width=1e-4):
@@ -277,7 +279,7 @@ def reference_bracket(problem, grid, opts, width=1e-4):
         if rep.status is SolveStatus.FEASIBLE:
             return True, c
         if rep.status is SolveStatus.INFEASIBLE_CERTIFIED:
-            bound = pick._certificate_bound(ee, ww, rep.certificate.matrix, d)
+            bound = certificate_bound(ee, ww, rep.certificate.matrix, d)
             if bound is not None:
                 return False, max(c, bound)
         return False, c
@@ -472,6 +474,18 @@ def unimodular_problem(n, seed):
     rng = np.random.default_rng(seed)
     nodes = random_nodes(rng, n, rmax=0.8)
     return scalar_problem(nodes, np.exp(2j * np.pi * rng.random(n)))
+
+
+@pytest.mark.parametrize("n, seed", [(16, 2), (16, 3), (20, 0)])
+def test_bracket_with_no_safe_atom_raises_at_once(n, seed, solver_grid):
+    # no solver-grid atom's Szego kernel is safely positive definite at these
+    # nodes, so hi can never be repaired; the proximal rounds once ran 30-62 s
+    # before raising "stalled at relative width inf"
+    problem = planted_problem(n, seed)
+    t0 = time.process_time()
+    with pytest.raises(NumericsError, match="no grid atom's Szego kernel is safely positive"):
+        minimal_norm_bracket(problem, solver_grid, SolveOptions(max_iter=2000))
+    assert time.process_time() - t0 < 0.5
 
 
 # Brackets that once stalled: at sigma = 1e8 a fixed round-end floor of
