@@ -50,9 +50,10 @@ iterate.  When the residual stops halving and no certificate emerges the
 honest terminal status is Unknown; the exact dichotomy holds only for the
 full alpha continuum, not the grid.
 
-The same Newton ascent and line search, inside a proximal-point outer loop,
-solve the linear conic program behind Pick minimal norms, min t subject to
-t E - G = sum_m C_m . B_m with every B_m PSD (_conic_minimum).
+The linear conic program behind Pick minimal norms, min t subject to
+t E - G = sum_m C_m . B_m with every B_m PSD, is solved by a primal-dual
+interior-point method on it and its dual (_conic_minimum).  Its Schur
+complement is an N^2 x N^2 matrix built in O(M N^4) flops.
 """
 
 from __future__ import annotations
@@ -109,28 +110,17 @@ _HESSIAN_CHUNK_ENTRIES = 2**20
 _POLISH_STEPS = 8
 _POLISH_TOL = 1e-12
 _STALL_STEPS = 40  # Unknown when the best residual has not halved in this many steps
-# Proximal-point schedule of _conic_minimum: sigma starts at _SIGMA_START and
-# grows _SIGMA_GROWTH times per round, up to _SIGMA_MAX, where the proximal term
-# no longer matters.  The targets are normalized, t* >= 1 and G's top
-# eigenvalue is 1, so a fixed start is scale-free.  Under the round end of
-# _conic_minimum, CPU of 350 sandwich items (seeds 50001-50010), relative to
-# 100 x 10, and Newton steps per item; schedules interleaved item by item in
-# one process, four passes in two orders:
-#     start x growth   CPU          steps
-#     10 x 20          1.03-1.04    31.7
-#     30 x 10          1.01-1.02    30.6
-#     100 x 10         1            31.6
-#     100 x 20         0.98-1.00    32.4
-#     100 x 30         0.99-1.00    32.9
-#     1000 x 10        1.08         37.5
-# Under the tighter round end this one replaced, 1 x 5 and 1e4 x 10 cost
-# 1.3-1.5 times 100 x 10.
-_SIGMA_START = 100.0
-_SIGMA_GROWTH = 10.0
-_SIGMA_MAX = 1e8
-# _conic_minimum repairs its witness only at atoms whose Szego kernel S_k is
-# safely positive definite, lambda_min(S_k) > _SZEGO_FLOOR lambda_max(S_k).
-# Two nodes with the same phi(alpha_k, .) make S_k singular: at alpha = 0,
+# The interior-point iterations of _conic_minimum take this fraction of the
+# step to the PSD boundary, and start from the single-atom witness at t plus
+# _START_SHIFT t I, strictly inside the cone.
+_STEP_FRACTION = 0.95
+_START_SHIFT = 3e-3
+# Steps below this on both sides leave the iterate where it is, and so would
+# every later one: the conic solve has stalled.
+_MIN_STEP = 1e-10
+# _conic_minimum repairs its witness only at atoms whose Szego kernel Sz_k is
+# safely positive definite, lambda_min(Sz_k) > _SZEGO_FLOOR lambda_max(Sz_k).
+# Two nodes with the same phi(alpha_k, .) make Sz_k singular: at alpha = 0,
 # where phi = -s / 2, every pair of nodes with equal s does.
 _SZEGO_FLOOR = 1e-12
 
@@ -144,7 +134,7 @@ class SolveStatus(str, Enum):
 @dataclass(frozen=True)
 class SolveOptions:
     tol: float = 1e-8
-    max_iter: int = 20000  # Newton steps
+    max_iter: int = 20000  # Newton steps; interior-point iterations in _conic_minimum
     seed: int = 0
 
 
@@ -526,6 +516,58 @@ def _violation(target, kern, opts) -> tuple[KernelMatrix, float] | None:
     return kern, lam
 
 
+class _HermitianBasis:
+    """A real orthonormal basis Q of the n x n Hermitian matrices, on row-major vec.
+
+    Its n^2 elements are e_ii, and (e_ij + e_ji) / sqrt 2 and
+    i (e_ij - e_ji) / sqrt 2 for i < j; Q is unitary.
+    """
+
+    root_half = math.sqrt(0.5)
+
+    def __init__(self, n):
+        i, j = np.triu_indices(n, 1)
+        self.n, self.diag, self.up, self.low = n, np.arange(n) * (n + 1), i * n + j, j * n + i
+
+    def rows(self, w):
+        """Q* w, over the leading axis of w (real for a Hermitian vec w)."""
+        up, low, r = w[self.up], w[self.low], self.root_half
+        return np.concatenate([w[self.diag], r * (up + low), -1j * r * (up - low)])
+
+    def matrix(self, v):
+        """Re(Q* V Q): real symmetric, and positive definite when V is."""
+        return self.rows(self.rows(v).conj().T).real
+
+    def hermitian(self, x):
+        """The Hermitian matrix Q x of real coordinates x, exactly Hermitian."""
+        n, k = self.n, len(self.up)
+        out = np.empty(n * n, dtype=complex)
+        out[self.diag] = x[:n]
+        out[self.up] = self.root_half * (x[n : n + k] + 1j * x[n + k :])
+        out[self.low] = out[self.up].conj()
+        return out.reshape(n, n)
+
+
+def _hkm_schur(cexp, b, sinv):
+    """sum_m diag(vec C_m)(B_m (x) S_m^-T)diag(vec conj(C_m)), an N^2 x N^2 matrix.
+
+    It acts on row-major vec(dZ) as dZ -> sum_m C_m . (B_m (conj(C_m) . dZ) S_m^-1),
+    and is Hermitian positive definite when every B_m and S_m is.  Its sum
+    over m is taken in chunks of atoms whose Kronecker products hold at most
+    _HESSIAN_CHUNK_ENTRIES entries.
+    """
+    n = b.shape[1]
+    sinv_t = sinv.transpose(0, 2, 1)
+    step = max(1, _HESSIAN_CHUNK_ENTRIES // n**4)
+    v = None
+    for lo in range(0, len(b), step):
+        c = cexp[lo : lo + step].reshape(-1, n * n)
+        kron = b[lo : lo + step, :, None, :, None] * sinv_t[lo : lo + step, None, :, None, :]
+        term = np.einsum("ma,mab,mb->ab", c, kron.reshape(len(c), n * n, n * n), c.conj())
+        v = term if v is None else v + term
+    return v
+
+
 def _conic_minimum(nodes, grid, g, block, gap, opts):
     """(lo, t, blocks) with lo <= sqrt(t*) <= sqrt(t) <= lo + gap, for the conic program
 
@@ -535,57 +577,63 @@ def _conic_minimum(nodes, grid, g, block, gap, opts):
     eigenvalue is 1, so t* >= 1.  ``blocks`` witnesses t: the affine identity
     holds and the blocks are PSD up to roundoff.
 
-    Round k maximizes the dual of the proximal subproblem
+    Its dual is  max Re<G, Z>  subject to  Re<E, Z> = 1,  S_m = conj(C_m) . Z PSD,
+    and any witness (t, B) and dual Z give
+    t - Re<G, Z> = sum_m Re<B_m, S_m> >= 0.  An infeasible primal-dual
+    path-following method drives (t, B, Z) to the optimal pair along the HKM
+    direction (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996)
+    with Mehrotra's predictor-corrector (SIAM J. Optim. 1992).  Linearizing
+    B_m S_m = nu I as dB_m = K_m - B_m - sym(B_m dS_m S_m^-1),
+    dS_m = conj(C_m) . dZ, turns the primal identity into
+    H(dZ) + dt E = G - t E + sum_m C_m . K_m, with Re<E, dZ> = 1 - Re<E, Z>.
+    H = sum_m diag(vec C_m)(B_m (x) S_m^-T)diag(vec conj(C_m)) (_hkm_schur)
+    is real symmetric positive definite in a real orthonormal basis of the
+    Hermitian matrices (_HermitianBasis); bordered by the t row, the system
+    is solved by LU.  The predictor has K_m = 0.  Its longest steps to the PSD
+    boundary give the complementarity nu_aff they would reach, from
+    nu = sum_m Re<B_m, S_m> / (M N), and the corrector has
+    K_m = sym((sigma nu I - dB_m dS_m) S_m^-1), sigma = (nu_aff / nu)^3, dB and
+    dS the predictor's.  The primal (t, B) and the dual Z then each take
+    _STEP_FRACTION of the corrector's step to the PSD boundary, at most 1.
+    Each step to the boundary is one stacked eigvalsh, whitened by one
+    Cholesky factorization of the stacked [B; S] per iteration.  The start is
+    B = the single-atom witness + _START_SHIFT t I at that witness's t, and
+    Z = I / N, where Re<E, Z> = 1 and every S_m is diagonal and positive.
 
-        min t + (1 / 2 sigma) [(t - t_k)^2 + sum_m ||B_m - B_m^k||^2]
-        subject to t E - G = sum_m C_m . B_m,  B_m PSD,
+    The iterate's t is no upper end (its primal identity holds only in the
+    limit), nor its Z a rigorous lower one (S_m is PSD only to roundoff).  Once
+    |sqrt(t) - sqrt(Re<G, Z> / Re<E, Z>)| <= gap, both ends are taken from it,
+    and kept where they tighten:
 
-    phi(Y), concave and semismooth over Hermitian Y, with
-    t(Y) = t_k + sigma (Re<E, Y> - 1), B_m(Y) = P+(B_m^k - sigma conj(C_m) . Y)
-    and gradient G + sum_m C_m . B_m(Y) - t(Y) E, by the semismooth Newton
-    ascent of solve.  The generalized Hessian is sigma (V + vec E vec E*), V
-    the _dense_hessian at the eigenpairs of B_m^k - sigma conj(C_m) . Y.  The
-    first round starts from Y = I / N, where Re<E, Y> = 1 and so t(Y) = t_k
-    (from Y = 0 it would be t_k - sigma).  A round is solved inexactly, to
-    ||grad|| <= 100 / sigma, since the next, larger sigma moves the residual
-    far above that anyway.  Roundoff ends it only as measured at the iterate:
-    when the line search finds no step, or only an idle one, which moves phi
-    within its roundoff and does not lower the residual.  The round ends with
-    t_k, B^k = t(Y), B(Y), and sigma, which starts at _SIGMA_START = 100,
-    grows _SIGMA_GROWTH = 10 times; Y carries over.  The proximal term keeps
-    ||Y|| bounded near the optimum, and inexact rounds keep the proximal-point
-    method convergent (Li, Sun & Toh, SIAM J. Optim. 2018; Rockafellar, SIAM J.
-    Control Optim. 1976).
+    * t: E = C_k . (Sz_k (x) I) at every atom k, Sz_k = 1 / C_k being the
+      Szego kernel of phi(alpha_k, .).  So adding R / C_k + eps (Sz_k (x) I)
+      to B_k, R = t E - G - sum_m C_m . B_m the residual, gives a witness at
+      t + eps, eps = max(0, -lambda_min) of B_k + R / C_k relative to
+      Sz_k (x) I, at the atom of least eps among those where Sz_k is safely
+      positive definite.  A direct eigensolve of the repaired block then adds
+      what the whitening by Sz_k rounded away.  From B = 0 and t = 1 this is
+      the best single-atom witness.
+    * lo: Z' = Z + s I, s = max(0, -min_m lambda_min(conj(C_m) . Z)) / min C_m(i, i),
+      makes every conj(C_m) . Z' PSD.  Any witness (t, B) then gives
+      t Re<E, Z'> - Re<G, Z'> = sum_m Re<B_m, conj(C_m) . Z'> >= 0, so
+      lo = sqrt(Re<G, Z'> / Re<E, Z'>) when Re<E, Z'> > 0: the dual objective
+      of the iterate, or the kernel conj(Z') tested on the all-ones vector.
 
-    After each round both ends tighten:
-
-    * t: E = C_k . (S_k (x) I) at every atom k, S_k = 1 / C_k being the Szego
-      kernel of phi(alpha_k, .).  So adding R / C_k + eps (S_k (x) I) to B_k,
-      R = t E - G - sum_m C_m . B_m the residual, gives a witness at t + eps,
-      eps = max(0, -lambda_min) of B_k + R / C_k relative to S_k (x) I, at the
-      atom of least eps among those where S_k is safely positive definite.  A
-      direct eigensolve of the repaired block then adds what the whitening by
-      S_k rounded away.  From B = 0 and t = 1 this is the best single-atom
-      witness.
-    * lo: Z = Y + s I, s = max(0, -min_m lambda_min(conj(C_m) . Y)) / min C_m(i, i),
-      makes every conj(C_m) . Z PSD.  Any witness (t, B) then gives
-      t Re<E, Z> - Re<G, Z> = sum_m Re<B_m, conj(C_m) . Z> >= 0, so
-      lo = sqrt(Re<G, Z> / Re<E, Z>) when Re<E, Z> > 0: the dual objective of
-      the iterate, or the kernel conj(Z) tested on the all-ones vector.
-
-    opts.max_iter caps the Newton steps over all rounds; opts.tol is not read
+    opts.max_iter caps the interior-point iterations; opts.tol is not read
     here (the caller re-verifies the witness to it).  NumericsError when no
-    atom's S_k is safely positive definite, so that no witness can be
-    repaired; when the bracket has not closed within the budget; or when a
-    round at the largest sigma moves no iterate.  The widths it names are
-    those of sqrt(t), relative to the targets' scale.
+    atom's Sz_k is safely positive definite, so that no witness can be
+    repaired; when the bracket has not closed within the budget; or when the
+    iterate stalls: it is no longer numerically interior (a factorization
+    fails), or neither step reaches _MIN_STEP.
+    The widths it names are those of sqrt(t), relative to the targets' scale.
     """
     n = len(nodes)
+    dim = n * block
     ee = np.kron(np.ones((n, n)), np.eye(block))
     cexp = expand_masks(coefficient_masks(grid, nodes), block)
     cconj = cexp.conj()
     cdiag = float(np.real(np.diagonal(cexp, axis1=1, axis2=2)).min())
-    szego = hermitian_part(ee / cexp)  # S_k (x) I
+    szego = hermitian_part(ee / cexp)  # Sz_k (x) I
     lam_s, vec_s = np.linalg.eigh(szego)
     safe = np.flatnonzero(lam_s[:, 0] > _SZEGO_FLOOR * lam_s[:, -1])
     if safe.size == 0:
@@ -593,8 +641,7 @@ def _conic_minimum(nodes, grid, g, block, gap, opts):
             "minimal-norm bracket has no upper end: no grid atom's Szego kernel is"
             " safely positive definite at these nodes, so no witness can be repaired"
         )
-    whiten = vec_s[safe] / np.sqrt(lam_s[safe])[:, None, :]  # S_k^(-1) = W W*
-    eouter = np.outer(ee.ravel(), ee.ravel())  # the rank-one Hessian term of t
+    whiten = vec_s[safe] / np.sqrt(lam_s[safe])[:, None, :]  # Sz_k^(-1) = W W*
 
     def repair(t, b):
         """(t + eps, blocks): the witness of t E - G repaired at the best safe atom."""
@@ -617,65 +664,73 @@ def _conic_minimum(nodes, grid, g, block, gap, opts):
         ez = float(np.vdot(ee, z).real)
         return math.sqrt(max(0.0, float(np.vdot(g, z).real)) / ez) if ez > 0.0 else 0.0
 
-    def point(y, tk, bk, sigma):
-        """t(Y), B(Y), the gradient, phi(Y), its roundoff and the eigenpairs."""
-        b, lam, vecs = psd_project_stack(bk - sigma * (cconj * y))
-        a = 1.0 - float(np.vdot(ee, y).real)
-        t = tk - sigma * a
-        grad = g + np.einsum("mij,mij->ij", cexp, b) - t * ee
-        terms = (
-            float(np.vdot(y, g).real),
-            tk * a,
-            -0.5 * sigma * a * a,
-            -0.5 * float(np.vdot(b, b).real) / sigma,
-        )
-        return t, b, grad, sum(terms), 1e-13 * (1.0 + sum(map(abs, terms))), lam, vecs
-
     lo = 1.0  # forced by the diagonal blocks
     hi2, witness = repair(1.0, np.zeros_like(cexp))
-    tk, bk, sigma = 1.0, np.zeros_like(cexp), _SIGMA_START
-    y = np.eye(len(g)) / len(g)  # Re<E, Y> = 1, so t(Y) = t_k
-    steps = 0
-    while math.sqrt(hi2) - lo > gap:
-        inner_tol = 100.0 / sigma  # in [1e-6, 1] over the sigma schedule
-        t, b, grad, phi, noise, lam, vecs = point(y, tk, bk, sigma)
-        res = _norm(grad)
-        moved = False
-        while res > inner_tol:
-            if steps >= opts.max_iter:
-                raise NumericsError(
-                    f"minimal-norm bracket not closed in {opts.max_iter} Newton steps: "
-                    f"relative width {math.sqrt(hi2) - lo:.3e} > {gap:.3e}"
-                )
-            steps += 1
-            mu = max(min(1e-2 * sigma, res / max(1.0, _norm(y))), _MU_RANGE[0])
-            v = _dense_hessian(cexp, lam, vecs)
-            v += eouter
-            v.flat[:: grad.size + 1] += mu / sigma
-            dy = hermitian_part(np.linalg.solve(v, grad.ravel() / sigma).reshape(grad.shape))
+    t, b, z = hi2, witness + _START_SHIFT * hi2 * np.eye(dim), np.eye(dim) / dim
 
-            def at(s):
-                trial = point(y + s * dy, tk, bk, sigma)
-                return trial[3], _norm(trial[2]), trial
-
-            found = _line_search(at, phi, float(np.vdot(grad, dy).real), res, noise)
-            if found is None:
-                break  # the round ends; the next one moves the proximal center
-            step, trial, res_t = found
-            if abs(trial[3] - phi) <= noise and res_t >= res:
-                break  # so does an idle step: phi within its roundoff, no lower residual
-            (t, b, grad, phi, noise, lam, vecs), res = trial, res_t
-            y = y + step * dy
-            moved = True
-        if not moved and sigma == _SIGMA_MAX:
-            raise NumericsError(
-                f"minimal-norm bracket stalled at relative width {math.sqrt(hi2) - lo:.3e}"
-                f" > {gap:.3e}"
-            )
-        tk, bk = t, hermitian_part(b)
-        sigma = min(_SIGMA_GROWTH * sigma, _SIGMA_MAX)
-        cand, blocks = repair(tk, bk)
+    def bracket():
+        """Both ends from the iterate (t, b, z), kept where they tighten; the width."""
+        nonlocal lo, hi2, witness
+        cand, blocks = repair(t, b)
         if cand < hi2:
             hi2, witness = cand, blocks
-        lo = max(lo, lower(y))
-    return lo, hi2, witness
+        lo = max(lo, lower(z))
+        return math.sqrt(hi2) - lo
+
+    basis = _HermitianBasis(dim)
+    e_real = basis.rows(ee.ravel()).real
+    m, size = len(cexp), len(cexp) * dim
+    it = 0
+    while True:
+        ez = float(np.vdot(ee, z).real)
+        estimate = math.sqrt(t) - math.sqrt(max(0.0, float(np.vdot(g, z).real)) / ez)
+        if abs(estimate) <= gap or it == opts.max_iter:
+            bracket()
+        if math.sqrt(hi2) - lo <= gap:
+            return lo, hi2, witness
+        if it == opts.max_iter:
+            raise NumericsError(
+                f"minimal-norm bracket not closed in {opts.max_iter} interior-point"
+                f" iterations: relative width {math.sqrt(hi2) - lo:.3e} > {gap:.3e}"
+            )
+        it += 1
+        try:
+            s = cconj * z
+            linv = np.linalg.inv(np.linalg.cholesky(np.concatenate([b, s])))
+            sinv = linv[m:].conj().transpose(0, 2, 1) @ linv[m:]
+            nu = float(np.vdot(b, s).real) / size
+            kkt = np.zeros((len(e_real) + 1,) * 2)
+            kkt[:-1, :-1] = basis.matrix(_hkm_schur(cexp, b, sinv))
+            kkt[:-1, -1] = kkt[-1, :-1] = e_real
+            rd = 1.0 - ez
+
+            def direction(rhs):
+                """(dt, dz, ds) solving the bordered system for the right side rhs."""
+                sol = np.linalg.solve(kkt, np.append(basis.rows(rhs.ravel()).real, rd))
+                dz = basis.hermitian(sol[:-1])
+                return float(sol[-1]), dz, cconj * dz
+
+            def steps(db, ds, fraction):
+                """min(1, fraction times the step to the PSD boundary) along db and along ds."""
+                d = np.concatenate([db, ds])
+                lam = np.linalg.eigvalsh(linv @ d @ linv.conj().transpose(0, 2, 1))[:, 0]
+                lows = (-float(lam[:m].min()), -float(lam[m:].min()))
+                return tuple(1.0 if low <= fraction else fraction / low for low in lows)
+
+            base = g - t * ee
+            _, _, ds_a = direction(base)
+            db_a = -b - hermitian_part(b @ ds_a @ sinv)
+            ap, ad = steps(db_a, ds_a, 1.0)
+            nu_aff = float(np.vdot(b + ap * db_a, s + ad * ds_a).real) / size
+            sigma = (nu_aff / nu) ** 3
+            k = hermitian_part(sigma * nu * sinv - db_a @ ds_a @ sinv)
+            dt, dz, ds = direction(base + np.einsum("mij,mij->ij", cexp, k))
+            db = k - b - hermitian_part(b @ ds @ sinv)
+            ap, ad = steps(db, ds, _STEP_FRACTION)
+        except np.linalg.LinAlgError:
+            ap = ad = 0.0  # the iterate is not numerically interior: no step is left
+        if max(ap, ad) < _MIN_STEP:
+            raise NumericsError(
+                f"minimal-norm bracket stalled at relative width {bracket():.3e} > {gap:.3e}"
+            )
+        t, b, z = t + ap * dt, b + ap * db, z + ad * dz

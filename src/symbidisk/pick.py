@@ -130,8 +130,8 @@ def minimal_norm_bracket(
     max ||W_i||, forced by the diagonal, or the dual bound of the solve's
     iterate Z: K = conj(Z) is grid-admissible, and a witness at a norm bound
     c forces c^2 sum(E . K) >= sum(WW* . K), the sums running over all
-    entries.  opts.max_iter caps the Newton steps; a bracket that has not
-    closed within that budget raises NumericsError.
+    entries.  opts.max_iter caps the interior-point iterations; a bracket
+    that has not closed within that budget raises NumericsError.
     """
     lo, hi, _ = _conic_bracket(problem, grid or AlphaGrid.solver_default(), opts, width)
     return lo, hi

@@ -13,8 +13,8 @@ def test_census_of_one_bench_seed(monkeypatch, capsys):
     assert [row[:2] for row in rows] == [(1, k) for k in range(35)]
     assert all(row[2] in ("ok", "failed") for row in rows)
     assert all(row[3] == "closed" for row in rows if row[2] == "ok")
-    # every Newton step evaluates at least one dual point
-    assert all(0 < row[4] <= row[5] for row in rows)
+    # every iteration takes two stacked eigensolves, one per step to the PSD boundary
+    assert all(0 < 2 * row[4] <= row[5] for row in rows)
 
     # the report: every item that is not ok, then the totals
     raised = (1, 34, "failed", "NumericsError", 1000, 27000)
@@ -23,12 +23,13 @@ def test_census_of_one_bench_seed(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     kept = rows[:34] + [raised]
     ok = sum(row[2] == "ok" for row in kept)
-    steps = sorted(row[4] for row in kept)
+    iterations = sorted(row[4] for row in kept)
     eigensolves = sum(row[5] for row in kept)
     assert out[-2:] == [
-        "seed 1 item 34: failed (NumericsError, 1000 steps)",
-        f"seeds 1-1: 35 items, ok {ok}, failed {35 - ok}, wrong 0, {sum(steps)} Newton steps"
-        f" (p50 {steps[17]}, p99 1000, max 1000), {eigensolves} eigensolves",
+        "seed 1 item 34: failed (NumericsError, 1000 iterations)",
+        f"seeds 1-1: 35 items, ok {ok}, failed {35 - ok}, wrong 0, {sum(iterations)}"
+        f" interior-point iterations (p50 {iterations[17]}, p99 1000, max 1000),"
+        f" {eigensolves} eigensolves",
     ]
 
     # a wrong value fails the census

@@ -29,6 +29,8 @@ from symbidisk.feasibility import (
     _HESSIAN_CHUNK_ENTRIES,
     MAX_TARGET_DIM,
     _dense_hessian,
+    _HermitianBasis,
+    _hkm_schur,
     _omega,
 )
 from symbidisk.geometry import phi_values
@@ -328,6 +330,46 @@ class TestNewtonSystems:
             err = np.abs(dense @ h.ravel() - expected.ravel()).max()
             assert err <= 1e-12 * np.abs(expected).max()
 
+    @pytest.mark.parametrize(
+        "block, n, boundary",
+        [
+            pytest.param(1, 3, None, id="1"),
+            pytest.param(2, 3, None, id="2"),
+            pytest.param(1, 16, 32, id="chunked"),
+        ],
+    )
+    def test_hkm_schur_matches_operator(self, block, n, boundary, solver_grid):
+        # the interior-point Schur complement, and its real form in the
+        # Hermitian basis: symmetric positive definite
+        grid = solver_grid if boundary is None else AlphaGrid.boundary(boundary)
+        rng = np.random.default_rng(block)
+        cexp = expand_masks(coefficient_masks(grid, random_nodes(rng, n)), block)
+        size, m = n * block, len(grid)
+
+        def hermitian(*stack):
+            shape = stack + (size, size)
+            w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            return w + w.conj().swapaxes(-1, -2)
+
+        b = hermitian(m) + 4 * size * np.eye(size)
+        s = hermitian(m) + 4 * size * np.eye(size)
+        sinv = np.linalg.inv(s)
+        schur = _hkm_schur(cexp, b, sinv)
+        basis = _HermitianBasis(size)
+        real = basis.matrix(schur)
+        assert np.abs(real - real.T).max() <= 1e-12 * np.abs(real).max()
+        assert np.linalg.eigvalsh(real)[0] > 0.0
+        for _ in range(3):
+            h = hermitian()
+            expected = np.einsum("mij,mij->ij", cexp, b @ (cexp.conj() * h) @ sinv)
+            err = np.abs(schur @ h.ravel() - expected.ravel()).max()
+            assert err <= 1e-12 * np.abs(expected).max()
+            x = basis.rows(h.ravel()).real
+            assert np.array_equal(basis.hermitian(x), basis.hermitian(x).conj().T)
+            assert np.abs(basis.hermitian(x) - h).max() <= 1e-14 * np.abs(h).max()
+            sym = hermitian_part(expected)
+            assert np.abs(real @ x - basis.rows(sym.ravel()).real).max() <= 1e-12 * np.abs(sym).max()
+
     def test_newton_decides_planted_targets_up_to_n16(self, solver_grid):
         rng = np.random.default_rng(3)
         for n, block in [(3, 1), (5, 2), (12, 1), (16, 1)]:
@@ -413,11 +455,19 @@ class TestLeanDualPoint:
         assert cold.status is SolveStatus.FEASIBLE
         assert cold.iterations > 0 and infeasible.iterations > 0
         assert len(stacks) > cold.iterations + infeasible.iterations and all(stacks)
-        # the proximal points B^k - sigma conj(C_m) . Y of the conic bracket too
-        before = len(stacks)
+        # the interior-point iterates of the conic bracket too: the blocks B_m
+        # and S_m = conj(C_m) . Z, factorized as one stack
+        cholesky, factorized = np.linalg.cholesky, []
+
+        def checking_cholesky(a):
+            if np.ndim(a) == 3:
+                factorized.append(np.array_equal(a, a.conj().transpose(0, 2, 1)))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", checking_cholesky)
         ws = tuple(np.eye(block) * w for w in (1.0, -1.0, 1.0j, 0.5, -0.5)[:n])
         minimal_norm_bracket(PickProblem(nodes=target.nodes, targets=ws), solver_grid)
-        assert len(stacks) > before and all(stacks)
+        assert len(factorized) > 1 and all(factorized)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_cold_solve_takes_the_exact_maximizer_along_j(self, seed, monkeypatch, solver_grid):

@@ -181,8 +181,8 @@ class TestMinimalNorm:
 
     def test_bracket_that_cannot_close_raises(self, diagonal_pair):
         # a zero width is never met by a bracket that leaves any roundoff gap,
-        # so the solve must end once sigma is capped and no Newton step is left
-        # to take
+        # so the solve must end once its iterate is no longer numerically
+        # interior and no step is left to take
         problem = scalar_problem(diagonal_pair, [0.3, 0.6j])
         with pytest.raises(NumericsError, match="stalled at relative width"):
             minimal_norm_bracket(problem, width=0.0)
@@ -381,19 +381,18 @@ def test_conic_bracket_matches_the_bisection_on_a_sandwich_item(solver_grid):
 
 def test_conic_newton_steps_on_a_sandwich_item(monkeypatch, solver_grid):
     # at the bench's options; the bisection it replaced took 16 solves and 113
-    # Newton steps, and pick.solve is no longer called.  The conic solve takes
-    # 34 steps from Y = I / N with sigma starting at 100 and growing 10 times per
-    # round (39 from Y = 0 with tighter round ends, 50 from sigma = 1 growing 5
-    # times)
+    # Newton steps, and pick.solve is no longer called.  The interior-point
+    # conic solve takes 7 iterations (one Schur complement each); the
+    # proximal rounds it replaced took 34 Newton steps
     opts, width = SolveOptions(max_iter=1000), 1e-4
     problem = sandwich_item()
     steps, solves = [], []
-    hessian = feasibility._dense_hessian
-    monkeypatch.setattr(feasibility, "_dense_hessian", lambda *a: steps.append(1) or hessian(*a))
+    schur = feasibility._hkm_schur
+    monkeypatch.setattr(feasibility, "_hkm_schur", lambda *a: steps.append(1) or schur(*a))
     monkeypatch.setattr(pick, "solve", lambda *a: solves.append(1) or solve(*a))
     lo, hi = minimal_norm_bracket(problem, solver_grid, opts, width)
     assert lo <= hi <= lo + width * max(1.0, lo)
-    assert 0 < len(steps) <= 39 and not solves
+    assert 0 < len(steps) <= 7 and not solves
     monkeypatch.undo()
     above = PickProblem(
         nodes=problem.nodes, targets=problem.targets, norm_bound=hi + width * max(1.0, hi)
@@ -406,9 +405,10 @@ def test_conic_newton_steps_on_a_sandwich_item(monkeypatch, solver_grid):
 
 
 # Two sandwich items (minimal norms about 24.048 and 15.942, t* about 580 and
-# 250) on which a round at sigma = 1e6-1e7 once sat at its gradient's roundoff,
-# accepting steps that left phi and the residual unchanged, until 1000 Newton
-# steps ran out.  Nodes are (s, p) pairs, targets scalars.
+# 250) on which a proximal round at sigma = 1e6-1e7 once sat at its
+# gradient's roundoff, accepting steps that left phi and the residual
+# unchanged, until 1000 Newton steps ran out.  Nodes are (s, p) pairs,
+# targets scalars.
 BUDGET_BRACKETS = {
     "A": (
         [
@@ -432,17 +432,18 @@ BUDGET_BRACKETS = {
 @pytest.mark.parametrize("name", sorted(BUDGET_BRACKETS))
 def test_conic_bracket_that_idled_at_roundoff_closes(name, monkeypatch, solver_grid):
     # the check of bench/workloads.py::Sandwich._check at the bench's options;
-    # each closes in 61-71 steps
+    # the interior-point solve closes them in 14 and 15 iterations, where the
+    # proximal rounds took 61-71 Newton steps
     opts, width = SolveOptions(max_iter=1000), 1e-4
     pairs, ws = BUDGET_BRACKETS[name]
     problem = PickProblem(
         nodes=NodeSet.from_pairs(pairs), targets=tuple(np.array([[w]]) for w in ws)
     )
     steps = []
-    hessian = feasibility._dense_hessian
-    monkeypatch.setattr(feasibility, "_dense_hessian", lambda *a: steps.append(1) or hessian(*a))
+    schur = feasibility._hkm_schur
+    monkeypatch.setattr(feasibility, "_hkm_schur", lambda *a: steps.append(1) or schur(*a))
     lo, hi = minimal_norm_bracket(problem, solver_grid, opts, width)
-    assert len(steps) <= 150
+    assert 0 < len(steps) <= {"A": 14, "B": 15}[name]
     monkeypatch.undo()
     assert lo <= hi and hi - lo <= width * max(1.0, hi)
     above = PickProblem(
@@ -515,3 +516,26 @@ def test_bracket_that_stalled_at_the_largest_sigma_closes(name, solver_grid):
     sol = solve_pick(above, solver_grid, opts)
     assert sol.status is SolveStatus.FEASIBLE
     assert sol.node_residual <= 1e-7
+
+
+@pytest.mark.parametrize("n, seed", [(12, 3), (16, 1)])
+def test_planted_bracket_that_stalled_in_the_szego_repair_closes(n, seed, solver_grid):
+    # the proximal rounds raised "stalled" at relative widths 5.1e-4 (N = 12)
+    # and 2.1e-2 (N = 16); solve_pick at hi + width is not re-checked here,
+    # as solve itself ends Unknown there (ROADMAP item 8)
+    opts, width = SolveOptions(max_iter=2000), 1e-4
+    problem = planted_problem(n, seed)
+    lo, hi, witness = pick._conic_bracket(problem, solver_grid, opts, width)
+    top = max(float(np.linalg.norm(t, 2)) for t in problem.targets)
+    assert 0.0 <= hi - lo <= width * max(1.0, top)
+    assert lo <= 0.95  # the targets are planted at 0.95
+    at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
+    assert residual(assemble_pick_target(at_hi), witness) <= opts.tol
+
+
+def test_bracket_whose_steps_collapse_raises(monkeypatch, solver_grid):
+    # every step is at most 1, so none reaches a floor of 2
+    monkeypatch.setattr(feasibility, "_MIN_STEP", 2.0)
+    with pytest.raises(NumericsError, match="stalled at relative width"):
+        minimal_norm_bracket(sandwich_item(), solver_grid, SolveOptions(max_iter=1000))
+

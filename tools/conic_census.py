@@ -8,12 +8,12 @@ brackets each minimal norm with ``pick.minimal_norm_bracket`` at the
 workload's options and width, and checks the bracket's midpoint with the
 bench's ``Sandwich._check``.  An item whose bracket raises is ``failed``, as
 in the bench.  It prints every item that raises or does not check ``ok``
-(bench seed, item, verdict, what the bracket ended with, Newton steps), then
-the number of items, the verdict counts, the total, median, 99th percentile
-and largest Newton steps per item, and the total of eigensolves (stacked PSD
-projections).  A 35-item bench run seldom meets a bracket that spends its
-whole budget; a census over many seeds does.  It exits 1 when a check finds
-a wrong value.
+(bench seed, item, verdict, what the bracket ended with, interior-point
+iterations), then the number of items, the verdict counts, the total, median,
+99th percentile and largest iterations per item, and the total of
+eigensolves (stacked ``eigvalsh`` calls while the bracket runs).  A 35-item
+bench run seldom meets a bracket that spends its whole budget; a census over
+many seeds does.  It exits 1 when a check finds a wrong value.
 """
 
 from __future__ import annotations
@@ -30,25 +30,28 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import run  # noqa: E402  (pins BLAS to one thread before numpy is imported)
 import workloads  # noqa: E402
+import numpy as np  # noqa: E402
 from symbidisk import feasibility  # noqa: E402
 from symbidisk.pick import minimal_norm_bracket  # noqa: E402
 
 RUN_SECONDS = 40  # the run length whose items are censused
 
 
-def _counted(calls: Counter, key: str, fn):
-    def wrapper(*args):
-        calls[key] += 1
-        return fn(*args)
+def _counted(calls: Counter, key: str, fn, stacked=False):
+    """fn, counting its calls under key (with stacked, only those on a 3-d array)."""
+
+    def wrapper(a, *args):
+        calls[key] += not stacked or np.ndim(a) == 3
+        return fn(a, *args)
 
     return wrapper
 
 
 def census(seed: int):
-    """One row per item of a bench seed: (seed, item, verdict, ended, steps, eigensolves).
+    """One row per item of a bench seed: (seed, item, verdict, ended, iterations, eigensolves).
 
     ``ended`` is ``closed`` or the name of the exception the bracket raised;
-    steps and eigensolves are those of the bracket, not of the check.
+    iterations and eigensolves are those of the bracket, not of the check.
     """
     count = run.item_count("sandwich", RUN_SECONDS)
     wl = run.make_workload("sandwich", seed, count, workdir=None)  # writes no files
@@ -56,11 +59,9 @@ def census(seed: int):
     for k, problem in enumerate(wl.items):
         calls = Counter()
         with mock.patch.object(
-            feasibility, "_dense_hessian", _counted(calls, "steps", feasibility._dense_hessian)
+            feasibility, "_hkm_schur", _counted(calls, "iterations", feasibility._hkm_schur)
         ), mock.patch.object(
-            feasibility,
-            "psd_project_stack",
-            _counted(calls, "eigensolves", feasibility.psd_project_stack),
+            np.linalg, "eigvalsh", _counted(calls, "eigensolves", np.linalg.eigvalsh, True)
         ):
             try:
                 lo, hi = minimal_norm_bracket(problem, workloads.GRID, wl.opts, wl.width)
@@ -68,7 +69,7 @@ def census(seed: int):
             except Exception as exc:  # a raising item is a failed item, as in the bench
                 ended = type(exc).__name__
         verdict = wl._check(k, 0.5 * (lo + hi)) if ended == "closed" else "failed"
-        rows.append((seed, k, verdict, ended, calls["steps"], calls["eigensolves"]))
+        rows.append((seed, k, verdict, ended, calls["iterations"], calls["eigensolves"]))
     return rows
 
 
@@ -83,18 +84,18 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs=2, required=True, metavar=("A", "B"))
     args = parser.parse_args(argv)
     first, last = args.seeds
-    verdicts, steps, eigensolves = Counter(), [], 0
+    verdicts, iterations, eigensolves = Counter(), [], 0
     for seed in range(first, last + 1):
         for row in census(seed):
             verdicts[row[2]] += 1
-            steps.append(row[4])
+            iterations.append(row[4])
             eigensolves += row[5]
             if row[2] != "ok":
-                print("seed {} item {}: {} ({}, {} steps)".format(*row), flush=True)
-    print(f"seeds {first}-{last}: {len(steps)} items, "
+                print("seed {} item {}: {} ({}, {} iterations)".format(*row), flush=True)
+    print(f"seeds {first}-{last}: {len(iterations)} items, "
           + ", ".join(f"{v} {verdicts[v]}" for v in ("ok", "failed", "wrong"))
-          + f", {sum(steps)} Newton steps (p50 {_rank(steps, 0.5)},"
-          + f" p99 {_rank(steps, 0.99)}, max {max(steps)}), {eigensolves} eigensolves")
+          + f", {sum(iterations)} interior-point iterations (p50 {_rank(iterations, 0.5)},"
+          + f" p99 {_rank(iterations, 0.99)}, max {max(iterations)}), {eigensolves} eigensolves")
     return 1 if verdicts["wrong"] else 0
 
 
