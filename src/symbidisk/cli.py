@@ -45,7 +45,6 @@ from .sequences import (
 )
 from .serialize import (
     FORMAT_VERSION,
-    canonical_json,
     decode_complex,
     decode_grid,
     decode_matrix,
@@ -54,9 +53,9 @@ from .serialize import (
     encode_colligation,
     encode_complex,
     encode_membership,
+    encode_report,
     encode_solve_report,
     read_number,
-    report_hash,
 )
 
 KINDS = ("membership", "pick", "corona", "sequence", "gamma-check", "measure-model")
@@ -156,8 +155,7 @@ def _run_single(args) -> int:
             value = getattr(args, field, None)
             if value is not None:
                 problem["payload"][field] = value
-    report = execute_problem(problem, _cli_overrides(args))
-    text = canonical_json(report)
+    _, text = _execute(problem, _cli_overrides(args))
     if args.out_path:
         _atomic_write(args.out_path, text)
     else:
@@ -228,6 +226,29 @@ def _validate_problem(problem: Any, kind: str | None = None) -> None:
 
 def execute_problem(problem: dict, overrides: dict | None = None) -> dict:
     """Dispatch a parsed ProblemFile and assemble the ReportFile dict."""
+    return _execute(problem, overrides)[0]
+
+
+def _solve_options(opts_obj: dict) -> SolveOptions:
+    """The solver options of a problem's ``opts`` with the flags merged in.
+
+    The seed and max_iter must be integers >= 0 and tol a finite number >= 0,
+    in a file as in a flag; SolveOptions itself takes any value.
+    """
+    seed = read_number(opts_obj.get("seed", 0), "seed", integral=True)
+    tol = read_number(opts_obj.get("tol", 1e-8), "tol")
+    max_iter = read_number(opts_obj.get("max_iter", 20000), "max_iter", integral=True)
+    if seed < 0:
+        raise ValidationError(f"field 'seed' must be an integer >= 0, got {seed}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"field 'tol' must be a finite number >= 0, got {tol!r}")
+    if max_iter < 0:
+        raise ValidationError(f"field 'max_iter' must be an integer >= 0, got {max_iter}")
+    return SolveOptions(tol=tol, max_iter=max_iter, seed=seed)
+
+
+def _execute(problem: dict, overrides: dict | None = None) -> tuple[dict, str]:
+    """(report, text): execute_problem's report and its canonical text, encoded once."""
     overrides = overrides or {}
     _validate_problem(problem)
     kind = problem["kind"]
@@ -237,13 +258,7 @@ def execute_problem(problem: dict, overrides: dict | None = None) -> dict:
     if not isinstance(opts_obj, dict):
         raise ValidationError("field 'opts' must be an object")
     keys = ("tol", "max_iter", "seed")
-    opts_obj = {**opts_obj, **{k: overrides[k] for k in keys if k in overrides}}
-    seed = read_number(opts_obj.get("seed", 0), "seed", integral=True)
-    opts = SolveOptions(
-        tol=read_number(opts_obj.get("tol", 1e-8), "tol"),
-        max_iter=read_number(opts_obj.get("max_iter", 20000), "max_iter", integral=True),
-        seed=seed,
-    )
+    opts = _solve_options({**opts_obj, **{k: overrides[k] for k in keys if k in overrides}})
     if "grid" in overrides:
         grid = AlphaGrid.boundary(int(overrides["grid"]), include_zero=True)
     else:
@@ -256,13 +271,13 @@ def execute_problem(problem: dict, overrides: dict | None = None) -> dict:
         "format": FORMAT_VERSION,
         "kind": kind,
         "problem": problem,
-        "seed": seed,
+        "seed": opts.seed,
         "tool_version": __version__,
         **body,
         "timings": {**body.get("timings", {}), "total": time.perf_counter() - t0},
     }
-    report["report_hash"] = report_hash(report)
-    return report
+    report["report_hash"], text = encode_report(report)
+    return report, text
 
 
 def _require(payload: dict, field: str):
@@ -460,7 +475,7 @@ def corpus(args) -> int:
     def run_one(name: str) -> tuple[str, str, str]:
         path = os.path.join(in_dir, name)
         try:
-            report = execute_problem(_load_problem(path), overrides)
+            report, text = _execute(_load_problem(path), overrides)
         except (ValidationError, json.JSONDecodeError, OverflowError) as exc:
             return name, "input-error", str(exc)
         except (NumericsError, np.linalg.LinAlgError) as exc:
@@ -471,7 +486,7 @@ def corpus(args) -> int:
             return name, "internal-error", detail
         if args.out_path:
             out_file = os.path.join(args.out_path, name.replace(".json", ".report.json"))
-            _atomic_write(out_file, canonical_json(report))
+            _atomic_write(out_file, text)
         expected_path = os.path.join(in_dir, name.replace(".json", ".expected.json"))
         if not os.path.exists(expected_path):
             return name, "ok", "no expectation"

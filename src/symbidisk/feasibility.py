@@ -58,6 +58,7 @@ complement is an N^2 x N^2 matrix built in O(M N^4) flops.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -102,6 +103,13 @@ _MU_EXPONENT = 0.25
 # steps, about 14 CPU-s per solve.  It bounds scalar Pick nodes, sequence
 # truncations and n * d of matrix Pick and corona problems.
 MAX_TARGET_DIM = 20
+# Largest modulus a target entry may have.  ||J||^2 overflows near
+# |J| = 1e154, and the first Newton direction of solve is J / 1e-2.  Measured
+# with target moduli up to 1e160 (2-node, 6-node and 20-node Pick and 2-node
+# corona targets): every solve reached its verdict at |J| <= 1e150 and at
+# about 6e150, none at 1e152 and above (Unknown, a LinAlgError, or a report
+# holding inf).
+MAX_TARGET_ENTRY = 1e150
 # Atoms per slab of the dense Hessian assembly are capped so that the slab E
 # holds at most this many entries (N^2 rows, N^2 columns per atom).
 _HESSIAN_CHUNK_ENTRIES = 2**20
@@ -111,9 +119,18 @@ _POLISH_STEPS = 8
 _POLISH_TOL = 1e-12
 _STALL_STEPS = 40  # Unknown when the best residual has not halved in this many steps
 # The interior-point iterations of _conic_minimum take this fraction of the
-# step to the PSD boundary, and start from the single-atom witness at t plus
-# _START_SHIFT t I, strictly inside the cone.
+# step to the PSD boundary.
 _STEP_FRACTION = 0.95
+# _conic_minimum starts from the single-atom witness at t_w moved strictly
+# inside the cone: by _START_SZEGO t_w (Sz_m (x) I) at every Szego-safe atom m,
+# which keeps the primal identity to roundoff, and by _START_SHIFT t_w I at the
+# others, whose singular Sz_m would fail the first Cholesky factorization.
+# At 0.03 the sandwich item of tests/test_pick.py takes 7 iterations and its
+# two budget items 9 each; 0.01-0.02 took a budget item to 10, and 0.05-0.3
+# the sandwich item to 8.  On the sandwich census (tools/conic_census.py
+# --seeds 33001 33040) the iterations fell 12765 -> 11271 against the witness
+# + _START_SHIFT t_w I at every atom.
+_START_SZEGO = 0.03
 _START_SHIFT = 3e-3
 # Steps below this on both sides leave the iterate where it is, and so would
 # every later one: the conic solve has stalled.
@@ -159,9 +176,13 @@ class FeasibilityTarget:
             raise ValidationError(f"target shape {m.shape} != ({n}, {n})")
         if not np.all(np.isfinite(m)):
             raise ValidationError("target has non-finite entries (input magnitude overflows)")
-        if np.abs(m - m.conj().T).max(initial=0.0) > 1e-10 * max(
-            1.0, np.abs(m).max(initial=0.0)
-        ):
+        top = float(np.abs(m).max(initial=0.0))
+        if top > MAX_TARGET_ENTRY:
+            raise ValidationError(
+                f"target has an entry of modulus {top:.3g}, more than the"
+                f" {MAX_TARGET_ENTRY:g} at which the solve's norms stay finite"
+            )
+        if np.abs(m - m.conj().T).max(initial=0.0) > 1e-10 * max(1.0, top):
             raise ValidationError("target is not self-adjoint")
         object.__setattr__(self, "matrix", hermitian_part(m))
 
@@ -548,6 +569,12 @@ class _HermitianBasis:
         return out.reshape(n, n)
 
 
+@functools.cache
+def _hermitian_basis(n):
+    """_HermitianBasis(n), built once per size."""
+    return _HermitianBasis(n)
+
+
 def _hkm_schur(cexp, b, sinv):
     """sum_m diag(vec C_m)(B_m (x) S_m^-T)diag(vec conj(C_m)), an N^2 x N^2 matrix.
 
@@ -566,6 +593,22 @@ def _hkm_schur(cexp, b, sinv):
         term = np.einsum("ma,mab,mb->ab", c, kron.reshape(len(c), n * n, n * n), c.conj())
         v = term if v is None else v + term
     return v
+
+
+def _interior_start(t_w, witness, szego, safe):
+    """(t, B): the witness of t_w E - G moved strictly inside the PSD cone.
+
+    ``szego`` holds Sz_m (x) I = E / C_m for every atom m, and ``safe`` the
+    atoms where it is safely positive definite.  B_m gains
+    eps (Sz_m (x) I), eps = _START_SZEGO t_w, at the safe atoms, and
+    C_m . (Sz_m (x) I) = E, so t = t_w + |safe| eps keeps
+    t E - G = sum_m C_m . B_m to roundoff.  The other atoms gain
+    _START_SHIFT t_w I, which leaves a residual of their diagonal masks.
+    """
+    eps = _START_SZEGO * t_w
+    b = witness + _START_SHIFT * t_w * np.eye(witness.shape[1])
+    b[safe] = witness[safe] + eps * szego[safe]
+    return t_w + len(safe) * eps, b
 
 
 def _conic_minimum(nodes, grid, g, block, gap, opts):
@@ -596,12 +639,25 @@ def _conic_minimum(nodes, grid, g, block, gap, opts):
     dS the predictor's.  The primal (t, B) and the dual Z then each take
     _STEP_FRACTION of the corrector's step to the PSD boundary, at most 1.
     Each step to the boundary is one stacked eigvalsh, whitened by one
-    Cholesky factorization of the stacked [B; S] per iteration.  The start is
-    B = the single-atom witness + _START_SHIFT t I at that witness's t, and
-    Z = I / N, where Re<E, Z> = 1 and every S_m is diagonal and positive.
+    Cholesky factorization of the stacked [B; S] per iteration; the basis,
+    the t border of the system and its right-hand side are built once per
+    solve.
 
-    The iterate's t is no upper end (its primal identity holds only in the
-    limit), nor its Z a rigorous lower one (S_m is PSD only to roundoff).  Once
+    The start is feasible on both sides.  The dual starts at Z = I / N, where
+    Re<E, Z> = 1 and every S_m is diagonal and positive.  The primal starts
+    from the single-atom witness (t_w, W) that repair builds from B = 0:
+    W_k is PSD, but singular, and every other W_m is 0.  As
+    C_m . (Sz_m (x) I) = E exactly (Sz_m below), B_m = W_m + eps (Sz_m (x) I)
+    at every atom m whose Sz_m is safely positive definite, with
+    t = t_w + eps times their number, still satisfies t E - G = sum_m C_m . B_m
+    to roundoff, and every such B_m is positive definite (_interior_start).
+    A Newton step keeps a linear identity that already holds, so no
+    iteration is spent restoring it.  The atoms where Sz_m is not safe get
+    _START_SHIFT t_w I instead, and leave a residual.
+
+    The iterate's t is no upper end (its primal identity holds only to
+    roundoff, and only in the limit when an atom is not safe), nor its Z a
+    rigorous lower one (S_m is PSD only to roundoff).  Once
     |sqrt(t) - sqrt(Re<G, Z> / Re<E, Z>)| <= gap, both ends are taken from it,
     and kept where they tighten:
 
@@ -666,7 +722,8 @@ def _conic_minimum(nodes, grid, g, block, gap, opts):
 
     lo = 1.0  # forced by the diagonal blocks
     hi2, witness = repair(1.0, np.zeros_like(cexp))
-    t, b, z = hi2, witness + _START_SHIFT * hi2 * np.eye(dim), np.eye(dim) / dim
+    t, b = _interior_start(hi2, witness, szego, safe)
+    z = np.eye(dim) / dim
 
     def bracket():
         """Both ends from the iterate (t, b, z), kept where they tighten; the width."""
@@ -677,8 +734,10 @@ def _conic_minimum(nodes, grid, g, block, gap, opts):
         lo = max(lo, lower(z))
         return math.sqrt(hi2) - lo
 
-    basis = _HermitianBasis(dim)
-    e_real = basis.rows(ee.ravel()).real
+    basis = _hermitian_basis(dim)
+    kkt = np.zeros((dim * dim + 1,) * 2)  # the Schur complement bordered by the t row
+    kkt[:-1, -1] = kkt[-1, :-1] = basis.rows(ee.ravel()).real
+    rhs = np.empty(len(kkt))
     m, size = len(cexp), len(cexp) * dim
     it = 0
     while True:
@@ -697,23 +756,23 @@ def _conic_minimum(nodes, grid, g, block, gap, opts):
         try:
             s = cconj * z
             linv = np.linalg.inv(np.linalg.cholesky(np.concatenate([b, s])))
-            sinv = linv[m:].conj().transpose(0, 2, 1) @ linv[m:]
+            linv_h = linv.conj().transpose(0, 2, 1)
+            sinv = linv_h[m:] @ linv[m:]
             nu = float(np.vdot(b, s).real) / size
-            kkt = np.zeros((len(e_real) + 1,) * 2)
             kkt[:-1, :-1] = basis.matrix(_hkm_schur(cexp, b, sinv))
-            kkt[:-1, -1] = kkt[-1, :-1] = e_real
-            rd = 1.0 - ez
+            rhs[-1] = 1.0 - ez
 
-            def direction(rhs):
-                """(dt, dz, ds) solving the bordered system for the right side rhs."""
-                sol = np.linalg.solve(kkt, np.append(basis.rows(rhs.ravel()).real, rd))
+            def direction(r):
+                """(dt, dz, ds) solving the bordered system for the primal right side r."""
+                rhs[:-1] = basis.rows(r.ravel()).real
+                sol = np.linalg.solve(kkt, rhs)
                 dz = basis.hermitian(sol[:-1])
                 return float(sol[-1]), dz, cconj * dz
 
             def steps(db, ds, fraction):
                 """min(1, fraction times the step to the PSD boundary) along db and along ds."""
                 d = np.concatenate([db, ds])
-                lam = np.linalg.eigvalsh(linv @ d @ linv.conj().transpose(0, 2, 1))[:, 0]
+                lam = np.linalg.eigvalsh(linv @ d @ linv_h)[:, 0]
                 lows = (-float(lam[:m].min()), -float(lam[m:].min()))
                 return tuple(1.0 if low <= fraction else fraction / low for low in lows)
 

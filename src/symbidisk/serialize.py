@@ -7,7 +7,11 @@ hashed canonically: ``canonical_json`` sorts keys and keeps the default
 shortest round-trip float text, and ``report_hash`` drops the top-level
 wall-clock fields (the one part of a report that legitimately differs between
 identical runs).  Report files hold the same compact text, written by the C
-encoder.
+encoder.  ``encode_report`` encodes each top-level member once and joins
+those texts into both the hashed text and the written one, which are the
+bytes ``canonical_json`` gives for the kept members and for the whole report.
+A report holding a non-finite number cannot be written as JSON:
+``canonical_json`` raises NumericsError for it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 from .feasibility import CPBlocks, SolveReport
 from .geometry import MembershipReport
 from .kernels import AlphaGrid, KernelMatrix, NodeSet
@@ -208,10 +212,31 @@ def encode_membership(report: MembershipReport) -> dict:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    """Sorted, compact JSON text; NumericsError when ``obj`` holds a non-finite number."""
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise NumericsError(f"report holds a number JSON cannot encode: {exc}") from None
+
+
+def _joined(members: dict[str, str]) -> str:
+    """canonical_json of an object, from the canonical texts of its members."""
+    return "{" + ",".join(f"{json.dumps(k)}:{members[k]}" for k in sorted(members)) + "}"
 
 
 def report_hash(report: dict) -> str:
     """sha256 of the canonical report text without its top-level volatile keys."""
-    kept = {k: v for k, v in report.items() if k not in VOLATILE_KEYS}
-    return hashlib.sha256(canonical_json(kept).encode()).hexdigest()
+    return encode_report(report)[0]
+
+
+def encode_report(report: dict) -> tuple[str, str]:
+    """(report_hash, text): the hash of ``report``, and the canonical text of it with that hash.
+
+    Each top-level member is encoded once; a ``report_hash`` member already
+    in ``report`` is replaced.
+    """
+    members = {k: canonical_json(v) for k, v in report.items() if k != "report_hash"}
+    kept = {k: v for k, v in members.items() if k not in VOLATILE_KEYS}
+    digest = hashlib.sha256(_joined(kept).encode()).hexdigest()
+    members["report_hash"] = json.dumps(digest)
+    return digest, _joined(members)

@@ -428,7 +428,25 @@ MALFORMED = {
     "targets-integer": ("pick", ("payload", "targets"), 5),
     "phi-samples-integer": ("corona", ("payload", "phi_samples"), 5),
     "theta-samples-integer": ("corona", ("payload", "theta_samples"), 7),
+    # solver options out of range
+    "seed-negative": ("corona", ("opts", "seed"), -1),
+    "sequence-seed-negative": ("sequence", ("opts", "seed"), -1),
+    "tol-negative": ("pick", ("opts", "tol"), -1e-8),
+    "max-iter-negative": ("pick", ("opts", "max_iter"), -1),
+    # finite input whose target entries pass MAX_TARGET_ENTRY
+    "pick-target-huge": ("pick", ("payload", "targets", 0), [1e80, 0.0]),
+    "corona-delta-huge": ("corona", ("payload", "delta"), 1e160),
 }
+
+# Solver flags out of range: (kind, flag, value).
+BAD_FLAGS = [
+    ("corona", "--seed", "-1"),
+    ("sequence", "--seed", "-1"),
+    ("pick", "--tol", "nan"),
+    ("pick", "--tol", "inf"),
+    ("pick", "--tol", "-1"),
+    ("pick", "--max-iter", "-1"),
+]
 
 
 def malformed_problem(case):
@@ -518,6 +536,34 @@ class TestMalformedFields:
         assert len(lines) == 1 and lines[0].startswith("input error:"), lines
         assert "'kernels'" in lines[0]
 
+    @pytest.mark.parametrize("kind, flag, value", BAD_FLAGS)
+    def test_bad_solver_flag_is_one_input_error_line(self, kind, flag, value, tmp_path, capsys):
+        p_in = tmp_path / "p.json"
+        write_json(p_in, GOLDEN[kind][0])
+        assert run([kind, "--in", str(p_in), flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:"), lines
+        assert f"'{flag[2:].replace('-', '_')}'" in lines[0]
+
+    def test_non_finite_report_is_one_numerical_failure_line(self, tmp_path, capsys, monkeypatch):
+        # the encoder's backstop behind the input checks
+        monkeypatch.setitem(symbidisk.cli._HANDLERS, "membership", lambda *a: {"x": math.inf})
+        p_in = tmp_path / "m.json"
+        write_json(p_in, GOLDEN["membership"][0])
+        assert run(["membership", "--in", str(p_in)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure:"), lines
+        d = golden_corpus(tmp_path)
+        assert run(["corpus", "--in", str(d)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        fails = [line for line in lines if line.startswith("FAIL")]
+        assert len(fails) == 1 and fails[0].startswith("FAIL  membership.json"), lines
+        assert "numerical-failure" in fails[0]
+
     def test_huge_grid_flag_is_one_input_error_line(self, tmp_path, capsys):
         p_in = tmp_path / "p.json"
         write_json(p_in, GOLDEN["pick"][0])
@@ -557,6 +603,27 @@ class TestReportFiles:
                 assert "wall_time" not in report["solve"]
                 report["timings"]["solve"] += 1.0
                 assert report_hash(report) == report["report_hash"]
+
+    def test_corpus_encodes_each_report_once(self, tmp_path, capsys, monkeypatch):
+        # the hashed and the written text are joined from one encoding of
+        # each top-level member, so the encoder sees the written text less its
+        # keys, braces and hash (encoding twice would show about twice it)
+        d = golden_corpus(tmp_path)
+        out_dir = tmp_path / "reports"
+        encoded = []
+        real = symbidisk.serialize.canonical_json
+
+        def counted(obj):
+            text = real(obj)
+            encoded.append(len(text))
+            return text
+
+        for module in (symbidisk.serialize, symbidisk.cli):  # wherever the name is bound
+            if hasattr(module, "canonical_json"):
+                monkeypatch.setattr(module, "canonical_json", counted)
+        assert run(["corpus", "--in", str(d), "--out", str(out_dir)]) == 0
+        written = sum(len(p.read_text()) for p in out_dir.iterdir())
+        assert 0.5 * written < sum(encoded) <= written
 
     def test_jobs_is_accepted_and_ignored(self, tmp_path, capsys):
         d = golden_corpus(tmp_path)
@@ -734,14 +801,14 @@ class TestCorpus:
 
     def test_unexpected_exception_fails_one_file(self, tmp_path, capsys, monkeypatch):
         d = self._make_corpus(tmp_path)
-        real = symbidisk.cli.execute_problem
+        real = symbidisk.cli._execute  # what corpus calls: execute_problem's report and text
 
         def flaky(problem, overrides=None):
             if problem["kind"] == "membership":
                 raise RuntimeError("boom")
             return real(problem, overrides)
 
-        monkeypatch.setattr(symbidisk.cli, "execute_problem", flaky)
+        monkeypatch.setattr(symbidisk.cli, "_execute", flaky)
         assert run(["corpus", "--in", str(d), "--jobs", "2"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert any(

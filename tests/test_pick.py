@@ -28,6 +28,7 @@ from symbidisk import feasibility, pick
 from symbidisk.feasibility import SolveReport
 from symbidisk.geometry import phi_values
 from symbidisk.hermitian import hermitian_part, schur_oslash
+from symbidisk.kernels import coefficient_masks
 from symbidisk.realization import realize
 
 from conftest import loop_file_problem, near_threshold_problem, random_nodes
@@ -404,6 +405,25 @@ def test_conic_newton_steps_on_a_sandwich_item(monkeypatch, solver_grid):
     assert verify_contractivity(sol.interpolant, 2000) <= 1.0 + 1e-8
 
 
+def test_conic_start_is_primal_feasible_on_a_sandwich_item(monkeypatch, solver_grid):
+    # E = C_m . Sz_m at every atom, so moving the single-atom witness inside
+    # the cone along the Szego kernels keeps t E - G = sum_m C_m . B_m
+    starts = []
+    start = feasibility._interior_start
+    monkeypatch.setattr(
+        feasibility, "_interior_start", lambda *a: starts.append(start(*a)) or starts[-1]
+    )
+    problem = sandwich_item()
+    minimal_norm_bracket(problem, solver_grid, SolveOptions(max_iter=1000))
+    ((t, b),) = starts
+    top = max(float(np.linalg.norm(w, 2)) for w in problem.targets)
+    w = np.concatenate(problem.targets) / top
+    cexp = coefficient_masks(solver_grid, problem.nodes)
+    r = t * np.ones((3, 3)) - w @ w.conj().T - np.einsum("mij,mij->ij", cexp, b)
+    assert np.linalg.norm(r) <= 1e-12 * t
+    assert np.linalg.eigvalsh(b)[:, 0].min() > 0.0  # every B_m positive definite
+
+
 # Two sandwich items (minimal norms about 24.048 and 15.942, t* about 580 and
 # 250) on which a proximal round at sigma = 1e6-1e7 once sat at its
 # gradient's roundoff, accepting steps that left phi and the residual
@@ -432,8 +452,9 @@ BUDGET_BRACKETS = {
 @pytest.mark.parametrize("name", sorted(BUDGET_BRACKETS))
 def test_conic_bracket_that_idled_at_roundoff_closes(name, monkeypatch, solver_grid):
     # the check of bench/workloads.py::Sandwich._check at the bench's options;
-    # the interior-point solve closes them in 14 and 15 iterations, where the
-    # proximal rounds took 61-71 Newton steps
+    # the interior-point solve closes both in 9 iterations from its feasible
+    # start (14 and 15 from the shifted one), where the proximal rounds took
+    # 61-71 Newton steps
     opts, width = SolveOptions(max_iter=1000), 1e-4
     pairs, ws = BUDGET_BRACKETS[name]
     problem = PickProblem(
@@ -443,7 +464,7 @@ def test_conic_bracket_that_idled_at_roundoff_closes(name, monkeypatch, solver_g
     schur = feasibility._hkm_schur
     monkeypatch.setattr(feasibility, "_hkm_schur", lambda *a: steps.append(1) or schur(*a))
     lo, hi = minimal_norm_bracket(problem, solver_grid, opts, width)
-    assert 0 < len(steps) <= {"A": 14, "B": 15}[name]
+    assert 0 < len(steps) <= 9
     monkeypatch.undo()
     assert lo <= hi and hi - lo <= width * max(1.0, hi)
     above = PickProblem(

@@ -1,8 +1,12 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 from symbidisk import (
     NodeSet,
+    NumericsError,
     PickProblem,
     ValidationError,
     make_b_kernel,
@@ -23,6 +27,7 @@ from symbidisk.serialize import (
     encode_kernel,
     encode_matrix,
     encode_nodes,
+    encode_report,
     report_hash,
 )
 
@@ -95,3 +100,27 @@ def test_report_hash_strips_only_top_level_keys():
 def test_canonical_json_is_sorted_and_compact():
     text = canonical_json({"b": 1, "a": [1.5, 2.25]})
     assert text == '{"a":[1.5,2.25],"b":1}'
+
+
+def test_encode_report_joins_the_canonical_text():
+    report = {
+        "status": "Feasible",
+        "problem": {"b": [0.1, 2.5e-300], "a": "\u00e9"},
+        "timings": {"total": 0.25},
+        "wall_time": 1.0,
+        "report_hash": "0" * 64,
+    }
+    # the hash and the text as one canonical_json of the whole object each
+    kept = {"status": report["status"], "problem": report["problem"]}
+    digest, text = encode_report(report)
+    assert digest == hashlib.sha256(canonical_json(kept).encode()).hexdigest()
+    assert text == canonical_json({**report, "report_hash": digest})
+    digest, text = encode_report({})
+    assert digest == hashlib.sha256(b"{}").hexdigest()
+    assert text == canonical_json({"report_hash": digest})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_canonical_json_rejects_non_finite_numbers(value):
+    with pytest.raises(NumericsError, match="cannot encode"):
+        canonical_json({"solve": {"residual": value}})
