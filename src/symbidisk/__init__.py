@@ -10,7 +10,6 @@ colligation built by a lurking isometry).  See the README for the CLI.
 __version__ = "0.1.0"
 
 from .errors import (
-    GenerationError,
     NumericsError,
     SymbidiskError,
     ValidationError,
@@ -30,7 +29,6 @@ from .hermitian import (
     EigenDecomposition,
     eigh,
     gram_factor,
-    psd_project,
     schur_oslash,
     unitary_completion,
 )

@@ -12,6 +12,3 @@ class ValidationError(SymbidiskError, ValueError):
 class NumericsError(SymbidiskError):
     """A numerical routine could not meet its contract."""
 
-
-class GenerationError(SymbidiskError):
-    """Randomized construction failed to converge; retry with a new seed."""

@@ -78,6 +78,7 @@ from .kernels import (
     AlphaGrid,
     KernelMatrix,
     NodeSet,
+    admissible_shift,
     coefficient_masks,
     expand_masks,
     unit_diagonal,
@@ -496,8 +497,9 @@ def _single_atom_witness(target, grid, cexp, opts):
     atoms = np.flatnonzero(np.linalg.eigvalsh(cands)[:, 0] >= -1e-12 * scale)
     if atoms.size == 0:
         return None
-    # residual() of B at each such atom and zeros elsewhere, B = psd_project of
-    # the quotient; einsum and the per-atom norm round as residual() does
+    # residual() of B at each such atom and zeros elsewhere, B = the PSD
+    # projection of the quotient; einsum and the per-atom norm round as
+    # residual() does
     bs = hermitian_part(psd_project_stack(cands[atoms])[0])
     mismatch = np.einsum("kij,kij->kij", cexp[atoms], bs) - j
     res = np.array([np.linalg.norm(r) for r in mismatch])
@@ -669,8 +671,9 @@ def _conic_minimum(nodes, grid, g, block, gap, opts):
       positive definite.  A direct eigensolve of the repaired block then adds
       what the whitening by Sz_k rounded away.  From B = 0 and t = 1 this is
       the best single-atom witness.
-    * lo: Z' = Z + s I, s = max(0, -min_m lambda_min(conj(C_m) . Z)) / min C_m(i, i),
-      makes every conj(C_m) . Z' PSD.  Any witness (t, B) then gives
+    * lo: Z' = Z + s I, s = max(0, -min_m lambda_min(conj(C_m) . Z)) / min C_m(i, i)
+      (kernels.admissible_shift), makes every conj(C_m) . Z' PSD.  Any
+      witness (t, B) then gives
       t Re<E, Z'> - Re<G, Z'> = sum_m Re<B_m, conj(C_m) . Z'> >= 0, so
       lo = sqrt(Re<G, Z'> / Re<E, Z'>) when Re<E, Z'> > 0: the dual objective
       of the iterate, or the kernel conj(Z') tested on the all-ones vector.
@@ -688,7 +691,6 @@ def _conic_minimum(nodes, grid, g, block, gap, opts):
     ee = np.kron(np.ones((n, n)), np.eye(block))
     cexp = expand_masks(coefficient_masks(grid, nodes), block)
     cconj = cexp.conj()
-    cdiag = float(np.real(np.diagonal(cexp, axis1=1, axis2=2)).min())
     szego = hermitian_part(ee / cexp)  # Sz_k (x) I
     lam_s, vec_s = np.linalg.eigh(szego)
     safe = np.flatnonzero(lam_s[:, 0] > _SZEGO_FLOOR * lam_s[:, -1])
@@ -714,9 +716,12 @@ def _conic_minimum(nodes, grid, g, block, gap, opts):
         return t + e, out
 
     def lower(y):
-        """sqrt(Re<G, Z> / Re<E, Z>) at Z = Y + s I, or 0 when Re<E, Z> <= 0."""
-        shift = max(0.0, -float(np.linalg.eigvalsh(cconj * y)[:, 0].min())) / cdiag
-        z = y + shift * np.eye(len(y))
+        """sqrt(Re<G, Z> / Re<E, Z>) at Z = Y + s I, or 0 when Re<E, Z> <= 0.
+
+        s = admissible_shift(conj(C), Y), the shift that also places the
+        draws of random_admissible_kernel.
+        """
+        z = y + admissible_shift(cconj, y) * np.eye(len(y))
         ez = float(np.vdot(ee, z).real)
         return math.sqrt(max(0.0, float(np.vdot(g, z).real)) / ez) if ez > 0.0 else 0.0
 

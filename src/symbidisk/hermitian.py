@@ -44,19 +44,14 @@ def eigh(h: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values=w, vectors=v)
 
 
-def psd_project(h: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest PSD matrix: clip negative eigenvalues to zero."""
-    dec = eigh(h)
-    w = np.maximum(dec.values, 0.0)
-    return hermitian_part((dec.vectors * w[None, :]) @ dec.vectors.conj().T)
-
-
 def psd_project_stack(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """psd_project over a stack (m, n, n); also returns the stack's eigenpairs.
+    """Frobenius-nearest PSD matrices of a stack (m, n, n), and its eigenpairs.
 
-    The input must be exactly Hermitian, bit for bit: nothing is symmetrized,
-    and the eigensolve reads one triangle.  The projections are Hermitian to
-    roundoff; hermitian_part of a slice equals psd_project of it bit for bit.
+    Each slice has its negative eigenvalues clipped to zero.  The input must
+    be exactly Hermitian, bit for bit: nothing is symmetrized, and the
+    eigensolve reads one triangle.  The projections are Hermitian to
+    roundoff; hermitian_part of a slice equals, bit for bit, the same
+    projection built from one eigh of that slice and symmetrized.
     """
     lam, v = np.linalg.eigh(hs)
     return (v * np.maximum(lam, 0.0)[:, None, :]) @ v.conj().transpose(0, 2, 1), lam, v

@@ -152,8 +152,8 @@ def _conic_bracket(problem, grid, opts, width):
         return 0.0, 0.0, None
     # validates the targets as a solve at norm bound top would
     assemble_pick_target(PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=top))
-    w = np.concatenate(problem.targets)
-    g = hermitian_part(w @ w.conj().T / (top * top))
+    w = np.concatenate(problem.targets) / top  # first: W W* overflows above about 1e154
+    g = hermitian_part(w @ w.conj().T)
     gap = width * max(1.0, top) / top  # the closing width, in units of top
     lo, t, blocks = _conic_minimum(problem.nodes, grid, g, problem.d_out, gap, opts)
     hi = top * math.sqrt(t)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from symbidisk import AlphaGrid, GPoint, NodeSet, PickProblem
+from symbidisk import AlphaGrid, GPoint, NodeSet, PickProblem, eigh
+from symbidisk.hermitian import hermitian_part
 
 
 @pytest.fixture
@@ -34,6 +35,17 @@ def random_nodes(rng, n, rmax=0.85, min_sep=1e-2):
         if all(abs(q.s - o.s) + abs(q.p - o.p) > min_sep for o in pts):
             pts.append(q)
     return NodeSet(tuple(pts))
+
+
+def psd_project(h):
+    """Frobenius-nearest PSD matrix of one Hermitian matrix, by one eigh.
+
+    The reference that hermitian.psd_project_stack matches slice by slice,
+    bit for bit, once its slices are symmetrized.
+    """
+    dec = eigh(h)
+    w = np.maximum(dec.values, 0.0)
+    return hermitian_part((dec.vectors * w[None, :]) @ dec.vectors.conj().T)
 
 
 def near_threshold_problem():

@@ -370,7 +370,7 @@ GOLDEN = {
             },
             "opts": {"seed": 3},
         },
-        "7c3cd40dd248d06f21b4e26f070d8007588aa3ae0ade5c45d24cbb8cab20923d",
+        "1d519319888d220ef1f85467d565bc05ab9f2deb0e5e09f1c58aeb222c9687d0",
     ),
     "membership": (
         {"format": 1, "kind": "membership", "payload": {"s": [0.8, 0], "p": [0.15, 0]}},

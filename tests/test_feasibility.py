@@ -34,10 +34,10 @@ from symbidisk.feasibility import (
     _omega,
 )
 from symbidisk.geometry import phi_values
-from symbidisk.hermitian import hermitian_part, min_eigenvalue, min_eigenvalue_stack, psd_project
+from symbidisk.hermitian import hermitian_part, min_eigenvalue, min_eigenvalue_stack
 from symbidisk.kernels import coefficient_masks, expand_masks, random_admissible_kernel
 
-from conftest import loop_file_problem, near_threshold_problem, random_nodes
+from conftest import loop_file_problem, near_threshold_problem, psd_project, random_nodes
 
 
 def planted_target(rng, nodes, grid, block=1):
@@ -692,13 +692,69 @@ def test_mask_admissibility_matches_admissibility_check(block, admissible, rng):
 def test_solve_out_of_budget_ends_unknown(solver_grid):
     # the loop file just above its minimal norm (about 0.83361) is feasible,
     # but two Newton steps neither reach tol nor certify
-    problem = loop_file_problem()
-    at = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=0.8337)
-    rep = solve(assemble_pick_target(at), solver_grid, SolveOptions(max_iter=2))
+    rep = solve(loop_file_target(0.8337), solver_grid, SolveOptions(max_iter=2))
     assert rep.status is SolveStatus.UNKNOWN
     assert rep.iterations == 2
     assert rep.blocks is None and rep.certificate is None
     assert rep.residual == pytest.approx(8.4e-2, rel=0.01)
+
+
+def loop_file_target(bound):
+    problem = loop_file_problem()
+    at = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=bound)
+    return assemble_pick_target(at)
+
+
+def best_residual_after(target, grid, steps):
+    """The best residual of solve's first ``steps`` steps: its budget exit there."""
+    rep = solve(target, grid, SolveOptions(max_iter=steps))
+    assert rep.status is SolveStatus.UNKNOWN and rep.iterations == steps
+    return rep.residual
+
+
+def test_stalled_solve_ends_unknown(solver_grid, monkeypatch):
+    # feasible at 0.834, where the unpatched solve takes 60 steps; its best
+    # residual does not halve over the 5 steps that end at step 10
+    target = loop_file_target(0.834)
+    monkeypatch.setattr(feasibility, "_STALL_STEPS", 5)
+    rep = solve(target, solver_grid)
+    assert rep.status is SolveStatus.UNKNOWN
+    assert rep.iterations == 10
+    assert rep.blocks is None and rep.certificate is None
+    assert "residual not halved in 5 steps" in rep.notes
+    monkeypatch.undo()
+    assert rep.residual == best_residual_after(target, solver_grid, 10)
+
+
+def test_failed_line_search_ends_unknown(solver_grid, monkeypatch):
+    target = loop_file_target(0.834)
+    search, calls = feasibility._line_search, []
+
+    def failing_third_search(*args):
+        calls.append(args)
+        return None if len(calls) == 3 else search(*args)
+
+    monkeypatch.setattr(feasibility, "_line_search", failing_third_search)
+    rep = solve(target, solver_grid)
+    # step 1 is the exact ray step from Y = 0; steps 2-4 search, and the
+    # failed search of step 4 leaves the iterate of step 3
+    assert rep.status is SolveStatus.UNKNOWN
+    assert rep.iterations == 4
+    assert rep.blocks is None and rep.certificate is None
+    assert "line search failed at step 4" in rep.notes
+    monkeypatch.undo()
+    assert rep.residual == best_residual_after(target, solver_grid, 3)
+
+
+def test_line_search_gives_up_below_its_smallest_step():
+    steps = []
+
+    def at(s):
+        steps.append(s)
+        return -1.0, 2.0, None  # no increase, no lower residual
+
+    assert feasibility._line_search(at, 0.0, 1.0, 1.0, 0.0) is None
+    assert steps[0] == 1.0 and steps[-1] >= 1e-10 > steps[-1] / 2
 
 
 class TestResidual:

@@ -6,7 +6,6 @@ from symbidisk import (
     ValidationError,
     eigh,
     gram_factor,
-    psd_project,
     schur_oslash,
     unitary_completion,
 )
@@ -16,6 +15,8 @@ from symbidisk.hermitian import (
     min_eigenvalue_stack,
     psd_project_stack,
 )
+
+from conftest import psd_project
 
 
 def random_hermitian(rng, n, scale=1.0):

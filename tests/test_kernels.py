@@ -13,7 +13,7 @@ from symbidisk import (
     random_admissible_kernel,
 )
 from symbidisk import kernels
-from symbidisk.hermitian import min_eigenvalue, schur_oslash
+from symbidisk.hermitian import hermitian_part, min_eigenvalue, schur_oslash
 from symbidisk.kernels import coefficient_masks, expand_masks
 
 from conftest import random_nodes
@@ -194,6 +194,37 @@ class TestRandomAdmissibleKernel:
             nodes = random_nodes(rng, 3)
             kern = random_admissible_kernel(nodes, solver_grid, seed=seed)
             assert admissibility_check(kern, solver_grid, tol=1e-8).is_admissible_on_grid
+
+    @staticmethod
+    def draw(n, seed):
+        """I + c bump, the generator's draw before any shift."""
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        bump = w @ w.conj().T
+        bump /= np.linalg.norm(bump, 2)
+        return hermitian_part(np.eye(n) + (0.3 + 0.5 * rng.random()) * bump)
+
+    @pytest.mark.parametrize("grid", [AlphaGrid.solver_default(), AlphaGrid.check_default()])
+    def test_draw_is_returned_unshifted_inside(self, rng, grid):
+        for seed in range(30):
+            n = int(rng.integers(2, 21))
+            nodes = random_nodes(rng, n, rmax=0.85)
+            kern = random_admissible_kernel(nodes, grid, seed=seed)
+            assert kern.matrix.tobytes() == self.draw(n, seed).tobytes()
+
+    @pytest.mark.parametrize("grid", [AlphaGrid.solver_default(), AlphaGrid.check_default()])
+    def test_boundary_draws_are_shifted_onto_admissibility(self, rng, grid):
+        shifted = 0
+        for n in (3, 8, 20):
+            for seed in range(20):
+                nodes = random_nodes(rng, n, rmax=0.995, min_sep=1e-3)
+                kern = random_admissible_kernel(nodes, grid, seed=seed)
+                draw = self.draw(n, seed)
+                shift = kernels.admissible_shift(coefficient_masks(grid, nodes), draw)
+                assert kern.matrix.tobytes() == (draw + shift * np.eye(n)).tobytes()
+                shifted += shift > 0.0
+                assert admissibility_check(kern, grid, tol=1e-10).is_admissible_on_grid
+        assert shifted > 0  # the shift path ran
 
 
 class TestGrammianNormalize:

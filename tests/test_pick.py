@@ -510,6 +510,18 @@ def test_bracket_with_no_safe_atom_raises_at_once(n, seed, solver_grid):
     assert time.process_time() - t0 < 0.5
 
 
+@pytest.mark.parametrize("top", [1e160, 1e200, 1e300])
+def test_bracket_of_huge_targets_closes(top, diagonal_pair):
+    # G = W W* / top^2 is formed from W / top: the product first overflowed
+    # above about 1e154, and the bracket ran its whole budget on nan iterates
+    problem = scalar_problem(diagonal_pair, [top, 0.5])
+    t0 = time.process_time()
+    lo, hi = minimal_norm_bracket(problem)
+    assert time.process_time() - t0 < 0.5
+    assert hi == pytest.approx(1.25 * top, rel=1e-12)
+    assert hi - 1e-4 * top <= lo <= hi
+
+
 # Brackets that once stalled: at sigma = 1e8 a fixed round-end floor of
 # 1e-13 sigma ||Y|| ended every round before its first Newton step, with the
 # bracket still wider than its width.

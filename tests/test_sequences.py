@@ -3,7 +3,6 @@ import pytest
 
 from symbidisk import (
     AlphaGrid,
-    GenerationError,
     KernelMatrix,
     NodeSet,
     SolveStatus,
@@ -79,18 +78,15 @@ class TestKernelCensus:
         with pytest.raises(RuntimeError, match="bug in the generator"):
             sample_kernel_census(diag_trunc, solver_grid, seed=7, count=8)
 
-    def test_generation_failure_moves_to_next_seed(self, diag_trunc, solver_grid, monkeypatch):
-        real = sequences.random_admissible_kernel
-
-        def flaky(nodes, grid, seed, tol):
-            if seed == 7:
-                raise GenerationError("did not settle")
-            return real(nodes, grid, seed=seed, tol=tol)
-
-        monkeypatch.setattr(sequences, "random_admissible_kernel", flaky)
+    def test_random_draws_fill_the_census_from_the_seed(self, diag_trunc, solver_grid):
         names = [name for name, _ in sample_kernel_census(diag_trunc, solver_grid, seed=7, count=8)]
-        drawn = [name for name in names if name.startswith("rand")]
-        assert len(names) == 8 and drawn and drawn[0] == "rand[8]"
+        pullbacks = [name for name in names if name.startswith("b[")]
+        assert 0 < len(pullbacks) <= 4
+        assert names == pullbacks + [f"rand[{7 + k}]" for k in range(8 - len(pullbacks))]
+
+    def test_empty_census_is_rejected(self, diag_trunc, solver_grid):
+        with pytest.raises(ValidationError, match="count"):
+            sample_kernel_census(diag_trunc, solver_grid, count=0)
 
 
 class TestCarleson:
