@@ -9,51 +9,30 @@ C_m(i, j).  This is the finite, grid-atomic form of representing J against
 the coordinate family, and a witness is exactly the data the realization
 builder needs.
 
-Algorithm: semismooth Newton ascent on the Lagrange dual of the minimum-norm
-problem  min 1/2 sum_m ||B_m||^2  subject to  sum_m C_m . B_m = J, B_m PSD.
-Over Hermitian Y the dual function
+Both questions this module answers are one linear conic program and its dual,
 
-    theta(Y) = Re<J, Y> - 1/2 sum_m ||P+(conj(C_m) . Y)||^2
+    t* = min t  subject to  t E - G = sum_m C_m . B_m,  B_m PSD,
+         max Re<G, Z>  subject to  Re<E, Z> = 1,  conj(C_m) . Z PSD,
 
-is concave, C^1 and strongly semismooth (P+ is the PSD projection).  Its
-gradient J - sum_m C_m . P+(conj(C_m) . Y) is the residual of the primal
-point B_m = P+(conj(C_m) . Y), so when J is feasible the maximizer gives the
-minimum-norm witness.  Each step solves (V(Y) + mu I) d = grad theta, V being
-the generalized Hessian, and backtracks on theta (Qi & Sun, SIAM J. Matrix
-Anal. Appl. 2006; Zhao, Sun & Toh, SIAM J. Optim. 2010).  From Y = 0, where
-V vanishes and d = J / mu, the line search is exact instead: P+ is positively
-homogeneous, so theta(s d) is a concave quadratic in s, and the one dual point
-at d gives its maximizer (_ray_step).  One stacked eigensolve per dual point
-serves P+, the gradient, the next step's V and the certificate's lambda_max;
-the masks C_m are exactly Hermitian, like every dual iterate, so that
-eigensolve symmetrizes nothing.  With N = n * block the system has N^2
-unknowns.  V is assembled as one dense N^2 x N^2 matrix, summed over chunks of
-atoms so that no slab of the assembly outgrows a fixed entry budget, and the
-system is solved directly; the O(M N^6) flops of that assembly are why targets
-are capped at N = MAX_TARGET_DIM.  The regularization
-mu = (||grad|| / ||Y||) (||grad|| / ||J||)^(1/4), clipped to [1e-14, 1e-2],
-is scale-free: near the feasibility threshold the maximizer or the
-certificate direction lies far out (||Y|| up to 1e5-1e6), and a mu that does
-not shrink with 1 / ||Y|| would cap every step along V's near-null directions
-at a length of ||grad|| / mu.  The second factor shrinks mu like
-||grad||^1.25, a Levenberg-Marquardt order that keeps local quadratic
-convergence (Fan & Yuan, Computing 2005); with the first alone, trials near
-the threshold zig-zag while ||Y|| creeps outward.
+E = 1 (x) I_block, solved by one primal-dual interior-point method (_Conic).
+Pick minimal norms take G = W W* (_conic_minimum).  Feasibility takes
+G = E - J, and J is grid-feasible exactly when t* <= 1 (solve):
 
-Infeasibility is certified by a grid-admissible kernel K whose Schur product
-with J has a negative eigenvalue: any exact witness would force
-J . K = sum_m B_m . (C_m . K) to be PSD term by term, so a violating K and a
-witness cannot coexist on the same grid.  When J is infeasible theta grows
-without bound along a direction -D with every conj(C_m) . D PSD and
-Re<J, D> < 0, so K = conj(D) is such a kernel; the ascent reads it off its
-iterate.  When the residual stops halving and no certificate emerges the
-honest terminal status is Unknown; the exact dichotomy holds only for the
-full alpha continuum, not the grid.
+* E = C_k . (Sz_k (x) I) at every atom k, Sz_k = 1 / C_k being the Szego
+  kernel of phi(alpha_k, .), which is PSD.  So a primal point (t, B) with
+  t <= 1 becomes a witness for J once (1 - t)(Sz_k (x) I) is added to B_k;
+  nothing is inverted.
+* Infeasibility is certified by a grid-admissible kernel K whose Schur
+  product with J has a negative eigenvalue: any exact witness would force
+  J . K = sum_m B_m . (C_m . K) to be PSD term by term, so a violating K and
+  a witness cannot coexist on the same grid.  A dual point Z whose objective
+  passes 1 has Re<J, Z> < 0, and once shifted by kernels.admissible_shift,
+  K = conj(Z) is such a kernel: the dual iterate is the certificate.
 
-The linear conic program behind Pick minimal norms, min t subject to
-t E - G = sum_m C_m . B_m with every B_m PSD, is solved by a primal-dual
-interior-point method on it and its dual (_conic_minimum).  Its Schur
-complement is an N^2 x N^2 matrix built in O(M N^4) flops.
+When neither appears (see solve), the honest terminal status is Unknown;
+the exact dichotomy holds only for the full alpha continuum, not the grid.
+One iteration assembles an N^2 x N^2 Schur complement in O(M N^4) flops,
+N = n * block.
 """
 
 from __future__ import annotations
@@ -71,7 +50,10 @@ from .hermitian import (
     hermitian_part,
     min_eigenvalue,
     min_eigenvalue_stack,
-    psd_project_stack,
+    # Unused here, but kept bound: bench/test_bench.py::
+    # test_install_wraps_every_binding_and_uninstall_restores asserts that the
+    # tracer wraps this binding and restores it.
+    psd_project_stack,  # noqa: F401
     schur_oslash,
 )
 from .kernels import (
@@ -84,62 +66,50 @@ from .kernels import (
     unit_diagonal,
 )
 
-_ARMIJO = 1e-4  # sufficient-increase constant of the backtracking search
-# Clip of the regularization mu (module docstring).  The floor is the Newton
-# system's precision limit: V's eigenvalues lie in [0, sum_m max |C_m|^2], at
-# most 4M, and about machine epsilon times that is the smallest shift that
-# keeps V + mu I solvable.  A higher floor caps the steps along V's near-null
-# directions (module docstring), and near-threshold solves then creep until
-# the stall rule ends them Unknown.
-_MU_RANGE = (1e-14, 1e-2)
-# The power of ||grad|| / ||J|| in mu.  1/4 cut the Newton steps of 20 sandwich
-# bisections by a third and left 2 of 15300 loop-bound corpus files Unknown
-# (3 with 0; tools/loop_census.py); 1/2 to 1 cut more steps, left more Unknown.
-# It also ends some N = 16 targets Unknown that 0 decides (ROADMAP item 8).
-_MU_EXPONENT = 0.25
-# Largest N = n * block a target may have.  Every Newton step solves a dense
-# N^2 x N^2 system built in O(M N^6) flops.  On the 9-atom grid (one BLAS
-# thread, 2-vCPU Xeon VM) a step takes 0.14 s at N = 20, 0.40 s at N = 24 and
-# 1.8 s at N = 32, and planted colligation targets at N = 20 take 44-166
-# steps, about 14 CPU-s per solve.  It bounds scalar Pick nodes, sequence
-# truncations and n * d of matrix Pick and corona problems.
+# Largest N = n * block a target may have.  Every interior-point iteration
+# builds an N^2 x N^2 Schur complement in O(M N^4) flops and solves it by LU
+# in O(N^6).  On the 9-atom grid (one BLAS thread, 2-vCPU Xeon VM) an
+# iteration takes 40 ms at N = 20, 84 ms at N = 24 and 0.37 s at N = 32, and
+# planted colligation targets at N = 20 (tests/test_pick.py::planted_problem,
+# seeds 0-2, none with a Szego-safe atom) are decided in 17 iterations,
+# 0.6-0.7 CPU-s each.  Raising the cap is an input contract change and waits
+# for planted targets above N = 20 to be measured.  It bounds scalar Pick
+# nodes, sequence truncations and n * d of matrix Pick and corona problems.
 MAX_TARGET_DIM = 20
-# Largest modulus a target entry may have.  ||J||^2 overflows near
-# |J| = 1e154, and the first Newton direction of solve is J / 1e-2.  Measured
-# with target moduli up to 1e160 (2-node, 6-node and 20-node Pick and 2-node
-# corona targets): every solve reached its verdict at |J| <= 1e150 and at
-# about 6e150, none at 1e152 and above (Unknown, a LinAlgError, or a report
-# holding inf).
+# Largest modulus a target entry may have.  A report's residual() squares the
+# entries of its blocks' mismatch, which at the single-atom witness t_w is
+# (t_w - 1) E, and t_w reaches about 1e3 |J| at random nodes: that overflows
+# a double just above |J| = 1e150.  Measured with target moduli up to 1e160
+# (2-node, 6-node and 20-node Pick targets; 2-node corona targets with Phi or
+# delta scaled): at |J| <= 1e150 every Pick and scaled-delta corona target is
+# certified at iteration 0, and the feasible scaled-Phi corona targets end
+# Unknown at the residual's roundoff floor in 2-4 iterations (absolute tol);
+# at 1e151 and above some reports hold inf.
 MAX_TARGET_ENTRY = 1e150
-# Atoms per slab of the dense Hessian assembly are capped so that the slab E
+# Atoms per slab of the Schur complement assembly are capped so that the slab
 # holds at most this many entries (N^2 rows, N^2 columns per atom).
-_HESSIAN_CHUNK_ENTRIES = 2**20
-# Once tol is met, up to _POLISH_STEPS more steps push the residual toward
-# _POLISH_TOL; this improves downstream synthesis without changing the decision.
-_POLISH_STEPS = 8
-_POLISH_TOL = 1e-12
-_STALL_STEPS = 40  # Unknown when the best residual has not halved in this many steps
-# The interior-point iterations of _conic_minimum take this fraction of the
-# step to the PSD boundary.
+_SCHUR_CHUNK_ENTRIES = 2**20
+# The interior-point iterations take this fraction of the step to the PSD
+# boundary.
 _STEP_FRACTION = 0.95
-# _conic_minimum starts from the single-atom witness at t_w moved strictly
-# inside the cone: by _START_SZEGO t_w (Sz_m (x) I) at every Szego-safe atom m,
-# which keeps the primal identity to roundoff, and by _START_SHIFT t_w I at the
-# others, whose singular Sz_m would fail the first Cholesky factorization.
-# At 0.03 the sandwich item of tests/test_pick.py takes 7 iterations and its
-# two budget items 9 each; 0.01-0.02 took a budget item to 10, and 0.05-0.3
-# the sandwich item to 8.  On the sandwich census (tools/conic_census.py
-# --seeds 33001 33040) the iterations fell 12765 -> 11271 against the witness
-# + _START_SHIFT t_w I at every atom.
+# The interior-point method starts from the single-atom witness at t_w moved
+# strictly inside the cone: by _START_SZEGO t_w (Sz_m (x) I) at every
+# Szego-safe atom m, which keeps the primal identity to roundoff, and by
+# _START_SHIFT t_w I at the others, whose singular Sz_m would fail the first
+# Cholesky factorization.  At 0.03 the sandwich item of tests/test_pick.py
+# takes 7 iterations and its two budget items 9 each; 0.01-0.02 took a budget
+# item to 10, and 0.05-0.3 the sandwich item to 8.  On the sandwich census
+# (tools/conic_census.py --seeds 33001 33040) the iterations fell
+# 12765 -> 11271 against the witness + _START_SHIFT t_w I at every atom.
 _START_SZEGO = 0.03
 _START_SHIFT = 3e-3
 # Steps below this on both sides leave the iterate where it is, and so would
-# every later one: the conic solve has stalled.
+# every later one: the interior-point method has stalled.
 _MIN_STEP = 1e-10
-# _conic_minimum repairs its witness only at atoms whose Szego kernel Sz_k is
-# safely positive definite, lambda_min(Sz_k) > _SZEGO_FLOOR lambda_max(Sz_k).
-# Two nodes with the same phi(alpha_k, .) make Sz_k singular: at alpha = 0,
-# where phi = -s / 2, every pair of nodes with equal s does.
+# Witnesses are repaired only at atoms whose Szego kernel Sz_k is safely
+# positive definite, lambda_min(Sz_k) > _SZEGO_FLOOR lambda_max(Sz_k).  Two
+# nodes with the same phi(alpha_k, .) make Sz_k singular: at alpha = 0, where
+# phi = -s / 2, every pair of nodes with equal s does.
 _SZEGO_FLOOR = 1e-12
 
 
@@ -152,10 +122,8 @@ class SolveStatus(str, Enum):
 @dataclass(frozen=True)
 class SolveOptions:
     tol: float = 1e-8
-    max_iter: int = 20000  # Newton steps; interior-point iterations in _conic_minimum
+    max_iter: int = 20000  # interior-point iterations
     seed: int = 0
-
-
 @dataclass(frozen=True)
 class FeasibilityTarget:
     """Hermitian node-indexed target; block (i, j) must equal block (j, i)*."""
@@ -222,7 +190,12 @@ def residual(target: FeasibilityTarget, blocks: CPBlocks) -> float:
     stack = blocks.stacked()
     if stack.shape != cexp.shape:
         raise ValidationError("blocks do not conform to target/grid shapes")
-    mismatch = np.linalg.norm(np.einsum("mij,mij->ij", cexp, stack) - target.matrix)
+    return _residual(cexp, target.matrix, stack)
+
+
+def _residual(cexp, j, stack):
+    """residual() of the blocks ``stack`` for J = ``j`` on the expanded masks ``cexp``."""
+    mismatch = np.linalg.norm(np.einsum("mij,mij->ij", cexp, stack) - j)
     lam = min_eigenvalue_stack(stack)
     return float(mismatch - lam[lam < 0].sum())
 
@@ -234,238 +207,105 @@ def solve(
 ) -> SolveReport:
     """Decide grid feasibility of the target; see module docstring.
 
-    Feasible reports carry the witness blocks with residual <= tol.
-    InfeasibleCertified reports carry a grid-admissible kernel certificate.
+    The interior-point method of _Conic runs on G = E - J.  At iteration 0
+    it tests the best single-atom witness, _Conic.repair's from B = 0 at
+    t = 1, and the dual start Z = I / N, whose kernel is the identity; then
+    every iterate:
+
+    * Feasible once t <= 1 + tol / ||E|| and the blocks B_m, with
+      (1 - t)+ (Sz_k (x) I) added at the atom whose Sz_k is best
+      conditioned, have residual() <= tol.  They are the report's witness.
+    * InfeasibleCertified once the shifted dual iterate Z' (_Conic.shifted)
+      has -Re<J, Z'> > tol ||Z'|| and one of its compressions
+      (_compressions) is a grid-admissible kernel that violates J by tol.
+    * Unknown after opts.max_iter iterations; when the iterate stalls
+      (_Conic.step); or when, at two successive iterates with
+      t <= 1 + tol / ||E||, the residual has not fallen.  A step multiplies
+      the primal residual by 1 minus its length, so the residual has then
+      reached its roundoff floor, above tol.
+
+    The centering parameter is 1 while t < 1: the iterate stays central
+    while its primal residual falls, instead of converging to the optimal
+    face, where the residual stalls at 5e-8 to 5e-7 on most planted N = 16
+    and N = 20 targets (tests/test_pick.py::planted_problem).  With
+    no Szego-safe atom there is no single-atom witness, and the method starts
+    from B_m = sigma I at every atom, t = sigma (1 + M),
+    sigma = max(1, max |G|), whose primal residual the steps remove.  The
+    report's residual is residual() of the blocks at the last iterate.
     Deterministic given (target, grid, opts).
     """
     t0 = time.perf_counter()
-    masks = coefficient_masks(grid, target.nodes)  # raises if a node leaves the disk
-    cexp = expand_masks(masks, target.block)
+    n, d, j = len(target.nodes), target.block, target.matrix
+    core = _Conic(target.nodes, grid, d)
+    g = core.ee - j
+    slack = 1.0 + opts.tol / _norm(core.ee)
+    best = int(np.argmax(core.lam_s[:, 0] / core.lam_s[:, -1]))
 
-    atom = _single_atom_witness(target, grid, cexp, opts)
-    if atom is not None:
-        blocks, res0 = atom
+    def witness(t, b):
+        out = b.copy()
+        out[best] += max(0.0, 1.0 - t) * core.szego[best]
+        return out
+
+    def report(status, it, res, **fields):
         return SolveReport(
-            status=SolveStatus.FEASIBLE,
-            residual=res0,
-            iterations=0,
-            wall_time=time.perf_counter() - t0,
-            blocks=blocks,
-            notes=("single-atom witness",),
+            status=status, residual=res, iterations=it, wall_time=time.perf_counter() - t0, **fields
         )
 
-    j = target.matrix
-    cconj = cexp.conj()
-    cdiag = float(np.real(np.diagonal(cexp, axis1=1, axis2=2)).min())
-    jnorm = _norm(j)
-    trj = float(np.trace(j).real)
-    notes: list[str] = []
-    y = np.zeros_like(j)
-    b, grad, theta, lam, vecs = _dual_point(j, cexp, cconj, y)
-    res = _norm(grad)
-    best_res, best_b = res, b
-    history = [res]  # best residual after each step
-    polish_end = None
-    it = 0
-    while True:
-        if polish_end is None and res <= opts.tol:
-            polish_end = it + _POLISH_STEPS
-            notes.append(f"tolerance met at step {it}; polishing")
-        ny = _norm(y)
-        if polish_end is None:
-            cert = _dual_certificate(
-                target, masks, y, ny, float(lam[:, -1].max()), cdiag, trj, opts
-            )
+    def certificate(z):
+        dual = core.shifted(z)
+        if -np.vdot(j, dual).real <= opts.tol * _norm(dual):
+            return None
+        for k in _compressions(dual, n, d):
+            kern = _admissible_kernel(target.nodes, core.masks, k.conj(), opts.tol)
+            cert = None if kern is None else _violation(target, kern, opts)
             if cert is not None:
-                kern, lam_k = cert
-                return SolveReport(
-                    status=SolveStatus.INFEASIBLE_CERTIFIED,
-                    residual=res,
-                    iterations=it,
-                    wall_time=time.perf_counter() - t0,
-                    certificate=kern,
-                    certificate_min_eig=lam_k,
-                    notes=tuple(notes) + (f"certified by the dual iterate at step {it}",),
-                )
-            if it >= _STALL_STEPS and history[it] > 0.5 * history[it - _STALL_STEPS]:
-                notes.append(f"residual not halved in {_STALL_STEPS} steps")
-                break
-        elif res <= _POLISH_TOL or it >= polish_end:
-            break
-        if it >= opts.max_iter:
-            break
-        it += 1
+                return cert
+        return None
 
-        shift = res / ny * (res / jnorm) ** _MU_EXPONENT if ny > 0 else math.inf
-        mu = min(max(shift, _MU_RANGE[0]), _MU_RANGE[1])
-        v = _dense_hessian(cexp, lam, vecs)
-        v.flat[:: grad.size + 1] += mu
-        d = hermitian_part(np.linalg.solve(v, grad.ravel()).reshape(grad.shape))
-        slope = float(np.vdot(grad, d).real)
-        if ny == 0.0:
-            step, (b_t, grad_t, theta_t, lam_t, vecs_t) = _ray_step(j, cexp, cconj, d, slope)
-            res_t = _norm(grad_t)
+    z = np.eye(core.dim) / core.dim
+    if core.safe.size:
+        t, b = core.repair(g, 1.0, np.zeros_like(core.cexp))
+    else:
+        sigma = max(1.0, float(np.abs(g).max()))
+        t, b = sigma * (1 + len(core.cexp)), sigma * np.ones_like(core.cexp) * np.eye(core.dim)
+    it, floor = 0, math.inf
+    while True:
+        blocks = witness(t, b) if t <= slack else None
+        res = math.inf if blocks is None else _residual(core.cexp, j, blocks)
+        if res <= opts.tol:
+            notes = ("single-atom witness",) if it == 0 else ()
+            blocks = CPBlocks(grid=grid, blocks=tuple(blocks))
+            return report(SolveStatus.FEASIBLE, it, res, blocks=blocks, notes=notes)
+        cert = certificate(z)
+        if cert is not None:
+            return report(
+                SolveStatus.INFEASIBLE_CERTIFIED,
+                it,
+                _residual(core.cexp, j, witness(t, b)),
+                certificate=cert[0],
+                certificate_min_eig=cert[1],
+                notes=(f"certified by the dual iterate at iteration {it}",),
+            )
+        step = None
+        if floor <= res < math.inf:
+            note = f"residual at its roundoff floor at iteration {it}"
+        elif it == opts.max_iter:
+            note = "budget spent"
         else:
-
-            def at(s):
-                point = _dual_point(j, cexp, cconj, y + s * d)
-                return point[2], _norm(point[1]), point
-
-            found = _line_search(at, theta, slope, res, 1e-13 * (1.0 + jnorm * ny))
-            if found is None:
-                notes.append(f"line search failed at step {it}")
-                break
-            step, (b_t, grad_t, theta_t, lam_t, vecs_t), res_t = found
-        y = y + step * d
-        b, grad, theta, res, lam, vecs = b_t, grad_t, theta_t, res_t, lam_t, vecs_t
-        if res < best_res:
-            best_res, best_b = res, b
-        history.append(best_res)
-
-    wall = time.perf_counter() - t0
-    if best_res <= opts.tol:
-        return SolveReport(
-            status=SolveStatus.FEASIBLE,
-            residual=best_res,
-            iterations=it,
-            wall_time=wall,
-            blocks=CPBlocks(grid=grid, blocks=tuple(hermitian_part(x) for x in best_b)),
-            notes=tuple(notes),
-        )
-    return SolveReport(
-        status=SolveStatus.UNKNOWN,
-        residual=best_res,
-        iterations=it,
-        wall_time=wall,
-        notes=tuple(notes) + (f"best residual {best_res:.3e}",),
-    )
+            if it == 0 and core.safe.size:
+                t, b = _interior_start(t, b, core.szego, core.safe)
+            step = core.step(g, t, b, z, center=t < 1.0)
+            note = f"stalled at iteration {it}"
+        if step is None:
+            res = _residual(core.cexp, j, witness(t, b))
+            return report(SolveStatus.UNKNOWN, it, res, notes=(note,))
+        floor = res if it else math.inf  # the start moved the iterate: nothing to compare yet
+        (t, b, z), it = step, it + 1
 
 
 def _norm(a):
     """Frobenius norm as sqrt(Re<a, a>), one BLAS call."""
     return math.sqrt(np.vdot(a, a).real)
-
-
-def _dual_point(j, cexp, cconj, y):
-    """P+(conj(C_m) . Y), the gradient J - sum C_m . B_m, theta(Y), and the eigenpairs.
-
-    ``cconj`` is conj(C_m).  The masks and every dual iterate are exactly
-    Hermitian, so their Schur product is too, as psd_project_stack requires.
-    """
-    b, lam, vecs = psd_project_stack(cconj * y)
-    grad = j - np.einsum("mij,mij->ij", cexp, b)
-    theta = float(np.vdot(j, y).real - 0.5 * np.vdot(b, b).real)
-    return b, grad, theta, lam, vecs
-
-
-def _ray_step(j, cexp, cconj, d, slope):
-    """Exact line search from Y = 0 along d: the step s and the dual point at s d.
-
-    At Y = 0 the generalized Hessian vanishes, so d is J / mu, a step that
-    backtracking would halve about eight times.  P+ is positively homogeneous,
-    so theta(s d) = s slope - s^2 q / 2, slope = Re<J, d> and
-    q = sum_m ||P+(conj(C_m) . d)||^2: the one dual point at d scales to the
-    one at the maximizer s = slope / q.  When q = 0, theta grows without bound
-    along d, and the full step is taken, as backtracking would take it.
-    """
-    b, grad, theta, lam, vecs = _dual_point(j, cexp, cconj, d)
-    q = float(np.vdot(b, b).real)
-    if q == 0.0:
-        return 1.0, (b, grad, theta, lam, vecs)
-    s = slope / q
-    return s, (s * b, j - s * (j - grad), 0.5 * s * slope, s * lam, vecs)
-
-
-def _line_search(at, value, slope, res, noise):
-    """Armijo backtracking along an ascent direction: (step, point, residual), or None.
-
-    at(s) returns (value, residual, point) at step s.  A step is accepted on
-    sufficient increase, or, where the value's change is below its roundoff
-    ``noise``, on a lower residual.  None once the step falls below 1e-10.
-    """
-    step = 1.0
-    while step >= 1e-10:
-        value_t, res_t, point = at(step)
-        if value_t >= value + _ARMIJO * step * slope:
-            return step, point, res_t
-        if res_t < res and value_t >= value - noise:
-            return step, point, res_t
-        step *= 0.5
-    return None
-
-
-def _omega(lam):
-    """Divided differences of max(lam, 0) over each stack of eigenvalues.
-
-    1 on pairs of positive eigenvalues, 0 on pairs of non-positive ones,
-    lam_+ / (lam_i - lam_j) across the sign change.
-    """
-    pos = lam > 0
-    lp = np.maximum(lam, 0.0)
-    out = (pos[:, :, None] & pos[:, None, :]).astype(float)
-    return np.divide(
-        lp[:, :, None] - lp[:, None, :],
-        lam[:, :, None] - lam[:, None, :],
-        out=out,
-        where=pos[:, :, None] ^ pos[:, None, :],
-    )
-
-
-def _dense_hessian(cexp, lam, vecs):
-    """The generalized Hessian as one N^2 x N^2 matrix acting on row-major vec(H).
-
-    V = sum_m E_m diag(vec Omega_m) E_m* with
-    E_m[(i, j), (a, b)] = C_m(i, j) U_m(i, a) conj(U_m(j, b)), where
-    conj(C_m) . Y = U_m diag(lam_m) U_m* and Omega_m = _omega(lam)[m]: the
-    operator H -> sum_m C_m . (U_m (Omega_m . (U_m* (conj(C_m) . H) U_m)) U_m*).
-    The atoms of a chunk are laid side by side, so its sum over m is one
-    matrix product; a chunk holds at most _HESSIAN_CHUNK_ENTRIES entries of E.
-    """
-    n = lam.shape[1]
-    omega = _omega(lam)
-    step = max(1, _HESSIAN_CHUNK_ENTRIES // n**4)
-    v = None
-    for lo in range(0, len(lam), step):
-        c, u, w = cexp[lo : lo + step], vecs[lo : lo + step], omega[lo : lo + step]
-        e = np.einsum("mij,mia,mjb->ijmab", c, u, u.conj()).reshape(n * n, -1)
-        term = (e * w.ravel()) @ e.conj().T
-        v = term if v is None else v + term
-    return v
-
-
-def _dual_certificate(target, masks, y, ny, lam_max, cdiag, trj, opts):
-    """Grid-admissible kernel from the ascent direction -Y / ||Y||, if it certifies.
-
-    ``masks`` are the grid's coefficient masks, ``ny`` is ||Y||, ``lam_max``
-    the largest eigenvalue over m of conj(C_m) . Y, ``trj`` the trace of J.
-    Shifting D = -Y / ||Y|| by t I,
-    t = max(0, lam_max / ||Y||) / min C_m(i, i), makes every conj(C_m) . D'
-    PSD.  Blocks with sum C_m . B_m = J + R then give
-    Re<J + R, D'> = sum Re<B_m, conj(C_m) . D'> >= 0, so
-    -Re<J, D'> > tol ||D'|| rules out every witness of residual <= tol.  As
-    -Re<J, D'> = Re<J, Y> / ||Y|| - t tr J, most iterates fail before D' is
-    built.  D' is compressed to n x n by block-diagonal congruences, which
-    keep every conj(C_m) . D' PSD because C_m is constant on blocks: the block
-    trace and, when block > 1, the top eigenvector of each diagonal block.
-    The second recovers K exactly when D' = (conj(K) (x) 1) . x x*, where the
-    trace can average the violation away: a block target on diagonal nodes
-    that a b-kernel violates diverges along nearly such a D'.  Each kernel
-    K = conj(compression) is rescaled and re-verified.
-    """
-    if ny == 0.0:
-        return None
-    shift = max(0.0, lam_max / ny) / cdiag
-    if np.vdot(target.matrix, y).real / ny <= shift * trj:
-        return None
-    dual = -y / ny + shift * np.eye(len(y))
-    if -np.vdot(target.matrix, dual).real <= opts.tol * _norm(dual):
-        return None
-    for k in _compressions(dual, len(target.nodes), target.block):
-        kern = _admissible_kernel(target.nodes, masks, k.conj(), opts.tol)
-        cert = None if kern is None else _violation(target, kern, opts)
-        if cert is not None:
-            return cert
-    return None
 
 
 def _compressions(dual, n, d):
@@ -481,36 +321,6 @@ def _compressions(dual, n, d):
         v = np.linalg.eigh(blocks[np.arange(n), :, np.arange(n), :])[1][:, :, -1]
         out.append(np.einsum("ia,iajb,jb->ij", v.conj(), blocks, v))
     return out
-
-
-def _single_atom_witness(target, grid, cexp, opts):
-    """Closed-form witness concentrated at one grid alpha, when one exists.
-
-    C_m . B = J is solved exactly by B = J / C_m entrywise; whenever that
-    quotient is PSD the problem is feasible with zero residual, a geometry
-    an iterative method approaches only asymptotically (every other block
-    sits on the cone boundary).
-    """
-    j = target.matrix
-    scale = max(1.0, float(np.abs(j).max(initial=0.0)))
-    cands = hermitian_part(j / cexp)
-    atoms = np.flatnonzero(np.linalg.eigvalsh(cands)[:, 0] >= -1e-12 * scale)
-    if atoms.size == 0:
-        return None
-    # residual() of B at each such atom and zeros elsewhere, B = the PSD
-    # projection of the quotient; einsum and the per-atom norm round as
-    # residual() does
-    bs = hermitian_part(psd_project_stack(cands[atoms])[0])
-    mismatch = np.einsum("kij,kij->kij", cexp[atoms], bs) - j
-    res = np.array([np.linalg.norm(r) for r in mismatch])
-    res -= np.minimum(np.linalg.eigvalsh(bs)[:, 0], 0.0)
-    # the smallest residual within tol, the first atom on a tie
-    k = int(np.argmin(np.where(res <= opts.tol, res, np.inf)))
-    if not res[k] <= opts.tol:
-        return None
-    stack = np.zeros_like(cexp)
-    stack[atoms[k]] = bs[k]
-    return CPBlocks(grid=grid, blocks=tuple(stack)), float(res[k])
 
 
 def _admissible_kernel(nodes, masks, k, tol) -> KernelMatrix | None:
@@ -583,11 +393,11 @@ def _hkm_schur(cexp, b, sinv):
     It acts on row-major vec(dZ) as dZ -> sum_m C_m . (B_m (conj(C_m) . dZ) S_m^-1),
     and is Hermitian positive definite when every B_m and S_m is.  Its sum
     over m is taken in chunks of atoms whose Kronecker products hold at most
-    _HESSIAN_CHUNK_ENTRIES entries.
+    _SCHUR_CHUNK_ENTRIES entries.
     """
     n = b.shape[1]
     sinv_t = sinv.transpose(0, 2, 1)
-    step = max(1, _HESSIAN_CHUNK_ENTRIES // n**4)
+    step = max(1, _SCHUR_CHUNK_ENTRIES // n**4)
     v = None
     for lo in range(0, len(b), step):
         c = cexp[lo : lo + step].reshape(-1, n * n)
@@ -613,151 +423,97 @@ def _interior_start(t_w, witness, szego, safe):
     return t_w + len(safe) * eps, b
 
 
-def _conic_minimum(nodes, grid, g, block, gap, opts):
-    """(lo, t, blocks) with lo <= sqrt(t*) <= sqrt(t) <= lo + gap, for the conic program
+class _Conic:
+    """min t subject to t E - G = sum_m C_m . B_m, B_m PSD, and its dual; set up once.
 
-        t* = min t  subject to  t E - G = sum_m C_m . B_m,  B_m PSD,
-
-    E = 1 (x) I_block and G Hermitian PSD whose largest diagonal-block
-    eigenvalue is 1, so t* >= 1.  ``blocks`` witnesses t: the affine identity
-    holds and the blocks are PSD up to roundoff.
-
-    Its dual is  max Re<G, Z>  subject to  Re<E, Z> = 1,  S_m = conj(C_m) . Z PSD,
-    and any witness (t, B) and dual Z give
-    t - Re<G, Z> = sum_m Re<B_m, S_m> >= 0.  An infeasible primal-dual
-    path-following method drives (t, B, Z) to the optimal pair along the HKM
-    direction (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996)
-    with Mehrotra's predictor-corrector (SIAM J. Optim. 1992).  Linearizing
-    B_m S_m = nu I as dB_m = K_m - B_m - sym(B_m dS_m S_m^-1),
-    dS_m = conj(C_m) . dZ, turns the primal identity into
-    H(dZ) + dt E = G - t E + sum_m C_m . K_m, with Re<E, dZ> = 1 - Re<E, Z>.
-    H = sum_m diag(vec C_m)(B_m (x) S_m^-T)diag(vec conj(C_m)) (_hkm_schur)
-    is real symmetric positive definite in a real orthonormal basis of the
-    Hermitian matrices (_HermitianBasis); bordered by the t row, the system
-    is solved by LU.  The predictor has K_m = 0.  Its longest steps to the PSD
-    boundary give the complementarity nu_aff they would reach, from
-    nu = sum_m Re<B_m, S_m> / (M N), and the corrector has
-    K_m = sym((sigma nu I - dB_m dS_m) S_m^-1), sigma = (nu_aff / nu)^3, dB and
-    dS the predictor's.  The primal (t, B) and the dual Z then each take
-    _STEP_FRACTION of the corrector's step to the PSD boundary, at most 1.
-    Each step to the boundary is one stacked eigvalsh, whitened by one
-    Cholesky factorization of the stacked [B; S] per iteration; the basis,
-    the t border of the system and its right-hand side are built once per
-    solve.
-
-    The start is feasible on both sides.  The dual starts at Z = I / N, where
-    Re<E, Z> = 1 and every S_m is diagonal and positive.  The primal starts
-    from the single-atom witness (t_w, W) that repair builds from B = 0:
-    W_k is PSD, but singular, and every other W_m is 0.  As
-    C_m . (Sz_m (x) I) = E exactly (Sz_m below), B_m = W_m + eps (Sz_m (x) I)
-    at every atom m whose Sz_m is safely positive definite, with
-    t = t_w + eps times their number, still satisfies t E - G = sum_m C_m . B_m
-    to roundoff, and every such B_m is positive definite (_interior_start).
-    A Newton step keeps a linear identity that already holds, so no
-    iteration is spent restoring it.  The atoms where Sz_m is not safe get
-    _START_SHIFT t_w I instead, and leave a residual.
-
-    The iterate's t is no upper end (its primal identity holds only to
-    roundoff, and only in the limit when an atom is not safe), nor its Z a
-    rigorous lower one (S_m is PSD only to roundoff).  Once
-    |sqrt(t) - sqrt(Re<G, Z> / Re<E, Z>)| <= gap, both ends are taken from it,
-    and kept where they tighten:
-
-    * t: E = C_k . (Sz_k (x) I) at every atom k, Sz_k = 1 / C_k being the
-      Szego kernel of phi(alpha_k, .).  So adding R / C_k + eps (Sz_k (x) I)
-      to B_k, R = t E - G - sum_m C_m . B_m the residual, gives a witness at
-      t + eps, eps = max(0, -lambda_min) of B_k + R / C_k relative to
-      Sz_k (x) I, at the atom of least eps among those where Sz_k is safely
-      positive definite.  A direct eigensolve of the repaired block then adds
-      what the whitening by Sz_k rounded away.  From B = 0 and t = 1 this is
-      the best single-atom witness.
-    * lo: Z' = Z + s I, s = max(0, -min_m lambda_min(conj(C_m) . Z)) / min C_m(i, i)
-      (kernels.admissible_shift), makes every conj(C_m) . Z' PSD.  Any
-      witness (t, B) then gives
-      t Re<E, Z'> - Re<G, Z'> = sum_m Re<B_m, conj(C_m) . Z'> >= 0, so
-      lo = sqrt(Re<G, Z'> / Re<E, Z'>) when Re<E, Z'> > 0: the dual objective
-      of the iterate, or the kernel conj(Z') tested on the all-ones vector.
-
-    opts.max_iter caps the interior-point iterations; opts.tol is not read
-    here (the caller re-verifies the witness to it).  NumericsError when no
-    atom's Sz_k is safely positive definite, so that no witness can be
-    repaired; when the bracket has not closed within the budget; or when the
-    iterate stalls: it is no longer numerically interior (a factorization
-    fails), or neither step reaches _MIN_STEP.
-    The widths it names are those of sqrt(t), relative to the targets' scale.
+    Holds what every iteration reads, whatever G (the methods take it): E,
+    the masks C_m, the Szego kernels Sz_m (x) I = E / C_m with their
+    eigenvalues and the atoms where they are safely positive definite, the
+    Hermitian basis, and the Schur complement bordered by the t row.  The
+    dual is  max Re<G, Z>  subject to  Re<E, Z> = 1,  S_m = conj(C_m) . Z PSD,
+    and any primal point (t, B) and dual Z give
+    t - Re<G, Z> = sum_m Re<B_m, S_m> >= 0.
     """
-    n = len(nodes)
-    dim = n * block
-    ee = np.kron(np.ones((n, n)), np.eye(block))
-    cexp = expand_masks(coefficient_masks(grid, nodes), block)
-    cconj = cexp.conj()
-    szego = hermitian_part(ee / cexp)  # Sz_k (x) I
-    lam_s, vec_s = np.linalg.eigh(szego)
-    safe = np.flatnonzero(lam_s[:, 0] > _SZEGO_FLOOR * lam_s[:, -1])
-    if safe.size == 0:
-        raise NumericsError(
-            "minimal-norm bracket has no upper end: no grid atom's Szego kernel is"
-            " safely positive definite at these nodes, so no witness can be repaired"
-        )
-    whiten = vec_s[safe] / np.sqrt(lam_s[safe])[:, None, :]  # Sz_k^(-1) = W W*
 
-    def repair(t, b):
-        """(t + eps, blocks): the witness of t E - G repaired at the best safe atom."""
-        r = t * ee - g - np.einsum("mij,mij->ij", cexp, b)
-        x = hermitian_part(b[safe] + r / cexp[safe])
-        rel = whiten.conj().transpose(0, 2, 1) @ x @ whiten
+    def __init__(self, nodes, grid, block):
+        n = len(nodes)
+        self.dim = n * block
+        self.ee = np.tile(np.eye(block), (n, n))
+        self.masks = coefficient_masks(grid, nodes)  # raises if a node leaves the disk
+        self.cexp = expand_masks(self.masks, block)
+        self.cconj = self.cexp.conj()
+        self.szego = hermitian_part(self.ee / self.cexp)  # Sz_k (x) I
+        self.lam_s, vec_s = np.linalg.eigh(self.szego)
+        self.safe = np.flatnonzero(self.lam_s[:, 0] > _SZEGO_FLOOR * self.lam_s[:, -1])
+        safe = self.safe
+        self.whiten = vec_s[safe] / np.sqrt(self.lam_s[safe])[:, None, :]  # Sz_k^(-1) = W W*
+        self.basis = _hermitian_basis(self.dim)
+
+    @functools.cached_property
+    def kkt(self):
+        """The Schur complement's array bordered by the t row, built at the first step."""
+        kkt = np.zeros((self.dim**2 + 1,) * 2)
+        kkt[:-1, -1] = kkt[-1, :-1] = self.basis.rows(self.ee.ravel()).real
+        return kkt
+
+    def repair(self, g, t, b):
+        """(t + eps, blocks): the primal point (t, b) for G = g made exact at the best safe atom.
+
+        E = C_k . (Sz_k (x) I) at every atom k.  So adding R / C_k +
+        eps (Sz_k (x) I) to B_k, R = t E - G - sum_m C_m . B_m the residual,
+        gives a primal point at t + eps, eps = max(0, -lambda_min) of
+        B_k + R / C_k relative to Sz_k (x) I, at the atom of least eps among
+        those where Sz_k is safely positive definite.  A direct eigensolve of
+        the repaired block then adds what the whitening by Sz_k rounded away.
+        From B = 0 and t = 1 this is the best single-atom witness.
+        """
+        safe, szego = self.safe, self.szego
+        r = t * self.ee - g - np.einsum("mij,mij->ij", self.cexp, b)
+        x = hermitian_part(b[safe] + r / self.cexp[safe])
+        rel = self.whiten.conj().transpose(0, 2, 1) @ x @ self.whiten
         eps = np.maximum(-np.linalg.eigvalsh(rel)[:, 0], 0.0)
         i = int(np.argmin(eps))
         k, e = int(safe[i]), float(eps[i])
         low = float(np.linalg.eigvalsh(x[i] + e * szego[k])[0])
-        e += max(0.0, -low) / float(lam_s[k, 0])  # Weyl: now PSD up to roundoff
+        e += max(0.0, -low) / float(self.lam_s[k, 0])  # Weyl: now PSD up to roundoff
         out = b.copy()
         out[k] = x[i] + e * szego[k]
         return t + e, out
 
-    def lower(y):
-        """sqrt(Re<G, Z> / Re<E, Z>) at Z = Y + s I, or 0 when Re<E, Z> <= 0.
+    def shifted(self, z):
+        """Z' = Z + s I, s = admissible_shift(conj(C), Z): every conj(C_m) . Z' is PSD."""
+        return z + admissible_shift(self.cconj, z) * np.eye(len(z))
 
-        s = admissible_shift(conj(C), Y), the shift that also places the
-        draws of random_admissible_kernel.
+    def step(self, g, t, b, z, center=False):
+        """The next iterate (t, b, z) of one predictor-corrector step, or None when stalled.
+
+        An infeasible primal-dual path-following step along the HKM direction
+        (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996) with
+        Mehrotra's predictor-corrector (SIAM J. Optim. 1992).  Linearizing
+        B_m S_m = nu I as dB_m = K_m - B_m - sym(B_m dS_m S_m^-1),
+        dS_m = conj(C_m) . dZ, turns the primal identity into
+        H(dZ) + dt E = G - t E + sum_m C_m . K_m, with Re<E, dZ> = 1 - Re<E, Z>.
+        H = sum_m diag(vec C_m)(B_m (x) S_m^-T)diag(vec conj(C_m)) (_hkm_schur)
+        is real symmetric positive definite in a real orthonormal basis of
+        the Hermitian matrices (_HermitianBasis); bordered by the t row, the
+        system is solved by LU.  A Newton step keeps a linear identity that
+        already holds, and a full primal step restores one that does not.
+        The predictor has K_m = 0.  Its longest steps to the PSD boundary
+        give the complementarity nu_aff they would reach, from
+        nu = sum_m Re<B_m, S_m> / (M N), and the corrector has
+        K_m = sym((sigma nu I - dB_m dS_m) S_m^-1), sigma = (nu_aff / nu)^3,
+        or sigma = 1 with ``center``; dB and dS are the predictor's.  The
+        primal (t, B) and the dual Z then each take _STEP_FRACTION of the
+        corrector's step to the PSD boundary, at most 1.  Each step to the
+        boundary is one stacked eigvalsh, whitened by one Cholesky
+        factorization of the stacked [B; S].
+
+        None when the iterate is no longer numerically interior (a
+        factorization fails) or neither step reaches _MIN_STEP.
         """
-        z = y + admissible_shift(cconj, y) * np.eye(len(y))
-        ez = float(np.vdot(ee, z).real)
-        return math.sqrt(max(0.0, float(np.vdot(g, z).real)) / ez) if ez > 0.0 else 0.0
-
-    lo = 1.0  # forced by the diagonal blocks
-    hi2, witness = repair(1.0, np.zeros_like(cexp))
-    t, b = _interior_start(hi2, witness, szego, safe)
-    z = np.eye(dim) / dim
-
-    def bracket():
-        """Both ends from the iterate (t, b, z), kept where they tighten; the width."""
-        nonlocal lo, hi2, witness
-        cand, blocks = repair(t, b)
-        if cand < hi2:
-            hi2, witness = cand, blocks
-        lo = max(lo, lower(z))
-        return math.sqrt(hi2) - lo
-
-    basis = _hermitian_basis(dim)
-    kkt = np.zeros((dim * dim + 1,) * 2)  # the Schur complement bordered by the t row
-    kkt[:-1, -1] = kkt[-1, :-1] = basis.rows(ee.ravel()).real
-    rhs = np.empty(len(kkt))
-    m, size = len(cexp), len(cexp) * dim
-    it = 0
-    while True:
-        ez = float(np.vdot(ee, z).real)
-        estimate = math.sqrt(t) - math.sqrt(max(0.0, float(np.vdot(g, z).real)) / ez)
-        if abs(estimate) <= gap or it == opts.max_iter:
-            bracket()
-        if math.sqrt(hi2) - lo <= gap:
-            return lo, hi2, witness
-        if it == opts.max_iter:
-            raise NumericsError(
-                f"minimal-norm bracket not closed in {opts.max_iter} interior-point"
-                f" iterations: relative width {math.sqrt(hi2) - lo:.3e} > {gap:.3e}"
-            )
-        it += 1
+        cexp, cconj, basis, kkt = self.cexp, self.cconj, self.basis, self.kkt
+        m, size = len(cexp), len(cexp) * self.dim
+        rhs = np.empty(len(kkt))
         try:
             s = cconj * z
             linv = np.linalg.inv(np.linalg.cholesky(np.concatenate([b, s])))
@@ -765,7 +521,7 @@ def _conic_minimum(nodes, grid, g, block, gap, opts):
             sinv = linv_h[m:] @ linv[m:]
             nu = float(np.vdot(b, s).real) / size
             kkt[:-1, :-1] = basis.matrix(_hkm_schur(cexp, b, sinv))
-            rhs[-1] = 1.0 - ez
+            rhs[-1] = 1.0 - float(np.vdot(self.ee, z).real)
 
             def direction(r):
                 """(dt, dz, ds) solving the bordered system for the primal right side r."""
@@ -781,20 +537,107 @@ def _conic_minimum(nodes, grid, g, block, gap, opts):
                 lows = (-float(lam[:m].min()), -float(lam[m:].min()))
                 return tuple(1.0 if low <= fraction else fraction / low for low in lows)
 
-            base = g - t * ee
+            base = g - t * self.ee
             _, _, ds_a = direction(base)
             db_a = -b - hermitian_part(b @ ds_a @ sinv)
             ap, ad = steps(db_a, ds_a, 1.0)
             nu_aff = float(np.vdot(b + ap * db_a, s + ad * ds_a).real) / size
-            sigma = (nu_aff / nu) ** 3
+            sigma = 1.0 if center else (nu_aff / nu) ** 3
             k = hermitian_part(sigma * nu * sinv - db_a @ ds_a @ sinv)
             dt, dz, ds = direction(base + np.einsum("mij,mij->ij", cexp, k))
             db = k - b - hermitian_part(b @ ds @ sinv)
             ap, ad = steps(db, ds, _STEP_FRACTION)
         except np.linalg.LinAlgError:
-            ap = ad = 0.0  # the iterate is not numerically interior: no step is left
+            return None
         if max(ap, ad) < _MIN_STEP:
+            return None
+        return t + ap * dt, b + ap * db, z + ad * dz
+
+
+def _conic_minimum(nodes, grid, g, block, gap, opts):
+    """(lo, t, blocks) with lo <= sqrt(t*) <= sqrt(t) <= lo + gap, for the conic program
+
+        t* = min t  subject to  t E - G = sum_m C_m . B_m,  B_m PSD,
+
+    E = 1 (x) I_block and G Hermitian PSD whose largest diagonal-block
+    eigenvalue is 1, so t* >= 1.  ``blocks`` witnesses t: the affine identity
+    holds and the blocks are PSD up to roundoff.  The interior-point
+    iterations are _Conic.step's.
+
+    The start is feasible on both sides.  The dual starts at Z = I / N, where
+    Re<E, Z> = 1 and every S_m is diagonal and positive.  The primal starts
+    from the single-atom witness (t_w, W) that _Conic.repair builds from
+    B = 0: W_k is PSD, but singular, and every other W_m is 0.  It is moved
+    inside the cone along the Szego kernels at the safe atoms
+    (_interior_start), so no iteration is spent restoring the primal
+    identity.  The atoms where Sz_m is not safe get _START_SHIFT t_w I
+    instead, and leave a residual.
+
+    The iterate's t is no upper end (its primal identity holds only to
+    roundoff, and only in the limit when an atom is not safe), nor its Z a
+    rigorous lower one (S_m is PSD only to roundoff).  Once
+    |sqrt(t) - sqrt(Re<G, Z> / Re<E, Z>)| <= gap, both ends are taken from it,
+    and kept where they tighten:
+
+    * t: _Conic.repair of the iterate.
+    * lo: Z' = Z + s I, s = max(0, -min_m lambda_min(conj(C_m) . Z)) / min C_m(i, i)
+      (_Conic.shifted), makes every conj(C_m) . Z' PSD.  Any witness (t, B)
+      then gives t Re<E, Z'> - Re<G, Z'> = sum_m Re<B_m, conj(C_m) . Z'> >= 0,
+      so lo = sqrt(Re<G, Z'> / Re<E, Z'>) when Re<E, Z'> > 0: the dual
+      objective of the iterate, or the kernel conj(Z') tested on the
+      all-ones vector.
+
+    opts.max_iter caps the interior-point iterations; opts.tol is not read
+    here (the caller re-verifies the witness to it).  NumericsError when no
+    atom's Sz_k is safely positive definite, so that no witness can be
+    repaired; when the bracket has not closed within the budget; or when the
+    iterate stalls (_Conic.step).
+    The widths it names are those of sqrt(t), relative to the targets' scale.
+    """
+    core = _Conic(nodes, grid, block)
+    if core.safe.size == 0:
+        raise NumericsError(
+            "minimal-norm bracket has no upper end: no grid atom's Szego kernel is"
+            " safely positive definite at these nodes, so no witness can be repaired"
+        )
+
+    def lower(y):
+        """sqrt(Re<G, Z> / Re<E, Z>) at Z = Y + s I, or 0 when Re<E, Z> <= 0."""
+        z = core.shifted(y)
+        ez = float(np.vdot(core.ee, z).real)
+        return math.sqrt(max(0.0, float(np.vdot(g, z).real)) / ez) if ez > 0.0 else 0.0
+
+    lo = 1.0  # forced by the diagonal blocks
+    hi2, witness = core.repair(g, 1.0, np.zeros_like(core.cexp))
+    t, b = _interior_start(hi2, witness, core.szego, core.safe)
+    z = np.eye(core.dim) / core.dim
+
+    def bracket():
+        """Both ends from the iterate (t, b, z), kept where they tighten; the width."""
+        nonlocal lo, hi2, witness
+        cand, blocks = core.repair(g, t, b)
+        if cand < hi2:
+            hi2, witness = cand, blocks
+        lo = max(lo, lower(z))
+        return math.sqrt(hi2) - lo
+
+    it = 0
+    while True:
+        ez = float(np.vdot(core.ee, z).real)
+        estimate = math.sqrt(t) - math.sqrt(max(0.0, float(np.vdot(g, z).real)) / ez)
+        if abs(estimate) <= gap or it == opts.max_iter:
+            bracket()
+        if math.sqrt(hi2) - lo <= gap:
+            return lo, hi2, witness
+        if it == opts.max_iter:
+            raise NumericsError(
+                f"minimal-norm bracket not closed in {opts.max_iter} interior-point"
+                f" iterations: relative width {math.sqrt(hi2) - lo:.3e} > {gap:.3e}"
+            )
+        it += 1
+        step = core.step(g, t, b, z)
+        if step is None:
             raise NumericsError(
                 f"minimal-norm bracket stalled at relative width {bracket():.3e} > {gap:.3e}"
             )
-        t, b, z = t + ap * dt, b + ap * db, z + ad * dz
+        t, b, z = step

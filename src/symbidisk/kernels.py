@@ -25,10 +25,10 @@ from .hermitian import hermitian_part, min_eigenvalue_stack
 
 MAX_BLOCK_SIZE = 16
 # Alphas per grid, far above the 193 of check_default.  The distinctness check
-# is O(n^2), every mask stack holds n * N^2 entries, and a Newton step costs
-# O(n * N^6) flops for its Hessian, whose n * N^4 assembly entries feasibility
-# builds in slabs of atoms rather than at once.  A larger grid is an input
-# error rather than a memory error.
+# is O(n^2), every mask stack holds n * N^2 entries, and an interior-point
+# iteration costs O(n * N^4) flops for its Schur complement, whose n * N^4
+# Kronecker entries feasibility builds in slabs of atoms rather than at once.
+# A larger grid is an input error rather than a memory error.
 MAX_GRID_SIZE = 4096
 # Alphas per stacked eigensolve in admissibility_check are capped so that a
 # stack of scaled kernels holds at most this many entries.

@@ -91,6 +91,54 @@ def loop_file_problem():
     return PickProblem(nodes=nodes, targets=targets)
 
 
+# The two loop-bound 2x2 pick files of the bench corpus that semismooth
+# Newton once left Unknown, keyed by bench seed and directory (z_loop_pick_2x2
+# of seed 151, in11, and of seed 237, in12).  Rows are nodes
+# [s_re, s_im, p_re, p_im] and, per target, its four entries [re, im] row by
+# row.  Both are planted feasible; their files run with max_iter 2000.
+STALL_FILES = {
+    "151/in11": (
+        [
+            [0.3527472741883056, -0.405136416287464, -0.12719101159934396, -0.024589421881291325],
+            [0.26566308915225806, -0.5794115098845836, -0.15641267613536813, 0.007691979195929621],
+            [0.07481728747509164, 0.11055615303007177, -0.0352913443593038, 0.07027131536369136],
+        ],
+        [
+            [[-0.02330581224530771, -0.5498574167581041], [0.35569104104883775, -0.023794795367598924],
+             [-0.24313167564753696, 0.25391218879677624], [-0.45151668992722044, 0.03387240006662076]],
+            [[-0.01631643486115839, -0.5729191789189677], [0.31646955987631675, -0.01463391949793167],
+             [-0.25032783191241065, 0.25172794500341256], [-0.4844745817335107, 0.036781114335992175]],
+            [[-0.12712591089159633, -0.48728348535357413], [0.4721896821444725, 0.0848336197711161],
+             [-0.2579274127232858, 0.30114449381894687], [-0.3362859953667833, 0.16014681880211118]],
+        ],
+    ),
+    "237/in12": (
+        [
+            [0.15959266704184727, 0.32319980834883083, -0.15027907279877645, 0.3283264792222033],
+            [0.36455746896211977, 0.2681335826507464, 0.008083900525085778, -0.07640961771418849],
+            [0.39743670801161207, 0.2876518798590925, 0.017336655736813988, -0.06051385667876312],
+        ],
+        [
+            [[-0.6887899646731658, 0.0774861300364023], [0.14924280790208924, -0.3911465846020835],
+             [-0.27365441920376754, -0.13281880868773804], [-0.5230978785334099, 0.2456658282800003]],
+            [[-0.5704927848335272, 0.20411818059873527], [0.18660888439698328, -0.21415626427914783],
+             [-0.13484188183338974, 0.047014021630329694], [-0.48126133317202524, -0.017590114963228]],
+            [[-0.5706201153233421, 0.20858047576490055], [0.1824126631249073, -0.20664136550294704],
+             [-0.1313875608087663, 0.05361041745411881], [-0.47765898457540834, -0.024481267625182428]],
+        ],
+    ),
+}
+
+
+def stall_file_problem(name):
+    rows, entries = STALL_FILES[name]
+    nodes = NodeSet.from_pairs([(complex(sr, si), complex(pr, pi)) for sr, si, pr, pi in rows])
+    targets = tuple(
+        np.array([complex(re, im) for re, im in target]).reshape(2, 2) for target in entries
+    )
+    return PickProblem(nodes=nodes, targets=targets)
+
+
 # Every field of a measure-model report.
 MEASURE_REPORT_FIELDS = {
     "format", "kind", "problem", "seed", "tool_version", "timings", "report_hash",

@@ -29,7 +29,7 @@ NODES_21 = tuple((0.04 * k, 0.0, 0.0, 0.0) for k in range(21))
 
 
 def near_threshold_obj(max_iter):
-    """near_threshold_problem() asking for its minimal norm within max_iter Newton steps."""
+    """near_threshold_problem() asking for its minimal norm within max_iter iterations."""
     problem = near_threshold_problem()
     nodes = [(q.s.real, q.s.imag, q.p.real, q.p.imag) for q in problem.nodes.points]
     obj = pick_problem_obj(ws=(1.0, 1.0, -1.0), nodes=nodes)
@@ -149,7 +149,8 @@ class TestRun:
         assert json.loads(captured.out)["minimal_norm"] == pytest.approx(0.8336077, abs=2e-4)
 
     def test_pick_out_of_budget_reports_unknown(self, tmp_path, capsys):
-        # just above the loop file's minimal norm, two Newton steps decide nothing
+        # just above the loop file's minimal norm, two interior-point iterations
+        # decide nothing
         p_in = tmp_path / "loop.json"
         obj = {
             "format": 1,
@@ -168,6 +169,7 @@ class TestRun:
             reports.append(json.loads(captured.out))
         first, again = reports
         assert first["status"] == "Unknown"
+        assert first["solve"]["iterations"] == 2
         assert "interpolant" not in first
         assert first["report_hash"] == again["report_hash"]
         assert report_hash(first) == first["report_hash"]
@@ -313,10 +315,11 @@ class TestDeterminismAndEcho:
 
 
 # Problems keyed by case name with their report hashes, pinned from reports
-# that were still pretty-printed and still carried a nested ``solve.wall_time``
-# (``pick-certified``, whose certificate comes from the Newton dual iterate,
-# was pinned later): the report text may change form, the hash of the same
-# problem may not.
+# that were still pretty-printed and still carried a nested ``solve.wall_time``:
+# the report text may change form, the hash of the same problem may not.
+# ``pick``, ``pick-certified`` and ``corona`` were re-pinned when the
+# interior-point method took over the feasibility solve: their witness blocks,
+# certificate and notes come from it.
 GOLDEN = {
     "pick": (
         {
@@ -329,7 +332,7 @@ GOLDEN = {
             "grid": {"kind": "solver_default"},
             "opts": {"seed": 7},
         },
-        "9aae05d355c7b4be8a155f75564ada6833e98c05ad60200acecbf9355f986747",
+        "9f9a2c9aa8b329bea773ee9944b277a97959a625fc5af4aceba1a4ca687dd599",
     ),
     "pick-certified": (
         {
@@ -341,7 +344,7 @@ GOLDEN = {
             },
             "opts": {"seed": 11},
         },
-        "ce0806ad4e4e4707761bae442d048c08ba888634e9259a79f4bde5fec399b12f",
+        "bfd2493d09b5d95b316aeabb6978d6edbf6404e0bf15bc68d7be040921fba0af",
     ),
     "corona": (
         {
@@ -357,7 +360,7 @@ GOLDEN = {
             },
             "opts": {"seed": 5},
         },
-        "1f74584689350cad40c66c60816155238081aa443831e9927074d538922e9e2a",
+        "993d90b17bf8e6f50deb153b254f824afb38f6913caa3cbd2cae74fb4a3f2d2a",
     ),
     "sequence": (
         {

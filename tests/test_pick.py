@@ -13,6 +13,7 @@ from symbidisk import (
     PickProblem,
     SolveOptions,
     SolveStatus,
+    admissibility_check,
     assemble_pick_target,
     caratheodory_two_point,
     minimal_norm,
@@ -27,11 +28,17 @@ from symbidisk import (
 from symbidisk import feasibility, pick
 from symbidisk.feasibility import SolveReport
 from symbidisk.geometry import phi_values
-from symbidisk.hermitian import hermitian_part, schur_oslash
+from symbidisk.hermitian import hermitian_part, min_eigenvalue, schur_oslash
 from symbidisk.kernels import coefficient_masks
 from symbidisk.realization import realize
 
-from conftest import loop_file_problem, near_threshold_problem, random_nodes
+from conftest import (
+    STALL_FILES,
+    loop_file_problem,
+    near_threshold_problem,
+    random_nodes,
+    stall_file_problem,
+)
 
 
 def scalar_problem(nodes, ws, bound=1.0):
@@ -554,8 +561,7 @@ def test_bracket_that_stalled_at_the_largest_sigma_closes(name, solver_grid):
 @pytest.mark.parametrize("n, seed", [(12, 3), (16, 1)])
 def test_planted_bracket_that_stalled_in_the_szego_repair_closes(n, seed, solver_grid):
     # the proximal rounds raised "stalled" at relative widths 5.1e-4 (N = 12)
-    # and 2.1e-2 (N = 16); solve_pick at hi + width is not re-checked here,
-    # as solve itself ends Unknown there (ROADMAP item 8)
+    # and 2.1e-2 (N = 16)
     opts, width = SolveOptions(max_iter=2000), 1e-4
     problem = planted_problem(n, seed)
     lo, hi, witness = pick._conic_bracket(problem, solver_grid, opts, width)
@@ -564,6 +570,14 @@ def test_planted_bracket_that_stalled_in_the_szego_repair_closes(n, seed, solver
     assert lo <= 0.95  # the targets are planted at 0.95
     at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
     assert residual(assemble_pick_target(at_hi), witness) <= opts.tol
+    # the check of bench/workloads.py::Sandwich._check, which semismooth
+    # Newton could not pass here (it ended Unknown near the threshold)
+    above = PickProblem(
+        nodes=problem.nodes, targets=problem.targets, norm_bound=hi + width * max(1.0, hi)
+    )
+    sol = solve_pick(above, solver_grid, opts)
+    assert sol.status is SolveStatus.FEASIBLE
+    assert sol.node_residual <= 1e-7
 
 
 def test_bracket_whose_steps_collapse_raises(monkeypatch, solver_grid):
@@ -572,3 +586,58 @@ def test_bracket_whose_steps_collapse_raises(monkeypatch, solver_grid):
     with pytest.raises(NumericsError, match="stalled at relative width"):
         minimal_norm_bracket(sandwich_item(), solver_grid, SolveOptions(max_iter=1000))
 
+
+# Solves that semismooth Newton ended Unknown, or decided only slowly.  Each
+# has a CPU bound below what semismooth Newton took (one BLAS thread, 2-vCPU
+# VM) and at least twice the interior-point method's CPU time with the BLAS
+# thread count left to OpenBLAS.
+
+
+@pytest.mark.parametrize("seed", [2, 3, 25])
+def test_planted_target_with_no_safe_atom_is_decided(seed, solver_grid):
+    # no Szego kernel is safely positive definite, so there is no single-atom
+    # witness and the method starts from B_m = sigma I: 16-19 iterations,
+    # 0.3-0.45 CPU-s each on one BLAS thread and 0.7-0.9 on two; semismooth
+    # Newton took 84 and 68 steps (3.1 and 2.5 CPU-s on one thread) on seeds
+    # 2 and 3, and ended seed 25 Unknown after 97 (3.8 CPU-s)
+    problem = planted_problem(16, seed)
+    szego = np.linalg.eigvalsh(hermitian_part(1.0 / coefficient_masks(solver_grid, problem.nodes)))
+    assert not np.any(szego[:, 0] > 1e-12 * szego[:, -1])
+    opts = SolveOptions(max_iter=2000)
+    t0 = time.process_time()
+    sol = solve_pick(problem, solver_grid, opts)
+    assert time.process_time() - t0 < 2.0
+    assert sol.status is SolveStatus.FEASIBLE and sol.report.iterations > 0
+    assert residual(assemble_pick_target(problem), sol.report.blocks) <= opts.tol
+    assert sol.node_residual <= 1e-7
+
+
+@pytest.mark.parametrize("top", [1e30, 1e40, 1e75])
+def test_huge_diagonal_target_is_certified_at_once(top, diagonal_pair, solver_grid):
+    # J = 1 - w w* has the diagonal entry 1 - top^2, so tr J < 0, and the
+    # identity, the kernel of the dual start Z = I / N, certifies at
+    # iteration 0; semismooth Newton ended all three Unknown
+    problem = scalar_problem(diagonal_pair, [top, 0.5])
+    t0 = time.process_time()
+    sol = solve_pick(problem, solver_grid)
+    assert time.process_time() - t0 < 0.1
+    assert sol.status is SolveStatus.INFEASIBLE_CERTIFIED and sol.report.iterations == 0
+    kern = sol.report.certificate
+    assert admissibility_check(kern, solver_grid, tol=1e-8).is_admissible_on_grid
+    j = assemble_pick_target(problem).matrix
+    assert min_eigenvalue(schur_oslash(j, kern.matrix)) <= -1e-8
+    assert np.isfinite(sol.report.residual)
+
+
+@pytest.mark.parametrize("name", sorted(STALL_FILES))
+def test_loop_file_that_newton_left_unknown_is_decided(name, solver_grid):
+    # semismooth Newton ended these Unknown after 45 and 61 steps, in a
+    # 2-cycle near the threshold; the interior-point method takes 4 iterations
+    problem = stall_file_problem(name)
+    opts = SolveOptions(max_iter=2000)
+    t0 = time.process_time()
+    sol = solve_pick(problem, solver_grid, opts)
+    assert time.process_time() - t0 < 0.2
+    assert sol.status is SolveStatus.FEASIBLE
+    assert residual(assemble_pick_target(problem), sol.report.blocks) <= opts.tol
+    assert sol.node_residual <= 1e-7

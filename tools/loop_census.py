@@ -8,10 +8,11 @@ directories that ``python3 bench/run.py --workload corpus --seed S
 ``cli.execute_problem`` and checks the report with the bench's
 ``check_report``.  It prints every file that
 does not check ``ok`` (bench seed, directory, file name, verdict, status,
-Newton steps), then the number of files, the verdict counts and the total
-of Newton steps.  No closed form decides these files, so the census
-exercises the Newton core on near-boundary inputs; ``Unknown`` files show
-where it stalls.  It exits 1 when a report contradicts its plant.
+interior-point iterations), then the number of files, the verdict counts and
+the total of interior-point iterations.  No single-atom witness decides
+these files, so the census exercises the interior-point core on
+near-boundary inputs; ``Unknown`` files show where it stalls.  It exits 1
+when a report contradicts its plant.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ RUN_SECONDS = 40  # the run length whose directories are censused
 
 
 def census(seed: int):
-    """One row per loop file of a bench seed: (seed, directory, name, verdict, status, steps)."""
+    """One row per loop file of a bench seed: (seed, directory, name, verdict, status, iterations)."""
     count = run.item_count("corpus", RUN_SECONDS)
     with tempfile.TemporaryDirectory() as workdir:
         corpus = run.make_workload("corpus", seed, count, workdir)
@@ -56,17 +57,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs=2, required=True, metavar=("A", "B"))
     args = parser.parse_args(argv)
     first, last = args.seeds
-    verdicts, steps, files = Counter(), 0, 0
+    verdicts, iterations, files = Counter(), 0, 0
     for seed in range(first, last + 1):
         for row in census(seed):
             files += 1
             verdicts[row[3]] += 1
-            steps += row[5]
+            iterations += row[5]
             if row[3] != "ok":
-                print("seed {} {} {}: {} ({}, {} steps)".format(*row), flush=True)
+                print("seed {} {} {}: {} ({}, {} iterations)".format(*row), flush=True)
     print(f"seeds {first}-{last}: {files} files, "
           + ", ".join(f"{v} {verdicts[v]}" for v in ("ok", "failed", "wrong"))
-          + f", {steps} Newton steps")
+          + f", {iterations} interior-point iterations")
     return 1 if verdicts["wrong"] else 0
 
 
