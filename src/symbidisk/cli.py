@@ -374,6 +374,8 @@ def _handle_sequence(payload, grid, opts) -> dict:
     if alpha_samples < 1:
         raise ValidationError(f"field 'alpha_samples' must be >= 1, got {alpha_samples}")
     bound = read_number(payload.get("bound", 2.0), "bound")
+    if not math.isfinite(bound):  # a flag is a float; a file's numbers are already finite
+        raise ValidationError(f"field 'bound' must be a finite number, got {bound!r}")
 
     scan_grid = grid if alpha_samples >= len(grid) else AlphaGrid(grid.alphas[:alpha_samples])
     alpha_star, delta_hat = best_carleson_alpha(trunc, scan_grid)

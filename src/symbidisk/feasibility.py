@@ -14,9 +14,11 @@ Both questions this module answers are one linear conic program and its dual,
     t* = min t  subject to  t E - G = sum_m C_m . B_m,  B_m PSD,
          max Re<G, Z>  subject to  Re<E, Z> = 1,  conj(C_m) . Z PSD,
 
-E = 1 (x) I_block, solved by one primal-dual interior-point method (_Conic).
-Pick minimal norms take G = W W* (_conic_minimum).  Feasibility takes
-G = E - J, and J is grid-feasible exactly when t* <= 1 (solve):
+E = 1 (x) I_block, solved by one primal-dual interior-point method: one
+sequence of iterates, _Conic.path, whose start and centering it describes.
+Pick minimal norms take G = W W* and stop once the iterates bracket t*
+(_conic_minimum).  Feasibility takes G = E - J, and J is grid-feasible
+exactly when t* <= 1; it stops at a witness or a certificate (solve):
 
 * E = C_k . (Sz_k (x) I) at every atom k, Sz_k = 1 / C_k being the Szego
   kernel of phi(alpha_k, .), which is PSD.  So a primal point (t, B) with
@@ -60,10 +62,11 @@ from .kernels import (
     AlphaGrid,
     KernelMatrix,
     NodeSet,
+    admissibility_check,
     admissible_shift,
     coefficient_masks,
     expand_masks,
-    unit_diagonal,
+    grammian_normalize,
 )
 
 # Largest N = n * block a target may have.  Every interior-point iteration
@@ -207,10 +210,9 @@ def solve(
 ) -> SolveReport:
     """Decide grid feasibility of the target; see module docstring.
 
-    The interior-point method of _Conic runs on G = E - J.  At iteration 0
-    it tests the best single-atom witness, _Conic.repair's from B = 0 at
-    t = 1, and the dual start Z = I / N, whose kernel is the identity; then
-    every iterate:
+    Runs _Conic.path on G = E - J.  Iteration 0 is its start, the best
+    single-atom witness with the dual Z = I / N, whose kernel is the
+    identity.  Each iterate (t, B, Z) ends the solve:
 
     * Feasible once t <= 1 + tol / ||E|| and the blocks B_m, with
       (1 - t)+ (Sz_k (x) I) added at the atom whose Sz_k is best
@@ -218,26 +220,18 @@ def solve(
     * InfeasibleCertified once the shifted dual iterate Z' (_Conic.shifted)
       has -Re<J, Z'> > tol ||Z'|| and one of its compressions
       (_compressions) is a grid-admissible kernel that violates J by tol.
-    * Unknown after opts.max_iter iterations; when the iterate stalls
-      (_Conic.step); or when, at two successive iterates with
-      t <= 1 + tol / ||E||, the residual has not fallen.  A step multiplies
-      the primal residual by 1 minus its length, so the residual has then
-      reached its roundoff floor, above tol.
+    * Unknown when, at two successive iterates with t <= 1 + tol / ||E||,
+      the residual has not fallen.  A step multiplies the primal residual
+      by 1 minus its length, so the residual has then reached its roundoff
+      floor, above tol.  Unknown also after opts.max_iter iterations, and
+      when the path ends because a step stalled.
 
-    The centering parameter is 1 while t < 1: the iterate stays central
-    while its primal residual falls, instead of converging to the optimal
-    face, where the residual stalls at 5e-8 to 5e-7 on most planted N = 16
-    and N = 20 targets (tests/test_pick.py::planted_problem).  With
-    no Szego-safe atom there is no single-atom witness, and the method starts
-    from B_m = sigma I at every atom, t = sigma (1 + M),
-    sigma = max(1, max |G|), whose primal residual the steps remove.  The
-    report's residual is residual() of the blocks at the last iterate.
+    The report's residual is residual() of the blocks at the last iterate.
     Deterministic given (target, grid, opts).
     """
     t0 = time.perf_counter()
     n, d, j = len(target.nodes), target.block, target.matrix
     core = _Conic(target.nodes, grid, d)
-    g = core.ee - j
     slack = 1.0 + opts.tol / _norm(core.ee)
     best = int(np.argmax(core.lam_s[:, 0] / core.lam_s[:, -1]))
 
@@ -251,25 +245,23 @@ def solve(
             status=status, residual=res, iterations=it, wall_time=time.perf_counter() - t0, **fields
         )
 
+    def unknown(it, t, b, note):
+        res = _residual(core.cexp, j, witness(t, b))
+        return report(SolveStatus.UNKNOWN, it, res, notes=(note,))
+
     def certificate(z):
         dual = core.shifted(z)
         if -np.vdot(j, dual).real <= opts.tol * _norm(dual):
             return None
         for k in _compressions(dual, n, d):
-            kern = _admissible_kernel(target.nodes, core.masks, k.conj(), opts.tol)
+            kern = _admissible_kernel(target.nodes, grid, k.conj(), opts.tol)
             cert = None if kern is None else _violation(target, kern, opts)
             if cert is not None:
                 return cert
         return None
 
-    z = np.eye(core.dim) / core.dim
-    if core.safe.size:
-        t, b = core.repair(g, 1.0, np.zeros_like(core.cexp))
-    else:
-        sigma = max(1.0, float(np.abs(g).max()))
-        t, b = sigma * (1 + len(core.cexp)), sigma * np.ones_like(core.cexp) * np.eye(core.dim)
-    it, floor = 0, math.inf
-    while True:
+    floor = math.inf
+    for it, (t, b, z) in enumerate(core.path(core.ee - j)):
         blocks = witness(t, b) if t <= slack else None
         res = math.inf if blocks is None else _residual(core.cexp, j, blocks)
         if res <= opts.tol:
@@ -286,21 +278,12 @@ def solve(
                 certificate_min_eig=cert[1],
                 notes=(f"certified by the dual iterate at iteration {it}",),
             )
-        step = None
         if floor <= res < math.inf:
-            note = f"residual at its roundoff floor at iteration {it}"
-        elif it == opts.max_iter:
-            note = "budget spent"
-        else:
-            if it == 0 and core.safe.size:
-                t, b = _interior_start(t, b, core.szego, core.safe)
-            step = core.step(g, t, b, z, center=t < 1.0)
-            note = f"stalled at iteration {it}"
-        if step is None:
-            res = _residual(core.cexp, j, witness(t, b))
-            return report(SolveStatus.UNKNOWN, it, res, notes=(note,))
+            return unknown(it, t, b, f"residual at its roundoff floor at iteration {it}")
+        if it == opts.max_iter:
+            return unknown(it, t, b, "budget spent")
         floor = res if it else math.inf  # the start moved the iterate: nothing to compare yet
-        (t, b, z), it = step, it + 1
+    return unknown(it, t, b, f"stalled at iteration {it}")
 
 
 def _norm(a):
@@ -323,22 +306,15 @@ def _compressions(dual, n, d):
     return out
 
 
-def _admissible_kernel(nodes, masks, k, tol) -> KernelMatrix | None:
-    """Unit-diagonal rescale of k, when it is grid-admissible.
-
-    ``masks`` are the grid's coefficient masks, which the caller already holds.
-    The rescale is grammian_normalize's and the test admissibility_check's,
-    bit for bit.
-    """
+def _admissible_kernel(nodes, grid, k, tol) -> KernelMatrix | None:
+    """grammian_normalize's rescale of k, when admissibility_check passes it on the grid."""
     k = hermitian_part(k)
     if np.any(np.real(np.diag(k)) <= 1e-14):
         k = k + 1e-12 * np.eye(k.shape[0])
     if not np.all(np.real(np.diag(k)) > 0.0):  # grammian_normalize raises: no kernel
         return None
-    g = unit_diagonal(k)
-    if not min_eigenvalue_stack(masks * g).min() >= -tol:
-        return None
-    return KernelMatrix(nodes=nodes, matrix=g)
+    kern = KernelMatrix(nodes=nodes, matrix=grammian_normalize(KernelMatrix(nodes, k)))
+    return kern if admissibility_check(kern, grid, tol).is_admissible_on_grid else None
 
 
 def _violation(target, kern, opts) -> tuple[KernelMatrix, float] | None:
@@ -484,7 +460,44 @@ class _Conic:
         """Z' = Z + s I, s = admissible_shift(conj(C), Z): every conj(C_m) . Z' is PSD."""
         return z + admissible_shift(self.cconj, z) * np.eye(len(z))
 
-    def step(self, g, t, b, z, center=False):
+    def path(self, g):
+        """The interior-point iterates (t, B, Z) for G = g: the start, then one per step.
+
+        The start is feasible on the dual side: Z = I / N, where Re<E, Z> = 1
+        and every S_m is diagonal and positive.  Its primal point is the best
+        single-atom witness (t_w, W), repair from B = 0 at t = 1: W_k is PSD,
+        but singular, and every other W_m is 0.  Before the first step it is
+        moved strictly inside the cone along the Szego kernels at the safe
+        atoms (_interior_start), so no iteration is spent restoring the
+        primal identity; the atoms where Sz_m is not safe get
+        _START_SHIFT t_w I instead, and leave a residual.  With no Szego-safe
+        atom there is no witness, and the start is B_m = sigma I at every
+        atom, t = sigma (1 + M), sigma = max(1, max |G|), whose primal
+        residual the steps remove.
+
+        Every later iterate is one step, and the iterates end when a step
+        stalls.  Their centering parameter is 1 while t < 1: on G = E - J the
+        iterate then stays central while its primal residual falls, instead
+        of converging to the optimal face, where the residual stalls at 5e-8
+        to 5e-7 on most planted N = 16 and N = 20 targets
+        (tests/test_pick.py::planted_problem).  A PSD G, as in the
+        minimal-norm bracket, has t* >= 1, and its steps take Mehrotra's
+        centering.
+        """
+        z = np.eye(self.dim) / self.dim
+        if self.safe.size:
+            t, b = self.repair(g, 1.0, np.zeros_like(self.cexp))
+        else:
+            sigma = max(1.0, float(np.abs(g).max()))
+            t, b = sigma * (1 + len(self.cexp)), sigma * np.ones_like(self.cexp) * np.eye(self.dim)
+        yield t, b, z
+        if self.safe.size:
+            t, b = _interior_start(t, b, self.szego, self.safe)
+        while (nxt := self.step(g, t, b, z)) is not None:
+            t, b, z = nxt
+            yield nxt
+
+    def step(self, g, t, b, z):
         """The next iterate (t, b, z) of one predictor-corrector step, or None when stalled.
 
         An infeasible primal-dual path-following step along the HKM direction
@@ -502,7 +515,7 @@ class _Conic:
         give the complementarity nu_aff they would reach, from
         nu = sum_m Re<B_m, S_m> / (M N), and the corrector has
         K_m = sym((sigma nu I - dB_m dS_m) S_m^-1), sigma = (nu_aff / nu)^3,
-        or sigma = 1 with ``center``; dB and dS are the predictor's.  The
+        or sigma = 1 while t < 1 (see path); dB and dS are the predictor's.  The
         primal (t, B) and the dual Z then each take _STEP_FRACTION of the
         corrector's step to the PSD boundary, at most 1.  Each step to the
         boundary is one stacked eigvalsh, whitened by one Cholesky
@@ -542,7 +555,7 @@ class _Conic:
             db_a = -b - hermitian_part(b @ ds_a @ sinv)
             ap, ad = steps(db_a, ds_a, 1.0)
             nu_aff = float(np.vdot(b + ap * db_a, s + ad * ds_a).real) / size
-            sigma = 1.0 if center else (nu_aff / nu) ** 3
+            sigma = 1.0 if t < 1.0 else (nu_aff / nu) ** 3
             k = hermitian_part(sigma * nu * sinv - db_a @ ds_a @ sinv)
             dt, dz, ds = direction(base + np.einsum("mij,mij->ij", cexp, k))
             db = k - b - hermitian_part(b @ ds @ sinv)
@@ -561,17 +574,8 @@ def _conic_minimum(nodes, grid, g, block, gap, opts):
 
     E = 1 (x) I_block and G Hermitian PSD whose largest diagonal-block
     eigenvalue is 1, so t* >= 1.  ``blocks`` witnesses t: the affine identity
-    holds and the blocks are PSD up to roundoff.  The interior-point
-    iterations are _Conic.step's.
-
-    The start is feasible on both sides.  The dual starts at Z = I / N, where
-    Re<E, Z> = 1 and every S_m is diagonal and positive.  The primal starts
-    from the single-atom witness (t_w, W) that _Conic.repair builds from
-    B = 0: W_k is PSD, but singular, and every other W_m is 0.  It is moved
-    inside the cone along the Szego kernels at the safe atoms
-    (_interior_start), so no iteration is spent restoring the primal
-    identity.  The atoms where Sz_m is not safe get _START_SHIFT t_w I
-    instead, and leave a residual.
+    holds and the blocks are PSD up to roundoff.  The iterates are
+    _Conic.path's, whose start (t, B) is the first witness.
 
     The iterate's t is no upper end (its primal identity holds only to
     roundoff, and only in the limit when an atom is not safe), nor its Z a
@@ -601,32 +605,27 @@ def _conic_minimum(nodes, grid, g, block, gap, opts):
             " safely positive definite at these nodes, so no witness can be repaired"
         )
 
-    def lower(y):
-        """sqrt(Re<G, Z> / Re<E, Z>) at Z = Y + s I, or 0 when Re<E, Z> <= 0."""
-        z = core.shifted(y)
+    def dual_value(z):
+        """sqrt(Re<G, Z> / Re<E, Z>), or 0 when Re<E, Z> <= 0."""
         ez = float(np.vdot(core.ee, z).real)
         return math.sqrt(max(0.0, float(np.vdot(g, z).real)) / ez) if ez > 0.0 else 0.0
 
     lo = 1.0  # forced by the diagonal blocks
-    hi2, witness = core.repair(g, 1.0, np.zeros_like(core.cexp))
-    t, b = _interior_start(hi2, witness, core.szego, core.safe)
-    z = np.eye(core.dim) / core.dim
 
-    def bracket():
+    def bracket(t, b, z):
         """Both ends from the iterate (t, b, z), kept where they tighten; the width."""
         nonlocal lo, hi2, witness
         cand, blocks = core.repair(g, t, b)
         if cand < hi2:
             hi2, witness = cand, blocks
-        lo = max(lo, lower(z))
+        lo = max(lo, dual_value(core.shifted(z)))
         return math.sqrt(hi2) - lo
 
-    it = 0
-    while True:
-        ez = float(np.vdot(core.ee, z).real)
-        estimate = math.sqrt(t) - math.sqrt(max(0.0, float(np.vdot(g, z).real)) / ez)
-        if abs(estimate) <= gap or it == opts.max_iter:
-            bracket()
+    for it, (t, b, z) in enumerate(core.path(g)):
+        if it == 0:  # the start is the single-atom witness
+            hi2, witness = t, b
+        if abs(math.sqrt(t) - dual_value(z)) <= gap or it == opts.max_iter:
+            bracket(t, b, z)
         if math.sqrt(hi2) - lo <= gap:
             return lo, hi2, witness
         if it == opts.max_iter:
@@ -634,10 +633,6 @@ def _conic_minimum(nodes, grid, g, block, gap, opts):
                 f"minimal-norm bracket not closed in {opts.max_iter} interior-point"
                 f" iterations: relative width {math.sqrt(hi2) - lo:.3e} > {gap:.3e}"
             )
-        it += 1
-        step = core.step(g, t, b, z)
-        if step is None:
-            raise NumericsError(
-                f"minimal-norm bracket stalled at relative width {bracket():.3e} > {gap:.3e}"
-            )
-        t, b, z = step
+    raise NumericsError(
+        f"minimal-norm bracket stalled at relative width {bracket(t, b, z):.3e} > {gap:.3e}"
+    )

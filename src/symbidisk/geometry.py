@@ -214,9 +214,7 @@ def caratheodory_two_point(
             raise ValidationError("caratheodory_two_point needs member points")
 
     theta = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-    alphas = np.exp(1j * theta)
-    va = (2.0 * alphas * pa - sa) / (2.0 - alphas * sa)
-    vb = (2.0 * alphas * pb - sb) / (2.0 - alphas * sb)
+    va, vb = phi_values(np.exp(1j * theta), [sa, sb], [pa, pb]).T
     den = np.abs(1.0 - vb.conj() * va)
     num = np.abs(va - vb)
     vals = np.where(den > 1e-15, num / np.maximum(den, 1e-300), 0.0)
@@ -226,9 +224,7 @@ def caratheodory_two_point(
 
     def objective(t: float) -> float:
         al = cmath.exp(1j * t)
-        fa = (2.0 * al * pa - sa) / (2.0 - al * sa)
-        fb = (2.0 * al * pb - sb) / (2.0 - al * sb)
-        return pseudo_hyperbolic(fa, fb)
+        return pseudo_hyperbolic(phi(al, (sa, pa)), phi(al, (sb, pb)))
 
     _, refined = _golden_max(objective, theta[k] - step, theta[k] + step)
     return max(float(vals[k]), refined)

@@ -227,8 +227,10 @@ def verify_contractivity(col: Colligation, sample_count: int = 10000, seed: int 
 
     Samples are symmetrized pairs of uniform disk points; for any colligation
     whose block matrix is unitary the returned value stays at or below
-    1 + 1e-8 up to evaluation roundoff.
+    1 + 1e-8 up to evaluation roundoff.  ValidationError when sample_count < 1.
     """
+    if sample_count < 1:
+        raise ValidationError(f"sample_count must be >= 1, got {sample_count}")
     vals = transfer_eval_batch(col, *_domain_sample(sample_count, seed, 0.9999))
     if min(col.out_dim, col.in_dim) == 1:
         # A vector's one singular value is its Euclidean norm.  LAPACK's value

@@ -298,6 +298,17 @@ class TestRun:
         assert out["n"] == 1
         assert out["strong_separation"]["bound"] == 1.0
 
+    @pytest.mark.parametrize("value", ["inf", "1e309", "nan"])
+    def test_non_finite_bound_flag_is_one_input_error_line(self, tmp_path, capsys, value):
+        p_in = tmp_path / "s.json"
+        write_json(p_in, GOLDEN["sequence"][0])
+        assert run(["sequence", "--in", str(p_in), "--bound", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:"), lines
+        assert "'bound'" in lines[0]
+
 
 class TestDeterminismAndEcho:
     def test_identical_reruns_hash_identical(self):

@@ -15,6 +15,8 @@ def test_census_of_one_bench_seed(monkeypatch, capsys):
     assert all(row[3] == "closed" for row in rows if row[2] == "ok")
     # every iteration takes two stacked eigensolves, one per step to the PSD boundary
     assert all(0 < 2 * row[4] <= row[5] for row in rows)
+    # pinned: a change that moves the iterates on purpose updates this and says why
+    assert (sum(row[4] for row in rows), sum(row[5] for row in rows)) == (289, 718)
 
     # the report: every item that is not ok, then the totals
     raised = (1, 34, "failed", "NumericsError", 1000, 27000)

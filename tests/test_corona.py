@@ -82,6 +82,11 @@ class TestSolveCorona:
         for v in vals:
             assert abs((row @ v)[0, 0] - 1.0) <= 1e-8
 
+    def test_no_contractivity_samples_is_an_input_error(self, rng, solver_grid):
+        problem = constant_row_problem(random_nodes(rng, 3), delta=1.0)
+        with pytest.raises(ValidationError, match="sample_count must be >= 1"):
+            solve_corona(problem, solver_grid, contractivity_samples=0)
+
     def test_planted_coordinate_row(self, rng, solver_grid):
         nodes = random_nodes(rng, 3)
         prob = coordinate_and_constant_problem(nodes, delta=0.5)

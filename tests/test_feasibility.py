@@ -564,7 +564,7 @@ def test_mask_admissibility_matches_admissibility_check(block, admissible, rng):
     lams = min_eigenvalue_stack(masks * kern.matrix)
     assert lams.tolist() == [lam for _, lam in rep.min_eig_per_alpha]
     if block == 1:  # the solver's kernels are scalar
-        got = feasibility._admissible_kernel(nodes, masks, raw, 1e-8)
+        got = feasibility._admissible_kernel(nodes, grid, raw, 1e-8)
         assert (got is not None) is admissible
         if admissible:  # grammian_normalize's rescale, bit for bit
             assert np.array_equal(got.matrix, kern.matrix)

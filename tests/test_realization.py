@@ -9,6 +9,7 @@ from symbidisk import (
     NodeSet,
     NumericsError,
     PickProblem,
+    ValidationError,
     phi,
     solve_pick,
     transfer_eval,
@@ -244,6 +245,15 @@ class TestContractivity:
         assert unitarity_defect(col) <= 1e-12
         v = verify_contractivity(col, 2000, seed=1)
         assert v == pytest.approx(abs(c), abs=1e-12)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_no_samples_is_an_input_error(self, count):
+        col = Colligation(
+            a=np.array([[0.0]]), b=np.array([[1.0]]), c=np.array([[1.0]]), d=np.array([[0.0]]),
+            alphas=np.array([0.5]), multiplicities=(1,), out_dim=1, in_dim=1,
+        )
+        with pytest.raises(ValidationError, match="sample_count must be >= 1"):
+            verify_contractivity(col, sample_count=count)
 
     def test_single_coordinate_realization(self):
         alpha = 0.6 * np.exp(1j * 0.4)

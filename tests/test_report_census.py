@@ -19,6 +19,9 @@ def test_census_of_one_seed(monkeypatch, capsys):
         "Feasible", "InfeasibleCertified"
     }
 
+    # pinned: a change that moves a report on purpose updates this and says why
+    assert report_census.digest(rows) == "f9e6342e7a59531e"
+
     # the digest follows every hash
     assert report_census.digest(rows) != report_census.digest(rows[:-1] + [rows[-1][:4] + ("0",)])
 
