@@ -110,8 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind, help=f"run a {kind} problem")
         _add_common_flags(p)
         if kind == "membership":
-            p.add_argument("--s", nargs=2, type=finite, metavar=("RE", "IM"))
-            p.add_argument("--p", nargs=2, type=finite, metavar=("RE", "IM"))
+            p.add_argument("--s", nargs=2, metavar=("RE", "IM"))
+            p.add_argument("--p", nargs=2, metavar=("RE", "IM"))
         if kind == "sequence":
             p.add_argument("--n", type=int, default=None, help="truncation length")
             p.add_argument("--kernels", type=int, default=None, help="kernel census size")
@@ -141,11 +141,12 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 def _run_single(args) -> int:
     kind = args.command
-    if kind == "membership" and args.in_path is None and args.s is not None:
+    point = {k: [*map(finite, getattr(args, k))] for k in ("s", "p") if getattr(args, k, None)}
+    if kind == "membership" and args.in_path is None and "s" in point:
         problem = {
             "format": FORMAT_VERSION,
             "kind": "membership",
-            "payload": {"s": list(args.s), "p": list(args.p or (0.0, 0.0))},
+            "payload": {"p": [0.0, 0.0], **point},
         }
     else:
         problem = _load_problem(args.in_path)
@@ -194,11 +195,13 @@ def _parse_json(text: str):
 
 
 def finite(text: str) -> float:
-    """float(text) for a JSON number or a CLI flag, rejecting non-finite values."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValidationError(f"number {text} is not a finite double")
-    return value
+    """float(text) for a JSON number or a CLI flag; ValidationError unless a finite number."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:  # not a number at all, as a flag's text may be
+        pass
+    raise ValidationError(f"{text!r} is not a finite number")
 
 
 def _bounded_int(text: str) -> int:

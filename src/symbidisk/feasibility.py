@@ -48,6 +48,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NumericsError, ValidationError
+from .geometry import phi_values
 from .hermitian import (
     hermitian_part,
     min_eigenvalue,
@@ -69,15 +70,14 @@ from .kernels import (
     grammian_normalize,
 )
 
-# Largest N = n * block a target may have.  Every interior-point iteration
-# builds an N^2 x N^2 Schur complement in O(M N^4) flops and solves it by LU
-# in O(N^6).  On the 9-atom grid (one BLAS thread, 2-vCPU Xeon VM) an
-# iteration takes 40 ms at N = 20, 84 ms at N = 24 and 0.37 s at N = 32, and
-# planted colligation targets at N = 20 (tests/test_pick.py::planted_problem,
-# seeds 0-2, none with a Szego-safe atom) are decided in 17 iterations,
-# 0.6-0.7 CPU-s each.  Raising the cap is an input contract change and waits
-# for planted targets above N = 20 to be measured.  It bounds scalar Pick
-# nodes, sequence truncations and n * d of matrix Pick and corona problems.
+# Largest N = n * block a target may have; it bounds scalar Pick nodes,
+# sequence truncations and n * d of matrix Pick and corona problems.  An
+# iteration builds an N^2 x N^2 Schur complement in O(M N^4) flops and solves
+# it by LU in O(N^6): on the 9-atom grid (one BLAS thread, 2-vCPU Xeon VM) in
+# 6 ms at N = 16, 13 ms at N = 20, 27 ms at N = 24 and 0.1 s at N = 32.
+# Planted targets at N = 20 (tests/test_pick.py::planted_problem, seeds 0-2,
+# no Szego-safe atom) are decided in 17 iterations, 0.28 CPU-s each.  Raising
+# the cap is an input contract change and waits for planted targets above 20.
 MAX_TARGET_DIM = 20
 # Largest modulus a target entry may have.  A report's residual() squares the
 # entries of its blocks' mismatch, which at the single-atom witness t_w is
@@ -89,9 +89,6 @@ MAX_TARGET_DIM = 20
 # Unknown at the residual's roundoff floor in 2-4 iterations (absolute tol);
 # at 1e151 and above some reports hold inf.
 MAX_TARGET_ENTRY = 1e150
-# Atoms per slab of the Schur complement assembly are capped so that the slab
-# holds at most this many entries (N^2 rows, N^2 columns per atom).
-_SCHUR_CHUNK_ENTRIES = 2**20
 # The interior-point iterations take this fraction of the step to the PSD
 # boundary.
 _STEP_FRACTION = 0.95
@@ -363,24 +360,20 @@ def _hermitian_basis(n):
     return _HermitianBasis(n)
 
 
-def _hkm_schur(cexp, b, sinv):
+def _hkm_schur(rows, cols, b, sinv):
     """sum_m diag(vec C_m)(B_m (x) S_m^-T)diag(vec conj(C_m)), an N^2 x N^2 matrix.
 
     It acts on row-major vec(dZ) as dZ -> sum_m C_m . (B_m (conj(C_m) . dZ) S_m^-1),
-    and is Hermitian positive definite when every B_m and S_m is.  Its sum
-    over m is taken in chunks of atoms whose Kronecker products hold at most
-    _SCHUR_CHUNK_ENTRIES entries.
+    and is Hermitian positive definite when every B_m and S_m is.  Its entry
+    ((i, j), (k, l)) is sum_m C_m(i, j) conj(C_m(k, l)) B_m(i, k) S_m^-1(l, j), and as
+    C_m(i, j) = sum_x a_x(i) c_x(j), a = (1, -u), c = (1, conj(u)), u = phi(alpha_m, .),
+    it is one (N^2 x 4M)(4M x N^2) product, permuted, of the ``rows`` a_x(i) conj(a_y(k))
+    times B_m(i, k) and the ``cols`` c_x(j) conj(c_y(l)) times S_m^-1(l, j), over (m, x, y).
     """
     n = b.shape[1]
-    sinv_t = sinv.transpose(0, 2, 1)
-    step = max(1, _SCHUR_CHUNK_ENTRIES // n**4)
-    v = None
-    for lo in range(0, len(b), step):
-        c = cexp[lo : lo + step].reshape(-1, n * n)
-        kron = b[lo : lo + step, :, None, :, None] * sinv_t[lo : lo + step, None, :, None, :]
-        term = np.einsum("ma,mab,mb->ab", c, kron.reshape(len(c), n * n, n * n), c.conj())
-        v = term if v is None else v + term
-    return v
+    p = (rows * b[:, None]).reshape(-1, n * n)
+    q = (cols * sinv.transpose(0, 2, 1)[:, None]).reshape(-1, n * n)
+    return (p.T @ q).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
 def _interior_start(t_w, witness, szego, safe):
@@ -403,20 +396,24 @@ class _Conic:
     """min t subject to t E - G = sum_m C_m . B_m, B_m PSD, and its dual; set up once.
 
     Holds what every iteration reads, whatever G (the methods take it): E,
-    the masks C_m, the Szego kernels Sz_m (x) I = E / C_m with their
-    eigenvalues and the atoms where they are safely positive definite, the
-    Hermitian basis, and the Schur complement bordered by the t row.  The
-    dual is  max Re<G, Z>  subject to  Re<E, Z> = 1,  S_m = conj(C_m) . Z PSD,
-    and any primal point (t, B) and dual Z give
-    t - Re<G, Z> = sum_m Re<B_m, S_m> >= 0.
+    the masks C_m and their rank-two factors (_hkm_schur), the Szego kernels
+    Sz_m (x) I = E / C_m with their eigenvalues and the atoms where they are
+    safely positive definite, the Hermitian basis, and the Schur complement
+    bordered by the t row.  The dual is  max Re<G, Z>  subject to
+    Re<E, Z> = 1,  S_m = conj(C_m) . Z PSD, and any primal point (t, B) and
+    dual Z give t - Re<G, Z> = sum_m Re<B_m, S_m> >= 0.
     """
 
     def __init__(self, nodes, grid, block):
         n = len(nodes)
         self.dim = n * block
         self.ee = np.tile(np.eye(block), (n, n))
-        self.masks = coefficient_masks(grid, nodes)  # raises if a node leaves the disk
-        self.cexp = expand_masks(self.masks, block)
+        self.cexp = expand_masks(coefficient_masks(grid, nodes), block)  # raises off the disk
+        u = np.repeat(phi_values(grid.alphas, nodes.s, nodes.p), block, 1)
+        v = np.ones((2, len(u), 2, self.dim), dtype=complex)
+        v[0, :, 1], v[1, :, 1] = -u, u.conj()  # a = (1, -u) and c = (1, conj(u)) of _hkm_schur
+        f = v[:, :, None, :, :, None] * v.conj()[:, :, :, None, None]  # v_x(i) conj(v_y(k))
+        self.factors = f.reshape(2, len(u), 4, self.dim, self.dim)
         self.cconj = self.cexp.conj()
         self.szego = hermitian_part(self.ee / self.cexp)  # Sz_k (x) I
         self.lam_s, vec_s = np.linalg.eigh(self.szego)
@@ -533,7 +530,7 @@ class _Conic:
             linv_h = linv.conj().transpose(0, 2, 1)
             sinv = linv_h[m:] @ linv[m:]
             nu = float(np.vdot(b, s).real) / size
-            kkt[:-1, :-1] = basis.matrix(_hkm_schur(cexp, b, sinv))
+            kkt[:-1, :-1] = basis.matrix(_hkm_schur(*self.factors, b, sinv))
             rhs[-1] = 1.0 - float(np.vdot(self.ee, z).real)
 
             def direction(r):

@@ -1,3 +1,18 @@
+import os
+
+# One BLAS thread, as bench/run.py and the tools pin it, set before numpy is
+# imported: the CPU-time bounds of the tests count every BLAS thread, and
+# threads contending with another process inflate them.
+for _var in (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

@@ -28,7 +28,7 @@ from symbidisk import (
 )
 from symbidisk import feasibility, pick
 from symbidisk.corona import CoronaProblem, assemble_corona_target
-from symbidisk.feasibility import MAX_TARGET_DIM, _HermitianBasis, _hkm_schur
+from symbidisk.feasibility import MAX_TARGET_DIM, _Conic, _HermitianBasis, _hkm_schur
 from symbidisk.geometry import phi_values
 from symbidisk.hermitian import hermitian_part, min_eigenvalue, min_eigenvalue_stack
 from symbidisk.kernels import coefficient_masks, expand_masks, random_admissible_kernel
@@ -280,23 +280,26 @@ class TestSolve:
 
 
 class TestNewtonSystems:
-    """The interior-point Schur complement, assembled in chunks of atoms, and its solves."""
+    """The interior-point Schur complement, one product of the masks' factors, and its solves."""
 
     @pytest.mark.parametrize(
         "block, n, boundary",
         [
             pytest.param(1, 3, None, id="1"),
             pytest.param(2, 3, None, id="2"),
-            # N = 16 on 33 alphas: 16 atoms per chunk, so three chunks
-            pytest.param(1, 16, 32, id="chunked"),
+            # phi(alpha_m, .) repeats over the three rows of every block
+            pytest.param(3, 3, None, id="3"),
+            pytest.param(1, 16, 32, id="many_atoms"),  # N = 16 on 33 alphas
         ],
     )
     def test_hkm_schur_matches_operator(self, block, n, boundary, solver_grid):
-        # the interior-point Schur complement, and its real form in the
-        # Hermitian basis: symmetric positive definite
+        # the interior-point Schur complement, assembled from the masks'
+        # rank-two factors, and its real form in the Hermitian basis:
+        # symmetric positive definite
         grid = solver_grid if boundary is None else AlphaGrid.boundary(boundary)
         rng = np.random.default_rng(block)
-        cexp = expand_masks(coefficient_masks(grid, random_nodes(rng, n)), block)
+        nodes = random_nodes(rng, n)
+        cexp = expand_masks(coefficient_masks(grid, nodes), block)
         size, m = n * block, len(grid)
 
         def hermitian(*stack):
@@ -307,7 +310,7 @@ class TestNewtonSystems:
         b = hermitian(m) + 4 * size * np.eye(size)
         s = hermitian(m) + 4 * size * np.eye(size)
         sinv = np.linalg.inv(s)
-        schur = _hkm_schur(cexp, b, sinv)
+        schur = _hkm_schur(*_Conic(nodes, grid, block).factors, b, sinv)
         basis = _HermitianBasis(size)
         real = basis.matrix(schur)
         assert np.abs(real - real.T).max() <= 1e-12 * np.abs(real).max()

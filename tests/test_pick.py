@@ -588,18 +588,18 @@ def test_bracket_whose_steps_collapse_raises(monkeypatch, solver_grid):
 
 
 # Solves that semismooth Newton ended Unknown, or decided only slowly.  Each
-# has a CPU bound below what semismooth Newton took (one BLAS thread, 2-vCPU
-# VM) and at least twice the interior-point method's CPU time with the BLAS
-# thread count left to OpenBLAS.
+# has a CPU bound below what semismooth Newton took and at least twice the
+# interior-point method's CPU time (one BLAS thread, as tests/conftest.py
+# pins it, 2-vCPU VM).
 
 
 @pytest.mark.parametrize("seed", [2, 3, 25])
 def test_planted_target_with_no_safe_atom_is_decided(seed, solver_grid):
     # no Szego kernel is safely positive definite, so there is no single-atom
-    # witness and the method starts from B_m = sigma I: 16-19 iterations,
-    # 0.3-0.45 CPU-s each on one BLAS thread and 0.7-0.9 on two; semismooth
-    # Newton took 84 and 68 steps (3.1 and 2.5 CPU-s on one thread) on seeds
-    # 2 and 3, and ended seed 25 Unknown after 97 (3.8 CPU-s)
+    # witness and the method starts from B_m = sigma I: 16-19 iterations of
+    # 6.6-7.5 ms, 0.12-0.18 CPU-s in all on one BLAS thread; semismooth Newton
+    # took 84 and 68 steps (3.1 and 2.5 CPU-s) on seeds 2 and 3, and ended
+    # seed 25 Unknown after 97 (3.8 CPU-s)
     problem = planted_problem(16, seed)
     szego = np.linalg.eigvalsh(hermitian_part(1.0 / coefficient_masks(solver_grid, problem.nodes)))
     assert not np.any(szego[:, 0] > 1e-12 * szego[:, -1])
