@@ -143,14 +143,11 @@ def _run_single(args) -> int:
     kind = args.command
     point = {k: [*map(finite, getattr(args, k))] for k in ("s", "p") if getattr(args, k, None)}
     if kind == "membership" and args.in_path is None and "s" in point:
-        problem = {
-            "format": FORMAT_VERSION,
-            "kind": "membership",
-            "payload": {"p": [0.0, 0.0], **point},
-        }
+        problem = {"format": FORMAT_VERSION, "kind": "membership", "payload": {"p": [0.0, 0.0]}}
     else:
         problem = _load_problem(args.in_path)
     _validate_problem(problem, kind)
+    problem["payload"].update(point)  # --s and --p override the file's point
     if kind == "sequence":
         for field in ("n", "kernels", "alpha_samples", "bound"):
             value = getattr(args, field, None)

@@ -63,6 +63,7 @@ from .kernels import (
     AlphaGrid,
     KernelMatrix,
     NodeSet,
+    _masks,
     admissibility_check,
     admissible_shift,
     coefficient_masks,
@@ -408,8 +409,9 @@ class _Conic:
         n = len(nodes)
         self.dim = n * block
         self.ee = np.tile(np.eye(block), (n, n))
-        self.cexp = expand_masks(coefficient_masks(grid, nodes), block)  # raises off the disk
-        u = np.repeat(phi_values(grid.alphas, nodes.s, nodes.p), block, 1)
+        vals = phi_values(grid.alphas, nodes.s, nodes.p)
+        self.cexp = expand_masks(_masks(vals), block)  # raises off the disk
+        u = np.repeat(vals, block, 1)
         v = np.ones((2, len(u), 2, self.dim), dtype=complex)
         v[0, :, 1], v[1, :, 1] = -u, u.conj()  # a = (1, -u) and c = (1, conj(u)) of _hkm_schur
         f = v[:, :, None, :, :, None] * v.conj()[:, :, :, None, None]  # v_x(i) conj(v_y(k))

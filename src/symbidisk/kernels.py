@@ -165,7 +165,11 @@ def coefficient_masks(grid: AlphaGrid, nodes: NodeSet) -> np.ndarray:
     products of exactly Hermitian matrices are then exactly Hermitian, which
     lets the solver's eigensolves skip their own symmetrization.
     """
-    vals = phi_values(grid.alphas, nodes.s, nodes.p)  # (M, N)
+    return _masks(phi_values(grid.alphas, nodes.s, nodes.p))
+
+
+def _masks(vals: np.ndarray) -> np.ndarray:
+    """coefficient_masks from the values phi(alpha_m, node_i), shape (M, N)."""
     if np.any(np.abs(vals) >= 1.0):
         raise ValidationError("a node maps outside the unit disk under some grid alpha")
     return hermitian_part(1.0 - vals[:, :, None] * vals.conj()[:, None, :])

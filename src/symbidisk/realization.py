@@ -8,8 +8,12 @@ a unitary and partitioning as [[A, B], [C, D]] yields the realized function
     f(s, p) = A + B Z(s, p) (I - D Z(s, p))^{-1} C,
 
 where Z(s, p) is block-diagonal multiplication by phi(alpha_m, s, p), with
-one block of size rank(B_m) per grid alpha (the atomic model; multiplicity
-equals the numerical rank of the corresponding block).  Unitarity of the
+one block per grid alpha (the atomic model) whose size, the multiplicity,
+is the numerical rank of the corresponding block.  :func:`realize` first
+purifies the witness to a basic solution of the identity, Caratheodory's
+walk on the blocks' eigenvalues (_purified_factors), so its multiplicities
+are the ranks of the purified blocks and sum to at most N^2, N = n * block;
+:func:`lurking_isometry` takes the blocks as given.  Unitarity of the
 colligation forces the sampled sup-norm of f to stay at or below one, and
 the construction reproduces the encoded node data exactly when the blocks
 solve the identity exactly.
@@ -26,6 +30,7 @@ The colligation is the realized function: ``PickSolution.interpolant`` and
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -33,14 +38,17 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .geometry import GPoint, phi_values
-from .hermitian import gram_factor, unitary_completion
-from .kernels import NodeSet
-from .feasibility import CPBlocks, FeasibilityTarget, SolveReport
+from .hermitian import gram_factor, hermitian_part, unitary_completion
+from .kernels import NodeSet, _masks, expand_masks
+from .feasibility import CPBlocks, FeasibilityTarget, SolveReport, _hermitian_basis
 
 # Points per batched solve are capped so that a stack of colligation-sized
 # blocks ((padded + state dim)^2 entries each) holds at most this many entries.
 _SOLVE_CHUNK_ENTRIES = 2**14
 _NEAR_BOUNDARY_MODULUS = 1.0 - 2e-12
+# A block's eigenvalues at or below this fraction of its largest count as zero
+# when it is factored into state dimensions.
+_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -97,6 +105,12 @@ def lurking_isometry(
     :func:`unitary_completion` tests, means the residual is too large for
     synthesis and is rejected.
     """
+    factors = [gram_factor(bm, tol=_RANK_TOL) for bm in blocks.blocks]
+    return _colligation(blocks.grid.alphas, nodes, factors, lhs_tops, rhs_tops, gram_tol)
+
+
+def _colligation(alphas, nodes, factors, lhs_tops, rhs_tops, gram_tol) -> Colligation:
+    """lurking_isometry from the blocks' Gram factors: G_m* G_m = B_m, one per alphas[m]."""
     n = len(nodes)
     if len(lhs_tops) != n or len(rhs_tops) != n:
         raise ValidationError("one top block per node required on each side")
@@ -108,18 +122,9 @@ def lurking_isometry(
         raise ValidationError("top blocks must share shapes (d2 x dL) and (d2 x dR)")
     dp = max(d_l, d_r)
 
-    grid = blocks.grid
-    vals = phi_values(grid.alphas, nodes.s, nodes.p)  # (M, N)
-    factors: list[np.ndarray] = []
-    mults: list[int] = []
-    kept: list[int] = []
-    for m, bm in enumerate(blocks.blocks):
-        g = gram_factor(bm, tol=1e-12)
-        if g.shape[0] == 0:
-            continue
-        factors.append(g)
-        mults.append(g.shape[0])
-        kept.append(m)
+    vals = phi_values(alphas, nodes.s, nodes.p)  # (M, N)
+    kept = [m for m, g in enumerate(factors) if len(g)]
+    mults = [len(factors[m]) for m in kept]
     h = int(sum(mults))
 
     x = np.zeros((dp + h, n * d2), dtype=complex)
@@ -127,7 +132,8 @@ def lurking_isometry(
     x[0:d_l] = np.concatenate(lhs).conj().T  # L*, the node tops stacked
     y[0:d_r] = np.concatenate(rhs).conj().T
     row = dp
-    for g, m in zip(factors, kept):
+    for m in kept:
+        g = factors[m]
         r = g.shape[0]
         scale = np.repeat(vals[m].conj(), d2)
         x[row : row + r, :] = g * scale[None, :]
@@ -146,11 +152,98 @@ def lurking_isometry(
         b=v[0:dp, dp:],
         c=v[dp:, 0:dp],
         d=v[dp:, dp:],
-        alphas=grid.alphas[kept],
+        alphas=alphas[kept],
         multiplicities=tuple(mults),
         out_dim=d_l,
         in_dim=d_r,
     )
+
+
+def _purified_factors(blocks: CPBlocks, nodes: NodeSet) -> list[np.ndarray]:
+    """Gram factors G_m, one per block, of a basic solution of the witness's identity.
+
+    Each N x N block B_m = sum_k lam_k u_k u_k* keeps its eigenpairs above
+    _RANK_TOL lambda_max, gram_factor's rank, and J = sum_m C_m . B_m then
+    reads A x = J in a real orthonormal basis of the Hermitian matrices: x
+    holds the K kept eigenvalues, and column k of A is C_m . (u_k u_k*).
+    When K > N^2, _basic_solution moves x >= 0 to at most N^2 positive
+    entries with A x unchanged to roundoff.  G_m stacks the rows
+    sqrt(x_k) u_k* of block m's positive entries, so the purified blocks
+    G_m* G_m are PSD, meet the identity to roundoff and have
+    sum_m rank <= N^2.  When K <= N^2 nothing moves, and G_m is
+    gram_factor(B_m, _RANK_TOL), bit for bit.  One stacked eigensolve;
+    NumericsError, as in gram_factor, when a block has an eigenvalue below
+    -_RANK_TOL lambda_max.
+    """
+    lam, vec = np.linalg.eigh(hermitian_part(blocks.stacked()))
+    scale = np.maximum(lam[:, -1], 0.0)
+    low = np.flatnonzero(lam[:, 0] < -_RANK_TOL * np.maximum(scale, 1e-30))
+    if low.size:
+        raise NumericsError(f"not PSD: min eigenvalue {lam[low[0], 0]:.3e} below -tol*scale")
+    ms, ks = np.nonzero(lam > _RANK_TOL * scale[:, None])  # block by block, ascending
+    x, u = lam[ms, ks], vec[ms, :, ks]  # u[k] is the eigenvector of x[k]
+    dim = vec.shape[1]
+    if len(x) > dim * dim:
+        vals = phi_values(blocks.grid.alphas, nodes.s, nodes.p)
+        cexp = expand_masks(_masks(vals), dim // len(nodes))
+        basis = _hermitian_basis(dim)
+
+        def columns(idx):
+            terms = cexp[ms[idx]] * (u[idx, :, None] * u[idx].conj()[:, None, :])
+            return basis.rows(terms.reshape(len(idx), -1).T).real
+
+        x = _basic_solution(columns, x, 2 * dim * dim)
+    rows = np.sqrt(x)[:, None] * u.conj()
+    return [rows[(ms == m) & (x > 0.0)] for m in range(len(lam))]
+
+
+def _basic_solution(columns, x, width):
+    """x' >= 0 with A x' = A x to roundoff and at most as many positive entries as A has rows.
+
+    ``columns(idx)`` gives the columns idx of A.  Windows of at most
+    ``width`` columns, the positive entries so far followed by the next
+    columns in order, each get one Caratheodory walk (_walk).  A window
+    leaves at most as many positive entries as A has rows, so with
+    ``width`` twice that each window takes at least as many new columns.
+    """
+    x = x.copy()
+    live, nxt = np.arange(0), 0
+    while nxt < len(x):
+        stop = min(len(x), nxt + width - len(live))
+        idx = np.concatenate([live, np.arange(nxt, stop)])
+        x[idx] = _walk(columns(idx), x[idx])
+        live, nxt = idx[x[idx] > 0.0], stop
+    return x
+
+
+def _walk(a, x):
+    """x' >= 0 with a x' = a x to roundoff and at most as many positive entries as a has rows.
+
+    The last columns of the complete QR factorization of a^T are an
+    orthonormal basis Z of null vectors of a, one per column beyond the
+    rows.  Each step moves x along Z's first column v, signed so that its
+    largest entry is positive, until the ratio test zeroes an entry k; a
+    Householder reflection then leaves one column of Z nonzero in row k, and
+    that column is dropped.  The rest are null vectors of a that vanish at
+    every zeroed entry, so each step zeroes one more entry, and the walk ends
+    when Z has no column left.
+    """
+    z = np.linalg.qr(a.T, mode="complete")[0][:, len(a) :]
+    x = x.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while z.shape[1]:
+            v = z[:, 0] if z[:, 0].max() >= -z[:, 0].min() else -z[:, 0]
+            ratio = x / v
+            ratio[v <= 0.0] = np.inf
+            k = int(ratio.argmin())
+            x -= ratio[k] * v
+            np.maximum(x, 0.0, out=x)
+            x[k] = 0.0
+            h = z[k].copy()
+            h[0] += math.copysign(math.sqrt(h @ h), h[0])
+            z = z[:, 1:] - np.outer(z @ h, (2.0 / (h @ h)) * h[1:])
+            z[k] = 0.0
+    return x
 
 
 def factor_target(nodes: NodeSet, lhs_tops, rhs_tops) -> FeasibilityTarget:
@@ -165,9 +258,15 @@ def factor_target(nodes: NodeSet, lhs_tops, rhs_tops) -> FeasibilityTarget:
 def realize(
     report: SolveReport, nodes: NodeSet, lhs_tops, rhs_tops
 ) -> tuple[Colligation, float]:
-    """The colligation realized from a Feasible report's witness, and its node residual."""
+    """The colligation realized from a Feasible report's witness, and its node residual.
+
+    The colligation is built from the witness purified to a basic solution
+    (_purified_factors), so its state dimension is at most N^2; the report's
+    blocks are not changed.
+    """
     tol = max(1e-8, 10 * report.residual)
-    col = lurking_isometry(report.blocks, nodes, lhs_tops, rhs_tops, gram_tol=tol)
+    factors = _purified_factors(report.blocks, nodes)
+    col = _colligation(report.blocks.grid.alphas, nodes, factors, lhs_tops, rhs_tops, tol)
     return col, node_residual(col, nodes, lhs_tops, rhs_tops)
 
 

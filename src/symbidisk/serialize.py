@@ -61,11 +61,12 @@ def decode_complex(v) -> complex:
 
 def encode_matrix(m: np.ndarray) -> dict:
     m = np.atleast_2d(np.asarray(m, dtype=complex))
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "entries": [encode_complex(z) for z in m.ravel()],
-    }
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": _entries(m)}
+
+
+def _entries(m: np.ndarray) -> list[list[float]]:
+    """[re, im] of every entry of the complex array ``m``, row-major: encode_complex's pairs."""
+    return np.ascontiguousarray(m, dtype=complex).reshape(-1).view(float).reshape(-1, 2).tolist()
 
 
 def decode_matrix(obj) -> np.ndarray:
@@ -101,7 +102,7 @@ def decode_nodes(obj) -> NodeSet:
 
 
 def encode_grid(grid: AlphaGrid) -> dict:
-    return {"kind": "explicit", "alphas": [encode_complex(a) for a in grid.alphas]}
+    return {"kind": "explicit", "alphas": _entries(grid.alphas)}
 
 
 def decode_grid(obj) -> AlphaGrid:
@@ -135,7 +136,7 @@ def encode_kernel(kernel: KernelMatrix) -> dict:
     return {
         "nodes": encode_nodes(kernel.nodes),
         "block": int(kernel.block),
-        "entries": [encode_complex(z) for z in kernel.matrix.ravel()],
+        "entries": _entries(kernel.matrix),
     }
 
 
@@ -164,7 +165,7 @@ def encode_colligation(col: Colligation) -> dict:
         "b": encode_matrix(col.b),
         "c": encode_matrix(col.c),
         "d": encode_matrix(col.d),
-        "alphas": [encode_complex(a) for a in col.alphas],
+        "alphas": _entries(col.alphas),
         "multiplicities": list(col.multiplicities),
         "out_dim": col.out_dim,
         "in_dim": col.in_dim,

@@ -318,6 +318,16 @@ class TestRun:
         assert out["n"] == 1
         assert out["strong_separation"]["bound"] == 1.0
 
+    def test_membership_flags_override_payload(self, tmp_path, capsys):
+        p_in = tmp_path / "m.json"
+        write_json(p_in, GOLDEN["membership"][0])  # (0.8, 0.15), a member
+        assert run(["membership", "--in", str(p_in), "--p", "1.0", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["is_member"] is False
+        assert run(["membership", "--in", str(p_in), "--s", "2.0", "0", "--p", "1.0", "0"]) == 0
+        overridden = json.loads(capsys.readouterr().out)["report_hash"]
+        assert run(["membership", "--s", "2.0", "0", "--p", "1.0", "0"]) == 0
+        assert overridden == json.loads(capsys.readouterr().out)["report_hash"]
+
     @pytest.mark.parametrize("value", ["inf", "1e309", "nan"])
     def test_non_finite_bound_flag_is_one_input_error_line(self, tmp_path, capsys, value):
         p_in = tmp_path / "s.json"

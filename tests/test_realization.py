@@ -1,3 +1,6 @@
+import json
+import os
+import sys
 import tracemalloc
 import warnings
 
@@ -16,15 +19,24 @@ from symbidisk import (
     verify_contractivity,
 )
 from symbidisk import realization
-from symbidisk.feasibility import CPBlocks
+from symbidisk.cli import execute_problem
+from symbidisk.feasibility import CPBlocks, FeasibilityTarget, residual, solve
 from symbidisk.geometry import phi_values
+from symbidisk.hermitian import gram_factor
+from symbidisk.kernels import AlphaGrid, coefficient_masks, expand_masks
+from symbidisk.pick import assemble_pick_target
 from symbidisk.realization import (
     _SOLVE_CHUNK_ENTRIES,
+    _purified_factors,
     lurking_isometry,
     transfer_eval_batch,
 )
 
-from conftest import random_gpoint, random_nodes
+from conftest import loop_file_problem, random_gpoint, random_nodes, stall_file_problem
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+
+import workloads  # noqa: E402
 
 
 def unitarity_defect(col):
@@ -115,6 +127,106 @@ class TestLurkingIsometry:
                 [np.eye(1) for _ in range(2)],
                 [np.array([[0.3]]), np.array([[0.1]])],
             )
+
+
+def purified(blocks, nodes):
+    """The blocks G_m* G_m of _purified_factors, and their total rank."""
+    factors = _purified_factors(blocks, nodes)
+    out = CPBlocks(grid=blocks.grid, blocks=tuple(g.conj().T @ g for g in factors))
+    return out, sum(len(g) for g in factors)
+
+
+def planted_witness(rng, n, block, atoms):
+    """Random positive definite blocks on ``atoms`` alphas and the target they split."""
+    nodes, grid, dim = random_nodes(rng, n), AlphaGrid.boundary(atoms - 1), n * block
+    w = rng.standard_normal((atoms, dim, dim)) + 1j * rng.standard_normal((atoms, dim, dim))
+    b = w @ w.conj().transpose(0, 2, 1)
+    j = np.einsum("mij,mij->ij", expand_masks(coefficient_masks(grid, nodes), block), b)
+    return FeasibilityTarget(nodes=nodes, matrix=j, block=block), CPBlocks(grid, tuple(b))
+
+
+def loop_witness(name):
+    """The target and Feasible witness of a loop-bound pick file of tests/conftest.py."""
+    problem = loop_file_problem() if name == "loop" else stall_file_problem(name)
+    target = assemble_pick_target(problem)
+    report = solve(target, AlphaGrid.solver_default())
+    assert report.status.value == "Feasible"
+    return target, report.blocks
+
+
+class TestPurification:
+    """_purified_factors: a basic solution of the witness's identity, rank <= N^2."""
+
+    # loop-bound witnesses, and (nodes, block, atoms) of planted ones; the
+    # walk takes one window of 2 N^2 columns at 3x2-on-9, several at the others
+    @pytest.mark.parametrize(
+        "case",
+        ["loop", "151/in11", "237/in12", (3, 1, 9), (2, 1, 33), (3, 2, 9), (2, 2, 65)],
+        ids=lambda case: case if isinstance(case, str) else "{}x{}-on-{}".format(*case),
+    )
+    def test_basic_solution_meets_the_identity(self, rng, case):
+        if isinstance(case, str):
+            target, blocks = loop_witness(case)
+        else:
+            target, blocks = planted_witness(rng, *case)
+        dim = len(target.matrix)
+        assert sum(len(gram_factor(b, 1e-12)) for b in blocks.blocks) > dim * dim
+        out, rank = purified(blocks, target.nodes)
+        assert rank <= dim * dim
+        assert abs(residual(target, out) - residual(target, blocks)) <= 1e-12 * np.linalg.norm(
+            target.matrix
+        )
+        assert all(np.linalg.eigvalsh(b)[0] >= -1e-14 * np.linalg.norm(b, 2) for b in out.blocks)
+
+    def test_a_witness_within_n_squared_is_left_as_it_is(self, rng):
+        # 9 blocks of total rank 16 <= N^2 for N = 4, whatever the target
+        nodes, grid = random_nodes(rng, 4), AlphaGrid.solver_default()
+        ranks = [0, 1, 2, 3, 0, 4, 1, 2, 3]
+        blocks = []
+        for r in ranks:
+            w = rng.standard_normal((4, r)) + 1j * rng.standard_normal((4, r))
+            blocks.append(w @ w.conj().T)
+        factors = _purified_factors(CPBlocks(grid, tuple(blocks)), nodes)
+        for g, b, r in zip(factors, blocks, ranks):
+            ref = gram_factor(b, 1e-12)
+            assert g.shape == (r, 4) and g.tobytes() == ref.tobytes()
+
+    def test_realize_equals_lurking_isometry_when_nothing_moves(self, rng, solver_grid):
+        # a single-atom witness: 3 nodes, rank <= 3 <= N^2 = 9
+        problem = PickProblem(
+            nodes=random_nodes(rng, 3), targets=tuple(np.array([[w]]) for w in (0.3, 0.1, -0.2))
+        )
+        sol = solve_pick(problem, solver_grid)
+        assert sol.report.notes == ("single-atom witness",)
+        tops = ([np.eye(1)] * 3, list(problem.targets))
+        ref = lurking_isometry(sol.report.blocks, problem.nodes, *tops, gram_tol=1e-8)
+        col = sol.interpolant
+        for name in ("a", "b", "c", "d", "alphas"):
+            assert getattr(col, name).tobytes() == getattr(ref, name).tobytes()
+        assert col.multiplicities == ref.multiplicities
+
+    def test_two_calls_give_equal_bits(self):
+        target, blocks = loop_witness("151/in11")
+        first, second = (_purified_factors(blocks, target.nodes) for _ in range(2))
+        assert [g.tobytes() for g in first] == [g.tobytes() for g in second]
+
+    def test_loop_files_realize_with_at_most_n_squared_states(self):
+        files = workloads.CorpusFiles(1).files
+        names = sorted(name for name in files if name.startswith("z_loop_"))
+        assert len(names) == 3
+        for name in names:
+            problem = files[name][0]
+            report = execute_problem(json.loads(json.dumps(problem, sort_keys=True)))
+            assert report["status"] == "Feasible"
+            assert report["node_residual"] <= 1e-7
+            dim = len(problem["payload"]["nodes"]) * report["interpolant"]["out_dim"]
+            assert sum(report["interpolant"]["multiplicities"]) <= dim * dim
+
+    def test_non_psd_block_is_rejected(self, rng, solver_grid):
+        nodes = random_nodes(rng, 2)
+        blocks = [np.eye(2)] * (len(solver_grid) - 1) + [np.diag([1.0, -0.5])]
+        with pytest.raises(NumericsError, match="not PSD"):
+            _purified_factors(CPBlocks(solver_grid, tuple(blocks)), nodes)
 
 
 class TestTransferEval:

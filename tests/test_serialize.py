@@ -32,6 +32,35 @@ from symbidisk.serialize import (
 )
 
 
+def per_entry_matrix(m):
+    """encode_matrix as one encode_complex per entry."""
+    m = np.atleast_2d(np.asarray(m, dtype=complex))
+    entries = [encode_complex(z) for z in m.ravel()]
+    return {"rows": m.shape[0], "cols": m.shape[1], "entries": entries}
+
+
+@pytest.mark.parametrize(
+    "case", ["strided", "transposed", "colligation-views", "signed-zeros", "subnormals", "1x1"]
+)
+def test_encode_matrix_text_equals_per_entry_encoding(case, rng):
+    m = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
+    tiny = 5e-324
+    mats = {
+        "strided": [m[::2, 1::3]],
+        "transposed": [m.T, m.conj().T],
+        "colligation-views": [m[0:2, 0:2], m[0:2, 2:], m[2:, 0:2], m[2:, 2:]],
+        "signed-zeros": [
+            np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-0.0, -0.0), 0.0]])
+        ],
+        "subnormals": [np.array([[tiny, -tiny * 1j], [2.2e-308 * 0.5, complex(-tiny, tiny)]])],
+        "1x1": [np.array([[1.5 - 0.0j]]), np.array([0.25j]), complex(-0.0, 3.0)],
+    }[case]
+    for a in mats:
+        assert canonical_json(encode_matrix(a)) == canonical_json(per_entry_matrix(a))
+    if case == "signed-zeros":
+        assert canonical_json(encode_matrix(mats[0])).count("-0.0") == 4
+
+
 def test_complex_round_trip():
     z = 0.123456789012345 - 2.5j
     assert decode_complex(encode_complex(z)) == z

@@ -7,10 +7,12 @@ For every seed S in A..B (inclusive) it builds the bench's
 loop-bound ones, and runs each problem through ``cli.execute_problem``
 after the JSON text round trip that ``corpus`` reads from disk.  It prints
 per kind the number of files, the counts of their ``status`` field (``-``
-for kinds whose reports have none) and a digest of their report hashes,
-then the number of files and the digest over all of them.  Two commits with
-the same digest wrote the same hashed report for every file.  A file whose
-run raises is printed (seed, file name, exception) and makes it exit 1.
+for kinds whose reports have none), the mean and largest state dimension of
+the realized functions (``interpolant`` or ``psi``; ``-`` when none is
+realized) and a digest of their report hashes, then the number of files and
+the digest over all of them.  Two commits with the same digest wrote the
+same hashed report for every file.  A file whose run raises is printed
+(seed, file name, exception) and makes it exit 1.
 """
 
 from __future__ import annotations
@@ -33,26 +35,37 @@ RAISED = "raised"
 
 
 def census(seed: int):
-    """One row per file of CorpusFiles(seed): (seed, name, kind, status, hash).
+    """One row per file of CorpusFiles(seed): (seed, name, kind, status, hash, state dim).
 
-    A file whose run raises has status ``raised`` and, for its hash, the
-    exception's name and message.
+    The state dimension is that of the report's realized function, None
+    when it has none.  A file whose run raises has status ``raised``, for its
+    hash the exception's name and message, and no state dimension.
     """
     rows = []
     for name, (problem, _) in sorted(workloads.CorpusFiles(seed).files.items()):
         try:
             report = execute_problem(json.loads(json.dumps(problem, sort_keys=True)))
         except Exception as exc:  # a raising file is reported, not fatal
-            rows.append((seed, name, problem["kind"], RAISED, f"{type(exc).__name__}: {exc}"))
+            error = f"{type(exc).__name__}: {exc}"
+            rows.append((seed, name, problem["kind"], RAISED, error, None))
             continue
-        rows.append((seed, name, problem["kind"], report.get("status", "-"), report["report_hash"]))
+        fn = report.get("interpolant") or report.get("psi")
+        dim = None if fn is None else sum(fn["multiplicities"])
+        status = report.get("status", "-")
+        rows.append((seed, name, problem["kind"], status, report["report_hash"], dim))
     return rows
 
 
 def digest(rows) -> str:
     """First 16 hex digits of the sha256 of the rows' seeds, names and hashes."""
-    text = "".join(f"{seed} {name} {h}\n" for seed, name, _, _, h in rows)
+    text = "".join(f"{row[0]} {row[1]} {row[4]}\n" for row in rows)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def state_dims(rows) -> str:
+    """Mean and largest state dimension of the rows' realized functions."""
+    dims = [row[5] for row in rows if row[5] is not None]
+    return f"state dim mean {sum(dims) / len(dims):.2f} max {max(dims)}" if dims else "state dim -"
 
 
 def main(argv=None) -> int:
@@ -70,7 +83,7 @@ def main(argv=None) -> int:
         statuses = Counter(row[3] for row in kept)
         print(f"{kind}: {len(kept)} files, "
               + ", ".join(f"{s} {statuses[s]}" for s in sorted(statuses))
-              + f", digest {digest(kept)}")
+              + f", {state_dims(kept)}, digest {digest(kept)}")
     raised = sum(row[3] == RAISED for row in rows)
     print(f"seeds {first}-{last}: {len(rows)} files, {raised} raised, digest {digest(rows)}")
     return 1 if raised else 0
