@@ -307,8 +307,6 @@ def _compressions(dual, n, d):
 def _admissible_kernel(nodes, grid, k, tol) -> KernelMatrix | None:
     """grammian_normalize's rescale of k, when admissibility_check passes it on the grid."""
     k = hermitian_part(k)
-    if np.any(np.real(np.diag(k)) <= 1e-14):
-        k = k + 1e-12 * np.eye(k.shape[0])
     if not np.all(np.real(np.diag(k)) > 0.0):  # grammian_normalize raises: no kernel
         return None
     kern = KernelMatrix(nodes=nodes, matrix=grammian_normalize(KernelMatrix(nodes, k)))
