@@ -26,8 +26,6 @@ from .geometry import (
     symmetrize,
 )
 from .hermitian import (
-    EigenDecomposition,
-    eigh,
     gram_factor,
     schur_oslash,
     unitary_completion,

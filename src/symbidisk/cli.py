@@ -352,8 +352,6 @@ def _handle_corona(payload, grid, opts) -> dict:
     if solution.psi is not None:
         body["sampled_norm"] = solution.sampled_norm
         body["normalized_norm"] = solution.normalized_norm
-        body["bound_inv_sqrt_delta"] = solution.bound_inv_sqrt_delta
-        body["bound_inv_delta"] = solution.bound_inv_delta
         # solve_corona measured max |Phi_i Psi(node_i) - Theta_i| on this colligation
         body["left_inverse_node_residual"] = solution.node_residual
     return body

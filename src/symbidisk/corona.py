@@ -32,6 +32,8 @@ from .kernels import AlphaGrid, NodeSet
 from .realization import Colligation, factor_target, realize, verify_contractivity
 
 MAX_OUTPUT_BLOCK = 8
+# Points of the sampled contractivity audit of each synthesized Psi.
+CONTRACTIVITY_SAMPLES = 2000
 
 
 @dataclass(frozen=True)
@@ -85,11 +87,8 @@ class CoronaSolution:
     node_residual: float | None = None
     sampled_norm: float | None = None
     # Theta = sqrt(delta) I bookkeeping: the normalized left inverse is
-    # psi / sqrt(delta); both classical bounds are recorded without asserting
-    # which is tight.
+    # psi / sqrt(delta)
     normalized_norm: float | None = None
-    bound_inv_sqrt_delta: float | None = None
-    bound_inv_delta: float | None = None
 
     @property
     def status(self) -> SolveStatus:
@@ -105,7 +104,6 @@ def solve_corona(
     problem: CoronaProblem,
     grid: AlphaGrid | None = None,
     opts: SolveOptions = SolveOptions(),
-    contractivity_samples: int = 2000,
 ) -> CoronaSolution:
     """Decide the corona target and synthesize the factor Psi when feasible.
 
@@ -118,13 +116,11 @@ def solve_corona(
         return CoronaSolution(report=report)
 
     psi, node_res = realize(report, problem.nodes, problem.phi_samples, problem.theta_samples)
-    sampled = verify_contractivity(psi, sample_count=contractivity_samples, seed=opts.seed)
+    sampled = verify_contractivity(psi, sample_count=CONTRACTIVITY_SAMPLES, seed=opts.seed)
     return CoronaSolution(
         report=report,
         psi=psi,
         node_residual=node_res,
         sampled_norm=sampled,
         normalized_norm=sampled / np.sqrt(problem.delta),
-        bound_inv_sqrt_delta=1.0 / np.sqrt(problem.delta),
-        bound_inv_delta=1.0 / problem.delta,
     )

@@ -1,14 +1,12 @@
 """Dense complex Hermitian linear algebra used throughout the solvers.
 
-Thin, contract-checked wrappers around LAPACK via numpy: eigendecomposition,
-Frobenius-nearest PSD projection, Gram factorization with numerical rank,
-unitary completion of an isometric correspondence, and Schur products
+Thin, contract-checked wrappers around LAPACK via numpy: Frobenius-nearest
+PSD projection, Gram factorization with numerical rank, unitary completion
+of an isometric correspondence as one SVD polar factor, and Schur products
 (entrywise at scalar level, blockwise tensor at operator level).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,23 +25,6 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    values: np.ndarray  # real, ascending
-    vectors: np.ndarray  # unitary, columns are eigenvectors
-
-
-def eigh(h: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, values ascending."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 1:
-        raise ValidationError(f"square matrix required, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValidationError("non-finite entries")
-    w, v = np.linalg.eigh(hermitian_part(h))
-    return EigenDecomposition(values=w, vectors=v)
-
-
 def psd_project_stack(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frobenius-nearest PSD matrices of a stack (m, n, n), and its eigenpairs.
 
@@ -51,7 +32,7 @@ def psd_project_stack(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     be exactly Hermitian, bit for bit: nothing is symmetrized, and the
     eigensolve reads one triangle.  The projections are Hermitian to
     roundoff; hermitian_part of a slice equals, bit for bit, the same
-    projection built from one eigh of that slice and symmetrized.
+    projection built from one np.linalg.eigh of that slice and symmetrized.
     """
     lam, v = np.linalg.eigh(hs)
     return (v * np.maximum(lam, 0.0)[:, None, :]) @ v.conj().transpose(0, 2, 1), lam, v
@@ -76,19 +57,17 @@ def gram_factor(h: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     Eigenvalues at or below tol * lambda_max count as zero; an eigenvalue
     below -tol * scale means the input is not PSD and is rejected.
     """
-    dec = eigh(h)
-    lam_max = float(dec.values[-1]) if dec.values.size else 0.0
-    scale = max(lam_max, 0.0)
-    if dec.values[0] < -tol * max(scale, 1e-30):
-        raise NumericsError(
-            f"not PSD: min eigenvalue {dec.values[0]:.3e} below -tol*scale"
-        )
-    keep = dec.values > tol * scale
-    if not np.any(keep):
-        return np.zeros((0, h.shape[0]), dtype=complex)
-    lam = dec.values[keep]
-    vecs = dec.vectors[:, keep]
-    return np.sqrt(lam)[:, None] * vecs.conj().T
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 1:
+        raise ValidationError(f"square matrix required, got shape {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValidationError("non-finite entries")
+    lam, vecs = np.linalg.eigh(hermitian_part(h))
+    scale = max(float(lam[-1]), 0.0)
+    if lam[0] < -tol * max(scale, 1e-30):
+        raise NumericsError(f"not PSD: min eigenvalue {lam[0]:.3e} below -tol*scale")
+    keep = lam > tol * scale
+    return np.sqrt(lam[keep])[:, None] * vecs[:, keep].conj().T
 
 
 def unitary_completion(
@@ -99,9 +78,12 @@ def unitary_completion(
     Columns of ``x_vectors`` and ``y_vectors`` are the paired families; their
     Gram matrices must agree within ``gram_tol`` (relative), which is the
     isometry condition.  Families living in ambient spaces of different
-    dimension are zero-padded to the larger one.  The orthogonal complements
-    are filled deterministically by Gram-Schmidt over canonical basis vectors
-    in index order.
+    dimension are zero-padded to the larger one.  The result is the polar
+    factor V = U W* of y x* = U S W*, one SVD: when x* x = y* y, y x* is the
+    partial isometry x_i -> y_i times x x*, and the polar factor is unique on
+    range(x x*) = span(x_i), so V x = y there however U and W complete the
+    rest.  With Gram drift, V minimizes the Frobenius miss ||Q x - y|| over
+    unitaries Q (orthogonal Procrustes).
     """
     x = np.asarray(x_vectors, dtype=complex)
     y = np.asarray(y_vectors, dtype=complex)
@@ -119,25 +101,8 @@ def unitary_completion(
         raise NumericsError(
             f"not an isometric correspondence: Gram mismatch {mismatch:.3e} exceeds tolerance"
         )
-
-    dec = eigh(gx)
-    lam_max = max(float(dec.values[-1]) if dec.values.size else 0.0, 0.0)
-    keep = dec.values > RANK_TOL * max(lam_max, 1e-30)
-    if np.any(keep):
-        coeff = dec.vectors[:, keep] / np.sqrt(dec.values[keep])[None, :]
-        qx = x @ coeff
-        qy = y @ coeff
-        # Gram drift in y makes qy only near-orthonormal; re-orthonormalize
-        # while keeping leading directions (phase-fixed QR).
-        qy = _phase_fixed_qr(qy)
-    else:
-        qx = np.zeros((n, 0), dtype=complex)
-        qy = np.zeros((n, 0), dtype=complex)
-
-    bx = _complete_basis(qx)
-    by = _complete_basis(qy)
-    v = by @ bx.conj().T
-    return v
+    u, _, wh = np.linalg.svd(y @ x.conj().T)
+    return u @ wh
 
 
 def schur_oslash(
@@ -167,32 +132,3 @@ def schur_oslash(
     d = block_a * block_b
     return (a4 * b4).reshape(n * d, n * d)
 
-
-def _phase_fixed_qr(q: np.ndarray) -> np.ndarray:
-    """QR re-orthonormalization with the R diagonal rotated to be positive."""
-    if q.shape[1] == 0:
-        return q
-    qq, rr = np.linalg.qr(q)
-    d = np.diag(rr).copy()
-    d = np.where(np.abs(d) < 1e-300, 1.0, d / np.abs(d))
-    return qq * d[None, :]
-
-
-def _complete_basis(q: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns to a full unitary basis, canonical order."""
-    n, r = q.shape
-    cols = q
-    for j in range(n):
-        if cols.shape[1] == n:
-            break
-        e = np.zeros(n, dtype=complex)
-        e[j] = 1.0
-        v = e - cols @ (cols.conj().T @ e)
-        # second Gram-Schmidt pass guards against loss of orthogonality
-        v = v - cols @ (cols.conj().T @ v)
-        nv = np.linalg.norm(v)
-        if nv > 1e-7:
-            cols = np.concatenate([cols, (v / nv)[:, None]], axis=1)
-    if cols.shape[1] != n:
-        raise NumericsError("basis completion failed; input columns degenerate")
-    return cols

@@ -2,8 +2,9 @@
 
 A feasible split J = sum_m C_m . B_m can be rearranged, per node pair, into
 an equality of Gram operators of two finite families built from the factored
-blocks.  Mapping one family onto the other is an isometry; completing it to
-a unitary and partitioning as [[A, B], [C, D]] yields the realized function
+blocks.  Mapping one family onto the other is an isometry.  Its unitary
+completion is one SVD polar factor (:func:`hermitian.unitary_completion`),
+and partitioning it as [[A, B], [C, D]] yields the realized function
 
     f(s, p) = A + B Z(s, p) (I - D Z(s, p))^{-1} C,
 

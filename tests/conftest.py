@@ -16,7 +16,7 @@ for _var in (
 import numpy as np
 import pytest
 
-from symbidisk import AlphaGrid, GPoint, NodeSet, PickProblem, eigh
+from symbidisk import AlphaGrid, GPoint, NodeSet, PickProblem
 from symbidisk.hermitian import hermitian_part
 
 
@@ -58,9 +58,8 @@ def psd_project(h):
     The reference that hermitian.psd_project_stack matches slice by slice,
     bit for bit, once its slices are symmetrized.
     """
-    dec = eigh(h)
-    w = np.maximum(dec.values, 0.0)
-    return hermitian_part((dec.vectors * w[None, :]) @ dec.vectors.conj().T)
+    lam, vecs = np.linalg.eigh(hermitian_part(h))
+    return hermitian_part((vecs * np.maximum(lam, 0.0)[None, :]) @ vecs.conj().T)
 
 
 def near_threshold_problem():

@@ -307,7 +307,7 @@ def test_criterion_08_corona_echo():
         problem = CoronaProblem(
             nodes=nodes, phi_samples=tuple(phis), delta=delta
         )
-        sol = solve_corona(problem, GRID, contractivity_samples=2000)
+        sol = solve_corona(problem, GRID)
         _log_solve("c8", None, sol.report)
         if sol.status is not SolveStatus.FEASIBLE:
             continue

@@ -375,7 +375,7 @@ GOLDEN = {
             "grid": {"kind": "solver_default"},
             "opts": {"seed": 7},
         },
-        "9f9a2c9aa8b329bea773ee9944b277a97959a625fc5af4aceba1a4ca687dd599",
+        "6d0d725b0b066228984b24f3fd17bc30863e3b33afdb4438cbf0bff211573448",
     ),
     "pick-certified": (
         {
@@ -403,7 +403,7 @@ GOLDEN = {
             },
             "opts": {"seed": 5},
         },
-        "993d90b17bf8e6f50deb153b254f824afb38f6913caa3cbd2cae74fb4a3f2d2a",
+        "d230fb97d140de00d7bae958e2d2f999ab1e115b4254d9c48a8dc0de30185693",
     ),
     "sequence": (
         {

@@ -82,11 +82,6 @@ class TestSolveCorona:
         for v in vals:
             assert abs((row @ v)[0, 0] - 1.0) <= 1e-8
 
-    def test_no_contractivity_samples_is_an_input_error(self, rng, solver_grid):
-        problem = constant_row_problem(random_nodes(rng, 3), delta=1.0)
-        with pytest.raises(ValidationError, match="sample_count must be >= 1"):
-            solve_corona(problem, solver_grid, contractivity_samples=0)
-
     def test_planted_coordinate_row(self, rng, solver_grid):
         nodes = random_nodes(rng, 3)
         prob = coordinate_and_constant_problem(nodes, delta=0.5)
@@ -95,7 +90,7 @@ class TestSolveCorona:
         assert sol.node_residual <= 1e-7
         assert sol.sampled_norm <= 1.0 + 1e-8
         # classical bookkeeping: psi / sqrt(delta) within 1 / sqrt(delta)
-        assert sol.normalized_norm <= sol.bound_inv_sqrt_delta + 1e-8
+        assert sol.normalized_norm <= 1.0 / np.sqrt(prob.delta) + 1e-8
 
     def test_single_function_diagonal_necessity(self, solver_grid):
         # one function vanishing nearly at a node: delta above min |phi|^2

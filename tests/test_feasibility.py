@@ -219,7 +219,7 @@ class TestSolve:
             has_cert = rep.certificate is not None
             assert not (has_witness and has_cert)
 
-    def test_newton_witness_matches_dykstra_oracle(self, solver_grid):
+    def test_iterated_witness_matches_dykstra_oracle(self, solver_grid):
         # the oracle's alternating projections agree that the target is
         # feasible; the solve's witness is an interior point, not the oracle's
         # minimum-norm one, so it is re-verified instead of compared
@@ -279,7 +279,7 @@ class TestSolve:
                 assert certificate_holds(target, solver_grid, report.certificate.matrix)
 
 
-class TestNewtonSystems:
+class TestInteriorPointSystems:
     """The interior-point Schur complement, one product of the masks' factors, and its solves."""
 
     @pytest.mark.parametrize(
@@ -326,7 +326,7 @@ class TestNewtonSystems:
             sym = hermitian_part(expected)
             assert np.abs(real @ x - basis.rows(sym.ravel()).real).max() <= 1e-12 * np.abs(sym).max()
 
-    def test_newton_decides_planted_targets_up_to_n16(self, solver_grid):
+    def test_interior_point_decides_planted_targets_up_to_n16(self, solver_grid):
         rng = np.random.default_rng(3)
         for n, block in [(3, 1), (5, 2), (12, 1), (16, 1)]:
             while True:
@@ -707,7 +707,7 @@ class TestSolveDecidesProbeCases:
                 assert np.array_equal(report.certificate.matrix, np.eye(2))
 
     @pytest.mark.parametrize("block", [1, 2])
-    def test_newton_certifies_what_the_cheap_kernels_violate(self, block, solver_grid):
+    def test_interior_point_certifies_what_the_cheap_kernels_violate(self, block, solver_grid):
         # diagonal nodes share one mask, so their b-kernels are grid-admissible
         # and both kinds of kernel get to violate; on random nodes mostly the
         # identity does

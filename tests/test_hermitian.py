@@ -4,7 +4,6 @@ import pytest
 from symbidisk import (
     NumericsError,
     ValidationError,
-    eigh,
     gram_factor,
     schur_oslash,
     unitary_completion,
@@ -28,28 +27,6 @@ def random_psd(rng, n, rank=None):
     rank = rank or n
     w = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     return w @ w.conj().T
-
-
-class TestEigh:
-    def test_diagonal(self):
-        dec = eigh(np.diag([1.0, 2.0]))
-        assert np.allclose(dec.values, [1.0, 2.0])
-        assert np.allclose(np.abs(dec.vectors), np.eye(2))
-
-    def test_swap_matrix(self):
-        dec = eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(dec.values, [-1.0, 1.0])
-
-    def test_reconstruction(self, rng):
-        h = random_hermitian(rng, 8)
-        dec = eigh(h)
-        rebuilt = (dec.vectors * dec.values[None, :]) @ dec.vectors.conj().T
-        assert np.linalg.norm(rebuilt - h) <= 1e-10 * np.linalg.norm(h)
-        assert np.abs(dec.vectors.conj().T @ dec.vectors - np.eye(8)).max() <= 1e-10
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValidationError):
-            eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestPsdProject:
@@ -114,6 +91,10 @@ class TestGramFactor:
         with pytest.raises(NumericsError):
             gram_factor(np.diag([1.0, -0.5]))
 
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValidationError):
+            gram_factor(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
 
 class TestUnitaryCompletion:
     def test_fixed_vector(self):
@@ -149,6 +130,37 @@ class TestUnitaryCompletion:
         y = np.array([[2.0], [0.0]])
         with pytest.raises(NumericsError):
             unitary_completion(x, y)
+
+    def test_dependent_columns(self, rng):
+        # 5 vectors spanning 2 dimensions of an ambient 7: rank < columns
+        base = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
+        x = base @ (rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5)))
+        q = np.linalg.qr(rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))[0]
+        y = q @ x
+        v = unitary_completion(x, y)
+        assert np.abs(v.conj().T @ v - np.eye(7)).max() <= 1e-13
+        assert np.abs(v @ v.conj().T - np.eye(7)).max() <= 1e-13
+        assert np.linalg.norm(v @ x - y) <= 1e-13 * np.linalg.norm(x)
+        assert unitary_completion(x, y).tobytes() == v.tobytes()
+
+    def test_gram_drift_inside_tolerance(self, rng):
+        x = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        q = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+        drift = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        y = q @ x + 5e-9 * drift
+        gx = x.conj().T @ x
+        mismatch = np.abs(gx - y.conj().T @ y).max()
+        tol = 1e-8
+        assert 0.1 * tol < mismatch / np.abs(gx).max() <= tol  # just inside gram_tol
+        v = unitary_completion(x, y, gram_tol=tol)
+        assert np.abs(v.conj().T @ v - np.eye(6)).max() <= 1e-13
+        assert np.abs(v @ v.conj().T - np.eye(6)).max() <= 1e-13
+        # the polar factor maps x onto y best among unitaries, so no worse than q:
+        # the miss is at most the drift, ||q x - y|| = 5e-9 ||drift||
+        assert np.linalg.norm(v @ x - y) <= np.linalg.norm(q @ x - y)
+        assert unitary_completion(x, y, gram_tol=tol).tobytes() == v.tobytes()
+        with pytest.raises(NumericsError):
+            unitary_completion(x, y, gram_tol=0.1 * tol)
 
 
 class TestSchurOslash:

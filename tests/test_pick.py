@@ -387,7 +387,7 @@ def test_conic_bracket_matches_the_bisection_on_a_sandwich_item(solver_grid):
     assert_matches_reference(sandwich_item(), solver_grid, SolveOptions(max_iter=1000))
 
 
-def test_conic_newton_steps_on_a_sandwich_item(monkeypatch, solver_grid):
+def test_conic_iterations_on_a_sandwich_item(monkeypatch, solver_grid):
     # at the bench's options; the bisection it replaced took 16 solves and 113
     # Newton steps, and pick.solve is no longer called.  The interior-point
     # conic solve takes 7 iterations (one Schur complement each); the
@@ -630,7 +630,7 @@ def test_huge_diagonal_target_is_certified_at_once(top, diagonal_pair, solver_gr
 
 
 @pytest.mark.parametrize("name", sorted(STALL_FILES))
-def test_loop_file_that_newton_left_unknown_is_decided(name, solver_grid):
+def test_stall_loop_file_is_decided(name, solver_grid):
     # semismooth Newton ended these Unknown after 45 and 61 steps, in a
     # 2-cycle near the threshold; the interior-point method takes 4 iterations
     problem = stall_file_problem(name)
