@@ -350,7 +350,7 @@ def _handle_corona(payload, grid, opts) -> dict:
     solution = solve_corona(problem, grid, opts)
     body = _factorization_body(solution, "psi")
     if solution.psi is not None:
-        body["sampled_norm"] = solution.sampled_norm
+        body["sampled_norm"] = solution.norm_bound  # an older key: psi's norm, not a sample
         body["normalized_norm"] = solution.normalized_norm
         # solve_corona measured max |Phi_i Psi(node_i) - Theta_i| on this colligation
         body["left_inverse_node_residual"] = solution.node_residual

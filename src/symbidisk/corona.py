@@ -11,7 +11,8 @@ inverse of Phi).  Feasibility of the target
 through the CP core is equivalent, at grid scale, to the existence of such a
 Psi.  It is the factorization of ``realization`` with L_i = Phi_i and
 R_i = Theta_i (Pick is the case L_i = I), and the one ``realize`` step that
-serves both synthesizes Psi with Phi(node) @ Psi(node) = Theta(node).
+serves both synthesizes Psi with Phi(node) @ Psi(node) = Theta(node).  The
+norm of Psi's colligation bounds sup ||Psi||; nothing is sampled.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ from .feasibility import (
     solve,
 )
 from .kernels import AlphaGrid, NodeSet
-from .realization import Colligation, factor_target, realize, verify_contractivity
+from .realization import Colligation, factor_target, realize
 
 MAX_OUTPUT_BLOCK = 8
-# Points of the sampled contractivity audit of each synthesized Psi.
-CONTRACTIVITY_SAMPLES = 2000
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ class CoronaSolution:
     report: SolveReport
     psi: Colligation | None = None
     node_residual: float | None = None
-    sampled_norm: float | None = None
+    norm_bound: float | None = None  # psi.norm, which bounds sup ||Psi||
     # Theta = sqrt(delta) I bookkeeping: the normalized left inverse is
     # psi / sqrt(delta)
     normalized_norm: float | None = None
@@ -107,8 +106,8 @@ def solve_corona(
 ) -> CoronaSolution:
     """Decide the corona target and synthesize the factor Psi when feasible.
 
-    The synthesized Psi is contractive (unitary colligation) and satisfies
-    Phi(node) @ Psi(node) = Theta(node) within the synthesis tolerance.
+    The synthesized Psi is contractive (unitary colligation; its norm is
+    ``norm_bound``) and satisfies Phi(node) @ Psi(node) = Theta(node).
     """
     grid = grid or AlphaGrid.solver_default()
     report = solve(assemble_corona_target(problem), grid, opts)
@@ -116,11 +115,11 @@ def solve_corona(
         return CoronaSolution(report=report)
 
     psi, node_res = realize(report, problem.nodes, problem.phi_samples, problem.theta_samples)
-    sampled = verify_contractivity(psi, sample_count=CONTRACTIVITY_SAMPLES, seed=opts.seed)
+    bound = psi.norm
     return CoronaSolution(
         report=report,
         psi=psi,
         node_residual=node_res,
-        sampled_norm=sampled,
-        normalized_norm=sampled / np.sqrt(problem.delta),
+        norm_bound=bound,
+        normalized_norm=bound / np.sqrt(problem.delta),
     )

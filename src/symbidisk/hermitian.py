@@ -12,8 +12,6 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 
-RANK_TOL = 1e-10
-
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """Symmetrize on ingest so downstream eigensolves see exact Hermitian data.
@@ -51,7 +49,7 @@ def min_eigenvalue_stack(hs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(hermitian_part(hs))[:, 0]
 
 
-def gram_factor(h: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def gram_factor(h: np.ndarray, tol: float) -> np.ndarray:
     """Factor a PSD matrix as G* G = H with G of shape (rank, n).
 
     Eigenvalues at or below tol * lambda_max count as zero; an eigenvalue

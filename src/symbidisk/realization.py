@@ -14,9 +14,9 @@ is the numerical rank of the corresponding block.  :func:`realize` first
 purifies the witness to a basic solution of the identity, Caratheodory's
 walk on the blocks' eigenvalues (_purified_factors), so its multiplicities
 are the ranks of the purified blocks and sum to at most N^2, N = n * block;
-:func:`lurking_isometry` takes the blocks as given.  Unitarity of the
-colligation forces the sampled sup-norm of f to stay at or below one, and
-the construction reproduces the encoded node data exactly when the blocks
+:func:`lurking_isometry` takes the blocks as given.  The colligation's norm
+bounds f's (:attr:`Colligation.norm`), so a unitary one makes f contractive,
+and the construction reproduces the encoded node data exactly when the blocks
 solve the identity exactly.
 
 Pick and corona problems are one factorization, L_i f(node_i) = R_i with f
@@ -83,6 +83,19 @@ class Colligation:
     @property
     def padded_dim(self) -> int:
         return self.a.shape[0]
+
+    @property
+    def norm(self) -> float:
+        """||V||_2 of V = [[A, B], [C, D]], one SVD: a bound on the norm of f.
+
+        ||V|| <= 1 + eps gives ||f(s, p)|| <= 1 + eps wherever every state scalar
+        |phi(alpha_k, s, p)| <= 1 / (1 + eps), the realization theorem's contractive
+        half (Bhattacharyya & Sau; Agler & McCarthy 2002): V maps (u, Z x) to (f u, x),
+        x = (I - D Z)^{-1} C u, so ||f u||^2 + ||x||^2 <= (1 + eps)^2 ||u||^2 + ||x||^2.
+        A unitary V, as synthesis builds, bounds f by 1 on the whole domain.
+        """
+        v = np.block([[self.a, self.b], [self.c, self.d]])
+        return float(np.linalg.svd(v, compute_uv=False)[0])
 
 
 def lurking_isometry(
@@ -323,21 +336,11 @@ def _domain_sample(count: int, seed: int, radius: float) -> tuple[np.ndarray, np
 
 
 def verify_contractivity(col: Colligation, sample_count: int = 10000, seed: int = 0) -> float:
-    """Max operator norm of the realized function over seeded domain samples.
+    """Max operator norm of f over seeded domain samples, an oracle for :attr:`Colligation.norm`.
 
-    Samples are symmetrized pairs of uniform disk points; for any colligation
-    whose block matrix is unitary the returned value stays at or below
-    1 + 1e-8 up to evaluation roundoff.  ValidationError when sample_count < 1.
+    ValidationError when sample_count < 1.
     """
     if sample_count < 1:
         raise ValidationError(f"sample_count must be >= 1, got {sample_count}")
     vals = transfer_eval_batch(col, *_domain_sample(sample_count, seed, 0.9999))
-    if min(col.out_dim, col.in_dim) == 1:
-        # A vector's one singular value is its Euclidean norm.  LAPACK's value
-        # may differ from it in the last bit, so only the samples whose norm
-        # is within roundoff of the largest go on to the SVD below: the result
-        # is bit-identical to an SVD of every sample (a NaN keeps them all).
-        sq = (vals.real**2 + vals.imag**2).sum(axis=(1, 2))
-        vals = vals[~(sq < sq.max() * (1.0 - 1e-12))]
-    sv = np.linalg.svd(vals, compute_uv=False)
-    return float(sv[:, 0].max())
+    return float(np.linalg.svd(vals, compute_uv=False)[:, 0].max())

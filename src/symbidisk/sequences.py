@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .feasibility import MAX_TARGET_DIM, SolveOptions
+from .feasibility import MAX_TARGET_DIM, SolveOptions, solve
 from .geometry import phi_values, pseudo_hyperbolic
 from .kernels import (
     AlphaGrid,
@@ -28,7 +28,7 @@ from .kernels import (
     make_b_kernel,
     random_admissible_kernel,
 )
-from .pick import PickProblem, PickSolution, minimal_norm_bracket, solve_pick
+from .pick import PickProblem, PickSolution, assemble_pick_target, minimal_norm_bracket
 
 DEFAULT_KERNEL_CENSUS = 32
 # Kernels a sequence census may ask for.  Each costs one or two stacked
@@ -176,7 +176,7 @@ def strong_separation(
     """One unit-vector problem per node: f_i(node_i) = 1, zero elsewhere.
 
     All Feasible means the truncation is strongly separated with constant at
-    most ``bound``.
+    most ``bound``.  Decided as solve_pick decides, but nothing is synthesized.
     """
     if bound <= 0:
         raise ValidationError("bound must be positive")
@@ -187,7 +187,7 @@ def strong_separation(
             np.array([[1.0 + 0.0j if j == i else 0.0 + 0.0j]]) for j in range(trunc.n)
         ]
         problem = PickProblem(nodes=trunc.nodes, targets=tuple(targets), norm_bound=bound)
-        out.append(solve_pick(problem, grid, opts))
+        out.append(PickSolution(report=solve(assemble_pick_target(problem), grid, opts)))
     return out
 
 

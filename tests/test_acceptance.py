@@ -196,6 +196,8 @@ def test_criterion_05_realization_round_trip():
     rng = np.random.default_rng(105)
     worst_node = 0.0
     worst_sup = 0.0
+    worst_bound = 0.0
+    bound_gap = -np.inf  # max of sampled sup - norm bound; the theorem keeps it <= 0
     solved = 0
     for k in range(100):
         col = _random_grid_colligation(rng, state_dim=int(rng.integers(2, 6)))
@@ -212,10 +214,19 @@ def test_criterion_05_realization_round_trip():
         worst_node = max(worst_node, sol.node_residual)
         sup = verify_contractivity(sol.interpolant, sample_count=10000, seed=k)
         worst_sup = max(worst_sup, sup)
-    ok = solved == 100 and worst_node <= 1e-7 and worst_sup <= 1.0 + 1e-8
+        worst_bound = max(worst_bound, sol.interpolant.norm)
+        bound_gap = max(bound_gap, sup - sol.interpolant.norm)
+    ok = (
+        solved == 100
+        and worst_node <= 1e-7
+        and worst_sup <= 1.0 + 1e-8
+        and worst_bound <= 1.0 + 1e-8
+        and bound_gap <= 1e-12
+    )
     _verdict(
         5, ok, time.perf_counter() - t0, 600.0,
-        f"solved {solved}/100, node residual {worst_node:.2e}, sup {worst_sup:.9f}",
+        f"solved {solved}/100, node residual {worst_node:.2e}, sup {worst_sup:.9f}, "
+        f"bound {worst_bound:.9f}, sup - bound {bound_gap:.2e}",
     )
 
 
@@ -291,7 +302,9 @@ def test_criterion_08_corona_echo():
     rng = np.random.default_rng(108)
     feasible = 0
     worst_node = 0.0
-    worst_norm = 0.0
+    worst_sup = 0.0
+    worst_bound = 0.0
+    bound_gap = -np.inf  # max of sampled sup - norm bound; the theorem keeps it <= 0
     for _ in range(50):
         n = int(rng.integers(2, 4))
         nodes = _distinct_nodes(rng, n)
@@ -313,11 +326,22 @@ def test_criterion_08_corona_echo():
             continue
         feasible += 1
         worst_node = max(worst_node, sol.node_residual)
-        worst_norm = max(worst_norm, sol.sampled_norm)
-    ok = feasible == 50 and worst_node <= 1e-7 and worst_norm <= 1.0 + 1e-8
+        # the sampled audit solve_corona ran before it reported the norm bound
+        sup = verify_contractivity(sol.psi, 2000, seed=0)
+        worst_sup = max(worst_sup, sup)
+        worst_bound = max(worst_bound, sol.norm_bound)
+        bound_gap = max(bound_gap, sup - sol.norm_bound)
+    ok = (
+        feasible == 50
+        and worst_node <= 1e-7
+        and worst_sup <= 1.0 + 1e-8
+        and worst_bound <= 1.0 + 1e-8
+        and bound_gap <= 1e-12
+    )
     _verdict(
         8, ok, time.perf_counter() - t0, 600.0,
-        f"feasible {feasible}/50, node residual {worst_node:.2e}, norm {worst_norm:.9f}",
+        f"feasible {feasible}/50, node residual {worst_node:.2e}, sup {worst_sup:.9f}, "
+        f"bound {worst_bound:.9f}, sup - bound {bound_gap:.2e}",
     )
 
 

@@ -363,6 +363,8 @@ class TestDeterminismAndEcho:
 # certificate and notes come from it.  ``pick-certified`` was re-pinned again
 # when the Schur complement came to be assembled from the masks' rank-two
 # factors: the new summation order moves the last bits of its certificate.
+# ``corona`` was re-pinned when its ``sampled_norm`` came to hold the norm of
+# psi's colligation, one SVD, in place of a 2000-sample sup of ||psi||.
 GOLDEN = {
     "pick": (
         {
@@ -403,7 +405,7 @@ GOLDEN = {
             },
             "opts": {"seed": 5},
         },
-        "d230fb97d140de00d7bae958e2d2f999ab1e115b4254d9c48a8dc0de30185693",
+        "c47869c6fc935374a9b41ed93742005e679d00944eb5f3448247e159b956f6ec",
     ),
     "sequence": (
         {

@@ -76,7 +76,7 @@ class TestSolveCorona:
         sol = solve_corona(constant_row_problem(nodes, delta=1.0), solver_grid)
         assert sol.status is SolveStatus.FEASIBLE
         assert sol.node_residual <= 1e-8
-        assert sol.sampled_norm <= 1.0 + 1e-8
+        assert sol.norm_bound <= 1.0 + 1e-8
         vals = transfer_eval_batch(sol.psi, nodes.s, nodes.p)
         row = np.array([[1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)]])
         for v in vals:
@@ -88,7 +88,7 @@ class TestSolveCorona:
         sol = solve_corona(prob, solver_grid)
         assert sol.status is SolveStatus.FEASIBLE
         assert sol.node_residual <= 1e-7
-        assert sol.sampled_norm <= 1.0 + 1e-8
+        assert sol.norm_bound <= 1.0 + 1e-8
         # classical bookkeeping: psi / sqrt(delta) within 1 / sqrt(delta)
         assert sol.normalized_norm <= 1.0 / np.sqrt(prob.delta) + 1e-8
 
@@ -158,7 +158,7 @@ class TestVerifyLeftInverse:
         sol = solve_corona(prob, solver_grid)
         assert sol.psi is not None
         assert sol.node_residual <= 1e-8
-        assert sol.sampled_norm <= 1.0 + 1e-8
+        assert sol.norm_bound <= 1.0 + 1e-8
 
     def test_planted_rerun(self, rng, solver_grid):
         nodes = random_nodes(rng, 3)
@@ -189,7 +189,7 @@ class TestVerifyLeftInverse:
         prob = constant_row_problem(nodes, delta=1.5)
         sol = solve_corona(prob, solver_grid)
         assert sol.psi is None
-        assert sol.node_residual is None and sol.sampled_norm is None
+        assert sol.node_residual is None and sol.norm_bound is None
 
 
 def test_validation_errors(rng):

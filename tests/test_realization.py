@@ -401,7 +401,7 @@ class TestContractivity:
     def test_vector_valued_audit_equals_svd_of_every_sample(
         self, rng, monkeypatch, out_dim, in_dim
     ):
-        """The norm screen keeps the audit bit-identical, as report hashes need."""
+        """The audit is the largest singular value over every sample."""
         samples = []
 
         def recording(col, s, p):
@@ -414,6 +414,40 @@ class TestContractivity:
             v = verify_contractivity(col, 2000, seed=seed)
             full = np.linalg.svd(samples[-1], compute_uv=False)[:, 0].max()
             assert v == full
+
+
+class TestNormBound:
+    @pytest.mark.parametrize(
+        "padded_dim,out_dim,in_dim", [(1, 1, 1), (2, 2, 2), (3, 1, 3), (3, 3, 1), (2, 1, 2)]
+    )
+    def test_unitary_colligation_has_norm_one(self, padded_dim, out_dim, in_dim):
+        rng = np.random.default_rng(7)
+        for seed in range(6):
+            col = random_colligation(
+                rng, int(rng.integers(1, 5)), padded_dim=padded_dim, out_dim=out_dim, in_dim=in_dim
+            )
+            assert abs(col.norm - 1.0) <= 1e-13
+            assert col.norm >= verify_contractivity(col, 2000, seed=seed) - 1e-12
+
+    def test_scaled_colligation_bounds_where_the_state_scalars_allow(self):
+        # ||V|| = 1.05 bounds ||f|| by 1.05 only where every |phi(alpha_k)| <= 1 / 1.05
+        rng = np.random.default_rng(11)
+        s, p = realization._domain_sample(4000, 0, 0.9999)
+        whole = 0.0
+        for _ in range(6):
+            col = random_colligation(rng, 3, padded_dim=2, out_dim=1, in_dim=2)
+            scaled = Colligation(
+                a=1.05 * col.a, b=1.05 * col.b, c=1.05 * col.c, d=1.05 * col.d,
+                alphas=col.alphas, multiplicities=col.multiplicities,
+                out_dim=col.out_dim, in_dim=col.in_dim,
+            )
+            assert abs(scaled.norm - 1.05) <= 1e-13
+            inside = np.abs(phi_values(col.alphas, s, p)).max(axis=0) <= 1.0 / 1.05
+            assert inside.sum() >= 100
+            vals = transfer_eval_batch(scaled, s[inside], p[inside])
+            assert np.linalg.svd(vals, compute_uv=False)[:, 0].max() <= 1.05
+            whole = max(whole, verify_contractivity(scaled, 2000, seed=0))
+        assert whole > 1.05  # outside that region the caveat bites
 
 
 class TestRepresentationStructure:

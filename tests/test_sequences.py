@@ -12,7 +12,8 @@ from symbidisk import (
     make_b_kernel,
     strong_separation,
 )
-from symbidisk import sequences
+from symbidisk import pick, realization, sequences
+from symbidisk.pick import PickProblem, solve_pick
 from symbidisk.sequences import (
     SequenceTruncation,
     best_carleson_alpha,
@@ -132,6 +133,33 @@ class TestSeparation:
         trunc = SequenceTruncation(nodes=nodes)
         sols = strong_separation(trunc, 5.0, solver_grid)
         assert any(s.status is not SolveStatus.FEASIBLE for s in sols)
+
+    def test_decides_as_solve_pick_without_synthesis(
+        self, diag_trunc, rng, solver_grid, monkeypatch
+    ):
+        cases = [(diag_trunc, 1.26), (diag_trunc, 1.24)]
+        cases.append((SequenceTruncation(nodes=random_nodes(rng, 3, rmax=0.7)), 3.0))
+        expected = []
+        for trunc, bound in cases:
+            statuses = []
+            for i in range(trunc.n):
+                targets = tuple(np.array([[1.0 if j == i else 0.0]]) for j in range(trunc.n))
+                problem = PickProblem(nodes=trunc.nodes, targets=targets, norm_bound=bound)
+                statuses.append(solve_pick(problem, solver_grid).status)
+            expected.append(statuses)
+        assert {SolveStatus.FEASIBLE, SolveStatus.INFEASIBLE_CERTIFIED} <= {
+            st for statuses in expected for st in statuses
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("strong_separation synthesized an interpolant")
+
+        monkeypatch.setattr(realization, "realize", refuse)
+        monkeypatch.setattr(pick, "realize", refuse)
+        for (trunc, bound), statuses in zip(cases, expected):
+            sols = strong_separation(trunc, bound, solver_grid)
+            assert [s.status for s in sols] == statuses
+            assert all(s.interpolant is None for s in sols)
 
     def test_carleson_implies_strong_separation(self, rng, solver_grid):
         # constructive bound (1 + d)/d^2 from the disk interpolant pulled
