@@ -27,7 +27,6 @@ from .geometry import (
 )
 from .hermitian import (
     gram_factor,
-    schur_oslash,
     unitary_completion,
 )
 from .kernels import (

@@ -57,7 +57,6 @@ from .hermitian import (
     # test_install_wraps_every_binding_and_uninstall_restores asserts that the
     # tracer wraps this binding and restores it.
     psd_project_stack,  # noqa: F401
-    schur_oslash,
 )
 from .kernels import (
     AlphaGrid,
@@ -68,7 +67,7 @@ from .kernels import (
     admissible_shift,
     coefficient_masks,
     expand_masks,
-    grammian_normalize,
+    unit_diagonal,
 )
 
 # Largest N = n * block a target may have; it bounds scalar Pick nodes,
@@ -309,13 +308,13 @@ def _admissible_kernel(nodes, grid, k, tol) -> KernelMatrix | None:
     k = hermitian_part(k)
     if not np.all(np.real(np.diag(k)) > 0.0):  # grammian_normalize raises: no kernel
         return None
-    kern = KernelMatrix(nodes=nodes, matrix=grammian_normalize(KernelMatrix(nodes, k)))
+    kern = KernelMatrix(nodes=nodes, matrix=unit_diagonal(k))
     return kern if admissibility_check(kern, grid, tol).is_admissible_on_grid else None
 
 
 def _violation(target, kern, opts) -> tuple[KernelMatrix, float] | None:
-    """(kern, lambda_min(J . K)) when the kernel violates the target by tol."""
-    lam = min_eigenvalue(schur_oslash(target.matrix, kern.matrix, target.block, 1))
+    """(kern, lambda_min(J . (K (x) 1_block))) when the kernel violates the target by tol."""
+    lam = min_eigenvalue(target.matrix * expand_masks(kern.matrix, target.block))
     if lam > -opts.tol:
         return None
     return kern, lam
@@ -409,11 +408,7 @@ class _Conic:
         self.ee = np.tile(np.eye(block), (n, n))
         vals = phi_values(grid.alphas, nodes.s, nodes.p)
         self.cexp = expand_masks(_masks(vals), block)  # raises off the disk
-        u = np.repeat(vals, block, 1)
-        v = np.ones((2, len(u), 2, self.dim), dtype=complex)
-        v[0, :, 1], v[1, :, 1] = -u, u.conj()  # a = (1, -u) and c = (1, conj(u)) of _hkm_schur
-        f = v[:, :, None, :, :, None] * v.conj()[:, :, :, None, None]  # v_x(i) conj(v_y(k))
-        self.factors = f.reshape(2, len(u), 4, self.dim, self.dim)
+        self.u = np.repeat(vals, block, 1)
         self.cconj = self.cexp.conj()
         self.szego = hermitian_part(self.ee / self.cexp)  # Sz_k (x) I
         self.lam_s, vec_s = np.linalg.eigh(self.szego)
@@ -421,6 +416,15 @@ class _Conic:
         safe = self.safe
         self.whiten = vec_s[safe] / np.sqrt(self.lam_s[safe])[:, None, :]  # Sz_k^(-1) = W W*
         self.basis = _hermitian_basis(self.dim)
+
+    @functools.cached_property
+    def factors(self):
+        """The masks' rank-two factors for _hkm_schur, built at the first step."""
+        u = self.u
+        v = np.ones((2, len(u), 2, self.dim), dtype=complex)
+        v[0, :, 1], v[1, :, 1] = -u, u.conj()  # a = (1, -u) and c = (1, conj(u)) of _hkm_schur
+        f = v[:, :, None, :, :, None] * v.conj()[:, :, :, None, None]  # v_x(i) conj(v_y(k))
+        return f.reshape(2, len(u), 4, self.dim, self.dim)
 
     @functools.cached_property
     def kkt(self):

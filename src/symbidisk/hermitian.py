@@ -1,9 +1,10 @@
 """Dense complex Hermitian linear algebra used throughout the solvers.
 
 Thin, contract-checked wrappers around LAPACK via numpy: Frobenius-nearest
-PSD projection, Gram factorization with numerical rank, unitary completion
-of an isometric correspondence as one SVD polar factor, and Schur products
-(entrywise at scalar level, blockwise tensor at operator level).
+PSD projection, Gram factorization with numerical rank, and unitary
+completion of an isometric correspondence as one SVD polar factor.  Schur
+products are numpy's entrywise ``*``: kernels are scalar, and a block target
+meets one through kernels.expand_masks.
 """
 
 from __future__ import annotations
@@ -75,24 +76,18 @@ def unitary_completion(
 
     Columns of ``x_vectors`` and ``y_vectors`` are the paired families; their
     Gram matrices must agree within ``gram_tol`` (relative), which is the
-    isometry condition.  Families living in ambient spaces of different
-    dimension are zero-padded to the larger one.  The result is the polar
-    factor V = U W* of y x* = U S W*, one SVD: when x* x = y* y, y x* is the
-    partial isometry x_i -> y_i times x x*, and the polar factor is unique on
+    isometry condition, and both live in one ambient space: the two arrays
+    have one shape.  The result is the polar factor V = U W* of
+    y x* = U S W*, one SVD: when x* x = y* y, y x* is the partial isometry
+    x_i -> y_i times x x*, and the polar factor is unique on
     range(x x*) = span(x_i), so V x = y there however U and W complete the
     rest.  With Gram drift, V minimizes the Frobenius miss ||Q x - y|| over
     unitaries Q (orthogonal Procrustes).
     """
     x = np.asarray(x_vectors, dtype=complex)
     y = np.asarray(y_vectors, dtype=complex)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
-        raise ValidationError("column-matched 2-d vector families required")
-    n = max(x.shape[0], y.shape[0])
-    if x.shape[0] < n:
-        x = np.vstack([x, np.zeros((n - x.shape[0], x.shape[1]))])
-    if y.shape[0] < n:
-        y = np.vstack([y, np.zeros((n - y.shape[0], y.shape[1]))])
-
+    if x.ndim != 2 or x.shape != y.shape:
+        raise ValidationError("2-d vector families of one shape required")
     gx = x.conj().T @ x
     mismatch = float(np.abs(gx - y.conj().T @ y).max(initial=0.0))
     if mismatch > gram_tol * max(1.0, float(np.abs(gx).max(initial=0.0))):
@@ -101,32 +96,3 @@ def unitary_completion(
         )
     u, _, wh = np.linalg.svd(y @ x.conj().T)
     return u @ wh
-
-
-def schur_oslash(
-    a: np.ndarray, b: np.ndarray, block_a: int = 1, block_b: int = 1
-) -> np.ndarray:
-    """Node-indexed Schur product: entrywise at scalar level, tensor at block level.
-
-    ``a`` is (n*block_a) x (n*block_a) over n nodes, likewise ``b``; the result
-    carries (block_a * block_b)-sized blocks, block (i, j) equal to
-    A[i,j] (x) B[i,j].  With both block sizes 1 this is the entrywise product,
-    which maps pairs of PSD inputs to a PSD output.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape[0] % block_a or b.shape[0] % block_b:
-        raise ValidationError("matrix sizes must be multiples of their block sizes")
-    n = a.shape[0] // block_a
-    if b.shape[0] // block_b != n or a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise ValidationError(
-            f"node-count mismatch: {a.shape} with block {block_a} vs {b.shape} with block {block_b}"
-        )
-    if block_a == 1 and block_b == 1:
-        return a * b
-    # out[(i, p, q), (j, r, s)] = A[(i, p), (j, r)] B[(i, q), (j, s)]
-    a4 = a.reshape(n, block_a, n, block_a)[:, :, None, :, :, None]
-    b4 = b.reshape(n, block_b, n, block_b)[:, None, :, :, None, :]
-    d = block_a * block_b
-    return (a4 * b4).reshape(n * d, n * d)
-

@@ -1,9 +1,10 @@
 """Kernels restricted to finite node sets, and their admissibility.
 
-A kernel on a finite node set is a PSD Hermitian matrix (scalar case) or a
-block-PSD matrix with one block per node pair (operator-valued case) whose
-diagonal does not vanish.  A kernel K is *admissible on an alpha grid* when,
-for every grid alpha, the matrix
+A kernel on a finite node set is an n x n PSD Hermitian matrix, one entry per
+node pair, whose diagonal does not vanish.  Kernels are scalar even where the
+data are operator-valued: a d x d target J is tested against K (x) 1_d, each
+entry of K scaling one d x d block of J.  A kernel K is *admissible on an
+alpha grid* when, for every grid alpha, the matrix
 
     (1 - phi(alpha, node_i) * conj(phi(alpha, node_j))) . K_ij
 
@@ -23,7 +24,6 @@ from .errors import ValidationError
 from .geometry import GPoint, phi_values, require_member
 from .hermitian import hermitian_part, min_eigenvalue_stack
 
-MAX_BLOCK_SIZE = 16
 # Alphas per grid, far above the 193 of check_default.  The distinctness check
 # is O(n^2), every mask stack holds n * N^2 entries, and an interior-point
 # iteration costs O(n * N^4) flops and 8 n N^2 entries for its Schur
@@ -133,17 +133,14 @@ def _read_only(grid: AlphaGrid) -> AlphaGrid:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """A PSD node-indexed matrix with nonvanishing diagonal blocks."""
+    """A PSD n x n matrix on the nodes with nonvanishing diagonal."""
 
     nodes: NodeSet
     matrix: np.ndarray
-    block: int = 1
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        n = len(self.nodes) * self.block
-        if self.block < 1 or self.block > MAX_BLOCK_SIZE:
-            raise ValidationError(f"block size must be in [1, {MAX_BLOCK_SIZE}]")
+        n = len(self.nodes)
         if m.shape != (n, n):
             raise ValidationError(f"kernel matrix shape {m.shape} != ({n}, {n})")
         object.__setattr__(self, "matrix", hermitian_part(m))
@@ -176,7 +173,11 @@ def _masks(vals: np.ndarray) -> np.ndarray:
 
 
 def expand_masks(masks: np.ndarray, block: int) -> np.ndarray:
-    """Per node-pair scalars replicated across the d x d entries of each block."""
+    """Per node-pair scalars replicated across the d x d entries of each block.
+
+    Takes a stack of masks or one kernel matrix: J . expand_masks(K, d) is the
+    Schur product J . (K (x) 1_d) of a block-d target with a kernel.
+    """
     if block == 1:
         return masks
     return np.kron(masks, np.ones((block, block)))
@@ -190,7 +191,7 @@ def admissibility_check(
     step = max(1, _CHECK_CHUNK_ENTRIES // kernel.matrix.size)
     lams = np.concatenate(
         [
-            min_eigenvalue_stack(expand_masks(masks[lo : lo + step], kernel.block) * kernel.matrix)
+            min_eigenvalue_stack(masks[lo : lo + step] * kernel.matrix)
             for lo in range(0, len(grid), step)
         ]
     )
@@ -217,8 +218,8 @@ def make_b_kernel(alpha: complex, nodes: NodeSet) -> KernelMatrix:
 def grammian_normalize(kernel: KernelMatrix) -> np.ndarray:
     """Entrywise rescaling K_ij / sqrt(K_ii K_jj); unit diagonal.
 
-    A positive diagonal congruence, so it keeps K PSD and, block kernels
-    included, keeps every expanded mask's Schur product with K PSD.
+    A positive diagonal congruence, so it keeps K PSD and keeps every mask's
+    Schur product with K PSD.
     """
     if np.any(np.real(np.diag(kernel.matrix)) <= 0):
         raise ValidationError("not a kernel (weak kernel only): vanishing diagonal")

@@ -2,7 +2,8 @@
 
 Complex numbers serialize as [re, im] pairs in every external format;
 matrices are row-major entry lists with explicit shape; kernels follow the
-``{nodes, block, entries}`` layout.  Reports are plain dicts so they can be
+``{nodes, block, entries}`` layout, with ``block`` always 1: a kernel is n x n
+on its n nodes.  Reports are plain dicts so they can be
 hashed canonically: ``canonical_json`` sorts keys and keeps the default
 shortest round-trip float text, and ``report_hash`` drops the top-level
 wall-clock fields (the one part of a report that legitimately differs between
@@ -31,6 +32,9 @@ from .realization import Colligation
 
 FORMAT_VERSION = 1
 VOLATILE_KEYS = ("wall_time", "timings", "report_hash")
+# json.dumps with options builds an encoder per call; this one is built once.
+# encode keeps no state between calls, so threads may share it.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def encode_complex(z: complex) -> list[float]:
@@ -135,21 +139,21 @@ def decode_grid(obj) -> AlphaGrid:
 def encode_kernel(kernel: KernelMatrix) -> dict:
     return {
         "nodes": encode_nodes(kernel.nodes),
-        "block": int(kernel.block),
+        "block": 1,  # kept so that every certificate report keeps its bytes
         "entries": _entries(kernel.matrix),
     }
 
 
 def decode_kernel(obj) -> KernelMatrix:
     nodes = decode_nodes(obj["nodes"])
-    block = int(obj.get("block", 1))
-    n = len(nodes) * block
+    block = obj.get("block", 1)
+    if read_number(block, "block", integral=True) != 1:
+        raise ValidationError(f"kernels are n x n on their nodes: block must be 1, got {block!r}")
+    n = len(nodes)
     entries = [decode_complex(v) for v in obj["entries"]]
     if len(entries) != n * n:
-        raise ValidationError("kernel entry count disagrees with nodes and block size")
-    return KernelMatrix(
-        nodes=nodes, matrix=np.array(entries, dtype=complex).reshape(n, n), block=block
-    )
+        raise ValidationError("kernel entry count disagrees with its node count")
+    return KernelMatrix(nodes=nodes, matrix=np.array(entries, dtype=complex).reshape(n, n))
 
 
 def encode_blocks(blocks: CPBlocks) -> dict:
@@ -215,14 +219,14 @@ def encode_membership(report: MembershipReport) -> dict:
 def canonical_json(obj) -> str:
     """Sorted, compact JSON text; NumericsError when ``obj`` holds a non-finite number."""
     try:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        return _CANONICAL.encode(obj)
     except ValueError as exc:
         raise NumericsError(f"report holds a number JSON cannot encode: {exc}") from None
 
 
 def _joined(members: dict[str, str]) -> str:
     """canonical_json of an object, from the canonical texts of its members."""
-    return "{" + ",".join(f"{json.dumps(k)}:{members[k]}" for k in sorted(members)) + "}"
+    return "{" + ",".join(f"{_CANONICAL.encode(k)}:{members[k]}" for k in sorted(members)) + "}"
 
 
 def report_hash(report: dict) -> str:
@@ -239,5 +243,5 @@ def encode_report(report: dict) -> tuple[str, str]:
     members = {k: canonical_json(v) for k, v in report.items() if k != "report_hash"}
     kept = {k: v for k, v in members.items() if k not in VOLATILE_KEYS}
     digest = hashlib.sha256(_joined(kept).encode()).hexdigest()
-    members["report_hash"] = json.dumps(digest)
+    members["report_hash"] = _CANONICAL.encode(digest)
     return digest, _joined(members)

@@ -628,6 +628,25 @@ class TestReportFiles:
         problem, want = GOLDEN[case]
         assert execute_problem(json.loads(json.dumps(problem)))["report_hash"] == want
 
+    def test_canonical_json_is_json_dumps_on_every_kind(self):
+        # canonical_json's one shared encoder writes what json.dumps with the
+        # same options writes, on a report of every kind
+        gamma = {
+            "first": {"rows": 1, "cols": 1, "entries": [[0.0, 0.0]]},
+            "second": {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]},
+        }
+        problems = [problem for problem, _ in GOLDEN.values()] + [
+            {"format": 1, "kind": "gamma-check", "payload": gamma},
+            {"format": 1, "kind": "measure-model", "payload": {"atoms": [[2.0, 0.0, 1.0, 0.0]]}},
+        ]
+        reports = [execute_problem(json.loads(json.dumps(problem))) for problem in problems]
+        assert {report["kind"] for report in reports} == set(symbidisk.cli.KINDS)
+        for report in reports:
+            want = json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False)
+            assert canonical_json(report) == want
+            with pytest.raises(symbidisk.NumericsError, match="cannot encode"):
+                canonical_json({**report, "residual": math.nan})
+
     def test_written_reports_are_canonical_json(self, tmp_path, capsys):
         d = golden_corpus(tmp_path)
         out_dir = tmp_path / "reports"

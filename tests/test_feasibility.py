@@ -22,11 +22,10 @@ from symbidisk import (
     make_b_kernel,
     minimal_norm_bracket,
     residual,
-    schur_oslash,
     solve,
     symmetrize,
 )
-from symbidisk import feasibility, pick
+from symbidisk import feasibility, kernels, pick
 from symbidisk.corona import CoronaProblem, assemble_corona_target
 from symbidisk.feasibility import MAX_TARGET_DIM, _Conic, _HermitianBasis, _hkm_schur
 from symbidisk.geometry import phi_values
@@ -163,7 +162,7 @@ class TestSolve:
         assert report.status is SolveStatus.INFEASIBLE_CERTIFIED
         cert = report.certificate
         assert admissibility_check(cert, solver_grid, tol=1e-8).is_admissible_on_grid
-        prod = schur_oslash(target.matrix, cert.matrix)
+        prod = target.matrix * cert.matrix
         assert min_eigenvalue(prod) <= -1e-8
 
     def test_planted_instances(self, rng, solver_grid):
@@ -532,45 +531,58 @@ class TestWarmStart:
         assert violated == {0, 1}
 
 
-def mask_check_kernel(rng, nodes, grid, block, admissible):
-    """A kernel, not yet unit-diagonal, that is or is not admissible on the grid.
-
-    Block kernels are K (x) P with P PSD: then C_m . (K (x) P) = (C_m . K) (x) P.
-    """
+def mask_check_kernel(rng, nodes, grid, admissible):
+    """A kernel, not yet unit-diagonal, that is or is not admissible on the grid."""
     n = len(nodes)
     if admissible:
         k = random_admissible_kernel(nodes, grid, seed=int(rng.integers(1000))).matrix
     else:  # nearly rank one: C_m . K is nearly C_m, which is indefinite
         k = np.ones((n, n)) + 0.01 * np.eye(n)
     scale = rng.uniform(0.5, 2.0, n)
-    k = k * np.outer(scale, scale)
-    if block == 1:
-        return k
-    w = rng.standard_normal((block, block)) + 1j * rng.standard_normal((block, block))
-    return np.kron(k, w @ w.conj().T)
+    return k * np.outer(scale, scale)
 
 
-@pytest.mark.parametrize("block", [1, 2])
+@pytest.mark.parametrize("chunks", [1, 2])
 @pytest.mark.parametrize("admissible", [True, False])
-def test_mask_admissibility_matches_admissibility_check(block, admissible, rng):
+def test_mask_admissibility_matches_admissibility_check(chunks, admissible, rng):
     # the solver's check on its own masks loses nothing against the public one,
-    # whose chunked path 10 nodes of block 2 on the 193-alpha grid take
-    grid = AlphaGrid.solver_default() if block == 1 else AlphaGrid.check_default()
-    nodes = random_nodes(rng, 3 if block == 1 else 10, rmax=0.6)
-    raw = mask_check_kernel(rng, nodes, grid, block, admissible)
-    kern = KernelMatrix(
-        nodes=nodes, matrix=grammian_normalize(KernelMatrix(nodes, raw, block)), block=block
-    )
+    # in one stacked eigensolve or in the two that 19 nodes on the 193-alpha grid take
+    grid = AlphaGrid.solver_default() if chunks == 1 else AlphaGrid.check_default()
+    nodes = random_nodes(rng, 3 if chunks == 1 else 19, rmax=0.6)
+    assert -(-len(grid) // (kernels._CHECK_CHUNK_ENTRIES // len(nodes) ** 2)) == chunks
+    raw = mask_check_kernel(rng, nodes, grid, admissible)
+    kern = KernelMatrix(nodes=nodes, matrix=grammian_normalize(KernelMatrix(nodes, raw)))
     rep = admissibility_check(kern, grid, tol=1e-8)
     assert rep.is_admissible_on_grid is admissible
-    masks = expand_masks(coefficient_masks(grid, nodes), block)
-    lams = min_eigenvalue_stack(masks * kern.matrix)
+    lams = min_eigenvalue_stack(coefficient_masks(grid, nodes) * kern.matrix)
     assert lams.tolist() == [lam for _, lam in rep.min_eig_per_alpha]
-    if block == 1:  # the solver's kernels are scalar
-        got = feasibility._admissible_kernel(nodes, grid, raw, 1e-8)
-        assert (got is not None) is admissible
-        if admissible:  # grammian_normalize's rescale, bit for bit
-            assert np.array_equal(got.matrix, kern.matrix)
+    got = feasibility._admissible_kernel(nodes, grid, raw, 1e-8)
+    assert (got is not None) is admissible
+    if admissible:  # grammian_normalize's rescale, bit for bit
+        assert np.array_equal(got.matrix, kern.matrix)
+
+
+@pytest.mark.parametrize("block", [2, 3])
+def test_violation_scales_each_target_block_by_one_kernel_entry(block, rng, solver_grid):
+    # J . (K (x) 1_block), built block by block: block (a, b) of J times K_ab
+    n = 3
+    nodes = random_nodes(rng, n)
+    kern = random_admissible_kernel(nodes, solver_grid, seed=7)
+    size = n * block
+    w = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    target = FeasibilityTarget(nodes=nodes, matrix=w + w.conj().T, block=block)
+    prod = np.empty_like(target.matrix)
+    for a in range(n):
+        for b in range(n):
+            rows, cols = slice(a * block, (a + 1) * block), slice(b * block, (b + 1) * block)
+            prod[rows, cols] = target.matrix[rows, cols] * kern.matrix[a, b]
+    lam = min_eigenvalue(prod)
+    assert lam <= -1e-8
+    got = feasibility._violation(target, kern, SolveOptions())
+    assert got is not None and got[0] is kern and got[1] == lam
+    # a PSD target meets a PSD kernel in a PSD product (Schur): nothing to certify
+    psd = FeasibilityTarget(nodes=nodes, matrix=w @ w.conj().T, block=block)
+    assert feasibility._violation(psd, kern, SolveOptions()) is None
 
 
 def test_solve_out_of_budget_ends_unknown(solver_grid):
@@ -689,7 +701,7 @@ class TestSolveDecidesProbeCases:
         assert report.certificate_min_eig <= -1e-6
         # the extremal kernel matches the coordinate pullback structure
         b = make_b_kernel(solver_grid.alphas[0], diagonal_pair)
-        prod = schur_oslash(target.matrix, b.matrix)
+        prod = target.matrix * b.matrix
         assert min_eigenvalue(prod) <= -1e-6
 
     def test_negative_diagonal_certified_by_identity(self, rng, solver_grid):

@@ -5,7 +5,6 @@ from symbidisk import (
     NumericsError,
     ValidationError,
     gram_factor,
-    schur_oslash,
     unitary_completion,
 )
 from symbidisk.hermitian import (
@@ -119,11 +118,13 @@ class TestUnitaryCompletion:
         assert np.abs(v @ v.conj().T - np.eye(6)).max() <= 1e-10
 
     def test_ambient_padding(self):
+        # both families live in one ambient space: unequal heights, like
+        # unequal column counts, are an input error, not zero-padded
         x = np.array([[1.0], [0.0]])            # ambient 2
         y = np.array([[0.0], [0.0], [1.0]])     # ambient 3
-        v = unitary_completion(x, y)
-        assert v.shape == (3, 3)
-        assert np.allclose(v @ np.array([1.0, 0, 0]), y.ravel())
+        for a, b in ((x, y), (y, x), (x, np.hstack([x, x]))):
+            with pytest.raises(ValidationError, match="one shape"):
+                unitary_completion(a, b)
 
     def test_rejects_gram_mismatch(self):
         x = np.array([[1.0], [0.0]])
@@ -162,45 +163,6 @@ class TestUnitaryCompletion:
         with pytest.raises(NumericsError):
             unitary_completion(x, y, gram_tol=0.1 * tol)
 
-
-class TestSchurOslash:
-    def test_entrywise_numbers(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        assert np.allclose(schur_oslash(a, b), [[5.0, 12.0], [21.0, 32.0]])
-
-    def test_ones_is_identity_element(self, rng):
-        a = random_psd(rng, 4)
-        assert np.allclose(schur_oslash(a, np.ones((4, 4))), a)
-
-    def test_psd_closure(self, rng):
-        a, b = random_psd(rng, 5), random_psd(rng, 5)
-        scale = np.abs(a).max() * np.abs(b).max()
-        assert min_eigenvalue(schur_oslash(a, b)) >= -1e-10 * scale
-
-    def test_block_tensor(self, rng):
-        a = random_psd(rng, 4)  # 2 nodes, block 2
-        b = random_psd(rng, 2)  # 2 nodes, block 1
-        out = schur_oslash(a, b, block_a=2, block_b=1)
-        assert out.shape == (4, 4)
-        assert np.allclose(out[0:2, 2:4], a[0:2, 2:4] * b[0, 1])
-        assert min_eigenvalue(out) >= -1e-10 * np.abs(out).max()
-
-    def test_block_tensor_matches_per_block_kron(self, rng):
-        a = random_psd(rng, 6)  # 3 nodes, block 2
-        b = random_psd(rng, 9)  # 3 nodes, block 3
-        expected = np.zeros((18, 18), dtype=complex)
-        for i in range(3):
-            for j in range(3):
-                expected[6 * i : 6 * i + 6, 6 * j : 6 * j + 6] = np.kron(
-                    a[2 * i : 2 * i + 2, 2 * j : 2 * j + 2],
-                    b[3 * i : 3 * i + 3, 3 * j : 3 * j + 3],
-                )
-        assert np.array_equal(schur_oslash(a, b, block_a=2, block_b=3), expected)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            schur_oslash(np.ones((2, 2)), np.ones((3, 3)))
 
 
 def test_min_eigenvalue_stack_matches_per_slice(rng):

@@ -13,7 +13,7 @@ from symbidisk import (
     random_admissible_kernel,
 )
 from symbidisk import kernels
-from symbidisk.hermitian import hermitian_part, min_eigenvalue, schur_oslash
+from symbidisk.hermitian import hermitian_part, min_eigenvalue
 from symbidisk.kernels import coefficient_masks, expand_masks
 
 from conftest import random_nodes
@@ -31,6 +31,13 @@ class TestNodeSet:
     def test_coordinate_arrays(self, diagonal_pair):
         assert np.allclose(diagonal_pair.s, [1.0, -1.0])
         assert np.allclose(diagonal_pair.p, [0.25, 0.25])
+
+
+def test_kernel_matrix_is_n_by_n_on_its_nodes(diagonal_pair):
+    # one entry per node pair: no other shape is a kernel on these nodes
+    for shape in ((4, 4), (1, 1), (2, 3)):
+        with pytest.raises(ValidationError, match="kernel matrix shape"):
+            KernelMatrix(nodes=diagonal_pair, matrix=np.ones(shape))
 
 
 class TestAlphaGrid:
@@ -118,18 +125,18 @@ class TestAdmissibilityCheck:
         sub = AlphaGrid(solver_grid.alphas[::3])
         assert admissibility_check(kern, sub, tol=1e-8).is_admissible_on_grid
 
-    @pytest.mark.parametrize("block", [1, 2])
-    def test_per_alpha_matches_per_slice_loop(self, block, rng, monkeypatch):
-        # 50 alphas per stacked eigensolve: the 193-point grid takes four
-        monkeypatch.setattr(kernels, "_CHECK_CHUNK_ENTRIES", 50 * (3 * block) ** 2)
+    @pytest.mark.parametrize("per_chunk", [1, 2, 50])
+    def test_per_alpha_matches_per_slice_loop(self, per_chunk, rng, monkeypatch):
+        # per_chunk alphas per stacked eigensolve: the 193-point grid takes
+        # 193 of one alpha, 97 with a last chunk of one, or four
+        monkeypatch.setattr(kernels, "_CHECK_CHUNK_ENTRIES", per_chunk * 3**2)
         nodes = random_nodes(rng, 3)
-        size = 3 * block
-        w = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        kern = KernelMatrix(nodes=nodes, matrix=w @ w.conj().T, block=block)
+        w = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        kern = KernelMatrix(nodes=nodes, matrix=w @ w.conj().T)
         grid = AlphaGrid.check_default()
         masks = coefficient_masks(grid, nodes)
         expected = [
-            (complex(alpha), min_eigenvalue(schur_oslash(masks[m], kern.matrix, 1, block)))
+            (complex(alpha), min_eigenvalue(masks[m] * kern.matrix))
             for m, alpha in enumerate(grid.alphas)
         ]
         rep = admissibility_check(kern, grid)

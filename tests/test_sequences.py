@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from symbidisk import (
     carleson_condition,
     grammian_bounds,
     make_b_kernel,
+    pseudo_hyperbolic,
     strong_separation,
 )
 from symbidisk import pick, realization, sequences
@@ -160,6 +163,31 @@ class TestSeparation:
             sols = strong_separation(trunc, bound, solver_grid)
             assert [s.status for s in sols] == statuses
             assert all(s.interpolant is None for s in sols)
+
+    def test_royal_variety_disk_oracle(self):
+        # On the royal variety, nodes (2 z, z^2), every phi(alpha, .) is -z, so
+        # the problem is the disc's at every grid: node i's unit vector is
+        # interpolable with norm c exactly when c >= 1 / prod_(j != i) rho(z_i, z_j).
+        rng = np.random.default_rng(5)
+        t0 = time.process_time()
+        cases = 0
+        for n in range(2, 7):
+            for _ in range(3):
+                while True:
+                    z = 0.8 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+                    rho = np.array([[pseudo_hyperbolic(a, b) for b in z] for a in z])
+                    if rho[~np.eye(n, dtype=bool)].min() > 0.3:
+                        break
+                trunc = SequenceTruncation(nodes=NodeSet.from_pairs([(2 * w, w * w) for w in z]))
+                np.fill_diagonal(rho, 1.0)
+                for i, c in enumerate(1.0 / rho.prod(axis=1)):
+                    above = strong_separation(trunc, 1.001 * c)[i].status
+                    below = strong_separation(trunc, 0.999 * c)[i].status
+                    assert above is SolveStatus.FEASIBLE, (n, i)
+                    assert below is SolveStatus.INFEASIBLE_CERTIFIED, (n, i)
+                    cases += 2
+        assert cases == 120
+        assert time.process_time() - t0 < 2.0
 
     def test_carleson_implies_strong_separation(self, rng, solver_grid):
         # constructive bound (1 + d)/d^2 from the disk interpolant pulled

@@ -92,10 +92,16 @@ def test_grid_round_trip(solver_grid):
 
 def test_kernel_round_trip(diagonal_pair):
     kern = make_b_kernel(0.3 + 0.1j, diagonal_pair)
-    back = decode_kernel(encode_kernel(kern))
+    obj = encode_kernel(kern)
+    assert obj["block"] == 1
+    back = decode_kernel(obj)
     assert np.array_equal(back.matrix, kern.matrix)
-    assert back.block == 1
     assert back.nodes == diagonal_pair
+    # kernels are n x n on their nodes: a block kernel is an input error
+    with pytest.raises(ValidationError, match="block must be 1"):
+        decode_kernel({**obj, "block": 2, "entries": [[1.0, 0.0]] * 16})
+    with pytest.raises(ValidationError, match="entry count"):
+        decode_kernel({**obj, "entries": [[1.0, 0.0]] * 16})
 
 
 def test_colligation_round_trip_preserves_evaluation(diagonal_pair):
