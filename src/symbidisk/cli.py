@@ -224,9 +224,9 @@ def _validate_problem(problem: Any, kind: str | None = None) -> None:
         raise ValidationError("missing required field 'payload'")
 
 
-def execute_problem(problem: dict, overrides: dict | None = None) -> dict:
+def execute_problem(problem: dict) -> dict:
     """Dispatch a parsed ProblemFile and assemble the ReportFile dict."""
-    return _execute(problem, overrides)[0]
+    return _execute(problem, {})[0]
 
 
 def _solve_options(opts_obj: dict) -> SolveOptions:
@@ -247,9 +247,8 @@ def _solve_options(opts_obj: dict) -> SolveOptions:
     return SolveOptions(tol=tol, max_iter=max_iter, seed=seed)
 
 
-def _execute(problem: dict, overrides: dict | None = None) -> tuple[dict, str]:
-    """(report, text): execute_problem's report and its canonical text, encoded once."""
-    overrides = overrides or {}
+def _execute(problem: dict, overrides: dict) -> tuple[dict, str]:
+    """(report, text): the report under the flags ``overrides``, and its text, encoded once."""
     _validate_problem(problem)
     kind = problem["kind"]
     payload = problem["payload"]
@@ -351,7 +350,8 @@ def _handle_corona(payload, grid, opts) -> dict:
     body = _factorization_body(solution, "psi")
     if solution.psi is not None:
         body["sampled_norm"] = solution.norm_bound  # an older key: psi's norm, not a sample
-        body["normalized_norm"] = solution.normalized_norm
+        # the left inverse's norm when Theta = sqrt(delta) I
+        body["normalized_norm"] = solution.norm_bound / np.sqrt(problem.delta)
         # solve_corona measured max |Phi_i Psi(node_i) - Theta_i| on this colligation
         body["left_inverse_node_residual"] = solution.node_residual
     return body
@@ -386,7 +386,7 @@ def _handle_sequence(payload, grid, opts) -> dict:
         "grammian": {
             "worst_lower": gram.worst_lower,
             "worst_upper": gram.worst_upper,
-            "kernel_count": gram.kernel_count,
+            "kernel_count": len(gram.per_kernel),
             "per_kernel": [
                 {"id": kid, "min": lo, "max": hi} for kid, lo, hi in gram.per_kernel
             ],
@@ -484,15 +484,15 @@ def corpus(args) -> int:
             where = traceback.extract_tb(exc.__traceback__)[-1]
             detail = f"{type(exc).__name__}: {exc} (at {os.path.basename(where.filename)}:{where.lineno})"
             return name, "internal-error", detail
+        stem = name[: -len(".json")]
         if args.out_path:
-            out_file = os.path.join(args.out_path, name.replace(".json", ".report.json"))
-            _atomic_write(out_file, text)
-        expected_path = os.path.join(in_dir, name.replace(".json", ".expected.json"))
+            _atomic_write(os.path.join(args.out_path, f"{stem}.report.json"), text)
+        expected_path = os.path.join(in_dir, f"{stem}.expected.json")
         if not os.path.exists(expected_path):
             return name, "ok", "no expectation"
         try:
             with open(expected_path, "r", encoding="utf-8") as fh:
-                expected = json.load(fh)
+                expected = _parse_json(fh.read())  # NaN, Infinity and 1e999 are corrupt here too
             verdict = _compare_expected(report, expected)
         except (OSError, json.JSONDecodeError, TypeError, KeyError, ValueError) as exc:
             return name, "corrupt-expected", str(exc)
@@ -513,7 +513,10 @@ def corpus(args) -> int:
 
 
 def _compare_expected(report: dict, expected: dict) -> str | None:
-    """The first mismatch of ``report`` against a sidecar, or None; ValueError on a malformed one."""
+    """The first mismatch of ``report`` against a sidecar, or None; ValueError on a malformed one.
+
+    ``expected`` is read by _parse_json, so every number in it is finite.
+    """
     if not isinstance(expected, dict):
         raise ValueError(f"expectation must be an object, got {type(expected).__name__}")
     for field in ("equals", "approx"):
@@ -524,7 +527,10 @@ def _compare_expected(report: dict, expected: dict) -> str | None:
         if got != want:
             return f"field {key!r}: expected {want!r}, got {got!r}"
     for key, spec in expected.get("approx", {}).items():
-        want, tol = float(spec[0]), float(spec[1])
+        numbers = isinstance(spec, list) and all(type(x) in (int, float) for x in spec)
+        if not (numbers and len(spec) == 2 and spec[1] >= 0):
+            raise ValueError(f"approx field {key!r} must be [value, tol] with tol >= 0, got {spec!r}")
+        want, tol = spec
         got = report.get(key)
         if got is None or not isinstance(got, (int, float)):
             return f"field {key!r}: expected a number near {want}, got {got!r}"

@@ -85,9 +85,6 @@ class CoronaSolution:
     psi: Colligation | None = None
     node_residual: float | None = None
     norm_bound: float | None = None  # psi.norm, which bounds sup ||Psi||
-    # Theta = sqrt(delta) I bookkeeping: the normalized left inverse is
-    # psi / sqrt(delta)
-    normalized_norm: float | None = None
 
     @property
     def status(self) -> SolveStatus:
@@ -115,11 +112,4 @@ def solve_corona(
         return CoronaSolution(report=report)
 
     psi, node_res = realize(report, problem.nodes, problem.phi_samples, problem.theta_samples)
-    bound = psi.norm
-    return CoronaSolution(
-        report=report,
-        psi=psi,
-        node_residual=node_res,
-        norm_bound=bound,
-        normalized_norm=bound / np.sqrt(problem.delta),
-    )
+    return CoronaSolution(report=report, psi=psi, node_residual=node_res, norm_bound=psi.norm)

@@ -119,13 +119,13 @@ def _pair_check(pair: OperatorPair, defect: float, tol: float) -> PairCheck:
     )
 
 
-def symmetrized_pair(u1: np.ndarray, u2: np.ndarray, tol: float = 1e-10) -> OperatorPair:
+def symmetrized_pair(u1: np.ndarray, u2: np.ndarray) -> OperatorPair:
     """(U1 + U2, U1 U2) for commuting unitaries; always passes the unitary check."""
     u1 = np.asarray(u1, dtype=complex)
     u2 = np.asarray(u2, dtype=complex)
     eye = np.eye(u1.shape[0])
     for name, u in (("first", u1), ("second", u2)):
-        if np.abs(u.conj().T @ u - eye).max(initial=0.0) > tol:
+        if np.abs(u.conj().T @ u - eye).max(initial=0.0) > 1e-10:
             raise ValidationError(f"{name} factor is not unitary")
     if np.abs(u1 @ u2 - u2 @ u1).max(initial=0.0) > COMMUTATOR_TOL:
         raise ValidationError("factors do not commute")
@@ -152,7 +152,6 @@ def toeplitz_positivity(
     mu: AtomicMeasure,
     delta: float,
     r: float,
-    tol: float = 1e-10,
 ) -> tuple[bool, float]:
     """lambda_min of M M* - delta I for multiplication by scaled samples.
 
@@ -172,4 +171,4 @@ def toeplitz_positivity(
     for x in mats:
         gram = x @ x.conj().T - delta * np.eye(d2)
         worst = min(worst, float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[0]))
-    return worst >= -tol, float(worst)
+    return worst >= -1e-10, float(worst)

@@ -27,6 +27,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+# Equally spaced circle alphas caratheodory_two_point scans before refining.
+_CARATHEODORY_GRID = 4096
 # Golden-section refinement settles the circle argmax to this angular width.
 _GOLDEN_BRACKET = 1e-12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -198,7 +200,6 @@ def pseudo_hyperbolic(a: complex, b: complex) -> float:
 def caratheodory_two_point(
     a: GPoint | tuple[complex, complex],
     b: GPoint | tuple[complex, complex],
-    grid_size: int = 4096,
 ) -> float:
     """Two-point extremal distance through the coordinate family.
 
@@ -213,14 +214,14 @@ def caratheodory_two_point(
         if not membership(s, p).is_member:
             raise ValidationError("caratheodory_two_point needs member points")
 
-    theta = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * math.pi, _CARATHEODORY_GRID, endpoint=False)
     va, vb = phi_values(np.exp(1j * theta), [sa, sb], [pa, pb]).T
     den = np.abs(1.0 - vb.conj() * va)
     num = np.abs(va - vb)
     vals = np.where(den > 1e-15, num / np.maximum(den, 1e-300), 0.0)
 
     k = int(np.argmax(vals))
-    step = 2.0 * math.pi / grid_size
+    step = 2.0 * math.pi / _CARATHEODORY_GRID
 
     def objective(t: float) -> float:
         al = cmath.exp(1j * t)

@@ -30,9 +30,6 @@ from .hermitian import hermitian_part, min_eigenvalue_stack
 # complement: at N = 20 on 4096 alphas a step takes 1.6 CPU-s and the solve
 # peaks at 0.8 GB.  A larger grid is an input error rather than a memory error.
 MAX_GRID_SIZE = 4096
-# Alphas per stacked eigensolve in admissibility_check are capped so that a
-# stack of scaled kernels holds at most this many entries.
-_CHECK_CHUNK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -148,10 +145,8 @@ class KernelMatrix:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    min_eig_per_alpha: tuple[tuple[complex, float], ...]
     worst_alpha: complex
     is_admissible_on_grid: bool
-    tol: float
 
 
 def coefficient_masks(grid: AlphaGrid, nodes: NodeSet) -> np.ndarray:
@@ -186,23 +181,13 @@ def expand_masks(masks: np.ndarray, block: int) -> np.ndarray:
 def admissibility_check(
     kernel: KernelMatrix, grid: AlphaGrid, tol: float = 1e-10
 ) -> AdmissibilityReport:
-    """Per-alpha minimum eigenvalue of the scaled kernel; grid-level certificate only."""
-    masks = coefficient_masks(grid, kernel.nodes)
-    step = max(1, _CHECK_CHUNK_ENTRIES // kernel.matrix.size)
-    lams = np.concatenate(
-        [
-            min_eigenvalue_stack(masks[lo : lo + step] * kernel.matrix)
-            for lo in range(0, len(grid), step)
-        ]
-    )
+    """The alpha of least min eigenvalue of the scaled kernel, one stacked
+    eigensolve; a grid-level certificate only."""
+    lams = min_eigenvalue_stack(coefficient_masks(grid, kernel.nodes) * kernel.matrix)
     worst = int(np.argmin(lams))
     return AdmissibilityReport(
-        min_eig_per_alpha=tuple(
-            (complex(alpha), float(lam)) for alpha, lam in zip(grid.alphas, lams)
-        ),
         worst_alpha=complex(grid.alphas[worst]),
         is_admissible_on_grid=bool(lams[worst] >= -tol),
-        tol=tol,
     )
 
 

@@ -103,7 +103,6 @@ def lurking_isometry(
     nodes: NodeSet,
     lhs_tops: list[np.ndarray],
     rhs_tops: list[np.ndarray],
-    gram_tol: float = 1e-8,
 ) -> Colligation:
     """Build the unitary colligation from feasible blocks and node data.
 
@@ -115,12 +114,12 @@ def lurking_isometry(
 
     which holds exactly when the blocks solve J = sum C_m . B_m for
     J = lhs lhs* - rhs rhs*.  The Gram matrices of the two derived vector
-    families must then agree; a mismatch beyond ``gram_tol``, which
+    families must then agree; a relative mismatch beyond 1e-8, which
     :func:`unitary_completion` tests, means the residual is too large for
     synthesis and is rejected.
     """
     factors = [gram_factor(bm, tol=_RANK_TOL) for bm in blocks.blocks]
-    return _colligation(blocks.grid.alphas, nodes, factors, lhs_tops, rhs_tops, gram_tol)
+    return _colligation(blocks.grid.alphas, nodes, factors, lhs_tops, rhs_tops, 1e-8)
 
 
 def _colligation(alphas, nodes, factors, lhs_tops, rhs_tops, gram_tol) -> Colligation:

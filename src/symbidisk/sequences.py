@@ -36,6 +36,9 @@ DEFAULT_KERNEL_CENSUS = 32
 # and a Grammian eigensolve: on the 9-alpha solver grid, 1024 kernels take
 # 0.25-0.33 s at 3 nodes and 1.0-1.3 s at 20 (x86_64 Xeon, one BLAS thread).
 MAX_KERNELS = 1024
+# A kernel counts as grid-admissible when every lambda_min(C_m . K) >= -this:
+# the Grammian bounds demand it, and the census keeps pullbacks by it by default.
+_ADMISSIBLE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -59,14 +62,12 @@ class GrammianReport:
     per_kernel: tuple[tuple[str, float, float], ...]  # (kernel id, lam_min, lam_max)
     worst_lower: float
     worst_upper: float
-    kernel_count: int
 
 
 def grammian_bounds(
     trunc: SequenceTruncation,
     kernels: list[tuple[str, KernelMatrix]],
     grid: AlphaGrid,
-    tol: float = 1e-8,
 ) -> GrammianReport:
     """Eigenvalue range of each kernel's normalized Grammian on the truncation.
 
@@ -82,7 +83,7 @@ def grammian_bounds(
     for kid, kern in kernels:
         if kern.nodes is not trunc.nodes and kern.nodes != trunc.nodes:
             raise ValidationError(f"kernel {kid} is not defined on the truncation nodes")
-        report = admissibility_check(kern, grid, tol)
+        report = admissibility_check(kern, grid, _ADMISSIBLE_TOL)
         if not report.is_admissible_on_grid:
             raise ValidationError(
                 f"kernel {kid} inadmissible on the grid at alpha = {report.worst_alpha}"
@@ -96,7 +97,6 @@ def grammian_bounds(
         per_kernel=tuple(rows),
         worst_lower=worst_lower,
         worst_upper=worst_upper,
-        kernel_count=len(rows),
     )
 
 
@@ -105,7 +105,7 @@ def sample_kernel_census(
     grid: AlphaGrid,
     seed: int = 0,
     count: int = DEFAULT_KERNEL_CENSUS,
-    tol: float = 1e-8,
+    tol: float = _ADMISSIBLE_TOL,
 ) -> list[tuple[str, KernelMatrix]]:
     """Grid-admissible kernels: filtered coordinate pullbacks plus random draws.
 
@@ -210,8 +210,6 @@ def interpolation_constant(
     trunc: SequenceTruncation,
     grid: AlphaGrid | None = None,
     opts: SolveOptions = SolveOptions(),
-    budget: int = 64,
-    width: float = 1e-4,
 ) -> float:
     """Measured interpolation constant: max minimal norm over phase patterns.
 
@@ -222,13 +220,13 @@ def interpolation_constant(
     """
     grid = grid or AlphaGrid.solver_default()
     best = 0.0
-    family = phase_pattern_family(trunc.n, budget)
+    family = phase_pattern_family(trunc.n)
     # a global phase leaves the target unchanged: one pattern per class
     for pattern in family[family[:, 0] == 1]:
         problem = PickProblem(
             nodes=trunc.nodes,
             targets=tuple(np.array([[w]]) for w in pattern),
         )
-        _, hi = minimal_norm_bracket(problem, grid, opts, width=width)
+        _, hi = minimal_norm_bracket(problem, grid, opts)
         best = max(best, hi)
     return best

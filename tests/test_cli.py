@@ -757,6 +757,16 @@ class TestCorpus:
         write_json(d / "a.expected.json", {"equals": {"status": "InfeasibleCertified"}})
         assert run(["corpus", "--in", str(d)]) == 1
 
+    def test_only_the_suffix_names_sidecar_and_report(self, tmp_path, capsys):
+        # a.json.json pairs with a.json.expected.json and writes a.json.report.json
+        d, out = tmp_path / "corpus", tmp_path / "out"
+        d.mkdir()
+        write_json(d / "a.json.json", pick_problem_obj())
+        write_json(d / "a.json.expected.json", {"equals": {"status": "InfeasibleCertified"}})
+        assert run(["corpus", "--in", str(d), "--out", str(out)]) == 1
+        assert capsys.readouterr().out.startswith("FAIL  a.json.json  mismatch:")
+        assert os.listdir(out) == ["a.json.report.json"]
+
     def test_corrupted_expected_fails(self, tmp_path):
         d = tmp_path / "corpus"
         d.mkdir()
@@ -766,8 +776,14 @@ class TestCorpus:
 
     @pytest.mark.parametrize(
         "sidecar",
-        [[1, 2], {"equals": ["status"]}, {"approx": 3}, "Feasible", None],
-        ids=["list", "equals-list", "approx-number", "string", "directory"],
+        [[1, 2], {"equals": ["status"]}, {"approx": 3}, "Feasible", None]
+        + [
+            {"approx": {"node_residual": spec}}
+            for spec in ([], [1], [float("nan"), 1], "x", {}, [10**400, 1])
+        ],
+        ids=["list", "equals-list", "approx-number", "string", "directory"]
+        + ["approx-empty", "approx-one", "approx-nan", "approx-string", "approx-object",
+           "approx-overflow"],
     )
     def test_malformed_expected_fails_alone(self, tmp_path, capsys, sidecar):
         d = self._make_corpus(tmp_path)
@@ -870,7 +886,7 @@ class TestCorpus:
         d = self._make_corpus(tmp_path)
         real = symbidisk.cli._execute  # what corpus calls: execute_problem's report and text
 
-        def flaky(problem, overrides=None):
+        def flaky(problem, overrides):
             if problem["kind"] == "membership":
                 raise RuntimeError("boom")
             return real(problem, overrides)

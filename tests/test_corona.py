@@ -90,7 +90,7 @@ class TestSolveCorona:
         assert sol.node_residual <= 1e-7
         assert sol.norm_bound <= 1.0 + 1e-8
         # classical bookkeeping: psi / sqrt(delta) within 1 / sqrt(delta)
-        assert sol.normalized_norm <= 1.0 / np.sqrt(prob.delta) + 1e-8
+        assert sol.norm_bound / np.sqrt(prob.delta) <= 1.0 / np.sqrt(prob.delta) + 1e-8
 
     def test_single_function_diagonal_necessity(self, solver_grid):
         # one function vanishing nearly at a node: delta above min |phi|^2

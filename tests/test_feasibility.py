@@ -25,7 +25,7 @@ from symbidisk import (
     solve,
     symmetrize,
 )
-from symbidisk import feasibility, kernels, pick
+from symbidisk import feasibility, pick
 from symbidisk.corona import CoronaProblem, assemble_corona_target
 from symbidisk.feasibility import MAX_TARGET_DIM, _Conic, _HermitianBasis, _hkm_schur
 from symbidisk.geometry import phi_values
@@ -542,20 +542,24 @@ def mask_check_kernel(rng, nodes, grid, admissible):
     return k * np.outer(scale, scale)
 
 
-@pytest.mark.parametrize("chunks", [1, 2])
+@pytest.mark.parametrize(
+    "n, grid",
+    [
+        pytest.param(3, AlphaGrid.solver_default(), id="1"),
+        pytest.param(19, AlphaGrid.check_default(), id="2"),
+    ],
+)
 @pytest.mark.parametrize("admissible", [True, False])
-def test_mask_admissibility_matches_admissibility_check(chunks, admissible, rng):
+def test_mask_admissibility_matches_admissibility_check(admissible, n, grid, rng):
     # the solver's check on its own masks loses nothing against the public one,
-    # in one stacked eigensolve or in the two that 19 nodes on the 193-alpha grid take
-    grid = AlphaGrid.solver_default() if chunks == 1 else AlphaGrid.check_default()
-    nodes = random_nodes(rng, 3 if chunks == 1 else 19, rmax=0.6)
-    assert -(-len(grid) // (kernels._CHECK_CHUNK_ENTRIES // len(nodes) ** 2)) == chunks
+    # on the solver grid and on the 193-alpha grid with 19 nodes
+    nodes = random_nodes(rng, n, rmax=0.6)
     raw = mask_check_kernel(rng, nodes, grid, admissible)
     kern = KernelMatrix(nodes=nodes, matrix=grammian_normalize(KernelMatrix(nodes, raw)))
     rep = admissibility_check(kern, grid, tol=1e-8)
     assert rep.is_admissible_on_grid is admissible
     lams = min_eigenvalue_stack(coefficient_masks(grid, nodes) * kern.matrix)
-    assert lams.tolist() == [lam for _, lam in rep.min_eig_per_alpha]
+    assert rep.worst_alpha == grid.alphas[np.argmin(lams)]
     got = feasibility._admissible_kernel(nodes, grid, raw, 1e-8)
     assert (got is not None) is admissible
     if admissible:  # grammian_normalize's rescale, bit for bit

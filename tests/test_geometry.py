@@ -216,30 +216,27 @@ class TestScalePoint:
 class TestCaratheodoryTwoPoint:
     def test_identical_points(self):
         q = GPoint(0.8, 0.15)
-        assert caratheodory_two_point(q, q, 256) == pytest.approx(0.0, abs=1e-12)
+        assert caratheodory_two_point(q, q) == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_closed_form(self):
         # phi images are constant -+0.5; pseudo-hyperbolic d = 1 / 1.25
         a, b = GPoint(1.0, 0.25), GPoint(-1.0, 0.25)
-        assert caratheodory_two_point(a, b, 512) == pytest.approx(0.8, abs=1e-12)
+        assert caratheodory_two_point(a, b) == pytest.approx(0.8, abs=1e-12)
 
     def test_origin_to_diagonal_in_unit_interval(self):
-        v = caratheodory_two_point(GPoint(0.0, 0.0), GPoint(1.0, 0.25), 1024)
+        v = caratheodory_two_point(GPoint(0.0, 0.0), GPoint(1.0, 0.25))
         assert 0.0 < v < 1.0
-        # refining the grid can only sharpen the maximum upward
-        v2 = caratheodory_two_point(GPoint(0.0, 0.0), GPoint(1.0, 0.25), 4096)
-        assert v2 >= v - 1e-12
 
     def test_requires_members(self):
         with pytest.raises(ValidationError):
-            caratheodory_two_point(GPoint(2.0, 1.0), GPoint(0.0, 0.0), 256)
+            caratheodory_two_point(GPoint(2.0, 1.0), GPoint(0.0, 0.0))
 
     def test_pseudo_metric_on_triples(self, rng):
         pts = [random_gpoint(rng, 0.7) for _ in range(3)]
-        d01 = caratheodory_two_point(pts[0], pts[1], 1024)
-        d10 = caratheodory_two_point(pts[1], pts[0], 1024)
-        d02 = caratheodory_two_point(pts[0], pts[2], 1024)
-        d12 = caratheodory_two_point(pts[1], pts[2], 1024)
+        d01 = caratheodory_two_point(pts[0], pts[1])
+        d10 = caratheodory_two_point(pts[1], pts[0])
+        d02 = caratheodory_two_point(pts[0], pts[2])
+        d12 = caratheodory_two_point(pts[1], pts[2])
         assert d01 == pytest.approx(d10, abs=1e-12)
         assert d02 <= d01 + d12 + 1e-6  # triangle within grid tolerance
 

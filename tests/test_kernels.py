@@ -13,7 +13,7 @@ from symbidisk import (
     random_admissible_kernel,
 )
 from symbidisk import kernels
-from symbidisk.hermitian import hermitian_part, min_eigenvalue
+from symbidisk.hermitian import hermitian_part, min_eigenvalue, min_eigenvalue_stack
 from symbidisk.kernels import coefficient_masks, expand_masks
 
 from conftest import random_nodes
@@ -94,17 +94,20 @@ class TestAdmissibilityCheck:
         kern = KernelMatrix(nodes=nodes, matrix=np.array([[c]]))
         rep = admissibility_check(kern, solver_grid)
         assert rep.is_admissible_on_grid
-        for alpha, lam in rep.min_eig_per_alpha:
+        lams = min_eigenvalue_stack(coefficient_masks(solver_grid, nodes) * kern.matrix)
+        for alpha, lam in zip(solver_grid.alphas, lams):
             expected = (1.0 - abs(phi(alpha, nodes.points[0])) ** 2) * c
             assert lam == pytest.approx(expected, abs=1e-12)
+        assert rep.worst_alpha == solver_grid.alphas[np.argmin(lams)]
 
     def test_b_kernel_at_own_alpha_gives_all_ones(self, diagonal_pair):
         alpha = 0.3 + 0.4j
         kern = make_b_kernel(alpha, diagonal_pair)
-        rep = admissibility_check(kern, AlphaGrid(np.array([alpha])))
-        assert rep.is_admissible_on_grid
+        grid = AlphaGrid(np.array([alpha]))
+        assert admissibility_check(kern, grid).is_admissible_on_grid
         # (1 - phi phibar) cancels the kernel: all-ones matrix, min eig 0
-        assert rep.min_eig_per_alpha[0][1] == pytest.approx(0.0, abs=1e-12)
+        lam = min_eigenvalue_stack(coefficient_masks(grid, diagonal_pair) * kern.matrix)
+        assert lam[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_all_ones_kernel_needs_equal_images(self, solver_grid):
         # ones - v v* is PSD only when the coordinate images v_i coincide, so
@@ -125,23 +128,36 @@ class TestAdmissibilityCheck:
         sub = AlphaGrid(solver_grid.alphas[::3])
         assert admissibility_check(kern, sub, tol=1e-8).is_admissible_on_grid
 
-    @pytest.mark.parametrize("per_chunk", [1, 2, 50])
-    def test_per_alpha_matches_per_slice_loop(self, per_chunk, rng, monkeypatch):
-        # per_chunk alphas per stacked eigensolve: the 193-point grid takes
-        # 193 of one alpha, 97 with a last chunk of one, or four
-        monkeypatch.setattr(kernels, "_CHECK_CHUNK_ENTRIES", per_chunk * 3**2)
-        nodes = random_nodes(rng, 3)
-        w = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_per_alpha_matches_per_slice_loop(self, n, rng):
+        # the stacked eigensolve agrees with one eigvalsh per alpha on a PSD
+        # kernel of n nodes that need not be admissible
+        nodes = random_nodes(rng, n)
+        w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         kern = KernelMatrix(nodes=nodes, matrix=w @ w.conj().T)
         grid = AlphaGrid.check_default()
         masks = coefficient_masks(grid, nodes)
-        expected = [
-            (complex(alpha), min_eigenvalue(masks[m] * kern.matrix))
-            for m, alpha in enumerate(grid.alphas)
-        ]
+        expected = [min_eigenvalue(masks[m] * kern.matrix) for m in range(len(grid))]
         rep = admissibility_check(kern, grid)
-        assert list(rep.min_eig_per_alpha) == expected
-        assert rep.worst_alpha == min(expected, key=lambda row: row[1])[0]
+        assert rep.worst_alpha == grid.alphas[int(np.argmin(expected))]
+        assert rep.is_admissible_on_grid is (min(expected) >= -1e-10)
+
+    @pytest.mark.parametrize("admissible", [True, False])
+    @pytest.mark.parametrize("n", [3, 20])
+    def test_verdict_matches_per_slice_loop(self, n, admissible, rng):
+        # one stacked eigensolve over the 193-alpha grid, however many nodes
+        grid = AlphaGrid.check_default()
+        nodes = random_nodes(rng, n, rmax=0.6)
+        if admissible:
+            kern = random_admissible_kernel(nodes, grid, seed=n)
+        else:  # nearly rank one: C_m . K is nearly C_m, which is indefinite
+            kern = KernelMatrix(nodes=nodes, matrix=np.ones((n, n)) + 0.01 * np.eye(n))
+        masks = coefficient_masks(grid, nodes)
+        lams = [min_eigenvalue_stack(masks[m : m + 1] * kern.matrix)[0] for m in range(len(grid))]
+        rep = admissibility_check(kern, grid)
+        assert rep.is_admissible_on_grid is admissible
+        assert (min(lams) >= -1e-10) == admissible
+        assert rep.worst_alpha == grid.alphas[int(np.argmin(lams))]
 
 
 class TestCoefficientMasks:

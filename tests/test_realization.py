@@ -199,7 +199,7 @@ class TestPurification:
         sol = solve_pick(problem, solver_grid)
         assert sol.report.notes == ("single-atom witness",)
         tops = ([np.eye(1)] * 3, list(problem.targets))
-        ref = lurking_isometry(sol.report.blocks, problem.nodes, *tops, gram_tol=1e-8)
+        ref = lurking_isometry(sol.report.blocks, problem.nodes, *tops)
         col = sol.interpolant
         for name in ("a", "b", "c", "d", "alphas"):
             assert getattr(col, name).tobytes() == getattr(ref, name).tobytes()
