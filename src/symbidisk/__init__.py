@@ -26,7 +26,6 @@ from .geometry import (
     symmetrize,
 )
 from .hermitian import (
-    gram_factor,
     unitary_completion,
 )
 from .kernels import (
@@ -50,7 +49,6 @@ from .feasibility import (
 )
 from .realization import (
     Colligation,
-    lurking_isometry,
     transfer_eval,
     transfer_eval_batch,
     verify_contractivity,

@@ -236,15 +236,21 @@ def _solve_options(opts_obj: dict) -> SolveOptions:
     in a file as in a flag; SolveOptions itself takes any value.
     """
     seed = read_number(opts_obj.get("seed", 0), "seed", integral=True)
-    tol = read_number(opts_obj.get("tol", 1e-8), "tol")
+    tol = _read_tol(opts_obj.get("tol", 1e-8))
     max_iter = read_number(opts_obj.get("max_iter", 20000), "max_iter", integral=True)
     if seed < 0:
         raise ValidationError(f"field 'seed' must be an integer >= 0, got {seed}")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValidationError(f"field 'tol' must be a finite number >= 0, got {tol!r}")
     if max_iter < 0:
         raise ValidationError(f"field 'max_iter' must be an integer >= 0, got {max_iter}")
     return SolveOptions(tol=tol, max_iter=max_iter, seed=seed)
+
+
+def _read_tol(value) -> float:
+    """A ``tol`` field, of ``opts`` or of a payload: a finite number >= 0."""
+    tol = read_number(value, "tol")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"field 'tol' must be a finite number >= 0, got {tol!r}")
+    return tol
 
 
 def _execute(problem: dict, overrides: dict) -> tuple[dict, str]:
@@ -309,7 +315,7 @@ def _handle_membership(payload, grid, opts) -> dict:
     p = payload.get("p")
     if s is None or p is None:
         raise ValidationError("missing required field 's' or 'p'")
-    tol = read_number(payload.get("tol", 1e-10), "tol")
+    tol = _read_tol(payload.get("tol", 1e-10))
     rep = membership(decode_complex(s), decode_complex(p), tol=tol)
     return encode_membership(rep)
 
@@ -407,7 +413,7 @@ def _handle_gamma_check(payload, grid, opts) -> dict:
         second=decode_matrix(_require(payload, "second")),
     )
     mode = payload.get("mode", "unitary")
-    tol = read_number(payload.get("tol", 1e-10), "tol")
+    tol = _read_tol(payload.get("tol", 1e-10))
     if mode == "unitary":
         check = gamma_unitary_check(pair, tol)
     elif mode == "isometry":
@@ -430,7 +436,7 @@ def _handle_measure_model(payload, grid, opts) -> dict:
     weights = tuple(read_number(w, "weights") for w in weights)
     mu = AtomicMeasure(atoms=atoms, weights=weights)
     pair = atomic_h2_model(mu)
-    check = gamma_isometry_check(pair, tol=read_number(payload.get("tol", 1e-10), "tol"))
+    check = gamma_isometry_check(pair, tol=_read_tol(payload.get("tol", 1e-10)))
     return {
         "dim": pair.dim,
         "first_diag": [encode_complex(z) for z in np.diag(pair.first)],
@@ -532,7 +538,7 @@ def _compare_expected(report: dict, expected: dict) -> str | None:
             raise ValueError(f"approx field {key!r} must be [value, tol] with tol >= 0, got {spec!r}")
         want, tol = spec
         got = report.get(key)
-        if got is None or not isinstance(got, (int, float)):
+        if type(got) not in (int, float):  # a bool, as in the sidecar, is not a number
             return f"field {key!r}: expected a number near {want}, got {got!r}"
         if abs(float(got) - want) > tol:
             return f"field {key!r}: |{got} - {want}| > {tol}"

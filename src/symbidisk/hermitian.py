@@ -1,10 +1,10 @@
 """Dense complex Hermitian linear algebra used throughout the solvers.
 
 Thin, contract-checked wrappers around LAPACK via numpy: Frobenius-nearest
-PSD projection, Gram factorization with numerical rank, and unitary
-completion of an isometric correspondence as one SVD polar factor.  Schur
-products are numpy's entrywise ``*``: kernels are scalar, and a block target
-meets one through kernels.expand_masks.
+PSD projection, minimum eigenvalues, and unitary completion of an isometric
+correspondence as one SVD polar factor.  Schur products are numpy's
+entrywise ``*``: kernels are scalar, and a block target meets one through
+kernels.expand_masks.
 """
 
 from __future__ import annotations
@@ -48,25 +48,6 @@ def min_eigenvalue_stack(hs: np.ndarray) -> np.ndarray:
     for bit.
     """
     return np.linalg.eigvalsh(hermitian_part(hs))[:, 0]
-
-
-def gram_factor(h: np.ndarray, tol: float) -> np.ndarray:
-    """Factor a PSD matrix as G* G = H with G of shape (rank, n).
-
-    Eigenvalues at or below tol * lambda_max count as zero; an eigenvalue
-    below -tol * scale means the input is not PSD and is rejected.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 1:
-        raise ValidationError(f"square matrix required, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValidationError("non-finite entries")
-    lam, vecs = np.linalg.eigh(hermitian_part(h))
-    scale = max(float(lam[-1]), 0.0)
-    if lam[0] < -tol * max(scale, 1e-30):
-        raise NumericsError(f"not PSD: min eigenvalue {lam[0]:.3e} below -tol*scale")
-    keep = lam > tol * scale
-    return np.sqrt(lam[keep])[:, None] * vecs[:, keep].conj().T
 
 
 def unitary_completion(

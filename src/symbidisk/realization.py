@@ -10,11 +10,11 @@ and partitioning it as [[A, B], [C, D]] yields the realized function
 
 where Z(s, p) is block-diagonal multiplication by phi(alpha_m, s, p), with
 one block per grid alpha (the atomic model) whose size, the multiplicity,
-is the numerical rank of the corresponding block.  :func:`realize` first
-purifies the witness to a basic solution of the identity, Caratheodory's
-walk on the blocks' eigenvalues (_purified_factors), so its multiplicities
-are the ranks of the purified blocks and sum to at most N^2, N = n * block;
-:func:`lurking_isometry` takes the blocks as given.  The colligation's norm
+is the numerical rank of the corresponding block.  :func:`realize` is the
+one synthesis step: it first purifies the witness to a basic solution of
+the identity, Caratheodory's walk on the blocks' eigenvalues
+(_purified_factors), so its multiplicities are the ranks of the purified
+blocks and sum to at most N^2, N = n * block.  The colligation's norm
 bounds f's (:attr:`Colligation.norm`), so a unitary one makes f contractive,
 and the construction reproduces the encoded node data exactly when the blocks
 solve the identity exactly.
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .geometry import GPoint, phi_values
-from .hermitian import gram_factor, hermitian_part, unitary_completion
+from .hermitian import hermitian_part, unitary_completion
 from .kernels import NodeSet, _masks, expand_masks
 from .feasibility import CPBlocks, FeasibilityTarget, SolveReport, _hermitian_basis
 
@@ -48,7 +48,8 @@ from .feasibility import CPBlocks, FeasibilityTarget, SolveReport, _hermitian_ba
 _SOLVE_CHUNK_ENTRIES = 2**14
 _NEAR_BOUNDARY_MODULUS = 1.0 - 2e-12
 # A block's eigenvalues at or below this fraction of its largest count as zero
-# when it is factored into state dimensions.
+# when it is factored into state dimensions; one below minus this fraction
+# means the block is not PSD.
 _RANK_TOL = 1e-12
 
 
@@ -98,32 +99,14 @@ class Colligation:
         return float(np.linalg.svd(v, compute_uv=False)[0])
 
 
-def lurking_isometry(
-    blocks: CPBlocks,
-    nodes: NodeSet,
-    lhs_tops: list[np.ndarray],
-    rhs_tops: list[np.ndarray],
-) -> Colligation:
-    """Build the unitary colligation from feasible blocks and node data.
-
-    ``lhs_tops[i]`` (d2 x dL) and ``rhs_tops[i]`` (d2 x dR) encode the two
-    sides of the rearranged identity
-
-        lhs_i lhs_j* + sum_m phi_m(i) conj(phi_m(j)) B_m[i, j]
-            = rhs_i rhs_j* + sum_m B_m[i, j],
-
-    which holds exactly when the blocks solve J = sum C_m . B_m for
-    J = lhs lhs* - rhs rhs*.  The Gram matrices of the two derived vector
-    families must then agree; a relative mismatch beyond 1e-8, which
-    :func:`unitary_completion` tests, means the residual is too large for
-    synthesis and is rejected.
-    """
-    factors = [gram_factor(bm, tol=_RANK_TOL) for bm in blocks.blocks]
-    return _colligation(blocks.grid.alphas, nodes, factors, lhs_tops, rhs_tops, 1e-8)
-
-
 def _colligation(alphas, nodes, factors, lhs_tops, rhs_tops, gram_tol) -> Colligation:
-    """lurking_isometry from the blocks' Gram factors: G_m* G_m = B_m, one per alphas[m]."""
+    """The unitary colligation of Gram factors G_m* G_m = B_m, one per alphas[m].
+
+    Node i's tops are ``lhs_tops[i]`` (d2 x dL) and ``rhs_tops[i]`` (d2 x dR).
+    The blocks solve J = sum C_m . B_m for J = L L* - R R* exactly when the
+    two vector families built here have equal Gram matrices; a relative
+    mismatch beyond ``gram_tol`` means the residual is too large for synthesis.
+    """
     n = len(nodes)
     if len(lhs_tops) != n or len(rhs_tops) != n:
         raise ValidationError("one top block per node required on each side")
@@ -176,17 +159,17 @@ def _purified_factors(blocks: CPBlocks, nodes: NodeSet) -> list[np.ndarray]:
     """Gram factors G_m, one per block, of a basic solution of the witness's identity.
 
     Each N x N block B_m = sum_k lam_k u_k u_k* keeps its eigenpairs above
-    _RANK_TOL lambda_max, gram_factor's rank, and J = sum_m C_m . B_m then
+    _RANK_TOL lambda_max, its numerical rank, and J = sum_m C_m . B_m then
     reads A x = J in a real orthonormal basis of the Hermitian matrices: x
     holds the K kept eigenvalues, and column k of A is C_m . (u_k u_k*).
     When K > N^2, _basic_solution moves x >= 0 to at most N^2 positive
     entries with A x unchanged to roundoff.  G_m stacks the rows
     sqrt(x_k) u_k* of block m's positive entries, so the purified blocks
     G_m* G_m are PSD, meet the identity to roundoff and have
-    sum_m rank <= N^2.  When K <= N^2 nothing moves, and G_m is
-    gram_factor(B_m, _RANK_TOL), bit for bit.  One stacked eigensolve;
-    NumericsError, as in gram_factor, when a block has an eigenvalue below
-    -_RANK_TOL lambda_max.
+    sum_m rank <= N^2.  When K <= N^2 nothing moves, and G_m is B_m's own
+    factor, sqrt(lam_k) u_k* over its kept eigenpairs.  One stacked
+    eigensolve, the package's only Gram factorization; NumericsError when a
+    block has an eigenvalue below -_RANK_TOL lambda_max.
     """
     lam, vec = np.linalg.eigh(hermitian_part(blocks.stacked()))
     scale = np.maximum(lam[:, -1], 0.0)

@@ -62,6 +62,18 @@ def psd_project(h):
     return hermitian_part((vecs * np.maximum(lam, 0.0)[None, :]) @ vecs.conj().T)
 
 
+def gram_factor(h, tol=1e-12):
+    """G of shape (rank, n) with G* G = H, by one eigh of one block.
+
+    Eigenvalues at or below tol * lambda_max count as zero.  The per-block
+    reference that realization._purified_factors matches, bit for bit, when
+    the witness's total rank is at most N^2 and nothing moves.
+    """
+    lam, vecs = np.linalg.eigh(hermitian_part(h))
+    keep = lam > tol * max(float(lam[-1]), 0.0)
+    return np.sqrt(lam[keep])[:, None] * vecs[:, keep].conj().T
+
+
 def near_threshold_problem():
     """A three-node Pick problem whose minimal norm is about 2.80045.
 

@@ -266,6 +266,14 @@ class TestRun:
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is True
 
+    def test_gamma_check_isometry_mode(self, tmp_path, capsys):
+        p_in = tmp_path / "g.json"
+        write_json(p_in, {"format": 1, "kind": "gamma-check",
+                          "payload": {**GAMMA_PAIR_0_1, "mode": "isometry"}})
+        assert run(["gamma-check", "--in", str(p_in)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["mode"] == "isometry" and out["passed"] is True
+
     def test_measure_model(self, tmp_path, capsys):
         obj = {
             "format": 1,
@@ -427,6 +435,12 @@ GOLDEN = {
 }
 
 
+# The valid gamma-check pair (R, U) = (0, 1).
+GAMMA_PAIR_0_1 = {
+    "first": {"rows": 1, "cols": 1, "entries": [[0.0, 0.0]]},
+    "second": {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]},
+}
+
 EMPTY_0X0 = {"rows": 0, "cols": 0, "entries": []}
 EMPTY_1X0 = {"rows": 1, "cols": 0, "entries": []}
 
@@ -457,6 +471,14 @@ MALFORMED = {
     ),
     "delta-string": ("corona", ("payload", "delta"), "x"),
     "membership-tol-string": ("membership", ("payload", "tol"), "x"),
+    "membership-without-p": ("membership", ("payload",), {"s": [0.8, 0.0]}),
+    "gamma-mode-unknown": ("gamma-check", ("payload", "mode"), "spectral"),
+    "sequence-bound-zero": ("sequence", ("payload", "bound"), 0),
+    "sequence-bound-negative": ("sequence", ("payload", "bound"), -1.5),
+    # a payload tol, as an opts one, must be >= 0
+    "membership-tol-negative": ("membership", ("payload", "tol"), -0.5),
+    "gamma-tol-negative": ("gamma-check", ("payload", "tol"), -1),
+    "measure-tol-negative": ("measure-model", ("payload", "tol"), -1e-10),
     "atom-row-short": ("measure-model", ("payload", "atoms", 0), [2.0, 0.0, 1.0]),
     "weights-string": ("measure-model", ("payload", "weights"), "ab"),
     "sequence-n-negative": ("sequence", ("payload", "n"), -1),
@@ -486,6 +508,19 @@ MALFORMED = {
     "corona-delta-huge": ("corona", ("payload", "delta"), 1e160),
 }
 
+# Problem files that are not a problem of the subcommand's kind, each run as
+# ``pick``: every one is an input error.
+BAD_PROBLEMS = {
+    "not-an-object": [1, 2],
+    "format-missing": {"kind": "pick", "payload": {}},
+    "format-2": {"format": 2, "kind": "pick", "payload": {}},
+    "kind-missing": {"format": 1, "payload": {}},
+    "kind-unknown": {"format": 1, "kind": "mystery", "payload": {}},
+    "kind-other-subcommand": GOLDEN["membership"][0],
+    "payload-missing": {"format": 1, "kind": "pick"},
+    "payload-list": {"format": 1, "kind": "pick", "payload": []},
+}
+
 # Solver flags out of range: (kind, flag, value).
 BAD_FLAGS = [
     ("corona", "--seed", "-1"),
@@ -502,7 +537,7 @@ def malformed_problem(case):
     if kind == "measure-model":
         obj = {"format": 1, "kind": kind, "payload": {"atoms": [[2.0, 0.0, 1.0, 0.0]]}}
     elif kind == "gamma-check":
-        obj = {"format": 1, "kind": kind, "payload": {}}
+        obj = {"format": 1, "kind": kind, "payload": dict(GAMMA_PAIR_0_1)}
     else:
         obj = json.loads(json.dumps(GOLDEN[kind][0]))
     parent = obj
@@ -531,6 +566,23 @@ class TestMalformedFields:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:"), lines
+
+    @pytest.mark.parametrize("case", sorted(BAD_PROBLEMS))
+    def test_bad_problem_is_one_input_error_line(self, case, tmp_path, capsys):
+        p_in = tmp_path / "p.json"
+        write_json(p_in, BAD_PROBLEMS[case])
+        assert run(["pick", "--in", str(p_in)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:"), lines
+
+    @pytest.mark.parametrize(
+        "case", ["membership-tol-negative", "gamma-tol-negative", "measure-tol-negative"]
+    )
+    def test_negative_payload_tol_names_the_field(self, case):
+        with pytest.raises(symbidisk.ValidationError, match="'tol' must be a finite number >= 0"):
+            execute_problem(malformed_problem(case))
 
     @pytest.mark.parametrize(
         "case", ["sequence-kernels-zero", "sequence-kernels-negative", "sequence-kernels-above-cap"]
@@ -766,6 +818,32 @@ class TestCorpus:
         assert run(["corpus", "--in", str(d), "--out", str(out)]) == 1
         assert capsys.readouterr().out.startswith("FAIL  a.json.json  mismatch:")
         assert os.listdir(out) == ["a.json.report.json"]
+
+    @pytest.mark.parametrize(
+        "approx",
+        [{"sup_modulus": [0.5, 1e-6]}, {"kind": [1.0, 0.5]}, {"is_member": [1.0, 0.5]},
+         {"node_residual": [0.0, 1.0]}],
+        ids=["out-of-tolerance", "string", "bool", "absent"],
+    )
+    def test_approx_mismatch_fails(self, tmp_path, capsys, approx):
+        d = self._make_corpus(tmp_path)
+        write_json(d / "c.expected.json", {"approx": approx})
+        assert run(["corpus", "--in", str(d)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        fails = [line for line in lines if line.startswith("FAIL")]
+        assert len(fails) == 1 and fails[0].startswith("FAIL  c.json  mismatch:"), lines
+        assert lines[-1] == "corpus: 2/3 passed"
+
+    def test_in_naming_a_file_is_one_input_error_line(self, tmp_path, capsys):
+        p_in = tmp_path / "p.json"
+        write_json(p_in, pick_problem_obj())
+        assert run(["corpus", "--in", str(p_in)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: not a directory"), lines
 
     def test_corrupted_expected_fails(self, tmp_path):
         d = tmp_path / "corpus"

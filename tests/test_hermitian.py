@@ -4,7 +4,6 @@ import pytest
 from symbidisk import (
     NumericsError,
     ValidationError,
-    gram_factor,
     unitary_completion,
 )
 from symbidisk.hermitian import (
@@ -65,34 +64,6 @@ class TestPsdProjectStack:
             assert np.abs(vh @ vecs - np.eye(n)).max() <= 1e-13
             rebuilt = (vecs * lam[:, None, :]) @ vh
             assert np.linalg.norm(rebuilt - hs) <= 1e-13 * np.linalg.norm(hs)
-
-
-class TestGramFactor:
-    def test_identity(self):
-        g = gram_factor(np.eye(3), 1e-10)
-        assert g.shape == (3, 3)
-        assert np.abs(g.conj().T @ g - np.eye(3)).max() <= 1e-12
-
-    def test_rank_one(self, rng):
-        u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        h = np.outer(u, u.conj())
-        g = gram_factor(h, 1e-10)
-        assert g.shape == (1, 4)
-        assert np.abs(g.conj().T @ g - h).max() <= 1e-10 * np.abs(h).max()
-
-    def test_rank_three(self, rng):
-        h = random_psd(rng, 6, rank=3)
-        g = gram_factor(h, 1e-10)
-        assert g.shape[0] == 3
-        assert np.abs(g.conj().T @ g - h).max() <= 1e-9 * np.abs(h).max()
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NumericsError):
-            gram_factor(np.diag([1.0, -0.5]), 1e-10)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValidationError):
-            gram_factor(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1e-10)
 
 
 class TestUnitaryCompletion:

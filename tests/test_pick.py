@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -253,6 +254,38 @@ def test_certificate_bounds_on_the_diagonal_pair(diagonal_pair):
     # closed-form minimal norm 1 (see TestMinimalNorm.test_diagonal_closed_form)
     lo, hi = minimal_norm_bracket(scalar_problem(diagonal_pair, [-0.5, 0.5]))
     assert lo <= 1.0 <= hi
+
+
+def disc_minimal_norm(z, w):
+    """sqrt(lambda_max(L^-1 ((w w*) . P) L^-*)), P = [1 / (1 - z_i conj(z_j))] = L L*.
+
+    The disc's minimal norm for w_i at z_i (Pick 1916): the least c with
+    P - (w w*) . P / c^2 PSD.
+    """
+    pick = 1.0 / (1.0 - np.outer(z, z.conj()))
+    inv = np.linalg.inv(np.linalg.cholesky(pick))
+    m = inv @ (np.outer(w, w.conj()) * pick) @ inv.conj().T
+    return math.sqrt(np.linalg.eigvalsh(hermitian_part(m))[-1])
+
+
+@pytest.mark.parametrize("variety", ["royal", "flat"])
+def test_bracket_contains_the_exact_minimal_norm(variety, solver_grid):
+    # At royal nodes (2 z, z^2) every phi(alpha, .) is -z, and at flat nodes
+    # (0, z) every boundary atom's is alpha z, so the grid minimal norm is the
+    # disc's at the z_i
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4):
+        for _ in range(3):
+            while True:
+                z = 0.8 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+                gaps = np.abs(z[:, None] - z[None, :])[~np.eye(n, dtype=bool)]
+                if gaps.min() > 0.05:
+                    break
+            w = np.exp(2j * np.pi * rng.random(n))
+            pairs = [(2 * zi, zi * zi) if variety == "royal" else (0.0, zi) for zi in z]
+            c = disc_minimal_norm(z, w)
+            lo, hi = minimal_norm_bracket(scalar_problem(NodeSet.from_pairs(pairs), w), solver_grid)
+            assert lo - 1e-9 * c <= c <= hi + 1e-9 * c, (n, lo, c, hi)
 
 
 def certificate_bound(ee, ww, kernel, block):

@@ -20,19 +20,32 @@ from symbidisk import (
 )
 from symbidisk import realization
 from symbidisk.cli import execute_problem
-from symbidisk.feasibility import CPBlocks, FeasibilityTarget, residual, solve
+from symbidisk.feasibility import (
+    CPBlocks,
+    FeasibilityTarget,
+    SolveReport,
+    SolveStatus,
+    residual,
+    solve,
+)
 from symbidisk.geometry import phi_values
-from symbidisk.hermitian import gram_factor
 from symbidisk.kernels import AlphaGrid, coefficient_masks, expand_masks
 from symbidisk.pick import assemble_pick_target
 from symbidisk.realization import (
     _SOLVE_CHUNK_ENTRIES,
+    _colligation,
     _purified_factors,
-    lurking_isometry,
+    realize,
     transfer_eval_batch,
 )
 
-from conftest import loop_file_problem, random_gpoint, random_nodes, stall_file_problem
+from conftest import (
+    gram_factor,
+    loop_file_problem,
+    random_gpoint,
+    random_nodes,
+    stall_file_problem,
+)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
 
@@ -120,9 +133,10 @@ class TestLurkingIsometry:
             grid=solver_grid,
             blocks=tuple(np.eye(2) for _ in solver_grid.alphas),
         )
+        report = SolveReport(SolveStatus.FEASIBLE, 0.0, iterations=0, wall_time=0.0, blocks=bad)
         with pytest.raises(NumericsError, match="residual too large"):
-            lurking_isometry(
-                bad,
+            realize(
+                report,
                 nodes,
                 [np.eye(1) for _ in range(2)],
                 [np.array([[0.3]]), np.array([[0.1]])],
@@ -170,7 +184,7 @@ class TestPurification:
         else:
             target, blocks = planted_witness(rng, *case)
         dim = len(target.matrix)
-        assert sum(len(gram_factor(b, 1e-12)) for b in blocks.blocks) > dim * dim
+        assert sum(len(gram_factor(b)) for b in blocks.blocks) > dim * dim
         out, rank = purified(blocks, target.nodes)
         assert rank <= dim * dim
         assert abs(residual(target, out) - residual(target, blocks)) <= 1e-12 * np.linalg.norm(
@@ -188,7 +202,7 @@ class TestPurification:
             blocks.append(w @ w.conj().T)
         factors = _purified_factors(CPBlocks(grid, tuple(blocks)), nodes)
         for g, b, r in zip(factors, blocks, ranks):
-            ref = gram_factor(b, 1e-12)
+            ref = gram_factor(b)
             assert g.shape == (r, 4) and g.tobytes() == ref.tobytes()
 
     def test_realize_equals_lurking_isometry_when_nothing_moves(self, rng, solver_grid):
@@ -199,7 +213,9 @@ class TestPurification:
         sol = solve_pick(problem, solver_grid)
         assert sol.report.notes == ("single-atom witness",)
         tops = ([np.eye(1)] * 3, list(problem.targets))
-        ref = lurking_isometry(sol.report.blocks, problem.nodes, *tops)
+        blocks = sol.report.blocks
+        factors = [gram_factor(b) for b in blocks.blocks]
+        ref = _colligation(blocks.grid.alphas, problem.nodes, factors, *tops, 1e-8)
         col = sol.interpolant
         for name in ("a", "b", "c", "d", "alphas"):
             assert getattr(col, name).tobytes() == getattr(ref, name).tobytes()
