@@ -538,7 +538,7 @@ def _compare_expected(report: dict, expected: dict) -> str | None:
             raise ValueError(f"approx field {key!r} must be [value, tol] with tol >= 0, got {spec!r}")
         want, tol = spec
         got = report.get(key)
-        if type(got) not in (int, float):  # a bool, as in the sidecar, is not a number
+        if isinstance(got, bool) or not isinstance(got, (int, float)):  # np.float64 is a float
             return f"field {key!r}: expected a number near {want}, got {got!r}"
         if abs(float(got) - want) > tol:
             return f"field {key!r}: |{got} - {want}| > {tol}"

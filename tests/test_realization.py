@@ -206,6 +206,8 @@ class TestPurification:
             assert g.shape == (r, 4) and g.tobytes() == ref.tobytes()
 
     def test_realize_equals_lurking_isometry_when_nothing_moves(self, rng, solver_grid):
+        # The name is the paper's lurking-isometry construction, not a function: the
+        # reference is _colligation on the per-block factors of tests/conftest.py.
         # a single-atom witness: 3 nodes, rank <= 3 <= N^2 = 9
         problem = PickProblem(
             nodes=random_nodes(rng, 3), targets=tuple(np.array([[w]]) for w in (0.3, 0.1, -0.2))
