@@ -112,11 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if kind == "membership":
             p.add_argument("--s", nargs=2, metavar=("RE", "IM"))
             p.add_argument("--p", nargs=2, metavar=("RE", "IM"))
-        if kind == "sequence":
-            p.add_argument("--n", type=int, default=None, help="truncation length")
-            p.add_argument("--kernels", type=int, default=None, help="kernel census size")
-            p.add_argument("--alpha-samples", type=int, default=None)
-            p.add_argument("--bound", type=float, default=None)
     p = sub.add_parser("corpus", help="run a directory of problems against expectations")
     p.add_argument("--in", dest="in_path", required=True, help="directory of problem files")
     p.add_argument("--out", dest="out_path", default=None, help="directory for reports")
@@ -148,11 +143,6 @@ def _run_single(args) -> int:
         problem = _load_problem(args.in_path)
     _validate_problem(problem, kind)
     problem["payload"].update(point)  # --s and --p override the file's point
-    if kind == "sequence":
-        for field in ("n", "kernels", "alpha_samples", "bound"):
-            value = getattr(args, field, None)
-            if value is not None:
-                problem["payload"][field] = value
     _, text = _execute(problem, _cli_overrides(args))
     if args.out_path:
         _atomic_write(args.out_path, text)
@@ -378,8 +368,8 @@ def _handle_sequence(payload, grid, opts) -> dict:
     if alpha_samples < 1:
         raise ValidationError(f"field 'alpha_samples' must be >= 1, got {alpha_samples}")
     bound = read_number(payload.get("bound", 2.0), "bound")
-    if not math.isfinite(bound):  # a flag is a float; a file's numbers are already finite
-        raise ValidationError(f"field 'bound' must be a finite number, got {bound!r}")
+    if not bound > 0:
+        raise ValidationError(f"field 'bound' must be positive, got {bound}")
 
     scan_grid = grid if alpha_samples >= len(grid) else AlphaGrid(grid.alphas[:alpha_samples])
     alpha_star, delta_hat = best_carleson_alpha(trunc, scan_grid)

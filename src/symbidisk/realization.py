@@ -99,8 +99,11 @@ class Colligation:
         return float(np.linalg.svd(v, compute_uv=False)[0])
 
 
-def _colligation(alphas, nodes, factors, lhs_tops, rhs_tops, gram_tol) -> Colligation:
+def _colligation(alphas, nodes, rows, atoms, lhs_tops, rhs_tops, gram_tol) -> Colligation:
     """The unitary colligation of Gram factors G_m* G_m = B_m, one per alphas[m].
+
+    G_m stacks the ``rows`` whose ``atoms`` entry is m, and ``atoms`` is
+    ascending, so each kept alpha's rows are contiguous.
 
     Node i's tops are ``lhs_tops[i]`` (d2 x dL) and ``rhs_tops[i]`` (d2 x dR).
     The blocks solve J = sum C_m . B_m for J = L L* - R R* exactly when the
@@ -119,22 +122,15 @@ def _colligation(alphas, nodes, factors, lhs_tops, rhs_tops, gram_tol) -> Collig
     dp = max(d_l, d_r)
 
     vals = phi_values(alphas, nodes.s, nodes.p)  # (M, N)
-    kept = [m for m, g in enumerate(factors) if len(g)]
-    mults = [len(factors[m]) for m in kept]
-    h = int(sum(mults))
+    kept, mults = np.unique(atoms, return_counts=True)
+    h = len(rows)
 
     x = np.zeros((dp + h, n * d2), dtype=complex)
     y = np.zeros((dp + h, n * d2), dtype=complex)
     x[0:d_l] = np.concatenate(lhs).conj().T  # L*, the node tops stacked
     y[0:d_r] = np.concatenate(rhs).conj().T
-    row = dp
-    for m in kept:
-        g = factors[m]
-        r = g.shape[0]
-        scale = np.repeat(vals[m].conj(), d2)
-        x[row : row + r, :] = g * scale[None, :]
-        y[row : row + r, :] = g
-        row += r
+    x[dp:] = rows * np.repeat(vals[atoms].conj(), d2, axis=1)
+    y[dp:] = rows
 
     try:
         v1 = unitary_completion(x, y, gram_tol=gram_tol)
@@ -149,23 +145,24 @@ def _colligation(alphas, nodes, factors, lhs_tops, rhs_tops, gram_tol) -> Collig
         c=v[dp:, 0:dp],
         d=v[dp:, dp:],
         alphas=alphas[kept],
-        multiplicities=tuple(mults),
+        multiplicities=tuple(mults.tolist()),
         out_dim=d_l,
         in_dim=d_r,
     )
 
 
-def _purified_factors(blocks: CPBlocks, nodes: NodeSet) -> list[np.ndarray]:
-    """Gram factors G_m, one per block, of a basic solution of the witness's identity.
+def _purified_factors(blocks: CPBlocks, nodes: NodeSet) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, atoms): Gram factors G_m of a basic solution of the witness's identity.
 
     Each N x N block B_m = sum_k lam_k u_k u_k* keeps its eigenpairs above
     _RANK_TOL lambda_max, its numerical rank, and J = sum_m C_m . B_m then
     reads A x = J in a real orthonormal basis of the Hermitian matrices: x
     holds the K kept eigenvalues, and column k of A is C_m . (u_k u_k*).
     When K > N^2, _basic_solution moves x >= 0 to at most N^2 positive
-    entries with A x unchanged to roundoff.  G_m stacks the rows
-    sqrt(x_k) u_k* of block m's positive entries, so the purified blocks
-    G_m* G_m are PSD, meet the identity to roundoff and have
+    entries with A x unchanged to roundoff.  ``rows`` stacks sqrt(x_k) u_k*
+    over the positive entries, block by block, and ``atoms`` holds each
+    row's block m, ascending; G_m is the rows of block m.  So the purified
+    blocks G_m* G_m are PSD, meet the identity to roundoff and have
     sum_m rank <= N^2.  When K <= N^2 nothing moves, and G_m is B_m's own
     factor, sqrt(lam_k) u_k* over its kept eigenpairs.  One stacked
     eigensolve, the package's only Gram factorization; NumericsError when a
@@ -189,8 +186,8 @@ def _purified_factors(blocks: CPBlocks, nodes: NodeSet) -> list[np.ndarray]:
             return basis.rows(terms.reshape(len(idx), -1).T).real
 
         x = _basic_solution(columns, x, 2 * dim * dim)
-    rows = np.sqrt(x)[:, None] * u.conj()
-    return [rows[(ms == m) & (x > 0.0)] for m in range(len(lam))]
+    live = x > 0.0
+    return np.sqrt(x[live])[:, None] * u[live].conj(), ms[live]
 
 
 def _basic_solution(columns, x, width):
@@ -261,8 +258,8 @@ def realize(
     blocks are not changed.
     """
     tol = max(1e-8, 10 * report.residual)
-    factors = _purified_factors(report.blocks, nodes)
-    col = _colligation(report.blocks.grid.alphas, nodes, factors, lhs_tops, rhs_tops, tol)
+    rows, atoms = _purified_factors(report.blocks, nodes)
+    col = _colligation(report.blocks.grid.alphas, nodes, rows, atoms, lhs_tops, rhs_tops, tol)
     return col, node_residual(col, nodes, lhs_tops, rhs_tops)
 
 
@@ -320,9 +317,13 @@ def _domain_sample(count: int, seed: int, radius: float) -> tuple[np.ndarray, np
 def verify_contractivity(col: Colligation, sample_count: int = 10000, seed: int = 0) -> float:
     """Max operator norm of f over seeded domain samples, an oracle for :attr:`Colligation.norm`.
 
+    A sample F's norm is sqrt(lambda_max) of its Gram matrix on the smaller
+    side, F F* or F* F, one stacked eigvalsh rather than one SVD per sample.
     ValidationError when sample_count < 1.
     """
     if sample_count < 1:
         raise ValidationError(f"sample_count must be >= 1, got {sample_count}")
     vals = transfer_eval_batch(col, *_domain_sample(sample_count, seed, 0.9999))
-    return float(np.linalg.svd(vals, compute_uv=False)[:, 0].max())
+    adj = vals.conj().transpose(0, 2, 1)
+    gram = vals @ adj if col.out_dim <= col.in_dim else adj @ vals
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[:, -1].max()), 0.0))

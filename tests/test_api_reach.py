@@ -2,8 +2,8 @@
 something besides its tests.
 
 A public top-level ``def`` or ``class`` in ``src/symbidisk``, and a public
-method (or property) of a public class, must be referenced as code (a name, an
-attribute or an import alias; strings do not count) from the package itself,
+method (or property) of a public class, must be referenced as code (a name or
+an attribute; an import alone and strings do not count) from the package itself,
 the bench, the tools or the acceptance suite.  A method counts as reached when
 its name is, whichever object it is read from.  In the same files, every
 defaulted parameter of a public function or method must be passed, by position
@@ -122,8 +122,6 @@ def referenced_names() -> set[str]:
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name.split(".")[-1])
     return names
 
 

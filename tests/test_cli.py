@@ -306,25 +306,39 @@ class TestRun:
         assert out["carleson"]["delta_hat"] == pytest.approx(0.8, abs=1e-9)
         assert out["strong_separation"]["all_feasible"] is True
 
-    def test_sequence_flags_override_payload(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value", [("--n", "1"), ("--kernels", "2"),
+                                             ("--alpha-samples", "4"), ("--bound", "1.0")])
+    def test_sequence_payload_flags_are_rejected(self, tmp_path, capsys, flag, value):
+        # a sequence problem comes from its file only
+        p_in = tmp_path / "s.json"
+        write_json(p_in, GOLDEN["sequence"][0])
+        assert run(["sequence", "--in", str(p_in), flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag}" in captured.err
+
+    def test_sequence_fields_in_the_file_set_the_report(self, tmp_path, capsys):
         obj = {
             "format": 1,
             "kind": "sequence",
             "payload": {
                 "nodes": [[1.0, 0.0, 0.25, 0.0], [-1.0, 0.0, 0.25, 0.0]],
-                "kernels": 4,
-                "bound": 1.5,
+                "kernels": 2,
+                "bound": 1.0,
+                "n": 1,
             },
         }
         p_in = tmp_path / "s.json"
         write_json(p_in, obj)
-        code = run(
-            ["sequence", "--in", str(p_in), "--n", "1", "--bound", "1.0", "--kernels", "2"]
-        )
-        assert code == 0
+        assert run(["sequence", "--in", str(p_in)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["n"] == 1
         assert out["strong_separation"]["bound"] == 1.0
+        # the hash that `--n 1 --bound 1.0 --kernels 2` gave on a file holding
+        # kernels 4 and bound 1.5, when those flags overrode the payload
+        assert out["report_hash"] == (
+            "1f5782c47c1168b6834c15d7524ba7975d8cb77533db25c0505fb27b8a28e32d"
+        )
 
     def test_membership_flags_override_payload(self, tmp_path, capsys):
         p_in = tmp_path / "m.json"
@@ -335,17 +349,6 @@ class TestRun:
         overridden = json.loads(capsys.readouterr().out)["report_hash"]
         assert run(["membership", "--s", "2.0", "0", "--p", "1.0", "0"]) == 0
         assert overridden == json.loads(capsys.readouterr().out)["report_hash"]
-
-    @pytest.mark.parametrize("value", ["inf", "1e309", "nan"])
-    def test_non_finite_bound_flag_is_one_input_error_line(self, tmp_path, capsys, value):
-        p_in = tmp_path / "s.json"
-        write_json(p_in, GOLDEN["sequence"][0])
-        assert run(["sequence", "--in", str(p_in), "--bound", value]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("input error:"), lines
-        assert "'bound'" in lines[0]
 
 
 class TestDeterminismAndEcho:
@@ -568,6 +571,19 @@ class TestMalformedFields:
         assert len(lines) == 1 and lines[0].startswith("input error:"), lines
         if case.endswith("-tol-negative"):
             assert "'tol' must be a finite number >= 0" in lines[0]
+        if case.startswith("sequence-bound-"):
+            assert "field 'bound' must be positive" in lines[0]
+
+    @pytest.mark.parametrize("case", ["sequence-bound-zero", "sequence-bound-negative"])
+    def test_bound_is_checked_before_any_work(self, case, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran before the bound was checked")
+
+        for name in ("best_carleson_alpha", "sample_kernel_census", "grammian_bounds",
+                     "strong_separation"):
+            monkeypatch.setattr(symbidisk.cli, name, forbidden)
+        with pytest.raises(symbidisk.ValidationError, match="field 'bound' must be positive"):
+            execute_problem(malformed_problem(case))
 
     @pytest.mark.parametrize("case", sorted(BAD_PROBLEMS))
     def test_bad_problem_is_one_input_error_line(self, case, tmp_path, capsys):
@@ -620,16 +636,6 @@ class TestMalformedFields:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:"), lines
         assert "1025 atoms" in lines[0]
-
-    def test_kernels_flag_above_the_cap_is_one_input_error_line(self, tmp_path, capsys):
-        p_in = tmp_path / "s.json"
-        write_json(p_in, GOLDEN["sequence"][0])
-        assert run(["sequence", "--in", str(p_in), "--kernels", "1025"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("input error:"), lines
-        assert "'kernels'" in lines[0]
 
     @pytest.mark.parametrize("kind, flag, value", BAD_FLAGS)
     def test_bad_solver_flag_is_one_input_error_line(self, kind, flag, value, tmp_path, capsys):

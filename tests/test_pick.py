@@ -268,14 +268,18 @@ def disc_minimal_norm(z, w):
     return math.sqrt(np.linalg.eigvalsh(hermitian_part(m))[-1])
 
 
-@pytest.mark.parametrize("variety", ["royal", "flat"])
-def test_bracket_contains_the_exact_minimal_norm(variety, solver_grid):
-    # At royal nodes (2 z, z^2) every phi(alpha, .) is -z, and at flat nodes
-    # (0, z) every boundary atom's is alpha z, so the grid minimal norm is the
-    # disc's at the z_i
+def variety_draws(variety, ns, per_n):
+    """(n, draw, nodes, w, exact minimal norm) of scalar problems at royal or flat nodes.
+
+    At royal nodes (2 z, z^2) every phi(alpha, .) is -z, and at flat nodes
+    (0, z) every boundary atom's is alpha z, so the grid minimal norm is the
+    disc's at the z_i.  The z_i are uniform by area in |z| <= 0.8, pairwise
+    more than 0.05 apart, and the targets w_i unimodular, all drawn from one
+    default_rng(5) stream in order.
+    """
     rng = np.random.default_rng(5)
-    for n in (2, 3, 4):
-        for _ in range(3):
+    for n in ns:
+        for draw in range(per_n):
             while True:
                 z = 0.8 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
                 gaps = np.abs(z[:, None] - z[None, :])[~np.eye(n, dtype=bool)]
@@ -283,9 +287,40 @@ def test_bracket_contains_the_exact_minimal_norm(variety, solver_grid):
                     break
             w = np.exp(2j * np.pi * rng.random(n))
             pairs = [(2 * zi, zi * zi) if variety == "royal" else (0.0, zi) for zi in z]
-            c = disc_minimal_norm(z, w)
-            lo, hi = minimal_norm_bracket(scalar_problem(NodeSet.from_pairs(pairs), w), solver_grid)
-            assert lo - 1e-9 * c <= c <= hi + 1e-9 * c, (n, lo, c, hi)
+            yield n, draw, NodeSet.from_pairs(pairs), w, disc_minimal_norm(z, w)
+
+
+@pytest.mark.parametrize("variety", ["royal", "flat"])
+def test_bracket_contains_the_exact_minimal_norm(variety, solver_grid):
+    for n, _, nodes, w, c in variety_draws(variety, (2, 3, 4), 3):
+        lo, hi = minimal_norm_bracket(scalar_problem(nodes, w), solver_grid)
+        assert lo - 1e-9 * c <= c <= hi + 1e-9 * c, (n, lo, c, hi)
+
+
+# (n, draw) of the variety_draws(variety, range(2, 7), 10) problems that solve
+# leaves Unknown at 0.999 times the exact minimal norm
+UNKNOWN_BELOW_EXACT = {"royal": {(6, 4)}, "flat": {(6, 4)}}
+
+
+@pytest.mark.parametrize("variety", ["royal", "flat"])
+def test_decisions_at_the_exact_minimal_norm(variety, solver_grid):
+    # 1.001 times the exact norm is feasible and 0.999 times it is not; the
+    # float oracle is good to far better than 1e-3 at n <= 6
+    unknown = set()
+    for n, draw, nodes, w, c in variety_draws(variety, range(2, 7), 10):
+        above = solve_pick(scalar_problem(nodes, w, c * (1 + 1e-3)), solver_grid)
+        assert above.status is SolveStatus.FEASIBLE, (n, draw)
+        assert above.node_residual <= 1e-7, (n, draw)
+        problem = scalar_problem(nodes, w, c * (1 - 1e-3))
+        below = solve_pick(problem, solver_grid)
+        if below.status is SolveStatus.UNKNOWN:
+            unknown.add((n, draw))
+            continue
+        assert below.status is SolveStatus.INFEASIBLE_CERTIFIED, (n, draw)
+        kernel = below.report.certificate
+        assert admissibility_check(kernel, solver_grid, 1e-8).is_admissible_on_grid, (n, draw)
+        assert min_eigenvalue(assemble_pick_target(problem).matrix * kernel.matrix) < 0, (n, draw)
+    assert unknown <= UNKNOWN_BELOW_EXACT[variety], sorted(unknown)
 
 
 def certificate_bound(ee, ww, kernel, block):
