@@ -1,10 +1,12 @@
 """Command-line entry point and corpus runner.
 
 Problems are JSON documents ``{"format": 1, "kind": ..., "payload": ...}``
-with optional ``grid`` and ``opts`` members; reports echo the problem, the
-seed, and the tool version, and serialize every numerical artifact needed to
-replay the run.  Exit codes: 0 for a completed run (Infeasible and Unknown
-included), 1 for input errors, 2 for internal numerical failures.
+with optional ``grid`` and ``opts`` members, the only source of the grid and
+the solver options; reports echo the problem, the seed, and the tool
+version, and serialize every numerical artifact needed to replay the run
+from the echoed problem alone.  Exit codes: 0 for a completed run
+(Infeasible and Unknown included), 1 for input errors, 2 for internal
+numerical failures.
 """
 
 from __future__ import annotations
@@ -100,38 +102,30 @@ def run(argv: list[str]) -> int:
 
 @functools.cache  # built once: corpus runs call run() per pass
 def _build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: a prefix such as --i is a usage error, not --in
     parser = argparse.ArgumentParser(
         prog="symbidisk",
         description="Interpolation, sequence diagnostics, and corona solves "
         "on the symmetrized bidisk",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command")
     for kind in KINDS:
-        p = sub.add_parser(kind, help=f"run a {kind} problem")
-        _add_common_flags(p)
+        p = sub.add_parser(kind, help=f"run a {kind} problem", allow_abbrev=False)
+        p.add_argument("--in", dest="in_path", default=None, help="problem file (default stdin)")
+        p.add_argument("--out", dest="out_path", default=None, help="report file (default stdout)")
         if kind == "membership":
             p.add_argument("--s", nargs=2, metavar=("RE", "IM"))
             p.add_argument("--p", nargs=2, metavar=("RE", "IM"))
-    p = sub.add_parser("corpus", help="run a directory of problems against expectations")
+    p = sub.add_parser(
+        "corpus", help="run a directory of problems against expectations", allow_abbrev=False
+    )
     p.add_argument("--in", dest="in_path", required=True, help="directory of problem files")
     p.add_argument("--out", dest="out_path", default=None, help="directory for reports")
     p.add_argument(
         "--jobs", type=int, default=None, help="accepted and ignored: files run one after another"
     )
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--grid", type=int, default=None)
     return parser
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--in", dest="in_path", default=None, help="problem file (default stdin)")
-    p.add_argument("--out", dest="out_path", default=None, help="report file (default stdout)")
-    p.add_argument("--grid", type=int, default=None, help="boundary grid size override")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
 
 
 def _run_single(args) -> int:
@@ -143,18 +137,12 @@ def _run_single(args) -> int:
         problem = _load_problem(args.in_path)
     _validate_problem(problem, kind)
     problem["payload"].update(point)  # --s and --p override the file's point
-    _, text = _execute(problem, _cli_overrides(args))
+    _, text = _execute(problem)
     if args.out_path:
         _atomic_write(args.out_path, text)
     else:
         print(text)
     return 0
-
-
-def _cli_overrides(args) -> dict:
-    """The solver flags a run was given, keyed as in a problem's ``opts``."""
-    keys = ("tol", "seed", "grid", "max_iter")
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
 def _load_problem(path: str | None) -> dict:
@@ -216,14 +204,14 @@ def _validate_problem(problem: Any, kind: str | None = None) -> None:
 
 def execute_problem(problem: dict) -> dict:
     """Dispatch a parsed ProblemFile and assemble the ReportFile dict."""
-    return _execute(problem, {})[0]
+    return _execute(problem)[0]
 
 
 def _solve_options(opts_obj: dict) -> SolveOptions:
-    """The solver options of a problem's ``opts`` with the flags merged in.
+    """The solver options of a problem's ``opts``, their only source.
 
-    The seed and max_iter must be integers >= 0 and tol a finite number >= 0,
-    in a file as in a flag; SolveOptions itself takes any value.
+    The seed and max_iter must be integers >= 0 and tol a finite number >= 0;
+    SolveOptions itself takes any value.
     """
     seed = read_number(opts_obj.get("seed", 0), "seed", integral=True)
     tol = _read_tol(opts_obj.get("tol", 1e-8))
@@ -243,8 +231,8 @@ def _read_tol(value) -> float:
     return tol
 
 
-def _execute(problem: dict, overrides: dict) -> tuple[dict, str]:
-    """(report, text): the report under the flags ``overrides``, and its text, encoded once."""
+def _execute(problem: dict) -> tuple[dict, str]:
+    """(report, text): the report of ``problem`` alone, and its text, encoded once."""
     _validate_problem(problem)
     kind = problem["kind"]
     payload = problem["payload"]
@@ -252,12 +240,8 @@ def _execute(problem: dict, overrides: dict) -> tuple[dict, str]:
     opts_obj = problem.get("opts") or {}
     if not isinstance(opts_obj, dict):
         raise ValidationError("field 'opts' must be an object")
-    keys = ("tol", "max_iter", "seed")
-    opts = _solve_options({**opts_obj, **{k: overrides[k] for k in keys if k in overrides}})
-    if "grid" in overrides:
-        grid = AlphaGrid.boundary(int(overrides["grid"]), include_zero=True)
-    else:
-        grid = decode_grid(problem.get("grid"))
+    opts = _solve_options(opts_obj)
+    grid = decode_grid(problem.get("grid"))
 
     t0 = time.perf_counter()
     handler = _HANDLERS[kind]
@@ -466,12 +450,10 @@ def corpus(args) -> int:
     if args.out_path:
         os.makedirs(args.out_path, exist_ok=True)
 
-    overrides = _cli_overrides(args)
-
     def run_one(name: str) -> tuple[str, str, str]:
         path = os.path.join(in_dir, name)
         try:
-            report, text = _execute(_load_problem(path), overrides)
+            report, text = _execute(_load_problem(path))
         except (ValidationError, json.JSONDecodeError, OverflowError) as exc:
             return name, "input-error", str(exc)
         except (NumericsError, np.linalg.LinAlgError) as exc:

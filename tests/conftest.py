@@ -52,6 +52,34 @@ def random_nodes(rng, n, rmax=0.85, min_sep=1e-2):
     return NodeSet(tuple(pts))
 
 
+def variety_nodes(rng, variety, n):
+    """(z, nodes): n points z_i at royal nodes (2 z, z^2) or flat nodes (0, z).
+
+    The z_i are uniform by area in |z| <= 0.8 and pairwise more than 0.05
+    apart.  At royal nodes every phi(alpha, .) is -z, and at flat nodes every
+    boundary atom's is alpha z, so every atom has the disc's mask
+    1 - z_i conj(z_j) and a grid problem there is the disc's at the z_i.
+    """
+    while True:
+        z = 0.8 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+        gaps = np.abs(z[:, None] - z[None, :])[~np.eye(n, dtype=bool)]
+        if gaps.min() > 0.05:
+            break
+    pairs = [(2 * zi, zi * zi) if variety == "royal" else (0.0, zi) for zi in z]
+    return z, NodeSet.from_pairs(pairs)
+
+
+def disc_whitened(z, f):
+    """L^-1 (F . P) L^-*, P = [1 / (1 - z_i conj(z_j))] = L L*, Hermitian.
+
+    Its largest eigenvalue is the disc's squared minimal norm for F = w w*
+    (Pick 1916), its smallest the disc's corona threshold for F = Phi Phi*.
+    """
+    pick = 1.0 / (1.0 - np.outer(z, z.conj()))
+    inv = np.linalg.inv(np.linalg.cholesky(pick))
+    return hermitian_part(inv @ (f * pick) @ inv.conj().T)
+
+
 def psd_project(h):
     """Frobenius-nearest PSD matrix of one Hermitian matrix, by one eigh.
 

@@ -18,6 +18,10 @@ from conftest import (
     near_threshold_problem,
 )
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+
+import workloads  # noqa: E402
+
 
 def write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
@@ -26,6 +30,10 @@ def write_json(path, obj):
 
 # One node more than a feasibility target allows (MAX_TARGET_DIM = 20 rows).
 NODES_21 = tuple((0.04 * k, 0.0, 0.0, 0.0) for k in range(21))
+
+
+# Flags that once overrode a problem's grid and solver options: (flag, value).
+DELETED_FLAGS = [("--grid", "16"), ("--tol", "1e-4"), ("--max-iter", "5"), ("--seed", "3")]
 
 
 def near_threshold_obj(max_iter):
@@ -350,6 +358,50 @@ class TestRun:
         assert run(["membership", "--s", "2.0", "0", "--p", "1.0", "0"]) == 0
         assert overridden == json.loads(capsys.readouterr().out)["report_hash"]
 
+    @pytest.mark.parametrize("flag, value", DELETED_FLAGS)
+    @pytest.mark.parametrize("command", [*symbidisk.cli.KINDS, "corpus"])
+    def test_solver_flag_is_a_usage_error(self, command, flag, value, tmp_path, capsys):
+        # the grid and the solver options come from the problem file only
+        argv = [command, "--in", str(write_input(tmp_path, command)), flag, value]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pick", "--i", "IN"],
+            ["pick", "--in", "IN", "--ou", "OUT"],
+            ["membership", "--i", "IN"],
+            ["sequence", "--in", "IN", "--s", "3"],  # once --seed 3
+            ["corpus", "--i", "IN"],
+            ["corpus", "--in", "IN", "--ou", "OUT"],
+        ],
+        ids=["pick-i", "pick-ou", "membership-i", "sequence-s", "corpus-i", "corpus-ou"],
+    )
+    def test_flag_prefix_is_a_usage_error(self, argv, tmp_path, capsys):
+        # a prefix of a flag does not stand for the flag
+        paths = {"IN": str(write_input(tmp_path, argv[0])), "OUT": str(tmp_path / "out")}
+        assert run([paths.get(a, a) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: symbidisk")
+        assert not (tmp_path / "out").exists()
+
+
+def write_input(tmp_path, command):
+    """The --in path of a valid run of ``command``: a problem file, or for
+    ``corpus`` a directory holding one."""
+    if command == "corpus":
+        d = tmp_path / "problems"
+        d.mkdir()
+        write_json(d / "a.json", valid_problem("pick"))
+        return d
+    path = tmp_path / "p.json"
+    write_json(path, valid_problem(command))
+    return path
+
 
 class TestDeterminismAndEcho:
     def test_identical_reruns_hash_identical(self):
@@ -364,6 +416,29 @@ class TestDeterminismAndEcho:
         r = execute_problem(obj)
         text = json.dumps(r["problem"])
         assert json.loads(text) == obj
+
+    def test_every_written_report_replays_from_its_problem(self, tmp_path):
+        # a report is a function of the problem it echoes, whichever command wrote it
+        d = golden_corpus(tmp_path)
+        bench_files = workloads.CorpusFiles(100)
+        bench_files.write(str(d))
+        out_dir, singles = tmp_path / "reports", tmp_path / "singles"
+        assert run(["corpus", "--in", str(d), "--out", str(out_dir)]) == 0
+        singles.mkdir()
+        for case, (problem, _) in GOLDEN.items():
+            argv = [problem["kind"], "--in", str(d / f"{case}.json")]
+            assert run([*argv, "--out", str(singles / case)]) == 0
+        point = ["--s", "2.0", "0", "--p", "1.0", "0"]  # written into the echoed payload
+        assert run(["membership", *point, "--out", str(singles / "point-flags")]) == 0
+        written = [*out_dir.iterdir(), *singles.iterdir()]
+        assert len(written) == 2 * len(GOLDEN) + len(bench_files.files) + 1
+        for path in written:
+            report = json.loads(path.read_text())
+            replayed = execute_problem(report["problem"])["report_hash"]
+            assert replayed == report["report_hash"], path.name
+        for name, (_, expected) in bench_files.files.items():
+            report = json.loads((out_dir / f"{name}.report.json").read_text())
+            assert workloads.check_report(report, expected) == "ok", name
 
 
 # Problems keyed by case name with their report hashes, pinned from reports
@@ -524,25 +599,18 @@ BAD_PROBLEMS = {
     "payload-list": {"format": 1, "kind": "pick", "payload": []},
 }
 
-# Solver flags out of range: (kind, flag, value).
-BAD_FLAGS = [
-    ("corona", "--seed", "-1"),
-    ("sequence", "--seed", "-1"),
-    ("pick", "--tol", "nan"),
-    ("pick", "--tol", "inf"),
-    ("pick", "--tol", "-1"),
-    ("pick", "--max-iter", "-1"),
-]
+def valid_problem(kind):
+    """A fresh copy of a valid problem of ``kind``."""
+    if kind == "measure-model":
+        return {"format": 1, "kind": kind, "payload": {"atoms": [[2.0, 0.0, 1.0, 0.0]]}}
+    if kind == "gamma-check":
+        return {"format": 1, "kind": kind, "payload": dict(GAMMA_PAIR_0_1)}
+    return json.loads(json.dumps(GOLDEN[kind][0]))
 
 
 def malformed_problem(case):
     kind, path, value = MALFORMED[case]
-    if kind == "measure-model":
-        obj = {"format": 1, "kind": kind, "payload": {"atoms": [[2.0, 0.0, 1.0, 0.0]]}}
-    elif kind == "gamma-check":
-        obj = {"format": 1, "kind": kind, "payload": dict(GAMMA_PAIR_0_1)}
-    else:
-        obj = json.loads(json.dumps(GOLDEN[kind][0]))
+    obj = valid_problem(kind)
     parent = obj
     for key in path[:-1]:
         parent = parent.setdefault(key, {}) if isinstance(parent, dict) else parent[key]
@@ -637,17 +705,6 @@ class TestMalformedFields:
         assert len(lines) == 1 and lines[0].startswith("input error:"), lines
         assert "1025 atoms" in lines[0]
 
-    @pytest.mark.parametrize("kind, flag, value", BAD_FLAGS)
-    def test_bad_solver_flag_is_one_input_error_line(self, kind, flag, value, tmp_path, capsys):
-        p_in = tmp_path / "p.json"
-        write_json(p_in, GOLDEN[kind][0])
-        assert run([kind, "--in", str(p_in), flag, value]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("input error:"), lines
-        assert f"'{flag[2:].replace('-', '_')}'" in lines[0]
-
     def test_non_finite_report_is_one_numerical_failure_line(self, tmp_path, capsys, monkeypatch):
         # the encoder's backstop behind the input checks
         monkeypatch.setitem(symbidisk.cli._HANDLERS, "membership", lambda *a: {"x": math.inf})
@@ -664,15 +721,6 @@ class TestMalformedFields:
         fails = [line for line in lines if line.startswith("FAIL")]
         assert len(fails) == 1 and fails[0].startswith("FAIL  membership.json"), lines
         assert "numerical-failure" in fails[0]
-
-    def test_huge_grid_flag_is_one_input_error_line(self, tmp_path, capsys):
-        p_in = tmp_path / "p.json"
-        write_json(p_in, GOLDEN["pick"][0])
-        assert run(["pick", "--in", str(p_in), "--grid", "1000000000000"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("input error:"), lines
 
 
 class TestReportFiles:
@@ -976,10 +1024,10 @@ class TestCorpus:
         d = self._make_corpus(tmp_path)
         real = symbidisk.cli._execute  # what corpus calls: execute_problem's report and text
 
-        def flaky(problem, overrides):
+        def flaky(problem):
             if problem["kind"] == "membership":
                 raise RuntimeError("boom")
-            return real(problem, overrides)
+            return real(problem)
 
         monkeypatch.setattr(symbidisk.cli, "_execute", flaky)
         assert run(["corpus", "--in", str(d), "--jobs", "2"]) == 1

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,15 @@ from symbidisk import (
     NodeSet,
     SolveStatus,
     ValidationError,
+    admissibility_check,
     assemble_corona_target,
     phi,
     solve_corona,
 )
+from symbidisk.hermitian import min_eigenvalue
 from symbidisk.realization import transfer_eval_batch
 
-from conftest import random_nodes
+from conftest import disc_whitened, random_nodes, variety_nodes
 
 
 def constant_row_problem(nodes, delta=1.0):
@@ -190,6 +194,34 @@ class TestVerifyLeftInverse:
         sol = solve_corona(prob, solver_grid)
         assert sol.psi is None
         assert sol.node_residual is None and sol.norm_bound is None
+
+
+@pytest.mark.parametrize("variety", ["royal", "flat"])
+def test_decisions_at_the_exact_corona_threshold(variety, solver_grid):
+    # Every atom has the disc's mask at these nodes, so the largest feasible
+    # delta is the disc's, delta* = lambda_min(L^-1 ((Phi Phi*) . P) L^-*);
+    # the float oracle is good to far better than 1e-3 at n <= 6.
+    rng = np.random.default_rng(5)
+    t0 = time.process_time()
+    for n in range(2, 7):
+        for draw in range(5):
+            z, nodes = variety_nodes(rng, variety, n)
+            rows = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+            exact = np.linalg.eigvalsh(disc_whitened(z, rows @ rows.conj().T))[0]
+            phis = tuple(row[None, :] for row in rows)
+
+            below = solve_corona(CoronaProblem(nodes, phis, exact * (1 - 1e-3)), solver_grid)
+            assert below.status is SolveStatus.FEASIBLE, (n, draw)
+            assert below.node_residual <= 1e-7, (n, draw)
+
+            problem = CoronaProblem(nodes, phis, exact * (1 + 1e-3))
+            above = solve_corona(problem, solver_grid)
+            assert above.status is SolveStatus.INFEASIBLE_CERTIFIED, (n, draw)
+            kernel = above.report.certificate
+            assert admissibility_check(kernel, solver_grid, 1e-8).is_admissible_on_grid, (n, draw)
+            target = assemble_corona_target(problem).matrix
+            assert min_eigenvalue(target * kernel.matrix) < 0, (n, draw)
+    assert time.process_time() - t0 < 2.0
 
 
 def test_validation_errors(rng):

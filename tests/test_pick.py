@@ -35,10 +35,12 @@ from symbidisk.realization import realize
 
 from conftest import (
     STALL_FILES,
+    disc_whitened,
     loop_file_problem,
     near_threshold_problem,
     random_nodes,
     stall_file_problem,
+    variety_nodes,
 )
 
 
@@ -256,38 +258,20 @@ def test_certificate_bounds_on_the_diagonal_pair(diagonal_pair):
     assert lo <= 1.0 <= hi
 
 
-def disc_minimal_norm(z, w):
-    """sqrt(lambda_max(L^-1 ((w w*) . P) L^-*)), P = [1 / (1 - z_i conj(z_j))] = L L*.
-
-    The disc's minimal norm for w_i at z_i (Pick 1916): the least c with
-    P - (w w*) . P / c^2 PSD.
-    """
-    pick = 1.0 / (1.0 - np.outer(z, z.conj()))
-    inv = np.linalg.inv(np.linalg.cholesky(pick))
-    m = inv @ (np.outer(w, w.conj()) * pick) @ inv.conj().T
-    return math.sqrt(np.linalg.eigvalsh(hermitian_part(m))[-1])
-
-
 def variety_draws(variety, ns, per_n):
     """(n, draw, nodes, w, exact minimal norm) of scalar problems at royal or flat nodes.
 
-    At royal nodes (2 z, z^2) every phi(alpha, .) is -z, and at flat nodes
-    (0, z) every boundary atom's is alpha z, so the grid minimal norm is the
-    disc's at the z_i.  The z_i are uniform by area in |z| <= 0.8, pairwise
-    more than 0.05 apart, and the targets w_i unimodular, all drawn from one
-    default_rng(5) stream in order.
+    The grid minimal norm there is the disc's at the z_i (conftest.variety_nodes):
+    the least c with P - (w w*) . P / c^2 PSD.  The targets w_i are
+    unimodular, all drawn from one default_rng(5) stream in order.
     """
     rng = np.random.default_rng(5)
     for n in ns:
         for draw in range(per_n):
-            while True:
-                z = 0.8 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
-                gaps = np.abs(z[:, None] - z[None, :])[~np.eye(n, dtype=bool)]
-                if gaps.min() > 0.05:
-                    break
+            z, nodes = variety_nodes(rng, variety, n)
             w = np.exp(2j * np.pi * rng.random(n))
-            pairs = [(2 * zi, zi * zi) if variety == "royal" else (0.0, zi) for zi in z]
-            yield n, draw, NodeSet.from_pairs(pairs), w, disc_minimal_norm(z, w)
+            c = math.sqrt(np.linalg.eigvalsh(disc_whitened(z, np.outer(w, w.conj())))[-1])
+            yield n, draw, nodes, w, c
 
 
 @pytest.mark.parametrize("variety", ["royal", "flat"])
