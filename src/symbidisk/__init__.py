@@ -29,7 +29,6 @@ from .hermitian import (
     unitary_completion,
 )
 from .kernels import (
-    AdmissibilityReport,
     AlphaGrid,
     KernelMatrix,
     NodeSet,

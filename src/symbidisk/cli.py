@@ -12,6 +12,7 @@ numerical failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -42,7 +43,6 @@ from .sequences import (
     SequenceTruncation,
     best_carleson_alpha,
     grammian_bounds,
-    sample_kernel_census,
     strong_separation,
 )
 from .serialize import (
@@ -131,8 +131,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_single(args) -> int:
     kind = args.command
     point = {k: [*map(finite, getattr(args, k))] for k in ("s", "p") if getattr(args, k, None)}
-    if kind == "membership" and args.in_path is None and "s" in point:
-        problem = {"format": FORMAT_VERSION, "kind": "membership", "payload": {"p": [0.0, 0.0]}}
+    if kind == "membership" and args.in_path is None and point:
+        # the flags alone give the point; a coordinate not given is 0
+        payload = {"p": [0.0, 0.0], "s": [0.0, 0.0]}
+        problem = {"format": FORMAT_VERSION, "kind": "membership", "payload": payload}
     else:
         problem = _load_problem(args.in_path)
     _validate_problem(problem, kind)
@@ -357,8 +359,7 @@ def _handle_sequence(payload, grid, opts) -> dict:
 
     scan_grid = grid if alpha_samples >= len(grid) else AlphaGrid(grid.alphas[:alpha_samples])
     alpha_star, delta_hat = best_carleson_alpha(trunc, scan_grid)
-    census = sample_kernel_census(trunc, grid, seed=opts.seed, count=kernel_count)
-    gram = grammian_bounds(trunc, census, grid)
+    gram = grammian_bounds(trunc, grid, opts.seed, kernel_count)
     separation = strong_separation(trunc, bound, grid, opts)
     return {
         "n": trunc.n,
@@ -373,10 +374,8 @@ def _handle_sequence(payload, grid, opts) -> dict:
         },
         "strong_separation": {
             "bound": bound,
-            "statuses": [sol.status.value for sol in separation],
-            "all_feasible": all(
-                sol.status is SolveStatus.FEASIBLE for sol in separation
-            ),
+            "statuses": [rep.status.value for rep in separation],
+            "all_feasible": all(rep.status is SolveStatus.FEASIBLE for rep in separation),
         },
     }
 
@@ -448,7 +447,10 @@ def corpus(args) -> int:
         if f.endswith(".json") and not f.endswith(".expected.json")
     )
     if args.out_path:
-        os.makedirs(args.out_path, exist_ok=True)
+        try:
+            os.makedirs(args.out_path, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot make report directory {args.out_path}: {exc}") from None
 
     def run_one(name: str) -> tuple[str, str, str]:
         path = os.path.join(in_dir, name)
@@ -518,10 +520,16 @@ def _compare_expected(report: dict, expected: dict) -> str | None:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file; an OSError is a ValidationError."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise ValidationError(f"cannot write report file {path}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -309,7 +309,7 @@ def _admissible_kernel(nodes, grid, k, tol) -> KernelMatrix | None:
     if not np.all(np.real(np.diag(k)) > 0.0):  # grammian_normalize raises: no kernel
         return None
     kern = KernelMatrix(nodes=nodes, matrix=unit_diagonal(k))
-    return kern if admissibility_check(kern, grid, tol).is_admissible_on_grid else None
+    return kern if admissibility_check(kern, grid, tol) else None
 
 
 def _violation(target, kern, opts) -> tuple[KernelMatrix, float] | None:

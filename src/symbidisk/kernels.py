@@ -9,8 +9,7 @@ alpha grid* when, for every grid alpha, the matrix
     (1 - phi(alpha, node_i) * conj(phi(alpha, node_j))) . K_ij
 
 is PSD.  This is the finite surrogate for admissibility quantified over the
-whole closed disk of alpha: certification only holds on the grid, and
-reports always carry the worst alpha so callers can refine.
+whole closed disk of alpha: certification only holds on the grid.
 """
 
 from __future__ import annotations
@@ -143,12 +142,6 @@ class KernelMatrix:
         object.__setattr__(self, "matrix", hermitian_part(m))
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    worst_alpha: complex
-    is_admissible_on_grid: bool
-
-
 def coefficient_masks(grid: AlphaGrid, nodes: NodeSet) -> np.ndarray:
     """Stack of matrices C_m(i, j) = 1 - phi(alpha_m, node_i) conj(phi(alpha_m, node_j)).
 
@@ -178,17 +171,11 @@ def expand_masks(masks: np.ndarray, block: int) -> np.ndarray:
     return np.kron(masks, np.ones((block, block)))
 
 
-def admissibility_check(
-    kernel: KernelMatrix, grid: AlphaGrid, tol: float = 1e-10
-) -> AdmissibilityReport:
-    """The alpha of least min eigenvalue of the scaled kernel, one stacked
+def admissibility_check(kernel: KernelMatrix, grid: AlphaGrid, tol: float = 1e-10) -> bool:
+    """Whether every C_m . K has min eigenvalue >= -tol, by one stacked
     eigensolve; a grid-level certificate only."""
     lams = min_eigenvalue_stack(coefficient_masks(grid, kernel.nodes) * kernel.matrix)
-    worst = int(np.argmin(lams))
-    return AdmissibilityReport(
-        worst_alpha=complex(grid.alphas[worst]),
-        is_admissible_on_grid=bool(lams[worst] >= -tol),
-    )
+    return bool(lams.min() >= -tol)
 
 
 def make_b_kernel(alpha: complex, nodes: NodeSet) -> KernelMatrix:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .feasibility import MAX_TARGET_DIM, SolveOptions, solve
+from .feasibility import MAX_TARGET_DIM, SolveOptions, SolveReport, solve
 from .geometry import phi_values, pseudo_hyperbolic
 from .kernels import (
     AlphaGrid,
@@ -28,16 +28,16 @@ from .kernels import (
     make_b_kernel,
     random_admissible_kernel,
 )
-from .pick import PickProblem, PickSolution, assemble_pick_target, minimal_norm_bracket
+from .pick import PickProblem, assemble_pick_target, minimal_norm_bracket
 
-DEFAULT_KERNEL_CENSUS = 32
-# Kernels a sequence census may ask for.  Each costs one or two stacked
-# eigensolves on the whole grid (a random draw's shift, the admissibility check)
-# and a Grammian eigensolve: on the 9-alpha solver grid, 1024 kernels take
-# 0.25-0.33 s at 3 nodes and 1.0-1.3 s at 20 (x86_64 Xeon, one BLAS thread).
+# Kernels a sequence census may ask for.  Each costs one stacked eigensolve on
+# the whole grid (a pullback's admissibility check, or a random draw's shift)
+# and its share of one stacked Grammian eigensolve: on the 9-alpha solver grid,
+# 1024 kernels take 0.15-0.16 CPU-s at 3 nodes and 0.55 at 20 (x86_64 Xeon,
+# one BLAS thread).
 MAX_KERNELS = 1024
-# A kernel counts as grid-admissible when every lambda_min(C_m . K) >= -this:
-# the Grammian bounds demand it, and the census keeps pullbacks by it by default.
+# A pullback joins the census when every lambda_min(C_m . K) >= -this on the
+# grid; the Grammian bounds are evidence over grid-admissible kernels only.
 _ADMISSIBLE_TOL = 1e-8
 
 
@@ -66,67 +66,39 @@ class GrammianReport:
 
 def grammian_bounds(
     trunc: SequenceTruncation,
-    kernels: list[tuple[str, KernelMatrix]],
     grid: AlphaGrid,
-) -> GrammianReport:
-    """Eigenvalue range of each kernel's normalized Grammian on the truncation.
-
-    Every kernel must pass the grid admissibility check; an inadmissible one
-    is rejected with its failing alpha.  The bounds are evidence over the
-    sampled kernels only.
-    """
-    if not kernels:
-        raise ValidationError("need at least one kernel")
-    rows = []
-    worst_lower = np.inf
-    worst_upper = -np.inf
-    for kid, kern in kernels:
-        if kern.nodes is not trunc.nodes and kern.nodes != trunc.nodes:
-            raise ValidationError(f"kernel {kid} is not defined on the truncation nodes")
-        report = admissibility_check(kern, grid, _ADMISSIBLE_TOL)
-        if not report.is_admissible_on_grid:
-            raise ValidationError(
-                f"kernel {kid} inadmissible on the grid at alpha = {report.worst_alpha}"
-            )
-        g = grammian_normalize(kern)
-        lam = np.linalg.eigvalsh(g)
-        rows.append((kid, float(lam[0]), float(lam[-1])))
-        worst_lower = min(worst_lower, float(lam[0]))
-        worst_upper = max(worst_upper, float(lam[-1]))
-    return GrammianReport(
-        per_kernel=tuple(rows),
-        worst_lower=worst_lower,
-        worst_upper=worst_upper,
-    )
-
-
-def sample_kernel_census(
-    trunc: SequenceTruncation,
-    grid: AlphaGrid,
-    seed: int = 0,
-    count: int = DEFAULT_KERNEL_CENSUS,
+    seed: int,
+    count: int,
     tol: float = _ADMISSIBLE_TOL,
-) -> list[tuple[str, KernelMatrix]]:
-    """Grid-admissible kernels: filtered coordinate pullbacks plus random draws.
+) -> GrammianReport:
+    """Eigenvalue range of each census kernel's normalized Grammian on the truncation.
 
-    The pullback (b-type) kernels are admissible at their own alpha by
-    construction but not at every other alpha, so each candidate is checked
-    on the full grid to ``tol`` and dropped if it fails; up to count // 2 are
-    kept.  Random draws with seeds seed, seed + 1, ... fill the census to
-    ``count``; they are admissible by construction.
+    The census holds grid-admissible kernels only.  The pullback (b-type)
+    kernels are admissible at their own alpha by construction but not at every
+    other alpha, so each candidate is checked once on the full grid to ``tol``
+    and dropped if it fails; up to count // 2 are kept.  Random draws with
+    seeds seed, seed + 1, ... fill the census to ``count``; they are admissible
+    by construction.  The bounds are evidence over the sampled kernels only.
     """
     if count < 1:
         raise ValidationError(f"kernel census needs count >= 1, got {count}")
-    out: list[tuple[str, KernelMatrix]] = []
+    census: list[tuple[str, KernelMatrix]] = []
     for m, alpha in enumerate(grid.alphas):
-        if len(out) >= count // 2:
+        if len(census) >= count // 2:
             break
         kern = make_b_kernel(alpha, trunc.nodes)
-        if admissibility_check(kern, grid, tol).is_admissible_on_grid:
-            out.append((f"b[{m}]", kern))
-    for k in range(seed, seed + count - len(out)):
-        out.append((f"rand[{k}]", random_admissible_kernel(trunc.nodes, grid, seed=k)))
-    return out
+        if admissibility_check(kern, grid, tol):
+            census.append((f"b[{m}]", kern))
+    for k in range(seed, seed + count - len(census)):
+        census.append((f"rand[{k}]", random_admissible_kernel(trunc.nodes, grid, seed=k)))
+    lams = np.linalg.eigvalsh(np.stack([grammian_normalize(kern) for _, kern in census]))
+    return GrammianReport(
+        per_kernel=tuple(
+            (kid, float(lam[0]), float(lam[-1])) for (kid, _), lam in zip(census, lams)
+        ),
+        worst_lower=float(lams[:, 0].min()),
+        worst_upper=float(lams[:, -1].max()),
+    )
 
 
 def carleson_condition(trunc: SequenceTruncation, alpha: complex) -> float:
@@ -172,7 +144,7 @@ def strong_separation(
     bound: float,
     grid: AlphaGrid | None = None,
     opts: SolveOptions = SolveOptions(),
-) -> list[PickSolution]:
+) -> list[SolveReport]:
     """One unit-vector problem per node: f_i(node_i) = 1, zero elsewhere.
 
     All Feasible means the truncation is strongly separated with constant at
@@ -187,7 +159,7 @@ def strong_separation(
             np.array([[1.0 + 0.0j if j == i else 0.0 + 0.0j]]) for j in range(trunc.n)
         ]
         problem = PickProblem(nodes=trunc.nodes, targets=tuple(targets), norm_bound=bound)
-        out.append(PickSolution(report=solve(assemble_pick_target(problem), grid, opts)))
+        out.append(solve(assemble_pick_target(problem), grid, opts))
     return out
 
 

@@ -44,7 +44,6 @@ from symbidisk.sequences import (
     best_carleson_alpha,
     grammian_bounds,
     interpolation_constant,
-    sample_kernel_census,
 )
 from symbidisk.serialize import report_hash
 
@@ -278,9 +277,9 @@ def test_criterion_07_mutual_exclusion():
             both += 1
         # independently re-verify certificates against their targets
         if has_cert and target is not None:
-            rep = admissibility_check(report.certificate, GRID, tol=1e-8)
+            admissible = admissibility_check(report.certificate, GRID, tol=1e-8)
             prod = target.matrix * expand_masks(report.certificate.matrix, target.block)
-            if rep.is_admissible_on_grid and min_eigenvalue(prod) <= -1e-8:
+            if admissible and min_eigenvalue(prod) <= -1e-8:
                 verified_certs += 1
             else:
                 both += 1  # an unverifiable certificate is a corpus failure
@@ -372,10 +371,10 @@ def test_criterion_09_carleson_implication():
 def solve_strong(trunc, bound):
     from symbidisk.sequences import strong_separation
 
-    sols = strong_separation(trunc, bound, GRID)
-    for s in sols:
-        _log_solve("c9", None, s.report)
-    return sols
+    reports = strong_separation(trunc, bound, GRID)
+    for rep in reports:
+        _log_solve("c9", None, rep)
+    return reports
 
 
 def test_criterion_10_grammian_sandwich():
@@ -387,8 +386,7 @@ def test_criterion_10_grammian_sandwich():
         n = 2 if k < 14 else 3
         trunc = SequenceTruncation(nodes=_distinct_nodes(rng, n, rmax=0.75, min_sep=0.15))
         m_hat = interpolation_constant(trunc, GRID, opts)
-        census = sample_kernel_census(trunc, GRID, seed=1000 + k, count=32, tol=1e-10)
-        rep = grammian_bounds(trunc, census, GRID)
+        rep = grammian_bounds(trunc, GRID, 1000 + k, 32, tol=1e-10)
         lo_bound = 1.0 / (m_hat * m_hat) - 1e-6
         hi_bound = m_hat * m_hat + 1e-6
         if rep.worst_lower < lo_bound or rep.worst_upper > hi_bound:

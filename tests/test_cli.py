@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import symbidisk
@@ -314,6 +315,46 @@ class TestRun:
         assert out["carleson"]["delta_hat"] == pytest.approx(0.8, abs=1e-9)
         assert out["strong_separation"]["all_feasible"] is True
 
+    @pytest.mark.parametrize(
+        "pairs, kernels, checks",
+        [
+            # every pullback passes: candidates are tried until kernels // 2 are kept
+            ([[1.0, 0, 0.25, 0], [-1.0, 0, 0.25, 0]], 4, 2),
+            # none passes: all nine solver-grid candidates are tried
+            ([[0.5, 0, 0.1, 0], [0.2, 0, -0.3, 0], [-0.6, 0, 0.05, 0]], 8, 9),
+        ],
+        ids=["pullbacks-kept", "pullbacks-dropped"],
+    )
+    def test_sequence_report_checks_each_pullback_once(self, pairs, kernels, checks, monkeypatch):
+        # the census checks each pullback candidate on the grid once, and no
+        # random draw, which is admissible by construction
+        checked, drawn = [], []
+        sequences = symbidisk.sequences
+        check, draw = sequences.admissibility_check, sequences.random_admissible_kernel
+
+        def counting_check(kern, *args):
+            checked.append(kern)
+            return check(kern, *args)
+
+        def recording_draw(*args, **kwargs):
+            drawn.append(draw(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(sequences, "admissibility_check", counting_check)
+        monkeypatch.setattr(sequences, "random_admissible_kernel", recording_draw)
+        problem = {"format": 1, "kind": "sequence",
+                   "payload": {"nodes": pairs, "kernels": kernels, "bound": 1.5}}
+        report = execute_problem(problem)
+        assert report["grammian"]["kernel_count"] == kernels
+        assert len(checked) == checks
+        grid = symbidisk.AlphaGrid.solver_default()
+        for kern, alpha in zip(checked, grid.alphas):
+            pullback = symbidisk.make_b_kernel(alpha, kern.nodes)
+            assert np.array_equal(kern.matrix, pullback.matrix)
+        kept = sum(row["id"].startswith("b[") for row in report["grammian"]["per_kernel"])
+        assert len(drawn) == kernels - kept
+        assert not any(d is k for d in drawn for k in checked)
+
     @pytest.mark.parametrize("flag, value", [("--n", "1"), ("--kernels", "2"),
                                              ("--alpha-samples", "4"), ("--bound", "1.0")])
     def test_sequence_payload_flags_are_rejected(self, tmp_path, capsys, flag, value):
@@ -357,6 +398,42 @@ class TestRun:
         overridden = json.loads(capsys.readouterr().out)["report_hash"]
         assert run(["membership", "--s", "2.0", "0", "--p", "1.0", "0"]) == 0
         assert overridden == json.loads(capsys.readouterr().out)["report_hash"]
+
+    def test_membership_point_from_either_flag_alone(self, monkeypatch, capsys):
+        # with no --in, the flags give the point and a coordinate not given is 0;
+        # stdin is never read
+        monkeypatch.setattr(sys, "stdin", None)
+        assert run(["membership", "--p", "0.15", "0"]) == 0
+        p_only = json.loads(capsys.readouterr().out)
+        assert p_only["problem"]["payload"] == {"p": [0.15, 0.0], "s": [0.0, 0.0]}
+        assert run(["membership", "--s", "0", "0", "--p", "0.15", "0"]) == 0
+        assert p_only["report_hash"] == json.loads(capsys.readouterr().out)["report_hash"]
+        assert run(["membership", "--s", "0.8", "0"]) == 0
+        s_only = json.loads(capsys.readouterr().out)
+        assert s_only["problem"]["payload"] == {"p": [0.0, 0.0], "s": [0.8, 0.0]}
+        # pinned: the payload's keys are sorted, so the hash does not depend on
+        # which coordinate the flags' payload starts from
+        assert s_only["report_hash"] == (
+            "b2e2c592cb524eeadfed316662089791c35a53234e6cd3b0d941b896cb6d722a"
+        )
+
+    @pytest.mark.parametrize("case", ["missing-dir", "directory", "corpus-out-is-a-file"])
+    def test_unwritable_out_is_one_input_error_line(self, case, tmp_path, capsys):
+        command = "corpus" if case.startswith("corpus") else "membership"
+        p_in = write_input(tmp_path, command)
+        out = {
+            "missing-dir": tmp_path / "missing_dir" / "r.json",
+            "directory": tmp_path / "d",
+            "corpus-out-is-a-file": p_in / "a.json",
+        }[case]
+        (tmp_path / "d").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert run([command, "--in", str(p_in), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:"), lines
+        assert sorted(tmp_path.rglob("*")) == before  # no temporary file is left
 
     @pytest.mark.parametrize("flag, value", DELETED_FLAGS)
     @pytest.mark.parametrize("command", [*symbidisk.cli.KINDS, "corpus"])
@@ -647,8 +724,7 @@ class TestMalformedFields:
         def forbidden(*args, **kwargs):
             raise AssertionError("ran before the bound was checked")
 
-        for name in ("best_carleson_alpha", "sample_kernel_census", "grammian_bounds",
-                     "strong_separation"):
+        for name in ("best_carleson_alpha", "grammian_bounds", "strong_separation"):
             monkeypatch.setattr(symbidisk.cli, name, forbidden)
         with pytest.raises(symbidisk.ValidationError, match="field 'bound' must be positive"):
             execute_problem(malformed_problem(case))

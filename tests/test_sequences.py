@@ -5,14 +5,15 @@ import pytest
 
 from symbidisk import (
     AlphaGrid,
-    KernelMatrix,
     NodeSet,
     SolveStatus,
     ValidationError,
     carleson_condition,
     grammian_bounds,
+    grammian_normalize,
     make_b_kernel,
     pseudo_hyperbolic,
+    random_admissible_kernel,
     strong_separation,
 )
 from symbidisk import pick, realization, sequences
@@ -22,7 +23,6 @@ from symbidisk.sequences import (
     best_carleson_alpha,
     interpolation_constant,
     phase_pattern_family,
-    sample_kernel_census,
 )
 
 from conftest import random_nodes
@@ -36,41 +36,41 @@ def diag_trunc(diagonal_pair):
 class TestGrammianBounds:
     def test_single_node(self, solver_grid):
         trunc = SequenceTruncation(nodes=NodeSet.from_pairs([(0.3, 0.05)]))
-        kernels = sample_kernel_census(trunc, solver_grid, count=3)
-        rep = grammian_bounds(trunc, kernels, solver_grid)
+        rep = grammian_bounds(trunc, solver_grid, 0, 3)
         assert rep.worst_lower == pytest.approx(1.0)
         assert rep.worst_upper == pytest.approx(1.0)
 
     def test_diagonal_b_kernel_closed_form(self, diag_trunc, solver_grid):
-        kern = make_b_kernel(solver_grid.alphas[0], diag_trunc.nodes)
-        rep = grammian_bounds(diag_trunc, [("b", kern)], solver_grid)
-        assert rep.worst_lower == pytest.approx(0.4, abs=1e-10)
-        assert rep.worst_upper == pytest.approx(1.6, abs=1e-10)
+        # b[0], the pullback at alpha = 0, passes the grid check on this pair
+        rep = grammian_bounds(diag_trunc, solver_grid, 0, 2)
+        kid, lo, hi = rep.per_kernel[0]
+        assert kid == "b[0]"
+        assert lo == pytest.approx(0.4, abs=1e-10)
+        assert hi == pytest.approx(1.6, abs=1e-10)
 
     def test_near_duplicate_nodes_degenerate(self):
         nodes = NodeSet.from_pairs([(0.3, 0.05), (0.3 + 1e-3, 0.05)])
         trunc = SequenceTruncation(nodes=nodes)
-        kern = make_b_kernel(0.0, nodes)
         # the pullback kernel is only admissible at its own alpha here
         own_alpha = AlphaGrid(np.array([0.0 + 0.0j]))
-        rep = grammian_bounds(trunc, [("b", kern)], own_alpha)
+        rep = grammian_bounds(trunc, own_alpha, 0, 2)
+        assert rep.per_kernel[0][0] == "b[0]"
         assert rep.worst_lower <= 1e-4
 
-    def test_rejects_inadmissible_kernel(self, solver_grid):
-        nodes = NodeSet.from_pairs([(0.6, 0.05), (-0.4, 0.02), (0.1, -0.2)])
-        trunc = SequenceTruncation(nodes=nodes)
-        ones = KernelMatrix(nodes=nodes, matrix=np.ones((3, 3)))
-        with pytest.raises(ValidationError, match="inadmissible"):
-            grammian_bounds(trunc, [("ones", ones)], solver_grid)
-
-    def test_unit_diagonal_always(self, rng, solver_grid):
+    def test_stacked_eigensolve_matches_one_per_kernel(self, rng, solver_grid):
         trunc = SequenceTruncation(nodes=random_nodes(rng, 3))
-        kernels = sample_kernel_census(trunc, solver_grid, seed=2, count=4)
-        for _, kern in kernels:
-            from symbidisk import grammian_normalize
-
+        rep = grammian_bounds(trunc, solver_grid, 2, 9)
+        census = [make_b_kernel(solver_grid.alphas[int(kid[2:-1])], trunc.nodes)
+                  for kid, _, _ in rep.per_kernel if kid.startswith("b[")]
+        census += [random_admissible_kernel(trunc.nodes, solver_grid, seed=int(kid[5:-1]))
+                   for kid, _, _ in rep.per_kernel if kid.startswith("rand[")]
+        for kern, (_, lo, hi) in zip(census, rep.per_kernel):
             g = grammian_normalize(kern)
             assert np.allclose(np.diag(g), 1.0)
+            lam = np.linalg.eigvalsh(g)
+            assert (lo, hi) == (lam[0], lam[-1])
+        assert rep.worst_lower == min(lo for _, lo, _ in rep.per_kernel)
+        assert rep.worst_upper == max(hi for _, _, hi in rep.per_kernel)
 
 
 class TestKernelCensus:
@@ -80,17 +80,17 @@ class TestKernelCensus:
 
         monkeypatch.setattr(sequences, "random_admissible_kernel", broken)
         with pytest.raises(RuntimeError, match="bug in the generator"):
-            sample_kernel_census(diag_trunc, solver_grid, seed=7, count=8)
+            grammian_bounds(diag_trunc, solver_grid, 7, 8)
 
     def test_random_draws_fill_the_census_from_the_seed(self, diag_trunc, solver_grid):
-        names = [name for name, _ in sample_kernel_census(diag_trunc, solver_grid, seed=7, count=8)]
+        names = [kid for kid, _, _ in grammian_bounds(diag_trunc, solver_grid, 7, 8).per_kernel]
         pullbacks = [name for name in names if name.startswith("b[")]
         assert 0 < len(pullbacks) <= 4
         assert names == pullbacks + [f"rand[{7 + k}]" for k in range(8 - len(pullbacks))]
 
     def test_empty_census_is_rejected(self, diag_trunc, solver_grid):
         with pytest.raises(ValidationError, match="count"):
-            sample_kernel_census(diag_trunc, solver_grid, count=0)
+            grammian_bounds(diag_trunc, solver_grid, 0, 0)
 
 
 class TestCarleson:
@@ -160,9 +160,8 @@ class TestSeparation:
         monkeypatch.setattr(realization, "realize", refuse)
         monkeypatch.setattr(pick, "realize", refuse)
         for (trunc, bound), statuses in zip(cases, expected):
-            sols = strong_separation(trunc, bound, solver_grid)
-            assert [s.status for s in sols] == statuses
-            assert all(s.interpolant is None for s in sols)
+            reps = strong_separation(trunc, bound, solver_grid)
+            assert [rep.status for rep in reps] == statuses
 
     def test_royal_variety_disk_oracle(self):
         # On the royal variety, nodes (2 z, z^2), every phi(alpha, .) is -z, so
@@ -224,7 +223,6 @@ class TestPatternsAndConstant:
 
     def test_sandwich_on_diagonal_pair(self, diag_trunc, solver_grid):
         m_hat = interpolation_constant(diag_trunc, solver_grid)
-        census = sample_kernel_census(diag_trunc, solver_grid, seed=7, count=8)
-        rep = grammian_bounds(diag_trunc, census, solver_grid)
+        rep = grammian_bounds(diag_trunc, solver_grid, 7, 8)
         assert rep.worst_lower >= 1.0 / m_hat**2 - 1e-6
         assert rep.worst_upper <= m_hat**2 + 1e-6
