@@ -48,14 +48,12 @@ from .feasibility import (
 )
 from .realization import (
     Colligation,
-    transfer_eval,
+    Factorization,
     transfer_eval_batch,
     verify_contractivity,
 )
 from .pick import (
     PickProblem,
-    PickSolution,
-    assemble_pick_target,
     minimal_norm,
     minimal_norm_bracket,
     solve_pick,
@@ -70,8 +68,6 @@ from .sequences import (
 )
 from .corona import (
     CoronaProblem,
-    CoronaSolution,
-    assemble_corona_target,
     solve_corona,
 )
 from .gamma_ops import (

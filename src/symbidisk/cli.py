@@ -38,6 +38,7 @@ from .gamma_ops import (
 from .geometry import BGammaPoint, membership
 from .kernels import AlphaGrid
 from .pick import PickProblem, minimal_norm, solve_pick
+from .realization import Factorization
 from .sequences import (
     MAX_KERNELS,
     SequenceTruncation,
@@ -273,15 +274,15 @@ def _as_list(value, field: str) -> list:
     return value
 
 
-def _factorization_body(solution, key: str) -> dict:
+def _factorization_body(solution: Factorization, key: str) -> dict:
     """Fields pick and corona reports share; ``key`` names the realized function."""
     body: dict[str, Any] = {
         "solve": encode_solve_report(solution.report),
         "status": solution.status.value,
         "timings": {"solve": solution.report.wall_time},
     }
-    if getattr(solution, key) is not None:
-        body[key] = encode_colligation(getattr(solution, key))
+    if solution.interpolant is not None:
+        body[key] = encode_colligation(solution.interpolant)
         body["node_residual"] = solution.node_residual
     return body
 
@@ -330,10 +331,11 @@ def _handle_corona(payload, grid, opts) -> dict:
     )
     solution = solve_corona(problem, grid, opts)
     body = _factorization_body(solution, "psi")
-    if solution.psi is not None:
-        body["sampled_norm"] = solution.norm_bound  # an older key: psi's norm, not a sample
+    if solution.interpolant is not None:
+        norm = solution.interpolant.norm  # bounds sup ||Psi||
+        body["sampled_norm"] = norm  # an older key: psi's norm, not a sample
         # the left inverse's norm when Theta = sqrt(delta) I
-        body["normalized_norm"] = solution.norm_bound / np.sqrt(problem.delta)
+        body["normalized_norm"] = norm / np.sqrt(problem.delta)
         # solve_corona measured max |Phi_i Psi(node_i) - Theta_i| on this colligation
         body["left_inverse_node_residual"] = solution.node_residual
     return body
@@ -431,7 +433,8 @@ _HANDLERS = {
 def corpus(args) -> int:
     """Run every problem in a directory and compare against expectations.
 
-    Problems are ``*.json`` files (excluding ``*.expected.json``); a sidecar
+    Problems are ``*.json`` files (excluding ``*.expected.json`` and the
+    ``*.report.json`` this runner writes, so ``--out`` may be ``--in``); a sidecar
     ``<stem>.expected.json`` may pin exact fields (``equals``) and numeric
     fields with tolerances (``approx``: {field: [value, tol]}).  Reports are
     written atomically when an output directory is given.  Files run one
@@ -444,7 +447,7 @@ def corpus(args) -> int:
     names = sorted(
         f
         for f in os.listdir(in_dir)
-        if f.endswith(".json") and not f.endswith(".expected.json")
+        if f.endswith(".json") and not f.endswith((".expected.json", ".report.json"))
     )
     if args.out_path:
         try:

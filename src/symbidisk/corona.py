@@ -11,8 +11,9 @@ inverse of Phi).  Feasibility of the target
 through the CP core is equivalent, at grid scale, to the existence of such a
 Psi.  It is the factorization of ``realization`` with L_i = Phi_i and
 R_i = Theta_i (Pick is the case L_i = I), and the one ``realize`` step that
-serves both synthesizes Psi with Phi(node) @ Psi(node) = Theta(node).  The
-norm of Psi's colligation bounds sup ||Psi||; nothing is sampled.
+serves both synthesizes Psi, the result's ``interpolant``, with
+Phi(node) @ Psi(node) = Theta(node).  The norm of Psi's colligation bounds
+sup ||Psi||; nothing is sampled.
 """
 
 from __future__ import annotations
@@ -22,15 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .feasibility import (
-    FeasibilityTarget,
-    SolveOptions,
-    SolveReport,
-    SolveStatus,
-    solve,
-)
+from .feasibility import SolveOptions, solve
 from .kernels import AlphaGrid, NodeSet
-from .realization import Colligation, factor_target, realize
+from .realization import Factorization, factor_target, realize
 
 MAX_OUTPUT_BLOCK = 8
 
@@ -78,38 +73,21 @@ class CoronaProblem:
                 raise ValidationError("Theta samples need at least one column")
         object.__setattr__(self, "theta_samples", theta)
 
-
-@dataclass(frozen=True)
-class CoronaSolution:
-    report: SolveReport
-    psi: Colligation | None = None
-    node_residual: float | None = None
-    norm_bound: float | None = None  # psi.norm, which bounds sup ||Psi||
-
-    @property
-    def status(self) -> SolveStatus:
-        return self.report.status
-
-
-def assemble_corona_target(problem: CoronaProblem) -> FeasibilityTarget:
-    """J_ij = Phi_i Phi_j* - Theta_i Theta_j*, self-adjoint by construction."""
-    return factor_target(problem.nodes, problem.phi_samples, problem.theta_samples)
+    def tops(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Node tops L_i = Phi_i and R_i = Theta_i of the problem as a factorization."""
+        return self.phi_samples, self.theta_samples
 
 
 def solve_corona(
     problem: CoronaProblem,
     grid: AlphaGrid | None = None,
     opts: SolveOptions = SolveOptions(),
-) -> CoronaSolution:
+) -> Factorization:
     """Decide the corona target and synthesize the factor Psi when feasible.
 
-    The synthesized Psi is contractive (unitary colligation; its norm is
-    ``norm_bound``) and satisfies Phi(node) @ Psi(node) = Theta(node).
+    Psi is the result's ``interpolant``: contractive (a unitary colligation,
+    whose ``norm`` bounds sup ||Psi||) with Phi(node) @ Psi(node) = Theta(node).
     """
-    grid = grid or AlphaGrid.solver_default()
-    report = solve(assemble_corona_target(problem), grid, opts)
-    if report.status is not SolveStatus.FEASIBLE:
-        return CoronaSolution(report=report)
-
-    psi, node_res = realize(report, problem.nodes, problem.phi_samples, problem.theta_samples)
-    return CoronaSolution(report=report, psi=psi, node_residual=node_res, norm_bound=psi.norm)
+    lhs, rhs = problem.tops()
+    report = solve(factor_target(problem.nodes, lhs, rhs), grid or AlphaGrid.solver_default(), opts)
+    return realize(report, problem.nodes, lhs, rhs)

@@ -596,7 +596,7 @@ def _conic_minimum(nodes, grid, g, block, gap, opts):
     here (the caller re-verifies the witness to it).  NumericsError when no
     atom's Sz_k is safely positive definite, so that no witness can be
     repaired; when the bracket has not closed within the budget; or when the
-    iterate stalls (_Conic.step).
+    iterate stalls (_Conic.step) and its last bracket is still wider than gap.
     The widths it names are those of sqrt(t), relative to the targets' scale.
     """
     core = _Conic(nodes, grid, block)
@@ -634,6 +634,7 @@ def _conic_minimum(nodes, grid, g, block, gap, opts):
                 f"minimal-norm bracket not closed in {opts.max_iter} interior-point"
                 f" iterations: relative width {math.sqrt(hi2) - lo:.3e} > {gap:.3e}"
             )
-    raise NumericsError(
-        f"minimal-norm bracket stalled at relative width {bracket(t, b, z):.3e} > {gap:.3e}"
-    )
+    width = bracket(t, b, z)  # path ended: the last iterate may still close it
+    if width <= gap:
+        return lo, hi2, witness
+    raise NumericsError(f"minimal-norm bracket stalled at relative width {width:.3e} > {gap:.3e}")

@@ -17,6 +17,9 @@ from .errors import ValidationError
 from .geometry import BGammaPoint, scale_point
 
 COMMUTATOR_TOL = 1e-10
+# Entries a pair may hold: the checks' products of two n x n members then stay
+# below n * 1e300, finite for every n a matrix in memory can have.
+MAX_PAIR_ENTRY = 1e150
 # Atoms an AtomicMeasure may carry.  The model pair and its isometry check
 # are dense n x n matrices and the duplicate scan is O(n^2): a 1024-atom
 # measure-model costs about 1.7 CPU-s end to end (x86_64, one BLAS thread),
@@ -38,6 +41,12 @@ class OperatorPair:
             raise ValidationError("need two square matrices of equal size")
         if a.shape[0] < 1:
             raise ValidationError("need matrices of size at least 1 x 1")
+        top = float(np.abs(np.stack([a, b])).max())
+        if not top <= MAX_PAIR_ENTRY:  # NaN fails too
+            raise ValidationError(
+                f"pair has an entry of modulus {top:.3g}, more than the"
+                f" {MAX_PAIR_ENTRY:g} at which its checks stay finite"
+            )
         scale = max(1.0, np.abs(a).max(initial=0.0) * np.abs(b).max(initial=0.0))
         if np.abs(a @ b - b @ a).max(initial=0.0) > COMMUTATOR_TOL * scale:
             raise ValidationError("matrices do not commute")

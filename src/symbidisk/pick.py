@@ -16,19 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .feasibility import (
-    CPBlocks,
-    FeasibilityTarget,
-    SolveOptions,
-    SolveReport,
-    SolveStatus,
-    _conic_minimum,
-    residual,
-    solve,
-)
+from .feasibility import CPBlocks, SolveOptions, _conic_minimum, residual, solve
 from .hermitian import hermitian_part
 from .kernels import AlphaGrid, NodeSet
-from .realization import Colligation, factor_target, realize
+from .realization import Factorization, factor_target, realize
 
 
 @dataclass(frozen=True)
@@ -56,49 +47,28 @@ class PickProblem:
     def d_out(self) -> int:
         return self.targets[0].shape[0]
 
-
-@dataclass(frozen=True)
-class PickSolution:
-    report: SolveReport
-    interpolant: Colligation | None = None
-    node_residual: float | None = None
-
-    @property
-    def status(self) -> SolveStatus:
-        return self.report.status
-
-
-def _tops(problem: PickProblem) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Node tops L_i = I and R_i = W_i / nb of the problem as a factorization."""
-    # an overflow leaves a non-finite entry, which FeasibilityTarget rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        rhs = [t / problem.norm_bound for t in problem.targets]
-    return [np.eye(problem.d_out)] * len(problem.nodes), rhs
-
-
-def assemble_pick_target(problem: PickProblem) -> FeasibilityTarget:
-    """Target J_ij = I - (W_i / nb)(W_j / nb)* in node-block form."""
-    return factor_target(problem.nodes, *_tops(problem))
+    def tops(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Node tops L_i = I and R_i = W_i / nb of the problem as a factorization."""
+        # an overflow leaves a non-finite entry, which FeasibilityTarget rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = [t / self.norm_bound for t in self.targets]
+        return [np.eye(self.d_out)] * len(self.nodes), rhs
 
 
 def solve_pick(
     problem: PickProblem,
     grid: AlphaGrid | None = None,
     opts: SolveOptions = SolveOptions(),
-) -> PickSolution:
+) -> Factorization:
     """Decide the problem and, when feasible, return an explicit interpolant.
 
     On InfeasibleCertified the report's certificate kernel is the node-level
     falsifier: the Schur product of the assembled target with it has a
     negative eigenvalue while staying grid-admissible.
     """
-    grid = grid or AlphaGrid.solver_default()
-    lhs, rhs = _tops(problem)
-    report = solve(factor_target(problem.nodes, lhs, rhs), grid, opts)
-    if report.status is not SolveStatus.FEASIBLE:
-        return PickSolution(report=report)
-    fn, node_res = realize(report, problem.nodes, lhs, rhs)
-    return PickSolution(report=report, interpolant=fn, node_residual=node_res)
+    lhs, rhs = problem.tops()
+    report = solve(factor_target(problem.nodes, lhs, rhs), grid or AlphaGrid.solver_default(), opts)
+    return realize(report, problem.nodes, lhs, rhs)
 
 
 def minimal_norm(
@@ -151,7 +121,8 @@ def _conic_bracket(problem, grid, opts, width):
     if top == 0.0:
         return 0.0, 0.0, None
     # validates the targets as a solve at norm bound top would
-    assemble_pick_target(PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=top))
+    at_top = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=top)
+    factor_target(problem.nodes, *at_top.tops())
     w = np.concatenate(problem.targets) / top  # first: W W* overflows above about 1e154
     g = hermitian_part(w @ w.conj().T)
     gap = width * max(1.0, top) / top  # the closing width, in units of top
@@ -159,7 +130,7 @@ def _conic_bracket(problem, grid, opts, width):
     hi = top * math.sqrt(t)
     witness = CPBlocks(grid=grid, blocks=tuple(blocks / t))
     at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
-    if not residual(assemble_pick_target(at_hi), witness) <= opts.tol:
+    if not residual(factor_target(problem.nodes, *at_hi.tops()), witness) <= opts.tol:
         raise NumericsError(f"the minimal-norm witness at {hi!r} does not re-verify")
     return min(top * lo, hi), hi, witness
 

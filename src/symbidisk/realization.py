@@ -24,9 +24,9 @@ contractive and target J = L L* - R R* (Pick: L_i = I, R_i = W_i / nb; corona:
 L_i = Phi_i, R_i = Theta_i), served by one :func:`realize` step.  Rectangular
 top data is zero-padded to a common width and sliced back when evaluating.
 
-The colligation is the realized function: ``PickSolution.interpolant`` and
-``CoronaSolution.psi`` are :class:`Colligation` objects, evaluated with
-:func:`transfer_eval` at one point or :func:`transfer_eval_batch` at many.
+Both problems return one :class:`Factorization`, whose ``interpolant`` is
+the realized function: a :class:`Colligation`, evaluated with
+:func:`transfer_eval_batch` at any number of points.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .geometry import GPoint, phi_values
+from .geometry import phi_values
 from .hermitian import hermitian_part, unitary_completion
 from .kernels import NodeSet, _masks, expand_masks
-from .feasibility import CPBlocks, FeasibilityTarget, SolveReport, _hermitian_basis
+from .feasibility import CPBlocks, FeasibilityTarget, SolveReport, SolveStatus, _hermitian_basis
 
 # Points per batched solve are capped so that a stack of colligation-sized
 # blocks ((padded + state dim)^2 entries each) holds at most this many entries.
@@ -248,31 +248,42 @@ def factor_target(nodes: NodeSet, lhs_tops, rhs_tops) -> FeasibilityTarget:
     return FeasibilityTarget(nodes=nodes, matrix=j, block=lhs_tops[0].shape[0])
 
 
-def realize(
-    report: SolveReport, nodes: NodeSet, lhs_tops, rhs_tops
-) -> tuple[Colligation, float]:
-    """The colligation realized from a Feasible report's witness, and its node residual.
+@dataclass(frozen=True)
+class Factorization:
+    """The result of Pick and corona solves: a decided factorization L_i f(node_i) = R_i.
 
-    The colligation is built from the witness purified to a basic solution
-    (_purified_factors), so its state dimension is at most N^2; the report's
-    blocks are not changed.
+    ``interpolant``, the colligation of f, and its ``node_residual`` are set
+    when the report is Feasible, and None otherwise.
     """
+
+    report: SolveReport
+    interpolant: Colligation | None = None
+    node_residual: float | None = None
+
+    @property
+    def status(self) -> SolveStatus:
+        return self.report.status
+
+
+def realize(report: SolveReport, nodes: NodeSet, lhs_tops, rhs_tops) -> Factorization:
+    """The factorization a report decides: bare unless it is Feasible.
+
+    A Feasible report's colligation is built from its witness purified to a
+    basic solution (_purified_factors), so its state dimension is at most
+    N^2; the report's blocks are not changed.
+    """
+    if report.status is not SolveStatus.FEASIBLE:
+        return Factorization(report)
     tol = max(1e-8, 10 * report.residual)
     rows, atoms = _purified_factors(report.blocks, nodes)
     col = _colligation(report.blocks.grid.alphas, nodes, rows, atoms, lhs_tops, rhs_tops, tol)
-    return col, node_residual(col, nodes, lhs_tops, rhs_tops)
+    return Factorization(report, col, node_residual(col, nodes, lhs_tops, rhs_tops))
 
 
 def node_residual(col: Colligation, nodes: NodeSet, lhs_tops, rhs_tops) -> float:
     """max_i |L_i f(node_i) - R_i|, entrywise, for the function f of ``col``."""
     vals = transfer_eval_batch(col, nodes.s, nodes.p)
     return max(float(np.abs(lt @ v - rt).max()) for lt, v, rt in zip(lhs_tops, vals, rhs_tops))
-
-
-def transfer_eval(col: Colligation, point: GPoint | tuple[complex, complex]) -> np.ndarray:
-    """Evaluate the realized function at one point: a batch of one."""
-    s, p = (point.s, point.p) if isinstance(point, GPoint) else point
-    return transfer_eval_batch(col, [s], [p])[0]
 
 
 def transfer_eval_batch(col: Colligation, s: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -28,7 +28,8 @@ from .kernels import (
     make_b_kernel,
     random_admissible_kernel,
 )
-from .pick import PickProblem, assemble_pick_target, minimal_norm_bracket
+from .pick import PickProblem, minimal_norm_bracket
+from .realization import factor_target
 
 # Kernels a sequence census may ask for.  Each costs one stacked eigensolve on
 # the whole grid (a pullback's admissibility check, or a random draw's shift)
@@ -159,7 +160,7 @@ def strong_separation(
             np.array([[1.0 + 0.0j if j == i else 0.0 + 0.0j]]) for j in range(trunc.n)
         ]
         problem = PickProblem(nodes=trunc.nodes, targets=tuple(targets), norm_bound=bound)
-        out.append(solve(assemble_pick_target(problem), grid, opts))
+        out.append(solve(factor_target(trunc.nodes, *problem.tops()), grid, opts))
     return out
 
 

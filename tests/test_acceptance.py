@@ -38,7 +38,7 @@ from symbidisk.feasibility import FeasibilityTarget, residual, solve
 from symbidisk.geometry import phi_values
 from symbidisk.hermitian import min_eigenvalue
 from symbidisk.kernels import coefficient_masks, expand_masks
-from symbidisk.realization import Colligation, transfer_eval_batch
+from symbidisk.realization import Colligation, factor_target, transfer_eval_batch
 from symbidisk.sequences import (
     SequenceTruncation,
     best_carleson_alpha,
@@ -156,9 +156,7 @@ def test_criterion_03_two_point_oracle_agreement():
             nodes=nodes, targets=tuple(np.array([[wi]]) for wi in w)
         )
         sol = solve_pick(problem, GRID)
-        from symbidisk import assemble_pick_target
-
-        _log_solve("c3", assemble_pick_target(problem), sol.report)
+        _log_solve("c3", factor_target(problem.nodes, *problem.tops()), sol.report)
         pick_matrix = (1.0 - np.outer(w, w.conj())) / (1.0 - np.outer(z, z.conj()))
         lam = np.linalg.eigvalsh((pick_matrix + pick_matrix.conj().T) / 2).min()
         if sol.status is SolveStatus.FEASIBLE:
@@ -323,10 +321,10 @@ def test_criterion_08_corona_echo():
         feasible += 1
         worst_node = max(worst_node, sol.node_residual)
         # the sampled audit solve_corona ran before it reported the norm bound
-        sup = verify_contractivity(sol.psi, 2000, seed=0)
+        sup = verify_contractivity(sol.interpolant, 2000, seed=0)
         worst_sup = max(worst_sup, sup)
-        worst_bound = max(worst_bound, sol.norm_bound)
-        bound_gap = max(bound_gap, sup - sol.norm_bound)
+        worst_bound = max(worst_bound, sol.interpolant.norm)
+        bound_gap = max(bound_gap, sup - sol.interpolant.norm)
     ok = (
         feasible == 50
         and worst_node <= 1e-7

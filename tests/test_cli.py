@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -695,6 +696,52 @@ def malformed_problem(case):
     return obj
 
 
+def is_matrix(value):
+    return isinstance(value, dict) and set(value) == {"rows", "cols", "entries"}
+
+
+def numeric_fields(obj, path=()):
+    """Paths of every matrix object and every other number under ``obj``."""
+    if is_matrix(obj) or (isinstance(obj, (int, float)) and not isinstance(obj, bool)):
+        yield path
+    elif isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from numeric_fields(value, path + (key,))
+
+
+# Optional payload fields that the valid problems leave out, at valid values.
+OPTIONAL_FIELDS = {
+    "membership": {"tol": 1e-10},
+    "pick": {"norm_bound": 1.0},
+    "corona": {"theta_samples": [{"rows": 1, "cols": 1, "entries": [[0.5, 0.0]]}] * 2},
+    "sequence": {"n": 2, "alpha_samples": 9},
+    "gamma-check": {"tol": 1e-10},
+    "measure-model": {"weights": [1.0], "tol": 1e-10},
+}
+
+
+def full_problem(kind):
+    """valid_problem(kind) with every optional payload field given."""
+    obj = valid_problem(kind)
+    obj["payload"].update(OPTIONAL_FIELDS[kind])
+    return obj
+
+
+# (kind, paths) of each matrix and number field of a kind's full payload, one
+# at a time and then all of them at once.
+HUGE_FIELDS = [
+    (kind, sel)
+    for kind in symbidisk.cli.KINDS
+    for fields in [list(numeric_fields(full_problem(kind)["payload"], ("payload",)))]
+    for sel in [[path] for path in fields] + [fields]
+]
+
+
+def huge_id(case):
+    kind, paths = case
+    return f"{kind}-all" if len(paths) > 1 else "-".join(map(str, (kind, *paths[0][1:])))
+
+
 def golden_corpus(tmp_path):
     d = tmp_path / "golden"
     d.mkdir()
@@ -780,6 +827,31 @@ class TestMalformedFields:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:"), lines
         assert "1025 atoms" in lines[0]
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    @pytest.mark.parametrize("case", HUGE_FIELDS, ids=huge_id)
+    def test_huge_field_runs_or_is_one_input_error_line(self, case, scale, tmp_path, capsys):
+        # every number of the fields, matrix entries included, set to scale
+        kind, paths = case
+        obj = full_problem(kind)
+        for path in paths:
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            value = parent[path[-1]]
+            if is_matrix(value):
+                parent[path[-1]] = {**value, "entries": [[scale, 0.0]] * len(value["entries"])}
+            else:
+                parent[path[-1]] = scale
+        p_in = tmp_path / "p.json"
+        write_json(p_in, obj)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run([kind, "--in", str(p_in)])
+        lines = capsys.readouterr().err.splitlines()
+        assert not caught, [str(w.message) for w in caught]
+        one_input_error = code == 1 and len(lines) == 1 and lines[0].startswith("input error:")
+        assert code == 0 or one_input_error, (code, lines)
 
     def test_non_finite_report_is_one_numerical_failure_line(self, tmp_path, capsys, monkeypatch):
         # the encoder's backstop behind the input checks
@@ -943,6 +1015,15 @@ class TestCorpus:
         assert run(["corpus", "--in", str(d), "--out", str(out)]) == 1
         assert capsys.readouterr().out.startswith("FAIL  a.json.json  mismatch:")
         assert os.listdir(out) == ["a.json.report.json"]
+
+    def test_reports_written_into_the_input_directory_are_not_rerun(self, tmp_path, capsys):
+        d = tmp_path / "corpus"
+        d.mkdir()
+        write_json(d / "a.json", pick_problem_obj())
+        assert run(["corpus", "--in", str(d), "--out", str(d)]) == 0
+        assert run(["corpus", "--in", str(d), "--out", str(d)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "corpus: 1/1 passed"
+        assert sorted(os.listdir(d)) == ["a.json", "a.report.json"]
 
     @pytest.mark.parametrize(
         "approx",

@@ -9,12 +9,11 @@ from symbidisk import (
     SolveStatus,
     ValidationError,
     admissibility_check,
-    assemble_corona_target,
     phi,
     solve_corona,
 )
 from symbidisk.hermitian import min_eigenvalue
-from symbidisk.realization import transfer_eval_batch
+from symbidisk.realization import factor_target, transfer_eval_batch
 
 from conftest import disc_whitened, random_nodes, variety_nodes
 
@@ -37,12 +36,14 @@ def coordinate_and_constant_problem(nodes, delta=0.5):
 class TestAssemble:
     def test_constant_row_cancels(self, rng):
         nodes = random_nodes(rng, 3)
-        target = assemble_corona_target(constant_row_problem(nodes, delta=1.0))
+        prob = constant_row_problem(nodes, delta=1.0)
+        target = factor_target(nodes, *prob.tops())
         assert np.abs(target.matrix).max() <= 1e-12
 
     def test_coordinate_row_rank_one(self, rng):
         nodes = random_nodes(rng, 3)
-        target = assemble_corona_target(coordinate_and_constant_problem(nodes, 0.5))
+        prob = coordinate_and_constant_problem(nodes, 0.5)
+        target = factor_target(nodes, *prob.tops())
         vals = np.array([phi(0.0, q) for q in nodes.points])
         expected = np.outer(vals, vals.conj()) / 2.0
         assert np.abs(target.matrix - expected).max() <= 1e-12
@@ -52,7 +53,7 @@ class TestAssemble:
     def test_oversized_delta_negative_diagonal(self, rng):
         nodes = random_nodes(rng, 2)
         prob = constant_row_problem(nodes, delta=1.5)
-        target = assemble_corona_target(prob)
+        target = factor_target(prob.nodes, *prob.tops())
         assert np.real(np.diag(target.matrix)).min() < 0
 
 
@@ -70,7 +71,7 @@ class TestAssemble:
                 expected[2 * i : 2 * i + 2, 2 * k : 2 * k + 2] = (
                     phis[i] @ phis[k].conj().T - thetas[i] @ thetas[k].conj().T
                 )
-        got = assemble_corona_target(problem).matrix
+        got = factor_target(problem.nodes, *problem.tops()).matrix
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
@@ -80,8 +81,8 @@ class TestSolveCorona:
         sol = solve_corona(constant_row_problem(nodes, delta=1.0), solver_grid)
         assert sol.status is SolveStatus.FEASIBLE
         assert sol.node_residual <= 1e-8
-        assert sol.norm_bound <= 1.0 + 1e-8
-        vals = transfer_eval_batch(sol.psi, nodes.s, nodes.p)
+        assert sol.interpolant.norm <= 1.0 + 1e-8
+        vals = transfer_eval_batch(sol.interpolant, nodes.s, nodes.p)
         row = np.array([[1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)]])
         for v in vals:
             assert abs((row @ v)[0, 0] - 1.0) <= 1e-8
@@ -92,9 +93,9 @@ class TestSolveCorona:
         sol = solve_corona(prob, solver_grid)
         assert sol.status is SolveStatus.FEASIBLE
         assert sol.node_residual <= 1e-7
-        assert sol.norm_bound <= 1.0 + 1e-8
+        assert sol.interpolant.norm <= 1.0 + 1e-8
         # classical bookkeeping: psi / sqrt(delta) within 1 / sqrt(delta)
-        assert sol.norm_bound / np.sqrt(prob.delta) <= 1.0 / np.sqrt(prob.delta) + 1e-8
+        assert sol.interpolant.norm / np.sqrt(prob.delta) <= 1.0 / np.sqrt(prob.delta) + 1e-8
 
     def test_single_function_diagonal_necessity(self, solver_grid):
         # one function vanishing nearly at a node: delta above min |phi|^2
@@ -136,8 +137,8 @@ class TestSolveCorona:
         right = CoronaProblem(
             nodes=nodes, phi_samples=tuple(m @ w for m in base), delta=0.1
         )
-        t0 = assemble_corona_target(prob)
-        t1 = assemble_corona_target(right)
+        t0 = factor_target(prob.nodes, *prob.tops())
+        t1 = factor_target(right.nodes, *right.tops())
         assert np.abs(t0.matrix - t1.matrix).max() <= 1e-10
         # an output-side rotation conjugates each block, preserving spectra
         left = CoronaProblem(
@@ -146,7 +147,7 @@ class TestSolveCorona:
             delta=0.1,
             theta_samples=tuple(w @ t for t in prob.theta_samples),
         )
-        t2 = assemble_corona_target(left)
+        t2 = factor_target(left.nodes, *left.tops())
         lam0 = np.linalg.eigvalsh(t0.matrix)
         big_w = np.kron(np.eye(2), w)
         assert np.abs(big_w @ t0.matrix @ big_w.conj().T - t2.matrix).max() <= 1e-10
@@ -160,9 +161,9 @@ class TestVerifyLeftInverse:
         nodes = random_nodes(rng, 2)
         prob = constant_row_problem(nodes, delta=1.0)
         sol = solve_corona(prob, solver_grid)
-        assert sol.psi is not None
+        assert sol.interpolant is not None
         assert sol.node_residual <= 1e-8
-        assert sol.norm_bound <= 1.0 + 1e-8
+        assert sol.interpolant.norm <= 1.0 + 1e-8
 
     def test_planted_rerun(self, rng, solver_grid):
         nodes = random_nodes(rng, 3)
@@ -178,7 +179,7 @@ class TestVerifyLeftInverse:
         r = np.sqrt(rng.random((2, 200))) * 0.98
         z1, z2 = r * np.exp(2j * np.pi * rng.random((2, 200)))
         s, p = z1 + z2, z1 * z2
-        psis = transfer_eval_batch(sol.psi, s, p)
+        psis = transfer_eval_batch(sol.interpolant, s, p)
         theta = np.sqrt(0.5)
         residual = max(
             float(np.abs(np.array([[phi(0.0, (sk, pk)), 1.0]]) / np.sqrt(2.0) @ v - theta).max())
@@ -192,8 +193,8 @@ class TestVerifyLeftInverse:
         nodes = random_nodes(rng, 2)
         prob = constant_row_problem(nodes, delta=1.5)
         sol = solve_corona(prob, solver_grid)
-        assert sol.psi is None
-        assert sol.node_residual is None and sol.norm_bound is None
+        assert sol.interpolant is None
+        assert sol.node_residual is None
 
 
 @pytest.mark.parametrize("variety", ["royal", "flat"])
@@ -219,7 +220,7 @@ def test_decisions_at_the_exact_corona_threshold(variety, solver_grid):
             assert above.status is SolveStatus.INFEASIBLE_CERTIFIED, (n, draw)
             kernel = above.report.certificate
             assert admissibility_check(kernel, solver_grid, 1e-8), (n, draw)
-            target = assemble_corona_target(problem).matrix
+            target = factor_target(problem.nodes, *problem.tops()).matrix
             assert min_eigenvalue(target * kernel.matrix) < 0, (n, draw)
     assert time.process_time() - t0 < 2.0
 

@@ -17,7 +17,6 @@ from symbidisk import (
     KernelMatrix,
     ValidationError,
     admissibility_check,
-    assemble_pick_target,
     grammian_normalize,
     make_b_kernel,
     minimal_norm_bracket,
@@ -26,11 +25,12 @@ from symbidisk import (
     symmetrize,
 )
 from symbidisk import feasibility, pick
-from symbidisk.corona import CoronaProblem, assemble_corona_target
+from symbidisk.corona import CoronaProblem
 from symbidisk.feasibility import MAX_TARGET_DIM, _Conic, _HermitianBasis, _hkm_schur
 from symbidisk.geometry import phi_values
 from symbidisk.hermitian import hermitian_part, min_eigenvalue, min_eigenvalue_stack
 from symbidisk.kernels import coefficient_masks, expand_masks, random_admissible_kernel
+from symbidisk.realization import factor_target
 
 from conftest import loop_file_problem, near_threshold_problem, psd_project, random_nodes
 
@@ -277,6 +277,34 @@ class TestSolve:
                 assert report.certificate.matrix.shape == (3, 3)
                 assert certificate_holds(target, solver_grid, report.certificate.matrix)
 
+    def test_eigenvector_compression_certifies_where_the_block_trace_does_not(
+        self, solver_grid, monkeypatch
+    ):
+        # planted_infeasible with the kernel's entries seen through unit
+        # vectors v_i: J = J0 - c (conj(K) - diag K) (x) 1 . V, V = [v_i v_j*],
+        # and c makes sum J . (K (x) 1) . conj(V) < 0.  default_rng(602) draws
+        # n = 2, block 2; 7 of the first 2000 seeds certify only through the
+        # top eigenvectors of the dual's diagonal blocks, this one among them.
+        rng = np.random.default_rng(602)
+        n, d = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        nodes = random_nodes(rng, n)
+        base = colligation_target(rng, nodes, solver_grid, 3, 0.9, d)
+        k = random_admissible_kernel(nodes, solver_grid, seed=int(rng.integers(1000))).matrix
+        v = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        v = (v / np.linalg.norm(v, axis=1, keepdims=True)).ravel()
+        big_v, ones = np.outer(v, v.conj()), np.ones((d, d))
+        off = np.kron(k.conj() - np.diag(np.diag(k.conj())), ones) * big_v
+        tested = np.sum(base.matrix * np.kron(k, ones) * big_v.conj()).real
+        c = 1.1 * tested / np.sum(np.abs(off) ** 2)
+        target = FeasibilityTarget(nodes=nodes, matrix=base.matrix - c * off, block=d)
+        report = solve(target, solver_grid)
+        assert report.status is SolveStatus.INFEASIBLE_CERTIFIED
+        assert certificate_holds(target, solver_grid, report.certificate.matrix)
+        both = feasibility._compressions
+        monkeypatch.setattr(feasibility, "_compressions", lambda dual, n, d: both(dual, n, d)[:1])
+        alone = solve(target, solver_grid)
+        assert (alone.status, alone.iterations) != (report.status, report.iterations)
+
 
 class TestInteriorPointSystems:
     """The interior-point Schur complement, one product of the masks' factors, and its solves."""
@@ -405,7 +433,7 @@ class TestNearThreshold:
         problem = near_threshold_problem()
         bound = float.fromhex("0x1.667470892ca5fp+1")
         scaled = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=bound)
-        target = assemble_pick_target(scaled)
+        target = factor_target(scaled.nodes, *scaled.tops())
         report = solve(target, solver_grid, self.opts)
         assert report.status is SolveStatus.INFEASIBLE_CERTIFIED
         assert report.iterations > 0
@@ -419,7 +447,7 @@ class TestNearThreshold:
         lo, hi, witness = pick._conic_bracket(problem, solver_grid, self.opts, 1e-4)
         assert lo <= 2.80045 <= hi <= lo + 1e-4
         at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
-        assert residual(assemble_pick_target(at_hi), witness) <= self.opts.tol
+        assert residual(factor_target(at_hi.nodes, *at_hi.tops()), witness) <= self.opts.tol
 
     def test_budget_ends_in_numerics_error(self, solver_grid):
         with pytest.raises(NumericsError, match="width"):
@@ -602,7 +630,7 @@ def test_solve_out_of_budget_ends_unknown(solver_grid):
 def loop_file_target(bound):
     problem = loop_file_problem()
     at = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=bound)
-    return assemble_pick_target(at)
+    return factor_target(at.nodes, *at.tops())
 
 
 def test_stalled_solve_ends_unknown(solver_grid, monkeypatch):
@@ -640,7 +668,7 @@ def test_residual_at_its_roundoff_floor_ends_unknown(solver_grid):
     # solve ends when it does not, where it once ran all 20000 iterations
     nodes = NodeSet.from_pairs([(0.3 + 0.1j, 0.05), (-0.2, 0.1j)])
     phis = tuple(1e20 * np.array([row]) for row in ([0.2, 0.7], [-0.1 + 0.05j, 0.7]))
-    target = assemble_corona_target(CoronaProblem(nodes=nodes, phi_samples=phis, delta=0.3))
+    target = factor_target(nodes, *CoronaProblem(nodes=nodes, phi_samples=phis, delta=0.3).tops())
     assert np.abs(target.matrix).max() > 1e39
     t0 = time.process_time()
     rep = solve(target, solver_grid)

@@ -196,7 +196,7 @@ class TestCrossModuleToeplitzEcho:
         )
         sol = solve_corona(problem, solver_grid)
         assert sol.status is SolveStatus.FEASIBLE
-        assert sol.norm_bound <= 1.0 + 1e-8
+        assert sol.interpolant.norm <= 1.0 + 1e-8
 
         mu = AtomicMeasure(atoms=boundary_atoms(rng, 4), weights=(1.0, 0.5, 2.0, 1.5))
         for r in (0.5, 0.9, 0.99):

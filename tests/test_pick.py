@@ -15,7 +15,6 @@ from symbidisk import (
     SolveOptions,
     SolveStatus,
     admissibility_check,
-    assemble_pick_target,
     caratheodory_two_point,
     minimal_norm,
     minimal_norm_bracket,
@@ -31,7 +30,7 @@ from symbidisk.feasibility import SolveReport
 from symbidisk.geometry import phi_values
 from symbidisk.hermitian import hermitian_part, min_eigenvalue
 from symbidisk.kernels import coefficient_masks, expand_masks
-from symbidisk.realization import realize
+from symbidisk.realization import factor_target, realize
 
 from conftest import (
     STALL_FILES,
@@ -60,20 +59,21 @@ def disk_pick_feasible(zs, ws, bound=1.0):
 
 class TestAssemble:
     def test_zero_targets(self, diagonal_pair):
-        target = assemble_pick_target(scalar_problem(diagonal_pair, [0.0, 0.0]))
+        target = factor_target(diagonal_pair, *scalar_problem(diagonal_pair, [0.0, 0.0]).tops())
         assert np.allclose(target.matrix, np.ones((2, 2)))
 
     def test_unimodular_single(self):
         nodes = NodeSet.from_pairs([(0.0, 0.0)])
-        target = assemble_pick_target(scalar_problem(nodes, [1.0]))
+        target = factor_target(nodes, *scalar_problem(nodes, [1.0]).tops())
         assert np.allclose(target.matrix, [[0.0]])
 
     def test_frozen_arithmetic(self, diagonal_pair):
-        target = assemble_pick_target(scalar_problem(diagonal_pair, [-0.5, 0.5]))
+        target = factor_target(diagonal_pair, *scalar_problem(diagonal_pair, [-0.5, 0.5]).tops())
         assert np.allclose(target.matrix, [[0.75, 1.25], [1.25, 0.75]])
 
     def test_norm_bound_scaling(self, diagonal_pair):
-        t = assemble_pick_target(scalar_problem(diagonal_pair, [-0.5, 0.5], bound=2.0))
+        problem = scalar_problem(diagonal_pair, [-0.5, 0.5], bound=2.0)
+        t = factor_target(diagonal_pair, *problem.tops())
         assert np.allclose(t.matrix, [[1 - 0.0625, 1 + 0.0625], [1 + 0.0625, 1 - 0.0625]])
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 3)])
@@ -89,7 +89,7 @@ class TestAssemble:
                 wk = ws[k] / 1.7
                 expected[i * d : (i + 1) * d, k * d : (k + 1) * d] = np.eye(d) - wi @ wk.conj().T
         # one matrix product sums the inner dimension in its own order
-        got = assemble_pick_target(problem).matrix
+        got = factor_target(problem.nodes, *problem.tops()).matrix
         assert np.abs(got - hermitian_part(expected)).max() <= 1e-14 * np.abs(expected).max()
         if shape == (1, 1):
             assert np.array_equal(got, hermitian_part(expected))
@@ -276,7 +276,7 @@ def variety_draws(variety, ns, per_n):
 
 @pytest.mark.parametrize("variety", ["royal", "flat"])
 def test_bracket_contains_the_exact_minimal_norm(variety, solver_grid):
-    for n, _, nodes, w, c in variety_draws(variety, (2, 3, 4), 3):
+    for n, _, nodes, w, c in variety_draws(variety, (2, 3, 4, 6, 8), 3):
         lo, hi = minimal_norm_bracket(scalar_problem(nodes, w), solver_grid)
         assert lo - 1e-9 * c <= c <= hi + 1e-9 * c, (n, lo, c, hi)
 
@@ -303,7 +303,8 @@ def test_decisions_at_the_exact_minimal_norm(variety, solver_grid):
         assert below.status is SolveStatus.INFEASIBLE_CERTIFIED, (n, draw)
         kernel = below.report.certificate
         assert admissibility_check(kernel, solver_grid, 1e-8), (n, draw)
-        assert min_eigenvalue(assemble_pick_target(problem).matrix * kernel.matrix) < 0, (n, draw)
+        target = factor_target(problem.nodes, *problem.tops())
+        assert min_eigenvalue(target.matrix * kernel.matrix) < 0, (n, draw)
     assert unknown <= UNKNOWN_BELOW_EXACT[variety], sorted(unknown)
 
 
@@ -335,7 +336,7 @@ def reference_bracket(problem, grid, opts, width=1e-4):
 
     def trial(c):
         scaled = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=c)
-        rep = solve(assemble_pick_target(scaled), grid, opts)
+        rep = solve(factor_target(scaled.nodes, *scaled.tops()), grid, opts)
         if rep.status is SolveStatus.FEASIBLE:
             return True, c
         if rep.status is SolveStatus.INFEASIBLE_CERTIFIED:
@@ -376,14 +377,14 @@ def assert_matches_reference(problem, grid, opts=SolveOptions(), width=1e-4):
     assert lo <= ref_hi + rounding and ref_lo <= hi + rounding
     assert 0.0 <= hi - lo <= width * max(1.0, top)
     at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
-    res = residual(assemble_pick_target(at_hi), witness)
+    res = residual(factor_target(at_hi.nodes, *at_hi.tops()), witness)
     assert res <= opts.tol
     report = SolveReport(
         status=SolveStatus.FEASIBLE, residual=res, iterations=0, wall_time=0.0, blocks=witness
     )
-    fn, node_res = realize(report, problem.nodes, *pick._tops(at_hi))
-    assert node_res <= 1e-7
-    assert verify_contractivity(fn, 2000) <= 1.0 + 1e-8
+    sol = realize(report, problem.nodes, *at_hi.tops())
+    assert sol.node_residual <= 1e-7
+    assert verify_contractivity(sol.interpolant, 2000) <= 1.0 + 1e-8
     return lo, hi
 
 
@@ -459,7 +460,7 @@ def test_conic_iterations_on_a_sandwich_item(monkeypatch, solver_grid):
     )
     sol = solve_pick(above, solver_grid, opts)
     assert sol.status is SolveStatus.FEASIBLE
-    assert residual(assemble_pick_target(above), sol.report.blocks) <= 2 * opts.tol
+    assert residual(factor_target(above.nodes, *above.tops()), sol.report.blocks) <= 2 * opts.tol
     assert sol.node_residual <= 1e-7
     assert verify_contractivity(sol.interpolant, 2000) <= 1.0 + 1e-8
 
@@ -600,7 +601,7 @@ def test_bracket_that_stalled_at_the_largest_sigma_closes(name, solver_grid):
     top = max(float(np.linalg.norm(t, 2)) for t in problem.targets)
     assert 0.0 <= hi - lo <= width * max(1.0, top)
     at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
-    assert residual(assemble_pick_target(at_hi), witness) <= opts.tol
+    assert residual(factor_target(at_hi.nodes, *at_hi.tops()), witness) <= opts.tol
     # the check of bench/workloads.py::Sandwich._check
     above = PickProblem(
         nodes=problem.nodes, targets=problem.targets, norm_bound=hi + width * max(1.0, hi)
@@ -621,7 +622,7 @@ def test_planted_bracket_that_stalled_in_the_szego_repair_closes(n, seed, solver
     assert 0.0 <= hi - lo <= width * max(1.0, top)
     assert lo <= 0.95  # the targets are planted at 0.95
     at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
-    assert residual(assemble_pick_target(at_hi), witness) <= opts.tol
+    assert residual(factor_target(at_hi.nodes, *at_hi.tops()), witness) <= opts.tol
     # the check of bench/workloads.py::Sandwich._check, which semismooth
     # Newton could not pass here (it ended Unknown near the threshold)
     above = PickProblem(
@@ -660,7 +661,7 @@ def test_planted_target_with_no_safe_atom_is_decided(seed, solver_grid):
     sol = solve_pick(problem, solver_grid, opts)
     assert time.process_time() - t0 < 2.0
     assert sol.status is SolveStatus.FEASIBLE and sol.report.iterations > 0
-    assert residual(assemble_pick_target(problem), sol.report.blocks) <= opts.tol
+    assert residual(factor_target(problem.nodes, *problem.tops()), sol.report.blocks) <= opts.tol
     assert sol.node_residual <= 1e-7
 
 
@@ -676,7 +677,7 @@ def test_huge_diagonal_target_is_certified_at_once(top, diagonal_pair, solver_gr
     assert sol.status is SolveStatus.INFEASIBLE_CERTIFIED and sol.report.iterations == 0
     kern = sol.report.certificate
     assert admissibility_check(kern, solver_grid, tol=1e-8)
-    j = assemble_pick_target(problem).matrix
+    j = factor_target(problem.nodes, *problem.tops()).matrix
     assert min_eigenvalue(j * kern.matrix) <= -1e-8
     assert np.isfinite(sol.report.residual)
 
@@ -691,5 +692,5 @@ def test_stall_loop_file_is_decided(name, solver_grid):
     sol = solve_pick(problem, solver_grid, opts)
     assert time.process_time() - t0 < 0.2
     assert sol.status is SolveStatus.FEASIBLE
-    assert residual(assemble_pick_target(problem), sol.report.blocks) <= opts.tol
+    assert residual(factor_target(problem.nodes, *problem.tops()), sol.report.blocks) <= opts.tol
     assert sol.node_residual <= 1e-7

@@ -15,7 +15,6 @@ from symbidisk import (
     ValidationError,
     phi,
     solve_pick,
-    transfer_eval,
     verify_contractivity,
 )
 from symbidisk import realization
@@ -30,11 +29,11 @@ from symbidisk.feasibility import (
 )
 from symbidisk.geometry import phi_values
 from symbidisk.kernels import AlphaGrid, coefficient_masks, expand_masks
-from symbidisk.pick import assemble_pick_target
 from symbidisk.realization import (
     _SOLVE_CHUNK_ENTRIES,
     _colligation,
     _purified_factors,
+    factor_target,
     realize,
     transfer_eval_batch,
 )
@@ -107,7 +106,7 @@ class TestLurkingIsometry:
         col = sol.interpolant
         # phi(alpha, (0,0)) = 0 for every alpha, so f(0,0) = the A corner
         assert col.a[0, 0] == pytest.approx(0.5, abs=1e-9)
-        assert transfer_eval(col, (0.0, 0.0)) == pytest.approx(0.5, abs=1e-9)
+        assert transfer_eval_batch(col, [0.0], [0.0])[0] == pytest.approx(0.5, abs=1e-9)
         assert unitarity_defect(col) <= 1e-9
 
     def test_constant_witness(self, rng, solver_grid):
@@ -163,7 +162,7 @@ def planted_witness(rng, n, block, atoms):
 def loop_witness(name):
     """The target and Feasible witness of a loop-bound pick file of tests/conftest.py."""
     problem = loop_file_problem() if name == "loop" else stall_file_problem(name)
-    target = assemble_pick_target(problem)
+    target = factor_target(problem.nodes, *problem.tops())
     report = solve(target, AlphaGrid.solver_default())
     assert report.status.value == "Feasible"
     return target, report.blocks
@@ -257,7 +256,7 @@ class TestTransferEval:
         nodes = random_nodes(rng, 2, rmax=0.5)
         sol = solved_interpolant(nodes, [0.2, 0.1], solver_grid)
         col = sol.interpolant
-        v = transfer_eval(col, (0.0, 0.0))
+        v = transfer_eval_batch(col, [0.0], [0.0])[0]
         assert v[0, 0] == pytest.approx(col.a[0, 0], abs=1e-12)
 
     def test_zero_d_block_is_linear(self):
@@ -274,7 +273,8 @@ class TestTransferEval:
         )
         q = (0.4, 0.05)
         expected = phi(0.3 + 0.1j, q)
-        assert transfer_eval(col, q)[0, 0] == pytest.approx(expected, abs=1e-12)
+        value = transfer_eval_batch(col, [q[0]], [q[1]])[0, 0, 0]
+        assert value == pytest.approx(expected, abs=1e-12)
 
     def test_batch_matches_scalar(self, rng, solver_grid):
         nodes = random_nodes(rng, 2)
@@ -286,7 +286,7 @@ class TestTransferEval:
         )
         for k, q in enumerate(pts):
             assert batch[k][0, 0] == pytest.approx(
-                transfer_eval(col, q)[0, 0], abs=1e-12
+                transfer_eval_batch(col, [q.s], [q.p])[0, 0, 0], abs=1e-12
             )
 
     @pytest.mark.parametrize("state_dim", [0, 3, 40])
@@ -306,7 +306,7 @@ class TestTransferEval:
         col = random_colligation(rng, 5)
         q = random_gpoint(rng)
         np.testing.assert_array_equal(
-            transfer_eval(col, q), transfer_eval_batch(col, [q.s], [q.p])[0]
+            transfer_eval_batch(col, [q.s], [q.p]), reference_values(col, [q.s], [q.p])
         )
 
     def test_near_boundary_warning(self):
@@ -323,7 +323,7 @@ class TestTransferEval:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             transfer_eval_batch(col, [0.0, 1.8], [0.0, 0.81])
-            transfer_eval(col, (0.8, 0.15))
+            transfer_eval_batch(col, [0.8], [0.15])
 
 
     def test_near_boundary_warning_fires_once_per_batch(self):

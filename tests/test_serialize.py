@@ -12,7 +12,7 @@ from symbidisk import (
     make_b_kernel,
     solve_pick,
 )
-from symbidisk.realization import transfer_eval
+from symbidisk.realization import transfer_eval_batch
 from symbidisk.serialize import (
     canonical_json,
     decode_colligation,
@@ -111,9 +111,8 @@ def test_colligation_round_trip_preserves_evaluation(diagonal_pair):
     sol = solve_pick(problem)
     col = sol.interpolant
     back = decode_colligation(encode_colligation(col))
-    q = (0.3, 0.05)
-    assert transfer_eval(back, q)[0, 0] == pytest.approx(
-        transfer_eval(col, q)[0, 0], abs=1e-14
+    assert transfer_eval_batch(back, [0.3], [0.05])[0, 0, 0] == pytest.approx(
+        transfer_eval_batch(col, [0.3], [0.05])[0, 0, 0], abs=1e-14
     )
 
 
