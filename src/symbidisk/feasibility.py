@@ -123,7 +123,8 @@ class SolveStatus(str, Enum):
 class SolveOptions:
     tol: float = 1e-8
     max_iter: int = 20000  # interior-point iterations
-    seed: int = 0
+
+
 @dataclass(frozen=True)
 class FeasibilityTarget:
     """Hermitian node-indexed target; block (i, j) must equal block (j, i)*."""

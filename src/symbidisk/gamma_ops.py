@@ -88,12 +88,9 @@ class PairCheck:
     norm_first: float
     tol: float
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def gamma_unitary_check(pair: OperatorPair, tol: float = 1e-10) -> PairCheck:
-    """True iff U is unitary, R = R* U, and ||R|| <= 2 (all within tol)."""
+    """Passed iff U is unitary, R = R* U, and ||R|| <= 2 (all within tol)."""
     u = pair.second
     eye = np.eye(pair.dim)
     unitary_defect = max(
@@ -104,7 +101,7 @@ def gamma_unitary_check(pair: OperatorPair, tol: float = 1e-10) -> PairCheck:
 
 
 def gamma_isometry_check(pair: OperatorPair, tol: float = 1e-10) -> PairCheck:
-    """True iff V is an isometry, T = T* V, and ||T|| <= 2 (all within tol).
+    """Passed iff V is an isometry, T = T* V, and ||T|| <= 2 (all within tol).
 
     On finite dimensions every isometry is unitary, so true instances are
     also unitary pairs; the isometry form is kept for fidelity.

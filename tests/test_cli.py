@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -74,23 +75,20 @@ class TestRun:
         assert report["problem"] == pick_problem_obj()
         assert report["tool_version"]
 
-    def test_membership_flags(self, capsys):
-        code = run(["membership", "--s", "0.8", "0", "--p", "0.15", "0"])
-        assert code == 0
+    def test_membership_member(self, tmp_path, capsys):
+        assert run(["membership", "--in", membership_file(tmp_path, 0.8, 0.15)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["is_member"] is True
 
-    def test_membership_nonmember_still_exit_zero(self, capsys):
-        code = run(["membership", "--s", "2.0", "0", "--p", "1.0", "0"])
-        assert code == 0
+    def test_membership_nonmember_still_exit_zero(self, tmp_path, capsys):
+        assert run(["membership", "--in", membership_file(tmp_path, 2.0, 1.0)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["is_member"] is False
         assert out["reason"] == "s out of range"
 
-    def test_membership_pole_on_circle_writes_null_sup(self, capsys):
+    def test_membership_pole_on_circle_writes_null_sup(self, tmp_path, capsys):
         # |s| = 2 with s^2 != 4p: the sup of |phi| on the circle is unbounded
-        code = run(["membership", "--s", "2", "0", "--p", "0.5", "0"])
-        assert code == 0
+        assert run(["membership", "--in", membership_file(tmp_path, 2.0, 0.5)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["is_member"] is False
         assert out["sup_modulus"] is None
@@ -112,27 +110,38 @@ class TestRun:
         assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "flags",
+        "s, p",
         [
-            pytest.param(["--s", "nan", "0", "--p", "0", "0"], id="s-nan"),
-            pytest.param(["--s", "0", "inf"], id="s-inf"),
-            pytest.param(["--s", "0", "0", "--p", "1e309", "0"], id="p-1e309"),
-            pytest.param(["--s", "0", "0", "--p", "0", "nan"], id="p-nan"),
-            pytest.param(["--s", "abc", "0"], id="s-abc"),
-            pytest.param(["--s", "0", "0", "--p", "0", "abc"], id="p-abc"),
-            pytest.param(["--in", "FILE", "--s", "nan", "0"], id="s-nan-with-file"),
+            pytest.param("[NaN, 0]", "[0, 0]", id="s-nan"),
+            pytest.param("[0, Infinity]", "[0, 0]", id="s-inf"),
+            pytest.param("[0, 0]", "[1e309, 0]", id="p-1e309"),
+            pytest.param("[0, 0]", "[0, NaN]", id="p-nan"),
+            pytest.param('["abc", 0]', "[0, 0]", id="s-abc"),
+            pytest.param("[0, 0]", '[0, "abc"]', id="p-abc"),
         ],
     )
-    def test_bad_point_flag_is_one_input_error_line(self, tmp_path, capsys, flags):
-        # converted after parsing, not by argparse, whose own usage message
-        # has three lines and no input error prefix
+    def test_bad_point_is_one_input_error_line(self, tmp_path, capsys, s, p):
         p_in = tmp_path / "m.json"
-        write_json(p_in, GOLDEN["membership"][0])
-        assert run(["membership", *(str(p_in) if f == "FILE" else f for f in flags)]) == 1
+        p_in.write_text(f'{{"format": 1, "kind": "membership", "payload": {{"s": {s}, "p": {p}}}}}')
+        assert run(["membership", "--in", str(p_in)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:"), lines
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--s", "0.8", "0", "--p", "0.15", "0"], ["--in", "FILE", "--p", "1.0", "0"]],
+        ids=["point", "point-with-file"],
+    )
+    def test_point_flags_are_a_usage_error(self, tmp_path, capsys, flags):
+        # a membership problem comes from its file only
+        p_in = write_input(tmp_path, "membership")
+        assert run(["membership", *(str(p_in) if f == "FILE" else f for f in flags)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: symbidisk")
+        assert "unrecognized arguments: --" in captured.err
 
     def test_huge_pick_target_is_one_input_error_line(self, tmp_path):
         # finite input whose square overflows: J = 1 - 1e600 is not a double
@@ -217,12 +226,9 @@ class TestRun:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:"), lines
 
-    @pytest.mark.parametrize("argv", [
-        ["membership", "--s", "1e300", "0"],
-        ["membership", "--s", "1e160", "0", "--p", "0.5", "0"],
-    ])
-    def test_huge_membership_input_is_an_input_error(self, argv, capsys):
-        assert run(argv) == 1
+    @pytest.mark.parametrize("s, p", [(1e300, 0.0), (1e160, 0.5)])
+    def test_huge_membership_input_is_an_input_error(self, s, p, tmp_path, capsys):
+        assert run(["membership", "--in", membership_file(tmp_path, s, p)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("input error:")
 
@@ -236,12 +242,42 @@ class TestRun:
         assert "targets" in capsys.readouterr().err
 
     def test_malformed_json_diagnostic(self, tmp_path, capsys):
-        p_in = tmp_path / "broken.json"
+        # one message, whether the file runs alone or in a corpus
+        d = tmp_path / "corpus"
+        d.mkdir()
+        p_in = d / "broken.json"
         p_in.write_text('{"format": 1,,}')
-        code = run(["pick", "--in", str(p_in)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "line" in err and "column" in err
+        assert run(["pick", "--in", str(p_in)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        want = "malformed JSON at line 1, column 14: Expecting property name enclosed in double quotes"
+        assert captured.err.splitlines() == [f"input error: {want}"]
+        assert run(["corpus", "--in", str(d)]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == f"FAIL  broken.json  input-error: {want}"
+
+    def test_unexpected_exception_is_one_internal_error_line(self, tmp_path, capsys, monkeypatch):
+        # as corpus reports it: a traceback would end in exit 1, the input-error code
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(symbidisk.cli._HANDLERS, "membership", boom)
+        assert run(["membership", "--in", str(write_input(tmp_path, "membership"))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("internal error: RuntimeError: boom (at "), lines
+
+    def test_seed_reaches_only_the_sequence_census(self):
+        # every report echoes opts.seed; only the sequence census draws from it
+        picks = [execute_problem({**GOLDEN["pick"][0], "opts": {"seed": s}}) for s in (0, 9)]
+        assert [r["seed"] for r in picks] == [0, 9]
+        assert picks[0]["solve"] == picks[1]["solve"]
+        assert picks[0]["interpolant"] == picks[1]["interpolant"]
+        for seed in (0, 9):
+            report = execute_problem({**GOLDEN["sequence"][0], "opts": {"seed": seed}})
+            ids = [row["id"] for row in report["grammian"]["per_kernel"]]
+            assert ids[-1] == f"rand[{seed + 1}]", ids
+        assert [f.name for f in dataclasses.fields(symbidisk.SolveOptions)] == ["tol", "max_iter"]
 
     def test_infeasible_is_still_a_completed_run(self, tmp_path):
         p_in = tmp_path / "p.json"
@@ -390,34 +426,6 @@ class TestRun:
             "1f5782c47c1168b6834c15d7524ba7975d8cb77533db25c0505fb27b8a28e32d"
         )
 
-    def test_membership_flags_override_payload(self, tmp_path, capsys):
-        p_in = tmp_path / "m.json"
-        write_json(p_in, GOLDEN["membership"][0])  # (0.8, 0.15), a member
-        assert run(["membership", "--in", str(p_in), "--p", "1.0", "0"]) == 0
-        assert json.loads(capsys.readouterr().out)["is_member"] is False
-        assert run(["membership", "--in", str(p_in), "--s", "2.0", "0", "--p", "1.0", "0"]) == 0
-        overridden = json.loads(capsys.readouterr().out)["report_hash"]
-        assert run(["membership", "--s", "2.0", "0", "--p", "1.0", "0"]) == 0
-        assert overridden == json.loads(capsys.readouterr().out)["report_hash"]
-
-    def test_membership_point_from_either_flag_alone(self, monkeypatch, capsys):
-        # with no --in, the flags give the point and a coordinate not given is 0;
-        # stdin is never read
-        monkeypatch.setattr(sys, "stdin", None)
-        assert run(["membership", "--p", "0.15", "0"]) == 0
-        p_only = json.loads(capsys.readouterr().out)
-        assert p_only["problem"]["payload"] == {"p": [0.15, 0.0], "s": [0.0, 0.0]}
-        assert run(["membership", "--s", "0", "0", "--p", "0.15", "0"]) == 0
-        assert p_only["report_hash"] == json.loads(capsys.readouterr().out)["report_hash"]
-        assert run(["membership", "--s", "0.8", "0"]) == 0
-        s_only = json.loads(capsys.readouterr().out)
-        assert s_only["problem"]["payload"] == {"p": [0.0, 0.0], "s": [0.8, 0.0]}
-        # pinned: the payload's keys are sorted, so the hash does not depend on
-        # which coordinate the flags' payload starts from
-        assert s_only["report_hash"] == (
-            "b2e2c592cb524eeadfed316662089791c35a53234e6cd3b0d941b896cb6d722a"
-        )
-
     @pytest.mark.parametrize("case", ["missing-dir", "directory", "corpus-out-is-a-file"])
     def test_unwritable_out_is_one_input_error_line(self, case, tmp_path, capsys):
         command = "corpus" if case.startswith("corpus") else "membership"
@@ -468,6 +476,13 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
 
+def membership_file(tmp_path, s, p):
+    """The path of a membership problem at the real point (s, p)."""
+    path = tmp_path / "m.json"
+    write_json(path, {"format": 1, "kind": "membership", "payload": {"s": [s, 0.0], "p": [p, 0.0]}})
+    return str(path)
+
+
 def write_input(tmp_path, command):
     """The --in path of a valid run of ``command``: a problem file, or for
     ``corpus`` a directory holding one."""
@@ -506,10 +521,8 @@ class TestDeterminismAndEcho:
         for case, (problem, _) in GOLDEN.items():
             argv = [problem["kind"], "--in", str(d / f"{case}.json")]
             assert run([*argv, "--out", str(singles / case)]) == 0
-        point = ["--s", "2.0", "0", "--p", "1.0", "0"]  # written into the echoed payload
-        assert run(["membership", *point, "--out", str(singles / "point-flags")]) == 0
         written = [*out_dir.iterdir(), *singles.iterdir()]
-        assert len(written) == 2 * len(GOLDEN) + len(bench_files.files) + 1
+        assert len(written) == 2 * len(GOLDEN) + len(bench_files.files)
         for path in written:
             report = json.loads(path.read_text())
             replayed = execute_problem(report["problem"])["report_hash"]
@@ -639,7 +652,8 @@ MALFORMED = {
     "weights-string": ("measure-model", ("payload", "weights"), "ab"),
     "sequence-n-negative": ("sequence", ("payload", "n"), -1),
     "sequence-n-above-nodes": ("sequence", ("payload", "n"), 10),
-    "alpha-samples-negative": ("sequence", ("payload", "alpha_samples"), -3),
+    # a field that is no longer read, never silently ignored
+    "sequence-alpha-samples": ("sequence", ("payload", "alpha_samples"), 9),
     "sequence-kernels-zero": ("sequence", ("payload", "kernels"), 0),
     "sequence-kernels-negative": ("sequence", ("payload", "kernels"), -2),
     "sequence-kernels-above-cap": ("sequence", ("payload", "kernels"), 1025),
@@ -714,7 +728,7 @@ OPTIONAL_FIELDS = {
     "membership": {"tol": 1e-10},
     "pick": {"norm_bound": 1.0},
     "corona": {"theta_samples": [{"rows": 1, "cols": 1, "entries": [[0.5, 0.0]]}] * 2},
-    "sequence": {"n": 2, "alpha_samples": 9},
+    "sequence": {"n": 2},
     "gamma-check": {"tol": 1e-10},
     "measure-model": {"weights": [1.0], "tol": 1e-10},
 }
@@ -765,15 +779,23 @@ class TestMalformedFields:
             assert "'tol' must be a finite number >= 0" in lines[0]
         if case.startswith("sequence-bound-"):
             assert "field 'bound' must be positive" in lines[0]
+        if case == "sequence-alpha-samples":
+            assert "field 'alpha_samples' is not read" in lines[0]
 
-    @pytest.mark.parametrize("case", ["sequence-bound-zero", "sequence-bound-negative"])
-    def test_bound_is_checked_before_any_work(self, case, monkeypatch):
+    @pytest.mark.parametrize(
+        "case, message",
+        [("sequence-bound-zero", "field 'bound' must be positive"),
+         ("sequence-bound-negative", "field 'bound' must be positive"),
+         ("sequence-alpha-samples", "field 'alpha_samples' is not read")],
+        ids=["sequence-bound-zero", "sequence-bound-negative", "sequence-alpha-samples"],
+    )
+    def test_sequence_field_is_checked_before_any_work(self, case, message, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("ran before the bound was checked")
+            raise AssertionError("ran before the payload was checked")
 
         for name in ("best_carleson_alpha", "grammian_bounds", "strong_separation"):
             monkeypatch.setattr(symbidisk.cli, name, forbidden)
-        with pytest.raises(symbidisk.ValidationError, match="field 'bound' must be positive"):
+        with pytest.raises(symbidisk.ValidationError, match=message):
             execute_problem(malformed_problem(case))
 
     @pytest.mark.parametrize("case", sorted(BAD_PROBLEMS))

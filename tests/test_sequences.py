@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -25,7 +26,7 @@ from symbidisk.sequences import (
     phase_pattern_family,
 )
 
-from conftest import random_nodes
+from conftest import disc_whitened, random_nodes, variety_nodes
 
 
 @pytest.fixture
@@ -220,6 +221,25 @@ class TestPatternsAndConstant:
         # antipodal targets, C = (1 + sqrt(1 - d^2)) / d = 2
         m_hat = interpolation_constant(diag_trunc, solver_grid)
         assert m_hat == pytest.approx(2.0, abs=5e-3)
+
+    @pytest.mark.parametrize("variety", ["royal", "flat"])
+    def test_interpolation_constant_is_exact_at_variety_nodes(self, variety, solver_grid):
+        # every phase class's minimal norm is the disc's at the z_i
+        # (conftest.variety_nodes), so the constant is the largest of those
+        rng = np.random.default_rng(5)
+        cases = 0
+        for n in range(2, 7):
+            family = phase_pattern_family(n)
+            for _ in range(3):
+                z, nodes = variety_nodes(rng, variety, n)
+                exact = max(
+                    math.sqrt(np.linalg.eigvalsh(disc_whitened(z, np.outer(w, w.conj())))[-1])
+                    for w in family[family[:, 0] == 1]
+                )
+                got = interpolation_constant(SequenceTruncation(nodes=nodes), solver_grid)
+                assert got == pytest.approx(exact, rel=1e-9), (n, got, exact)
+                cases += 1
+        assert cases == 15
 
     def test_sandwich_on_diagonal_pair(self, diag_trunc, solver_grid):
         m_hat = interpolation_constant(diag_trunc, solver_grid)
