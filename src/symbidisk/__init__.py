@@ -34,7 +34,6 @@ from .kernels import (
     NodeSet,
     admissibility_check,
     grammian_normalize,
-    make_b_kernel,
     random_admissible_kernel,
 )
 from .feasibility import (

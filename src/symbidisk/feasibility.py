@@ -67,7 +67,8 @@ from .kernels import (
     admissible_shift,
     coefficient_masks,
     expand_masks,
-    unit_diagonal,
+    grammian_normalize,
+    szego_pullbacks,
 )
 
 # Largest N = n * block a target may have; it bounds scalar Pick nodes,
@@ -228,8 +229,8 @@ def solve(
     Deterministic given (target, grid, opts).
     """
     t0 = time.perf_counter()
-    n, d, j = len(target.nodes), target.block, target.matrix
-    core = _Conic(target.nodes, grid, d)
+    nodes, n, d, j = target.nodes, len(target.nodes), target.block, target.matrix
+    core = _Conic(nodes, grid, d)
     slack = 1.0 + opts.tol / _norm(core.ee)
     best = int(np.argmax(core.lam_s[:, 0] / core.lam_s[:, -1]))
 
@@ -252,10 +253,14 @@ def solve(
         if -np.vdot(j, dual).real <= opts.tol * _norm(dual):
             return None
         for k in _compressions(dual, n, d):
-            kern = _admissible_kernel(target.nodes, grid, k.conj(), opts.tol)
-            cert = None if kern is None else _violation(target, kern, opts)
-            if cert is not None:
-                return cert
+            try:
+                kern = KernelMatrix(nodes, grammian_normalize(KernelMatrix(nodes, k.conj())))
+            except ValidationError:  # a vanishing diagonal: no kernel
+                continue
+            if admissibility_check(kern, grid, opts.tol):
+                cert = _violation(target, kern, opts)
+                if cert is not None:
+                    return cert
         return None
 
     floor = math.inf
@@ -302,15 +307,6 @@ def _compressions(dual, n, d):
         v = np.linalg.eigh(blocks[np.arange(n), :, np.arange(n), :])[1][:, :, -1]
         out.append(np.einsum("ia,iajb,jb->ij", v.conj(), blocks, v))
     return out
-
-
-def _admissible_kernel(nodes, grid, k, tol) -> KernelMatrix | None:
-    """grammian_normalize's rescale of k, when admissibility_check passes it on the grid."""
-    k = hermitian_part(k)
-    if not np.all(np.real(np.diag(k)) > 0.0):  # grammian_normalize raises: no kernel
-        return None
-    kern = KernelMatrix(nodes=nodes, matrix=unit_diagonal(k))
-    return kern if admissibility_check(kern, grid, tol) else None
 
 
 def _violation(target, kern, opts) -> tuple[KernelMatrix, float] | None:
@@ -396,9 +392,9 @@ class _Conic:
 
     Holds what every iteration reads, whatever G (the methods take it): E,
     the masks C_m and their rank-two factors (_hkm_schur), the Szego kernels
-    Sz_m (x) I = E / C_m with their eigenvalues and the atoms where they are
-    safely positive definite, the Hermitian basis, and the Schur complement
-    bordered by the t row.  The dual is  max Re<G, Z>  subject to
+    Sz_m (x) I = E / C_m (kernels.szego_pullbacks) with their eigenvalues
+    and the atoms where they are safely positive definite, the Hermitian
+    basis, and the Schur complement bordered by the t row.  The dual is  max Re<G, Z>  subject to
     Re<E, Z> = 1,  S_m = conj(C_m) . Z PSD, and any primal point (t, B) and
     dual Z give t - Re<G, Z> = sum_m Re<B_m, S_m> >= 0.
     """
@@ -408,10 +404,11 @@ class _Conic:
         self.dim = n * block
         self.ee = np.tile(np.eye(block), (n, n))
         vals = phi_values(grid.alphas, nodes.s, nodes.p)
-        self.cexp = expand_masks(_masks(vals), block)  # raises off the disk
+        masks = _masks(vals)  # raises off the disk
+        self.cexp = expand_masks(masks, block)
         self.u = np.repeat(vals, block, 1)
         self.cconj = self.cexp.conj()
-        self.szego = hermitian_part(self.ee / self.cexp)  # Sz_k (x) I
+        self.szego = np.kron(szego_pullbacks(masks), np.eye(block))  # Sz_k (x) I
         self.lam_s, vec_s = np.linalg.eigh(self.szego)
         self.safe = np.flatnonzero(self.lam_s[:, 0] > _SZEGO_FLOOR * self.lam_s[:, -1])
         safe = self.safe

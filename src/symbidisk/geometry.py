@@ -148,11 +148,13 @@ def membership(
     If w0 = 0 or s^2 = 4p (phi constant -s/2), every alpha attains the sup and
     ``argmax_alpha`` is 1.  If |s| = 2 and s^2 != 4p the pole 2/s lies on the
     circle: the sup is ``math.inf`` and ``argmax_alpha`` is the pole.  Points
-    with |s| >= 2 are non-members ("s out of range").
+    with |s| >= 2 are non-members ("s out of range").  OverflowError, an
+    input-magnitude error, when s^2 - 4p, w0 or k overflows a double.
     """
     s, p = complex(s), complex(p)
     det = s * s - 4.0 * p
     den = 4.0 - abs(s) ** 2
+    _require_finite(s, p, det)
     if det == 0:
         sup, arg = abs(s) / 2.0, 1.0 + 0.0j
     elif den == 0:
@@ -160,6 +162,7 @@ def membership(
     else:
         w0 = 2.0 * (s.conjugate() * p - s) / den
         k = -det / den
+        _require_finite(s, p, w0, k)
         sup = abs(w0) + abs(k)
         if w0 == 0:
             arg = 1.0 + 0.0j
@@ -176,6 +179,11 @@ def membership(
         is_boundary=abs(sup - 1.0) <= tol,
         reason="" if in_range else "s out of range",
     )
+
+
+def _require_finite(s: complex, p: complex, *terms: complex) -> None:
+    if not all(cmath.isfinite(v) for v in terms):
+        raise OverflowError(f"the membership terms of ({s}, {p}) are not finite")
 
 
 def require_member(point: GPoint | tuple[complex, complex]) -> GPoint:

@@ -178,29 +178,29 @@ def admissibility_check(kernel: KernelMatrix, grid: AlphaGrid, tol: float = 1e-1
     return bool(lams.min() >= -tol)
 
 
-def make_b_kernel(alpha: complex, nodes: NodeSet) -> KernelMatrix:
-    """Szego-type pullback 1 / (1 - phi(alpha, .) conj(phi(alpha, .))); always PSD."""
-    if abs(alpha) > 1.0 + 1e-12:
-        raise ValidationError("|alpha| <= 1 required")
-    vals = phi_values(np.array([alpha]), nodes.s, nodes.p)[0]
-    mat = 1.0 / (1.0 - np.outer(vals, vals.conj()))
-    return KernelMatrix(nodes=nodes, matrix=mat)
+def szego_pullbacks(masks: np.ndarray) -> np.ndarray:
+    """The Szego kernel 1 / C_m of phi(alpha_m, .) pulled back to the nodes, per mask C_m.
+
+    With u = phi(alpha_m, .), 1 / (1 - u_i conj(u_j)) = sum_k u_i^k conj(u_j)^k
+    is a sum of rank-one PSD matrices, so each is PSD; each is exactly
+    Hermitian, bit for bit.  Its Schur product with C_m is the all-ones
+    matrix, so it is admissible at its own alpha, though not always at the
+    others.
+    """
+    return hermitian_part(1.0 / masks)
 
 
 def grammian_normalize(kernel: KernelMatrix) -> np.ndarray:
     """Entrywise rescaling K_ij / sqrt(K_ii K_jj); unit diagonal.
 
     A positive diagonal congruence, so it keeps K PSD and keeps every mask's
-    Schur product with K PSD.
+    Schur product with K PSD.  ValidationError unless every K_ii > 0 (a NaN
+    diagonal included).
     """
-    if np.any(np.real(np.diag(kernel.matrix)) <= 0):
+    k, diag = kernel.matrix, np.real(np.diag(kernel.matrix))
+    if not np.all(diag > 0):
         raise ValidationError("not a kernel (weak kernel only): vanishing diagonal")
-    return unit_diagonal(kernel.matrix)
-
-
-def unit_diagonal(k: np.ndarray) -> np.ndarray:
-    """K_ij / sqrt(K_ii K_jj) of a Hermitian matrix whose diagonal is positive."""
-    d = 1.0 / np.sqrt(np.real(np.diag(k)))
+    d = 1.0 / np.sqrt(diag)
     g = k * np.outer(d, d)
     np.fill_diagonal(g, 1.0)
     return hermitian_part(g)

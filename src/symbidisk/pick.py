@@ -95,31 +95,23 @@ def minimal_norm_bracket(
 ) -> tuple[float, float]:
     """A bracket (lo, hi) of the grid minimal norm, hi - lo <= width * max(1, max ||W_i||).
 
-    One conic solve (:func:`_conic_bracket`) gives both ends.  hi carries an
-    exact witness, re-verified through residual() to opts.tol.  lo is
-    max ||W_i||, forced by the diagonal, or the dual bound of the solve's
-    iterate Z: K = conj(Z) is grid-admissible, and a witness at a norm bound
-    c forces c^2 sum(E . K) >= sum(WW* . K), the sums running over all
-    entries.  opts.max_iter caps the interior-point iterations; a bracket
-    that has not closed within that budget raises NumericsError.
-    """
-    lo, hi, _ = _conic_bracket(problem, grid or AlphaGrid.solver_default(), opts, width)
-    return lo, hi
-
-
-def _conic_bracket(problem, grid, opts, width):
-    """(lo, hi, witness): the bracket of minimal_norm_bracket, and blocks for J(hi).
-
     With t = c^2, G = WW* and E = 1 (x) I, the squared grid minimal norm is
     the linear conic program t* = min t subject to t E - G = sum_m C_m . B_m,
-    B_m PSD, which feasibility._conic_minimum solves.  The targets are
-    divided by top = max ||W_i|| first, so the solve sees t* >= 1 and
-    power-of-two rescalings of the targets give the same bits.  The witness
-    is re-verified through residual() before it is returned.
+    B_m PSD, and one solve of it (feasibility._conic_minimum) gives both
+    ends.  The targets are divided by top = max ||W_i|| first, so the solve
+    sees t* >= 1 and power-of-two rescalings of the targets give the same
+    bits.  hi carries an exact witness, re-verified through residual() to
+    opts.tol.  lo is max ||W_i||, forced by the diagonal, or the dual bound
+    of the solve's iterate Z: K = conj(Z) is grid-admissible, and a witness
+    at a norm bound c forces c^2 sum(E . K) >= sum(WW* . K), the sums
+    running over all entries.  opts.max_iter caps the interior-point
+    iterations; a bracket that has not closed within that budget raises
+    NumericsError.
     """
+    grid = grid or AlphaGrid.solver_default()
     top = max(float(np.linalg.norm(t, 2)) for t in problem.targets)
     if top == 0.0:
-        return 0.0, 0.0, None
+        return 0.0, 0.0
     # validates the targets as a solve at norm bound top would
     at_top = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=top)
     factor_target(problem.nodes, *at_top.tops())
@@ -132,5 +124,4 @@ def _conic_bracket(problem, grid, opts, width):
     at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
     if not residual(factor_target(problem.nodes, *at_hi.tops()), witness) <= opts.tol:
         raise NumericsError(f"the minimal-norm witness at {hi!r} does not re-verify")
-    return min(top * lo, hi), hi, witness
-
+    return min(top * lo, hi), hi

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 from .geometry import phi_values
 from .hermitian import hermitian_part, unitary_completion
-from .kernels import NodeSet, _masks, expand_masks
+from .kernels import NodeSet, coefficient_masks, expand_masks
 from .feasibility import CPBlocks, FeasibilityTarget, SolveReport, SolveStatus, _hermitian_basis
 
 # Points per batched solve are capped so that a stack of colligation-sized
@@ -177,8 +177,7 @@ def _purified_factors(blocks: CPBlocks, nodes: NodeSet) -> tuple[np.ndarray, np.
     x, u = lam[ms, ks], vec[ms, :, ks]  # u[k] is the eigenvector of x[k]
     dim = vec.shape[1]
     if len(x) > dim * dim:
-        vals = phi_values(blocks.grid.alphas, nodes.s, nodes.p)
-        cexp = expand_masks(_masks(vals), dim // len(nodes))
+        cexp = expand_masks(coefficient_masks(blocks.grid, nodes), dim // len(nodes))
         basis = _hermitian_basis(dim)
 
         def columns(idx):

@@ -24,9 +24,10 @@ from .kernels import (
     KernelMatrix,
     NodeSet,
     admissibility_check,
+    coefficient_masks,
     grammian_normalize,
-    make_b_kernel,
     random_admissible_kernel,
+    szego_pullbacks,
 )
 from .pick import PickProblem, minimal_norm_bracket
 from .realization import factor_target
@@ -75,19 +76,20 @@ def grammian_bounds(
     """Eigenvalue range of each census kernel's normalized Grammian on the truncation.
 
     The census holds grid-admissible kernels only.  The pullback (b-type)
-    kernels are admissible at their own alpha by construction but not at every
-    other alpha, so each candidate is checked once on the full grid to ``tol``
-    and dropped if it fails; up to count // 2 are kept.  Random draws with
+    kernels, the Szego kernels of kernels.szego_pullbacks in grid order, are
+    admissible at their own alpha by construction but not at every other
+    alpha, so each candidate is checked once on the full grid to ``tol`` and
+    dropped if it fails; up to count // 2 are kept.  Random draws with
     seeds seed, seed + 1, ... fill the census to ``count``; they are admissible
     by construction.  The bounds are evidence over the sampled kernels only.
     """
     if count < 1:
         raise ValidationError(f"kernel census needs count >= 1, got {count}")
     census: list[tuple[str, KernelMatrix]] = []
-    for m, alpha in enumerate(grid.alphas):
+    for m, pullback in enumerate(szego_pullbacks(coefficient_masks(grid, trunc.nodes))):
         if len(census) >= count // 2:
             break
-        kern = make_b_kernel(alpha, trunc.nodes)
+        kern = KernelMatrix(trunc.nodes, pullback)
         if admissibility_check(kern, grid, tol):
             census.append((f"b[{m}]", kern))
     for k in range(seed, seed + count - len(census)):

@@ -33,8 +33,11 @@ from .realization import Colligation
 FORMAT_VERSION = 1
 VOLATILE_KEYS = ("wall_time", "timings", "report_hash")
 # json.dumps with options builds an encoder per call; this one is built once.
-# encode keeps no state between calls, so threads may share it.
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+# encode keeps no state between calls, so threads may share it.  Reports are
+# trees of fresh dicts and lists, so no circular-reference check is needed.
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False
+)
 
 
 def encode_complex(z: complex) -> list[float]:

@@ -16,8 +16,9 @@ for _var in (
 import numpy as np
 import pytest
 
-from symbidisk import AlphaGrid, GPoint, NodeSet, PickProblem
+from symbidisk import AlphaGrid, GPoint, KernelMatrix, NodeSet, PickProblem, pick
 from symbidisk.hermitian import hermitian_part
+from symbidisk.kernels import coefficient_masks, szego_pullbacks
 
 
 @pytest.fixture
@@ -100,6 +101,26 @@ def gram_factor(h, tol=1e-12):
     lam, vecs = np.linalg.eigh(hermitian_part(h))
     keep = lam > tol * max(float(lam[-1]), 0.0)
     return np.sqrt(lam[keep])[:, None] * vecs[:, keep].conj().T
+
+
+def pullback(alpha, nodes):
+    """The Szego pullback kernel of phi(alpha, .) on the nodes, from a one-alpha grid."""
+    grid = AlphaGrid(np.array([alpha]))
+    return KernelMatrix(nodes, szego_pullbacks(coefficient_masks(grid, nodes))[0])
+
+
+def witnessed_bracket(problem, grid, opts, width):
+    """(lo, hi, witness): minimal_norm_bracket, and the blocks it re-verified at hi."""
+    seen, verify = [], pick.residual
+
+    def recording(target, blocks):
+        seen.append(blocks)
+        return verify(target, blocks)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pick, "residual", recording)
+        lo, hi = pick.minimal_norm_bracket(problem, grid, opts, width)
+    return lo, hi, seen[-1]
 
 
 def near_threshold_problem():

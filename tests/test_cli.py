@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import symbidisk
 import symbidisk.cli
 from symbidisk.cli import execute_problem, run
+from symbidisk.kernels import coefficient_masks, szego_pullbacks
 from symbidisk.serialize import canonical_json, report_hash
 
 from conftest import (
@@ -226,11 +228,23 @@ class TestRun:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:"), lines
 
-    @pytest.mark.parametrize("s, p", [(1e300, 0.0), (1e160, 0.5)])
+    # p = 1e308 and 1e308 i: 4p overflows, and the sup once came out inf with
+    # a NaN argmax, which only the report encoder caught (exit 2)
+    @pytest.mark.parametrize(
+        "s, p", [(1e300, 0.0), (1e160, 0.5), (0.1, 1e308), (0.1, 1e308j)]
+    )
     def test_huge_membership_input_is_an_input_error(self, s, p, tmp_path, capsys):
         assert run(["membership", "--in", membership_file(tmp_path, s, p)]) == 1
-        err = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
         assert len(err) == 1 and err[0].startswith("input error:")
+
+    @pytest.mark.parametrize("p", [1e200, 1e300, 1e300j])
+    def test_large_membership_input_is_a_non_member(self, p, tmp_path, capsys):
+        assert run(["membership", "--in", membership_file(tmp_path, 0.1, p)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["is_member"] is False and out["sup_modulus"] > 1e199
 
     def test_missing_field_names_it(self, tmp_path, capsys):
         p_in = tmp_path / "p.json"
@@ -385,9 +399,9 @@ class TestRun:
         assert report["grammian"]["kernel_count"] == kernels
         assert len(checked) == checks
         grid = symbidisk.AlphaGrid.solver_default()
-        for kern, alpha in zip(checked, grid.alphas):
-            pullback = symbidisk.make_b_kernel(alpha, kern.nodes)
-            assert np.array_equal(kern.matrix, pullback.matrix)
+        pullbacks = szego_pullbacks(coefficient_masks(grid, checked[0].nodes))
+        for kern, pullback in zip(checked, pullbacks):
+            assert np.array_equal(kern.matrix, pullback)
         kept = sum(row["id"].startswith("b[") for row in report["grammian"]["per_kernel"])
         assert len(drawn) == kernels - kept
         assert not any(d is k for d in drawn for k in checked)
@@ -477,9 +491,10 @@ class TestRun:
 
 
 def membership_file(tmp_path, s, p):
-    """The path of a membership problem at the real point (s, p)."""
+    """The path of a membership problem at the point (s, p)."""
     path = tmp_path / "m.json"
-    write_json(path, {"format": 1, "kind": "membership", "payload": {"s": [s, 0.0], "p": [p, 0.0]}})
+    payload = {"s": [s.real, s.imag], "p": [p.real, p.imag]}
+    write_json(path, {"format": 1, "kind": "membership", "payload": payload})
     return str(path)
 
 
@@ -891,6 +906,94 @@ class TestMalformedFields:
         fails = [line for line in lines if line.startswith("FAIL")]
         assert len(fails) == 1 and fails[0].startswith("FAIL  membership.json"), lines
         assert "numerical-failure" in fails[0]
+
+
+# The mutations of the fuzz test: delete or duplicate an entry, swap in a
+# value of another type, scale a number by one of FUZZ_SCALES or set it to
+# one of FUZZ_VALUES.
+FUZZ_SCALES = (1e150, 1e300, 1e-300, -1.0, 0.0)
+FUZZ_VALUES = (1e154, 1e-12, 0.9999999, 1e308)
+FUZZ_OTHER_TYPES = ("x", None, True, 2.5, [], {}, [[1.0, 0.0]])
+FUZZ_PER_KIND = 200
+
+
+def entries(obj, path=()):
+    """Paths of every member and item under ``obj``."""
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield path + (key,)
+            yield from entries(value, path + (key,))
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def mutant(obj, rng):
+    """A copy of ``obj`` with one to three random mutations."""
+    obj = _copy(obj)
+    for _ in range(int(rng.integers(1, 4))):
+        op = ("delete", "duplicate", "swap", "scale", "set")[rng.integers(5)]
+        paths = list(entries(obj))
+        if op in ("scale", "set"):
+            paths = [path for path in paths if is_number(_at(obj, path))] or paths
+        if not paths:
+            break
+        path = paths[rng.integers(len(paths))]
+        parent, key = _at(obj, path[:-1]), path[-1]
+        value = parent[key]
+        if op == "delete":
+            del parent[key]
+        elif op == "duplicate" and isinstance(parent, list):
+            parent.insert(key, _copy(value))
+        elif op == "duplicate":
+            parent[f"{key}2"] = _copy(value)
+        elif op == "swap" or not is_number(value):
+            others = [v for v in FUZZ_OTHER_TYPES if type(v) is not type(value)]
+            parent[key] = _copy(others[rng.integers(len(others))])
+        elif op == "scale":
+            parent[key] = value * FUZZ_SCALES[rng.integers(len(FUZZ_SCALES))]
+        else:
+            parent[key] = FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))]
+    return obj
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _copy(obj):
+    return json.loads(json.dumps(obj))
+
+
+class TestMutationFuzz:
+    def test_every_mutant_runs_or_is_one_input_error_line(self, tmp_path, capsys):
+        # seeded mutants of one full problem per kind, run in process with
+        # every warning an error: bad input never ends in exit 2, an internal
+        # error or a traceback
+        rng = np.random.default_rng(2341)
+        p_in = tmp_path / "p.json"
+        t0 = time.process_time()
+        codes = []
+        for kind in symbidisk.cli.KINDS:
+            for _ in range(FUZZ_PER_KIND):
+                obj = mutant(full_problem(kind), rng)
+                p_in.write_text(json.dumps(obj))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = run([kind, "--in", str(p_in)])
+                captured = capsys.readouterr()
+                lines = captured.err.splitlines()
+                case = (kind, code, lines, obj)
+                assert "Traceback" not in captured.err and "internal error" not in captured.err, case
+                if code != 0:
+                    assert code == 1 and captured.out == "", case
+                    assert len(lines) == 1 and lines[0].startswith("input error:"), case
+                codes.append(code)
+        assert len(codes) >= 500 and 0 < codes.count(0) < len(codes)
+        assert time.process_time() - t0 < 3.0
 
 
 class TestReportFiles:

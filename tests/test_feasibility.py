@@ -18,21 +18,31 @@ from symbidisk import (
     ValidationError,
     admissibility_check,
     grammian_normalize,
-    make_b_kernel,
     minimal_norm_bracket,
     residual,
     solve,
     symmetrize,
 )
-from symbidisk import feasibility, pick
+from symbidisk import feasibility
 from symbidisk.corona import CoronaProblem
 from symbidisk.feasibility import MAX_TARGET_DIM, _Conic, _HermitianBasis, _hkm_schur
 from symbidisk.geometry import phi_values
 from symbidisk.hermitian import hermitian_part, min_eigenvalue, min_eigenvalue_stack
-from symbidisk.kernels import coefficient_masks, expand_masks, random_admissible_kernel
+from symbidisk.kernels import (
+    coefficient_masks,
+    expand_masks,
+    random_admissible_kernel,
+    szego_pullbacks,
+)
 from symbidisk.realization import factor_target
 
-from conftest import loop_file_problem, near_threshold_problem, psd_project, random_nodes
+from conftest import (
+    loop_file_problem,
+    near_threshold_problem,
+    psd_project,
+    random_nodes,
+    witnessed_bracket,
+)
 
 
 def planted_target(rng, nodes, grid, block=1):
@@ -413,6 +423,15 @@ class TestLeanDualPoint:
         minimal_norm_bracket(PickProblem(nodes=target.nodes, targets=ws), solver_grid)
         assert len(factorized) > before + 1 and all(factorized)
 
+    @pytest.mark.parametrize("grid", [AlphaGrid.solver_default(), AlphaGrid.check_default()])
+    def test_szego_stack_is_e_over_the_masks_bit_for_bit(self, grid):
+        # Sz_m (x) I from the census's pullbacks equals hermitian_part(E / C_m),
+        # signed zeros included, so the solver's start and repairs keep their bits
+        rng = np.random.default_rng(41)
+        for n, block in [(1, 3), (3, 1), (4, 2), (6, 3), (10, 2), (20, 1)]:
+            core = _Conic(random_nodes(rng, n, rmax=0.95), grid, block)
+            assert core.szego.tobytes() == hermitian_part(core.ee / core.cexp).tobytes()
+
     def test_unbounded_ray_is_certified(self, solver_grid):
         # J = -I: every conj(C_m) . J is negative definite, and the dual start
         # Z = I / N has -Re<J, Z> = 1, so its kernel, the identity, certifies
@@ -444,7 +463,7 @@ class TestNearThreshold:
         # 1e-4 of the threshold, where a mu floor far above the Newton
         # system's precision made trials stall
         problem = near_threshold_problem()
-        lo, hi, witness = pick._conic_bracket(problem, solver_grid, self.opts, 1e-4)
+        lo, hi, witness = witnessed_bracket(problem, solver_grid, self.opts, 1e-4)
         assert lo <= 2.80045 <= hi <= lo + 1e-4
         at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
         assert residual(factor_target(at_hi.nodes, *at_hi.tops()), witness) <= self.opts.tol
@@ -578,17 +597,35 @@ def mask_check_kernel(rng, nodes, grid, admissible):
     ],
 )
 @pytest.mark.parametrize("admissible", [True, False])
-def test_mask_admissibility_matches_admissibility_check(admissible, n, grid, rng):
-    # the solver's check on its own masks loses nothing against the public one,
-    # on the solver grid and on the 193-alpha grid with 19 nodes
+def test_grammian_rescale_keeps_grid_admissibility(admissible, n, grid, rng):
+    # the certificate loop checks the rescaled compression: a positive diagonal
+    # congruence decides as the raw kernel does, on the solver grid and on the
+    # 193-alpha grid with 19 nodes
     nodes = random_nodes(rng, n, rmax=0.6)
-    raw = mask_check_kernel(rng, nodes, grid, admissible)
-    kern = KernelMatrix(nodes=nodes, matrix=grammian_normalize(KernelMatrix(nodes, raw)))
+    raw = KernelMatrix(nodes, mask_check_kernel(rng, nodes, grid, admissible))
+    kern = KernelMatrix(nodes=nodes, matrix=grammian_normalize(raw))
+    assert admissibility_check(raw, grid, tol=1e-8) is admissible
     assert admissibility_check(kern, grid, tol=1e-8) is admissible
-    got = feasibility._admissible_kernel(nodes, grid, raw, 1e-8)
-    assert (got is not None) is admissible
-    if admissible:  # grammian_normalize's rescale, bit for bit
-        assert np.array_equal(got.matrix, kern.matrix)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_certificate_loop_skips_a_compression_that_is_no_kernel(bad, monkeypatch, solver_grid):
+    # a compression whose diagonal vanishes or is NaN is skipped, and the
+    # next one certifies as it did alone
+    w = np.array([0.0, 0.9])
+    nodes = NodeSet.from_pairs([(1.0, 0.25), (-1.0, 0.25)])
+    target = FeasibilityTarget(nodes=nodes, matrix=1.0 - np.outer(w, w.conj()))
+    first = solve(target, solver_grid)
+    assert first.status is SolveStatus.INFEASIBLE_CERTIFIED
+    compressions = feasibility._compressions
+    no_kernel = np.diag([1.0, bad]).astype(complex)
+    monkeypatch.setattr(
+        feasibility, "_compressions", lambda *a: [no_kernel, *compressions(*a)]
+    )
+    again = solve(target, solver_grid)
+    assert again.status is SolveStatus.INFEASIBLE_CERTIFIED
+    assert again.iterations == first.iterations
+    assert again.certificate.matrix.tobytes() == first.certificate.matrix.tobytes()
 
 
 @pytest.mark.parametrize("block", [2, 3])
@@ -729,8 +766,8 @@ class TestSolveDecidesProbeCases:
         assert report.status is SolveStatus.INFEASIBLE_CERTIFIED
         assert report.certificate_min_eig <= -1e-6
         # the extremal kernel matches the coordinate pullback structure
-        b = make_b_kernel(solver_grid.alphas[0], diagonal_pair)
-        prod = target.matrix * b.matrix
+        b = szego_pullbacks(coefficient_masks(solver_grid, diagonal_pair))[0]
+        prod = target.matrix * b
         assert min_eigenvalue(prod) <= -1e-6
 
     def test_negative_diagonal_certified_by_identity(self, rng, solver_grid):

@@ -168,6 +168,12 @@ class TestMembership:
         assert rep.sup_modulus == math.inf
         assert not rep.is_boundary
 
+    @pytest.mark.parametrize("s, p", [(0.1, 1e308), (0.1, 1e308j), (1.9999, 1e305)])
+    def test_overflowing_terms_are_an_input_magnitude_error(self, s, p):
+        # 4p, or k = (4p - s^2) / (4 - |s|^2), overflows: no finite sup or argmax
+        with pytest.raises(OverflowError, match="not finite"):
+            membership(s, p)
+
     def test_members_from_disk_pairs(self, rng):
         for _ in range(50):
             q = random_gpoint(rng, rmax=0.99)

@@ -8,15 +8,14 @@ from symbidisk import (
     ValidationError,
     admissibility_check,
     grammian_normalize,
-    make_b_kernel,
     phi,
     random_admissible_kernel,
 )
 from symbidisk import kernels
 from symbidisk.hermitian import hermitian_part, min_eigenvalue, min_eigenvalue_stack
-from symbidisk.kernels import coefficient_masks, expand_masks
+from symbidisk.kernels import coefficient_masks, expand_masks, szego_pullbacks
 
-from conftest import random_nodes
+from conftest import pullback, random_nodes
 
 
 class TestNodeSet:
@@ -98,9 +97,9 @@ class TestAdmissibilityCheck:
             expected = (1.0 - abs(phi(alpha, nodes.points[0])) ** 2) * c
             assert lam == pytest.approx(expected, abs=1e-12)
 
-    def test_b_kernel_at_own_alpha_gives_all_ones(self, diagonal_pair):
+    def test_szego_pullback_at_own_alpha_gives_all_ones(self, diagonal_pair):
         alpha = 0.3 + 0.4j
-        kern = make_b_kernel(alpha, diagonal_pair)
+        kern = pullback(alpha, diagonal_pair)
         grid = AlphaGrid(np.array([alpha]))
         assert admissibility_check(kern, grid)
         # (1 - phi phibar) cancels the kernel: all-ones matrix, min eig 0
@@ -165,14 +164,14 @@ class TestCoefficientMasks:
                 assert not np.any(np.imag(np.diagonal(cexp, axis1=1, axis2=2)))
 
 
-class TestBKernel:
+class TestSzegoPullbacks:
     def test_single_origin_node(self):
-        kern = make_b_kernel(0.7, NodeSet.from_pairs([(0.0, 0.0)]))
+        kern = pullback(0.7, NodeSet.from_pairs([(0.0, 0.0)]))
         assert np.allclose(kern.matrix, [[1.0]])
 
     def test_diagonal_pair_closed_form(self, diagonal_pair):
         for alpha in (0.0, 0.5j, np.exp(1j * 0.3)):
-            kern = make_b_kernel(alpha, diagonal_pair)
+            kern = pullback(alpha, diagonal_pair)
             expected = np.array([[4.0 / 3.0, 0.8], [0.8, 4.0 / 3.0]])
             assert np.abs(kern.matrix - expected).max() <= 1e-12
 
@@ -180,15 +179,26 @@ class TestBKernel:
         for _ in range(10):
             nodes = random_nodes(rng, 4)
             alpha = 0.9 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-            kern = make_b_kernel(alpha, nodes)
+            kern = pullback(alpha, nodes)
             assert min_eigenvalue(kern.matrix) >= -1e-10 * np.abs(kern.matrix).max()
 
     def test_own_alpha_admissibility_sampled(self, rng):
         for k in range(5):
             nodes = random_nodes(rng, 3)
             alpha = np.exp(2j * np.pi * rng.random())
-            kern = make_b_kernel(alpha, nodes)
+            kern = pullback(alpha, nodes)
             assert admissibility_check(kern, AlphaGrid(np.array([alpha])), tol=1e-12)
+
+    @pytest.mark.parametrize("grid", [AlphaGrid.solver_default(), AlphaGrid.check_default()])
+    def test_stack_is_exactly_hermitian_and_one_row_per_alpha(self, rng, grid):
+        # row m is the one-alpha pullback at grid alpha m, and exactly Hermitian
+        nodes = random_nodes(rng, 5)
+        stack = szego_pullbacks(coefficient_masks(grid, nodes))
+        assert stack.shape == (len(grid), 5, 5)
+        assert np.array_equal(stack, stack.conj().transpose(0, 2, 1))
+        for m in (0, len(grid) // 2, len(grid) - 1):
+            one = pullback(grid.alphas[m], nodes).matrix
+            assert np.abs(stack[m] - one).max() <= 1e-12 * np.abs(one).max()
 
 
 class TestRandomAdmissibleKernel:
@@ -253,17 +263,19 @@ class TestGrammianNormalize:
         kern = KernelMatrix(nodes=diagonal_pair, matrix=3.7 * np.ones((2, 2)))
         assert np.allclose(grammian_normalize(kern), np.ones((2, 2)))
 
-    def test_b_kernel_value(self, diagonal_pair):
-        g = grammian_normalize(make_b_kernel(0.2, diagonal_pair))
+    def test_szego_pullback_value(self, diagonal_pair):
+        g = grammian_normalize(pullback(0.2, diagonal_pair))
         assert np.abs(g - np.array([[1.0, 0.6], [0.6, 1.0]])).max() <= 1e-12
 
     def test_diagonal_congruence_invariance(self, rng, diagonal_pair):
-        kern = make_b_kernel(0.5, diagonal_pair)
+        kern = pullback(0.5, diagonal_pair)
         d = np.diag(rng.random(2) + 0.5)
         conj = KernelMatrix(nodes=diagonal_pair, matrix=d @ kern.matrix @ d)
         assert np.abs(grammian_normalize(conj) - grammian_normalize(kern)).max() <= 1e-12
 
-    def test_rejects_vanishing_diagonal(self, diagonal_pair):
-        weak = KernelMatrix(nodes=diagonal_pair, matrix=np.zeros((2, 2)))
+    @pytest.mark.parametrize("matrix", [np.zeros((2, 2)), np.diag([1.0, np.nan])],
+                             ids=["zero", "nan"])
+    def test_rejects_vanishing_diagonal(self, matrix, diagonal_pair):
+        weak = KernelMatrix(nodes=diagonal_pair, matrix=matrix)
         with pytest.raises(ValidationError):
             grammian_normalize(weak)

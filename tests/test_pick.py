@@ -40,6 +40,7 @@ from conftest import (
     random_nodes,
     stall_file_problem,
     variety_nodes,
+    witnessed_bracket,
 )
 
 
@@ -369,7 +370,7 @@ def reference_bracket(problem, grid, opts, width=1e-4):
 
 def assert_matches_reference(problem, grid, opts=SolveOptions(), width=1e-4):
     """The conic bracket overlaps the bisection's, is narrow, and its witness re-verifies."""
-    lo, hi, witness = pick._conic_bracket(problem, grid, opts, width)
+    lo, hi, witness = witnessed_bracket(problem, grid, opts, width)
     ref_lo, ref_hi = reference_bracket(problem, grid, opts, width)
     top = max(float(np.linalg.norm(t, 2)) for t in problem.targets)
     # both brackets close on the same floats where a problem closes exactly
@@ -597,7 +598,7 @@ STALLED_BRACKETS = {
 def test_bracket_that_stalled_at_the_largest_sigma_closes(name, solver_grid):
     opts, width = SolveOptions(max_iter=2000), 1e-4
     problem = STALLED_BRACKETS[name]()
-    lo, hi, witness = pick._conic_bracket(problem, solver_grid, opts, width)
+    lo, hi, witness = witnessed_bracket(problem, solver_grid, opts, width)
     top = max(float(np.linalg.norm(t, 2)) for t in problem.targets)
     assert 0.0 <= hi - lo <= width * max(1.0, top)
     at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
@@ -617,7 +618,7 @@ def test_planted_bracket_that_stalled_in_the_szego_repair_closes(n, seed, solver
     # and 2.1e-2 (N = 16)
     opts, width = SolveOptions(max_iter=2000), 1e-4
     problem = planted_problem(n, seed)
-    lo, hi, witness = pick._conic_bracket(problem, solver_grid, opts, width)
+    lo, hi, witness = witnessed_bracket(problem, solver_grid, opts, width)
     top = max(float(np.linalg.norm(t, 2)) for t in problem.targets)
     assert 0.0 <= hi - lo <= width * max(1.0, top)
     assert lo <= 0.95  # the targets are planted at 0.95

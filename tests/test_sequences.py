@@ -6,18 +6,19 @@ import pytest
 
 from symbidisk import (
     AlphaGrid,
+    KernelMatrix,
     NodeSet,
     SolveStatus,
     ValidationError,
     carleson_condition,
     grammian_bounds,
     grammian_normalize,
-    make_b_kernel,
     pseudo_hyperbolic,
     random_admissible_kernel,
     strong_separation,
 )
 from symbidisk import pick, realization, sequences
+from symbidisk.kernels import coefficient_masks, szego_pullbacks
 from symbidisk.pick import PickProblem, solve_pick
 from symbidisk.sequences import (
     SequenceTruncation,
@@ -61,7 +62,8 @@ class TestGrammianBounds:
     def test_stacked_eigensolve_matches_one_per_kernel(self, rng, solver_grid):
         trunc = SequenceTruncation(nodes=random_nodes(rng, 3))
         rep = grammian_bounds(trunc, solver_grid, 2, 9)
-        census = [make_b_kernel(solver_grid.alphas[int(kid[2:-1])], trunc.nodes)
+        pullbacks = szego_pullbacks(coefficient_masks(solver_grid, trunc.nodes))
+        census = [KernelMatrix(trunc.nodes, pullbacks[int(kid[2:-1])])
                   for kid, _, _ in rep.per_kernel if kid.startswith("b[")]
         census += [random_admissible_kernel(trunc.nodes, solver_grid, seed=int(kid[5:-1]))
                    for kid, _, _ in rep.per_kernel if kid.startswith("rand[")]

@@ -9,7 +9,6 @@ from symbidisk import (
     NumericsError,
     PickProblem,
     ValidationError,
-    make_b_kernel,
     solve_pick,
 )
 from symbidisk.realization import transfer_eval_batch
@@ -30,6 +29,8 @@ from symbidisk.serialize import (
     encode_report,
     report_hash,
 )
+
+from conftest import pullback
 
 
 def per_entry_matrix(m):
@@ -91,7 +92,7 @@ def test_grid_round_trip(solver_grid):
 
 
 def test_kernel_round_trip(diagonal_pair):
-    kern = make_b_kernel(0.3 + 0.1j, diagonal_pair)
+    kern = pullback(0.3 + 0.1j, diagonal_pair)
     obj = encode_kernel(kern)
     assert obj["block"] == 1
     back = decode_kernel(obj)
