@@ -56,6 +56,7 @@ from .serialize import (
     decode_point_rows,
     encode_colligation,
     encode_complex,
+    encode_kernel,
     encode_membership,
     encode_report,
     encode_solve_report,
@@ -349,6 +350,17 @@ def _handle_sequence(payload, grid, opts, seed) -> dict:
     alpha_star, delta_hat = best_carleson_alpha(trunc, grid)
     gram = grammian_bounds(trunc, grid, seed, kernel_count)
     separation = strong_separation(trunc, bound, grid, opts)
+    strong = {
+        "bound": bound,
+        "statuses": [rep.status.value for rep in separation],
+        "all_feasible": all(rep.status is SolveStatus.FEASIBLE for rep in separation),
+    }
+    # like encode_solve_report's certificate: written only when some node is certified
+    certified = [{"node": i, "kernel": encode_kernel(rep.certificate)}
+                 for i, rep in enumerate(separation)
+                 if rep.status is SolveStatus.INFEASIBLE_CERTIFIED]
+    if certified:
+        strong["certificates"] = certified
     return {
         "n": trunc.n,
         "carleson": {"alpha": encode_complex(alpha_star), "delta_hat": delta_hat},
@@ -360,11 +372,7 @@ def _handle_sequence(payload, grid, opts, seed) -> dict:
                 {"id": kid, "min": lo, "max": hi} for kid, lo, hi in gram.per_kernel
             ],
         },
-        "strong_separation": {
-            "bound": bound,
-            "statuses": [rep.status.value for rep in separation],
-            "all_feasible": all(rep.status is SolveStatus.FEASIBLE for rep in separation),
-        },
+        "strong_separation": strong,
     }
 
 

@@ -27,12 +27,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Equally spaced circle alphas caratheodory_two_point scans before refining.
-_CARATHEODORY_GRID = 4096
-# Golden-section refinement settles the circle argmax to this angular width.
-_GOLDEN_BRACKET = 1e-12
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 DEFAULT_MEMBERSHIP_TOL = 1e-10
 
 
@@ -209,12 +203,21 @@ def caratheodory_two_point(
     a: GPoint | tuple[complex, complex],
     b: GPoint | tuple[complex, complex],
 ) -> float:
-    """Two-point extremal distance through the coordinate family.
+    """Two-point extremal distance through the coordinate family, in closed form.
 
-    Maximizes the pseudo-hyperbolic distance of (phi(alpha, a), phi(alpha, b))
-    over a refined unit-circle grid in alpha.  Serves as the two-point
-    solvability oracle: a two-node problem with unit bound is solvable exactly
-    when the target pseudo-hyperbolic distance does not exceed this value.
+    The largest pseudo-hyperbolic distance of (phi(alpha, a), phi(alpha, b))
+    over |alpha| = 1.  Serves as the two-point solvability oracle: a two-node
+    problem with unit bound is solvable exactly when the target
+    pseudo-hyperbolic distance does not exceed this value.
+
+    With a_i = 2 p_i and b_i = s_i the distance on the circle is |N| / |M|
+    for the quadratics N(w) = -(a1 b2 - a2 b1) w^2 + 2 (a1 - a2) w - 2 (b1 - b2)
+    and M(w) = (a1 conj(b2) - 2 b1) w^2 + (4 - conj(a2) a1) w + conj(a2) b1
+    - 2 conj(b2) (the moduli of phi's denominators cancel).  There
+    |N|^2 / |M|^2 = P / Q with P = N * w^2 conj(N(1 / conj(w))) and Q alike,
+    so the maximum sits at a unimodular root of P'Q - PQ' (degree <= 6), or
+    anywhere when it vanishes (royal and flat pairs): each root, pushed onto
+    the circle, and alpha = +-1, +-i are the candidates.
     """
     sa, pa = _coords(a)
     sb, pb = _coords(b)
@@ -222,21 +225,16 @@ def caratheodory_two_point(
         if not membership(s, p).is_member:
             raise ValidationError("caratheodory_two_point needs member points")
 
-    theta = np.linspace(0.0, 2.0 * math.pi, _CARATHEODORY_GRID, endpoint=False)
-    va, vb = phi_values(np.exp(1j * theta), [sa, sb], [pa, pb]).T
-    den = np.abs(1.0 - vb.conj() * va)
-    num = np.abs(va - vb)
-    vals = np.where(den > 1e-15, num / np.maximum(den, 1e-300), 0.0)
-
-    k = int(np.argmax(vals))
-    step = 2.0 * math.pi / _CARATHEODORY_GRID
-
-    def objective(t: float) -> float:
-        al = cmath.exp(1j * t)
-        return pseudo_hyperbolic(phi(al, (sa, pa)), phi(al, (sb, pb)))
-
-    _, refined = _golden_max(objective, theta[k] - step, theta[k] + step)
-    return max(float(vals[k]), refined)
+    a1, a2 = 2.0 * pa, 2.0 * pb
+    n = np.array([a2 * sa - a1 * sb, 2.0 * (a1 - a2), 2.0 * (sb - sa)])
+    m = np.array([a1 * sb.conjugate() - 2.0 * sa, 4.0 - a2.conjugate() * a1,
+                  a2.conjugate() * sa - 2.0 * sb.conjugate()])
+    big_p, big_q = np.polymul(n, n[::-1].conj()), np.polymul(m, m[::-1].conj())
+    roots = np.roots(np.polysub(np.polymul(np.polyder(big_p), big_q),
+                                np.polymul(big_p, np.polyder(big_q))))
+    roots = roots[roots != 0]
+    w = np.concatenate([roots / np.abs(roots), [1.0, -1.0, 1j, -1j]])
+    return float(np.max(np.abs(np.polyval(n, w)) / np.abs(np.polyval(m, w))))
 
 
 def _coords(point) -> tuple[complex, complex]:
@@ -244,22 +242,3 @@ def _coords(point) -> tuple[complex, complex]:
         return point.as_pair()
     s, p = point
     return complex(s), complex(p)
-
-
-def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal-near-peak function on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > _GOLDEN_BRACKET:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    t = (a + b) / 2.0
-    return t, f(t)

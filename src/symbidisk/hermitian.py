@@ -1,10 +1,12 @@
 """Dense complex Hermitian linear algebra used throughout the solvers.
 
-Thin, contract-checked wrappers around LAPACK via numpy: Frobenius-nearest
-PSD projection, minimum eigenvalues, and unitary completion of an isometric
-correspondence as one SVD polar factor.  Schur products are numpy's
-entrywise ``*``: kernels are scalar, and a block target meets one through
-kernels.expand_masks.
+Thin, contract-checked wrappers around LAPACK via numpy: minimum
+eigenvalues and unitary completion of an isometric correspondence as one SVD
+polar factor.  Schur products are numpy's entrywise ``*``: kernels are
+scalar, and a block target meets one through kernels.expand_masks.  Nothing
+in the package projects onto the PSD cone; ``psd_project_stack`` stays only
+because ``bench/test_bench.py`` binds it, through ``feasibility``, to check
+the tracer's wrapping.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import symbidisk
 import symbidisk.cli
 from symbidisk.cli import execute_problem, run
 from symbidisk.kernels import coefficient_masks, szego_pullbacks
-from symbidisk.serialize import canonical_json, report_hash
+from symbidisk.serialize import canonical_json, decode_kernel, report_hash
 
 from conftest import (
     LOOP_FILE_NODES,
@@ -25,6 +25,7 @@ from conftest import (
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
 
+import verify  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -365,6 +366,23 @@ class TestRun:
         out = json.loads(capsys.readouterr().out)
         assert out["carleson"]["delta_hat"] == pytest.approx(0.8, abs=1e-9)
         assert out["strong_separation"]["all_feasible"] is True
+        assert "certificates" not in out["strong_separation"]
+
+    def test_sequence_report_carries_its_certificates(self):
+        # at bound 1, below the separation constant 1 / 0.8 of these two
+        # nodes, neither unit-vector problem is solvable: each written kernel
+        # is grid-admissible and violates its node's target at the bound
+        obj = valid_problem("sequence")
+        obj["payload"]["bound"] = 1.0
+        strong = execute_problem(obj)["strong_separation"]
+        assert strong["statuses"] == ["InfeasibleCertified"] * 2
+        assert [cert["node"] for cert in strong["certificates"]] == [0, 1]
+        for cert in strong["certificates"]:
+            assert cert["kernel"]["nodes"] == obj["payload"]["nodes"]
+            kernel = decode_kernel(cert["kernel"])  # n x n on the truncation's nodes
+            s, p = (np.array([getattr(q, c) for q in kernel.nodes.points]) for c in "sp")
+            j = verify.pick_target(list(np.eye(2)[cert["node"]]), 1.0)
+            assert verify.certificate_ok(j, verify.SOLVER_GRID, kernel.matrix, s, p, 1e-8)
 
     @pytest.mark.parametrize(
         "pairs, kernels, checks",
@@ -968,32 +986,81 @@ def _copy(obj):
     return json.loads(json.dumps(obj))
 
 
+def run_mutants(problems, count, rng, tmp_path, capsys):
+    """Exit codes of ``count`` seeded mutants of each problem, each run in
+    process as its problem's kind with every warning an error: bad input
+    never ends in exit 2, an internal error or a traceback."""
+    p_in = tmp_path / "p.json"
+    codes = []
+    for problem in problems:
+        for _ in range(count):
+            obj = mutant(problem, rng)
+            p_in.write_text(json.dumps(obj))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run([problem["kind"], "--in", str(p_in)])
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            case = (problem["kind"], code, lines, obj)
+            assert "Traceback" not in captured.err and "internal error" not in captured.err, case
+            if code != 0:
+                assert code == 1 and captured.out == "", case
+                assert len(lines) == 1 and lines[0].startswith("input error:"), case
+            codes.append(code)
+    return codes
+
+
+# Bench corpus seeds whose problem files the fuzz test mutates.
+FUZZ_CORPUS_SEEDS = (100, 101, 102)
+
+
 class TestMutationFuzz:
     def test_every_mutant_runs_or_is_one_input_error_line(self, tmp_path, capsys):
-        # seeded mutants of one full problem per kind, run in process with
-        # every warning an error: bad input never ends in exit 2, an internal
-        # error or a traceback
+        # mutants of one full problem per kind
         rng = np.random.default_rng(2341)
-        p_in = tmp_path / "p.json"
         t0 = time.process_time()
-        codes = []
-        for kind in symbidisk.cli.KINDS:
-            for _ in range(FUZZ_PER_KIND):
-                obj = mutant(full_problem(kind), rng)
-                p_in.write_text(json.dumps(obj))
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    code = run([kind, "--in", str(p_in)])
-                captured = capsys.readouterr()
-                lines = captured.err.splitlines()
-                case = (kind, code, lines, obj)
-                assert "Traceback" not in captured.err and "internal error" not in captured.err, case
-                if code != 0:
-                    assert code == 1 and captured.out == "", case
-                    assert len(lines) == 1 and lines[0].startswith("input error:"), case
-                codes.append(code)
+        problems = [full_problem(kind) for kind in symbidisk.cli.KINDS]
+        codes = run_mutants(problems, FUZZ_PER_KIND, rng, tmp_path, capsys)
         assert len(codes) >= 500 and 0 < codes.count(0) < len(codes)
         assert time.process_time() - t0 < 3.0
+
+    def test_mutants_of_golden_and_bench_files(self, tmp_path, capsys):
+        # mutants of every golden problem and of every file of a few bench
+        # corpus directories, loop-bound ones included
+        rng = np.random.default_rng(2342)
+        t0 = time.process_time()
+        bench = [problem for seed in FUZZ_CORPUS_SEEDS
+                 for _, (problem, _) in sorted(workloads.CorpusFiles(seed).files.items())]
+        codes = run_mutants([problem for problem, _ in GOLDEN.values()], 20, rng, tmp_path, capsys)
+        codes += run_mutants(bench, 5, rng, tmp_path, capsys)
+        assert len(codes) == 20 * len(GOLDEN) + 5 * len(bench)
+        assert 0 < codes.count(0) < len(codes)
+        assert time.process_time() - t0 < 2.0
+
+    def test_corpus_of_mutants_has_a_row_per_file(self, tmp_path, capsys):
+        # one mutant of every file of a bench directory and of every golden
+        # problem, beside the unmutated sidecars: each file is a row of its own
+        rng = np.random.default_rng(2343)
+        d = tmp_path / "mutants"
+        workloads.CorpusFiles(FUZZ_CORPUS_SEEDS[-1] + 1).write(str(d))
+        for case, (problem, _) in GOLDEN.items():
+            write_json(d / f"{case}.json", problem)
+        names = sorted(path.name for path in d.glob("*.json")
+                       if not path.name.endswith(".expected.json"))
+        for name in names:
+            write_json(d / name, mutant(json.loads((d / name).read_text()), rng))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["corpus", "--in", str(d), "--out", str(tmp_path / "reports")])
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert captured.err == "" and code in (0, 1)
+        assert [line.split()[1] for line in lines[:-1]] == names
+        assert all(line.split()[0] in ("PASS", "FAIL") for line in lines[:-1])
+        assert not any("internal-error" in line for line in lines), lines
+        passed = sum(line.startswith("PASS") for line in lines[:-1])
+        assert lines[-1] == f"corpus: {passed}/{len(names)} passed"
+        assert code == (passed < len(names))
 
 
 class TestReportFiles:

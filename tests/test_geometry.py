@@ -33,6 +33,22 @@ def sup_phi_on_circle(s, p, n=4096):
     return abs_phi_on_circle(fine, s, p).max()
 
 
+def phi_distance_on_circle(theta, a, b):
+    al = np.exp(1j * theta)
+    va, vb = ((2.0 * al * q.p - q.s) / (2.0 - al * q.s) for q in (a, b))
+    return np.abs(va - vb) / np.abs(1.0 - vb.conj() * va)
+
+
+def caratheodory_scan(a, b, n=4096):
+    # independent oracle: sup_phi_on_circle's two plain grids, for the
+    # pseudo-hyperbolic distance of the two phi images
+    step = 2.0 * np.pi / n
+    coarse = step * np.arange(n)
+    k = int(np.argmax(phi_distance_on_circle(coarse, a, b)))
+    fine = coarse[k] + step * np.linspace(-1.0, 1.0, n)
+    return phi_distance_on_circle(fine, a, b).max()
+
+
 def seeded_points(rng, count):
     """Half symmetrized disk pairs, half pairs with one root outside the disk."""
     pts = []
@@ -245,6 +261,26 @@ class TestCaratheodoryTwoPoint:
         d12 = caratheodory_two_point(pts[1], pts[2])
         assert d01 == pytest.approx(d10, abs=1e-12)
         assert d02 <= d01 + d12 + 1e-6  # triangle within grid tolerance
+
+    @pytest.mark.parametrize("rmax, gap", [(0.95, 1e-11), (0.999, 1e-10)])
+    def test_matches_a_dense_scan(self, rng, rmax, gap):
+        # the closed form is the circle maximum: no sampled alpha exceeds it,
+        # and the scan's grid comes within its step of it
+        for _ in range(100):
+            a, b = random_gpoint(rng, rmax), random_gpoint(rng, rmax)
+            value = caratheodory_two_point(a, b)
+            scan = caratheodory_scan(a, b)
+            assert scan - 1e-14 <= value <= scan + gap, (a, b, value - scan)
+
+    @pytest.mark.parametrize("variety", ["royal", "flat"])
+    def test_disk_distance_on_a_variety(self, rng, variety):
+        # phi(alpha, .) is -z at royal nodes (2 z, z^2) and alpha z at flat
+        # nodes (0, z): every alpha attains the disk distance
+        for _ in range(50):
+            z, w = 0.99 * np.sqrt(rng.random(2)) * np.exp(2j * np.pi * rng.random(2))
+            pair = [(2 * x, x * x) if variety == "royal" else (0.0, x) for x in (z, w)]
+            assert caratheodory_two_point(*pair) == pytest.approx(
+                pseudo_hyperbolic(z, w), rel=1e-12, abs=1e-15)
 
 
 def test_pseudo_hyperbolic_basics():
