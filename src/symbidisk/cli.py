@@ -38,7 +38,7 @@ from .gamma_ops import (
     gamma_unitary_check,
 )
 from .geometry import BGammaPoint, membership
-from .pick import PickProblem, minimal_norm, solve_pick
+from .pick import PickProblem, solve_pick
 from .realization import Factorization
 from .sequences import (
     MAX_KERNELS,
@@ -64,6 +64,19 @@ from .serialize import (
 )
 
 KINDS = ("membership", "pick", "corona", "sequence", "gamma-check", "measure-model")
+
+# Payload fields that are no longer read, per kind, and why: a file that
+# states one is an input error, never silently run without it.
+RETIRED_FIELDS = {
+    "pick": {
+        "minimal_norm": "a report decides its norm_bound; pick.minimal_norm_bracket "
+        "brackets the minimal norm",
+    },
+    "sequence": {
+        "n": "the report covers every node; list only the nodes to diagnose",
+        "alpha_samples": "the Carleson scan uses the grid",
+    },
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -230,6 +243,9 @@ def _execute(problem: dict) -> tuple[dict, str]:
     _validate_problem(problem)
     kind = problem["kind"]
     payload = problem["payload"]
+    for field, why in RETIRED_FIELDS.get(kind, {}).items():
+        if field in payload:
+            raise ValidationError(f"field {field!r} is not read: {why}")
 
     opts_obj = problem.get("opts") or {}
     if not isinstance(opts_obj, dict):
@@ -296,14 +312,7 @@ def _handle_pick(payload, grid, opts, seed) -> dict:
     )
     norm_bound = read_number(payload.get("norm_bound", 1.0), "norm_bound")
     problem = PickProblem(nodes=nodes, targets=targets, norm_bound=norm_bound)
-    want_norm = payload.get("minimal_norm", False)
-    if not isinstance(want_norm, bool):
-        raise ValidationError(f"field 'minimal_norm' must be a boolean, got {want_norm!r}")
-    solution = solve_pick(problem, grid, opts)
-    body = _factorization_body(solution, "interpolant")
-    if want_norm:
-        body["minimal_norm"] = minimal_norm(problem, grid, opts)
-    return body
+    return _factorization_body(solve_pick(problem, grid, opts), "interpolant")
 
 
 def _handle_corona(payload, grid, opts, seed) -> dict:
@@ -333,16 +342,10 @@ def _handle_corona(payload, grid, opts, seed) -> dict:
 
 
 def _handle_sequence(payload, grid, opts, seed) -> dict:
-    nodes = decode_nodes(_require(payload, "nodes"))
-    n = read_number(payload.get("n", len(nodes)), "n", integral=True)
-    if not 1 <= n <= len(nodes):
-        raise ValidationError(f"field 'n' must be in [1, {len(nodes)}], got {n}")
-    trunc = SequenceTruncation(nodes=nodes.prefix(n))
+    trunc = SequenceTruncation(nodes=decode_nodes(_require(payload, "nodes")))
     kernel_count = read_number(payload.get("kernels", 8), "kernels", integral=True)
     if not 1 <= kernel_count <= MAX_KERNELS:
         raise ValidationError(f"field 'kernels' must be in [1, {MAX_KERNELS}], got {kernel_count}")
-    if "alpha_samples" in payload:
-        raise ValidationError("field 'alpha_samples' is not read: the Carleson scan uses the grid")
     bound = read_number(payload.get("bound", 2.0), "bound")
     if not bound > 0:
         raise ValidationError(f"field 'bound' must be positive, got {bound}")

@@ -23,7 +23,7 @@ from .errors import ValidationError
 from .geometry import GPoint, phi_values, require_member
 from .hermitian import hermitian_part, min_eigenvalue_stack
 
-# Alphas per grid, far above the 193 of check_default.  The distinctness check
+# Alphas per grid, far above the 9 of solver_default.  The distinctness check
 # is O(n^2), every mask stack holds n * N^2 entries, and an interior-point
 # iteration costs O(n * N^4) flops and 8 n N^2 entries for its Schur
 # complement: at N = 20 on 4096 alphas a step takes 1.6 CPU-s and the solve
@@ -63,9 +63,6 @@ class NodeSet:
     def from_pairs(pairs) -> "NodeSet":
         return NodeSet(tuple(GPoint(complex(s), complex(p)) for s, p in pairs))
 
-    def prefix(self, n: int) -> "NodeSet":
-        return NodeSet(self.points[:n])
-
 
 @dataclass(frozen=True)
 class AlphaGrid:
@@ -101,35 +98,26 @@ class AlphaGrid:
             al = np.concatenate([[0.0 + 0.0j], al])
         return AlphaGrid(al)
 
-    # The default grids are built once, on first use (the distinctness check
-    # above is O(n^2)), and shared by every caller, so their alphas are read-only.
-
     @staticmethod
     @functools.cache
     def solver_default() -> "AlphaGrid":
-        """Compact grid used by the feasibility solvers: {0} plus 8 boundary points."""
-        return _read_only(AlphaGrid.boundary(8, include_zero=True))
+        """Compact grid used by the feasibility solvers: {0} plus 8 boundary points.
 
-    @staticmethod
-    @functools.cache
-    def check_default() -> "AlphaGrid":
-        """Dense grid for admissibility audits: 64 boundary points, the origin,
-        and 8 interior radii times 16 angles."""
-        parts = [np.exp(2j * np.pi * np.arange(64) / 64), np.array([0.0 + 0.0j])]
-        radii = (np.arange(1, 9) / 9.0)[:, None]
-        angles = np.exp(2j * np.pi * np.arange(16) / 16)[None, :]
-        parts.append((radii * angles).ravel())
-        return _read_only(AlphaGrid(np.concatenate(parts)))
-
-
-def _read_only(grid: AlphaGrid) -> AlphaGrid:
-    grid.alphas.flags.writeable = False
-    return grid
+        Built once, on first use (the distinctness check above is O(n^2)),
+        and shared by every caller, so its alphas are read-only.
+        """
+        grid = AlphaGrid.boundary(8, include_zero=True)
+        grid.alphas.flags.writeable = False
+        return grid
 
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """A PSD n x n matrix on the nodes with nonvanishing diagonal."""
+    """An n x n matrix on the nodes, kept as its Hermitian part.
+
+    The type checks only the shape.  A positive diagonal is checked where it
+    is needed (grammian_normalize), and admissibility by admissibility_check.
+    """
 
     nodes: NodeSet
     matrix: np.ndarray

@@ -134,8 +134,6 @@ def decode_grid(obj) -> AlphaGrid:
         raise ValidationError(f"malformed {kind} grid: {exc!r}") from exc
     if kind == "solver_default":
         return AlphaGrid.solver_default()
-    if kind == "check_default":
-        return AlphaGrid.check_default()
     raise ValidationError(f"unknown grid kind {kind!r}")
 
 
@@ -145,18 +143,6 @@ def encode_kernel(kernel: KernelMatrix) -> dict:
         "block": 1,  # kept so that every certificate report keeps its bytes
         "entries": _entries(kernel.matrix),
     }
-
-
-def decode_kernel(obj) -> KernelMatrix:
-    nodes = decode_nodes(obj["nodes"])
-    block = obj.get("block", 1)
-    if read_number(block, "block", integral=True) != 1:
-        raise ValidationError(f"kernels are n x n on their nodes: block must be 1, got {block!r}")
-    n = len(nodes)
-    entries = [decode_complex(v) for v in obj["entries"]]
-    if len(entries) != n * n:
-        raise ValidationError("kernel entry count disagrees with its node count")
-    return KernelMatrix(nodes=nodes, matrix=np.array(entries, dtype=complex).reshape(n, n))
 
 
 def encode_blocks(blocks: CPBlocks) -> dict:
@@ -177,19 +163,6 @@ def encode_colligation(col: Colligation) -> dict:
         "out_dim": col.out_dim,
         "in_dim": col.in_dim,
     }
-
-
-def decode_colligation(obj) -> Colligation:
-    return Colligation(
-        a=decode_matrix(obj["a"]),
-        b=decode_matrix(obj["b"]),
-        c=decode_matrix(obj["c"]),
-        d=decode_matrix(obj["d"]),
-        alphas=np.array([decode_complex(a) for a in obj["alphas"]]),
-        multiplicities=tuple(int(m) for m in obj["multiplicities"]),
-        out_dim=int(obj["out_dim"]),
-        in_dim=int(obj["in_dim"]),
-    )
 
 
 def encode_solve_report(report: SolveReport) -> dict:

@@ -22,10 +22,6 @@ PACKAGE = ROOT / "src" / "symbidisk"
 ALLOWED = {
     # the README library tour documents these
     "caratheodory_two_point",
-    # report readers: their round-trip tests are what checks that the encoders
-    # write re-checkable certificates
-    "decode_kernel",
-    "decode_colligation",
 }
 
 # Defaulted parameters kept without a call that passes them.

@@ -9,18 +9,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import symbidisk
 import symbidisk.cli
 from symbidisk.cli import execute_problem, run
 from symbidisk.kernels import coefficient_masks, szego_pullbacks
-from symbidisk.serialize import canonical_json, decode_kernel, report_hash
+from symbidisk.serialize import canonical_json, report_hash
 
 from conftest import (
     LOOP_FILE_NODES,
     LOOP_FILE_TARGETS,
     MEASURE_REPORT_FIELDS,
-    near_threshold_problem,
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
@@ -40,16 +41,6 @@ NODES_21 = tuple((0.04 * k, 0.0, 0.0, 0.0) for k in range(21))
 
 # Flags that once overrode a problem's grid and solver options: (flag, value).
 DELETED_FLAGS = [("--grid", "16"), ("--tol", "1e-4"), ("--max-iter", "5"), ("--seed", "3")]
-
-
-def near_threshold_obj(max_iter):
-    """near_threshold_problem() asking for its minimal norm within max_iter iterations."""
-    problem = near_threshold_problem()
-    nodes = [(q.s.real, q.s.imag, q.p.real, q.p.imag) for q in problem.nodes.points]
-    obj = pick_problem_obj(ws=(1.0, 1.0, -1.0), nodes=nodes)
-    obj["payload"]["minimal_norm"] = True
-    obj["opts"]["max_iter"] = max_iter
-    return obj
 
 
 def pick_problem_obj(ws=(0.5,), nodes=((0.0, 0.0, 0.0, 0.0),)):
@@ -159,36 +150,6 @@ class TestRun:
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:")
-
-    def test_minimal_norm_budget_is_one_numerical_failure_line(self, tmp_path):
-        p_in = tmp_path / "budget.json"
-        write_json(p_in, near_threshold_obj(max_iter=3))
-        src = os.path.dirname(os.path.dirname(symbidisk.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-m", "symbidisk.cli", "pick", "--in", str(p_in)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("numerical failure: minimal-norm")
-
-    def test_minimal_norm_of_a_loop_file_with_close_nodes(self, tmp_path, capsys):
-        # its bracket once stalled at sigma = 1e8 (exit 2, "stalled at relative width")
-        p_in = tmp_path / "loop.json"
-        obj = {
-            "format": 1,
-            "kind": "pick",
-            "payload": {
-                "nodes": LOOP_FILE_NODES, "targets": LOOP_FILE_TARGETS, "minimal_norm": True
-            },
-            "opts": {"max_iter": 2000},
-        }
-        write_json(p_in, obj)
-        code = run(["pick", "--in", str(p_in)])
-        captured = capsys.readouterr()
-        assert code == 0, captured.err
-        assert json.loads(captured.out)["minimal_norm"] == pytest.approx(0.8336077, abs=2e-4)
 
     def test_pick_out_of_budget_reports_unknown(self, tmp_path, capsys):
         # just above the loop file's minimal norm, two interior-point iterations
@@ -379,10 +340,12 @@ class TestRun:
         assert [cert["node"] for cert in strong["certificates"]] == [0, 1]
         for cert in strong["certificates"]:
             assert cert["kernel"]["nodes"] == obj["payload"]["nodes"]
-            kernel = decode_kernel(cert["kernel"])  # n x n on the truncation's nodes
-            s, p = (np.array([getattr(q, c) for q in kernel.nodes.points]) for c in "sp")
+            # n x n on the truncation's nodes
+            kernel = np.array([complex(*z) for z in cert["kernel"]["entries"]]).reshape(2, 2)
+            rows = np.array(cert["kernel"]["nodes"])
+            s, p = rows[:, 0] + 1j * rows[:, 1], rows[:, 2] + 1j * rows[:, 3]
             j = verify.pick_target(list(np.eye(2)[cert["node"]]), 1.0)
-            assert verify.certificate_ok(j, verify.SOLVER_GRID, kernel.matrix, s, p, 1e-8)
+            assert verify.certificate_ok(j, verify.SOLVER_GRID, kernel, s, p, 1e-8)
 
     @pytest.mark.parametrize(
         "pairs, kernels, checks",
@@ -439,12 +402,7 @@ class TestRun:
         obj = {
             "format": 1,
             "kind": "sequence",
-            "payload": {
-                "nodes": [[1.0, 0.0, 0.25, 0.0], [-1.0, 0.0, 0.25, 0.0]],
-                "kernels": 2,
-                "bound": 1.0,
-                "n": 1,
-            },
+            "payload": {"nodes": [[1.0, 0.0, 0.25, 0.0]], "kernels": 2, "bound": 1.0},
         }
         p_in = tmp_path / "s.json"
         write_json(p_in, obj)
@@ -452,9 +410,12 @@ class TestRun:
         out = json.loads(capsys.readouterr().out)
         assert out["n"] == 1
         assert out["strong_separation"]["bound"] == 1.0
-        # the hash that `--n 1 --bound 1.0 --kernels 2` gave on a file holding
-        # kernels 4 and bound 1.5, when those flags overrode the payload
-        assert out["report_hash"] == (
+        # echoing the two-node file that asked for its first node with "n": 1
+        # gives the hash that `--n 1 --bound 1.0 --kernels 2` gave on a file
+        # holding kernels 4 and bound 1.5, when those flags overrode the payload
+        two_nodes = [[1.0, 0.0, 0.25, 0.0], [-1.0, 0.0, 0.25, 0.0]]
+        echoed = {**obj, "payload": {**obj["payload"], "nodes": two_nodes, "n": 1}}
+        assert report_hash({**out, "problem": echoed}) == (
             "1f5782c47c1168b6834c15d7524ba7975d8cb77533db25c0505fb27b8a28e32d"
         )
 
@@ -685,8 +646,10 @@ MALFORMED = {
     "weights-string": ("measure-model", ("payload", "weights"), "ab"),
     "sequence-n-negative": ("sequence", ("payload", "n"), -1),
     "sequence-n-above-nodes": ("sequence", ("payload", "n"), 10),
-    # a field that is no longer read, never silently ignored
+    # fields that are no longer read (cli.RETIRED_FIELDS), never silently ignored
     "sequence-alpha-samples": ("sequence", ("payload", "alpha_samples"), 9),
+    "sequence-n": ("sequence", ("payload", "n"), 2),
+    "pick-minimal-norm": ("pick", ("payload", "minimal_norm"), True),
     "sequence-kernels-zero": ("sequence", ("payload", "kernels"), 0),
     "sequence-kernels-negative": ("sequence", ("payload", "kernels"), -2),
     "sequence-kernels-above-cap": ("sequence", ("payload", "kernels"), 1025),
@@ -761,7 +724,7 @@ OPTIONAL_FIELDS = {
     "membership": {"tol": 1e-10},
     "pick": {"norm_bound": 1.0},
     "corona": {"theta_samples": [{"rows": 1, "cols": 1, "entries": [[0.5, 0.0]]}] * 2},
-    "sequence": {"n": 2},
+    "sequence": {},
     "gamma-check": {"tol": 1e-10},
     "measure-model": {"weights": [1.0], "tol": 1e-10},
 }
@@ -812,8 +775,9 @@ class TestMalformedFields:
             assert "'tol' must be a finite number >= 0" in lines[0]
         if case.startswith("sequence-bound-"):
             assert "field 'bound' must be positive" in lines[0]
-        if case == "sequence-alpha-samples":
-            assert "field 'alpha_samples' is not read" in lines[0]
+        kind, path, _ = MALFORMED[case]
+        if path[-1] in symbidisk.cli.RETIRED_FIELDS.get(kind, {}):
+            assert f"field '{path[-1]}' is not read" in lines[0]
 
     @pytest.mark.parametrize(
         "case, message",
@@ -830,6 +794,21 @@ class TestMalformedFields:
             monkeypatch.setattr(symbidisk.cli, name, forbidden)
         with pytest.raises(symbidisk.ValidationError, match=message):
             execute_problem(malformed_problem(case))
+
+    @pytest.mark.parametrize("kind, field", [
+        (kind, field) for kind, fields in symbidisk.cli.RETIRED_FIELDS.items() for field in fields
+    ])
+    def test_retired_field_is_refused_before_any_work(self, kind, field, monkeypatch):
+        # neither the grid nor the kind's handler is reached
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran before the payload was checked")
+
+        monkeypatch.setattr(symbidisk.cli, "decode_grid", forbidden)
+        monkeypatch.setitem(symbidisk.cli._HANDLERS, kind, forbidden)
+        obj = valid_problem(kind)
+        obj["payload"][field] = True
+        with pytest.raises(symbidisk.ValidationError, match=f"field '{field}' is not read"):
+            execute_problem(obj)
 
     @pytest.mark.parametrize("case", sorted(BAD_PROBLEMS))
     def test_bad_problem_is_one_input_error_line(self, case, tmp_path, capsys):
@@ -947,17 +926,18 @@ def is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def mutant(obj, rng):
-    """A copy of ``obj`` with one to three random mutations."""
+def mutant(obj, choose, scales=FUZZ_SCALES, values=FUZZ_VALUES):
+    """A copy of ``obj`` with one to three mutations, ``choose(options)``
+    making each choice."""
     obj = _copy(obj)
-    for _ in range(int(rng.integers(1, 4))):
-        op = ("delete", "duplicate", "swap", "scale", "set")[rng.integers(5)]
+    for _ in range(choose((1, 2, 3))):
+        op = choose(("delete", "duplicate", "swap", "scale", "set"))
         paths = list(entries(obj))
         if op in ("scale", "set"):
             paths = [path for path in paths if is_number(_at(obj, path))] or paths
         if not paths:
             break
-        path = paths[rng.integers(len(paths))]
+        path = choose(paths)
         parent, key = _at(obj, path[:-1]), path[-1]
         value = parent[key]
         if op == "delete":
@@ -967,13 +947,17 @@ def mutant(obj, rng):
         elif op == "duplicate":
             parent[f"{key}2"] = _copy(value)
         elif op == "swap" or not is_number(value):
-            others = [v for v in FUZZ_OTHER_TYPES if type(v) is not type(value)]
-            parent[key] = _copy(others[rng.integers(len(others))])
+            parent[key] = _copy(choose([v for v in FUZZ_OTHER_TYPES if type(v) is not type(value)]))
         elif op == "scale":
-            parent[key] = value * FUZZ_SCALES[rng.integers(len(FUZZ_SCALES))]
+            parent[key] = value * choose(scales)
         else:
-            parent[key] = FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))]
+            parent[key] = choose(values)
     return obj
+
+
+def seeded(rng):
+    """A ``choose`` for mutant: a uniform draw of ``rng``."""
+    return lambda options: options[rng.integers(len(options))]
 
 
 def _at(obj, path):
@@ -987,31 +971,41 @@ def _copy(obj):
 
 
 def run_mutants(problems, count, rng, tmp_path, capsys):
-    """Exit codes of ``count`` seeded mutants of each problem, each run in
-    process as its problem's kind with every warning an error: bad input
-    never ends in exit 2, an internal error or a traceback."""
+    """Exit codes of ``count`` seeded mutants of each problem, each run by run_checked."""
+    return [run_checked(problem["kind"], mutant(problem, seeded(rng)), tmp_path, capsys)
+            for problem in problems for _ in range(count)]
+
+
+def run_checked(kind, obj, tmp_path, capsys):
+    """Exit code of ``obj`` run in process as ``kind`` with every warning an
+    error: bad input never ends in exit 2, an internal error or a traceback."""
     p_in = tmp_path / "p.json"
-    codes = []
-    for problem in problems:
-        for _ in range(count):
-            obj = mutant(problem, rng)
-            p_in.write_text(json.dumps(obj))
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code = run([problem["kind"], "--in", str(p_in)])
-            captured = capsys.readouterr()
-            lines = captured.err.splitlines()
-            case = (problem["kind"], code, lines, obj)
-            assert "Traceback" not in captured.err and "internal error" not in captured.err, case
-            if code != 0:
-                assert code == 1 and captured.out == "", case
-                assert len(lines) == 1 and lines[0].startswith("input error:"), case
-            codes.append(code)
-    return codes
+    p_in.write_text(json.dumps(obj))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([kind, "--in", str(p_in)])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    case = (kind, code, lines, obj)
+    assert "Traceback" not in captured.err and "internal error" not in captured.err, case
+    if code != 0:
+        assert code == 1 and captured.out == "", case
+        assert len(lines) == 1 and lines[0].startswith("input error:"), case
+    return code
 
 
 # Bench corpus seeds whose problem files the fuzz test mutates.
 FUZZ_CORPUS_SEEDS = (100, 101, 102)
+
+# The Hypothesis fuzz: the full problem of every kind and every golden
+# problem, each number scaled by 1e+-150 or 1e+-300, or set to a zero, a unit
+# or a boundary modulus (|s| = 2; |p| = |alpha| = 1, and just inside).
+HYPOTHESIS_PROBLEMS = {
+    **{f"full-{kind}": full_problem(kind) for kind in symbidisk.cli.KINDS},
+    **{f"golden-{case}": problem for case, (problem, _) in GOLDEN.items()},
+}
+HYPOTHESIS_SCALES = (1e150, 1e-150, 1e300, 1e-300)
+HYPOTHESIS_VALUES = (0, -0.0, 1, -1, 1.0 - 1e-12, 2.0, -2.0)
 
 
 class TestMutationFuzz:
@@ -1023,6 +1017,21 @@ class TestMutationFuzz:
         codes = run_mutants(problems, FUZZ_PER_KIND, rng, tmp_path, capsys)
         assert len(codes) >= 500 and 0 < codes.count(0) < len(codes)
         assert time.process_time() - t0 < 3.0
+
+    @pytest.mark.parametrize("name", sorted(HYPOTHESIS_PROBLEMS))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_hypothesis_mutants_run_or_are_one_input_error_line(
+        self, name, data, tmp_path, capsys
+    ):
+        problem = HYPOTHESIS_PROBLEMS[name]
+
+        def choose(options):
+            return data.draw(st.sampled_from(options))
+
+        obj = mutant(problem, choose, HYPOTHESIS_SCALES, HYPOTHESIS_VALUES)
+        run_checked(problem["kind"], obj, tmp_path, capsys)
 
     def test_mutants_of_golden_and_bench_files(self, tmp_path, capsys):
         # mutants of every golden problem and of every file of a few bench
@@ -1048,7 +1057,7 @@ class TestMutationFuzz:
         names = sorted(path.name for path in d.glob("*.json")
                        if not path.name.endswith(".expected.json"))
         for name in names:
-            write_json(d / name, mutant(json.loads((d / name).read_text()), rng))
+            write_json(d / name, mutant(json.loads((d / name).read_text()), seeded(rng)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run(["corpus", "--in", str(d), "--out", str(tmp_path / "reports")])
@@ -1358,16 +1367,6 @@ class TestCorpus:
         assert "input-error" in fails[0]
         assert any(line.startswith("PASS  good.json") for line in lines)
         assert lines[-1] == "corpus: 1/2 passed"
-
-    def test_minimal_norm_budget_fails_alone(self, tmp_path, capsys):
-        d = self._make_corpus(tmp_path)
-        write_json(d / "budget.json", near_threshold_obj(max_iter=3))
-        assert run(["corpus", "--in", str(d)]) == 1
-        lines = capsys.readouterr().out.splitlines()
-        fails = [line for line in lines if line.startswith("FAIL")]
-        assert len(fails) == 1 and fails[0].startswith("FAIL  budget.json"), lines
-        assert "numerical-failure: minimal-norm" in fails[0]
-        assert lines[-1] == "corpus: 3/4 passed"
 
     def test_unexpected_exception_fails_one_file(self, tmp_path, capsys, monkeypatch):
         d = self._make_corpus(tmp_path)

@@ -383,7 +383,8 @@ class TestInteriorPointSystems:
         nodes = random_nodes(rng, n)
         with pytest.raises(ValidationError, match="21 rows"):
             FeasibilityTarget(nodes=nodes, matrix=np.eye(n * block), block=block)
-        FeasibilityTarget(nodes=nodes.prefix(n - 1), matrix=np.eye((n - 1) * block), block=block)
+        below = NodeSet(nodes.points[: n - 1])
+        FeasibilityTarget(nodes=below, matrix=np.eye((n - 1) * block), block=block)
 
 class TestLeanDualPoint:
     """Exactly Hermitian interior-point stacks, and the dual start's identity kernel."""
@@ -423,7 +424,7 @@ class TestLeanDualPoint:
         minimal_norm_bracket(PickProblem(nodes=target.nodes, targets=ws), solver_grid)
         assert len(factorized) > before + 1 and all(factorized)
 
-    @pytest.mark.parametrize("grid", [AlphaGrid.solver_default(), AlphaGrid.check_default()])
+    @pytest.mark.parametrize("grid", [AlphaGrid.solver_default(), AlphaGrid.boundary(192)])
     def test_szego_stack_is_e_over_the_masks_bit_for_bit(self, grid):
         # Sz_m (x) I from the census's pullbacks equals hermitian_part(E / C_m),
         # signed zeros included, so the solver's start and repairs keep their bits
@@ -593,14 +594,14 @@ def mask_check_kernel(rng, nodes, grid, admissible):
     "n, grid",
     [
         pytest.param(3, AlphaGrid.solver_default(), id="1"),
-        pytest.param(19, AlphaGrid.check_default(), id="2"),
+        pytest.param(19, AlphaGrid.boundary(192), id="2"),
     ],
 )
 @pytest.mark.parametrize("admissible", [True, False])
 def test_grammian_rescale_keeps_grid_admissibility(admissible, n, grid, rng):
     # the certificate loop checks the rescaled compression: a positive diagonal
     # congruence decides as the raw kernel does, on the solver grid and on the
-    # 193-alpha grid with 19 nodes
+    # 193-alpha boundary grid with 19 nodes
     nodes = random_nodes(rng, n, rmax=0.6)
     raw = KernelMatrix(nodes, mask_check_kernel(rng, nodes, grid, admissible))
     kern = KernelMatrix(nodes=nodes, matrix=grammian_normalize(raw))

@@ -44,17 +44,12 @@ class TestAlphaGrid:
         assert len(AlphaGrid.boundary(8)) == 9
         assert len(AlphaGrid.boundary(8, include_zero=False)) == 8
 
-    def test_check_default_census(self):
-        # 64 boundary + origin + 8 radii x 16 angles
-        assert len(AlphaGrid.check_default()) == 64 + 1 + 128
-
-    def test_default_grids_are_shared_and_read_only(self):
-        for default in (AlphaGrid.solver_default, AlphaGrid.check_default):
-            grid = default()
-            assert grid is default()
-            assert np.array_equal(grid.alphas, default.__wrapped__().alphas)
-            with pytest.raises(ValueError):
-                grid.alphas[0] = 0.5
+    def test_solver_default_is_shared_and_read_only(self):
+        grid = AlphaGrid.solver_default()
+        assert grid is AlphaGrid.solver_default()
+        assert np.array_equal(grid.alphas, AlphaGrid.boundary(8).alphas)
+        with pytest.raises(ValueError):
+            grid.alphas[0] = 0.5
 
     def test_rejects_exterior_alpha(self):
         with pytest.raises(ValidationError):
@@ -131,7 +126,7 @@ class TestAdmissibilityCheck:
         nodes = random_nodes(rng, n)
         w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         kern = KernelMatrix(nodes=nodes, matrix=w @ w.conj().T)
-        grid = AlphaGrid.check_default()
+        grid = AlphaGrid.boundary(192)
         masks = coefficient_masks(grid, nodes)
         expected = [min_eigenvalue(masks[m] * kern.matrix) for m in range(len(grid))]
         assert admissibility_check(kern, grid) is (min(expected) >= -1e-10)
@@ -139,8 +134,8 @@ class TestAdmissibilityCheck:
     @pytest.mark.parametrize("admissible", [True, False])
     @pytest.mark.parametrize("n", [3, 20])
     def test_verdict_matches_per_slice_loop(self, n, admissible, rng):
-        # one stacked eigensolve over the 193-alpha grid, however many nodes
-        grid = AlphaGrid.check_default()
+        # one stacked eigensolve over a 193-alpha grid, however many nodes
+        grid = AlphaGrid.boundary(192)
         nodes = random_nodes(rng, n, rmax=0.6)
         if admissible:
             kern = random_admissible_kernel(nodes, grid, seed=n)
@@ -151,12 +146,45 @@ class TestAdmissibilityCheck:
         assert admissibility_check(kern, grid) is admissible
         assert (min(lams) >= -1e-10) == admissible
 
+    def test_admissible_at_the_roots_of_unity_is_admissible_inside(self, rng):
+        # For a PSD kernel K and a vector v, alpha -> sum_ij v_i conj(v_j) K_ij
+        # phi_i(alpha) conj(phi_j(alpha)) is a sum of squared moduli of
+        # functions holomorphic in alpha, so subharmonic: admissibility on the
+        # circle gives it on the closed disk.  (C_alpha . K = D_alpha
+        # (N(alpha) . K) D_alpha* with N affine in alpha holds on the circle
+        # only; inside, C_alpha has a further |alpha|^2 (s s* - 4 p p*) term.)
+        # Here the 64 roots of unity stand in for the circle at the origin and
+        # 8 radii x 16 angles of modulus <= 8/9, for draws shifted onto
+        # admissibility at the roots and draws moved by t I onto its edge (t
+        # of either sign, lambda_min = 0 at some root); with 3 or 4 roots
+        # some edge kernel fails inside.
+        ring = AlphaGrid.boundary(64, include_zero=False)
+        inside = (np.arange(1, 9) / 9.0)[:, None] * np.exp(2j * np.pi * np.arange(16) / 16)
+        inside = AlphaGrid(np.concatenate([[0.0], inside.ravel()]))
+        shifted = 0
+        for n in range(2, 21):
+            for seed in range(6):
+                nodes = random_nodes(rng, n, rmax=0.995, min_sep=1e-3)
+                masks = coefficient_masks(ring, nodes)
+                draw = TestRandomAdmissibleKernel.draw(n, seed)
+                shift = kernels.admissible_shift(masks, draw)
+                shifted += shift > 0.0
+                d = 1.0 / np.sqrt(np.real(np.diagonal(masks, axis1=1, axis2=2)))
+                scaled = masks * draw * (d[:, :, None] * d[:, None, :])
+                edge = -np.linalg.eigvalsh(scaled)[:, 0].min()
+                for t in (shift, edge):
+                    k = draw + t * np.eye(n)
+                    assert np.linalg.eigvalsh(k)[0] > 0.0
+                    lams = min_eigenvalue_stack(coefficient_masks(inside, nodes) * k)
+                    assert lams.min() >= -1e-10, (n, seed, t)
+        assert 0 < shifted < 19 * 6  # unshifted draws and shifted ones alike
+
 
 class TestCoefficientMasks:
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_masks_are_exactly_hermitian(self, block, rng):
         # the solver's eigensolves read one triangle and do not symmetrize
-        grids = [AlphaGrid.solver_default(), AlphaGrid.check_default(), AlphaGrid.boundary(7)]
+        grids = [AlphaGrid.solver_default(), AlphaGrid.boundary(192), AlphaGrid.boundary(7)]
         for _ in range(20):
             nodes = random_nodes(rng, int(rng.integers(1, 6)))
             for cexp in (expand_masks(coefficient_masks(g, nodes), block) for g in grids):
@@ -189,7 +217,7 @@ class TestSzegoPullbacks:
             kern = pullback(alpha, nodes)
             assert admissibility_check(kern, AlphaGrid(np.array([alpha])), tol=1e-12)
 
-    @pytest.mark.parametrize("grid", [AlphaGrid.solver_default(), AlphaGrid.check_default()])
+    @pytest.mark.parametrize("grid", [AlphaGrid.solver_default(), AlphaGrid.boundary(192)])
     def test_stack_is_exactly_hermitian_and_one_row_per_alpha(self, rng, grid):
         # row m is the one-alpha pullback at grid alpha m, and exactly Hermitian
         nodes = random_nodes(rng, 5)
@@ -229,7 +257,7 @@ class TestRandomAdmissibleKernel:
         bump /= np.linalg.norm(bump, 2)
         return hermitian_part(np.eye(n) + (0.3 + 0.5 * rng.random()) * bump)
 
-    @pytest.mark.parametrize("grid", [AlphaGrid.solver_default(), AlphaGrid.check_default()])
+    @pytest.mark.parametrize("grid", [AlphaGrid.solver_default(), AlphaGrid.boundary(192)])
     def test_draw_is_returned_unshifted_inside(self, rng, grid):
         for seed in range(30):
             n = int(rng.integers(2, 21))
@@ -237,7 +265,7 @@ class TestRandomAdmissibleKernel:
             kern = random_admissible_kernel(nodes, grid, seed=seed)
             assert kern.matrix.tobytes() == self.draw(n, seed).tobytes()
 
-    @pytest.mark.parametrize("grid", [AlphaGrid.solver_default(), AlphaGrid.check_default()])
+    @pytest.mark.parametrize("grid", [AlphaGrid.solver_default(), AlphaGrid.boundary(192)])
     def test_boundary_draws_are_shifted_onto_admissibility(self, rng, grid):
         shifted = 0
         for n in (3, 8, 20):

@@ -601,6 +601,8 @@ def test_bracket_that_stalled_at_the_largest_sigma_closes(name, solver_grid):
     lo, hi, witness = witnessed_bracket(problem, solver_grid, opts, width)
     top = max(float(np.linalg.norm(t, 2)) for t in problem.targets)
     assert 0.0 <= hi - lo <= width * max(1.0, top)
+    if name == "loop-file":  # its minimal norm is about 0.83361
+        assert 0.5 * (lo + hi) == pytest.approx(0.8336077, abs=2e-4)
     at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
     assert residual(factor_target(at_hi.nodes, *at_hi.tops()), witness) <= opts.tol
     # the check of bench/workloads.py::Sandwich._check

@@ -4,33 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from symbidisk import (
-    NodeSet,
-    NumericsError,
-    PickProblem,
-    ValidationError,
-    solve_pick,
-)
-from symbidisk.realization import transfer_eval_batch
+from symbidisk import NumericsError, ValidationError
 from symbidisk.serialize import (
     canonical_json,
-    decode_colligation,
     decode_complex,
     decode_grid,
-    decode_kernel,
     decode_matrix,
     decode_nodes,
-    encode_colligation,
     encode_complex,
     encode_grid,
-    encode_kernel,
     encode_matrix,
     encode_nodes,
     encode_report,
     report_hash,
 )
-
-from conftest import pullback
 
 
 def per_entry_matrix(m):
@@ -89,32 +76,6 @@ def test_grid_round_trip(solver_grid):
     assert decode_grid(None) is not None
     with pytest.raises(ValidationError):
         decode_grid({"kind": "mystery"})
-
-
-def test_kernel_round_trip(diagonal_pair):
-    kern = pullback(0.3 + 0.1j, diagonal_pair)
-    obj = encode_kernel(kern)
-    assert obj["block"] == 1
-    back = decode_kernel(obj)
-    assert np.array_equal(back.matrix, kern.matrix)
-    assert back.nodes == diagonal_pair
-    # kernels are n x n on their nodes: a block kernel is an input error
-    with pytest.raises(ValidationError, match="block must be 1"):
-        decode_kernel({**obj, "block": 2, "entries": [[1.0, 0.0]] * 16})
-    with pytest.raises(ValidationError, match="entry count"):
-        decode_kernel({**obj, "entries": [[1.0, 0.0]] * 16})
-
-
-def test_colligation_round_trip_preserves_evaluation(diagonal_pair):
-    problem = PickProblem(
-        nodes=diagonal_pair, targets=(np.array([[-0.5]]), np.array([[0.5]]))
-    )
-    sol = solve_pick(problem)
-    col = sol.interpolant
-    back = decode_colligation(encode_colligation(col))
-    assert transfer_eval_batch(back, [0.3], [0.05])[0, 0, 0] == pytest.approx(
-        transfer_eval_batch(col, [0.3], [0.05])[0, 0, 0], abs=1e-14
-    )
 
 
 def test_report_hash_ignores_volatile_fields():
