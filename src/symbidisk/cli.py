@@ -2,13 +2,15 @@
 
 Problems are JSON documents ``{"format": 1, "kind": ..., "payload": ...}``
 with optional ``grid`` and ``opts`` members, the only source of the grid and
-the solver options.  A single run is load, check the kind, execute,
-write; reports echo the problem, the seed, and the tool version, and
-serialize every numerical artifact needed to replay the run from the echoed
-problem alone.  One table (_outcome) maps what a run raises to its status,
-message and exit code, for single runs and corpus rows alike: 0 for a
-completed run (Infeasible and Unknown included), 1 for input errors, 2 for
-numerical failures and for any other exception, an internal error.
+the solver options.  FIELDS lists the fields that each object of a problem
+file may hold; any other field is an input error, found before any work
+runs.  A single run is load, check, execute, write; reports echo the
+problem, the seed, and the tool version, and serialize every numerical
+artifact needed to replay the run from the echoed problem alone.  One table
+(_outcome) maps what a run raises to its status, message and exit code, for
+single runs and corpus rows alike: 0 for a completed run (Infeasible and
+Unknown included), 1 for input errors, 2 for numerical failures and for any
+other exception, an internal error.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from .gamma_ops import (
     gamma_isometry_check,
     gamma_unitary_check,
 )
-from .geometry import BGammaPoint, membership
+from .geometry import DEFAULT_MEMBERSHIP_TOL, BGammaPoint, membership
+from .kernels import AlphaGrid
 from .pick import PickProblem, solve_pick
 from .realization import Factorization
 from .sequences import (
@@ -50,7 +53,6 @@ from .sequences import (
 from .serialize import (
     FORMAT_VERSION,
     decode_complex,
-    decode_grid,
     decode_matrix,
     decode_nodes,
     decode_point_rows,
@@ -65,17 +67,21 @@ from .serialize import (
 
 KINDS = ("membership", "pick", "corona", "sequence", "gamma-check", "measure-model")
 
-# Payload fields that are no longer read, per kind, and why: a file that
-# states one is an input error, never silently run without it.
-RETIRED_FIELDS = {
-    "pick": {
-        "minimal_norm": "a report decides its norm_bound; pick.minimal_norm_bracket "
-        "brackets the minimal norm",
-    },
-    "sequence": {
-        "n": "the report covers every node; list only the nodes to diagnose",
-        "alpha_samples": "the Carleson scan uses the grid",
-    },
+# The fields each object of a problem file, and of a corpus sidecar, may hold,
+# as (required, optional).  Any other field is an input error that names it.
+FIELDS = {
+    "problem": (("format", "kind", "payload"), ("grid", "opts")),
+    "opts": ((), ("seed", "tol", "max_iter")),
+    "membership payload": (("s", "p"), ("tol",)),
+    "pick payload": (("nodes", "targets"), ("norm_bound",)),
+    "corona payload": (("nodes", "phi_samples", "delta"), ("theta_samples",)),
+    "sequence payload": (("nodes",), ("kernels", "bound")),
+    "gamma-check payload": (("first", "second"), ("mode", "tol")),
+    "measure-model payload": (("atoms",), ("weights", "tol")),
+    "explicit grid": (("alphas",), ("kind",)),
+    "boundary grid": (("kind", "n"), ("include_zero",)),
+    "solver_default grid": (("kind",), ()),
+    "sidecar": ((), ("equals", "approx")),
 }
 
 
@@ -144,9 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_single(args) -> int:
-    problem = _load_problem(args.in_path)
-    _validate_problem(problem, args.command)
-    _, text = _execute(problem)
+    _, text = _execute(_load_problem(args.in_path), args.command)
     if args.out_path:
         _atomic_write(args.out_path, text)
     else:
@@ -191,21 +195,61 @@ def _bounded_int(text: str) -> int:
     return int(text)
 
 
-def _validate_problem(problem: Any, kind: str | None = None) -> None:
-    if not isinstance(problem, dict):
-        raise ValidationError("problem file must hold a JSON object")
-    if problem.get("format") != FORMAT_VERSION:
-        raise ValidationError(f"missing or unsupported field 'format' (expected {FORMAT_VERSION})")
-    if "kind" not in problem:
-        raise ValidationError("missing required field 'kind'")
-    if problem["kind"] not in KINDS:
-        raise ValidationError(f"unknown kind {problem['kind']!r}")
-    if kind is not None and problem["kind"] != kind:
+def _fields(obj: Any, row: str, what: str) -> dict:
+    """``obj``, an object holding only fields of its FIELDS ``row`` and all its required ones.
+
+    ``what`` names ``obj`` when it is not an object.
+    """
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be an object, got {type(obj).__name__}")
+    required, optional = FIELDS[row]
+    for name in obj:
+        if name not in required and name not in optional:
+            known = ", ".join(required + optional)
+            raise ValidationError(f"unknown field {name!r} in {row} (known: {known})")
+    for name in required:
+        if name not in obj:
+            raise ValidationError(f"missing required field '{name}'")
+    return obj
+
+
+def _read_problem(problem: Any, command: str | None) -> tuple:
+    """(kind, payload, grid, solver options, seed) of a problem file, each object read by _fields.
+
+    A ``command`` is the subcommand that the problem's kind must match.
+    """
+    _fields(problem, "problem", "problem file")
+    if problem["format"] != FORMAT_VERSION:
         raise ValidationError(
-            f"problem kind {problem['kind']!r} does not match subcommand {kind!r}"
+            f"unsupported format {problem['format']!r} (expected {FORMAT_VERSION})"
         )
-    if "payload" not in problem or not isinstance(problem["payload"], dict):
-        raise ValidationError("missing required field 'payload'")
+    kind = problem["kind"]
+    if kind not in KINDS:
+        raise ValidationError(f"unknown kind {kind!r}")
+    if command is not None and kind != command:
+        raise ValidationError(f"problem kind {kind!r} does not match subcommand {command!r}")
+    payload = _fields(problem["payload"], f"{kind} payload", "field 'payload'")
+    opts, seed = _solve_options(_fields(problem.get("opts") or {}, "opts", "field 'opts'"))
+    return kind, payload, _read_grid(problem.get("grid")), opts, seed
+
+
+def _read_grid(obj: Any) -> AlphaGrid:
+    """The problem's ``grid``; the solver default when it is absent or null."""
+    if obj is None:
+        return AlphaGrid.solver_default()
+    # a kind-less grid is explicit; _fields refuses a grid that is not an object
+    kind = obj.get("kind", "explicit") if isinstance(obj, dict) else "explicit"
+    if f"{kind} grid" not in FIELDS:
+        raise ValidationError(f"unknown grid kind {kind!r}")
+    _fields(obj, f"{kind} grid", "field 'grid'")
+    if kind == "explicit":
+        return AlphaGrid(np.array([decode_complex(a) for a in _as_list(obj["alphas"], "alphas")]))
+    if kind == "boundary":
+        include_zero = obj.get("include_zero", True)
+        if not isinstance(include_zero, bool):
+            raise ValidationError(f"field 'include_zero' must be a boolean, got {include_zero!r}")
+        return AlphaGrid.boundary(read_number(obj["n"], "n", integral=True), include_zero)
+    return AlphaGrid.solver_default()
 
 
 def execute_problem(problem: dict) -> dict:
@@ -221,8 +265,9 @@ def _solve_options(opts_obj: dict) -> tuple[SolveOptions, int]:
     seed, and every report echoes it.
     """
     seed = read_number(opts_obj.get("seed", 0), "seed", integral=True)
-    tol = _read_tol(opts_obj.get("tol", 1e-8))
-    max_iter = read_number(opts_obj.get("max_iter", 20000), "max_iter", integral=True)
+    tol = _read_tol(opts_obj.get("tol", SolveOptions.tol))
+    max_iter = opts_obj.get("max_iter", SolveOptions.max_iter)
+    max_iter = read_number(max_iter, "max_iter", integral=True)
     if seed < 0:
         raise ValidationError(f"field 'seed' must be an integer >= 0, got {seed}")
     if max_iter < 0:
@@ -238,24 +283,11 @@ def _read_tol(value) -> float:
     return tol
 
 
-def _execute(problem: dict) -> tuple[dict, str]:
+def _execute(problem: Any, command: str | None = None) -> tuple[dict, str]:
     """(report, text): the report of ``problem`` alone, and its text, encoded once."""
-    _validate_problem(problem)
-    kind = problem["kind"]
-    payload = problem["payload"]
-    for field, why in RETIRED_FIELDS.get(kind, {}).items():
-        if field in payload:
-            raise ValidationError(f"field {field!r} is not read: {why}")
-
-    opts_obj = problem.get("opts") or {}
-    if not isinstance(opts_obj, dict):
-        raise ValidationError("field 'opts' must be an object")
-    opts, seed = _solve_options(opts_obj)
-    grid = decode_grid(problem.get("grid"))
-
+    kind, payload, grid, opts, seed = _read_problem(problem, command)
     t0 = time.perf_counter()
-    handler = _HANDLERS[kind]
-    body = handler(payload, grid, opts, seed)
+    body = _HANDLERS[kind](payload, grid, opts, seed)
     report = {
         "format": FORMAT_VERSION,
         "kind": kind,
@@ -267,12 +299,6 @@ def _execute(problem: dict) -> tuple[dict, str]:
     }
     report["report_hash"], text = encode_report(report)
     return report, text
-
-
-def _require(payload: dict, field: str):
-    if field not in payload:
-        raise ValidationError(f"missing required field '{field}'")
-    return payload[field]
 
 
 def _as_list(value, field: str) -> list:
@@ -295,29 +321,25 @@ def _factorization_body(solution: Factorization, key: str) -> dict:
 
 
 def _handle_membership(payload, grid, opts, seed) -> dict:
-    s = payload.get("s")
-    p = payload.get("p")
-    if s is None or p is None:
-        raise ValidationError("missing required field 's' or 'p'")
-    tol = _read_tol(payload.get("tol", 1e-10))
-    rep = membership(decode_complex(s), decode_complex(p), tol=tol)
+    tol = _read_tol(payload.get("tol", DEFAULT_MEMBERSHIP_TOL))
+    rep = membership(decode_complex(payload["s"]), decode_complex(payload["p"]), tol=tol)
     return encode_membership(rep)
 
 
 def _handle_pick(payload, grid, opts, seed) -> dict:
-    nodes = decode_nodes(_require(payload, "nodes"))
+    nodes = decode_nodes(payload["nodes"])
     targets = tuple(
         decode_matrix(t) if isinstance(t, dict) else np.array([[decode_complex(t)]])
-        for t in _as_list(_require(payload, "targets"), "targets")
+        for t in _as_list(payload["targets"], "targets")
     )
-    norm_bound = read_number(payload.get("norm_bound", 1.0), "norm_bound")
+    norm_bound = read_number(payload.get("norm_bound", PickProblem.norm_bound), "norm_bound")
     problem = PickProblem(nodes=nodes, targets=targets, norm_bound=norm_bound)
     return _factorization_body(solve_pick(problem, grid, opts), "interpolant")
 
 
 def _handle_corona(payload, grid, opts, seed) -> dict:
-    nodes = decode_nodes(_require(payload, "nodes"))
-    raw_phis = _as_list(_require(payload, "phi_samples"), "phi_samples")
+    nodes = decode_nodes(payload["nodes"])
+    raw_phis = _as_list(payload["phi_samples"], "phi_samples")
     phis = tuple(decode_matrix(m) for m in raw_phis)
     thetas = payload.get("theta_samples")
     if thetas is not None:
@@ -326,7 +348,7 @@ def _handle_corona(payload, grid, opts, seed) -> dict:
     problem = CoronaProblem(
         nodes=nodes,
         phi_samples=phis,
-        delta=read_number(_require(payload, "delta"), "delta"),
+        delta=read_number(payload["delta"], "delta"),
         theta_samples=thetas,
     )
     solution = solve_corona(problem, grid, opts)
@@ -342,7 +364,7 @@ def _handle_corona(payload, grid, opts, seed) -> dict:
 
 
 def _handle_sequence(payload, grid, opts, seed) -> dict:
-    trunc = SequenceTruncation(nodes=decode_nodes(_require(payload, "nodes")))
+    trunc = SequenceTruncation(nodes=decode_nodes(payload["nodes"]))
     kernel_count = read_number(payload.get("kernels", 8), "kernels", integral=True)
     if not 1 <= kernel_count <= MAX_KERNELS:
         raise ValidationError(f"field 'kernels' must be in [1, {MAX_KERNELS}], got {kernel_count}")
@@ -381,8 +403,8 @@ def _handle_sequence(payload, grid, opts, seed) -> dict:
 
 def _handle_gamma_check(payload, grid, opts, seed) -> dict:
     pair = OperatorPair(
-        first=decode_matrix(_require(payload, "first")),
-        second=decode_matrix(_require(payload, "second")),
+        first=decode_matrix(payload["first"]),
+        second=decode_matrix(payload["second"]),
     )
     mode = payload.get("mode", "unitary")
     tol = _read_tol(payload.get("tol", 1e-10))
@@ -403,7 +425,7 @@ def _handle_gamma_check(payload, grid, opts, seed) -> dict:
 
 
 def _handle_measure_model(payload, grid, opts, seed) -> dict:
-    atoms = tuple(BGammaPoint(s, p) for s, p in decode_point_rows(_require(payload, "atoms")))
+    atoms = tuple(BGammaPoint(s, p) for s, p in decode_point_rows(payload["atoms"]))
     weights = _as_list(payload.get("weights", [1.0] * len(atoms)), "weights")
     weights = tuple(read_number(w, "weights") for w in weights)
     mu = AtomicMeasure(atoms=atoms, weights=weights)
@@ -491,8 +513,7 @@ def _compare_expected(report: dict, expected: dict) -> str | None:
 
     ``expected`` is read by _parse_json, so every number in it is finite.
     """
-    if not isinstance(expected, dict):
-        raise ValueError(f"expectation must be an object, got {type(expected).__name__}")
+    _fields(expected, "sidecar", "sidecar")
     for field in ("equals", "approx"):
         if not isinstance(expected.get(field, {}), dict):
             raise ValueError(f"field {field!r} must be an object")

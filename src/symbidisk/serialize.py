@@ -112,31 +112,6 @@ def encode_grid(grid: AlphaGrid) -> dict:
     return {"kind": "explicit", "alphas": _entries(grid.alphas)}
 
 
-def decode_grid(obj) -> AlphaGrid:
-    if obj is None:
-        return AlphaGrid.solver_default()
-    if not isinstance(obj, dict):
-        raise ValidationError(f"a grid serializes as an object with a 'kind', got {obj!r}")
-    kind = obj.get("kind", "explicit")
-    try:
-        if kind == "explicit":
-            return AlphaGrid(np.array([decode_complex(a) for a in obj["alphas"]]))
-        if kind == "boundary":
-            include_zero = obj.get("include_zero", True)
-            if not isinstance(include_zero, bool):
-                raise ValidationError(
-                    f"field 'include_zero' must be a boolean, got {include_zero!r}"
-                )
-            return AlphaGrid.boundary(read_number(obj["n"], "n", integral=True), include_zero)
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed {kind} grid: {exc!r}") from exc
-    if kind == "solver_default":
-        return AlphaGrid.solver_default()
-    raise ValidationError(f"unknown grid kind {kind!r}")
-
-
 def encode_kernel(kernel: KernelMatrix) -> dict:
     return {
         "nodes": encode_nodes(kernel.nodes),

@@ -16,7 +16,7 @@ import symbidisk
 import symbidisk.cli
 from symbidisk.cli import execute_problem, run
 from symbidisk.kernels import coefficient_masks, szego_pullbacks
-from symbidisk.serialize import canonical_json, report_hash
+from symbidisk.serialize import canonical_json, encode_grid, report_hash
 
 from conftest import (
     LOOP_FILE_NODES,
@@ -646,7 +646,7 @@ MALFORMED = {
     "weights-string": ("measure-model", ("payload", "weights"), "ab"),
     "sequence-n-negative": ("sequence", ("payload", "n"), -1),
     "sequence-n-above-nodes": ("sequence", ("payload", "n"), 10),
-    # fields that are no longer read (cli.RETIRED_FIELDS), never silently ignored
+    # fields that are no longer read (RETIRED): unknown fields, never silently ignored
     "sequence-alpha-samples": ("sequence", ("payload", "alpha_samples"), 9),
     "sequence-n": ("sequence", ("payload", "n"), 2),
     "pick-minimal-norm": ("pick", ("payload", "minimal_norm"), True),
@@ -673,6 +673,9 @@ MALFORMED = {
     "pick-target-huge": ("pick", ("payload", "targets", 0), [1e80, 0.0]),
     "corona-delta-huge": ("corona", ("payload", "delta"), 1e160),
 }
+
+# Payload fields that are no longer read, with the kind whose payload held each.
+RETIRED = [("pick", "minimal_norm"), ("sequence", "n"), ("sequence", "alpha_samples")]
 
 # Problem files that are not a problem of the subcommand's kind, each run as
 # ``pick``: every one is an input error.
@@ -725,15 +728,18 @@ OPTIONAL_FIELDS = {
     "pick": {"norm_bound": 1.0},
     "corona": {"theta_samples": [{"rows": 1, "cols": 1, "entries": [[0.5, 0.0]]}] * 2},
     "sequence": {},
-    "gamma-check": {"tol": 1e-10},
+    "gamma-check": {"mode": "unitary", "tol": 1e-10},
     "measure-model": {"weights": [1.0], "tol": 1e-10},
 }
 
 
 def full_problem(kind):
-    """valid_problem(kind) with every optional payload field given."""
+    """valid_problem(kind) with every optional field of the problem, its payload
+    and its opts given, at the values that an absent field takes."""
     obj = valid_problem(kind)
     obj["payload"].update(OPTIONAL_FIELDS[kind])
+    obj.setdefault("grid", {"kind": "solver_default"})
+    obj["opts"] = {"seed": 0, "tol": 1e-8, "max_iter": 20000, **obj.get("opts", {})}
     return obj
 
 
@@ -776,14 +782,16 @@ class TestMalformedFields:
         if case.startswith("sequence-bound-"):
             assert "field 'bound' must be positive" in lines[0]
         kind, path, _ = MALFORMED[case]
-        if path[-1] in symbidisk.cli.RETIRED_FIELDS.get(kind, {}):
-            assert f"field '{path[-1]}' is not read" in lines[0]
+        if (kind, path[-1]) in RETIRED:
+            assert f"unknown field '{path[-1]}' in {kind} payload" in lines[0]
+        if case == "membership-without-p":
+            assert lines[0] == "input error: missing required field 'p'"
 
     @pytest.mark.parametrize(
         "case, message",
         [("sequence-bound-zero", "field 'bound' must be positive"),
          ("sequence-bound-negative", "field 'bound' must be positive"),
-         ("sequence-alpha-samples", "field 'alpha_samples' is not read")],
+         ("sequence-alpha-samples", "unknown field 'alpha_samples'")],
         ids=["sequence-bound-zero", "sequence-bound-negative", "sequence-alpha-samples"],
     )
     def test_sequence_field_is_checked_before_any_work(self, case, message, monkeypatch):
@@ -795,19 +803,17 @@ class TestMalformedFields:
         with pytest.raises(symbidisk.ValidationError, match=message):
             execute_problem(malformed_problem(case))
 
-    @pytest.mark.parametrize("kind, field", [
-        (kind, field) for kind, fields in symbidisk.cli.RETIRED_FIELDS.items() for field in fields
-    ])
+    @pytest.mark.parametrize("kind, field", RETIRED)
     def test_retired_field_is_refused_before_any_work(self, kind, field, monkeypatch):
         # neither the grid nor the kind's handler is reached
         def forbidden(*args, **kwargs):
             raise AssertionError("ran before the payload was checked")
 
-        monkeypatch.setattr(symbidisk.cli, "decode_grid", forbidden)
+        monkeypatch.setattr(symbidisk.cli, "_read_grid", forbidden)
         monkeypatch.setitem(symbidisk.cli._HANDLERS, kind, forbidden)
         obj = valid_problem(kind)
         obj["payload"][field] = True
-        with pytest.raises(symbidisk.ValidationError, match=f"field '{field}' is not read"):
+        with pytest.raises(symbidisk.ValidationError, match=f"unknown field '{field}'"):
             execute_problem(obj)
 
     @pytest.mark.parametrize("case", sorted(BAD_PROBLEMS))
@@ -907,7 +913,7 @@ class TestMalformedFields:
 
 # The mutations of the fuzz test: delete or duplicate an entry, swap in a
 # value of another type, scale a number by one of FUZZ_SCALES or set it to
-# one of FUZZ_VALUES.
+# one of FUZZ_VALUES, or rename a member to a near miss.
 FUZZ_SCALES = (1e150, 1e300, 1e-300, -1.0, 0.0)
 FUZZ_VALUES = (1e154, 1e-12, 0.9999999, 1e308)
 FUZZ_OTHER_TYPES = ("x", None, True, 2.5, [], {}, [[1.0, 0.0]])
@@ -931,16 +937,20 @@ def mutant(obj, choose, scales=FUZZ_SCALES, values=FUZZ_VALUES):
     making each choice."""
     obj = _copy(obj)
     for _ in range(choose((1, 2, 3))):
-        op = choose(("delete", "duplicate", "swap", "scale", "set"))
+        op = choose(("delete", "duplicate", "swap", "scale", "set", "rename"))
         paths = list(entries(obj))
         if op in ("scale", "set"):
             paths = [path for path in paths if is_number(_at(obj, path))] or paths
+        elif op == "rename":
+            paths = [path for path in paths if isinstance(_at(obj, path[:-1]), dict)]
         if not paths:
             break
         path = choose(paths)
         parent, key = _at(obj, path[:-1]), path[-1]
         value = parent[key]
-        if op == "delete":
+        if op == "rename":
+            rename(parent, key)
+        elif op == "delete":
             del parent[key]
         elif op == "duplicate" and isinstance(parent, list):
             parent.insert(key, _copy(value))
@@ -968,6 +978,51 @@ def _at(obj, path):
 
 def _copy(obj):
     return json.loads(json.dumps(obj))
+
+
+# A grid of each kind, every field given.
+GRIDS = {
+    "explicit": {"kind": "explicit", "alphas": [[0.0, 0.0], [0.5, 0.0], [0.0, -1.0]]},
+    "boundary": {"kind": "boundary", "n": 8, "include_zero": True},
+    "solver_default": {"kind": "solver_default"},
+}
+
+
+def rename(obj, key):
+    """Rename ``key`` of the object ``obj`` in place to a near miss, keeping its position."""
+    items = list(obj.items())
+    obj.clear()
+    obj.update((f"{k}_x" if k == key else k, v) for k, v in items)
+
+
+def rename_cases():
+    """(kind, grid kind, path of a key): each key of every kind's full problem,
+    payload, opts and grid, and each key of a pick problem's other grids."""
+    for kind in symbidisk.cli.KINDS:
+        obj = full_problem(kind)
+        for where in ((), ("payload",), ("opts",), ("grid",)):
+            for key in _at(obj, where):
+                yield kind, "solver_default", (*where, key)
+    for grid_kind in ("explicit", "boundary"):
+        for key in GRIDS[grid_kind]:
+            yield "pick", grid_kind, ("grid", key)
+
+
+RENAMES = list(rename_cases())
+
+
+def rename_id(case):
+    kind, grid_kind, path = case
+    return f"{kind}-{grid_kind}-{'.'.join(path)}"
+
+
+def renamed_problem(case):
+    """full_problem of the case's kind on its grid, with the case's key renamed."""
+    kind, grid_kind, path = case
+    obj = full_problem(kind)
+    obj["grid"] = _copy(GRIDS[grid_kind])
+    rename(_at(obj, path[:-1]), path[-1])
+    return obj
 
 
 def run_mutants(problems, count, rng, tmp_path, capsys):
@@ -1070,6 +1125,55 @@ class TestMutationFuzz:
         passed = sum(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1] == f"corpus: {passed}/{len(names)} passed"
         assert code == (passed < len(names))
+
+
+class TestFields:
+    @pytest.mark.parametrize("case", RENAMES, ids=rename_id)
+    def test_renamed_key_is_one_input_error_line(self, case, tmp_path, capsys, monkeypatch):
+        # a near miss of any key is refused before the kind's handler runs
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran before the problem was checked")
+
+        kind, _, path = case
+        monkeypatch.setitem(symbidisk.cli._HANDLERS, kind, forbidden)
+        p_in = tmp_path / "p.json"
+        write_json(p_in, renamed_problem(case))
+        assert run([kind, "--in", str(p_in)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"input error: unknown field '{path[-1]}_x'")
+
+    def test_renamed_files_are_input_error_rows(self, tmp_path, capsys):
+        d = golden_corpus(tmp_path)
+        renamed = {f"renamed-{rename_id(case)}.json": case for case in RENAMES}
+        for name, case in renamed.items():
+            write_json(d / name, renamed_problem(case))
+        assert run(["corpus", "--in", str(d)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        rows = {line.split()[1]: line.split(maxsplit=2) for line in lines[:-1]}
+        assert len(rows) == len(renamed) + len(GOLDEN)
+        for name, (_, _, path) in renamed.items():
+            flag, _, detail = rows.pop(name)
+            assert flag == "FAIL" and detail.startswith(f"input-error: unknown field '{path[-1]}_x'")
+        assert all(flag == "PASS" for flag, _, _ in rows.values()), rows
+
+    @pytest.mark.parametrize("kind", symbidisk.cli.KINDS)
+    def test_full_problem_holds_its_table_rows(self, kind):
+        obj = full_problem(kind)
+        objects = {"problem": obj, f"{kind} payload": obj["payload"], "opts": obj["opts"],
+                   **{f"{grid_kind} grid": grid for grid_kind, grid in GRIDS.items()}}
+        for row, value in objects.items():
+            required, optional = symbidisk.cli.FIELDS[row]
+            assert sorted(value) == sorted(required + optional), row
+
+    def test_grid_round_trip(self, solver_grid):
+        read_grid = symbidisk.cli._read_grid
+        assert np.array_equal(read_grid(encode_grid(solver_grid)).alphas, solver_grid.alphas)
+        assert len(read_grid({"kind": "boundary", "n": 4})) == 5
+        assert np.array_equal(read_grid(None).alphas, solver_grid.alphas)
+        with pytest.raises(symbidisk.ValidationError, match="unknown grid kind 'mystery'"):
+            read_grid({"kind": "mystery"})
 
 
 class TestReportFiles:
@@ -1294,6 +1398,18 @@ class TestCorpus:
         assert len(fails) == 1 and fails[0].startswith("FAIL  d.json"), lines
         assert "corrupt-expected" in fails[0]
         assert lines[-1] == "corpus: 3/4 passed"
+
+    def test_misspelled_sidecar_key_fails(self, tmp_path, capsys):
+        # beside a member, {"equals": {"is_member": false}} would be a mismatch:
+        # the misspelling must not pass as an empty expectation
+        d = tmp_path / "corpus"
+        d.mkdir()
+        write_json(d / "a.json", GOLDEN["membership"][0])
+        write_json(d / "a.expected.json", {"equal": {"is_member": False}})
+        assert run(["corpus", "--in", str(d)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("FAIL  a.json  corrupt-expected: unknown field 'equal'"), lines
+        assert lines[-1] == "corpus: 0/1 passed"
 
     def test_non_utf8_file_fails_alone(self, tmp_path, capsys):
         d = self._make_corpus(tmp_path)

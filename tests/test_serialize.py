@@ -8,11 +8,9 @@ from symbidisk import NumericsError, ValidationError
 from symbidisk.serialize import (
     canonical_json,
     decode_complex,
-    decode_grid,
     decode_matrix,
     decode_nodes,
     encode_complex,
-    encode_grid,
     encode_matrix,
     encode_nodes,
     encode_report,
@@ -67,15 +65,6 @@ def test_matrix_round_trip(rng):
 def test_nodes_round_trip(diagonal_pair):
     back = decode_nodes(encode_nodes(diagonal_pair))
     assert back == diagonal_pair
-
-
-def test_grid_round_trip(solver_grid):
-    back = decode_grid(encode_grid(solver_grid))
-    assert np.array_equal(back.alphas, solver_grid.alphas)
-    assert len(decode_grid({"kind": "boundary", "n": 4})) == 5
-    assert decode_grid(None) is not None
-    with pytest.raises(ValidationError):
-        decode_grid({"kind": "mystery"})
 
 
 def test_report_hash_ignores_volatile_fields():
