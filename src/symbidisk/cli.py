@@ -2,15 +2,16 @@
 
 Problems are JSON documents ``{"format": 1, "kind": ..., "payload": ...}``
 with optional ``grid`` and ``opts`` members, the only source of the grid and
-the solver options.  FIELDS lists the fields that each object of a problem
-file may hold; any other field is an input error, found before any work
-runs.  A single run is load, check, execute, write; reports echo the
-problem, the seed, and the tool version, and serialize every numerical
-artifact needed to replay the run from the echoed problem alone.  One table
-(_outcome) maps what a run raises to its status, message and exit code, for
-single runs and corpus rows alike: 0 for a completed run (Infeasible and
-Unknown included), 1 for input errors, 2 for numerical failures and for any
-other exception, an internal error.
+the solver options; absent or null, each takes its defaults.  FIELDS lists
+the fields that each object of a problem file may hold, matrix objects
+included; any other field is an input error, found before any work runs.  A
+single run is load, check, execute, write; reports echo the problem, the
+seed, and the tool version, and serialize every numerical artifact needed to
+replay the run from the echoed problem alone.  One table (_outcome) maps
+what a run raises to its status, message and exit code, for single runs and
+corpus rows alike: 0 for a completed run (Infeasible and Unknown included),
+1 for input errors, 2 for numerical failures and for any other exception, an
+internal error.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .sequences import (
 from .serialize import (
     FORMAT_VERSION,
     decode_complex,
-    decode_matrix,
     decode_nodes,
     decode_point_rows,
     encode_colligation,
@@ -81,6 +81,7 @@ FIELDS = {
     "explicit grid": (("alphas",), ("kind",)),
     "boundary grid": (("kind", "n"), ("include_zero",)),
     "solver_default grid": (("kind",), ()),
+    "matrix": (("rows", "cols", "entries"), ()),
     "sidecar": ((), ("equals", "approx")),
 }
 
@@ -219,7 +220,7 @@ def _read_problem(problem: Any, command: str | None) -> tuple:
     A ``command`` is the subcommand that the problem's kind must match.
     """
     _fields(problem, "problem", "problem file")
-    if problem["format"] != FORMAT_VERSION:
+    if type(problem["format"]) is not int or problem["format"] != FORMAT_VERSION:
         raise ValidationError(
             f"unsupported format {problem['format']!r} (expected {FORMAT_VERSION})"
         )
@@ -229,8 +230,19 @@ def _read_problem(problem: Any, command: str | None) -> tuple:
     if command is not None and kind != command:
         raise ValidationError(f"problem kind {kind!r} does not match subcommand {command!r}")
     payload = _fields(problem["payload"], f"{kind} payload", "field 'payload'")
-    opts, seed = _solve_options(_fields(problem.get("opts") or {}, "opts", "field 'opts'"))
+    opts, seed = _solve_options(problem.get("opts"))
     return kind, payload, _read_grid(problem.get("grid")), opts, seed
+
+
+def decode_matrix(obj: Any) -> np.ndarray:
+    """The matrix of a ``{rows, cols, entries}`` object, its entries row-major [re, im] pairs."""
+    _fields(obj, "matrix", "a matrix")
+    rows = read_number(obj["rows"], "rows", integral=True)
+    cols = read_number(obj["cols"], "cols", integral=True)
+    entries = [decode_complex(v) for v in _as_list(obj["entries"], "entries")]
+    if min(rows, cols) < 0 or len(entries) != rows * cols:
+        raise ValidationError("matrix entry count disagrees with its shape")
+    return np.array(entries, dtype=complex).reshape(rows, cols)
 
 
 def _read_grid(obj: Any) -> AlphaGrid:
@@ -257,13 +269,14 @@ def execute_problem(problem: dict) -> dict:
     return _execute(problem)[0]
 
 
-def _solve_options(opts_obj: dict) -> tuple[SolveOptions, int]:
-    """(solver options, seed) of a problem's ``opts``, their only source.
+def _solve_options(obj: Any) -> tuple[SolveOptions, int]:
+    """(solver options, seed) of a problem's ``opts``, their only source; the defaults when None.
 
     The seed and max_iter must be integers >= 0 and tol a finite number >= 0;
     SolveOptions itself takes any value.  Only the sequence census reads the
     seed, and every report echoes it.
     """
+    opts_obj = {} if obj is None else _fields(obj, "opts", "field 'opts'")
     seed = read_number(opts_obj.get("seed", 0), "seed", integral=True)
     tol = _read_tol(opts_obj.get("tol", SolveOptions.tol))
     max_iter = opts_obj.get("max_iter", SolveOptions.max_iter)

@@ -160,17 +160,14 @@ class FeasibilityTarget:
 
 @dataclass(frozen=True)
 class CPBlocks:
-    """One PSD block per grid alpha; the discretized representation data."""
+    """One PSD block per grid alpha, stacked (M, N, N); the discretized representation data."""
 
     grid: AlphaGrid
-    blocks: tuple[np.ndarray, ...]
+    blocks: np.ndarray
 
     def __post_init__(self):
         if len(self.blocks) != len(self.grid):
             raise ValidationError("need exactly one block per grid alpha")
-
-    def stacked(self) -> np.ndarray:
-        return np.stack(self.blocks)
 
 
 @dataclass(frozen=True)
@@ -189,10 +186,9 @@ def residual(target: FeasibilityTarget, blocks: CPBlocks) -> float:
     """Frobenius mismatch of the affine identity plus total PSD violation."""
     masks = coefficient_masks(blocks.grid, target.nodes)
     cexp = expand_masks(masks, target.block)
-    stack = blocks.stacked()
-    if stack.shape != cexp.shape:
+    if blocks.blocks.shape != cexp.shape:
         raise ValidationError("blocks do not conform to target/grid shapes")
-    return _residual(cexp, target.matrix, stack)
+    return _residual(cexp, target.matrix, blocks.blocks)
 
 
 def _residual(cexp, j, stack):
@@ -269,8 +265,7 @@ def solve(
         res = math.inf if blocks is None else _residual(core.cexp, j, blocks)
         if res <= opts.tol:
             notes = ("single-atom witness",) if it == 0 else ()
-            blocks = CPBlocks(grid=grid, blocks=tuple(blocks))
-            return report(SolveStatus.FEASIBLE, it, res, blocks=blocks, notes=notes)
+            return report(SolveStatus.FEASIBLE, it, res, blocks=CPBlocks(grid, blocks), notes=notes)
         cert = certificate(z)
         if cert is not None:
             return report(

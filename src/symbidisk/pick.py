@@ -120,7 +120,7 @@ def minimal_norm_bracket(
     gap = width * max(1.0, top) / top  # the closing width, in units of top
     lo, t, blocks = _conic_minimum(problem.nodes, grid, g, problem.d_out, gap, opts)
     hi = top * math.sqrt(t)
-    witness = CPBlocks(grid=grid, blocks=tuple(blocks / t))
+    witness = CPBlocks(grid=grid, blocks=blocks / t)
     at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
     if not residual(factor_target(problem.nodes, *at_hi.tops()), witness) <= opts.tol:
         raise NumericsError(f"the minimal-norm witness at {hi!r} does not re-verify")

@@ -168,7 +168,7 @@ def _purified_factors(blocks: CPBlocks, nodes: NodeSet) -> tuple[np.ndarray, np.
     eigensolve, the package's only Gram factorization; NumericsError when a
     block has an eigenvalue below -_RANK_TOL lambda_max.
     """
-    lam, vec = np.linalg.eigh(hermitian_part(blocks.stacked()))
+    lam, vec = np.linalg.eigh(hermitian_part(blocks.blocks))
     scale = np.maximum(lam[:, -1], 0.0)
     low = np.flatnonzero(lam[:, 0] < -_RANK_TOL * np.maximum(scale, 1e-30))
     if low.size:

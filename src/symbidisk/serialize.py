@@ -76,18 +76,6 @@ def _entries(m: np.ndarray) -> list[list[float]]:
     return np.ascontiguousarray(m, dtype=complex).reshape(-1).view(float).reshape(-1, 2).tolist()
 
 
-def decode_matrix(obj) -> np.ndarray:
-    try:
-        rows = read_number(obj["rows"], "rows", integral=True)
-        cols = read_number(obj["cols"], "cols", integral=True)
-        entries = [decode_complex(v) for v in obj["entries"]]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed matrix object: {exc}") from exc
-    if min(rows, cols) < 0 or len(entries) != rows * cols:
-        raise ValidationError("matrix entry count disagrees with its shape")
-    return np.array(entries, dtype=complex).reshape(rows, cols)
-
-
 def encode_nodes(nodes: NodeSet) -> list[list[float]]:
     return [[q.s.real, q.s.imag, q.p.real, q.p.imag] for q in nodes.points]
 

@@ -16,7 +16,7 @@ import symbidisk
 import symbidisk.cli
 from symbidisk.cli import execute_problem, run
 from symbidisk.kernels import coefficient_masks, szego_pullbacks
-from symbidisk.serialize import canonical_json, encode_grid, report_hash
+from symbidisk.serialize import canonical_json, encode_grid, encode_matrix, report_hash
 
 from conftest import (
     LOOP_FILE_NODES,
@@ -615,6 +615,14 @@ MALFORMED = {
     "grid-n-not-integer": ("pick", ("grid",), {"kind": "boundary", "n": "eight"}),
     "max-iter-string": ("pick", ("opts", "max_iter"), "x"),
     "opts-list": ("pick", ("opts",), [1, 2]),
+    # an opts that is not absent, null or an object, and a format that is not the integer 1
+    "opts-zero": ("pick", ("opts",), 0),
+    "opts-empty-string": ("pick", ("opts",), ""),
+    "opts-false": ("pick", ("opts",), False),
+    "opts-empty-list": ("pick", ("opts",), []),
+    "format-true": ("pick", ("format",), True),
+    "format-float": ("pick", ("format",), 1.0),
+    "format-string": ("pick", ("format",), "1"),
     "nodes-integer": ("pick", ("payload", "nodes"), 3),
     "node-row-string": ("pick", ("payload", "nodes", 0, 0), "a"),
     "target-entry-string": ("pick", ("payload", "targets", 0, 0), "a"),
@@ -737,7 +745,7 @@ def full_problem(kind):
     """valid_problem(kind) with every optional field of the problem, its payload
     and its opts given, at the values that an absent field takes."""
     obj = valid_problem(kind)
-    obj["payload"].update(OPTIONAL_FIELDS[kind])
+    obj["payload"].update(json.loads(json.dumps(OPTIONAL_FIELDS[kind])))  # a test may edit it
     obj.setdefault("grid", {"kind": "solver_default"})
     obj["opts"] = {"seed": 0, "tol": 1e-8, "max_iter": 20000, **obj.get("opts", {})}
     return obj
@@ -995,14 +1003,32 @@ def rename(obj, key):
     obj.update((f"{k}_x" if k == key else k, v) for k, v in items)
 
 
+def matrix_target_pick():
+    """full_problem("pick") with its first target written as a 1 x 1 matrix object."""
+    obj = full_problem("pick")
+    targets = obj["payload"]["targets"]
+    targets[0] = {"rows": 1, "cols": 1, "entries": [targets[0]]}
+    return obj
+
+
+# The problems whose keys the rename cases rename: the full problem of each
+# kind, and a pick problem with a matrix target.
+RENAME_PROBLEMS = {
+    **{kind: full_problem(kind) for kind in symbidisk.cli.KINDS},
+    "pick-matrix": matrix_target_pick(),
+}
+
+
 def rename_cases():
-    """(kind, grid kind, path of a key): each key of every kind's full problem,
-    payload, opts and grid, and each key of a pick problem's other grids."""
-    for kind in symbidisk.cli.KINDS:
-        obj = full_problem(kind)
-        for where in ((), ("payload",), ("opts",), ("grid",)):
-            for key in _at(obj, where):
-                yield kind, "solver_default", (*where, key)
+    """(problem, grid kind, path of a key): each key of every object of each
+    RENAME_PROBLEMS problem (of the pick-matrix one, its matrix target's keys),
+    and each key of a pick problem's other grids."""
+    for name, obj in RENAME_PROBLEMS.items():
+        for path in entries(obj):
+            if isinstance(_at(obj, path[:-1]), dict) and (
+                name != "pick-matrix" or path[:3] == ("payload", "targets", 0)
+            ):
+                yield name, "solver_default", path
     for grid_kind in ("explicit", "boundary"):
         for key in GRIDS[grid_kind]:
             yield "pick", grid_kind, ("grid", key)
@@ -1010,16 +1036,19 @@ def rename_cases():
 
 RENAMES = list(rename_cases())
 
+# What the handlers that read matrix objects call once the payload is read.
+MATRIX_SOLVERS = ("solve_pick", "solve_corona", "gamma_unitary_check", "gamma_isometry_check")
+
 
 def rename_id(case):
-    kind, grid_kind, path = case
-    return f"{kind}-{grid_kind}-{'.'.join(path)}"
+    name, grid_kind, path = case
+    return f"{name}-{grid_kind}-{'.'.join(map(str, path))}"
 
 
 def renamed_problem(case):
-    """full_problem of the case's kind on its grid, with the case's key renamed."""
-    kind, grid_kind, path = case
-    obj = full_problem(kind)
+    """The case's RENAME_PROBLEMS problem on its grid, with the case's key renamed."""
+    name, grid_kind, path = case
+    obj = _copy(RENAME_PROBLEMS[name])
     obj["grid"] = _copy(GRIDS[grid_kind])
     rename(_at(obj, path[:-1]), path[-1])
     return obj
@@ -1130,19 +1159,28 @@ class TestMutationFuzz:
 class TestFields:
     @pytest.mark.parametrize("case", RENAMES, ids=rename_id)
     def test_renamed_key_is_one_input_error_line(self, case, tmp_path, capsys, monkeypatch):
-        # a near miss of any key is refused before the kind's handler runs
+        # a near miss of any key is refused before the kind's handler runs; a
+        # near miss of a matrix key, which the handler reads, before any solve
+        # or check runs
         def forbidden(*args, **kwargs):
             raise AssertionError("ran before the problem was checked")
 
-        kind, _, path = case
-        monkeypatch.setitem(symbidisk.cli._HANDLERS, kind, forbidden)
+        name, _, path = case
+        obj, kind = renamed_problem(case), RENAME_PROBLEMS[name]["kind"]
+        in_matrix = is_matrix(_at(RENAME_PROBLEMS[name], path[:-1]))
+        if in_matrix:
+            for solver in MATRIX_SOLVERS:
+                monkeypatch.setattr(symbidisk.cli, solver, forbidden)
+        else:
+            monkeypatch.setitem(symbidisk.cli._HANDLERS, kind, forbidden)
         p_in = tmp_path / "p.json"
-        write_json(p_in, renamed_problem(case))
+        write_json(p_in, obj)
         assert run([kind, "--in", str(p_in)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"input error: unknown field '{path[-1]}_x'")
+        want = f"input error: unknown field '{path[-1]}_x' in {'matrix' if in_matrix else ''}"
+        assert len(lines) == 1 and lines[0].startswith(want), lines
 
     def test_renamed_files_are_input_error_rows(self, tmp_path, capsys):
         d = golden_corpus(tmp_path)
@@ -1166,6 +1204,34 @@ class TestFields:
         for row, value in objects.items():
             required, optional = symbidisk.cli.FIELDS[row]
             assert sorted(value) == sorted(required + optional), row
+
+    def test_every_object_is_read_by_the_field_check(self, monkeypatch):
+        # each JSON object of a problem file, matrix objects included, passes
+        # through cli._fields
+        fields, read = symbidisk.cli._fields, []
+
+        def recording(obj, row, what):
+            read.append(obj)
+            return fields(obj, row, what)
+
+        monkeypatch.setattr(symbidisk.cli, "_fields", recording)
+        problems = [problem for problem, _ in GOLDEN.values()]
+        problems += [full_problem(kind) for kind in symbidisk.cli.KINDS]
+        problems += [problem for seed in FUZZ_CORPUS_SEEDS
+                     for problem, _ in workloads.CorpusFiles(seed).files.values()]
+        for problem in problems:
+            read.clear()
+            execute_problem(problem)
+            objects = [path for path in [(), *entries(problem)]
+                       if isinstance(_at(problem, path), dict)]
+            unread = [path for path in objects if not any(obj is _at(problem, path) for obj in read)]
+            assert unread == [], (problem["kind"], unread)
+
+    def test_matrix_round_trip(self, rng):
+        m = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        assert np.array_equal(symbidisk.cli.decode_matrix(encode_matrix(m)), m)
+        with pytest.raises(symbidisk.ValidationError, match="entry count disagrees"):
+            symbidisk.cli.decode_matrix({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})
 
     def test_grid_round_trip(self, solver_grid):
         read_grid = symbidisk.cli._read_grid

@@ -152,9 +152,9 @@ class TestSolve:
         assert report.residual <= 1e-8
         # explicit witness: the b-kernel at the first grid alpha
         masks = coefficient_masks(solver_grid, nodes)
-        witness = [np.zeros((3, 3), dtype=complex) for _ in solver_grid.alphas]
+        witness = np.zeros((len(solver_grid), 3, 3), dtype=complex)
         witness[0] = 1.0 / masks[0]
-        assert residual(target, CPBlocks(grid=solver_grid, blocks=tuple(witness))) <= 1e-12
+        assert residual(target, CPBlocks(grid=solver_grid, blocks=witness)) <= 1e-12
 
     def test_zero_target(self, rng, solver_grid):
         nodes = random_nodes(rng, 2)
@@ -239,11 +239,11 @@ class TestSolve:
             if needs_iteration(target, solver_grid):
                 break
         oracle = dykstra_witness(target, solver_grid, 20000)
-        assert residual(target, CPBlocks(grid=solver_grid, blocks=tuple(oracle))) <= 1e-6
+        assert residual(target, CPBlocks(grid=solver_grid, blocks=oracle)) <= 1e-6
         report = solve(target, solver_grid)
         assert report.status is SolveStatus.FEASIBLE and report.iterations > 0
         assert report.residual == residual(target, report.blocks) <= 1e-8
-        assert min_eigenvalue_stack(report.blocks.stacked()).min() >= 0.0
+        assert min_eigenvalue_stack(report.blocks.blocks).min() >= 0.0
 
     @pytest.mark.parametrize("scale", [0.8, 0.95, 1.0])
     def test_planted_instances_that_need_the_iteration(self, scale, solver_grid):
@@ -485,7 +485,7 @@ class TestSingleAtomWitness:
         for m in np.flatnonzero(min_eigenvalue_stack(cands) >= -1e-12 * scale):
             stack = np.zeros_like(cexp, dtype=complex)
             stack[m] = psd_project(cands[m])
-            res = residual(target, CPBlocks(grid=grid, blocks=tuple(stack)))
+            res = residual(target, CPBlocks(grid=grid, blocks=stack))
             seen.append((res, int(m)))
             if res <= opts.tol and (best is None or res < best[0]):
                 best = (res, int(m))
@@ -725,25 +725,22 @@ class TestResidual:
         masks = coefficient_masks(solver_grid, nodes)
         j_raw = np.einsum("mij,mij->ij", masks, stack)
         scale = max(1.0, np.linalg.norm(j_raw))
-        blocks = CPBlocks(grid=solver_grid, blocks=tuple(stack / scale))
+        blocks = CPBlocks(grid=solver_grid, blocks=stack / scale)
         assert residual(target, blocks) <= 1e-12
 
     def test_zero_blocks_measure_target_norm(self, diagonal_pair, solver_grid):
         target = FeasibilityTarget(nodes=diagonal_pair, matrix=np.ones((2, 2)))
-        zero = CPBlocks(
-            grid=solver_grid,
-            blocks=tuple(np.zeros((2, 2)) for _ in solver_grid.alphas),
-        )
+        zero = CPBlocks(grid=solver_grid, blocks=np.zeros((len(solver_grid), 2, 2)))
         assert residual(target, zero) == pytest.approx(2.0)
 
     def test_single_entry_perturbation(self, solver_grid):
         nodes = NodeSet.from_pairs([(0.05, 0.0), (-0.05, 0.01)])
         target = FeasibilityTarget(nodes=nodes, matrix=np.ones((2, 2)))
         report = solve(target, solver_grid)
-        blocks = [b.copy() for b in report.blocks.blocks]
+        blocks = report.blocks.blocks.copy()
         eps = 1e-3
         blocks[0][0, 0] += eps  # diagonal entry keeps the stack Hermitian
-        pert = residual(target, CPBlocks(grid=solver_grid, blocks=tuple(blocks)))
+        pert = residual(target, CPBlocks(grid=solver_grid, blocks=blocks))
         base = report.residual
         assert eps / 2 <= pert + base and pert - base <= 2 * eps
 

@@ -128,10 +128,7 @@ class TestLurkingIsometry:
 
     def test_gram_mismatch_rejected(self, rng, solver_grid):
         nodes = random_nodes(rng, 2)
-        bad = CPBlocks(
-            grid=solver_grid,
-            blocks=tuple(np.eye(2) for _ in solver_grid.alphas),
-        )
+        bad = CPBlocks(grid=solver_grid, blocks=np.tile(np.eye(2), (len(solver_grid), 1, 1)))
         report = SolveReport(SolveStatus.FEASIBLE, 0.0, iterations=0, wall_time=0.0, blocks=bad)
         with pytest.raises(NumericsError, match="residual too large"):
             realize(
@@ -146,7 +143,7 @@ def purified(blocks, nodes):
     """The blocks G_m* G_m of _purified_factors, and their total rank."""
     rows, atoms = _purified_factors(blocks, nodes)
     factors = [rows[atoms == m] for m in range(len(blocks.blocks))]
-    out = CPBlocks(grid=blocks.grid, blocks=tuple(g.conj().T @ g for g in factors))
+    out = CPBlocks(grid=blocks.grid, blocks=np.stack([g.conj().T @ g for g in factors]))
     return out, len(rows)
 
 
@@ -156,7 +153,7 @@ def planted_witness(rng, n, block, atoms):
     w = rng.standard_normal((atoms, dim, dim)) + 1j * rng.standard_normal((atoms, dim, dim))
     b = w @ w.conj().transpose(0, 2, 1)
     j = np.einsum("mij,mij->ij", expand_masks(coefficient_masks(grid, nodes), block), b)
-    return FeasibilityTarget(nodes=nodes, matrix=j, block=block), CPBlocks(grid, tuple(b))
+    return FeasibilityTarget(nodes=nodes, matrix=j, block=block), CPBlocks(grid, b)
 
 
 def loop_witness(name):
@@ -200,7 +197,7 @@ class TestPurification:
         for r in ranks:
             w = rng.standard_normal((4, r)) + 1j * rng.standard_normal((4, r))
             blocks.append(w @ w.conj().T)
-        rows, atoms = _purified_factors(CPBlocks(grid, tuple(blocks)), nodes)
+        rows, atoms = _purified_factors(CPBlocks(grid, np.stack(blocks)), nodes)
         assert atoms.tolist() == [m for m, r in enumerate(ranks) for _ in range(r)]
         for m, (b, r) in enumerate(zip(blocks, ranks)):
             g, ref = rows[atoms == m], gram_factor(b)
@@ -246,9 +243,10 @@ class TestPurification:
 
     def test_non_psd_block_is_rejected(self, rng, solver_grid):
         nodes = random_nodes(rng, 2)
-        blocks = [np.eye(2)] * (len(solver_grid) - 1) + [np.diag([1.0, -0.5])]
+        blocks = np.tile(np.eye(2), (len(solver_grid), 1, 1))
+        blocks[-1] = np.diag([1.0, -0.5])
         with pytest.raises(NumericsError, match="not PSD"):
-            _purified_factors(CPBlocks(solver_grid, tuple(blocks)), nodes)
+            _purified_factors(CPBlocks(solver_grid, blocks), nodes)
 
 
 class TestTransferEval:

@@ -8,7 +8,6 @@ from symbidisk import NumericsError, ValidationError
 from symbidisk.serialize import (
     canonical_json,
     decode_complex,
-    decode_matrix,
     decode_nodes,
     encode_complex,
     encode_matrix,
@@ -52,14 +51,6 @@ def test_complex_round_trip():
     assert decode_complex(encode_complex(z)) == z
     with pytest.raises(ValidationError):
         decode_complex([1.0])
-
-
-def test_matrix_round_trip(rng):
-    m = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    back = decode_matrix(encode_matrix(m))
-    assert np.array_equal(back, m)
-    with pytest.raises(ValidationError):
-        decode_matrix({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})
 
 
 def test_nodes_round_trip(diagonal_pair):
