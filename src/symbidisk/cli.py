@@ -273,8 +273,8 @@ def _solve_options(obj: Any) -> tuple[SolveOptions, int]:
     """(solver options, seed) of a problem's ``opts``, their only source; the defaults when None.
 
     The seed and max_iter must be integers >= 0 and tol a finite number >= 0;
-    SolveOptions itself takes any value.  Only the sequence census reads the
-    seed, and every report echoes it.
+    SolveOptions itself checks max_iter, with the same message.  Only the
+    sequence census reads the seed, and every report echoes it.
     """
     opts_obj = {} if obj is None else _fields(obj, "opts", "field 'opts'")
     seed = read_number(opts_obj.get("seed", 0), "seed", integral=True)
@@ -283,8 +283,6 @@ def _solve_options(obj: Any) -> tuple[SolveOptions, int]:
     max_iter = read_number(max_iter, "max_iter", integral=True)
     if seed < 0:
         raise ValidationError(f"field 'seed' must be an integer >= 0, got {seed}")
-    if max_iter < 0:
-        raise ValidationError(f"field 'max_iter' must be an integer >= 0, got {max_iter}")
     return SolveOptions(tol=tol, max_iter=max_iter), seed
 
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -124,6 +125,10 @@ class SolveStatus(str, Enum):
 class SolveOptions:
     tol: float = 1e-8
     max_iter: int = 20000  # interior-point iterations
+
+    def __post_init__(self):
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
+            raise ValidationError(f"field 'max_iter' must be an integer >= 0, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -218,8 +223,8 @@ def solve(
     * Unknown when, at two successive iterates with t <= 1 + tol / ||E||,
       the residual has not fallen.  A step multiplies the primal residual
       by 1 minus its length, so the residual has then reached its roundoff
-      floor, above tol.  Unknown also after opts.max_iter iterations, and
-      when the path ends because a step stalled.
+      floor, above tol.  Unknown also when the path ends: after opts.max_iter
+      steps ("budget spent"), or earlier, because a step stalled.
 
     The report's residual is residual() of the blocks at the last iterate.
     Deterministic given (target, grid, opts).
@@ -234,15 +239,6 @@ def solve(
         out = b.copy()
         out[best] += max(0.0, 1.0 - t) * core.szego[best]
         return out
-
-    def report(status, it, res, **fields):
-        return SolveReport(
-            status=status, residual=res, iterations=it, wall_time=time.perf_counter() - t0, **fields
-        )
-
-    def unknown(it, t, b, note):
-        res = _residual(core.cexp, j, witness(t, b))
-        return report(SolveStatus.UNKNOWN, it, res, notes=(note,))
 
     def certificate(z):
         dual = core.shifted(z)
@@ -259,29 +255,29 @@ def solve(
                     return cert
         return None
 
-    floor = math.inf
-    for it, (t, b, z) in enumerate(core.path(core.ee - j)):
+    floor, cert = math.inf, None
+    for it, (t, b, z) in enumerate(core.path(core.ee - j, opts.max_iter)):
         blocks = witness(t, b) if t <= slack else None
         res = math.inf if blocks is None else _residual(core.cexp, j, blocks)
-        if res <= opts.tol:
-            notes = ("single-atom witness",) if it == 0 else ()
-            return report(SolveStatus.FEASIBLE, it, res, blocks=CPBlocks(grid, blocks), notes=notes)
-        cert = certificate(z)
-        if cert is not None:
-            return report(
-                SolveStatus.INFEASIBLE_CERTIFIED,
-                it,
-                _residual(core.cexp, j, witness(t, b)),
-                certificate=cert[0],
-                certificate_min_eig=cert[1],
-                notes=(f"certified by the dual iterate at iteration {it}",),
-            )
-        if floor <= res < math.inf:
-            return unknown(it, t, b, f"residual at its roundoff floor at iteration {it}")
-        if it == opts.max_iter:
-            return unknown(it, t, b, "budget spent")
+        at_floor = floor <= res < math.inf
+        if res <= opts.tol or (cert := certificate(z)) is not None or at_floor:
+            break
         floor = res if it else math.inf  # the start moved the iterate: nothing to compare yet
-    return unknown(it, t, b, f"stalled at iteration {it}")
+    status, fields = SolveStatus.UNKNOWN, {}
+    if res <= opts.tol:
+        status, fields = SolveStatus.FEASIBLE, {"blocks": CPBlocks(grid, blocks)}
+        notes = ("single-atom witness",) if it == 0 else ()
+    elif cert is not None:
+        status = SolveStatus.INFEASIBLE_CERTIFIED
+        fields = {"certificate": cert[0], "certificate_min_eig": cert[1]}
+        notes = (f"certified by the dual iterate at iteration {it}",)
+    elif at_floor:
+        notes = (f"residual at its roundoff floor at iteration {it}",)
+    else:
+        notes = ("budget spent" if it == opts.max_iter else f"stalled at iteration {it}",)
+    if blocks is None:  # t > 1 + tol / ||E||: the loop left the residual at inf
+        res = _residual(core.cexp, j, witness(t, b))
+    return SolveReport(status, res, it, time.perf_counter() - t0, notes=notes, **fields)
 
 
 def _norm(a):
@@ -454,7 +450,7 @@ class _Conic:
         """Z' = Z + s I, s = admissible_shift(conj(C), Z): every conj(C_m) . Z' is PSD."""
         return z + admissible_shift(self.cconj, z) * np.eye(len(z))
 
-    def path(self, g):
+    def path(self, g, max_iter):
         """The interior-point iterates (t, B, Z) for G = g: the start, then one per step.
 
         The start is feasible on the dual side: Z = I / N, where Re<E, Z> = 1
@@ -469,13 +465,14 @@ class _Conic:
         atom, t = sigma (1 + M), sigma = max(1, max |G|), whose primal
         residual the steps remove.
 
-        Every later iterate is one step, and the iterates end when a step
-        stalls.  Their centering parameter is 1 while t < 1: on G = E - J the
-        iterate then stays central while its primal residual falls, instead
-        of converging to the optimal face, where the residual stalls at 5e-8
-        to 5e-7 on most planted N = 16 and N = 20 targets
-        (tests/test_pick.py::planted_problem).  A PSD G, as in the
-        minimal-norm bracket, has t* >= 1, and its steps take Mehrotra's
+        Every later iterate is one step.  The iterates end after max_iter
+        steps, or earlier when a step stalls; a consumer that reads them all
+        tells the two apart by the count.  Their centering parameter is 1
+        while t < 1: on G = E - J the iterate then stays central while its
+        primal residual falls, instead of converging to the optimal face,
+        where the residual stalls at 5e-8 to 5e-7 on most planted N = 16 and
+        N = 20 targets (tests/test_pick.py::planted_problem).  A PSD G, as in
+        the minimal-norm bracket, has t* >= 1, and its steps take Mehrotra's
         centering.
         """
         z = np.eye(self.dim) / self.dim
@@ -487,7 +484,9 @@ class _Conic:
         yield t, b, z
         if self.safe.size:
             t, b = _interior_start(t, b, self.szego, self.safe)
-        while (nxt := self.step(g, t, b, z)) is not None:
+        for _ in range(max_iter):
+            if (nxt := self.step(g, t, b, z)) is None:
+                return
             t, b, z = nxt
             yield nxt
 
@@ -585,11 +584,11 @@ def _conic_minimum(nodes, grid, g, block, gap, opts):
       objective of the iterate, or the kernel conj(Z') tested on the
       all-ones vector.
 
-    opts.max_iter caps the interior-point iterations; opts.tol is not read
-    here (the caller re-verifies the witness to it).  NumericsError when no
-    atom's Sz_k is safely positive definite, so that no witness can be
-    repaired; when the bracket has not closed within the budget; or when the
-    iterate stalls (_Conic.step) and its last bracket is still wider than gap.
+    opts.max_iter caps the steps of the path; opts.tol is not read here (the
+    caller re-verifies the witness to it).  NumericsError when no atom's
+    Sz_k is safely positive definite, so that no witness can be repaired; or
+    when the path ends, after opts.max_iter steps or at a stall
+    (_Conic.step), and its last iterate leaves the bracket wider than gap.
     The widths it names are those of sqrt(t), relative to the targets' scale.
     """
     core = _Conic(nodes, grid, block)
@@ -615,19 +614,19 @@ def _conic_minimum(nodes, grid, g, block, gap, opts):
         lo = max(lo, dual_value(core.shifted(z)))
         return math.sqrt(hi2) - lo
 
-    for it, (t, b, z) in enumerate(core.path(g)):
+    for it, (t, b, z) in enumerate(core.path(g, opts.max_iter)):
         if it == 0:  # the start is the single-atom witness
             hi2, witness = t, b
-        if abs(math.sqrt(t) - dual_value(z)) <= gap or it == opts.max_iter:
+        if abs(math.sqrt(t) - dual_value(z)) <= gap:
             bracket(t, b, z)
         if math.sqrt(hi2) - lo <= gap:
             return lo, hi2, witness
-        if it == opts.max_iter:
-            raise NumericsError(
-                f"minimal-norm bracket not closed in {opts.max_iter} interior-point"
-                f" iterations: relative width {math.sqrt(hi2) - lo:.3e} > {gap:.3e}"
-            )
     width = bracket(t, b, z)  # path ended: the last iterate may still close it
     if width <= gap:
         return lo, hi2, witness
+    if it == opts.max_iter:
+        raise NumericsError(
+            f"minimal-norm bracket not closed in {opts.max_iter} interior-point"
+            f" iterations: relative width {width:.3e} > {gap:.3e}"
+        )
     raise NumericsError(f"minimal-norm bracket stalled at relative width {width:.3e} > {gap:.3e}")

@@ -469,9 +469,17 @@ class TestNearThreshold:
         at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
         assert residual(factor_target(at_hi.nodes, *at_hi.tops()), witness) <= self.opts.tol
 
-    def test_budget_ends_in_numerics_error(self, solver_grid):
-        with pytest.raises(NumericsError, match="width"):
-            minimal_norm_bracket(near_threshold_problem(), solver_grid, SolveOptions(max_iter=3))
+    @pytest.mark.parametrize("max_iter", [0, 3])
+    def test_budget_ends_in_numerics_error(self, max_iter, solver_grid, monkeypatch):
+        # the path takes at most max_iter steps (one Schur complement each)
+        steps = []
+        monkeypatch.setattr(feasibility, "_hkm_schur", lambda *a: steps.append(1) or _hkm_schur(*a))
+        ended = f"not closed in {max_iter} interior-point iterations: relative width"
+        with pytest.raises(NumericsError, match=ended):
+            minimal_norm_bracket(
+                near_threshold_problem(), solver_grid, SolveOptions(max_iter=max_iter)
+            )
+        assert len(steps) == max_iter
 
 
 class TestSingleAtomWitness:
@@ -652,17 +660,29 @@ def test_violation_scales_each_target_block_by_one_kernel_entry(block, rng, solv
     assert feasibility._violation(psd, kern, SolveOptions()) is None
 
 
-def test_solve_out_of_budget_ends_unknown(solver_grid):
+@pytest.mark.parametrize("max_iter", [0, 1, 2])
+def test_solve_out_of_budget_ends_unknown(max_iter, solver_grid, monkeypatch):
     # the loop file just above its minimal norm (about 0.83361) is feasible,
-    # but two interior-point iterations neither bring t to 1 nor certify
+    # but up to two interior-point iterations neither bring t to 1 nor certify
     target = loop_file_target(0.8337)
     assert solve(target, solver_grid).status is SolveStatus.FEASIBLE
-    rep = solve(target, solver_grid, SolveOptions(max_iter=2))
+    steps = []
+    monkeypatch.setattr(feasibility, "_hkm_schur", lambda *a: steps.append(1) or _hkm_schur(*a))
+    rep = solve(target, solver_grid, SolveOptions(max_iter=max_iter))
     assert rep.status is SolveStatus.UNKNOWN
-    assert rep.iterations == 2
+    assert rep.iterations == len(steps) == max_iter
     assert rep.blocks is None and rep.certificate is None
     assert rep.notes == ("budget spent",)
     assert 1e-8 < rep.residual < np.inf  # the residual of the last iterate's blocks
+
+
+@pytest.mark.parametrize("max_iter", [-1, 2.0])
+def test_budget_that_is_not_a_count_is_refused(max_iter):
+    # a budget below 0 once ran the solve without one, and _Conic.path
+    # counts its steps with range()
+    with pytest.raises(ValidationError, match=f"field 'max_iter' must be an integer >= 0, got {max_iter}"):
+        SolveOptions(max_iter=max_iter)
+    assert SolveOptions(max_iter=np.int64(2)).max_iter == 2
 
 
 def loop_file_target(bound):
