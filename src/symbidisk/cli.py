@@ -84,6 +84,7 @@ FIELDS = {
     "matrix": (("rows", "cols", "entries"), ()),
     "sidecar": ((), ("equals", "approx")),
 }
+GRID_KINDS = tuple(row.removesuffix(" grid") for row in FIELDS if row.endswith(" grid"))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -214,6 +215,13 @@ def _fields(obj: Any, row: str, what: str) -> dict:
     return obj
 
 
+def _choice(value: Any, field: str, choices: tuple[str, ...]) -> str:
+    """``value`` of the field ``field``, which must be one of ``choices``."""
+    if value not in choices:
+        raise ValidationError(f"field '{field}' must be one of {', '.join(choices)}; got {value!r}")
+    return value
+
+
 def _read_problem(problem: Any, command: str | None) -> tuple:
     """(kind, payload, grid, solver options, seed) of a problem file, each object read by _fields.
 
@@ -221,12 +229,9 @@ def _read_problem(problem: Any, command: str | None) -> tuple:
     """
     _fields(problem, "problem", "problem file")
     if type(problem["format"]) is not int or problem["format"] != FORMAT_VERSION:
-        raise ValidationError(
-            f"unsupported format {problem['format']!r} (expected {FORMAT_VERSION})"
-        )
-    kind = problem["kind"]
-    if kind not in KINDS:
-        raise ValidationError(f"unknown kind {kind!r}")
+        got = problem["format"]
+        raise ValidationError(f"field 'format' must be the integer {FORMAT_VERSION}, got {got!r}")
+    kind = _choice(problem["kind"], "kind", KINDS)
     if command is not None and kind != command:
         raise ValidationError(f"problem kind {kind!r} does not match subcommand {command!r}")
     payload = _fields(problem["payload"], f"{kind} payload", "field 'payload'")
@@ -234,12 +239,15 @@ def _read_problem(problem: Any, command: str | None) -> tuple:
     return kind, payload, _read_grid(problem.get("grid")), opts, seed
 
 
-def decode_matrix(obj: Any) -> np.ndarray:
-    """The matrix of a ``{rows, cols, entries}`` object, its entries row-major [re, im] pairs."""
-    _fields(obj, "matrix", "a matrix")
+def decode_matrix(obj: Any, field: str) -> np.ndarray:
+    """The matrix of a ``{rows, cols, entries}`` object of the field ``field``.
+
+    Its entries are row-major [re, im] pairs.
+    """
+    _fields(obj, "matrix", f"field '{field}'")
     rows = read_number(obj["rows"], "rows", integral=True)
     cols = read_number(obj["cols"], "cols", integral=True)
-    entries = [decode_complex(v) for v in _as_list(obj["entries"], "entries")]
+    entries = [decode_complex(v, "entries") for v in _as_list(obj["entries"], "entries")]
     if min(rows, cols) < 0 or len(entries) != rows * cols:
         raise ValidationError("matrix entry count disagrees with its shape")
     return np.array(entries, dtype=complex).reshape(rows, cols)
@@ -251,11 +259,10 @@ def _read_grid(obj: Any) -> AlphaGrid:
         return AlphaGrid.solver_default()
     # a kind-less grid is explicit; _fields refuses a grid that is not an object
     kind = obj.get("kind", "explicit") if isinstance(obj, dict) else "explicit"
-    if f"{kind} grid" not in FIELDS:
-        raise ValidationError(f"unknown grid kind {kind!r}")
-    _fields(obj, f"{kind} grid", "field 'grid'")
+    _fields(obj, f"{_choice(kind, 'kind', GRID_KINDS)} grid", "field 'grid'")
     if kind == "explicit":
-        return AlphaGrid(np.array([decode_complex(a) for a in _as_list(obj["alphas"], "alphas")]))
+        alphas = _as_list(obj["alphas"], "alphas")
+        return AlphaGrid(np.array([decode_complex(a, "alphas") for a in alphas]))
     if kind == "boundary":
         include_zero = obj.get("include_zero", True)
         if not isinstance(include_zero, bool):
@@ -333,14 +340,15 @@ def _factorization_body(solution: Factorization, key: str) -> dict:
 
 def _handle_membership(payload, grid, opts, seed) -> dict:
     tol = _read_tol(payload.get("tol", DEFAULT_MEMBERSHIP_TOL))
-    rep = membership(decode_complex(payload["s"]), decode_complex(payload["p"]), tol=tol)
+    rep = membership(decode_complex(payload["s"], "s"), decode_complex(payload["p"], "p"), tol=tol)
     return encode_membership(rep)
 
 
 def _handle_pick(payload, grid, opts, seed) -> dict:
-    nodes = decode_nodes(payload["nodes"])
+    nodes = decode_nodes(payload["nodes"], "nodes")
     targets = tuple(
-        decode_matrix(t) if isinstance(t, dict) else np.array([[decode_complex(t)]])
+        decode_matrix(t, "targets") if isinstance(t, dict)
+        else np.array([[decode_complex(t, "targets")]])
         for t in _as_list(payload["targets"], "targets")
     )
     norm_bound = read_number(payload.get("norm_bound", PickProblem.norm_bound), "norm_bound")
@@ -349,13 +357,12 @@ def _handle_pick(payload, grid, opts, seed) -> dict:
 
 
 def _handle_corona(payload, grid, opts, seed) -> dict:
-    nodes = decode_nodes(payload["nodes"])
+    nodes = decode_nodes(payload["nodes"], "nodes")
     raw_phis = _as_list(payload["phi_samples"], "phi_samples")
-    phis = tuple(decode_matrix(m) for m in raw_phis)
+    phis = tuple(decode_matrix(m, "phi_samples") for m in raw_phis)
     thetas = payload.get("theta_samples")
-    if thetas is not None:
-        # an empty list asks for the default Theta, as an absent field does
-        thetas = tuple(decode_matrix(m) for m in _as_list(thetas, "theta_samples")) or None
+    if thetas is not None:  # absent or null: Theta = sqrt(delta) I
+        thetas = tuple(decode_matrix(m, "theta_samples") for m in _as_list(thetas, "theta_samples"))
     problem = CoronaProblem(
         nodes=nodes,
         phi_samples=phis,
@@ -375,7 +382,7 @@ def _handle_corona(payload, grid, opts, seed) -> dict:
 
 
 def _handle_sequence(payload, grid, opts, seed) -> dict:
-    trunc = SequenceTruncation(nodes=decode_nodes(payload["nodes"]))
+    trunc = SequenceTruncation(nodes=decode_nodes(payload["nodes"], "nodes"))
     kernel_count = read_number(payload.get("kernels", 8), "kernels", integral=True)
     if not 1 <= kernel_count <= MAX_KERNELS:
         raise ValidationError(f"field 'kernels' must be in [1, {MAX_KERNELS}], got {kernel_count}")
@@ -414,17 +421,12 @@ def _handle_sequence(payload, grid, opts, seed) -> dict:
 
 def _handle_gamma_check(payload, grid, opts, seed) -> dict:
     pair = OperatorPair(
-        first=decode_matrix(payload["first"]),
-        second=decode_matrix(payload["second"]),
+        first=decode_matrix(payload["first"], "first"),
+        second=decode_matrix(payload["second"], "second"),
     )
-    mode = payload.get("mode", "unitary")
+    mode = _choice(payload.get("mode", "unitary"), "mode", ("unitary", "isometry"))
     tol = _read_tol(payload.get("tol", 1e-10))
-    if mode == "unitary":
-        check = gamma_unitary_check(pair, tol)
-    elif mode == "isometry":
-        check = gamma_isometry_check(pair, tol)
-    else:
-        raise ValidationError(f"unknown mode {mode!r}")
+    check = (gamma_unitary_check if mode == "unitary" else gamma_isometry_check)(pair, tol)
     return {
         "mode": mode,
         "passed": check.passed,
@@ -436,12 +438,12 @@ def _handle_gamma_check(payload, grid, opts, seed) -> dict:
 
 
 def _handle_measure_model(payload, grid, opts, seed) -> dict:
-    atoms = tuple(BGammaPoint(s, p) for s, p in decode_point_rows(payload["atoms"]))
+    tol = _read_tol(payload.get("tol", 1e-10))
+    atoms = tuple(BGammaPoint(s, p) for s, p in decode_point_rows(payload["atoms"], "atoms"))
     weights = _as_list(payload.get("weights", [1.0] * len(atoms)), "weights")
     weights = tuple(read_number(w, "weights") for w in weights)
-    mu = AtomicMeasure(atoms=atoms, weights=weights)
-    pair = atomic_h2_model(mu)
-    check = gamma_isometry_check(pair, tol=_read_tol(payload.get("tol", 1e-10)))
+    pair = atomic_h2_model(AtomicMeasure(atoms=atoms, weights=weights))
+    check = gamma_isometry_check(pair, tol=tol)
     return {
         "dim": pair.dim,
         "first_diag": [encode_complex(z) for z in np.diag(pair.first)],

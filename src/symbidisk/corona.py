@@ -44,8 +44,8 @@ class CoronaProblem:
     theta_samples: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValidationError("delta must be positive")
+        if not self.delta > 0:
+            raise ValidationError(f"field 'delta' must be positive, got {self.delta}")
         if len(self.phi_samples) != len(self.nodes):
             raise ValidationError("one Phi sample per node required")
         phis = tuple(np.atleast_2d(np.asarray(m, dtype=complex)) for m in self.phi_samples)
@@ -64,9 +64,10 @@ class CoronaProblem:
             theta = tuple(
                 np.atleast_2d(np.asarray(m, dtype=complex)) for m in self.theta_samples
             )
-            tshape = theta[0].shape
-            if len(theta) != len(self.nodes) or any(m.shape != tshape for m in theta):
+            # one per node first: theta[0] exists, as the nodes are nonempty
+            if len(theta) != len(self.nodes) or any(m.shape != theta[0].shape for m in theta):
                 raise ValidationError("Theta samples must share a common shape per node")
+            tshape = theta[0].shape
             if tshape[0] != shape[0]:
                 raise ValidationError("Theta output dimension must match Phi's")
             if tshape[1] < 1:

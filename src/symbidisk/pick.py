@@ -31,14 +31,16 @@ class PickProblem:
     norm_bound: float = 1.0
 
     def __post_init__(self):
-        if self.norm_bound <= 0:
-            raise ValidationError("norm_bound must be positive")
+        if not self.norm_bound > 0:
+            raise ValidationError(f"field 'norm_bound' must be positive, got {self.norm_bound}")
         if len(self.targets) != len(self.nodes):
             raise ValidationError("one target per node required")
         mats = tuple(np.atleast_2d(np.asarray(t, dtype=complex)) for t in self.targets)
         shape = mats[0].shape
         if any(m.shape != shape for m in mats):
             raise ValidationError("targets must share a common shape")
+        if not np.isfinite(mats).all():
+            raise ValidationError("field 'targets' must have finite entries")
         if shape[1] < 1:
             raise ValidationError("targets need at least one column")
         object.__setattr__(self, "targets", mats)

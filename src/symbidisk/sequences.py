@@ -153,8 +153,8 @@ def strong_separation(
     All Feasible means the truncation is strongly separated with constant at
     most ``bound``.  Decided as solve_pick decides, but nothing is synthesized.
     """
-    if bound <= 0:
-        raise ValidationError("bound must be positive")
+    if not bound > 0:
+        raise ValidationError(f"field 'bound' must be positive, got {bound}")
     grid = grid or AlphaGrid.solver_default()
     out = []
     for i in range(trunc.n):

@@ -60,10 +60,11 @@ def read_number(value, field: str, integral: bool = False):
     return int(value)
 
 
-def decode_complex(v) -> complex:
+def decode_complex(v, field: str) -> complex:
+    """A complex value ``[re, im]`` of the input field ``field``."""
     if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise ValidationError(f"complex values serialize as [re, im], got {v!r}")
-    return complex(read_number(v[0], "re"), read_number(v[1], "im"))
+        raise ValidationError(f"field '{field}' takes complex values as [re, im], got {v!r}")
+    return complex(read_number(v[0], field), read_number(v[1], field))
 
 
 def encode_matrix(m: np.ndarray) -> dict:
@@ -80,20 +81,22 @@ def encode_nodes(nodes: NodeSet) -> list[list[float]]:
     return [[q.s.real, q.s.imag, q.p.real, q.p.imag] for q in nodes.points]
 
 
-def decode_point_rows(obj) -> list[tuple[complex, complex]]:
-    """(s, p) pairs from rows [s_re, s_im, p_re, p_im], the layout of node and atom rows."""
+def decode_point_rows(obj, field: str) -> list[tuple[complex, complex]]:
+    """(s, p) pairs of the input field ``field``, rows [s_re, s_im, p_re, p_im] (nodes, atoms)."""
+    layout = "[s_re, s_im, p_re, p_im]"
     if not isinstance(obj, (list, tuple)):
-        raise ValidationError("points serialize as a list of [s_re, s_im, p_re, p_im] rows")
+        got = type(obj).__name__
+        raise ValidationError(f"field '{field}' must be a list of {layout} rows, got {got}")
     pairs = []
     for row in obj:
         if not isinstance(row, (list, tuple)) or len(row) != 4:
-            raise ValidationError("point rows serialize as [s_re, s_im, p_re, p_im]")
-        pairs.append((decode_complex(row[0:2]), decode_complex(row[2:4])))
+            raise ValidationError(f"each row of field '{field}' must be {layout}")
+        pairs.append((decode_complex(row[0:2], field), decode_complex(row[2:4], field)))
     return pairs
 
 
-def decode_nodes(obj) -> NodeSet:
-    return NodeSet.from_pairs(decode_point_rows(obj))
+def decode_nodes(obj, field: str) -> NodeSet:
+    return NodeSet.from_pairs(decode_point_rows(obj, field))
 
 
 def encode_grid(grid: AlphaGrid) -> dict:

@@ -235,3 +235,5 @@ def test_validation_errors(rng):
             phi_samples=(np.ones((1, 2)), np.ones((1, 2))),
             delta=-1.0,
         )
+    with pytest.raises(ValidationError, match="Theta samples"):  # once an IndexError
+        CoronaProblem(nodes, (np.ones((1, 2)),) * 2, delta=0.5, theta_samples=())

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from symbidisk import (
     AlphaGrid,
+    AtomicMeasure,
+    BGammaPoint,
     CoronaProblem,
     GPoint,
     NodeSet,
@@ -16,6 +18,7 @@ from symbidisk import (
     SequenceTruncation,
     SolveOptions,
     SolveStatus,
+    ValidationError,
     admissibility_check,
     caratheodory_two_point,
     minimal_norm,
@@ -369,7 +372,8 @@ def conjugated(nodes, data):
 
 def verdicts(nodes, w, phi, lo, hi, grid):
     """The statuses of solve_pick off both ends, solve_corona and strong_separation."""
-    pick = [solve_pick(scalar_problem(nodes, w, c), grid).status for c in (0.99 * lo, 1.01 * hi)]
+    bounds = (0.99 * lo, 1.01 * hi)
+    pick = [solve_pick(PickProblem(nodes, tuple(w), c), grid).status for c in bounds]
     corona = [
         solve_corona(CoronaProblem(nodes=nodes, phi_samples=tuple(phi), delta=delta), grid).status
         for delta in (0.05, 0.3, 1.0)
@@ -378,24 +382,50 @@ def verdicts(nodes, w, phi, lo, hi, grid):
     return pick, corona, separation
 
 
-@pytest.mark.parametrize("n", [3, 5, 8])
-def test_grid_rotation_and_conjugation_keep_the_answers(n, solver_grid):
+@pytest.mark.parametrize("n, block", [(3, 1), (5, 1), (8, 1), (3, 2), (4, 2)])
+def test_grid_rotation_and_conjugation_keep_the_answers(n, block, solver_grid):
     # both maps permute or conjugate the grid's atoms, so the grid answer is
     # kept up to roundoff (the ends moved by at most 2.9e-7 relative); a
-    # defect that mislabels atoms cannot show at royal or flat nodes
+    # defect that mislabels atoms cannot show at royal or flat nodes.  2 x 2
+    # targets stay under the rotation and are conjugated entrywise; their
+    # verdicts are compared at every seed
     for seed in range(1000 * n, 1000 * n + 4):
         nodes, w, rng = generic_draw(seed, n)
-        lo, hi = minimal_norm_bracket(scalar_problem(nodes, w), solver_grid)
+        if block == 2:
+            m = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+            w = 0.9 * m / np.linalg.norm(m, 2, axis=(1, 2))[:, None, None]
+        lo, hi = minimal_norm_bracket(PickProblem(nodes, tuple(w)), solver_grid)
         width = 1e-4 * max(1.0, hi)
         phi = rng.standard_normal((n, 1, 2)) + 1j * rng.standard_normal((n, 1, 2))
-        expected = verdicts(nodes, w, phi, lo, hi, solver_grid) if seed == 1000 * n else None
+        compare = block == 2 or seed == 1000 * n
+        expected = verdicts(nodes, w, phi, lo, hi, solver_grid) if compare else None
         for transform in (rotated, conjugated):
             image, w_image = transform(nodes, w)
-            lo_image, hi_image = minimal_norm_bracket(scalar_problem(image, w_image), solver_grid)
+            problem = PickProblem(image, tuple(w_image))
+            lo_image, hi_image = minimal_norm_bracket(problem, solver_grid)
             assert abs(lo_image - lo) <= width and abs(hi_image - hi) <= width, (seed, transform)
-            if expected is not None:
+            if compare:
                 got = verdicts(image, w_image, transform(nodes, phi)[1], lo, hi, solver_grid)
-                assert got == expected, (transform, got, expected)
+                assert got == expected, (seed, transform, got, expected)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda nodes: minimal_norm_bracket(scalar_problem(nodes, [math.nan, 0.2])), "targets"),
+        (lambda nodes: scalar_problem(nodes, [0.1, 0.2], bound=math.nan), "norm_bound"),
+        (lambda nodes: CoronaProblem(nodes, (np.ones((1, 2)),) * 2, delta=math.nan), "delta"),
+        (lambda nodes: strong_separation(SequenceTruncation(nodes), math.nan), "bound"),
+        (lambda nodes: AtomicMeasure((BGammaPoint(2.0, 1.0),), (math.nan,)), "weights"),
+    ],
+    ids=["pick-target", "norm-bound", "corona-delta", "separation-bound", "measure-weight"],
+)
+def test_nan_input_is_refused_with_its_field(build, field):
+    # NaN fails every comparison, so each check is written to pass only a
+    # positive value; a NaN once reached an SVD, or was refused as an overflow
+    nodes = NodeSet.from_pairs([(0.1, 0.0), (-0.2, 0.05)])
+    with pytest.raises(ValidationError, match=f"field '{field}'"):
+        build(nodes)
 
 
 def certificate_bound(ee, ww, kernel, block):

@@ -48,14 +48,16 @@ def test_encode_matrix_text_equals_per_entry_encoding(case, rng):
 
 def test_complex_round_trip():
     z = 0.123456789012345 - 2.5j
-    assert decode_complex(encode_complex(z)) == z
-    with pytest.raises(ValidationError):
-        decode_complex([1.0])
+    assert decode_complex(encode_complex(z), "s") == z
+    with pytest.raises(ValidationError, match=r"field 's' takes complex values as \[re, im\]"):
+        decode_complex([1.0], "s")
 
 
 def test_nodes_round_trip(diagonal_pair):
-    back = decode_nodes(encode_nodes(diagonal_pair))
+    back = decode_nodes(encode_nodes(diagonal_pair), "nodes")
     assert back == diagonal_pair
+    with pytest.raises(ValidationError, match="each row of field 'nodes' must be"):
+        decode_nodes([[0.0, 0.0, 0.0]], "nodes")
 
 
 def test_report_hash_ignores_volatile_fields():
