@@ -44,8 +44,8 @@ class CoronaProblem:
     theta_samples: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValidationError(f"field 'delta' must be positive, got {self.delta}")
+        if not 0 < self.delta < np.inf:
+            raise ValidationError(f"field 'delta' must be positive and finite, got {self.delta}")
         if len(self.phi_samples) != len(self.nodes):
             raise ValidationError("one Phi sample per node required")
         phis = tuple(np.atleast_2d(np.asarray(m, dtype=complex)) for m in self.phi_samples)
@@ -89,6 +89,4 @@ def solve_corona(
     Psi is the result's ``interpolant``: contractive (a unitary colligation,
     whose ``norm`` bounds sup ||Psi||) with Phi(node) @ Psi(node) = Theta(node).
     """
-    lhs, rhs = problem.tops()
-    report = solve(factor_target(problem.nodes, lhs, rhs), grid or AlphaGrid.solver_default(), opts)
-    return realize(report, problem.nodes, lhs, rhs)
+    return realize(solve(factor_target(problem), grid or AlphaGrid.solver_default(), opts), problem)

@@ -72,8 +72,8 @@ class AtomicMeasure:
             raise ValidationError(f"{len(self.atoms)} atoms, more than the {MAX_ATOMS} allowed")
         if len(self.weights) != len(self.atoms):
             raise ValidationError("one weight per atom required")
-        if not all(w > 0 for w in self.weights):
-            raise ValidationError("field 'weights' must be positive")
+        if not all(0 < w < np.inf for w in self.weights):
+            raise ValidationError("field 'weights' must be positive and finite")
         for i, a in enumerate(self.atoms):
             for b in self.atoms[i + 1 :]:
                 if abs(a.s - b.s) <= 1e-12 and abs(a.p - b.p) <= 1e-12:

@@ -31,8 +31,10 @@ class PickProblem:
     norm_bound: float = 1.0
 
     def __post_init__(self):
-        if not self.norm_bound > 0:
-            raise ValidationError(f"field 'norm_bound' must be positive, got {self.norm_bound}")
+        if not 0 < self.norm_bound < np.inf:
+            raise ValidationError(
+                f"field 'norm_bound' must be positive and finite, got {self.norm_bound}"
+            )
         if len(self.targets) != len(self.nodes):
             raise ValidationError("one target per node required")
         mats = tuple(np.atleast_2d(np.asarray(t, dtype=complex)) for t in self.targets)
@@ -51,10 +53,7 @@ class PickProblem:
 
     def tops(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Node tops L_i = I and R_i = W_i / nb of the problem as a factorization."""
-        # an overflow leaves a non-finite entry, which FeasibilityTarget rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            rhs = [t / self.norm_bound for t in self.targets]
-        return [np.eye(self.d_out)] * len(self.nodes), rhs
+        return [np.eye(self.d_out)] * len(self.nodes), [t / self.norm_bound for t in self.targets]
 
 
 def solve_pick(
@@ -68,9 +67,7 @@ def solve_pick(
     falsifier: the Schur product of the assembled target with it has a
     negative eigenvalue while staying grid-admissible.
     """
-    lhs, rhs = problem.tops()
-    report = solve(factor_target(problem.nodes, lhs, rhs), grid or AlphaGrid.solver_default(), opts)
-    return realize(report, problem.nodes, lhs, rhs)
+    return realize(solve(factor_target(problem), grid or AlphaGrid.solver_default(), opts), problem)
 
 
 def minimal_norm(
@@ -115,8 +112,7 @@ def minimal_norm_bracket(
     if top == 0.0:
         return 0.0, 0.0
     # validates the targets as a solve at norm bound top would
-    at_top = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=top)
-    factor_target(problem.nodes, *at_top.tops())
+    factor_target(PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=top))
     w = np.concatenate(problem.targets) / top  # first: W W* overflows above about 1e154
     g = hermitian_part(w @ w.conj().T)
     gap = width * max(1.0, top) / top  # the closing width, in units of top
@@ -124,6 +120,6 @@ def minimal_norm_bracket(
     hi = top * math.sqrt(t)
     witness = CPBlocks(grid=grid, blocks=blocks / t)
     at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
-    if not residual(factor_target(problem.nodes, *at_hi.tops()), witness) <= opts.tol:
+    if not residual(factor_target(at_hi), witness) <= opts.tol:
         raise NumericsError(f"the minimal-norm witness at {hi!r} does not re-verify")
     return min(top * lo, hi), hi

@@ -21,7 +21,10 @@ solve the identity exactly.
 
 Pick and corona problems are one factorization, L_i f(node_i) = R_i with f
 contractive and target J = L L* - R R* (Pick: L_i = I, R_i = W_i / nb; corona:
-L_i = Phi_i, R_i = Theta_i), served by one :func:`realize` step.  Rectangular
+L_i = Phi_i, R_i = Theta_i).  :func:`factor_target`, :func:`realize` and
+:func:`node_residual` each take the problem itself, anything with ``nodes``
+and ``tops()`` (the node tops L_i and R_i, which the problem's constructor
+has checked), and this module is the one that reads the tops.  Rectangular
 top data is zero-padded to a common width and sliced back when evaluating.
 
 Both problems return one :class:`Factorization`, whose ``interpolant`` is
@@ -99,34 +102,29 @@ class Colligation:
         return float(np.linalg.svd(v, compute_uv=False)[0])
 
 
-def _colligation(alphas, nodes, rows, atoms, lhs_tops, rhs_tops, gram_tol) -> Colligation:
+def _colligation(alphas, problem, rows, atoms, gram_tol) -> Colligation:
     """The unitary colligation of Gram factors G_m* G_m = B_m, one per alphas[m].
 
     G_m stacks the ``rows`` whose ``atoms`` entry is m, and ``atoms`` is
     ascending, so each kept alpha's rows are contiguous.
 
-    Node i's tops are ``lhs_tops[i]`` (d2 x dL) and ``rhs_tops[i]`` (d2 x dR).
-    The blocks solve J = sum C_m . B_m for J = L L* - R R* exactly when the
-    two vector families built here have equal Gram matrices; a relative
-    mismatch beyond ``gram_tol`` means the residual is too large for synthesis.
+    Node i's tops L_i (d2 x dL) and R_i (d2 x dR) are the problem's
+    ``tops()``.  The blocks solve J = sum C_m . B_m for J = L L* - R R*
+    exactly when the two vector families built here have equal Gram
+    matrices; a relative mismatch beyond ``gram_tol`` means the residual is
+    too large for synthesis.
     """
-    n = len(nodes)
-    if len(lhs_tops) != n or len(rhs_tops) != n:
-        raise ValidationError("one top block per node required on each side")
-    lhs = [np.atleast_2d(np.asarray(t, dtype=complex)) for t in lhs_tops]
-    rhs = [np.atleast_2d(np.asarray(t, dtype=complex)) for t in rhs_tops]
+    lhs, rhs = problem.tops()
     d2, d_l = lhs[0].shape
     d_r = rhs[0].shape[1]
-    if any(t.shape != (d2, d_l) for t in lhs) or any(t.shape != (d2, d_r) for t in rhs):
-        raise ValidationError("top blocks must share shapes (d2 x dL) and (d2 x dR)")
     dp = max(d_l, d_r)
 
-    vals = phi_values(alphas, nodes.s, nodes.p)  # (M, N)
+    vals = phi_values(alphas, problem.nodes.s, problem.nodes.p)  # (M, N)
     kept, mults = np.unique(atoms, return_counts=True)
     h = len(rows)
 
-    x = np.zeros((dp + h, n * d2), dtype=complex)
-    y = np.zeros((dp + h, n * d2), dtype=complex)
+    x = np.zeros((dp + h, len(lhs) * d2), dtype=complex)
+    y = np.zeros((dp + h, len(lhs) * d2), dtype=complex)
     x[0:d_l] = np.concatenate(lhs).conj().T  # L*, the node tops stacked
     y[0:d_r] = np.concatenate(rhs).conj().T
     x[dp:] = rows * np.repeat(vals[atoms].conj(), d2, axis=1)
@@ -238,13 +236,14 @@ def _walk(a, x):
     return x
 
 
-def factor_target(nodes: NodeSet, lhs_tops, rhs_tops) -> FeasibilityTarget:
-    """J = L L* - R R* in node-block form, L and R the node tops stacked."""
-    left, right = np.concatenate(lhs_tops), np.concatenate(rhs_tops)
+def factor_target(problem) -> FeasibilityTarget:
+    """J = L L* - R R* in node-block form, L and R the problem's node tops stacked."""
     # an overflow leaves a non-finite entry, which FeasibilityTarget rejects
     with np.errstate(over="ignore", invalid="ignore"):
+        lhs, rhs = problem.tops()
+        left, right = np.concatenate(lhs), np.concatenate(rhs)
         j = left @ left.conj().T - right @ right.conj().T
-    return FeasibilityTarget(nodes=nodes, matrix=j, block=lhs_tops[0].shape[0])
+    return FeasibilityTarget(nodes=problem.nodes, matrix=j, block=lhs[0].shape[0])
 
 
 @dataclass(frozen=True)
@@ -264,8 +263,8 @@ class Factorization:
         return self.report.status
 
 
-def realize(report: SolveReport, nodes: NodeSet, lhs_tops, rhs_tops) -> Factorization:
-    """The factorization a report decides: bare unless it is Feasible.
+def realize(report: SolveReport, problem) -> Factorization:
+    """The factorization a report on ``factor_target(problem)`` decides: bare unless Feasible.
 
     A Feasible report's colligation is built from its witness purified to a
     basic solution (_purified_factors), so its state dimension is at most
@@ -274,15 +273,16 @@ def realize(report: SolveReport, nodes: NodeSet, lhs_tops, rhs_tops) -> Factoriz
     if report.status is not SolveStatus.FEASIBLE:
         return Factorization(report)
     tol = max(1e-8, 10 * report.residual)
-    rows, atoms = _purified_factors(report.blocks, nodes)
-    col = _colligation(report.blocks.grid.alphas, nodes, rows, atoms, lhs_tops, rhs_tops, tol)
-    return Factorization(report, col, node_residual(col, nodes, lhs_tops, rhs_tops))
+    rows, atoms = _purified_factors(report.blocks, problem.nodes)
+    col = _colligation(report.blocks.grid.alphas, problem, rows, atoms, tol)
+    return Factorization(report, col, node_residual(col, problem))
 
 
-def node_residual(col: Colligation, nodes: NodeSet, lhs_tops, rhs_tops) -> float:
+def node_residual(col: Colligation, problem) -> float:
     """max_i |L_i f(node_i) - R_i|, entrywise, for the function f of ``col``."""
-    vals = transfer_eval_batch(col, nodes.s, nodes.p)
-    return max(float(np.abs(lt @ v - rt).max()) for lt, v, rt in zip(lhs_tops, vals, rhs_tops))
+    vals = transfer_eval_batch(col, problem.nodes.s, problem.nodes.p)
+    lhs, rhs = problem.tops()
+    return max(float(np.abs(lt @ v - rt).max()) for lt, v, rt in zip(lhs, vals, rhs))
 
 
 def transfer_eval_batch(col: Colligation, s: np.ndarray, p: np.ndarray) -> np.ndarray:

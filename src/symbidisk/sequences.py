@@ -153,8 +153,8 @@ def strong_separation(
     All Feasible means the truncation is strongly separated with constant at
     most ``bound``.  Decided as solve_pick decides, but nothing is synthesized.
     """
-    if not bound > 0:
-        raise ValidationError(f"field 'bound' must be positive, got {bound}")
+    if not 0 < bound < np.inf:
+        raise ValidationError(f"field 'bound' must be positive and finite, got {bound}")
     grid = grid or AlphaGrid.solver_default()
     out = []
     for i in range(trunc.n):
@@ -162,7 +162,7 @@ def strong_separation(
             np.array([[1.0 + 0.0j if j == i else 0.0 + 0.0j]]) for j in range(trunc.n)
         ]
         problem = PickProblem(nodes=trunc.nodes, targets=tuple(targets), norm_bound=bound)
-        out.append(solve(factor_target(trunc.nodes, *problem.tops()), grid, opts))
+        out.append(solve(factor_target(problem), grid, opts))
     return out
 
 

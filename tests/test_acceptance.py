@@ -156,7 +156,7 @@ def test_criterion_03_two_point_oracle_agreement():
             nodes=nodes, targets=tuple(np.array([[wi]]) for wi in w)
         )
         sol = solve_pick(problem, GRID)
-        _log_solve("c3", factor_target(problem.nodes, *problem.tops()), sol.report)
+        _log_solve("c3", factor_target(problem), sol.report)
         pick_matrix = (1.0 - np.outer(w, w.conj())) / (1.0 - np.outer(z, z.conj()))
         lam = np.linalg.eigvalsh((pick_matrix + pick_matrix.conj().T) / 2).min()
         if sol.status is SolveStatus.FEASIBLE:

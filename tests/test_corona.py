@@ -37,13 +37,13 @@ class TestAssemble:
     def test_constant_row_cancels(self, rng):
         nodes = random_nodes(rng, 3)
         prob = constant_row_problem(nodes, delta=1.0)
-        target = factor_target(nodes, *prob.tops())
+        target = factor_target(prob)
         assert np.abs(target.matrix).max() <= 1e-12
 
     def test_coordinate_row_rank_one(self, rng):
         nodes = random_nodes(rng, 3)
         prob = coordinate_and_constant_problem(nodes, 0.5)
-        target = factor_target(nodes, *prob.tops())
+        target = factor_target(prob)
         vals = np.array([phi(0.0, q) for q in nodes.points])
         expected = np.outer(vals, vals.conj()) / 2.0
         assert np.abs(target.matrix - expected).max() <= 1e-12
@@ -53,7 +53,7 @@ class TestAssemble:
     def test_oversized_delta_negative_diagonal(self, rng):
         nodes = random_nodes(rng, 2)
         prob = constant_row_problem(nodes, delta=1.5)
-        target = factor_target(prob.nodes, *prob.tops())
+        target = factor_target(prob)
         assert np.real(np.diag(target.matrix)).min() < 0
 
 
@@ -71,7 +71,7 @@ class TestAssemble:
                 expected[2 * i : 2 * i + 2, 2 * k : 2 * k + 2] = (
                     phis[i] @ phis[k].conj().T - thetas[i] @ thetas[k].conj().T
                 )
-        got = factor_target(problem.nodes, *problem.tops()).matrix
+        got = factor_target(problem).matrix
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
@@ -137,8 +137,8 @@ class TestSolveCorona:
         right = CoronaProblem(
             nodes=nodes, phi_samples=tuple(m @ w for m in base), delta=0.1
         )
-        t0 = factor_target(prob.nodes, *prob.tops())
-        t1 = factor_target(right.nodes, *right.tops())
+        t0 = factor_target(prob)
+        t1 = factor_target(right)
         assert np.abs(t0.matrix - t1.matrix).max() <= 1e-10
         # an output-side rotation conjugates each block, preserving spectra
         left = CoronaProblem(
@@ -147,7 +147,7 @@ class TestSolveCorona:
             delta=0.1,
             theta_samples=tuple(w @ t for t in prob.theta_samples),
         )
-        t2 = factor_target(left.nodes, *left.tops())
+        t2 = factor_target(left)
         lam0 = np.linalg.eigvalsh(t0.matrix)
         big_w = np.kron(np.eye(2), w)
         assert np.abs(big_w @ t0.matrix @ big_w.conj().T - t2.matrix).max() <= 1e-10
@@ -220,20 +220,28 @@ def test_decisions_at_the_exact_corona_threshold(variety, solver_grid):
             assert above.status is SolveStatus.INFEASIBLE_CERTIFIED, (n, draw)
             kernel = above.report.certificate
             assert admissibility_check(kernel, solver_grid, 1e-8), (n, draw)
-            target = factor_target(problem.nodes, *problem.tops()).matrix
+            target = factor_target(problem).matrix
             assert min_eigenvalue(target * kernel.matrix) < 0, (n, draw)
     assert time.process_time() - t0 < 2.0
 
 
 def test_validation_errors(rng):
+    # the constructor checks the node tops that realization reads
     nodes = random_nodes(rng, 2)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="one Phi sample per node"):
         CoronaProblem(nodes=nodes, phi_samples=(np.ones((1, 2)),), delta=0.5)
+    with pytest.raises(ValidationError, match="Phi samples must share a common shape"):
+        CoronaProblem(nodes, (np.ones((1, 2)), np.ones((1, 3))), delta=0.5)
     with pytest.raises(ValidationError):
         CoronaProblem(
             nodes=nodes,
             phi_samples=(np.ones((1, 2)), np.ones((1, 2))),
             delta=-1.0,
         )
+    phis = (np.ones((1, 2)),) * 2
     with pytest.raises(ValidationError, match="Theta samples"):  # once an IndexError
-        CoronaProblem(nodes, (np.ones((1, 2)),) * 2, delta=0.5, theta_samples=())
+        CoronaProblem(nodes, phis, delta=0.5, theta_samples=())
+    with pytest.raises(ValidationError, match="Theta samples must share a common shape"):
+        CoronaProblem(nodes, phis, delta=0.5, theta_samples=(np.ones((1, 1)), np.ones((1, 2))))
+    with pytest.raises(ValidationError, match="Theta output dimension"):
+        CoronaProblem(nodes, phis, delta=0.5, theta_samples=(np.ones((2, 1)),) * 2)

@@ -67,21 +67,21 @@ def disk_pick_feasible(zs, ws, bound=1.0):
 
 class TestAssemble:
     def test_zero_targets(self, diagonal_pair):
-        target = factor_target(diagonal_pair, *scalar_problem(diagonal_pair, [0.0, 0.0]).tops())
+        target = factor_target(scalar_problem(diagonal_pair, [0.0, 0.0]))
         assert np.allclose(target.matrix, np.ones((2, 2)))
 
     def test_unimodular_single(self):
         nodes = NodeSet.from_pairs([(0.0, 0.0)])
-        target = factor_target(nodes, *scalar_problem(nodes, [1.0]).tops())
+        target = factor_target(scalar_problem(nodes, [1.0]))
         assert np.allclose(target.matrix, [[0.0]])
 
     def test_frozen_arithmetic(self, diagonal_pair):
-        target = factor_target(diagonal_pair, *scalar_problem(diagonal_pair, [-0.5, 0.5]).tops())
+        target = factor_target(scalar_problem(diagonal_pair, [-0.5, 0.5]))
         assert np.allclose(target.matrix, [[0.75, 1.25], [1.25, 0.75]])
 
     def test_norm_bound_scaling(self, diagonal_pair):
         problem = scalar_problem(diagonal_pair, [-0.5, 0.5], bound=2.0)
-        t = factor_target(diagonal_pair, *problem.tops())
+        t = factor_target(problem)
         assert np.allclose(t.matrix, [[1 - 0.0625, 1 + 0.0625], [1 + 0.0625, 1 - 0.0625]])
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 3)])
@@ -97,7 +97,7 @@ class TestAssemble:
                 wk = ws[k] / 1.7
                 expected[i * d : (i + 1) * d, k * d : (k + 1) * d] = np.eye(d) - wi @ wk.conj().T
         # one matrix product sums the inner dimension in its own order
-        got = factor_target(problem.nodes, *problem.tops()).matrix
+        got = factor_target(problem).matrix
         assert np.abs(got - hermitian_part(expected)).max() <= 1e-14 * np.abs(expected).max()
         if shape == (1, 1):
             assert np.array_equal(got, hermitian_part(expected))
@@ -311,7 +311,7 @@ def test_decisions_at_the_exact_minimal_norm(variety, solver_grid):
         assert below.status is SolveStatus.INFEASIBLE_CERTIFIED, (n, draw)
         kernel = below.report.certificate
         assert admissibility_check(kernel, solver_grid, 1e-8), (n, draw)
-        target = factor_target(problem.nodes, *problem.tops())
+        target = factor_target(problem)
         assert min_eigenvalue(target.matrix * kernel.matrix) < 0, (n, draw)
     assert unknown <= UNKNOWN_BELOW_EXACT[variety], sorted(unknown)
 
@@ -417,15 +417,29 @@ def test_grid_rotation_and_conjugation_keep_the_answers(n, block, solver_grid):
         (lambda nodes: CoronaProblem(nodes, (np.ones((1, 2)),) * 2, delta=math.nan), "delta"),
         (lambda nodes: strong_separation(SequenceTruncation(nodes), math.nan), "bound"),
         (lambda nodes: AtomicMeasure((BGammaPoint(2.0, 1.0),), (math.nan,)), "weights"),
+        (lambda nodes: scalar_problem(nodes, [0.1, 0.2], bound=math.inf), "norm_bound"),
+        (lambda nodes: CoronaProblem(nodes, (np.ones((1, 2)),) * 2, delta=math.inf), "delta"),
+        (lambda nodes: strong_separation(SequenceTruncation(nodes), math.inf), "bound"),
+        (lambda nodes: AtomicMeasure((BGammaPoint(2.0, 1.0),), (math.inf,)), "weights"),
     ],
-    ids=["pick-target", "norm-bound", "corona-delta", "separation-bound", "measure-weight"],
+    ids=["pick-target", "norm-bound", "corona-delta", "separation-bound", "measure-weight",
+         "norm-bound-inf", "corona-delta-inf", "separation-bound-inf", "measure-weight-inf"],
 )
 def test_nan_input_is_refused_with_its_field(build, field):
     # NaN fails every comparison, so each check is written to pass only a
-    # positive value; a NaN once reached an SVD, or was refused as an overflow
+    # positive finite value; a NaN once reached an SVD, or was refused as an
+    # overflow, and an infinite bound, delta or weight passed as positive
     nodes = NodeSet.from_pairs([(0.1, 0.0), (-0.2, 0.05)])
     with pytest.raises(ValidationError, match=f"field '{field}'"):
         build(nodes)
+
+
+def test_targets_are_one_per_node_of_one_shape(diagonal_pair):
+    # the constructor checks the node tops that realization reads
+    with pytest.raises(ValidationError, match="one target per node"):
+        scalar_problem(diagonal_pair, [0.1])
+    with pytest.raises(ValidationError, match="common shape"):
+        PickProblem(diagonal_pair, (np.zeros((1, 1)), np.zeros((1, 2))))
 
 
 def certificate_bound(ee, ww, kernel, block):
@@ -456,7 +470,7 @@ def reference_bracket(problem, grid, opts, width=1e-4):
 
     def trial(c):
         scaled = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=c)
-        rep = solve(factor_target(scaled.nodes, *scaled.tops()), grid, opts)
+        rep = solve(factor_target(scaled), grid, opts)
         if rep.status is SolveStatus.FEASIBLE:
             return True, c
         if rep.status is SolveStatus.INFEASIBLE_CERTIFIED:
@@ -497,12 +511,12 @@ def assert_matches_reference(problem, grid, opts=SolveOptions(), width=1e-4):
     assert lo <= ref_hi + rounding and ref_lo <= hi + rounding
     assert 0.0 <= hi - lo <= width * max(1.0, top)
     at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
-    res = residual(factor_target(at_hi.nodes, *at_hi.tops()), witness)
+    res = residual(factor_target(at_hi), witness)
     assert res <= opts.tol
     report = SolveReport(
         status=SolveStatus.FEASIBLE, residual=res, iterations=0, wall_time=0.0, blocks=witness
     )
-    sol = realize(report, problem.nodes, *at_hi.tops())
+    sol = realize(report, at_hi)
     assert sol.node_residual <= 1e-7
     assert verify_contractivity(sol.interpolant, 2000) <= 1.0 + 1e-8
     return lo, hi
@@ -580,7 +594,7 @@ def test_conic_iterations_on_a_sandwich_item(monkeypatch, solver_grid):
     )
     sol = solve_pick(above, solver_grid, opts)
     assert sol.status is SolveStatus.FEASIBLE
-    assert residual(factor_target(above.nodes, *above.tops()), sol.report.blocks) <= 2 * opts.tol
+    assert residual(factor_target(above), sol.report.blocks) <= 2 * opts.tol
     assert sol.node_residual <= 1e-7
     assert verify_contractivity(sol.interpolant, 2000) <= 1.0 + 1e-8
 
@@ -723,7 +737,7 @@ def test_bracket_that_stalled_at_the_largest_sigma_closes(name, solver_grid):
     if name == "loop-file":  # its minimal norm is about 0.83361
         assert 0.5 * (lo + hi) == pytest.approx(0.8336077, abs=2e-4)
     at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
-    assert residual(factor_target(at_hi.nodes, *at_hi.tops()), witness) <= opts.tol
+    assert residual(factor_target(at_hi), witness) <= opts.tol
     # the check of bench/workloads.py::Sandwich._check
     above = PickProblem(
         nodes=problem.nodes, targets=problem.targets, norm_bound=hi + width * max(1.0, hi)
@@ -744,7 +758,7 @@ def test_planted_bracket_that_stalled_in_the_szego_repair_closes(n, seed, solver
     assert 0.0 <= hi - lo <= width * max(1.0, top)
     assert lo <= 0.95  # the targets are planted at 0.95
     at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
-    assert residual(factor_target(at_hi.nodes, *at_hi.tops()), witness) <= opts.tol
+    assert residual(factor_target(at_hi), witness) <= opts.tol
     # the check of bench/workloads.py::Sandwich._check, which semismooth
     # Newton could not pass here (it ended Unknown near the threshold)
     above = PickProblem(
@@ -783,7 +797,7 @@ def test_planted_target_with_no_safe_atom_is_decided(seed, solver_grid):
     sol = solve_pick(problem, solver_grid, opts)
     assert time.process_time() - t0 < 2.0
     assert sol.status is SolveStatus.FEASIBLE and sol.report.iterations > 0
-    assert residual(factor_target(problem.nodes, *problem.tops()), sol.report.blocks) <= opts.tol
+    assert residual(factor_target(problem), sol.report.blocks) <= opts.tol
     assert sol.node_residual <= 1e-7
 
 
@@ -799,7 +813,7 @@ def test_huge_diagonal_target_is_certified_at_once(top, diagonal_pair, solver_gr
     assert sol.status is SolveStatus.INFEASIBLE_CERTIFIED and sol.report.iterations == 0
     kern = sol.report.certificate
     assert admissibility_check(kern, solver_grid, tol=1e-8)
-    j = factor_target(problem.nodes, *problem.tops()).matrix
+    j = factor_target(problem).matrix
     assert min_eigenvalue(j * kern.matrix) <= -1e-8
     assert np.isfinite(sol.report.residual)
 
@@ -814,5 +828,5 @@ def test_stall_loop_file_is_decided(name, solver_grid):
     sol = solve_pick(problem, solver_grid, opts)
     assert time.process_time() - t0 < 0.2
     assert sol.status is SolveStatus.FEASIBLE
-    assert residual(factor_target(problem.nodes, *problem.tops()), sol.report.blocks) <= opts.tol
+    assert residual(factor_target(problem), sol.report.blocks) <= opts.tol
     assert sol.node_residual <= 1e-7

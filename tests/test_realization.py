@@ -130,13 +130,9 @@ class TestLurkingIsometry:
         nodes = random_nodes(rng, 2)
         bad = CPBlocks(grid=solver_grid, blocks=np.tile(np.eye(2), (len(solver_grid), 1, 1)))
         report = SolveReport(SolveStatus.FEASIBLE, 0.0, iterations=0, wall_time=0.0, blocks=bad)
+        problem = PickProblem(nodes=nodes, targets=(np.array([[0.3]]), np.array([[0.1]])))
         with pytest.raises(NumericsError, match="residual too large"):
-            realize(
-                report,
-                nodes,
-                [np.eye(1) for _ in range(2)],
-                [np.array([[0.3]]), np.array([[0.1]])],
-            )
+            realize(report, problem)
 
 
 def purified(blocks, nodes):
@@ -159,7 +155,7 @@ def planted_witness(rng, n, block, atoms):
 def loop_witness(name):
     """The target and Feasible witness of a loop-bound pick file of tests/conftest.py."""
     problem = loop_file_problem() if name == "loop" else stall_file_problem(name)
-    target = factor_target(problem.nodes, *problem.tops())
+    target = factor_target(problem)
     report = solve(target, AlphaGrid.solver_default())
     assert report.status.value == "Feasible"
     return target, report.blocks
@@ -213,12 +209,11 @@ class TestPurification:
         )
         sol = solve_pick(problem, solver_grid)
         assert sol.report.notes == ("single-atom witness",)
-        tops = ([np.eye(1)] * 3, list(problem.targets))
         blocks = sol.report.blocks
         factors = [gram_factor(b) for b in blocks.blocks]
         atoms = np.repeat(np.arange(len(factors)), [len(g) for g in factors])
         rows = np.concatenate(factors)
-        ref = _colligation(blocks.grid.alphas, problem.nodes, rows, atoms, *tops, 1e-8)
+        ref = _colligation(blocks.grid.alphas, problem, rows, atoms, 1e-8)
         col = sol.interpolant
         for name in ("a", "b", "c", "d", "alphas"):
             assert getattr(col, name).tobytes() == getattr(ref, name).tobytes()

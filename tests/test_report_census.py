@@ -1,12 +1,13 @@
 import os
 import sys
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
 
 import report_census  # noqa: E402
-from report_census import RAISED, Row  # noqa: E402
+from report_census import RAISED, Row, execute_problem, workloads  # noqa: E402
 
 SEEDS = range(100, 117)  # 17 seeds of 30 files, three of them loop-bound
 
@@ -118,3 +119,46 @@ def test_a_file_that_raises_is_a_row(monkeypatch):
     assert len(rows) == 30
     assert all(row[3:] == (RAISED, "ZeroDivisionError: division by zero", None, "failed", None)
                for row in rows)
+
+
+def transformed(problem, node, datum):
+    """The problem with each node (s, p) mapped by ``node`` and each complex datum by ``datum``."""
+
+    def cx(z):
+        return [z.real, z.imag]
+
+    def data(x):  # a [re, im] pair or a matrix object
+        if isinstance(x, list):
+            return cx(datum(complex(*x)))
+        return {**x, "entries": [cx(datum(complex(*e))) for e in x["entries"]]}
+
+    payload = dict(problem["payload"])
+    payload["nodes"] = [sum(map(cx, node(complex(*row[:2]), complex(*row[2:]))), [])
+                        for row in payload["nodes"]]
+    for key in ("targets", "phi_samples"):
+        if key in payload:
+            payload[key] = [data(x) for x in payload[key]]
+    return {**problem, "payload": payload}
+
+
+def test_rotation_and_conjugation_keep_the_verdicts_of_corpus_files():
+    # (s, p) -> (w s, w^2 p), w = e^{2 pi i / 8}, maps phi(alpha, .) to w phi(w alpha, .),
+    # and conjugating nodes and data maps it to conj(phi(conj(alpha), .)): both
+    # permute the solver grid's alphas, so each file keeps its answer
+    w = np.exp(2j * np.pi / 8)
+    transforms = [
+        (lambda s, p: (w * s, w * w * p), lambda z: z),
+        (lambda s, p: (s.conjugate(), p.conjugate()), lambda z: z.conjugate()),
+    ]
+
+    def verdict(problem):
+        report = execute_problem(problem)
+        return report.get("status") or report["strong_separation"]["statuses"]
+
+    files = [problem for problem, _ in workloads.CorpusFiles(100).files.values()
+             if problem["kind"] in ("pick", "corona", "sequence")]
+    assert len(files) == 18
+    for problem in files:
+        expected = verdict(problem)
+        for node, datum in transforms:
+            assert verdict(transformed(problem, node, datum)) == expected, problem
