@@ -280,12 +280,12 @@ def _solve_options(obj: Any) -> tuple[SolveOptions, int]:
     """(solver options, seed) of a problem's ``opts``, their only source; the defaults when None.
 
     The seed and max_iter must be integers >= 0 and tol a finite number >= 0;
-    SolveOptions itself checks max_iter, with the same message.  Only the
+    SolveOptions itself checks the values of tol and max_iter.  Only the
     sequence census reads the seed, and every report echoes it.
     """
     opts_obj = {} if obj is None else _fields(obj, "opts", "field 'opts'")
     seed = read_number(opts_obj.get("seed", 0), "seed", integral=True)
-    tol = _read_tol(opts_obj.get("tol", SolveOptions.tol))
+    tol = read_number(opts_obj.get("tol", SolveOptions.tol), "tol")
     max_iter = opts_obj.get("max_iter", SolveOptions.max_iter)
     max_iter = read_number(max_iter, "max_iter", integral=True)
     if seed < 0:
@@ -294,11 +294,8 @@ def _solve_options(obj: Any) -> tuple[SolveOptions, int]:
 
 
 def _read_tol(value) -> float:
-    """A ``tol`` field, of ``opts`` or of a payload: a finite number >= 0."""
-    tol = read_number(value, "tol")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValidationError(f"field 'tol' must be a finite number >= 0, got {tol!r}")
-    return tol
+    """A payload's ``tol`` field: a number that SolveOptions takes as its tol."""
+    return SolveOptions(tol=read_number(value, "tol")).tol
 
 
 def _execute(problem: Any, command: str | None = None) -> tuple[dict, str]:

@@ -29,7 +29,10 @@ exactly when t* <= 1; it stops at a witness or a certificate (solve):
   J . K = sum_m B_m . (C_m . K) to be PSD term by term, so a violating K and
   a witness cannot coexist on the same grid.  A dual point Z whose objective
   passes 1 has Re<J, Z> < 0, and once shifted by kernels.admissible_shift,
-  K = conj(Z) is such a kernel: the dual iterate is the certificate.
+  K = conj(Z) is such a kernel: the dual iterate is the certificate.  A
+  kernel may violate J before the objective passes 1, as the start's
+  identity does for any J with a negative diagonal entry, so solve tests
+  the kernel of every iterate.
 
 When neither appears (see solve), the honest terminal status is Unknown;
 the exact dichotomy holds only for the full alpha continuum, not the grid.
@@ -127,6 +130,8 @@ class SolveOptions:
     max_iter: int = 20000  # interior-point iterations
 
     def __post_init__(self):
+        if not (isinstance(self.tol, numbers.Real) and 0.0 <= self.tol < math.inf):
+            raise ValidationError(f"field 'tol' must be a finite number >= 0, got {self.tol!r}")
         if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
             raise ValidationError(f"field 'max_iter' must be an integer >= 0, got {self.max_iter}")
 
@@ -217,9 +222,11 @@ def solve(
     * Feasible once t <= 1 + tol / ||E|| and the blocks B_m, with
       (1 - t)+ (Sz_k (x) I) added at the atom whose Sz_k is best
       conditioned, have residual() <= tol.  They are the report's witness.
-    * InfeasibleCertified once the shifted dual iterate Z' (_Conic.shifted)
-      has -Re<J, Z'> > tol ||Z'|| and one of its compressions
-      (_compressions) is a grid-admissible kernel that violates J by tol.
+    * InfeasibleCertified once one compression (_compressions) of the
+      shifted dual iterate Z' (_Conic.shifted) is a kernel that violates J
+      by tol and is grid-admissible.  Every iterate's Z' is offered; each
+      compression's violation (one N x N eigensolve) is tested before its
+      admissibility (the masks and M eigensolves).
     * Unknown when, at two successive iterates with t <= 1 + tol / ||E||,
       the residual has not fallen.  A step multiplies the primal residual
       by 1 minus its length, so the residual has then reached its roundoff
@@ -232,7 +239,7 @@ def solve(
     t0 = time.perf_counter()
     nodes, n, d, j = target.nodes, len(target.nodes), target.block, target.matrix
     core = _Conic(nodes, grid, d)
-    slack = 1.0 + opts.tol / _norm(core.ee)
+    slack = 1.0 + opts.tol / np.linalg.norm(core.ee)
     best = int(np.argmax(core.lam_s[:, 0] / core.lam_s[:, -1]))
 
     def witness(t, b):
@@ -241,18 +248,14 @@ def solve(
         return out
 
     def certificate(z):
-        dual = core.shifted(z)
-        if -np.vdot(j, dual).real <= opts.tol * _norm(dual):
-            return None
-        for k in _compressions(dual, n, d):
+        for k in _compressions(core.shifted(z), n, d):
             try:
                 kern = KernelMatrix(nodes, grammian_normalize(KernelMatrix(nodes, k.conj())))
             except ValidationError:  # a vanishing diagonal: no kernel
                 continue
-            if admissibility_check(kern, grid, opts.tol):
-                cert = _violation(target, kern, opts)
-                if cert is not None:
-                    return cert
+            cert = _violation(target, kern, opts)
+            if cert is not None and admissibility_check(kern, grid, opts.tol):
+                return cert
         return None
 
     floor, cert = math.inf, None
@@ -278,11 +281,6 @@ def solve(
     if blocks is None:  # t > 1 + tol / ||E||: the loop left the residual at inf
         res = _residual(core.cexp, j, witness(t, b))
     return SolveReport(status, res, it, time.perf_counter() - t0, notes=notes, **fields)
-
-
-def _norm(a):
-    """Frobenius norm as sqrt(Re<a, a>), one BLAS call."""
-    return math.sqrt(np.vdot(a, a).real)
 
 
 def _compressions(dual, n, d):

@@ -105,8 +105,10 @@ def minimal_norm_bracket(
     at a norm bound c forces c^2 sum(E . K) >= sum(WW* . K), the sums
     running over all entries.  opts.max_iter caps the interior-point
     iterations; a bracket that has not closed within that budget raises
-    NumericsError.
+    NumericsError.  A width that is not positive and finite is refused.
     """
+    if not 0 < width < math.inf:
+        raise ValidationError(f"field 'width' must be positive and finite, got {width}")
     grid = grid or AlphaGrid.solver_default()
     top = max(float(np.linalg.norm(t, 2)) for t in problem.targets)
     if top == 0.0:

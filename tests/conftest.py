@@ -16,9 +16,10 @@ for _var in (
 import numpy as np
 import pytest
 
-from symbidisk import AlphaGrid, GPoint, KernelMatrix, NodeSet, PickProblem, pick
-from symbidisk.hermitian import hermitian_part
-from symbidisk.kernels import coefficient_masks, szego_pullbacks
+from symbidisk import AlphaGrid, FeasibilityTarget, GPoint, KernelMatrix, NodeSet, PickProblem, pick
+from symbidisk.geometry import phi_values
+from symbidisk.hermitian import hermitian_part, min_eigenvalue
+from symbidisk.kernels import coefficient_masks, random_admissible_kernel, szego_pullbacks
 
 
 @pytest.fixture
@@ -107,6 +108,49 @@ def pullback(alpha, nodes):
     """The Szego pullback kernel of phi(alpha, .) on the nodes, from a one-alpha grid."""
     grid = AlphaGrid(np.array([alpha]))
     return KernelMatrix(nodes, szego_pullbacks(coefficient_masks(grid, nodes))[0])
+
+
+def colligation_target(rng, nodes, grid, state_dim, scale, out_dim=1):
+    """Pick target I - scale^2 F F* of a random unitary colligation on grid atoms.
+
+    F is the transfer function A + B Z (I - D Z)^{-1} C at the nodes, whose
+    states sit on randomly drawn grid alphas; at scale <= 1 the target is
+    feasible by construction.
+    """
+    size = out_dim + state_dim
+    q = np.linalg.qr(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))[0]
+    a, b, c, d = q[:out_dim, :out_dim], q[:out_dim, out_dim:], q[out_dim:, :out_dim], q[out_dim:, out_dim:]
+    atoms = rng.integers(0, len(grid), size=state_dim)
+    zs = phi_values(grid.alphas[atoms], nodes.s, nodes.p).T
+    f = np.concatenate(
+        [a + (b * z) @ np.linalg.solve(np.eye(state_dim) - d * z, c) for z in zs]
+    )
+    n = len(nodes)
+    j = np.kron(np.ones((n, n)), np.eye(out_dim)) - scale**2 * (f @ f.conj().T)
+    return FeasibilityTarget(nodes=nodes, matrix=j, block=out_dim)
+
+
+def certificate_holds(target, grid, kernel, tol=1e-8):
+    """Grid admissibility and a violation of at least tol, re-checked with numpy."""
+    d = target.block
+    masks = coefficient_masks(grid, target.nodes)
+    admissible = min(min_eigenvalue(c * kernel) for c in masks) >= -tol
+    return admissible and min_eigenvalue(target.matrix * np.kron(kernel, np.ones((d, d)))) <= -tol
+
+
+def planted_infeasible(rng, nodes, grid, out_dim=1):
+    """A feasible colligation target pushed past a grid-admissible kernel K.
+
+    J = J0 - c (conj(K) - diag K) (x) 1 keeps the diagonal of J0 (so the
+    identity kernel cannot certify) while c makes sum J . (K (x) 1) < 0: K
+    then certifies infeasibility by construction.
+    """
+    base = colligation_target(rng, nodes, grid, 3, 0.9, out_dim)
+    k = random_admissible_kernel(nodes, grid, seed=int(rng.integers(1000))).matrix
+    off = k.conj() - np.diag(np.diag(k.conj()))
+    ones = np.ones((out_dim, out_dim))
+    c = 1.1 * np.sum(base.matrix * np.kron(k, ones)).real / (out_dim**2 * np.sum(np.abs(off) ** 2))
+    return FeasibilityTarget(nodes=nodes, matrix=base.matrix - c * np.kron(off, ones), block=out_dim)
 
 
 def witnessed_bracket(problem, grid, opts, width):

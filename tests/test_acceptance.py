@@ -47,6 +47,8 @@ from symbidisk.sequences import (
 )
 from symbidisk.serialize import report_hash
 
+from conftest import certificate_holds, planted_infeasible
+
 GRID = AlphaGrid.solver_default()
 
 # audit trail for the mutual-exclusion criterion: (label, target, report)
@@ -564,4 +566,26 @@ def test_criterion_12_determinism(tmp_path):
     _verdict(
         12, not mismatched, time.perf_counter() - t0, 120.0,
         f"{len(list(out1.iterdir()))} reports, mismatched {mismatched}",
+    )
+
+
+def test_criterion_13_planted_infeasible_certified_by_the_iterates():
+    # planted_infeasible keeps J's positive diagonal, which the identity kernel
+    # of the start Z = I / N cannot violate: an interior-point iterate's kernel
+    # has to certify each target, and numpy re-verifies it
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(113)
+    certified, iterated = 0, 0
+    for trial in range(60):
+        block = 1 + trial % 2
+        nodes = _distinct_nodes(rng, int(rng.integers(2, 11 if block == 1 else 6)))
+        target = planted_infeasible(rng, nodes, GRID, out_dim=block)
+        report = solve(target, GRID)
+        iterated += report.iterations >= 1
+        certified += report.status is SolveStatus.INFEASIBLE_CERTIFIED and certificate_holds(
+            target, GRID, report.certificate.matrix
+        )
+    _verdict(
+        13, certified == iterated == 60, time.perf_counter() - t0, 60.0,
+        f"certified {certified}/60, after interior-point iterations {iterated}/60",
     )

@@ -26,7 +26,6 @@ from symbidisk import (
 from symbidisk import feasibility
 from symbidisk.corona import CoronaProblem
 from symbidisk.feasibility import MAX_TARGET_DIM, _Conic, _HermitianBasis, _hkm_schur
-from symbidisk.geometry import phi_values
 from symbidisk.hermitian import hermitian_part, min_eigenvalue, min_eigenvalue_stack
 from symbidisk.kernels import (
     coefficient_masks,
@@ -37,8 +36,11 @@ from symbidisk.kernels import (
 from symbidisk.realization import factor_target
 
 from conftest import (
+    certificate_holds,
+    colligation_target,
     loop_file_problem,
     near_threshold_problem,
+    planted_infeasible,
     psd_project,
     random_nodes,
     witnessed_bracket,
@@ -59,38 +61,10 @@ def planted_target(rng, nodes, grid, block=1):
     return FeasibilityTarget(nodes=nodes, matrix=j, block=block), stack
 
 
-def colligation_target(rng, nodes, grid, state_dim, scale, out_dim=1):
-    """Pick target I - scale^2 F F* of a random unitary colligation on grid atoms.
-
-    F is the transfer function A + B Z (I - D Z)^{-1} C at the nodes, whose
-    states sit on randomly drawn grid alphas; at scale <= 1 the target is
-    feasible by construction.
-    """
-    size = out_dim + state_dim
-    q = np.linalg.qr(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))[0]
-    a, b, c, d = q[:out_dim, :out_dim], q[:out_dim, out_dim:], q[out_dim:, :out_dim], q[out_dim:, out_dim:]
-    atoms = rng.integers(0, len(grid), size=state_dim)
-    zs = phi_values(grid.alphas[atoms], nodes.s, nodes.p).T
-    f = np.concatenate(
-        [a + (b * z) @ np.linalg.solve(np.eye(state_dim) - d * z, c) for z in zs]
-    )
-    n = len(nodes)
-    j = np.kron(np.ones((n, n)), np.eye(out_dim)) - scale**2 * (f @ f.conj().T)
-    return FeasibilityTarget(nodes=nodes, matrix=j, block=out_dim)
-
-
 def needs_iteration(target, grid):
     """No J / C_m is PSD, so no single-atom witness exists."""
     cexp = expand_masks(coefficient_masks(grid, target.nodes), target.block)
     return all(min_eigenvalue(target.matrix / c) < -1e-6 for c in cexp)
-
-
-def certificate_holds(target, grid, kernel, tol=1e-8):
-    """Grid admissibility and a violation of at least tol, re-checked with numpy."""
-    d = target.block
-    masks = coefficient_masks(grid, target.nodes)
-    admissible = min(min_eigenvalue(c * kernel) for c in masks) >= -tol
-    return admissible and min_eigenvalue(target.matrix * np.kron(kernel, np.ones((d, d)))) <= -tol
 
 
 def cheap_kernel_certifies(target, grid, tol=1e-8):
@@ -110,21 +84,6 @@ def cheap_kernel_certifies(target, grid, tol=1e-8):
 def cheap_kernels_fail(target, grid, tol=1e-8):
     """Neither the identity nor any grid-admissible b-kernel certifies."""
     return cheap_kernel_certifies(target, grid, tol) is None
-
-
-def planted_infeasible(rng, nodes, grid, out_dim=1):
-    """A feasible colligation target pushed past a grid-admissible kernel K.
-
-    J = J0 - c (conj(K) - diag K) (x) 1 keeps the diagonal of J0 (so the
-    identity kernel cannot certify) while c makes sum J . (K (x) 1) < 0: K
-    then certifies infeasibility by construction.
-    """
-    base = colligation_target(rng, nodes, grid, 3, 0.9, out_dim)
-    k = random_admissible_kernel(nodes, grid, seed=int(rng.integers(1000))).matrix
-    off = k.conj() - np.diag(np.diag(k.conj()))
-    ones = np.ones((out_dim, out_dim))
-    c = 1.1 * np.sum(base.matrix * np.kron(k, ones)).real / (out_dim**2 * np.sum(np.abs(off) ** 2))
-    return FeasibilityTarget(nodes=nodes, matrix=base.matrix - c * np.kron(off, ones), block=out_dim)
 
 
 def dykstra_witness(target, grid, iters):
@@ -652,6 +611,15 @@ def test_budget_that_is_not_a_count_is_refused(max_iter):
     assert SolveOptions(max_iter=np.int64(2)).max_iter == 2
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+def test_tolerance_that_is_not_a_finite_number_at_least_zero_is_refused(tol):
+    # tol = inf once passed every residual, so a certified target came out
+    # Feasible at iteration 0; NaN and -1 passed none and ran to a stall
+    with pytest.raises(ValidationError, match=f"field 'tol' must be a finite number >= 0, got {tol!r}"):
+        SolveOptions(tol=tol)
+    assert SolveOptions(tol=0).tol == 0
+
+
 def loop_file_target(bound):
     problem = loop_file_problem()
     at = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=bound)
@@ -756,18 +724,18 @@ class TestSolveDecidesProbeCases:
         assert min_eigenvalue(prod) <= -1e-6
 
     def test_negative_diagonal_certified_by_identity(self, rng, solver_grid):
-        # the identity is the kernel of the dual start Z = I / N: it certifies
-        # there when tr J < 0; with tr J > 0 the first iterate's kernel does
+        # the identity is the kernel of the dual start Z = I / N, and it
+        # violates any J with a negative diagonal entry, whatever the sign
+        # of tr J
         nodes = random_nodes(rng, 2)
-        for diag, iterations in [([-1.0, 0.5], 0), ([1.0, -0.5], 1)]:
+        for diag in ([-1.0, 0.5], [1.0, -0.5]):
             target = FeasibilityTarget(nodes=nodes, matrix=np.diag(diag))
             report = solve(target, solver_grid)
             assert report.status is SolveStatus.INFEASIBLE_CERTIFIED
-            assert report.iterations == iterations
-            assert report.certificate_min_eig <= -1e-8
+            assert report.iterations == 0
+            assert report.certificate_min_eig == min(diag)
+            assert np.array_equal(report.certificate.matrix, np.eye(2))
             assert certificate_holds(target, solver_grid, report.certificate.matrix)
-            if iterations == 0:
-                assert np.array_equal(report.certificate.matrix, np.eye(2))
 
     @pytest.mark.parametrize("block", [1, 2])
     def test_interior_point_certifies_what_the_cheap_kernels_violate(self, block, solver_grid):

@@ -199,18 +199,27 @@ class TestMinimalNorm:
         assert minimal_norm(scalar_problem(diagonal_pair, [0.0, 0.0])) == 0.0
 
     def test_bracket_that_cannot_close_raises(self, diagonal_pair):
-        # a zero width is never met by a bracket that leaves any roundoff gap,
-        # so the solve must end once its iterate is no longer numerically
-        # interior and no step is left to take
+        # a width far below roundoff is never met, so the solve must end once
+        # its iterate is no longer numerically interior and no step is left
+        # to take
         problem = scalar_problem(diagonal_pair, [0.3, 0.6j])
         with pytest.raises(NumericsError, match="stalled at relative width"):
-            minimal_norm_bracket(problem, width=0.0)
+            minimal_norm_bracket(problem, width=1e-300)
 
-    def test_witness_that_does_not_re_verify_raises(self, diagonal_pair):
-        # no residual is <= a negative tolerance, so the witness at hi is refused
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
+    def test_width_that_is_not_positive_and_finite_is_refused(self, width, diagonal_pair):
+        # 0, -1 and NaN once ran the solve until it stalled at roundoff
+        problem = scalar_problem(diagonal_pair, [0.3, 0.6j])
+        for bracket in (minimal_norm_bracket, minimal_norm):
+            with pytest.raises(ValidationError, match=f"field 'width' must be positive and finite, got {width}"):
+                bracket(problem, width=width)
+
+    def test_witness_that_does_not_re_verify_raises(self, diagonal_pair, monkeypatch):
+        # a witness whose residual() is above tol is refused at hi
         problem = scalar_problem(diagonal_pair, [-0.5, 0.5])
+        monkeypatch.setattr(pick, "residual", lambda target, blocks: 2 * SolveOptions().tol)
         with pytest.raises(NumericsError, match="does not re-verify"):
-            minimal_norm_bracket(problem, opts=SolveOptions(tol=-1.0))
+            minimal_norm_bracket(problem)
 
 
 @settings(max_examples=6, deadline=None, derandomize=True)
