@@ -310,7 +310,11 @@ class _HermitianBasis:
     """A real orthonormal basis Q of the n x n Hermitian matrices, on row-major vec.
 
     Its n^2 elements are e_ii, and (e_ij + e_ji) / sqrt 2 and
-    i (e_ij - e_ji) / sqrt 2 for i < j; Q is unitary.
+    i (e_ij - e_ji) / sqrt 2 for i < j; Q is unitary.  ``coords`` and
+    ``hermitian`` are one gather and one real product each, every output
+    entry a single product, so on exactly Hermitian input they give the bits
+    of the sums they replace.  ``matrix`` keeps its gathers: a dense Q* H Q
+    took the step from 6.1 to 9.3 ms at n = 16, and 14-17 to 27-33 ms at 20.
     """
 
     root_half = math.sqrt(0.5)
@@ -318,11 +322,25 @@ class _HermitianBasis:
     def __init__(self, n):
         i, j = np.triu_indices(n, 1)
         self.n, self.diag, self.up, self.low = n, np.arange(n) * (n + 1), i * n + j, j * n + i
+        m, r, p = len(i), self.root_half, np.arange(len(i))
+        # coords: each one float of vec(h).view(float) (Re, Im interleaved), times 1 or 2r
+        self.picks = np.concatenate([2 * self.diag, 2 * self.up, 2 * self.up + 1])
+        self.scales = np.repeat([1.0, 2.0 * r, 2.0 * r], [n, m, m])
+        # hermitian: each float of vec(Q x) is one coordinate times 1, r, -r or 0 (Im h_ii)
+        src, wt = np.zeros(2 * n * n, dtype=np.intp), np.zeros(2 * n * n)
+        src[self.picks], wt[self.picks] = np.arange(n * n), np.repeat([1.0, r, r], [n, m, m])
+        src[2 * self.low], wt[2 * self.low] = n + p, r
+        src[2 * self.low + 1], wt[2 * self.low + 1] = n + m + p, -r
+        self.sources, self.weights = src, wt
 
     def rows(self, w):
         """Q* w, over the leading axis of w (real for a Hermitian vec w)."""
         up, low, r = w[self.up], w[self.low], self.root_half
         return np.concatenate([w[self.diag], r * (up + low), -1j * r * (up - low)])
+
+    def coords(self, h):
+        """The real coordinates Q* vec(h) of an exactly Hermitian matrix h."""
+        return self.scales * h.ravel().view(float)[self.picks]
 
     def matrix(self, v):
         """Re(Q* V Q): real symmetric, and positive definite when V is."""
@@ -330,12 +348,7 @@ class _HermitianBasis:
 
     def hermitian(self, x):
         """The Hermitian matrix Q x of real coordinates x, exactly Hermitian."""
-        n, k = self.n, len(self.up)
-        out = np.empty(n * n, dtype=complex)
-        out[self.diag] = x[:n]
-        out[self.up] = self.root_half * (x[n : n + k] + 1j * x[n + k :])
-        out[self.low] = out[self.up].conj()
-        return out.reshape(n, n)
+        return (self.weights * x[self.sources]).view(complex).reshape(self.n, self.n)
 
 
 @functools.cache
@@ -397,7 +410,8 @@ class _Conic:
         self.cexp = expand_masks(masks, block)
         self.u = np.repeat(vals, block, 1)
         self.cconj = self.cexp.conj()
-        self.szego = np.kron(szego_pullbacks(masks), np.eye(block))  # Sz_k (x) I
+        sz = szego_pullbacks(masks)
+        self.szego = np.kron(sz, np.eye(block)) if block > 1 else sz  # Sz_k (x) I
         self.lam_s, vec_s = np.linalg.eigh(self.szego)
         self.safe = np.flatnonzero(self.lam_s[:, 0] > _SZEGO_FLOOR * self.lam_s[:, -1])
         safe = self.safe
@@ -417,7 +431,7 @@ class _Conic:
     def kkt(self):
         """The Schur complement's array bordered by the t row, built at the first step."""
         kkt = np.zeros((self.dim**2 + 1,) * 2)
-        kkt[:-1, -1] = kkt[-1, :-1] = self.basis.rows(self.ee.ravel()).real
+        kkt[:-1, -1] = kkt[-1, :-1] = self.basis.coords(self.ee.astype(complex))
         return kkt
 
     def repair(self, g, t, b):
@@ -529,7 +543,7 @@ class _Conic:
 
             def direction(r):
                 """(dt, dz, ds) solving the bordered system for the primal right side r."""
-                rhs[:-1] = basis.rows(r.ravel()).real
+                rhs[:-1] = basis.coords(r)
                 sol = np.linalg.solve(kkt, rhs)
                 dz = basis.hermitian(sol[:-1])
                 return float(sol[-1]), dz, cconj * dz
@@ -558,8 +572,8 @@ class _Conic:
         return t + ap * dt, b + ap * db, z + ad * dz
 
 
-def _conic_minimum(nodes, grid, g, block, gap, opts):
-    """(lo, t, blocks) with lo <= sqrt(t*) <= sqrt(t) <= lo + gap, for the conic program
+def _conic_minimum(nodes, grid, g, block, width, floor, opts):
+    """(lo, t, blocks) with lo <= sqrt(t*) <= sqrt(t) <= lo + width max(floor, lo), for
 
         t* = min t  subject to  t E - G = sum_m C_m . B_m,  B_m PSD,
 
@@ -571,8 +585,8 @@ def _conic_minimum(nodes, grid, g, block, gap, opts):
     The iterate's t is no upper end (its primal identity holds only to
     roundoff, and only in the limit when an atom is not safe), nor its Z a
     rigorous lower one (S_m is PSD only to roundoff).  Once
-    |sqrt(t) - sqrt(Re<G, Z> / Re<E, Z>)| <= gap, both ends are taken from it,
-    and kept where they tighten:
+    |sqrt(t) - d| <= width max(floor, lo, d), d = sqrt(Re<G, Z> / Re<E, Z>),
+    both ends are taken from it, and kept where they tighten:
 
     * t: _Conic.repair of the iterate.
     * lo: Z' = Z + s I, s = max(0, -min_m lambda_min(conj(C_m) . Z)) / min C_m(i, i)
@@ -586,8 +600,8 @@ def _conic_minimum(nodes, grid, g, block, gap, opts):
     caller re-verifies the witness to it).  NumericsError when no atom's
     Sz_k is safely positive definite, so that no witness can be repaired; or
     when the path ends, after opts.max_iter steps or at a stall
-    (_Conic.step), and its last iterate leaves the bracket wider than gap.
-    The widths it names are those of sqrt(t), relative to the targets' scale.
+    (_Conic.step), and its last iterate leaves the bracket wider than
+    width max(floor, lo); the widths it names are those of sqrt(t).
     """
     core = _Conic(nodes, grid, block)
     if core.safe.size == 0:
@@ -615,16 +629,17 @@ def _conic_minimum(nodes, grid, g, block, gap, opts):
     for it, (t, b, z) in enumerate(core.path(g, opts.max_iter)):
         if it == 0:  # the start is the single-atom witness
             hi2, witness = t, b
-        if abs(math.sqrt(t) - dual_value(z)) <= gap:
+        if abs(math.sqrt(t) - (d := dual_value(z))) <= width * max(floor, lo, d):
             bracket(t, b, z)
-        if math.sqrt(hi2) - lo <= gap:
+        if math.sqrt(hi2) - lo <= width * max(floor, lo):
             return lo, hi2, witness
-    width = bracket(t, b, z)  # path ended: the last iterate may still close it
-    if width <= gap:
+    gap = bracket(t, b, z)  # path ended: the last iterate may still close it
+    bound = width * max(floor, lo)
+    if gap <= bound:
         return lo, hi2, witness
     if it == opts.max_iter:
         raise NumericsError(
             f"minimal-norm bracket not closed in {opts.max_iter} interior-point"
-            f" iterations: relative width {width:.3e} > {gap:.3e}"
+            f" iterations: relative width {gap:.3e} > {bound:.3e}"
         )
-    raise NumericsError(f"minimal-norm bracket stalled at relative width {width:.3e} > {gap:.3e}")
+    raise NumericsError(f"minimal-norm bracket stalled at relative width {gap:.3e} > {bound:.3e}")

@@ -92,7 +92,7 @@ def minimal_norm_bracket(
     opts: SolveOptions = SolveOptions(),
     width: float = 1e-4,
 ) -> tuple[float, float]:
-    """A bracket (lo, hi) of the grid minimal norm, hi - lo <= width * max(1, max ||W_i||).
+    """A bracket (lo, hi) of the grid minimal norm, hi - lo <= width * max(1, lo).
 
     With t = c^2, G = WW* and E = 1 (x) I, the squared grid minimal norm is
     the linear conic program t* = min t subject to t E - G = sum_m C_m . B_m,
@@ -103,22 +103,22 @@ def minimal_norm_bracket(
     opts.tol.  lo is max ||W_i||, forced by the diagonal, or the dual bound
     of the solve's iterate Z: K = conj(Z) is grid-admissible, and a witness
     at a norm bound c forces c^2 sum(E . K) >= sum(WW* . K), the sums
-    running over all entries.  opts.max_iter caps the interior-point
+    running over all entries.  In the solve's units, W / top, the width is
+    width max(1 / top, lo).  opts.max_iter caps the interior-point
     iterations; a bracket that has not closed within that budget raises
     NumericsError.  A width that is not positive and finite is refused.
     """
     if not 0 < width < math.inf:
         raise ValidationError(f"field 'width' must be positive and finite, got {width}")
     grid = grid or AlphaGrid.solver_default()
-    top = max(float(np.linalg.norm(t, 2)) for t in problem.targets)
+    top = float(np.linalg.svd(np.stack(problem.targets), compute_uv=False).max())
     if top == 0.0:
         return 0.0, 0.0
     # validates the targets as a solve at norm bound top would
     factor_target(PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=top))
     w = np.concatenate(problem.targets) / top  # first: W W* overflows above about 1e154
     g = hermitian_part(w @ w.conj().T)
-    gap = width * max(1.0, top) / top  # the closing width, in units of top
-    lo, t, blocks = _conic_minimum(problem.nodes, grid, g, problem.d_out, gap, opts)
+    lo, t, blocks = _conic_minimum(problem.nodes, grid, g, problem.d_out, width, 1.0 / top, opts)
     hi = top * math.sqrt(t)
     witness = CPBlocks(grid=grid, blocks=blocks / t)
     at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -316,11 +317,40 @@ class TestInteriorPointSystems:
             expected = np.einsum("mij,mij->ij", cexp, b @ (cexp.conj() * h) @ sinv)
             err = np.abs(schur @ h.ravel() - expected.ravel()).max()
             assert err <= 1e-12 * np.abs(expected).max()
-            x = basis.rows(h.ravel()).real
+            x = basis.coords(h)
             assert np.array_equal(basis.hermitian(x), basis.hermitian(x).conj().T)
             assert np.abs(basis.hermitian(x) - h).max() <= 1e-14 * np.abs(h).max()
             sym = hermitian_part(expected)
-            assert np.abs(real @ x - basis.rows(sym.ravel()).real).max() <= 1e-12 * np.abs(sym).max()
+            assert np.abs(real @ x - basis.coords(sym)).max() <= 1e-12 * np.abs(sym).max()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_basis_products_are_the_defining_elements(self, n):
+        # Q's elements e_ii, (e_ij + e_ji) / sqrt 2 and i (e_ij - e_ji) / sqrt 2,
+        # i < j, in the order of the coordinates; on an exactly Hermitian h
+        # the coordinates Re<Q_k, h> and the matrix sum_k x_k Q_k, entry by
+        # entry, are the bits of one product each
+        rng = np.random.default_rng(n)
+        basis, r = _HermitianBasis(n), math.sqrt(0.5)
+        pairs = list(zip(*np.triu_indices(n, 1)))
+        w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = w + w.conj().T
+        coords = np.array(
+            [h[i, i].real for i in range(n)]
+            + [r * (h[i, j].real + h[j, i].real) for i, j in pairs]
+            + [r * (h[i, j].imag - h[j, i].imag) for i, j in pairs]
+        )
+        assert np.array_equal(basis.coords(h), coords)
+        x = rng.standard_normal(n * n)
+        expected = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            expected[i, i] = x[i]
+        for k, (i, j) in enumerate(pairs):
+            a, b = x[n + k], x[n + len(pairs) + k]
+            expected[i, j], expected[j, i] = complex(r * a, r * b), complex(r * a, -r * b)
+        herm = basis.hermitian(x)
+        assert np.array_equal(herm, expected)
+        assert np.array_equal(herm, herm.conj().T)
+        assert np.abs(basis.hermitian(basis.coords(h)) - h).max() <= 1e-15 * np.abs(h).max()
 
     def test_interior_point_decides_planted_targets_up_to_n16(self, solver_grid):
         rng = np.random.default_rng(3)

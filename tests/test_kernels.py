@@ -113,6 +113,33 @@ class TestAdmissibilityCheck:
         )
         assert admissibility_check(one, solver_grid)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_verdict_turns_at_its_tolerance(self, seed, solver_grid):
+        # K - s I, K an admissible draw, with s bisected until
+        # min_m lambda_min(C_m . (K - s I)) sits at -10 tol, then at -tol / 2:
+        # the check refuses the first and accepts the second, so a bar looser
+        # than tol, such as -100 tol, fails here
+        tol = 1e-10
+        nodes = random_nodes(np.random.default_rng(seed), 3)
+        kern = random_admissible_kernel(nodes, solver_grid, seed=seed)
+        masks = coefficient_masks(solver_grid, nodes)
+
+        def low(s):
+            return float(min_eigenvalue_stack(masks * (kern.matrix - s * np.eye(3))).min())
+
+        def shifted_to(target):
+            # low is nonincreasing in s; a stays above target, b at or below it
+            a, b = 0.0, float(np.diag(kern.matrix).real.max()) + 1.0
+            for _ in range(100):
+                mid = 0.5 * (a + b)
+                a, b = (mid, b) if low(mid) > target else (a, mid)
+            assert low(b) == pytest.approx(target, rel=1e-2)
+            return KernelMatrix(nodes=nodes, matrix=kern.matrix - b * np.eye(3))
+
+        assert low(0.0) >= 0.0
+        assert not admissibility_check(shifted_to(-10 * tol), solver_grid, tol)
+        assert admissibility_check(shifted_to(-tol / 2), solver_grid, tol)
+
     def test_subgrid_monotonicity(self, rng, solver_grid):
         nodes = random_nodes(rng, 3)
         kern = random_admissible_kernel(nodes, solver_grid, seed=3)

@@ -38,6 +38,7 @@ from symbidisk.geometry import phi_values
 from symbidisk.hermitian import hermitian_part, min_eigenvalue
 from symbidisk.kernels import coefficient_masks, expand_masks
 from symbidisk.realization import factor_target, realize
+from symbidisk.sequences import phase_pattern_family
 
 from conftest import (
     STALL_FILES,
@@ -49,6 +50,7 @@ from conftest import (
     variety_nodes,
     witnessed_bracket,
 )
+from test_acceptance import _distinct_nodes
 
 
 def scalar_problem(nodes, ws, bound=1.0):
@@ -244,7 +246,7 @@ def assert_lo_is_sound(problem, width=1e-4):
     """
     lo, hi = minimal_norm_bracket(problem, width=width)
     top = max(float(np.linalg.norm(t, 2)) for t in problem.targets)
-    assert top <= lo <= hi <= lo + width * max(1.0, top)
+    assert top <= lo <= hi <= lo + width * max(1.0, lo)
     below = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=0.999 * lo)
     assert solve_pick(below).status is not SolveStatus.FEASIBLE
 
@@ -518,7 +520,7 @@ def assert_matches_reference(problem, grid, opts=SolveOptions(), width=1e-4):
     # both brackets close on the same floats where a problem closes exactly
     rounding = 1e-12 * max(1.0, top)
     assert lo <= ref_hi + rounding and ref_lo <= hi + rounding
-    assert 0.0 <= hi - lo <= width * max(1.0, top)
+    assert 0.0 <= hi - lo <= width * max(1.0, lo)
     at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
     res = residual(factor_target(at_hi), witness)
     assert res <= opts.tol
@@ -741,8 +743,7 @@ def test_bracket_that_stalled_at_the_largest_sigma_closes(name, solver_grid):
     opts, width = SolveOptions(max_iter=2000), 1e-4
     problem = STALLED_BRACKETS[name]()
     lo, hi, witness = witnessed_bracket(problem, solver_grid, opts, width)
-    top = max(float(np.linalg.norm(t, 2)) for t in problem.targets)
-    assert 0.0 <= hi - lo <= width * max(1.0, top)
+    assert 0.0 <= hi - lo <= width * max(1.0, lo)
     if name == "loop-file":  # its minimal norm is about 0.83361
         assert 0.5 * (lo + hi) == pytest.approx(0.8336077, abs=2e-4)
     at_hi = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=hi)
@@ -754,6 +755,32 @@ def test_bracket_that_stalled_at_the_largest_sigma_closes(name, solver_grid):
     sol = solve_pick(above, solver_grid, opts)
     assert sol.status is SolveStatus.FEASIBLE
     assert sol.node_residual <= 1e-7
+
+
+# Phase-pattern classes of the first n = 10 truncation drawn as criterion 10
+# draws its nodes, from default_rng(110 + n) (indices into the classes of
+# phase_pattern_family(10) whose first entry is 1).  Of 64 classes drawn by
+# default_rng(7).choice(512, 64, replace=False),
+# these 14 raised at max_iter 400 (one BLAS thread) under the absolute closing
+# width width * max(1, max |w_i|): each stalled 1.0e-4 to 1.2e-3 wide, at
+# minimal norms of 15 to 87.  At the relative width width * max(1, lo), all
+# 64 close.
+WIDE_CLASSES = (105, 126, 253, 257, 265, 279, 281, 339, 352, 383, 401, 420, 462, 486)
+
+
+def test_brackets_of_an_n10_truncation_close_at_the_relative_width(solver_grid):
+    opts, width = SolveOptions(max_iter=400), 1e-4
+    nodes = _distinct_nodes(np.random.default_rng(120), 10, rmax=0.75, min_sep=0.15)
+    family = phase_pattern_family(10)
+    classes = family[family[:, 0] == 1]
+    t0 = time.process_time()
+    for k in WIDE_CLASSES:
+        problem = scalar_problem(nodes, classes[k])
+        lo, hi, witness = witnessed_bracket(problem, solver_grid, opts, width)
+        assert 1.0 <= lo <= hi <= lo + width * max(1.0, lo)
+        at_hi = PickProblem(nodes=nodes, targets=problem.targets, norm_bound=hi)
+        assert residual(factor_target(at_hi), witness) <= opts.tol
+    assert time.process_time() - t0 < 3.0
 
 
 @pytest.mark.parametrize("n, seed", [(12, 3), (16, 1)])
