@@ -29,7 +29,9 @@ exactly when t* <= 1; it stops at a witness or a certificate (solve):
   J . K = sum_m B_m . (C_m . K) to be PSD term by term, so a violating K and
   a witness cannot coexist on the same grid.  A dual point Z whose objective
   passes 1 has Re<J, Z> < 0, and once shifted by kernels.admissible_shift,
-  K = conj(Z) is such a kernel: the dual iterate is the certificate.  A
+  K = conj(Z) is such a kernel: the dual iterate is the certificate.  For
+  block targets Z is N x N, and each iterate gives one n x n kernel: the
+  one compression of Z by the top eigenvector of each diagonal block.  A
   kernel may violate J before the objective passes 1, as the start's
   identity does for any J with a negative diagonal entry, so solve tests
   the kernel of every iterate.
@@ -222,11 +224,12 @@ def solve(
     * Feasible once t <= 1 + tol / ||E|| and the blocks B_m, with
       (1 - t)+ (Sz_k (x) I) added at the atom whose Sz_k is best
       conditioned, have residual() <= tol.  They are the report's witness.
-    * InfeasibleCertified once one compression (_compressions) of the
-      shifted dual iterate Z' (_Conic.shifted) is a kernel that violates J
-      by tol and is grid-admissible.  Every iterate's Z' is offered; each
-      compression's violation (one N x N eigensolve) is tested before its
-      admissibility (the masks and M eigensolves).
+    * InfeasibleCertified once the one compression (_compression) of the
+      shifted dual iterate Z' (_Conic.shifted), normalized to a unit
+      diagonal, is a kernel that violates J by tol and is grid-admissible.
+      Every iterate offers this one kernel; its violation (one N x N
+      eigensolve) is tested before its admissibility (the masks and M
+      eigensolves).
     * Unknown when, at two successive iterates with t <= 1 + tol / ||E||,
       the residual has not fallen.  A step multiplies the primal residual
       by 1 minus its length, so the residual has then reached its roundoff
@@ -248,15 +251,15 @@ def solve(
         return out
 
     def certificate(z):
-        for k in _compressions(core.shifted(z), n, d):
-            try:
-                kern = KernelMatrix(nodes, grammian_normalize(KernelMatrix(nodes, k.conj())))
-            except ValidationError:  # a vanishing diagonal: no kernel
-                continue
-            cert = _violation(target, kern, opts)
-            if cert is not None and admissibility_check(kern, grid, opts.tol):
-                return cert
-        return None
+        raw = KernelMatrix(nodes, _compression(core.shifted(z), n, d).conj())
+        try:
+            kern = KernelMatrix(nodes, grammian_normalize(raw))
+        except ValidationError:  # a vanishing diagonal: no kernel
+            return None
+        lam = min_eigenvalue(j * expand_masks(kern.matrix, d))
+        if lam > -opts.tol or not admissibility_check(kern, grid, opts.tol):
+            return None
+        return kern, lam
 
     floor, cert = math.inf, None
     for it, (t, b, z) in enumerate(core.path(core.ee - j, opts.max_iter)):
@@ -283,27 +286,19 @@ def solve(
     return SolveReport(status, res, it, time.perf_counter() - t0, notes=notes, **fields)
 
 
-def _compressions(dual, n, d):
-    """n x n compressions of an N x N dual by block-diagonal congruences.
+def _compression(dual, n, d):
+    """The one n x n compression of an N x N dual: its congruence by a unit vector per block.
 
-    The block trace and, when d > 1, the top eigenvector of each diagonal
-    block; both keep every conj(C_m) . dual PSD, because C_m is constant on
-    blocks.
+    Each vector is the top eigenvector of its diagonal block, so the kernel's
+    diagonal is the blocks' largest eigenvalues.  The congruence keeps every
+    conj(C_m) . dual PSD, because C_m is constant on blocks.  At d = 1 the
+    blocks are 1 x 1 and the dual is its own compression.
     """
+    if d == 1:
+        return dual
     blocks = dual.reshape(n, d, n, d)
-    out = [blocks.trace(axis1=1, axis2=3)]
-    if d > 1:
-        v = np.linalg.eigh(blocks[np.arange(n), :, np.arange(n), :])[1][:, :, -1]
-        out.append(np.einsum("ia,iajb,jb->ij", v.conj(), blocks, v))
-    return out
-
-
-def _violation(target, kern, opts) -> tuple[KernelMatrix, float] | None:
-    """(kern, lambda_min(J . (K (x) 1_block))) when the kernel violates the target by tol."""
-    lam = min_eigenvalue(target.matrix * expand_masks(kern.matrix, target.block))
-    if lam > -opts.tol:
-        return None
-    return kern, lam
+    v = np.linalg.eigh(blocks[np.arange(n), :, np.arange(n), :])[1][:, :, -1]
+    return np.einsum("ia,iajb,jb->ij", v.conj(), blocks, v)
 
 
 class _HermitianBasis:

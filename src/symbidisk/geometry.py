@@ -215,9 +215,11 @@ def caratheodory_two_point(
     and M(w) = (a1 conj(b2) - 2 b1) w^2 + (4 - conj(a2) a1) w + conj(a2) b1
     - 2 conj(b2) (the moduli of phi's denominators cancel).  There
     |N|^2 / |M|^2 = P / Q with P = N * w^2 conj(N(1 / conj(w))) and Q alike,
-    so the maximum sits at a unimodular root of P'Q - PQ' (degree <= 6), or
-    anywhere when it vanishes (royal and flat pairs): each root, pushed onto
-    the circle, and alpha = +-1, +-i are the candidates.
+    so the maximum sits at a unimodular root of P'Q - PQ' (degree <= 6):
+    each root, pushed onto the circle, is a candidate.  P'Q - PQ' vanishes
+    identically only where P / Q is constant (royal and flat pairs); then
+    every alpha is a maximum, and alpha = 1 is the one fallback, for when
+    np.roots finds no root.
     """
     sa, pa = _coords(a)
     sb, pb = _coords(b)
@@ -233,7 +235,7 @@ def caratheodory_two_point(
     roots = np.roots(np.polysub(np.polymul(np.polyder(big_p), big_q),
                                 np.polymul(big_p, np.polyder(big_q))))
     roots = roots[roots != 0]
-    w = np.concatenate([roots / np.abs(roots), [1.0, -1.0, 1j, -1j]])
+    w = np.append(roots / np.abs(roots), 1.0)
     return float(np.max(np.abs(np.polyval(n, w)) / np.abs(np.polyval(m, w))))
 
 

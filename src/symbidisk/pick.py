@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .feasibility import CPBlocks, SolveOptions, _conic_minimum, residual, solve
-from .hermitian import hermitian_part
+from .feasibility import CPBlocks, FeasibilityTarget, SolveOptions, _conic_minimum, residual, solve
 from .kernels import AlphaGrid, NodeSet
 from .realization import Factorization, factor_target, realize
 
@@ -114,10 +113,10 @@ def minimal_norm_bracket(
     top = float(np.linalg.svd(np.stack(problem.targets), compute_uv=False).max())
     if top == 0.0:
         return 0.0, 0.0
-    # validates the targets as a solve at norm bound top would
-    factor_target(PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=top))
-    w = np.concatenate(problem.targets) / top  # first: W W* overflows above about 1e154
-    g = hermitian_part(w @ w.conj().T)
+    # a top that overflows is refused as a norm bound
+    at_top = PickProblem(nodes=problem.nodes, targets=problem.targets, norm_bound=top)
+    w = np.concatenate(at_top.tops()[1])  # W / top first: W W* overflows above about 1e154
+    g = FeasibilityTarget(problem.nodes, w @ w.conj().T, problem.d_out).matrix
     lo, t, blocks = _conic_minimum(problem.nodes, grid, g, problem.d_out, width, 1.0 / top, opts)
     hi = top * math.sqrt(t)
     witness = CPBlocks(grid=grid, blocks=blocks / t)

@@ -254,7 +254,8 @@ class TestSolve:
         # vectors v_i: J = J0 - c (conj(K) - diag K) (x) 1 . V, V = [v_i v_j*],
         # and c makes sum J . (K (x) 1) . conj(V) < 0.  default_rng(602) draws
         # n = 2, block 2; 7 of the first 2000 seeds certify only through the
-        # top eigenvectors of the dual's diagonal blocks, this one among them.
+        # top eigenvectors of the dual's diagonal blocks, this one among them:
+        # the block trace of the certifying shifted dual violates nothing.
         rng = np.random.default_rng(602)
         n, d = int(rng.integers(2, 5)), int(rng.integers(2, 4))
         nodes = random_nodes(rng, n)
@@ -267,13 +268,20 @@ class TestSolve:
         tested = np.sum(base.matrix * np.kron(k, ones) * big_v.conj()).real
         c = 1.1 * tested / np.sum(np.abs(off) ** 2)
         target = FeasibilityTarget(nodes=nodes, matrix=base.matrix - c * off, block=d)
+        duals, compression = [], feasibility._compression
+
+        def recorded(dual, n, d):
+            duals.append(dual)
+            return compression(dual, n, d)
+
+        monkeypatch.setattr(feasibility, "_compression", recorded)
         report = solve(target, solver_grid)
         assert report.status is SolveStatus.INFEASIBLE_CERTIFIED
         assert certificate_holds(target, solver_grid, report.certificate.matrix)
-        both = feasibility._compressions
-        monkeypatch.setattr(feasibility, "_compressions", lambda dual, n, d: both(dual, n, d)[:1])
-        alone = solve(target, solver_grid)
-        assert (alone.status, alone.iterations) != (report.status, report.iterations)
+        assert len(duals) == report.iterations + 1
+        trace = duals[-1].reshape(n, d, n, d).trace(axis1=1, axis2=3).conj()
+        kern = grammian_normalize(KernelMatrix(nodes, trace))
+        assert min_eigenvalue(target.matrix * np.kron(kern, np.ones((d, d)))) > -1e-8
 
 
 class TestInteriorPointSystems:
@@ -574,46 +582,77 @@ def test_grammian_rescale_keeps_grid_admissibility(admissible, n, grid, rng):
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan])
-def test_certificate_loop_skips_a_compression_that_is_no_kernel(bad, monkeypatch, solver_grid):
-    # a compression whose diagonal vanishes or is NaN is skipped, and the
-    # next one certifies as it did alone
+def test_an_iterate_whose_compression_is_no_kernel_certifies_nothing(bad, monkeypatch, solver_grid):
+    # a compression whose diagonal vanishes or is NaN at the certifying
+    # iterate certifies nothing there, and the solve goes on to the same verdict
     w = np.array([0.0, 0.9])
     nodes = NodeSet.from_pairs([(1.0, 0.25), (-1.0, 0.25)])
     target = FeasibilityTarget(nodes=nodes, matrix=1.0 - np.outer(w, w.conj()))
     first = solve(target, solver_grid)
     assert first.status is SolveStatus.INFEASIBLE_CERTIFIED
-    compressions = feasibility._compressions
-    no_kernel = np.diag([1.0, bad]).astype(complex)
-    monkeypatch.setattr(
-        feasibility, "_compressions", lambda *a: [no_kernel, *compressions(*a)]
-    )
+    calls, compression = [], feasibility._compression
+
+    def no_kernel_once(dual, n, d):
+        calls.append(dual)
+        if len(calls) == first.iterations + 1:
+            return np.diag([1.0, bad]).astype(complex)
+        return compression(dual, n, d)
+
+    monkeypatch.setattr(feasibility, "_compression", no_kernel_once)
     again = solve(target, solver_grid)
     assert again.status is SolveStatus.INFEASIBLE_CERTIFIED
-    assert again.iterations == first.iterations
-    assert again.certificate.matrix.tobytes() == first.certificate.matrix.tobytes()
+    assert again.iterations > first.iterations
+    assert certificate_holds(target, solver_grid, again.certificate.matrix)
+
+
+def test_a_violating_kernel_that_is_not_grid_admissible_certifies_nothing(
+    monkeypatch, solver_grid
+):
+    # every iterate offers the all-ones kernel: J . 1 = J has a negative
+    # eigenvalue, but each mask C_m = 1 . C_m is indefinite, so the
+    # admissibility check refuses it at every iterate
+    w = np.array([0.0, 0.9])
+    nodes = NodeSet.from_pairs([(1.0, 0.25), (-1.0, 0.25)])
+    target = FeasibilityTarget(nodes=nodes, matrix=1.0 - np.outer(w, w.conj()))
+    ones = KernelMatrix(nodes, np.ones((2, 2)))
+    assert min_eigenvalue(target.matrix) < -1e-8
+    assert not admissibility_check(ones, solver_grid, 1e-8)
+    checked = []
+
+    def recorded(*args):
+        checked.append(admissibility_check(*args))
+        return checked[-1]
+
+    monkeypatch.setattr(feasibility, "_compression", lambda dual, n, d: ones.matrix)
+    monkeypatch.setattr(feasibility, "admissibility_check", recorded)
+    report = solve(target, solver_grid, SolveOptions(max_iter=5))
+    assert report.status is not SolveStatus.INFEASIBLE_CERTIFIED
+    assert report.certificate is None
+    assert len(checked) == report.iterations + 1 and not any(checked)
 
 
 @pytest.mark.parametrize("block", [2, 3])
-def test_violation_scales_each_target_block_by_one_kernel_entry(block, rng, solver_grid):
+def test_certificate_min_eig_scales_each_target_block_by_one_kernel_entry(block, solver_grid):
     # J . (K (x) 1_block), built block by block: block (a, b) of J times K_ab
     n = 3
+    rng = np.random.default_rng(block)
     nodes = random_nodes(rng, n)
-    kern = random_admissible_kernel(nodes, solver_grid, seed=7)
-    size = n * block
-    w = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-    target = FeasibilityTarget(nodes=nodes, matrix=w + w.conj().T, block=block)
+    target = planted_infeasible(rng, nodes, solver_grid, out_dim=block)
+    report = solve(target, solver_grid)
+    assert report.status is SolveStatus.INFEASIBLE_CERTIFIED
+    kern = report.certificate.matrix
     prod = np.empty_like(target.matrix)
     for a in range(n):
         for b in range(n):
             rows, cols = slice(a * block, (a + 1) * block), slice(b * block, (b + 1) * block)
-            prod[rows, cols] = target.matrix[rows, cols] * kern.matrix[a, b]
-    lam = min_eigenvalue(prod)
-    assert lam <= -1e-8
-    got = feasibility._violation(target, kern, SolveOptions())
-    assert got is not None and got[0] is kern and got[1] == lam
-    # a PSD target meets a PSD kernel in a PSD product (Schur): nothing to certify
+            prod[rows, cols] = target.matrix[rows, cols] * kern[a, b]
+    assert report.certificate_min_eig == min_eigenvalue(prod) <= -1e-8
+    # a PSD target meets the PSD compression of a PSD dual in a PSD product
+    # (Schur): nothing to certify
+    size = n * block
+    w = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
     psd = FeasibilityTarget(nodes=nodes, matrix=w @ w.conj().T, block=block)
-    assert feasibility._violation(psd, kern, SolveOptions()) is None
+    assert solve(psd, solver_grid).status is not SolveStatus.INFEASIBLE_CERTIFIED
 
 
 @pytest.mark.parametrize("max_iter", [0, 1, 2])
@@ -767,7 +806,7 @@ class TestSolveDecidesProbeCases:
             assert np.array_equal(report.certificate.matrix, np.eye(2))
             assert certificate_holds(target, solver_grid, report.certificate.matrix)
 
-    @pytest.mark.parametrize("block", [1, 2])
+    @pytest.mark.parametrize("block", [1, 2, 3])
     def test_interior_point_certifies_what_the_cheap_kernels_violate(self, block, solver_grid):
         # diagonal nodes share one mask, so their b-kernels are grid-admissible
         # and both kinds of kernel get to violate; on random nodes mostly the

@@ -216,6 +216,15 @@ class TestMinimalNorm:
             with pytest.raises(ValidationError, match=f"field 'width' must be positive and finite, got {width}"):
                 bracket(problem, width=width)
 
+    def test_targets_whose_top_overflows_are_refused_before_any_solve(self, monkeypatch):
+        # each target is finite, but its norm sqrt(2) 1.5e308 overflows to inf
+        nodes = NodeSet.from_pairs([(0.1, 0.0), (-0.2, 0.05)])
+        targets = (np.array([[1.5e308, 1.5e308]]), np.array([[1.5e308, -1.5e308]]))
+        problem = PickProblem(nodes, targets)
+        monkeypatch.setattr(pick, "_conic_minimum", lambda *a: pytest.fail("solved"))
+        with pytest.raises(ValidationError, match="field 'norm_bound' must be positive and finite, got inf"):
+            minimal_norm_bracket(problem)
+
     def test_witness_that_does_not_re_verify_raises(self, diagonal_pair, monkeypatch):
         # a witness whose residual() is above tol is refused at hi
         problem = scalar_problem(diagonal_pair, [-0.5, 0.5])
