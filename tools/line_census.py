@@ -82,9 +82,9 @@ def traced_run(args: list[str]) -> tuple[int, dict[str, set[int]]]:
     return int(code), ran
 
 
-def main(argv: list[str] | None = None) -> int:
+def main() -> int:
     os.chdir(ROOT)
-    code, ran = traced_run(list(sys.argv[1:] if argv is None else argv))
+    code, ran = traced_run(sys.argv[1:])
     missed = 0
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):
