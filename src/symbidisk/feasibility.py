@@ -17,8 +17,8 @@ Both questions this module answers are one linear conic program and its dual,
 E = 1 (x) I_block, solved by one primal-dual interior-point method: one
 sequence of iterates, _Conic.path, whose start and centering it describes.
 Pick minimal norms take G = W W* and stop once the iterates bracket t*
-(_conic_minimum).  Feasibility takes G = E - J, and J is grid-feasible
-exactly when t* <= 1; it stops at a witness or a certificate (solve):
+(_conic_minimum).  Feasibility takes G = E - J (J equilibrated), and J is
+grid-feasible exactly when t* <= 1; it stops at a witness or a certificate:
 
 * E = C_k . (Sz_k (x) I) at every atom k, Sz_k = 1 / C_k being the Szego
   kernel of phi(alpha_k, .), which is PSD.  So a primal point (t, B) with
@@ -86,15 +86,10 @@ from .kernels import (
 # no Szego-safe atom) are decided in 17 iterations, 0.28 CPU-s each.  Raising
 # the cap is an input contract change and waits for planted targets above 20.
 MAX_TARGET_DIM = 20
-# Largest modulus a target entry may have.  A report's residual() squares the
-# entries of its blocks' mismatch, which at the single-atom witness t_w is
-# (t_w - 1) E, and t_w reaches about 1e3 |J| at random nodes: that overflows
-# a double just above |J| = 1e150.  Measured with target moduli up to 1e160
-# (2-node, 6-node and 20-node Pick targets; 2-node corona targets with Phi or
-# delta scaled): at |J| <= 1e150 every Pick and scaled-delta corona target is
-# certified at iteration 0, and the feasible scaled-Phi corona targets end
-# Unknown at the residual's roundoff floor in 2-4 iterations (absolute tol);
-# at 1e151 and above some reports hold inf.
+# Largest modulus a target entry may have: where residual(), taken on J
+# itself, once overflowed.  On the equilibrated D J D, 6-node Pick and scaled
+# corona targets are decided at iteration 0 up to |J| = 1e300 with the cap
+# lifted; raising it waits for the CLI's audits to be measured there.
 MAX_TARGET_ENTRY = 1e150
 # The interior-point iterations take this fraction of the step to the PSD
 # boundary.
@@ -140,11 +135,17 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class FeasibilityTarget:
-    """Hermitian node-indexed target; block (i, j) must equal block (j, i)*."""
+    """Hermitian node-indexed target; block (i, j) must equal block (j, i)*.
+
+    ``equilibration``, D, scales each row by the power of two that takes a
+    diagonal entry of modulus >= 4 into [1, 4).  solve and residual() work on
+    D J D: its witnesses are D B_m D, and its certificates are J's.
+    """
 
     nodes: NodeSet
     matrix: np.ndarray
     block: int = 1
+    equilibration: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.block < 1:
@@ -168,6 +169,8 @@ class FeasibilityTarget:
         if np.abs(m - m.conj().T).max(initial=0.0) > 1e-10 * max(1.0, top):
             raise ValidationError("target is not self-adjoint")
         object.__setattr__(self, "matrix", hermitian_part(m))
+        size = np.maximum(1.0, np.abs(np.diag(self.matrix).real))
+        object.__setattr__(self, "equilibration", np.ldexp(1.0, -((np.frexp(size)[1] - 1) // 2)))
 
 
 @dataclass(frozen=True)
@@ -195,12 +198,13 @@ class SolveReport:
 
 
 def residual(target: FeasibilityTarget, blocks: CPBlocks) -> float:
-    """Frobenius mismatch of the affine identity plus total PSD violation."""
+    """Frobenius mismatch of the affine identity plus total PSD violation, on D J D."""
     masks = coefficient_masks(blocks.grid, target.nodes)
     cexp = expand_masks(masks, target.block)
     if blocks.blocks.shape != cexp.shape:
         raise ValidationError("blocks do not conform to target/grid shapes")
-    return _residual(cexp, target.matrix, blocks.blocks)
+    dd = np.outer(target.equilibration, target.equilibration)
+    return _residual(cexp, target.matrix * dd, blocks.blocks * dd)
 
 
 def _residual(cexp, j, stack):
@@ -217,32 +221,32 @@ def solve(
 ) -> SolveReport:
     """Decide grid feasibility of the target; see module docstring.
 
-    Runs _Conic.path on G = E - J.  Iteration 0 is its start, the best
+    Runs _Conic.path on G = E - D J D, D = target.equilibration, which
+    takes a node's scale out of J.  Iteration 0 is its start, the best
     single-atom witness with the dual Z = I / N, whose kernel is the
     identity.  Each iterate (t, B, Z) ends the solve:
 
-    * Feasible once t <= 1 + tol / ||E|| and the blocks B_m, with
-      (1 - t)+ (Sz_k (x) I) added at the atom whose Sz_k is best
-      conditioned, have residual() <= tol.  They are the report's witness.
+    * Feasible once the blocks B_m, with (1 - t)+ (Sz_k (x) I) added at the
+      atom whose Sz_k is best conditioned, have residual() <= tol on D J D.
+      Mapped back to D^-1 B_m D^-1, they are the report's witness.
     * InfeasibleCertified once the one compression (_compression) of the
       shifted dual iterate Z' (_Conic.shifted), normalized to a unit
-      diagonal, is a kernel that violates J by tol and is grid-admissible.
-      Every iterate offers this one kernel; its violation (one N x N
-      eigensolve) is tested before its admissibility (the masks and M
-      eigensolves).
-    * Unknown when, at two successive iterates with t <= 1 + tol / ||E||,
-      the residual has not fallen.  A step multiplies the primal residual
-      by 1 minus its length, so the residual has then reached its roundoff
-      floor, above tol.  Unknown also when the path ends: after opts.max_iter
-      steps ("budget spent"), or earlier, because a step stalled.
+      diagonal, is a kernel K that violates D J D by tol and is
+      grid-admissible.  As D <= 1, min eig(J . K) (the report's
+      certificate_min_eig) is no larger.  Every iterate offers this one
+      kernel; its violation (one N x N eigensolve) is tested before its
+      admissibility (the masks and M eigensolves).
+    * Unknown when the path ends without either: after opts.max_iter steps
+      ("budget spent"), or earlier, because a step stalled.
 
     The report's residual is residual() of the blocks at the last iterate.
     Deterministic given (target, grid, opts).
     """
     t0 = time.perf_counter()
-    nodes, n, d, j = target.nodes, len(target.nodes), target.block, target.matrix
+    nodes, n, d = target.nodes, len(target.nodes), target.block
+    dd = np.outer(target.equilibration, target.equilibration)
+    j = target.matrix * dd
     core = _Conic(nodes, grid, d)
-    slack = 1.0 + opts.tol / np.linalg.norm(core.ee)
     best = int(np.argmax(core.lam_s[:, 0] / core.lam_s[:, -1]))
 
     def witness(t, b):
@@ -259,30 +263,23 @@ def solve(
         lam = min_eigenvalue(j * expand_masks(kern.matrix, d))
         if lam > -opts.tol or not admissibility_check(kern, grid, opts.tol):
             return None
-        return kern, lam
+        return kern
 
-    floor, cert = math.inf, None
     for it, (t, b, z) in enumerate(core.path(core.ee - j, opts.max_iter)):
-        blocks = witness(t, b) if t <= slack else None
-        res = math.inf if blocks is None else _residual(core.cexp, j, blocks)
-        at_floor = floor <= res < math.inf
-        if res <= opts.tol or (cert := certificate(z)) is not None or at_floor:
+        res = _residual(core.cexp, j, blocks := witness(t, b))
+        if res <= opts.tol or (cert := certificate(z)) is not None:
             break
-        floor = res if it else math.inf  # the start moved the iterate: nothing to compare yet
     status, fields = SolveStatus.UNKNOWN, {}
     if res <= opts.tol:
-        status, fields = SolveStatus.FEASIBLE, {"blocks": CPBlocks(grid, blocks)}
+        status, fields = SolveStatus.FEASIBLE, {"blocks": CPBlocks(grid, blocks / dd)}
         notes = ("single-atom witness",) if it == 0 else ()
     elif cert is not None:
         status = SolveStatus.INFEASIBLE_CERTIFIED
-        fields = {"certificate": cert[0], "certificate_min_eig": cert[1]}
+        lam = min_eigenvalue(target.matrix * expand_masks(cert.matrix, d))
+        fields = {"certificate": cert, "certificate_min_eig": lam}
         notes = (f"certified by the dual iterate at iteration {it}",)
-    elif at_floor:
-        notes = (f"residual at its roundoff floor at iteration {it}",)
     else:
         notes = ("budget spent" if it == opts.max_iter else f"stalled at iteration {it}",)
-    if blocks is None:  # t > 1 + tol / ||E||: the loop left the residual at inf
-        res = _residual(core.cexp, j, witness(t, b))
     return SolveReport(status, res, it, time.perf_counter() - t0, notes=notes, **fields)
 
 
@@ -595,8 +592,8 @@ def _conic_minimum(nodes, grid, g, block, width, floor, opts):
     caller re-verifies the witness to it).  NumericsError when no atom's
     Sz_k is safely positive definite, so that no witness can be repaired; or
     when the path ends, after opts.max_iter steps or at a stall
-    (_Conic.step), and its last iterate leaves the bracket wider than
-    width max(floor, lo); the widths it names are those of sqrt(t).
+    (_Conic.step), with the bracket still wider than width max(floor, lo);
+    the widths it names are those of sqrt(t).
     """
     core = _Conic(nodes, grid, block)
     if core.safe.size == 0:
@@ -613,13 +610,12 @@ def _conic_minimum(nodes, grid, g, block, width, floor, opts):
     lo = 1.0  # forced by the diagonal blocks
 
     def bracket(t, b, z):
-        """Both ends from the iterate (t, b, z), kept where they tighten; the width."""
+        """Both ends from the iterate (t, b, z), kept where they tighten."""
         nonlocal lo, hi2, witness
         cand, blocks = core.repair(g, t, b)
         if cand < hi2:
             hi2, witness = cand, blocks
         lo = max(lo, dual_value(core.shifted(z)))
-        return math.sqrt(hi2) - lo
 
     for it, (t, b, z) in enumerate(core.path(g, opts.max_iter)):
         if it == 0:  # the start is the single-atom witness
@@ -628,10 +624,7 @@ def _conic_minimum(nodes, grid, g, block, width, floor, opts):
             bracket(t, b, z)
         if math.sqrt(hi2) - lo <= width * max(floor, lo):
             return lo, hi2, witness
-    gap = bracket(t, b, z)  # path ended: the last iterate may still close it
-    bound = width * max(floor, lo)
-    if gap <= bound:
-        return lo, hi2, witness
+    gap, bound = math.sqrt(hi2) - lo, width * max(floor, lo)
     if it == opts.max_iter:
         raise NumericsError(
             f"minimal-norm bracket not closed in {opts.max_iter} interior-point"

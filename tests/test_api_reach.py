@@ -102,12 +102,47 @@ def dataclass_fields() -> set[str]:
     return names
 
 
-def _reaching_nodes():
-    """Every AST node of the package, the bench, the tools and the acceptance suite."""
+def _reaching_trees():
+    """The parsed files of the package, the bench, the tools and the acceptance suite."""
     files = [*_modules(), *(ROOT / "bench").glob("*.py"), *(ROOT / "tools").glob("*.py"),
              ROOT / "tests" / "test_acceptance.py"]
-    for path in files:
-        yield from ast.walk(ast.parse(path.read_text()))
+    return [ast.parse(path.read_text()) for path in files]
+
+
+def _reaching_nodes():
+    """Every AST node of the package, the bench, the tools and the acceptance suite."""
+    for tree in _reaching_trees():
+        yield from ast.walk(tree)
+
+
+def _outside_roots(tree) -> set[str]:
+    """The names ``tree`` binds by importing a module from outside the repo.
+
+    The repo's own modules are the package and the files of the bench, the
+    tools and the tests (``conftest``, ``workloads``, ``run`` and the like).
+    """
+    local = {"symbidisk", *(p.stem for d in ("bench", "tools", "tests") for p in (ROOT / d).glob("*.py"))}
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(
+                (alias.asname or alias.name).split(".")[0]
+                for alias in node.names
+                if alias.name.split(".")[0] not in local
+            )
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] not in local:
+                roots.update(alias.asname or alias.name for alias in node.names)
+    return roots
+
+
+def _chain_root(func):
+    """The name an attribute chain ``a.b.c`` starts from; None for any other callee."""
+    if not isinstance(func, ast.Attribute):
+        return None
+    while isinstance(func, ast.Attribute):
+        func = func.value
+    return getattr(func, "id", None)
 
 
 def referenced_names() -> set[str]:
@@ -124,11 +159,17 @@ def passed_arguments() -> set[tuple[str, str | int]]:
     """(callee name, keyword or position) of every argument of every call.
 
     A ``*args`` splat is recorded as position ``"*"`` and a ``**kwargs`` one
-    as keyword ``"**"``: either may pass any parameter.
+    as keyword ``"**"``: either may pass any parameter.  A call through a
+    module from outside the repo (``np.linalg.solve(a, b)``,
+    ``pytest.main(args)``) passes nothing to the package's function of the
+    same name, and is skipped.
     """
     passed = set()
-    for node in _reaching_nodes():
-        if isinstance(node, ast.Call):
+    for tree in _reaching_trees():
+        outside = _outside_roots(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or _chain_root(node.func) in outside:
+                continue
             callee = getattr(node.func, "id", getattr(node.func, "attr", None))
             for i, arg in enumerate(node.args):
                 passed.add((callee, "*" if isinstance(arg, ast.Starred) else i))

@@ -153,6 +153,21 @@ class TestSolveCorona:
         assert np.abs(big_w @ t0.matrix @ big_w.conj().T - t2.matrix).max() <= 1e-10
         assert np.abs(np.linalg.eigvalsh(t2.matrix) - lam0).max() <= 1e-10
 
+    # all 9 atoms Szego-safe at n = 6, none at n = 18 (the sigma I start)
+    @pytest.mark.parametrize("n", [6, 18])
+    def test_scaling_phi_and_theta_changes_nothing(self, n, solver_grid):
+        # the corona condition is homogeneous: Phi -> s Phi and delta -> s^2
+        # delta keep the verdict and Psi, so the solve decides on J's scale
+        rng = np.random.default_rng(7)
+        nodes = random_nodes(rng, n, rmax=0.8)
+        x = 0.3 * rng.uniform(-1.0, 1.0, n)
+        for s in (1.0, 1e5, 1e20, 1e74):
+            phis = tuple(s * np.array([[xi, 0.7]]) for xi in x)
+            sol = solve_corona(CoronaProblem(nodes, phis, delta=0.3 * s**2), solver_grid)
+            assert sol.status is SolveStatus.FEASIBLE, s
+            assert sol.interpolant.norm <= 1.0 + 1e-12
+            assert sol.node_residual <= 1e-12 * s
+
 
 class TestVerifyLeftInverse:
     """The left-inverse audit that solve_corona records on its solution."""

@@ -9,6 +9,7 @@ import pytest
 
 from symbidisk import (
     Colligation,
+    CoronaProblem,
     NodeSet,
     NumericsError,
     PickProblem,
@@ -131,6 +132,28 @@ class TestLurkingIsometry:
         bad = CPBlocks(grid=solver_grid, blocks=np.tile(np.eye(2), (len(solver_grid), 1, 1)))
         report = SolveReport(SolveStatus.FEASIBLE, 0.0, iterations=0, wall_time=0.0, blocks=bad)
         problem = PickProblem(nodes=nodes, targets=(np.array([[0.3]]), np.array([[0.1]])))
+        with pytest.raises(NumericsError, match="residual too large"):
+            realize(report, problem)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e20])
+    def test_gram_tolerance_is_on_the_target_scale(self, scale, solver_grid):
+        # residual() is relative to each node's scale, so a witness scaled
+        # with its target keeps a residual near tol; one block shifted by
+        # 1e-6 s^2 I is then a Gram mismatch of about 1e-6 relative, past
+        # 10 residual at every scale, which an absolute residual (about 1e31
+        # at s = 1e20) would let through
+        nodes = random_nodes(np.random.default_rng(0), 3, rmax=0.8)
+        phis = tuple(np.array([[x, 0.7]]) for x in (0.2, -0.1, 0.25))
+        rep = solve(factor_target(CoronaProblem(nodes, phis, delta=0.3)), solver_grid)
+        assert rep.status is SolveStatus.FEASIBLE
+        problem = CoronaProblem(nodes, tuple(scale * m for m in phis), delta=0.3 * scale**2)
+        blocks = scale**2 * rep.blocks.blocks
+        res = residual(factor_target(problem), CPBlocks(solver_grid, blocks))
+        assert res <= 1e-7
+        blocks[0] += 1e-6 * scale**2 * np.eye(blocks.shape[1])
+        report = SolveReport(
+            SolveStatus.FEASIBLE, res, rep.iterations, 0.0, blocks=CPBlocks(solver_grid, blocks)
+        )
         with pytest.raises(NumericsError, match="residual too large"):
             realize(report, problem)
 

@@ -75,7 +75,7 @@ def traced_run(args: list[str]) -> tuple[int, dict[str, set[int]]]:
     threading.settrace(trace_calls)
     sys.settrace(trace_calls)
     try:
-        code = pytest.main(args=args)  # by keyword: not a call that passes cli.main its argv
+        code = pytest.main(args)
     finally:
         sys.settrace(None)
         threading.settrace(None)
