@@ -139,7 +139,9 @@ class FeasibilityTarget:
 
     ``equilibration``, D, scales each row by the power of two that takes a
     diagonal entry of modulus >= 4 into [1, 4).  solve and residual() work on
-    D J D: its witnesses are D B_m D, and its certificates are J's.
+    D J D: its witnesses are D B_m D, and its certificates are J's.  So
+    self-adjointness is tested on D J D too, where a small node's block is
+    not hidden beside a large one's.
     """
 
     nodes: NodeSet
@@ -166,11 +168,12 @@ class FeasibilityTarget:
                 f"target has an entry of modulus {top:.3g}, more than the"
                 f" {MAX_TARGET_ENTRY:g} at which the solve's norms stay finite"
             )
-        if np.abs(m - m.conj().T).max(initial=0.0) > 1e-10 * max(1.0, top):
+        size = np.maximum(1.0, np.abs(np.diag(m).real))
+        object.__setattr__(self, "equilibration", np.ldexp(1.0, -((np.frexp(size)[1] - 1) // 2)))
+        dj = m * np.outer(self.equilibration, self.equilibration)
+        if np.abs(dj - dj.conj().T).max() > 1e-10 * max(1.0, np.abs(dj).max()):
             raise ValidationError("target is not self-adjoint")
         object.__setattr__(self, "matrix", hermitian_part(m))
-        size = np.maximum(1.0, np.abs(np.diag(self.matrix).real))
-        object.__setattr__(self, "equilibration", np.ldexp(1.0, -((np.frexp(size)[1] - 1) // 2)))
 
 
 @dataclass(frozen=True)
@@ -249,11 +252,6 @@ def solve(
     core = _Conic(nodes, grid, d)
     best = int(np.argmax(core.lam_s[:, 0] / core.lam_s[:, -1]))
 
-    def witness(t, b):
-        out = b.copy()
-        out[best] += max(0.0, 1.0 - t) * core.szego[best]
-        return out
-
     def certificate(z):
         raw = KernelMatrix(nodes, _compression(core.shifted(z), n, d).conj())
         try:
@@ -266,7 +264,9 @@ def solve(
         return kern
 
     for it, (t, b, z) in enumerate(core.path(core.ee - j, opts.max_iter)):
-        res = _residual(core.cexp, j, blocks := witness(t, b))
+        blocks = b.copy()
+        blocks[best] += max(0.0, 1.0 - t) * core.szego[best]
+        res = _residual(core.cexp, j, blocks)
         if res <= opts.tol or (cert := certificate(z)) is not None:
             break
     status, fields = SolveStatus.UNKNOWN, {}
@@ -365,22 +365,6 @@ def _hkm_schur(rows, cols, b, sinv):
     return (p.T @ q).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
-def _interior_start(t_w, witness, szego, safe):
-    """(t, B): the witness of t_w E - G moved strictly inside the PSD cone.
-
-    ``szego`` holds Sz_m (x) I = E / C_m for every atom m, and ``safe`` the
-    atoms where it is safely positive definite.  B_m gains
-    eps (Sz_m (x) I), eps = _START_SZEGO t_w, at the safe atoms, and
-    C_m . (Sz_m (x) I) = E, so t = t_w + |safe| eps keeps
-    t E - G = sum_m C_m . B_m to roundoff.  The other atoms gain
-    _START_SHIFT t_w I, which leaves a residual of their diagonal masks.
-    """
-    eps = _START_SZEGO * t_w
-    b = witness + _START_SHIFT * t_w * np.eye(witness.shape[1])
-    b[safe] = witness[safe] + eps * szego[safe]
-    return t_w + len(safe) * eps, b
-
-
 class _Conic:
     """min t subject to t E - G = sum_m C_m . B_m, B_m PSD, and its dual; set up once.
 
@@ -461,13 +445,14 @@ class _Conic:
         and every S_m is diagonal and positive.  Its primal point is the best
         single-atom witness (t_w, W), repair from B = 0 at t = 1: W_k is PSD,
         but singular, and every other W_m is 0.  Before the first step it is
-        moved strictly inside the cone along the Szego kernels at the safe
-        atoms (_interior_start), so no iteration is spent restoring the
-        primal identity; the atoms where Sz_m is not safe get
-        _START_SHIFT t_w I instead, and leave a residual.  With no Szego-safe
-        atom there is no witness, and the start is B_m = sigma I at every
-        atom, t = sigma (1 + M), sigma = max(1, max |G|), whose primal
-        residual the steps remove.
+        moved strictly inside the cone: B_m gains eps (Sz_m (x) I),
+        eps = _START_SZEGO t_w, at the safe atoms, and t gains |safe| eps, so
+        no iteration is spent restoring the primal identity; the atoms where
+        Sz_m is not safe get _START_SHIFT t_w I instead, and leave a residual
+        of their diagonal masks.  With no Szego-safe atom there is no
+        witness, and the start is B_m = sigma I at every atom,
+        t = sigma (1 + M), sigma = max(1, max |G|), whose primal residual the
+        steps remove.
 
         Every later iterate is one step.  The iterates end after max_iter
         steps, or earlier when a step stalls; a consumer that reads them all
@@ -486,8 +471,11 @@ class _Conic:
             sigma = max(1.0, float(np.abs(g).max()))
             t, b = sigma * (1 + len(self.cexp)), sigma * np.ones_like(self.cexp) * np.eye(self.dim)
         yield t, b, z
-        if self.safe.size:
-            t, b = _interior_start(t, b, self.szego, self.safe)
+        if self.safe.size:  # C_m . (Sz_m (x) I) = E, so the safe atoms keep the primal identity
+            eps, safe = _START_SZEGO * t, self.safe
+            start = b + _START_SHIFT * t * np.eye(self.dim)
+            start[safe] = b[safe] + eps * self.szego[safe]
+            t, b = t + len(safe) * eps, start
         for _ in range(max_iter):
             if (nxt := self.step(g, t, b, z)) is None:
                 return
@@ -508,22 +496,24 @@ class _Conic:
         the Hermitian matrices (_HermitianBasis); bordered by the t row, the
         system is solved by LU.  A Newton step keeps a linear identity that
         already holds, and a full primal step restores one that does not.
-        The predictor has K_m = 0.  Its longest steps to the PSD boundary
-        give the complementarity nu_aff they would reach, from
-        nu = sum_m Re<B_m, S_m> / (M N), and the corrector has
+        One computation gives each direction: it solves that system for a
+        right side, writes [dB; dS] into one stacked buffer, and reads the
+        steps to the PSD boundary along dB and dS off one stacked eigvalsh,
+        whitened by one Cholesky factorization of the stacked [B; S].  The
+        predictor is that computation at K_m = 0.  Its longest steps give the
+        complementarity nu_aff they would reach, from
+        nu = sum_m Re<B_m, S_m> / (M N), and the corrector is it at
         K_m = sym((sigma nu I - dB_m dS_m) S_m^-1), sigma = (nu_aff / nu)^3,
         or sigma = 1 while t < 1 (see path); dB and dS are the predictor's.  The
         primal (t, B) and the dual Z then each take _STEP_FRACTION of the
-        corrector's step to the PSD boundary, at most 1.  Each step to the
-        boundary is one stacked eigvalsh, whitened by one Cholesky
-        factorization of the stacked [B; S].
+        corrector's step to the PSD boundary, at most 1.
 
         None when the iterate is no longer numerically interior (a
         factorization fails) or neither step reaches _MIN_STEP.
         """
         cexp, cconj, basis, kkt = self.cexp, self.cconj, self.basis, self.kkt
         m, size = len(cexp), len(cexp) * self.dim
-        rhs = np.empty(len(kkt))
+        rhs, dbs = np.empty(len(kkt)), np.empty((2 * m, self.dim, self.dim), dtype=complex)
         try:
             s = cconj * z
             linv = np.linalg.inv(np.linalg.cholesky(np.concatenate([b, s])))
@@ -533,35 +523,28 @@ class _Conic:
             kkt[:-1, :-1] = basis.matrix(_hkm_schur(*self.factors, b, sinv))
             rhs[-1] = 1.0 - float(np.vdot(self.ee, z).real)
 
-            def direction(r):
-                """(dt, dz, ds) solving the bordered system for the primal right side r."""
+            def direction(r, k, fraction):
+                """(dt, dz, ap, ad) for the right side r and K = k, with [dB; dS] written to dbs."""
                 rhs[:-1] = basis.coords(r)
                 sol = np.linalg.solve(kkt, rhs)
                 dz = basis.hermitian(sol[:-1])
-                return float(sol[-1]), dz, cconj * dz
-
-            def steps(db, ds, fraction):
-                """min(1, fraction times the step to the PSD boundary) along db and along ds."""
-                d = np.concatenate([db, ds])
-                lam = np.linalg.eigvalsh(linv @ d @ linv_h)[:, 0]
-                lows = (-float(lam[:m].min()), -float(lam[m:].min()))
-                return tuple(1.0 if low <= fraction else fraction / low for low in lows)
+                np.multiply(cconj, dz, out=dbs[m:])
+                np.subtract(k, b, out=dbs[:m])
+                dbs[:m] -= hermitian_part(b @ dbs[m:] @ sinv)
+                lows = np.linalg.eigvalsh(linv @ dbs @ linv_h)[:, 0].reshape(2, m).min(1).tolist()
+                return float(sol[-1]), dz, *(1.0 if x >= -fraction else -fraction / x for x in lows)
 
             base = g - t * self.ee
-            _, _, ds_a = direction(base)
-            db_a = -b - hermitian_part(b @ ds_a @ sinv)
-            ap, ad = steps(db_a, ds_a, 1.0)
-            nu_aff = float(np.vdot(b + ap * db_a, s + ad * ds_a).real) / size
+            _, _, ap, ad = direction(base, 0.0, 1.0)
+            nu_aff = float(np.vdot(b + ap * dbs[:m], s + ad * dbs[m:]).real) / size
             sigma = 1.0 if t < 1.0 else (nu_aff / nu) ** 3
-            k = hermitian_part(sigma * nu * sinv - db_a @ ds_a @ sinv)
-            dt, dz, ds = direction(base + np.einsum("mij,mij->ij", cexp, k))
-            db = k - b - hermitian_part(b @ ds @ sinv)
-            ap, ad = steps(db, ds, _STEP_FRACTION)
+            k = hermitian_part(sigma * nu * sinv - dbs[:m] @ dbs[m:] @ sinv)
+            dt, dz, ap, ad = direction(base + np.einsum("mij,mij->ij", cexp, k), k, _STEP_FRACTION)
         except np.linalg.LinAlgError:
             return None
         if max(ap, ad) < _MIN_STEP:
             return None
-        return t + ap * dt, b + ap * db, z + ad * dz
+        return t + ap * dt, b + ap * dbs[:m], z + ad * dz
 
 
 def _conic_minimum(nodes, grid, g, block, width, floor, opts):
@@ -608,20 +591,14 @@ def _conic_minimum(nodes, grid, g, block, width, floor, opts):
         return math.sqrt(max(0.0, float(np.vdot(g, z).real)) / ez) if ez > 0.0 else 0.0
 
     lo = 1.0  # forced by the diagonal blocks
-
-    def bracket(t, b, z):
-        """Both ends from the iterate (t, b, z), kept where they tighten."""
-        nonlocal lo, hi2, witness
-        cand, blocks = core.repair(g, t, b)
-        if cand < hi2:
-            hi2, witness = cand, blocks
-        lo = max(lo, dual_value(core.shifted(z)))
-
     for it, (t, b, z) in enumerate(core.path(g, opts.max_iter)):
         if it == 0:  # the start is the single-atom witness
             hi2, witness = t, b
         if abs(math.sqrt(t) - (d := dual_value(z))) <= width * max(floor, lo, d):
-            bracket(t, b, z)
+            cand, blocks = core.repair(g, t, b)  # both ends, kept where they tighten
+            if cand < hi2:
+                hi2, witness = cand, blocks
+            lo = max(lo, dual_value(core.shifted(z)))
         if math.sqrt(hi2) - lo <= width * max(floor, lo):
             return lo, hi2, witness
     gap, bound = math.sqrt(hi2) - lo, width * max(floor, lo)

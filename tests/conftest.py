@@ -131,11 +131,16 @@ def colligation_target(rng, nodes, grid, state_dim, scale, out_dim=1):
 
 
 def certificate_holds(target, grid, kernel, tol=1e-8):
-    """Grid admissibility and a violation of at least tol, re-checked with numpy."""
+    """Grid admissibility and a violation of at least tol, re-checked with numpy.
+
+    The violation is taken on D J D, D = target.equilibration, as solve takes
+    it: on J itself a roundoff-level violation of a large target passes tol.
+    """
     d = target.block
+    dj = target.matrix * np.outer(target.equilibration, target.equilibration)
     masks = coefficient_masks(grid, target.nodes)
     admissible = min(min_eigenvalue(c * kernel) for c in masks) >= -tol
-    return admissible and min_eigenvalue(target.matrix * np.kron(kernel, np.ones((d, d)))) <= -tol
+    return admissible and min_eigenvalue(dj * np.kron(kernel, np.ones((d, d)))) <= -tol
 
 
 def planted_infeasible(rng, nodes, grid, out_dim=1):

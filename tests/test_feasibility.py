@@ -786,6 +786,33 @@ def test_a_small_infeasible_node_beside_a_large_one_is_certified(solver_grid):
     assert certificate_holds(target, solver_grid, rep.certificate.matrix)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e40])
+def test_a_non_hermitian_block_beside_a_large_node_is_refused(scale):
+    # self-adjointness is tested on D J D: beside node 1 at 1e40, node 2's
+    # block once passed a test on J's largest entry and was symmetrized
+    nodes = NodeSet.from_pairs([(0.3, 0.02), (-0.2 + 0.1j, 0.01)])
+    j = np.zeros((4, 4), dtype=complex)
+    j[:2, :2] = scale * np.array([[1.0, 0.1], [0.1, 1.0]])
+    j[2:, 2:] = [[0.5, 0.3], [-0.3, 0.5]]
+    with pytest.raises(ValidationError, match="not self-adjoint"):
+        FeasibilityTarget(nodes=nodes, matrix=j, block=2)
+
+
+@pytest.mark.parametrize(
+    "s, rho, holds", [(1e20, 1e-14, False), (1.0, 1e-6, True), (1e20, 1e-6, True)]
+)
+def test_certificate_helper_takes_the_violation_on_the_equilibrated_target(
+    s, rho, holds, diagonal_pair, solver_grid
+):
+    # J . K = s^2 [[1, 1 + rho], [1 + rho, 1]] has lambda_min = -s^2 rho: -1e26
+    # at s = 1e20 and rho = 1e-14, but on D J D a roundoff-level -rho to -4 rho
+    k = grammian_normalize(random_admissible_kernel(diagonal_pair, solver_grid, seed=3))
+    b = (1.0 + rho) / k[0, 1]
+    target = FeasibilityTarget(diagonal_pair, s**2 * np.array([[1.0, b], [np.conj(b), 1.0]]))
+    assert min_eigenvalue(target.matrix * k) < -s**2 * rho / 2
+    assert certificate_holds(target, solver_grid, k) is holds
+
+
 class TestResidual:
     def test_exact_witness(self, rng, solver_grid):
         nodes = random_nodes(rng, 3)

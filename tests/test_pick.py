@@ -623,19 +623,36 @@ def test_conic_start_is_primal_feasible_on_a_sandwich_item(monkeypatch, solver_g
     # E = C_m . Sz_m at every atom, so moving the single-atom witness inside
     # the cone along the Szego kernels keeps t E - G = sum_m C_m . B_m
     starts = []
-    start = feasibility._interior_start
-    monkeypatch.setattr(
-        feasibility, "_interior_start", lambda *a: starts.append(start(*a)) or starts[-1]
-    )
+    step = feasibility._Conic.step
+
+    def recording(core, g, t, b, z):
+        starts.append((t, b))
+        return step(core, g, t, b, z)
+
+    monkeypatch.setattr(feasibility._Conic, "step", recording)
     problem = sandwich_item()
     minimal_norm_bracket(problem, solver_grid, SolveOptions(max_iter=1000))
-    ((t, b),) = starts
+    t, b = starts[0]  # the first step starts from the moved witness
     top = max(float(np.linalg.norm(w, 2)) for w in problem.targets)
     w = np.concatenate(problem.targets) / top
     cexp = coefficient_masks(solver_grid, problem.nodes)
     r = t * np.ones((3, 3)) - w @ w.conj().T - np.einsum("mij,mij->ij", cexp, b)
     assert np.linalg.norm(r) <= 1e-12 * t
     assert np.linalg.eigvalsh(b)[:, 0].min() > 0.0  # every B_m positive definite
+
+
+def test_a_dual_bound_past_hi_closes_the_bracket_at_hi(monkeypatch, solver_grid):
+    # the bracket's lo is min(top lo, hi): a dual bound that lands past the
+    # witness's end cannot turn the bracket over
+    conic = pick._conic_minimum
+
+    def past(*args):
+        _, t, blocks = conic(*args)
+        return math.sqrt(t) * (1 + 1e-3), t, blocks
+
+    monkeypatch.setattr(pick, "_conic_minimum", past)
+    lo, hi = minimal_norm_bracket(sandwich_item(), solver_grid, SolveOptions(max_iter=1000))
+    assert lo == hi
 
 
 # Two sandwich items (minimal norms about 24.048 and 15.942, t* about 580 and

@@ -10,8 +10,11 @@ bench's ``Sandwich._check``.  An item whose bracket raises is ``failed``, as
 in the bench.  It prints every item that raises or does not check ``ok``
 (bench seed, item, verdict, what the bracket ended with, interior-point
 iterations), then the number of items, the verdict counts, the total, median,
-99th percentile and largest iterations per item, and the total of
-eigensolves (stacked ``eigvalsh`` calls while the bracket runs).  A 35-item
+99th percentile and largest iterations per item, the total of eigensolves
+(stacked ``eigvalsh`` calls while the bracket runs), and a digest of every
+bracket's bits: the first 16 hex digits of the sha256 of one line per item,
+``lo.hex() hi.hex()`` of a closed bracket and empty for a raising one.  Two
+trees whose brackets are bit for bit the same print the same digest.  A 35-item
 bench run seldom meets a bracket that spends its whole budget; a census over
 many seeds does.  It exits 1 when a check finds a wrong value.
 """
@@ -19,6 +22,7 @@ many seeds does.  It exits 1 when a check finds a wrong value.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import os
 import sys
@@ -48,10 +52,12 @@ def _counted(calls: Counter, key: str, fn, stacked=False):
 
 
 def census(seed: int):
-    """One row per item of a bench seed: (seed, item, verdict, ended, iterations, eigensolves).
+    """One row per item of a bench seed.
 
+    A row is (seed, item, verdict, ended, iterations, eigensolves, bits).
     ``ended`` is ``closed`` or the name of the exception the bracket raised;
     iterations and eigensolves are those of the bracket, not of the check.
+    ``bits`` is ``lo.hex() hi.hex()`` of a closed bracket, empty otherwise.
     """
     count = run.item_count("sandwich", RUN_SECONDS)
     wl = run.make_workload("sandwich", seed, count, workdir=None)  # writes no files
@@ -65,11 +71,11 @@ def census(seed: int):
         ):
             try:
                 lo, hi = minimal_norm_bracket(problem, workloads.GRID, wl.opts, wl.width)
-                ended = "closed"
+                ended, bits = "closed", f"{lo.hex()} {hi.hex()}"
             except Exception as exc:  # a raising item is a failed item, as in the bench
-                ended = type(exc).__name__
+                ended, bits = type(exc).__name__, ""
         verdict = wl._check(k, 0.5 * (lo + hi)) if ended == "closed" else "failed"
-        rows.append((seed, k, verdict, ended, calls["iterations"], calls["eigensolves"]))
+        rows.append((seed, k, verdict, ended, calls["iterations"], calls["eigensolves"], bits))
     return rows
 
 
@@ -84,18 +90,20 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs=2, required=True, metavar=("A", "B"))
     args = parser.parse_args(argv)
     first, last = args.seeds
-    verdicts, iterations, eigensolves = Counter(), [], 0
+    verdicts, iterations, eigensolves, bits = Counter(), [], 0, hashlib.sha256()
     for seed in range(first, last + 1):
         for row in census(seed):
             verdicts[row[2]] += 1
             iterations.append(row[4])
             eigensolves += row[5]
+            bits.update(f"{row[6]}\n".encode())
             if row[2] != "ok":
                 print("seed {} item {}: {} ({}, {} iterations)".format(*row), flush=True)
     print(f"seeds {first}-{last}: {len(iterations)} items, "
           + ", ".join(f"{v} {verdicts[v]}" for v in ("ok", "failed", "wrong"))
           + f", {sum(iterations)} interior-point iterations (p50 {_rank(iterations, 0.5)},"
-          + f" p99 {_rank(iterations, 0.99)}, max {max(iterations)}), {eigensolves} eigensolves")
+          + f" p99 {_rank(iterations, 0.99)}, max {max(iterations)}), {eigensolves} eigensolves,"
+          + f" brackets {bits.hexdigest()[:16]}")
     return 1 if verdicts["wrong"] else 0
 
 
