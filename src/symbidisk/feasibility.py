@@ -56,6 +56,7 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 from .geometry import phi_values
 from .hermitian import (
+    hermitian_basis,
     hermitian_part,
     min_eigenvalue,
     min_eigenvalue_stack,
@@ -298,57 +299,6 @@ def _compression(dual, n, d):
     return np.einsum("ia,iajb,jb->ij", v.conj(), blocks, v)
 
 
-class _HermitianBasis:
-    """A real orthonormal basis Q of the n x n Hermitian matrices, on row-major vec.
-
-    Its n^2 elements are e_ii, and (e_ij + e_ji) / sqrt 2 and
-    i (e_ij - e_ji) / sqrt 2 for i < j; Q is unitary.  ``coords`` and
-    ``hermitian`` are one gather and one real product each, every output
-    entry a single product, so on exactly Hermitian input they give the bits
-    of the sums they replace.  ``matrix`` keeps its gathers: a dense Q* H Q
-    took the step from 6.1 to 9.3 ms at n = 16, and 14-17 to 27-33 ms at 20.
-    """
-
-    root_half = math.sqrt(0.5)
-
-    def __init__(self, n):
-        i, j = np.triu_indices(n, 1)
-        self.n, self.diag, self.up, self.low = n, np.arange(n) * (n + 1), i * n + j, j * n + i
-        m, r, p = len(i), self.root_half, np.arange(len(i))
-        # coords: each one float of vec(h).view(float) (Re, Im interleaved), times 1 or 2r
-        self.picks = np.concatenate([2 * self.diag, 2 * self.up, 2 * self.up + 1])
-        self.scales = np.repeat([1.0, 2.0 * r, 2.0 * r], [n, m, m])
-        # hermitian: each float of vec(Q x) is one coordinate times 1, r, -r or 0 (Im h_ii)
-        src, wt = np.zeros(2 * n * n, dtype=np.intp), np.zeros(2 * n * n)
-        src[self.picks], wt[self.picks] = np.arange(n * n), np.repeat([1.0, r, r], [n, m, m])
-        src[2 * self.low], wt[2 * self.low] = n + p, r
-        src[2 * self.low + 1], wt[2 * self.low + 1] = n + m + p, -r
-        self.sources, self.weights = src, wt
-
-    def rows(self, w):
-        """Q* w, over the leading axis of w (real for a Hermitian vec w)."""
-        up, low, r = w[self.up], w[self.low], self.root_half
-        return np.concatenate([w[self.diag], r * (up + low), -1j * r * (up - low)])
-
-    def coords(self, h):
-        """The real coordinates Q* vec(h) of an exactly Hermitian matrix h."""
-        return self.scales * h.ravel().view(float)[self.picks]
-
-    def matrix(self, v):
-        """Re(Q* V Q): real symmetric, and positive definite when V is."""
-        return self.rows(self.rows(v).conj().T).real
-
-    def hermitian(self, x):
-        """The Hermitian matrix Q x of real coordinates x, exactly Hermitian."""
-        return (self.weights * x[self.sources]).view(complex).reshape(self.n, self.n)
-
-
-@functools.cache
-def _hermitian_basis(n):
-    """_HermitianBasis(n), built once per size."""
-    return _HermitianBasis(n)
-
-
 def _hkm_schur(rows, cols, b, sinv):
     """sum_m diag(vec C_m)(B_m (x) S_m^-T)diag(vec conj(C_m)), an N^2 x N^2 matrix.
 
@@ -392,7 +342,7 @@ class _Conic:
         self.safe = np.flatnonzero(self.lam_s[:, 0] > _SZEGO_FLOOR * self.lam_s[:, -1])
         safe = self.safe
         self.whiten = vec_s[safe] / np.sqrt(self.lam_s[safe])[:, None, :]  # Sz_k^(-1) = W W*
-        self.basis = _hermitian_basis(self.dim)
+        self.basis = hermitian_basis(self.dim)
 
     @functools.cached_property
     def factors(self):
@@ -493,7 +443,7 @@ class _Conic:
         H(dZ) + dt E = G - t E + sum_m C_m . K_m, with Re<E, dZ> = 1 - Re<E, Z>.
         H = sum_m diag(vec C_m)(B_m (x) S_m^-T)diag(vec conj(C_m)) (_hkm_schur)
         is real symmetric positive definite in a real orthonormal basis of
-        the Hermitian matrices (_HermitianBasis); bordered by the t row, the
+        the Hermitian matrices (hermitian.HermitianBasis); bordered by the t row, the
         system is solved by LU.  A Newton step keeps a linear identity that
         already holds, and a full primal step restores one that does not.
         One computation gives each direction: it solves that system for a

@@ -164,14 +164,19 @@ def toeplitz_positivity(
     ``phi_scaled_samples`` are the d2 x d1 values at the radially scaled
     atoms (r s_k, r^2 p_k); on the atomic model the multiplication operator
     is block diagonal, so the minimum eigenvalue is a per-atom minimum.
+    ValidationError for a non-finite delta or samples of more than one shape.
     """
     if not (0.0 < r < 1.0):
         raise ValidationError("scaling radius must lie in (0, 1)")
+    if not np.isfinite(delta):
+        raise ValidationError(f"delta must be finite, got {delta}")
     for a in mu.atoms:
         scale_point((a.s, a.p), r)  # validates the scaled atom stays in range
     mats = [np.atleast_2d(np.asarray(x, dtype=complex)) for x in phi_scaled_samples]
     if len(mats) != len(mu.atoms):
         raise ValidationError("one sample per atom required")
+    if any(x.shape != mats[0].shape for x in mats):
+        raise ValidationError("samples must share a common shape")
     worst = np.inf
     d2 = mats[0].shape[0]
     for x in mats:

@@ -56,11 +56,11 @@ class BGammaPoint:
 
     def __post_init__(self):
         s, p = complex(self.s), complex(self.p)
-        if abs(abs(p) - 1.0) > self.TOL:
+        if not abs(abs(p) - 1.0) <= self.TOL:
             raise ValidationError(f"boundary point needs |p| = 1, got |p| = {abs(p)}")
-        if abs(s - s.conjugate() * p) > self.TOL:
+        if not abs(s - s.conjugate() * p) <= self.TOL:
             raise ValidationError("boundary point needs s = conj(s) * p")
-        if abs(s) > 2.0 + self.TOL:
+        if not abs(s) <= 2.0 + self.TOL:
             raise ValidationError(f"boundary point needs |s| <= 2, got {abs(s)}")
 
 
@@ -88,7 +88,7 @@ def phi(alpha: complex, point: GPoint | tuple[complex, complex]) -> complex:
     zero; a vanishing denominator signals corrupted input.
     """
     s, p = _coords(point)
-    if abs(alpha) > 1.0 + 1e-12:
+    if not abs(alpha) <= 1.0 + 1e-12:
         raise ValidationError(f"|alpha| <= 1 required, got {abs(alpha)}")
     den = 2.0 - alpha * s
     if abs(den) < 1e-14:
@@ -109,7 +109,7 @@ def phi_values(alphas: np.ndarray, s: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def symmetrize(z1: complex, z2: complex) -> GPoint:
     """Map a pair of open-disk points to (z1 + z2, z1 * z2)."""
-    if abs(z1) >= 1.0 or abs(z2) >= 1.0:
+    if not (abs(z1) < 1.0 and abs(z2) < 1.0):
         raise ValidationError(
             f"symmetrize needs |z| < 1 inputs, got |z1| = {abs(z1)}, |z2| = {abs(z2)}"
         )
@@ -125,7 +125,7 @@ def scale_point(point: GPoint | tuple[complex, complex], r: float) -> GPoint:
     if not (0.0 <= r < 1.0):
         raise ValidationError(f"scaling radius must lie in [0, 1), got {r}")
     s, p = _coords(point)
-    if abs(s) > 2.0 + 1e-12:
+    if not abs(s) <= 2.0 + 1e-12:
         raise ValidationError(f"|s| <= 2 required, got {abs(s)}")
     return GPoint(r * s, r * r * p)
 

@@ -76,7 +76,7 @@ class AlphaGrid:
             raise ValidationError("alpha grid must be nonempty")
         if al.size > MAX_GRID_SIZE:
             raise ValidationError(f"alpha grid has {al.size} > {MAX_GRID_SIZE} points")
-        if np.any(np.abs(al) > 1.0 + 1e-12):
+        if not np.all(np.abs(al) <= 1.0 + 1e-12):
             raise ValidationError("alpha grid points must lie in the closed unit disk")
         for i in range(al.size):
             if np.any(np.abs(al[i + 1 :] - al[i]) <= 1e-14):

@@ -42,9 +42,9 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .geometry import phi_values
-from .hermitian import hermitian_part, unitary_completion
+from .hermitian import hermitian_basis, hermitian_part, unitary_completion
 from .kernels import NodeSet, coefficient_masks, expand_masks
-from .feasibility import CPBlocks, FeasibilityTarget, SolveReport, SolveStatus, _hermitian_basis
+from .feasibility import CPBlocks, FeasibilityTarget, SolveReport, SolveStatus
 
 # Points per batched solve are capped so that a stack of colligation-sized
 # blocks ((padded + state dim)^2 entries each) holds at most this many entries.
@@ -176,11 +176,10 @@ def _purified_factors(blocks: CPBlocks, nodes: NodeSet) -> tuple[np.ndarray, np.
     dim = vec.shape[1]
     if len(x) > dim * dim:
         cexp = expand_masks(coefficient_masks(blocks.grid, nodes), dim // len(nodes))
-        basis = _hermitian_basis(dim)
 
         def columns(idx):
             terms = cexp[ms[idx]] * (u[idx, :, None] * u[idx].conj()[:, None, :])
-            return basis.rows(terms.reshape(len(idx), -1).T).real
+            return hermitian_basis(dim).coords(hermitian_part(terms)).T
 
         x = _basic_solution(columns, x, 2 * dim * dim)
     live = x > 0.0
@@ -291,9 +290,12 @@ def transfer_eval_batch(col: Colligation, s: np.ndarray, p: np.ndarray) -> np.nd
     ||D|| <= 1 and |z_k| <= r bound the resolvent's condition number by
     (1 + r) / (1 - r), so a batch warns "near-boundary evaluation" when some
     state scalar reaches modulus 1 - 2e-12, where that bound passes 1e12.
+    ValidationError unless s and p have one size.
     """
     s = np.asarray(s, dtype=complex).ravel()
     p = np.asarray(p, dtype=complex).ravel()
+    if s.size != p.size:
+        raise ValidationError(f"one p per s required, got {s.size} s and {p.size} p")
     # padded corner is the realized value; the rest is completion gauge
     corner = (slice(None), slice(0, col.out_dim), slice(0, col.in_dim))
     h = col.state_dim

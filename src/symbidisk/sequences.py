@@ -111,7 +111,7 @@ def carleson_condition(trunc: SequenceTruncation, alpha: complex) -> float:
     of the coordinate images; positive values certify separation through this
     single coordinate direction (coincident images give zero).
     """
-    if abs(alpha) > 1.0 + 1e-12:
+    if not abs(alpha) <= 1.0 + 1e-12:
         raise ValidationError("|alpha| <= 1 required")
     z = phi_values(np.array([alpha]), trunc.nodes.s, trunc.nodes.p)[0]
     n = trunc.n

@@ -25,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .feasibility import CPBlocks, SolveReport
+from .feasibility import MAX_TARGET_DIM, CPBlocks, SolveReport
 from .geometry import MembershipReport
 from .kernels import AlphaGrid, KernelMatrix, NodeSet
 from .realization import Colligation
@@ -96,6 +96,10 @@ def decode_point_rows(obj, field: str) -> list[tuple[complex, complex]]:
 
 
 def decode_nodes(obj, field: str) -> NodeSet:
+    """The nodes of the input field ``field``, its rows counted before NodeSet's pairwise scan."""
+    if isinstance(obj, (list, tuple)) and len(obj) > MAX_TARGET_DIM:
+        cap = f"more than the {MAX_TARGET_DIM} nodes a problem may hold"
+        raise ValidationError(f"field '{field}' has {len(obj)} rows, {cap}")
     return NodeSet.from_pairs(decode_point_rows(obj, field))
 
 

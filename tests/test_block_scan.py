@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import sys
@@ -21,15 +22,18 @@ def test_scan_of_eight_targets(monkeypatch, capsys):
     verdicts = sorted({m[5] for m in rows})
     counts = " ".join(f"{v}={sum(m[5] == v for m in rows)}" for v in verdicts)
     later = sum(m[5] == "INFEASIBLE_CERTIFIED" and int(m[6]) > 0 for m in rows)
+    # the first 16 hex digits of the sha256 of the per-target lines
+    digest = hashlib.sha256("".join(f"{line}\n" for line in out[:8]).encode()).hexdigest()[:16]
     assert out[8:] == [
         "targets: 8",
         f"verdicts: {counts}",
         f"certified after iteration 0: {later}",
         f"iterations: {sum(int(m[6]) for m in rows)}",
         "certificates failing certificate_holds: 0",
+        f"digest {digest}",
     ]
 
     # a certificate that fails its check fails the scan
     monkeypatch.setattr(block_scan.conftest, "certificate_holds", lambda *args: False)
     assert block_scan.main(["--targets", "4"]) == 1
-    assert capsys.readouterr().out.splitlines()[-1] != "certificates failing certificate_holds: 0"
+    assert capsys.readouterr().out.splitlines()[-2] != "certificates failing certificate_holds: 0"

@@ -811,6 +811,23 @@ class TestMalformedFields:
         write_json(p_in, pick_problem_obj(ws=(0.0,) * 21, nodes=NODES_21))
         assert "21 rows" in input_error_line(run(["pick", "--in", str(p_in)]), *capsys.readouterr())
 
+    @pytest.mark.parametrize("kind", ["pick", "sequence", "corona"])
+    def test_node_list_above_the_cap_is_refused_before_membership(
+        self, kind, tmp_path, capsys, monkeypatch
+    ):
+        # 5000 distinct member nodes: the row count is the input error, before
+        # NodeSet tests each node and scans every pair
+        def membership(*args, **kwargs):
+            raise AssertionError("membership tested on an oversized node list")
+
+        monkeypatch.setattr(symbidisk.geometry, "membership", membership)
+        obj = valid_problem(kind)
+        obj["payload"]["nodes"] = [[1e-4 * k, 0.0, 0.0, 0.0] for k in range(5000)]
+        p_in = tmp_path / "p.json"
+        write_json(p_in, obj)
+        line = input_error_line(run([kind, "--in", str(p_in)]), *capsys.readouterr())
+        assert "field 'nodes' has 5000 rows" in line
+
     def test_measure_above_the_atom_cap_is_one_input_error_line(self, tmp_path, capsys):
         # s = 2 cos(t), p = 1: distinct points of the boundary of the symmetrized bidisk
         rows = [[2.0 * math.cos(math.pi * k / 1024), 0.0, 1.0, 0.0] for k in range(1025)]

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +23,7 @@ from symbidisk import (
 )
 from symbidisk import feasibility
 from symbidisk.corona import CoronaProblem
-from symbidisk.feasibility import MAX_TARGET_DIM, _Conic, _HermitianBasis, _hkm_schur
+from symbidisk.feasibility import MAX_TARGET_DIM, _Conic, _hkm_schur
 from symbidisk.hermitian import hermitian_part, min_eigenvalue, min_eigenvalue_stack
 from symbidisk.kernels import (
     coefficient_masks,
@@ -284,80 +282,7 @@ class TestSolve:
 
 
 class TestInteriorPointSystems:
-    """The interior-point Schur complement, one product of the masks' factors, and its solves."""
-
-    @pytest.mark.parametrize(
-        "block, n, boundary",
-        [
-            pytest.param(1, 3, None, id="1"),
-            pytest.param(2, 3, None, id="2"),
-            # phi(alpha_m, .) repeats over the three rows of every block
-            pytest.param(3, 3, None, id="3"),
-            pytest.param(1, 16, 32, id="many_atoms"),  # N = 16 on 33 alphas
-        ],
-    )
-    def test_hkm_schur_matches_operator(self, block, n, boundary, solver_grid):
-        # the interior-point Schur complement, assembled from the masks'
-        # rank-two factors, and its real form in the Hermitian basis:
-        # symmetric positive definite
-        grid = solver_grid if boundary is None else AlphaGrid.boundary(boundary)
-        rng = np.random.default_rng(block)
-        nodes = random_nodes(rng, n)
-        cexp = expand_masks(coefficient_masks(grid, nodes), block)
-        size, m = n * block, len(grid)
-
-        def hermitian(*stack):
-            shape = stack + (size, size)
-            w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            return w + w.conj().swapaxes(-1, -2)
-
-        b = hermitian(m) + 4 * size * np.eye(size)
-        s = hermitian(m) + 4 * size * np.eye(size)
-        sinv = np.linalg.inv(s)
-        schur = _hkm_schur(*_Conic(nodes, grid, block).factors, b, sinv)
-        basis = _HermitianBasis(size)
-        real = basis.matrix(schur)
-        assert np.abs(real - real.T).max() <= 1e-12 * np.abs(real).max()
-        assert np.linalg.eigvalsh(real)[0] > 0.0
-        for _ in range(3):
-            h = hermitian()
-            expected = np.einsum("mij,mij->ij", cexp, b @ (cexp.conj() * h) @ sinv)
-            err = np.abs(schur @ h.ravel() - expected.ravel()).max()
-            assert err <= 1e-12 * np.abs(expected).max()
-            x = basis.coords(h)
-            assert np.array_equal(basis.hermitian(x), basis.hermitian(x).conj().T)
-            assert np.abs(basis.hermitian(x) - h).max() <= 1e-14 * np.abs(h).max()
-            sym = hermitian_part(expected)
-            assert np.abs(real @ x - basis.coords(sym)).max() <= 1e-12 * np.abs(sym).max()
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_basis_products_are_the_defining_elements(self, n):
-        # Q's elements e_ii, (e_ij + e_ji) / sqrt 2 and i (e_ij - e_ji) / sqrt 2,
-        # i < j, in the order of the coordinates; on an exactly Hermitian h
-        # the coordinates Re<Q_k, h> and the matrix sum_k x_k Q_k, entry by
-        # entry, are the bits of one product each
-        rng = np.random.default_rng(n)
-        basis, r = _HermitianBasis(n), math.sqrt(0.5)
-        pairs = list(zip(*np.triu_indices(n, 1)))
-        w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = w + w.conj().T
-        coords = np.array(
-            [h[i, i].real for i in range(n)]
-            + [r * (h[i, j].real + h[j, i].real) for i, j in pairs]
-            + [r * (h[i, j].imag - h[j, i].imag) for i, j in pairs]
-        )
-        assert np.array_equal(basis.coords(h), coords)
-        x = rng.standard_normal(n * n)
-        expected = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            expected[i, i] = x[i]
-        for k, (i, j) in enumerate(pairs):
-            a, b = x[n + k], x[n + len(pairs) + k]
-            expected[i, j], expected[j, i] = complex(r * a, r * b), complex(r * a, -r * b)
-        herm = basis.hermitian(x)
-        assert np.array_equal(herm, expected)
-        assert np.array_equal(herm, herm.conj().T)
-        assert np.abs(basis.hermitian(basis.coords(h)) - h).max() <= 1e-15 * np.abs(h).max()
+    """The interior-point core: its decisions, its size cap and the stacks it builds."""
 
     def test_interior_point_decides_planted_targets_up_to_n16(self, solver_grid):
         rng = np.random.default_rng(3)

@@ -16,8 +16,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "symbidisk"
 ALLOWED = {
     # _Conic builds the masks from the phi values it also keeps for its factors
     ("feasibility", "kernels", "_masks"),
-    # the purified witness is walked in the solver's Hermitian basis
-    ("realization", "feasibility", "_hermitian_basis"),
     # the minimal-norm bracket is one run of the conic solver
     ("pick", "feasibility", "_conic_minimum"),
 }

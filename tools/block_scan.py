@@ -19,15 +19,18 @@ Each target is solved on ``AlphaGrid.solver_default()`` with
 ``SolveOptions(max_iter=400)``.  It prints one line per target (index,
 generator, n, d, status, iterations), then the verdict counts, how many
 certificates came after iteration 0 (from an iterate's kernel rather than
-the start's), the total of iterations, and how many certificates fail
-``conftest.certificate_holds``.  Comparing the per-target lines of two trees
-with ``diff`` shows every target whose verdict or iteration count moved.  It
-exits 1 when a certificate fails its check.
+the start's), the total of iterations, how many certificates fail
+``conftest.certificate_holds``, and a digest of the per-target lines: the
+first 16 hex digits of their sha256, one line each.  Two trees whose digests
+agree gave every target the same verdict and iteration count; comparing the
+per-target lines with ``diff`` shows every target that moved.  It exits 1
+when a certificate fails its check.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 from collections import Counter
@@ -99,11 +102,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--targets", type=int, default=2000, help="number of targets drawn")
     args = parser.parse_args(argv)
     grid = AlphaGrid.solver_default()
-    verdicts, later, iterations, bad = Counter(), 0, 0, 0
+    verdicts, later, iterations, bad, lines = Counter(), 0, 0, 0, hashlib.sha256()
     for i, (kind, target) in enumerate(targets(args.targets, grid)):
         report = solve(target, grid, OPTIONS)
         n, d = len(target.nodes), target.block
-        print(f"{i} {kind} n={n} d={d} {report.status.name} {report.iterations}")
+        line = f"{i} {kind} n={n} d={d} {report.status.name} {report.iterations}"
+        print(line)
+        lines.update(f"{line}\n".encode())
         verdicts[report.status.name] += 1
         iterations += report.iterations
         if report.status is SolveStatus.INFEASIBLE_CERTIFIED:
@@ -114,6 +119,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"certified after iteration 0: {later}")
     print(f"iterations: {iterations}")
     print(f"certificates failing certificate_holds: {bad}")
+    print(f"digest {lines.hexdigest()[:16]}")
     return 1 if bad else 0
 
 
